@@ -10,8 +10,10 @@
 
 use fedprophet_repro::data::{generate, partition_pathological, SynthConfig};
 use fedprophet_repro::fl::{
-    AsyncCheckpoint, AsyncConfig, AsyncScheduler, DeadlinePolicy, EventScheduler, FlConfig, FlEnv,
-    JFat, SchedCheckpoint, SchedConfig,
+    model_hash, AsyncCheckpoint, AsyncConfig, AsyncScheduler, AsyncStopPoint, AttackKind,
+    AttackPlan, ByzTrainer, CommConfig, DeadlinePolicy, EventScheduler, FlConfig, FlEnv, JFat,
+    OutagePlan, QuantConfig, QuantTrainer, RobustRule, SchedCheckpoint, SchedConfig, StragglePlan,
+    SyntheticTrainer, TopologyConfig, TracePlan,
 };
 use fedprophet_repro::hwsim::{sample_fleet, SamplingMode, CIFAR_POOL};
 use fedprophet_repro::nn::models::{vgg_atom_specs, VggConfig};
@@ -40,6 +42,10 @@ fn pre_refactor_sched_checkpoint_loads_and_reserializes_bit_identically() {
         reserialized, json,
         "ModelState must serialize byte-identically to the v1 model checkpoint"
     );
+    // Same property with every plane's optional keys populated.
+    let v2 = include_str!("fixtures/sched_checkpoint_planes_v2.json");
+    let ckpt: SchedCheckpoint = serde_json::from_str(v2).expect("v2 checkpoint deserializes");
+    assert_eq!(serde_json::to_string(&ckpt).expect("serializes"), v2);
 }
 
 #[test]
@@ -88,6 +94,10 @@ fn pre_refactor_async_checkpoint_loads_and_reserializes_bit_identically() {
         reserialized, json,
         "ModelState must serialize byte-identically to the v1 model checkpoint"
     );
+    // Same property with every plane's optional keys populated.
+    let v2 = include_str!("fixtures/async_checkpoint_planes_v2.json");
+    let ckpt: AsyncCheckpoint = serde_json::from_str(v2).expect("v2 checkpoint deserializes");
+    assert_eq!(serde_json::to_string(&ckpt).expect("serializes"), v2);
 }
 
 #[test]
@@ -110,4 +120,179 @@ fn pre_refactor_async_checkpoint_resumes() {
     assert!(out.ledger[2..]
         .iter()
         .all(|r| r.clock_s > ckpt.last_agg_clock_s));
+}
+
+// ------------------------------------------------------- planes-on (v2)
+//
+// The v1 fixtures predate every plane, so they pin none of the optional
+// checkpoint/ledger keys. The v2 fixtures were captured from small
+// synthetic runs with the comm-delta, two-tier topology, Byzantine,
+// trace and quantization planes all enabled (the async one mid-flight),
+// so a key rename, reorder or dropped omit-when-trivial rule in any
+// plane's wire format breaks a byte comparison here.
+
+fn planes_env(rounds: usize) -> FlEnv {
+    let mut cfg = FlConfig::fast(rounds, 2025);
+    cfg.n_clients = 16;
+    cfg.clients_per_round = 8;
+    let data = generate(&SynthConfig::tiny(4, 8), 2025);
+    let specs = vgg_atom_specs(&VggConfig::tiny(3, 8, 4, &[4]));
+    FlEnv::lazy(data, &CIFAR_POOL, SamplingMode::Balanced, specs, cfg)
+}
+
+fn planes_comm() -> CommConfig {
+    CommConfig {
+        delta_downloads: true,
+        snapshot_retention: 2,
+        cache_rows: 12,
+    }
+}
+
+/// The stock diurnal mix with a hair-trigger thermal envelope (so the
+/// `thermal`/`throttled` keys appear within a few rounds), correlated
+/// outages and a timing adversary on the attack cohort.
+fn planes_trace() -> TracePlan {
+    let mut plan = TracePlan::diurnal(86_400.0);
+    for class in &mut plan.classes {
+        class.throttle_after_s = 0.0;
+        class.throttle_per_s = 0.05;
+        class.throttle_cap = 3.0;
+        class.cooldown_s = 86_400.0;
+    }
+    plan.outage = Some(OutagePlan {
+        p: 0.2,
+        window_s: 5e-6,
+        regions: 4,
+    });
+    plan.straggle = Some(StragglePlan {
+        fraction: 0.3,
+        salt: 5,
+        factor: 1.5,
+    });
+    plan
+}
+
+type PlanesTrainer = ByzTrainer<QuantTrainer<SyntheticTrainer>>;
+
+fn planes_trainer(rule: RobustRule, kind: AttackKind) -> PlanesTrainer {
+    let quant = QuantConfig {
+        bits: 4,
+        chunk: 64,
+        ef_rows: 3,
+    };
+    let plan = AttackPlan {
+        fraction: 0.3,
+        salt: 5,
+        kind,
+    };
+    ByzTrainer::new(QuantTrainer::new(SyntheticTrainer, quant), rule, Some(plan))
+}
+
+const PLANES_SYNC_ROUNDS: usize = 6;
+const PLANES_SYNC_STOP: usize = 4;
+
+fn planes_sync_sched() -> EventScheduler<PlanesTrainer> {
+    EventScheduler::with_trace(
+        planes_trainer(
+            RobustRule::TrimmedMean { trim: 0.25 },
+            AttackKind::SignFlip { scale: 2.0 },
+        ),
+        SchedConfig {
+            over_select: 1.5,
+            dropout_p: 0.15,
+            deadline: DeadlinePolicy::MedianMultiple(1.25),
+            min_completions: 1,
+        },
+        planes_comm(),
+        TopologyConfig::two_tier(3, 2),
+        Some(planes_trace()),
+    )
+}
+
+const PLANES_ASYNC_AGGS: usize = 5;
+const PLANES_ASYNC_STOP: AsyncStopPoint = AsyncStopPoint {
+    aggregations: 2,
+    buffered: 1,
+};
+
+fn planes_async_sched() -> AsyncScheduler<PlanesTrainer> {
+    AsyncScheduler::with_trace(
+        planes_trainer(
+            RobustRule::MultiKrum {
+                f: 1,
+                m: 4,
+                clip: 1.5,
+            },
+            AttackKind::GaussNoise { sigma: 0.5 },
+        ),
+        AsyncConfig {
+            concurrency: 8,
+            buffer_k: 3,
+            staleness_exp: 0.5,
+            dropout_p: 0.1,
+            timeout_s: Some(2e-5),
+            adaptive_buffer: Some((2, 4)),
+        },
+        planes_comm(),
+        TopologyConfig::two_tier(3, 2),
+        Some(planes_trace()),
+    )
+}
+
+#[test]
+fn planes_v2_sched_checkpoint_resumes_to_the_uninterrupted_model() {
+    let json = include_str!("fixtures/sched_checkpoint_planes_v2.json");
+    let ckpt: SchedCheckpoint = serde_json::from_str(json).expect("v2 checkpoint deserializes");
+    assert_eq!(ckpt.next_round, PLANES_SYNC_STOP);
+    assert_eq!(ckpt.ledger.len(), PLANES_SYNC_STOP);
+    assert!(
+        ckpt.comm.is_some()
+            && ckpt.topo.is_some()
+            && ckpt.byz.is_some()
+            && ckpt.trace.is_some()
+            && ckpt.quant.is_some(),
+        "every plane key is present"
+    );
+    let e = planes_env(PLANES_SYNC_ROUNDS);
+    // The fixture is exactly what a live capture serializes to.
+    let fresh = planes_sync_sched().run_until(&e, PLANES_SYNC_STOP);
+    assert_eq!(serde_json::to_string(&fresh).unwrap(), json);
+    let full = planes_sync_sched().run(&e);
+    let resumed = planes_sync_sched().resume(&e, &ckpt);
+    assert_eq!(full.ledger, resumed.ledger);
+    assert_eq!(model_hash(&full.model), model_hash(&resumed.model));
+}
+
+#[test]
+fn planes_v2_async_checkpoint_resumes_to_the_uninterrupted_model() {
+    let json = include_str!("fixtures/async_checkpoint_planes_v2.json");
+    let ckpt: AsyncCheckpoint = serde_json::from_str(json).expect("v2 checkpoint deserializes");
+    assert_eq!(ckpt.version, PLANES_ASYNC_STOP.aggregations);
+    assert!(
+        !ckpt.buffer.is_empty()
+            && !ckpt.in_flight.is_empty()
+            && !ckpt.edge_buffers.is_empty()
+            && !ckpt.upstream.is_empty(),
+        "fixture was taken mid-flight on every tier"
+    );
+    assert!(
+        ckpt.in_flight.iter().any(|d| d.cause.is_some()),
+        "a trace-attributed loss is pending"
+    );
+    assert!(
+        ckpt.comm.is_some()
+            && ckpt.topo.is_some()
+            && ckpt.byz.is_some()
+            && ckpt.trace.is_some()
+            && ckpt.quant.is_some()
+            && ckpt.cur_k.is_some(),
+        "every plane key is present"
+    );
+    let e = planes_env(PLANES_ASYNC_AGGS);
+    let fresh = planes_async_sched().run_until(&e, PLANES_ASYNC_STOP);
+    assert_eq!(serde_json::to_string(&fresh).unwrap(), json);
+    let full = planes_async_sched().run(&e);
+    let resumed = planes_async_sched().resume(&e, &ckpt);
+    assert_eq!(full.ledger, resumed.ledger);
+    assert_eq!(model_hash(&full.model), model_hash(&resumed.model));
 }
