@@ -17,38 +17,21 @@
 //! (`cargo run -p fp-bench --bin bench_check`) wires this into the
 //! workflow right after the bench-smoke step.
 
-use serde::{map_field, Deserialize, Error, Value};
+use serde::Deserialize;
 
 /// One benchmark measurement (the subset of the report the gate needs;
 /// extra report fields are ignored on deserialization).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Deserialize)]
 pub struct BenchEntry {
     /// Benchmark id, e.g. `matmul/parallel/512`.
     pub id: String,
     /// Median wall-clock per iteration in nanoseconds.
     pub median_ns: f64,
-    /// Arithmetic throughput, when the bench declared its flop count.
+    /// Arithmetic throughput, when the bench declared its flop count
+    /// (absent from reports emitted before the packed-GEMM work, and from
+    /// all virtual-time `"wall"` sections).
+    #[serde(default)]
     pub gflops: Option<f64>,
-}
-
-// Hand-written rather than derived: the vendored serde derive errors on
-// absent struct fields, and `gflops` is absent from reports emitted
-// before the packed-GEMM work (and from all virtual-time `"wall"`
-// sections).
-impl Deserialize for BenchEntry {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| Error::custom("expected map for BenchEntry"))?;
-        Ok(BenchEntry {
-            id: String::deserialize(map_field(m, "id", "BenchEntry")?)?,
-            median_ns: f64::deserialize(map_field(m, "median_ns", "BenchEntry")?)?,
-            gflops: match m.iter().find(|(k, _)| k == "gflops") {
-                Some((_, val)) => Option::<f64>::deserialize(val)?,
-                None => None,
-            },
-        })
-    }
 }
 
 /// A kernel-bench report: `{"benchmarks": [...]}` (criterion's

@@ -58,7 +58,7 @@ use crate::comm::{CommConfig, CommPlane, CommState};
 use crate::config::FlConfig;
 use crate::engine::FlEnv;
 use crate::metrics::{FlOutcome, RoundRecord};
-use crate::sched::{opt_field, sample_availability, LedgerOut, ModelState, ScheduledTrainer};
+use crate::sched::{sample_availability, LedgerOut, ModelState, ScheduledTrainer};
 use crate::topology::TopologyConfig;
 use fp_hwsim::Payload;
 use fp_nn::CascadeModel;
@@ -84,7 +84,7 @@ const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
 /// The dropout/timeout and adaptive-buffer fields were added after the
 /// first checkpoint format shipped; they serialize only when active so
 /// pre-refactor checkpoints round-trip byte-identically.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AsyncConfig {
     /// Maximum clients training concurrently (FedBuff's `M_c`). Freed
     /// slots re-arm immediately.
@@ -100,17 +100,20 @@ pub struct AsyncConfig {
     /// never reports (network loss, app eviction). Drawn from the
     /// per-`(version, client)` [`FlEnv::client_rng`] stream
     /// ([`SALT_ASYNC_DROP`]). Requires `timeout_s`.
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub dropout_p: f64,
     /// Server-side dispatch timeout (virtual seconds): a dispatch that
     /// has not reported after this long is abandoned — the slot is
     /// reclaimed, the (eventual) update discarded, and the client's
     /// communication-plane cache entry invalidated. `None` waits forever
     /// (the historical behavior).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub timeout_s: Option<f64>,
     /// Adaptive flush threshold `(k_min, k_max)`: after every
     /// aggregation the buffer threshold is rescaled from the observed
     /// mean staleness (see [`adaptive_k`]), bounded to this range. `None`
     /// keeps `buffer_k` static.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub adaptive_buffer: Option<(usize, usize)>,
 }
 
@@ -177,43 +180,6 @@ impl AsyncConfig {
             None => self.buffer_k,
             Some((k_min, k_max)) => self.buffer_k.clamp(k_min, k_max),
         }
-    }
-}
-
-impl Serialize for AsyncConfig {
-    fn serialize(&self) -> serde::Value {
-        let mut m = vec![
-            ("concurrency".to_string(), self.concurrency.serialize()),
-            ("buffer_k".to_string(), self.buffer_k.serialize()),
-            ("staleness_exp".to_string(), self.staleness_exp.serialize()),
-        ];
-        if self.dropout_p != 0.0 {
-            m.push(("dropout_p".to_string(), self.dropout_p.serialize()));
-        }
-        if let Some(to) = self.timeout_s {
-            m.push(("timeout_s".to_string(), to.serialize()));
-        }
-        if let Some(bounds) = self.adaptive_buffer {
-            m.push(("adaptive_buffer".to_string(), bounds.serialize()));
-        }
-        serde::Value::Map(m)
-    }
-}
-
-impl Deserialize for AsyncConfig {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        const TY: &str = "AsyncConfig";
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for AsyncConfig"))?;
-        Ok(AsyncConfig {
-            concurrency: Deserialize::deserialize(serde::map_field(m, "concurrency", TY)?)?,
-            buffer_k: Deserialize::deserialize(serde::map_field(m, "buffer_k", TY)?)?,
-            staleness_exp: Deserialize::deserialize(serde::map_field(m, "staleness_exp", TY)?)?,
-            dropout_p: opt_field(m, "dropout_p")?.unwrap_or(0.0),
-            timeout_s: opt_field(m, "timeout_s")?,
-            adaptive_buffer: opt_field(m, "adaptive_buffer")?,
-        })
     }
 }
 
@@ -445,7 +411,7 @@ impl AsyncTimeline {
 /// The payload/dropout/adaptive fields (`down_bytes`, `up_bytes`,
 /// `delta_merged`, `timed_out`, `flush_k`) serialize only when non-trivial
 /// so pre-refactor ledgers round-trip byte-identically.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AsyncAggRecord {
     /// Aggregation index (the model version this aggregation produced is
     /// `agg + 1`).
@@ -479,153 +445,56 @@ pub struct AsyncAggRecord {
     pub clock_s: f64,
     /// Down-link payload bytes of the merged dispatches
     /// (delta-compressed where the cache allowed it).
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub down_bytes: u64,
     /// Up-link update bytes of the merged dispatches.
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub up_bytes: u64,
     /// Merged dispatches whose download was delta-encoded.
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub delta_merged: usize,
     /// Dispatches reclaimed by the server-side timeout since the previous
     /// aggregation (dropouts and over-deadline stragglers alike — the
     /// server cannot tell them apart).
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub timed_out: usize,
     /// The adaptive flush threshold this aggregation fired at (`None`
     /// when the buffer is static).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub flush_k: Option<usize>,
     /// Edge partial-sum bundles merged by this aggregation (0 on the
     /// flat topology, where the server buffers client updates directly).
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub bundles: usize,
     /// Edge flushes (upstream forwards) since the previous aggregation.
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub edge_flushes: usize,
     /// Clients whose updates the robust aggregation rule filtered out of
     /// this flush, with reasons — the rule runs *after* the staleness
     /// discount, so the evidence reflects the weights actually merged
     /// (empty — and absent from the JSON — under plain FedAvg).
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub filtered: Vec<crate::byz::FilteredClient>,
     /// Updates whose norm the robust rule clipped before merging (0 —
     /// and absent from the JSON — under plain FedAvg).
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub clip_applied: usize,
     /// Dispatches the trace plane's diurnal curve made unreachable since
     /// the previous aggregation (0 — and absent from the JSON — with no
     /// trace plan).
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub unavailable: usize,
     /// Dispatches lost to dark outage windows since the previous
     /// aggregation — reclaimed through the timeout path but attributed
     /// here, not to `timed_out` (0 — and absent from the JSON — with no
     /// trace plan).
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub outage_lost: usize,
     /// Merged dispatches whose latency the trace plane scaled (thermal
     /// throttle or timing adversary; 0 — and absent from the JSON —
     /// with no trace plan).
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub throttled: usize,
-}
-
-impl Serialize for AsyncAggRecord {
-    fn serialize(&self) -> serde::Value {
-        let mut m = vec![
-            ("agg".to_string(), self.agg.serialize()),
-            ("merged".to_string(), self.merged.serialize()),
-            ("clients".to_string(), self.clients.serialize()),
-            (
-                "mean_staleness".to_string(),
-                self.mean_staleness.serialize(),
-            ),
-            ("max_staleness".to_string(), self.max_staleness.serialize()),
-            (
-                "weight_retained".to_string(),
-                self.weight_retained.serialize(),
-            ),
-            (
-                "participation_weight".to_string(),
-                self.participation_weight.serialize(),
-            ),
-            ("train_loss".to_string(), self.train_loss.serialize()),
-            ("val_clean".to_string(), self.val_clean.serialize()),
-            ("val_adv".to_string(), self.val_adv.serialize()),
-            (
-                "mean_transfer_s".to_string(),
-                self.mean_transfer_s.serialize(),
-            ),
-            ("round_time_s".to_string(), self.round_time_s.serialize()),
-            ("clock_s".to_string(), self.clock_s.serialize()),
-        ];
-        if self.down_bytes != 0 {
-            m.push(("down_bytes".to_string(), self.down_bytes.serialize()));
-        }
-        if self.up_bytes != 0 {
-            m.push(("up_bytes".to_string(), self.up_bytes.serialize()));
-        }
-        if self.delta_merged != 0 {
-            m.push(("delta_merged".to_string(), self.delta_merged.serialize()));
-        }
-        if self.timed_out != 0 {
-            m.push(("timed_out".to_string(), self.timed_out.serialize()));
-        }
-        if let Some(k) = self.flush_k {
-            m.push(("flush_k".to_string(), k.serialize()));
-        }
-        if self.bundles != 0 {
-            m.push(("bundles".to_string(), self.bundles.serialize()));
-        }
-        if self.edge_flushes != 0 {
-            m.push(("edge_flushes".to_string(), self.edge_flushes.serialize()));
-        }
-        if !self.filtered.is_empty() {
-            m.push(("filtered".to_string(), self.filtered.serialize()));
-        }
-        if self.clip_applied != 0 {
-            m.push(("clip_applied".to_string(), self.clip_applied.serialize()));
-        }
-        if self.unavailable != 0 {
-            m.push(("unavailable".to_string(), self.unavailable.serialize()));
-        }
-        if self.outage_lost != 0 {
-            m.push(("outage_lost".to_string(), self.outage_lost.serialize()));
-        }
-        if self.throttled != 0 {
-            m.push(("throttled".to_string(), self.throttled.serialize()));
-        }
-        serde::Value::Map(m)
-    }
-}
-
-impl Deserialize for AsyncAggRecord {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        const TY: &str = "AsyncAggRecord";
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for AsyncAggRecord"))?;
-        Ok(AsyncAggRecord {
-            agg: Deserialize::deserialize(serde::map_field(m, "agg", TY)?)?,
-            merged: Deserialize::deserialize(serde::map_field(m, "merged", TY)?)?,
-            clients: Deserialize::deserialize(serde::map_field(m, "clients", TY)?)?,
-            mean_staleness: Deserialize::deserialize(serde::map_field(m, "mean_staleness", TY)?)?,
-            max_staleness: Deserialize::deserialize(serde::map_field(m, "max_staleness", TY)?)?,
-            weight_retained: Deserialize::deserialize(serde::map_field(m, "weight_retained", TY)?)?,
-            participation_weight: Deserialize::deserialize(serde::map_field(
-                m,
-                "participation_weight",
-                TY,
-            )?)?,
-            train_loss: Deserialize::deserialize(serde::map_field(m, "train_loss", TY)?)?,
-            val_clean: Deserialize::deserialize(serde::map_field(m, "val_clean", TY)?)?,
-            val_adv: Deserialize::deserialize(serde::map_field(m, "val_adv", TY)?)?,
-            mean_transfer_s: Deserialize::deserialize(serde::map_field(m, "mean_transfer_s", TY)?)?,
-            round_time_s: Deserialize::deserialize(serde::map_field(m, "round_time_s", TY)?)?,
-            clock_s: Deserialize::deserialize(serde::map_field(m, "clock_s", TY)?)?,
-            down_bytes: opt_field(m, "down_bytes")?.unwrap_or(0),
-            up_bytes: opt_field(m, "up_bytes")?.unwrap_or(0),
-            delta_merged: opt_field(m, "delta_merged")?.unwrap_or(0),
-            timed_out: opt_field(m, "timed_out")?.unwrap_or(0),
-            flush_k: opt_field(m, "flush_k")?,
-            bundles: opt_field(m, "bundles")?.unwrap_or(0),
-            edge_flushes: opt_field(m, "edge_flushes")?.unwrap_or(0),
-            filtered: opt_field(m, "filtered")?.unwrap_or_default(),
-            clip_applied: opt_field(m, "clip_applied")?.unwrap_or(0),
-            unavailable: opt_field(m, "unavailable")?.unwrap_or(0),
-            outage_lost: opt_field(m, "outage_lost")?.unwrap_or(0),
-            throttled: opt_field(m, "throttled")?.unwrap_or(0),
-        })
-    }
 }
 
 // --------------------------------------------------------------- scheduler
@@ -730,7 +599,7 @@ pub type UpstreamBundle = (f64, Vec<PendingDispatch>);
 /// The `payload` and `lost` fields serialize only when non-trivial so
 /// pre-refactor checkpoints round-trip byte-identically (a legacy entry
 /// deserializes as a delivered full-payload dispatch).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PendingDispatch {
     /// Client id.
     pub client: usize,
@@ -745,66 +614,23 @@ pub struct PendingDispatch {
     pub transfer_s: f64,
     /// The wire payload of the dispatch (`None` on entries loaded from
     /// pre-communication-plane checkpoints).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub payload: Option<Payload>,
     /// Whether the dispatch is lost (client dropout or over-timeout
     /// straggler): its event reclaims the slot instead of buffering an
     /// update, and the client's cache entry is invalidated.
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub lost: bool,
     /// Why the trace plane lost this dispatch (`None` for the plain
     /// dropout/timeout loss — and for every delivered dispatch). Decides
     /// which ledger counter the reclaim feeds, and whether the cache is
     /// invalidated (an unavailable client never received the download).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub cause: Option<crate::trace::TraceLoss>,
     /// Whether the trace plane scaled this dispatch's latency (thermal
     /// throttle or timing adversary) — ledger reporting at flush.
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub throttled: bool,
-}
-
-impl Serialize for PendingDispatch {
-    fn serialize(&self) -> serde::Value {
-        let mut m = vec![
-            ("client".to_string(), self.client.serialize()),
-            ("version".to_string(), self.version.serialize()),
-            ("dispatch_s".to_string(), self.dispatch_s.serialize()),
-            ("finish_s".to_string(), self.finish_s.serialize()),
-            ("transfer_s".to_string(), self.transfer_s.serialize()),
-        ];
-        if let Some(p) = &self.payload {
-            m.push(("payload".to_string(), p.serialize()));
-        }
-        if self.lost {
-            m.push(("lost".to_string(), self.lost.serialize()));
-        }
-        if let Some(c) = &self.cause {
-            m.push(("cause".to_string(), c.as_str().serialize()));
-        }
-        if self.throttled {
-            m.push(("throttled".to_string(), self.throttled.serialize()));
-        }
-        serde::Value::Map(m)
-    }
-}
-
-impl Deserialize for PendingDispatch {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        const TY: &str = "PendingDispatch";
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for PendingDispatch"))?;
-        Ok(PendingDispatch {
-            client: Deserialize::deserialize(serde::map_field(m, "client", TY)?)?,
-            version: Deserialize::deserialize(serde::map_field(m, "version", TY)?)?,
-            dispatch_s: Deserialize::deserialize(serde::map_field(m, "dispatch_s", TY)?)?,
-            finish_s: Deserialize::deserialize(serde::map_field(m, "finish_s", TY)?)?,
-            transfer_s: Deserialize::deserialize(serde::map_field(m, "transfer_s", TY)?)?,
-            payload: opt_field(m, "payload")?,
-            lost: opt_field(m, "lost")?.unwrap_or(false),
-            cause: opt_field::<String>(m, "cause")?
-                .map(|s| crate::trace::TraceLoss::parse(&s))
-                .transpose()?,
-            throttled: opt_field(m, "throttled")?.unwrap_or(false),
-        })
-    }
 }
 
 /// A serializable snapshot of an asynchronous run, including buffered
@@ -815,6 +641,7 @@ impl Deserialize for PendingDispatch {
 /// The server state serializes under the historical `"model"` key (and
 /// past versions under `"past_models"`): for [`ModelState`] the JSON is
 /// bit-identical to the pre-generalization format.
+#[derive(Serialize, Deserialize)]
 pub struct AsyncCheckpoint<S = ModelState> {
     /// Aggregations already performed (= current model version).
     pub version: usize,
@@ -837,6 +664,7 @@ pub struct AsyncCheckpoint<S = ModelState> {
     pub rounds: usize,
     /// Current server state (historically a bare model checkpoint, hence
     /// the serialized field name `model`).
+    #[serde(rename = "model")]
     pub state: S,
     /// Ledger of the aggregations already performed.
     pub ledger: Vec<AsyncAggRecord>,
@@ -848,151 +676,53 @@ pub struct AsyncCheckpoint<S = ModelState> {
     pub dispatched_at_version: Vec<usize>,
     /// Snapshots of past state versions still referenced by pending
     /// dispatches.
+    #[serde(rename = "past_models")]
     pub past_states: Vec<(usize, S)>,
     /// Communication-plane state; `None` when caching is disabled (and
     /// then absent from the JSON).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub comm: Option<CommState<S>>,
     /// Live adaptive flush threshold (`None` when the buffer is static).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub cur_k: Option<usize>,
     /// Dispatches reclaimed by timeout since the last aggregation (the
     /// count the next ledger record reports).
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub timed_out: usize,
     /// Aggregation topology; `None` on the flat single-server topology
     /// (and then absent from the JSON, keeping pre-topology checkpoints
     /// byte-identical).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub topo: Option<TopologyConfig>,
     /// Hierarchical only: per-edge cohort accumulation at capture time.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub edge_buffers: Vec<(usize, Vec<PendingDispatch>)>,
     /// Hierarchical only: forwarded bundles mid-flight on the backhaul,
     /// per edge, as `(arrival clock, entries)`.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub upstream: Vec<(usize, Vec<UpstreamBundle>)>,
     /// Bundles in the server buffer (the flush-threshold unit on a
     /// two-tier topology).
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub bundles: usize,
     /// Edge flushes since the last aggregation.
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub edge_flushes: usize,
     /// Byzantine policy (robust rule + attack plan); `None` for honest
     /// trainers and trivial policies (and then absent from the JSON,
     /// keeping pre-Byzantine checkpoints byte-identical).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub byz: Option<crate::byz::ByzPolicy>,
     /// Availability-trace plan + thermal state + in-progress loss
     /// counters; `None` with no trace plan (and then absent from the
     /// JSON, keeping pre-trace checkpoints byte-identical).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub trace: Option<crate::trace::TraceCheckpoint>,
     /// Quantization-plane policy + error-feedback residual table; `None`
     /// for dense trainers (and then absent from the JSON, keeping
     /// pre-quantization checkpoints byte-identical).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub quant: Option<crate::quant::QuantState>,
-}
-
-impl<S: Serialize> Serialize for AsyncCheckpoint<S> {
-    fn serialize(&self) -> serde::Value {
-        let mut m = vec![
-            ("version".to_string(), self.version.serialize()),
-            ("clock_s".to_string(), self.clock_s.serialize()),
-            (
-                "last_agg_clock_s".to_string(),
-                self.last_agg_clock_s.serialize(),
-            ),
-            (
-                "dispatch_count".to_string(),
-                self.dispatch_count.serialize(),
-            ),
-            ("seed".to_string(), self.seed.serialize()),
-            ("acfg".to_string(), self.acfg.serialize()),
-            ("algorithm".to_string(), self.algorithm.serialize()),
-            ("n_clients".to_string(), self.n_clients.serialize()),
-            ("rounds".to_string(), self.rounds.serialize()),
-            ("model".to_string(), self.state.serialize()),
-            ("ledger".to_string(), self.ledger.serialize()),
-            ("buffer".to_string(), self.buffer.serialize()),
-            ("in_flight".to_string(), self.in_flight.serialize()),
-            (
-                "dispatched_at_version".to_string(),
-                self.dispatched_at_version.serialize(),
-            ),
-            ("past_models".to_string(), self.past_states.serialize()),
-        ];
-        if let Some(comm) = &self.comm {
-            m.push(("comm".to_string(), comm.serialize()));
-        }
-        if let Some(k) = self.cur_k {
-            m.push(("cur_k".to_string(), k.serialize()));
-        }
-        if self.timed_out != 0 {
-            m.push(("timed_out".to_string(), self.timed_out.serialize()));
-        }
-        if let Some(topo) = &self.topo {
-            m.push(("topo".to_string(), topo.serialize()));
-        }
-        if !self.edge_buffers.is_empty() {
-            m.push(("edge_buffers".to_string(), self.edge_buffers.serialize()));
-        }
-        if !self.upstream.is_empty() {
-            m.push(("upstream".to_string(), self.upstream.serialize()));
-        }
-        if self.bundles != 0 {
-            m.push(("bundles".to_string(), self.bundles.serialize()));
-        }
-        if self.edge_flushes != 0 {
-            m.push(("edge_flushes".to_string(), self.edge_flushes.serialize()));
-        }
-        if let Some(byz) = &self.byz {
-            m.push(("byz".to_string(), byz.serialize()));
-        }
-        if let Some(trace) = &self.trace {
-            m.push(("trace".to_string(), trace.serialize()));
-        }
-        if let Some(quant) = &self.quant {
-            m.push(("quant".to_string(), quant.serialize()));
-        }
-        serde::Value::Map(m)
-    }
-}
-
-impl<S: Deserialize> Deserialize for AsyncCheckpoint<S> {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        const TY: &str = "AsyncCheckpoint";
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for AsyncCheckpoint"))?;
-        Ok(AsyncCheckpoint {
-            version: Deserialize::deserialize(serde::map_field(m, "version", TY)?)?,
-            clock_s: Deserialize::deserialize(serde::map_field(m, "clock_s", TY)?)?,
-            last_agg_clock_s: Deserialize::deserialize(serde::map_field(
-                m,
-                "last_agg_clock_s",
-                TY,
-            )?)?,
-            dispatch_count: Deserialize::deserialize(serde::map_field(m, "dispatch_count", TY)?)?,
-            seed: Deserialize::deserialize(serde::map_field(m, "seed", TY)?)?,
-            acfg: Deserialize::deserialize(serde::map_field(m, "acfg", TY)?)?,
-            algorithm: Deserialize::deserialize(serde::map_field(m, "algorithm", TY)?)?,
-            n_clients: Deserialize::deserialize(serde::map_field(m, "n_clients", TY)?)?,
-            rounds: Deserialize::deserialize(serde::map_field(m, "rounds", TY)?)?,
-            state: Deserialize::deserialize(serde::map_field(m, "model", TY)?)?,
-            ledger: Deserialize::deserialize(serde::map_field(m, "ledger", TY)?)?,
-            buffer: Deserialize::deserialize(serde::map_field(m, "buffer", TY)?)?,
-            in_flight: Deserialize::deserialize(serde::map_field(m, "in_flight", TY)?)?,
-            dispatched_at_version: Deserialize::deserialize(serde::map_field(
-                m,
-                "dispatched_at_version",
-                TY,
-            )?)?,
-            past_states: Deserialize::deserialize(serde::map_field(m, "past_models", TY)?)?,
-            comm: opt_field(m, "comm")?,
-            cur_k: opt_field(m, "cur_k")?,
-            timed_out: opt_field(m, "timed_out")?.unwrap_or(0),
-            topo: opt_field(m, "topo")?,
-            edge_buffers: opt_field(m, "edge_buffers")?.unwrap_or_default(),
-            upstream: opt_field(m, "upstream")?.unwrap_or_default(),
-            bundles: opt_field(m, "bundles")?.unwrap_or(0),
-            edge_flushes: opt_field(m, "edge_flushes")?.unwrap_or(0),
-            byz: opt_field(m, "byz")?,
-            trace: opt_field(m, "trace")?,
-            quant: opt_field(m, "quant")?,
-        })
-    }
 }
 
 /// Mutable state of a live asynchronous run.

@@ -52,6 +52,7 @@ pub struct DistillState {
     pub temperature: f32,
 }
 
+// Hand-written: converts the live models to and from their `Checkpoint`s.
 impl Serialize for DistillState {
     fn serialize(&self) -> serde::Value {
         serde::Value::Map(vec![

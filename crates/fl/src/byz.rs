@@ -38,7 +38,7 @@
 
 use crate::aggregate::{clip_to_median_norm, krum_scores, trimmed_mean};
 use crate::engine::FlEnv;
-use crate::sched::{opt_field, ScheduledTrainer};
+use crate::sched::ScheduledTrainer;
 use fp_attack::NormBall;
 use fp_hwsim::{salted_unit, splitmix64, LatencyModel, PayloadSpec};
 use fp_nn::CascadeModel;
@@ -52,7 +52,8 @@ pub const SALT_ATTACK: u64 = 0xBAD_C117;
 // ------------------------------------------------------------------ attacks
 
 /// How a flagged client corrupts its uplink update.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum AttackKind {
     /// Reflects the honest update about the dispatched parameters,
     /// amplified: `u' = p + scale·(p − u)`. The classic sign-flip /
@@ -151,52 +152,6 @@ impl AttackKind {
     }
 }
 
-impl Serialize for AttackKind {
-    fn serialize(&self) -> serde::Value {
-        let m = match *self {
-            AttackKind::SignFlip { scale } => vec![
-                ("kind".to_string(), "sign_flip".serialize()),
-                ("scale".to_string(), scale.serialize()),
-            ],
-            AttackKind::GaussNoise { sigma } => vec![
-                ("kind".to_string(), "gauss_noise".serialize()),
-                ("sigma".to_string(), sigma.serialize()),
-            ],
-            AttackKind::Targeted { eps, steps } => vec![
-                ("kind".to_string(), "targeted".serialize()),
-                ("eps".to_string(), eps.serialize()),
-                ("steps".to_string(), steps.serialize()),
-            ],
-        };
-        serde::Value::Map(m)
-    }
-}
-
-impl Deserialize for AttackKind {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        const TY: &str = "AttackKind";
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for AttackKind"))?;
-        let kind: String = Deserialize::deserialize(serde::map_field(m, "kind", TY)?)?;
-        match kind.as_str() {
-            "sign_flip" => Ok(AttackKind::SignFlip {
-                scale: Deserialize::deserialize(serde::map_field(m, "scale", TY)?)?,
-            }),
-            "gauss_noise" => Ok(AttackKind::GaussNoise {
-                sigma: Deserialize::deserialize(serde::map_field(m, "sigma", TY)?)?,
-            }),
-            "targeted" => Ok(AttackKind::Targeted {
-                eps: Deserialize::deserialize(serde::map_field(m, "eps", TY)?)?,
-                steps: Deserialize::deserialize(serde::map_field(m, "steps", TY)?)?,
-            }),
-            other => Err(serde::Error::custom(format!(
-                "unknown AttackKind `{other}`"
-            ))),
-        }
-    }
-}
-
 /// The seeded hostile-client plan: which fraction of the fleet is
 /// flagged, under which salt, doing what.
 ///
@@ -205,7 +160,7 @@ impl Deserialize for AttackKind {
 /// `fraction` — stateless, order-free, and independent of fleet size, so
 /// the same clients are hostile whether they are dispatched by the sync
 /// scheduler, the async scheduler, or behind an edge aggregator.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AttackPlan {
     /// Expected fraction of the fleet that is hostile, in `[0, 1]`.
     pub fraction: f64,
@@ -242,34 +197,11 @@ impl AttackPlan {
     }
 }
 
-impl Serialize for AttackPlan {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("fraction".to_string(), self.fraction.serialize()),
-            ("salt".to_string(), self.salt.serialize()),
-            ("kind".to_string(), self.kind.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for AttackPlan {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        const TY: &str = "AttackPlan";
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for AttackPlan"))?;
-        Ok(AttackPlan {
-            fraction: Deserialize::deserialize(serde::map_field(m, "fraction", TY)?)?,
-            salt: Deserialize::deserialize(serde::map_field(m, "salt", TY)?)?,
-            kind: Deserialize::deserialize(serde::map_field(m, "kind", TY)?)?,
-        })
-    }
-}
-
 // ------------------------------------------------------------ robust rules
 
 /// Why the robust rule removed a client's update from a merge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum FilterReason {
     /// Multi-Krum scored the update an outlier (far from its nearest
     /// peers).
@@ -292,44 +224,12 @@ impl FilterReason {
 /// One client the robust rule filtered out of a merge, with the reason —
 /// the ledger evidence trail (`SchedRound::filtered`,
 /// `AsyncAggRecord::filtered`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FilteredClient {
     /// The filtered client.
     pub client: usize,
     /// Why its update was removed.
     pub reason: FilterReason,
-}
-
-impl Serialize for FilteredClient {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("client".to_string(), self.client.serialize()),
-            ("reason".to_string(), self.reason.as_str().serialize()),
-        ])
-    }
-}
-
-impl Deserialize for FilteredClient {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        const TY: &str = "FilteredClient";
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for FilteredClient"))?;
-        let reason: String = Deserialize::deserialize(serde::map_field(m, "reason", TY)?)?;
-        let reason = match reason.as_str() {
-            "krum" => FilterReason::Krum,
-            "trimmed" => FilterReason::Trimmed,
-            other => {
-                return Err(serde::Error::custom(format!(
-                    "unknown FilterReason `{other}`"
-                )))
-            }
-        };
-        Ok(FilteredClient {
-            client: Deserialize::deserialize(serde::map_field(m, "client", TY)?)?,
-            reason,
-        })
-    }
 }
 
 /// Bookkeeping of one robust merge: who was filtered and why, and how
@@ -357,7 +257,8 @@ pub type RuleOutcome = (Vec<(usize, Vec<f32>)>, Vec<f32>, RobustStats);
 
 /// The server's aggregation rule — how a buffer of (possibly hostile)
 /// weighted updates becomes one merge.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "rule", rename_all = "snake_case")]
 pub enum RobustRule {
     /// Plain weighted FedAvg: the exact passthrough. A [`ByzTrainer`]
     /// under this rule merges bit-identically to its inner trainer.
@@ -498,91 +399,19 @@ impl RobustRule {
             }
         }
     }
-
-    fn tag(&self) -> &'static str {
-        match self {
-            RobustRule::FedAvg => "fed_avg",
-            RobustRule::TrimmedMean { .. } => "trimmed_mean",
-            RobustRule::MultiKrum { .. } => "multi_krum",
-        }
-    }
-}
-
-impl Serialize for RobustRule {
-    fn serialize(&self) -> serde::Value {
-        let mut m = vec![("rule".to_string(), self.tag().serialize())];
-        match *self {
-            RobustRule::FedAvg => {}
-            RobustRule::TrimmedMean { trim } => {
-                m.push(("trim".to_string(), trim.serialize()));
-            }
-            RobustRule::MultiKrum { f, m: sel, clip } => {
-                m.push(("f".to_string(), f.serialize()));
-                m.push(("m".to_string(), sel.serialize()));
-                m.push(("clip".to_string(), clip.serialize()));
-            }
-        }
-        serde::Value::Map(m)
-    }
-}
-
-impl Deserialize for RobustRule {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        const TY: &str = "RobustRule";
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for RobustRule"))?;
-        let tag: String = Deserialize::deserialize(serde::map_field(m, "rule", TY)?)?;
-        match tag.as_str() {
-            "fed_avg" => Ok(RobustRule::FedAvg),
-            "trimmed_mean" => Ok(RobustRule::TrimmedMean {
-                trim: Deserialize::deserialize(serde::map_field(m, "trim", TY)?)?,
-            }),
-            "multi_krum" => Ok(RobustRule::MultiKrum {
-                f: Deserialize::deserialize(serde::map_field(m, "f", TY)?)?,
-                m: Deserialize::deserialize(serde::map_field(m, "m", TY)?)?,
-                clip: Deserialize::deserialize(serde::map_field(m, "clip", TY)?)?,
-            }),
-            other => Err(serde::Error::custom(format!(
-                "unknown RobustRule `{other}`"
-            ))),
-        }
-    }
 }
 
 /// The full Byzantine policy a run executes under: the server's rule and
 /// the fleet's attack plan. Checkpoints carry it (under the optional
 /// `byz` key, absent for trivial policies) and resume validates it, so a
 /// checkpoint can never silently continue under different threat rules.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ByzPolicy {
     /// The server's aggregation rule.
     pub rule: RobustRule,
     /// The fleet's attack plan, if any.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub plan: Option<AttackPlan>,
-}
-
-impl Serialize for ByzPolicy {
-    fn serialize(&self) -> serde::Value {
-        let mut m = vec![("rule".to_string(), self.rule.serialize())];
-        if let Some(plan) = &self.plan {
-            m.push(("plan".to_string(), plan.serialize()));
-        }
-        serde::Value::Map(m)
-    }
-}
-
-impl Deserialize for ByzPolicy {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        const TY: &str = "ByzPolicy";
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for ByzPolicy"))?;
-        Ok(ByzPolicy {
-            rule: Deserialize::deserialize(serde::map_field(m, "rule", TY)?)?,
-            plan: opt_field(m, "plan")?,
-        })
-    }
 }
 
 // ----------------------------------------------------------------- wrapper

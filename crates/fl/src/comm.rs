@@ -32,7 +32,7 @@ use fp_hwsim::{Payload, PayloadSpec};
 use serde::{Deserialize, Serialize};
 
 /// Communication-plane policy knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CommConfig {
     /// Enables delta-encoded downloads against per-client cached
     /// versions. Off by default: every dispatch ships the whole
@@ -47,6 +47,7 @@ pub struct CommConfig {
     /// first, so a bounded plane keeps memory O(bound) even on a
     /// 10⁶-client fleet; an evicted client simply downgrades to a full
     /// download on its next dispatch.
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub cache_rows: usize,
 }
 
@@ -57,46 +58,6 @@ impl Default for CommConfig {
             snapshot_retention: 4,
             cache_rows: 0,
         }
-    }
-}
-
-// Hand-written serde: `cache_rows` is omitted at its default so every
-// pre-existing checkpoint (and golden JSON) that carries a `"comm"` key
-// keeps its exact byte layout.
-impl Serialize for CommConfig {
-    fn serialize(&self) -> serde::Value {
-        let mut m = vec![
-            (
-                "delta_downloads".to_string(),
-                self.delta_downloads.serialize(),
-            ),
-            (
-                "snapshot_retention".to_string(),
-                self.snapshot_retention.serialize(),
-            ),
-        ];
-        if self.cache_rows != 0 {
-            m.push(("cache_rows".to_string(), self.cache_rows.serialize()));
-        }
-        serde::Value::Map(m)
-    }
-}
-
-impl Deserialize for CommConfig {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        const TY: &str = "CommConfig";
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for CommConfig"))?;
-        Ok(CommConfig {
-            delta_downloads: Deserialize::deserialize(serde::map_field(m, "delta_downloads", TY)?)?,
-            snapshot_retention: Deserialize::deserialize(serde::map_field(
-                m,
-                "snapshot_retention",
-                TY,
-            )?)?,
-            cache_rows: crate::sched::opt_field(m, "cache_rows")?.unwrap_or(0),
-        })
     }
 }
 
@@ -364,7 +325,7 @@ impl<S> CommPlane<S> {
 }
 
 /// The checkpointable state of a [`CommPlane`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CommState<S> {
     /// Policy the run was started with (validated on resume).
     pub cfg: CommConfig,
@@ -378,17 +339,8 @@ pub struct CommState<S> {
     pub snapshots: Vec<(usize, S)>,
 }
 
-impl<S: Serialize> Serialize for CommState<S> {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("cfg".to_string(), self.cfg.serialize()),
-            ("cache".to_string(), self.cache.serialize()),
-            ("touch".to_string(), self.touch.serialize()),
-            ("snapshots".to_string(), self.snapshots.serialize()),
-        ])
-    }
-}
-
+// Hand-written: also reads the legacy dense `Vec<Option<CacheEntry>>`
+// cache table (and derives the `touch` counter it never stored).
 impl<S: Deserialize> Deserialize for CommState<S> {
     fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
         const TY: &str = "CommState";
@@ -412,8 +364,10 @@ impl<S: Deserialize> Deserialize for CommState<S> {
                     .collect()
             }
         };
-        let touch = crate::sched::opt_field(m, "touch")?
-            .unwrap_or_else(|| cache.iter().map(|&(_, _, t)| t + 1).max().unwrap_or(0));
+        let touch = match serde::map_get(m, "touch") {
+            Some(t) => Deserialize::deserialize(t)?,
+            None => cache.iter().map(|&(_, _, t)| t + 1).max().unwrap_or(0),
+        };
         Ok(CommState {
             cfg: Deserialize::deserialize(serde::map_field(m, "cfg", TY)?)?,
             cache,

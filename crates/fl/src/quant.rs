@@ -46,7 +46,7 @@ use fp_tensor::BackendHandle;
 use serde::{Deserialize, Serialize};
 
 use crate::engine::FlEnv;
-use crate::sched::{opt_field, ScheduledTrainer};
+use crate::sched::ScheduledTrainer;
 
 /// Domain-separation salt for the quantizer's stochastic draws.
 const SALT_QUANT: u64 = 0x4B17_C0DE;
@@ -74,7 +74,7 @@ pub enum QuantLoss {
 
 /// Cause-attributed counts of error-feedback rows invalidated by lost
 /// dispatches.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QuantLosses {
     /// Rows dropped by sync straggler dropout.
     pub dropout: u64,
@@ -84,16 +84,8 @@ pub struct QuantLosses {
     pub outage_lost: u64,
 }
 
-impl QuantLosses {
-    /// Whether nothing was ever invalidated (the counters are then
-    /// omitted from checkpoints).
-    pub fn is_trivial(&self) -> bool {
-        *self == QuantLosses::default()
-    }
-}
-
 /// Quantization-plane policy knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QuantConfig {
     /// Code width in bits: `2..=8`, or `32` for the exact passthrough
     /// (useful as a bit-accuracy anchor — 32-bit codes reproduce the
@@ -105,6 +97,7 @@ pub struct QuantConfig {
     /// Rows are evicted least-recently-trained first, mirroring
     /// [`CommConfig::cache_rows`](crate::comm::CommConfig::cache_rows);
     /// an evicted client simply restarts with a zero residual.
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub ef_rows: usize,
 }
 
@@ -134,35 +127,6 @@ impl QuantConfig {
     }
 }
 
-// Hand-written serde: `ef_rows` is omitted at its 0 default, mirroring
-// `CommConfig::cache_rows`.
-impl Serialize for QuantConfig {
-    fn serialize(&self) -> serde::Value {
-        let mut m = vec![
-            ("bits".to_string(), self.bits.serialize()),
-            ("chunk".to_string(), self.chunk.serialize()),
-        ];
-        if self.ef_rows != 0 {
-            m.push(("ef_rows".to_string(), self.ef_rows.serialize()));
-        }
-        serde::Value::Map(m)
-    }
-}
-
-impl Deserialize for QuantConfig {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        const TY: &str = "QuantConfig";
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for QuantConfig"))?;
-        Ok(QuantConfig {
-            bits: Deserialize::deserialize(serde::map_field(m, "bits", TY)?)?,
-            chunk: Deserialize::deserialize(serde::map_field(m, "chunk", TY)?)?,
-            ef_rows: opt_field(m, "ef_rows")?.unwrap_or(0),
-        })
-    }
-}
-
 /// One client's resident error-feedback state.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QuantRow {
@@ -174,65 +138,16 @@ pub struct QuantRow {
 }
 
 /// The checkpointable state of the quantization plane.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QuantState {
     /// Policy the run was started with (validated on resume).
     pub cfg: QuantConfig,
     /// Resident residual rows, ascending by client id.
     pub rows: Vec<(usize, QuantRow)>,
-    /// Cause-attributed invalidation counters.
+    /// Cause-attributed invalidation counters (absent from the JSON
+    /// while nothing was ever invalidated).
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub lost: QuantLosses,
-}
-
-impl Serialize for QuantState {
-    fn serialize(&self) -> serde::Value {
-        let mut m = vec![
-            ("cfg".to_string(), self.cfg.serialize()),
-            ("rows".to_string(), self.rows.serialize()),
-        ];
-        if !self.lost.is_trivial() {
-            m.push((
-                "lost".to_string(),
-                serde::Value::Map(vec![
-                    ("dropout".to_string(), self.lost.dropout.serialize()),
-                    ("timed_out".to_string(), self.lost.timed_out.serialize()),
-                    ("outage_lost".to_string(), self.lost.outage_lost.serialize()),
-                ]),
-            ));
-        }
-        serde::Value::Map(m)
-    }
-}
-
-impl Deserialize for QuantState {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        const TY: &str = "QuantState";
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for QuantState"))?;
-        let lost = match m.iter().find(|(k, _)| k == "lost").map(|(_, v)| v) {
-            None => QuantLosses::default(),
-            Some(lv) => {
-                let lm = lv
-                    .as_map()
-                    .ok_or_else(|| serde::Error::custom("expected map for QuantLosses"))?;
-                QuantLosses {
-                    dropout: Deserialize::deserialize(serde::map_field(lm, "dropout", TY)?)?,
-                    timed_out: Deserialize::deserialize(serde::map_field(lm, "timed_out", TY)?)?,
-                    outage_lost: Deserialize::deserialize(serde::map_field(
-                        lm,
-                        "outage_lost",
-                        TY,
-                    )?)?,
-                }
-            }
-        };
-        Ok(QuantState {
-            cfg: Deserialize::deserialize(serde::map_field(m, "cfg", TY)?)?,
-            rows: Deserialize::deserialize(serde::map_field(m, "rows", TY)?)?,
-            lost,
-        })
-    }
 }
 
 /// The live (interior-mutable) table behind a [`QuantTrainer`].

@@ -351,7 +351,7 @@ fn index_by_id(ids: &[usize]) -> std::collections::HashMap<usize, usize> {
 /// added with the communication plane; they serialize only when non-zero
 /// so pre-refactor ledgers (embedded in committed v1 checkpoints)
 /// round-trip byte-identically.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SchedRound {
     /// Round index.
     pub round: usize,
@@ -377,129 +377,40 @@ pub struct SchedRound {
     pub clock_s: f64,
     /// Down-link payload bytes broadcast to every dispatched client this
     /// round (delta-compressed where the cache allowed it).
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub down_bytes: u64,
     /// Up-link update bytes received from the completed clients.
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub up_bytes: u64,
     /// Dispatches whose download was delta-encoded.
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub delta_dispatches: usize,
     /// Edge aggregators that forwarded a cohort bundle this round (0 on
     /// the flat topology — and then absent from the JSON).
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub edges_active: usize,
     /// Clients whose updates the robust aggregation rule filtered out of
     /// this round's merge, with reasons (empty — and absent from the
     /// JSON — under plain FedAvg).
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub filtered: Vec<crate::byz::FilteredClient>,
     /// Updates whose norm the robust rule clipped before merging (0 —
     /// and absent from the JSON — under plain FedAvg).
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub clip_applied: usize,
     /// Selected clients the trace plane's diurnal curve made unreachable
     /// (0 — and absent from the JSON — with no trace plan).
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub unavailable: usize,
     /// Selected clients lost to a dark outage window (0 — and absent
     /// from the JSON — with no trace plan).
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub outage_lost: usize,
     /// Surviving dispatches whose latency the trace plane scaled
     /// (thermal throttle or timing adversary; 0 — and absent from the
     /// JSON — with no trace plan).
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub throttled: usize,
-}
-
-impl Serialize for SchedRound {
-    fn serialize(&self) -> serde::Value {
-        let mut m = vec![
-            ("round".to_string(), self.round.serialize()),
-            ("selected".to_string(), self.selected.serialize()),
-            ("dropped_out".to_string(), self.dropped_out.serialize()),
-            ("stragglers".to_string(), self.stragglers.serialize()),
-            ("completed".to_string(), self.completed.serialize()),
-            (
-                "participation_weight".to_string(),
-                self.participation_weight.serialize(),
-            ),
-            ("train_loss".to_string(), self.train_loss.serialize()),
-            ("val_clean".to_string(), self.val_clean.serialize()),
-            ("val_adv".to_string(), self.val_adv.serialize()),
-            ("round_time_s".to_string(), self.round_time_s.serialize()),
-            ("clock_s".to_string(), self.clock_s.serialize()),
-        ];
-        if self.down_bytes != 0 {
-            m.push(("down_bytes".to_string(), self.down_bytes.serialize()));
-        }
-        if self.up_bytes != 0 {
-            m.push(("up_bytes".to_string(), self.up_bytes.serialize()));
-        }
-        if self.delta_dispatches != 0 {
-            m.push((
-                "delta_dispatches".to_string(),
-                self.delta_dispatches.serialize(),
-            ));
-        }
-        if self.edges_active != 0 {
-            m.push(("edges_active".to_string(), self.edges_active.serialize()));
-        }
-        if !self.filtered.is_empty() {
-            m.push(("filtered".to_string(), self.filtered.serialize()));
-        }
-        if self.clip_applied != 0 {
-            m.push(("clip_applied".to_string(), self.clip_applied.serialize()));
-        }
-        if self.unavailable != 0 {
-            m.push(("unavailable".to_string(), self.unavailable.serialize()));
-        }
-        if self.outage_lost != 0 {
-            m.push(("outage_lost".to_string(), self.outage_lost.serialize()));
-        }
-        if self.throttled != 0 {
-            m.push(("throttled".to_string(), self.throttled.serialize()));
-        }
-        serde::Value::Map(m)
-    }
-}
-
-impl Deserialize for SchedRound {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        const TY: &str = "SchedRound";
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for SchedRound"))?;
-        Ok(SchedRound {
-            round: Deserialize::deserialize(serde::map_field(m, "round", TY)?)?,
-            selected: Deserialize::deserialize(serde::map_field(m, "selected", TY)?)?,
-            dropped_out: Deserialize::deserialize(serde::map_field(m, "dropped_out", TY)?)?,
-            stragglers: Deserialize::deserialize(serde::map_field(m, "stragglers", TY)?)?,
-            completed: Deserialize::deserialize(serde::map_field(m, "completed", TY)?)?,
-            participation_weight: Deserialize::deserialize(serde::map_field(
-                m,
-                "participation_weight",
-                TY,
-            )?)?,
-            train_loss: Deserialize::deserialize(serde::map_field(m, "train_loss", TY)?)?,
-            val_clean: Deserialize::deserialize(serde::map_field(m, "val_clean", TY)?)?,
-            val_adv: Deserialize::deserialize(serde::map_field(m, "val_adv", TY)?)?,
-            round_time_s: Deserialize::deserialize(serde::map_field(m, "round_time_s", TY)?)?,
-            clock_s: Deserialize::deserialize(serde::map_field(m, "clock_s", TY)?)?,
-            down_bytes: opt_field(m, "down_bytes")?.unwrap_or(0),
-            up_bytes: opt_field(m, "up_bytes")?.unwrap_or(0),
-            delta_dispatches: opt_field(m, "delta_dispatches")?.unwrap_or(0),
-            edges_active: opt_field(m, "edges_active")?.unwrap_or(0),
-            filtered: opt_field(m, "filtered")?.unwrap_or_default(),
-            clip_applied: opt_field(m, "clip_applied")?.unwrap_or(0),
-            unavailable: opt_field(m, "unavailable")?.unwrap_or(0),
-            outage_lost: opt_field(m, "outage_lost")?.unwrap_or(0),
-            throttled: opt_field(m, "throttled")?.unwrap_or(0),
-        })
-    }
-}
-
-/// Deserializes a field that older serialized forms may omit.
-pub(crate) fn opt_field<T: Deserialize>(
-    m: &[(String, serde::Value)],
-    field: &str,
-) -> Result<Option<T>, serde::Error> {
-    m.iter()
-        .find(|(k, _)| k == field)
-        .map(|(_, v)| T::deserialize(v))
-        .transpose()
 }
 
 /// Where per-round (or per-aggregation) ledger records go.
@@ -736,6 +647,7 @@ pub trait ScheduledTrainer: Sync {
 #[derive(Debug, Clone)]
 pub struct ModelState(pub CascadeModel);
 
+// Hand-written: converts the live model to and from its `Checkpoint`.
 impl Serialize for ModelState {
     fn serialize(&self) -> serde::Value {
         Checkpoint::capture(&self.0).serialize()
@@ -943,6 +855,7 @@ impl<S> SchedOutcome<S> {
 /// The state serializes under the historical `"model"` key: for
 /// [`ModelState`] (single-model algorithms) the JSON is bit-identical to
 /// the pre-generalization format, so old checkpoints keep loading.
+#[derive(Serialize, Deserialize)]
 pub struct SchedCheckpoint<S = ModelState> {
     /// The first round the resumed run will execute.
     pub next_round: usize,
@@ -964,95 +877,35 @@ pub struct SchedCheckpoint<S = ModelState> {
     pub rounds: usize,
     /// Server-state snapshot (historically a bare model checkpoint, hence
     /// the serialized field name `model`).
+    #[serde(rename = "model")]
     pub state: S,
     /// Ledger of the rounds already run.
     pub ledger: Vec<SchedRound>,
     /// Communication-plane state (cache table + retained snapshots);
     /// `None` when caching is disabled, and then absent from the JSON —
     /// pre-refactor checkpoints round-trip byte-identically.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub comm: Option<CommState<S>>,
     /// Aggregation topology; `None` on the flat single-server topology
     /// (and then absent from the JSON, keeping pre-topology checkpoints
     /// byte-identical).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub topo: Option<TopologyConfig>,
     /// Byzantine policy (robust rule + attack plan); `None` for honest
     /// trainers and trivial policies (and then absent from the JSON,
     /// keeping pre-Byzantine checkpoints byte-identical).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub byz: Option<crate::byz::ByzPolicy>,
     /// Availability-trace plan + thermal state; `None` with no trace
     /// plan (and then absent from the JSON, keeping pre-trace
     /// checkpoints byte-identical).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub trace: Option<crate::trace::TraceCheckpoint>,
     /// Quantization-plane policy + error-feedback residual table; `None`
     /// for dense trainers (and then absent from the JSON, keeping
     /// pre-quantization checkpoints byte-identical).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub quant: Option<crate::quant::QuantState>,
-}
-
-impl<S: Serialize> Serialize for SchedCheckpoint<S> {
-    fn serialize(&self) -> serde::Value {
-        let mut m = vec![
-            ("next_round".to_string(), self.next_round.serialize()),
-            ("clock_s".to_string(), self.clock_s.serialize()),
-            ("seed".to_string(), self.seed.serialize()),
-            ("sched".to_string(), self.sched.serialize()),
-            ("algorithm".to_string(), self.algorithm.serialize()),
-            ("n_clients".to_string(), self.n_clients.serialize()),
-            (
-                "clients_per_round".to_string(),
-                self.clients_per_round.serialize(),
-            ),
-            ("rounds".to_string(), self.rounds.serialize()),
-            ("model".to_string(), self.state.serialize()),
-            ("ledger".to_string(), self.ledger.serialize()),
-        ];
-        if let Some(comm) = &self.comm {
-            m.push(("comm".to_string(), comm.serialize()));
-        }
-        if let Some(topo) = &self.topo {
-            m.push(("topo".to_string(), topo.serialize()));
-        }
-        if let Some(byz) = &self.byz {
-            m.push(("byz".to_string(), byz.serialize()));
-        }
-        if let Some(trace) = &self.trace {
-            m.push(("trace".to_string(), trace.serialize()));
-        }
-        if let Some(quant) = &self.quant {
-            m.push(("quant".to_string(), quant.serialize()));
-        }
-        serde::Value::Map(m)
-    }
-}
-
-impl<S: Deserialize> Deserialize for SchedCheckpoint<S> {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        const TY: &str = "SchedCheckpoint";
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for SchedCheckpoint"))?;
-        Ok(SchedCheckpoint {
-            next_round: Deserialize::deserialize(serde::map_field(m, "next_round", TY)?)?,
-            clock_s: Deserialize::deserialize(serde::map_field(m, "clock_s", TY)?)?,
-            seed: Deserialize::deserialize(serde::map_field(m, "seed", TY)?)?,
-            sched: Deserialize::deserialize(serde::map_field(m, "sched", TY)?)?,
-            algorithm: Deserialize::deserialize(serde::map_field(m, "algorithm", TY)?)?,
-            n_clients: Deserialize::deserialize(serde::map_field(m, "n_clients", TY)?)?,
-            clients_per_round: Deserialize::deserialize(serde::map_field(
-                m,
-                "clients_per_round",
-                TY,
-            )?)?,
-            rounds: Deserialize::deserialize(serde::map_field(m, "rounds", TY)?)?,
-            state: Deserialize::deserialize(serde::map_field(m, "model", TY)?)?,
-            ledger: Deserialize::deserialize(serde::map_field(m, "ledger", TY)?)?,
-            comm: opt_field(m, "comm")?,
-            topo: opt_field(m, "topo")?,
-            byz: opt_field(m, "byz")?,
-            trace: opt_field(m, "trace")?,
-            quant: opt_field(m, "quant")?,
-        })
-    }
 }
 
 /// Mutable cross-round state of a scheduled run.

@@ -113,9 +113,7 @@ impl TopologyConfig {
     }
 }
 
-// Hand-written serde: the config only ever appears in checkpoints taken
-// on hierarchical runs (flat runs omit the key entirely), so the layout
-// is free — but keep it explicit and ordered for stable goldens.
+// Hand-written: flattens `uplink` into the `uplink_*` keys.
 impl Serialize for TopologyConfig {
     fn serialize(&self) -> serde::Value {
         serde::Value::Map(vec![

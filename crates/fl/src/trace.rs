@@ -39,7 +39,6 @@
 //! trace-disabled schedulers execute none of this and reproduce every
 //! pre-trace golden byte-for-byte.
 
-use crate::sched::opt_field;
 use crate::topology::TopologyConfig;
 use fp_hwsim::{salted_unit, splitmix64, ClientLatency};
 use serde::{Deserialize, Serialize};
@@ -58,7 +57,7 @@ const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// One device-class profile: a diurnal availability curve plus a thermal
 /// envelope.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TraceClass {
     /// Mean availability, in `[0, 1]`.
     pub base: f64,
@@ -122,48 +121,6 @@ impl TraceClass {
     }
 }
 
-impl Serialize for TraceClass {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("base".to_string(), self.base.serialize()),
-            ("swing".to_string(), self.swing.serialize()),
-            ("peak_frac".to_string(), self.peak_frac.serialize()),
-            (
-                "throttle_after_s".to_string(),
-                self.throttle_after_s.serialize(),
-            ),
-            (
-                "throttle_per_s".to_string(),
-                self.throttle_per_s.serialize(),
-            ),
-            ("throttle_cap".to_string(), self.throttle_cap.serialize()),
-            ("cooldown_s".to_string(), self.cooldown_s.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for TraceClass {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        const TY: &str = "TraceClass";
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for TraceClass"))?;
-        Ok(TraceClass {
-            base: Deserialize::deserialize(serde::map_field(m, "base", TY)?)?,
-            swing: Deserialize::deserialize(serde::map_field(m, "swing", TY)?)?,
-            peak_frac: Deserialize::deserialize(serde::map_field(m, "peak_frac", TY)?)?,
-            throttle_after_s: Deserialize::deserialize(serde::map_field(
-                m,
-                "throttle_after_s",
-                TY,
-            )?)?,
-            throttle_per_s: Deserialize::deserialize(serde::map_field(m, "throttle_per_s", TY)?)?,
-            throttle_cap: Deserialize::deserialize(serde::map_field(m, "throttle_cap", TY)?)?,
-            cooldown_s: Deserialize::deserialize(serde::map_field(m, "cooldown_s", TY)?)?,
-        })
-    }
-}
-
 // ----------------------------------------------------------------- outages
 
 /// Correlated outage windows: virtual time is cut into `window_s`-long
@@ -172,7 +129,7 @@ impl Deserialize for TraceClass {
 /// cohort; on the flat topology clients hash into `regions` synthetic
 /// regions so outages stay correlated (whole neighborhoods, not
 /// individual devices).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OutagePlan {
     /// Per-(region, window) dark probability, in `[0, 1)`.
     pub p: f64,
@@ -205,30 +162,6 @@ impl OutagePlan {
     }
 }
 
-impl Serialize for OutagePlan {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("p".to_string(), self.p.serialize()),
-            ("window_s".to_string(), self.window_s.serialize()),
-            ("regions".to_string(), self.regions.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for OutagePlan {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        const TY: &str = "OutagePlan";
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for OutagePlan"))?;
-        Ok(OutagePlan {
-            p: Deserialize::deserialize(serde::map_field(m, "p", TY)?)?,
-            window_s: Deserialize::deserialize(serde::map_field(m, "window_s", TY)?)?,
-            regions: Deserialize::deserialize(serde::map_field(m, "regions", TY)?)?,
-        })
-    }
-}
-
 // --------------------------------------------------------- timing adversary
 
 /// The timing adversary: a flagged cohort inflates its round trips on
@@ -236,7 +169,7 @@ impl Deserialize for OutagePlan {
 /// (`seed ^ SALT_ATTACK ^ salt ^ k`), so a [`StragglePlan`] with the
 /// same `(fraction, salt)` as an [`crate::byz::AttackPlan`] flags
 /// exactly the attack cohort — poisoned updates arrive maximally stale.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StragglePlan {
     /// Expected fraction of the fleet that straggles, in `[0, 1]`.
     pub fraction: f64,
@@ -272,35 +205,11 @@ impl StragglePlan {
     }
 }
 
-impl Serialize for StragglePlan {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("fraction".to_string(), self.fraction.serialize()),
-            ("salt".to_string(), self.salt.serialize()),
-            ("factor".to_string(), self.factor.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for StragglePlan {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        const TY: &str = "StragglePlan";
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for StragglePlan"))?;
-        Ok(StragglePlan {
-            fraction: Deserialize::deserialize(serde::map_field(m, "fraction", TY)?)?,
-            salt: Deserialize::deserialize(serde::map_field(m, "salt", TY)?)?,
-            factor: Deserialize::deserialize(serde::map_field(m, "factor", TY)?)?,
-        })
-    }
-}
-
 // -------------------------------------------------------------------- plan
 
 /// The full availability-trace policy: a day length, the device-class
 /// roster, and the optional outage / timing-adversary sub-plans.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TracePlan {
     /// Virtual seconds per simulated day (the diurnal period).
     pub day_s: f64,
@@ -310,8 +219,10 @@ pub struct TracePlan {
     /// Device-class profiles; clients hash uniformly over them.
     pub classes: Vec<TraceClass>,
     /// Correlated outage windows (`None` disables outages).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub outage: Option<OutagePlan>,
     /// Timing adversary (`None` disables deliberate straggling).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub straggle: Option<StragglePlan>,
 }
 
@@ -466,70 +377,20 @@ impl TracePlan {
     }
 }
 
-impl Serialize for TracePlan {
-    fn serialize(&self) -> serde::Value {
-        let mut m = vec![
-            ("day_s".to_string(), self.day_s.serialize()),
-            ("salt".to_string(), self.salt.serialize()),
-            ("classes".to_string(), self.classes.serialize()),
-        ];
-        if let Some(o) = &self.outage {
-            m.push(("outage".to_string(), o.serialize()));
-        }
-        if let Some(s) = &self.straggle {
-            m.push(("straggle".to_string(), s.serialize()));
-        }
-        serde::Value::Map(m)
-    }
-}
-
-impl Deserialize for TracePlan {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        const TY: &str = "TracePlan";
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for TracePlan"))?;
-        Ok(TracePlan {
-            day_s: Deserialize::deserialize(serde::map_field(m, "day_s", TY)?)?,
-            salt: Deserialize::deserialize(serde::map_field(m, "salt", TY)?)?,
-            classes: Deserialize::deserialize(serde::map_field(m, "classes", TY)?)?,
-            outage: opt_field(m, "outage")?,
-            straggle: opt_field(m, "straggle")?,
-        })
-    }
-}
-
 // --------------------------------------------------------------- run state
 
 /// Why the trace plane lost a dispatch (recorded on the pending entry so
 /// the reclaim is attributed to the right ledger counter, and so a
 /// checkpoint taken mid-flight resumes with the same attribution).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum TraceLoss {
     /// The client's diurnal draw said unreachable — the download was
     /// never delivered, so its cache entry stays valid.
+    #[serde(rename = "unavail")]
     Unavailable,
     /// The client's region went dark (at dispatch or mid-flight).
     Outage,
-}
-
-impl TraceLoss {
-    /// Stable string form, as serialized in checkpoints.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            TraceLoss::Unavailable => "unavail",
-            TraceLoss::Outage => "outage",
-        }
-    }
-
-    /// Parses the stable string form.
-    pub fn parse(s: &str) -> Result<Self, serde::Error> {
-        match s {
-            "unavail" => Ok(TraceLoss::Unavailable),
-            "outage" => Ok(TraceLoss::Outage),
-            other => Err(serde::Error::custom(format!("unknown TraceLoss `{other}`"))),
-        }
-    }
 }
 
 /// Mutable trace-plane state of a live run: the per-client thermal map
@@ -636,48 +497,20 @@ impl TraceState {
 /// resume with a field-named mismatch panic) plus the thermal map and
 /// in-progress loss counters. State fields serialize only when
 /// non-trivial, so a cold checkpoint is just the plan.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceCheckpoint {
     /// The availability-trace policy the run was started with.
     pub plan: TracePlan,
     /// Thermal map rows, ascending by client:
     /// `(client, busy seconds, busy-until clock)`.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub thermal: Vec<(usize, f64, f64)>,
     /// Dispatches lost to the diurnal curve since the last flush.
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub unavailable: usize,
     /// Dispatches lost to dark windows since the last flush.
+    #[serde(default, skip_serializing_if = "serde::is_default")]
     pub outage_lost: usize,
-}
-
-impl Serialize for TraceCheckpoint {
-    fn serialize(&self) -> serde::Value {
-        let mut m = vec![("plan".to_string(), self.plan.serialize())];
-        if !self.thermal.is_empty() {
-            m.push(("thermal".to_string(), self.thermal.serialize()));
-        }
-        if self.unavailable != 0 {
-            m.push(("unavailable".to_string(), self.unavailable.serialize()));
-        }
-        if self.outage_lost != 0 {
-            m.push(("outage_lost".to_string(), self.outage_lost.serialize()));
-        }
-        serde::Value::Map(m)
-    }
-}
-
-impl Deserialize for TraceCheckpoint {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        const TY: &str = "TraceCheckpoint";
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for TraceCheckpoint"))?;
-        Ok(TraceCheckpoint {
-            plan: Deserialize::deserialize(serde::map_field(m, "plan", TY)?)?,
-            thermal: opt_field(m, "thermal")?.unwrap_or_default(),
-            unavailable: opt_field(m, "unavailable")?.unwrap_or(0),
-            outage_lost: opt_field(m, "outage_lost")?.unwrap_or(0),
-        })
-    }
 }
 
 #[cfg(test)]

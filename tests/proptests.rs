@@ -446,6 +446,122 @@ proptest! {
     }
 }
 
+/// Asserts the omit-when-trivial contract of a derived ledger/checkpoint
+/// record: optional key `keys[i]` is on the wire iff bit `i` of `mask`
+/// made its field non-trivial, and the record reads back equal.
+macro_rules! assert_keys_follow_mask {
+    ($value:expr, $ty:ty, $mask:expr, [$($key:literal),* $(,)?]) => {{
+        let json = serde_json::to_string(&$value).expect("serializes");
+        for (i, key) in [$($key),*].iter().enumerate() {
+            prop_assert!(
+                json.contains(&format!("\"{key}\":")) == ($mask >> i & 1 == 1),
+                "key `{key}` vs mask {:#b} in {json}",
+                $mask
+            );
+        }
+        prop_assert_eq!(serde_json::from_str::<$ty>(&json).expect("deserializes"), $value);
+    }};
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every optional key of the derived ledger and pending-dispatch
+    /// records is present exactly when its field is non-trivial, for any
+    /// combination of trivial and non-trivial fields.
+    #[test]
+    fn derived_records_omit_exactly_the_trivial_fields(
+        mask in 0u32..(1 << 12),
+        n in 1usize..1000,
+    ) {
+        use fedprophet_repro::fl::{
+            AsyncAggRecord, FilterReason, FilteredClient, PendingDispatch, SchedRound, TraceLoss,
+        };
+        use fedprophet_repro::hwsim::Payload;
+        let on = |i: u32| mask >> i & 1 == 1;
+        let count = |i: u32| if on(i) { n } else { 0 };
+        let filtered = |i: u32| {
+            let reason = if n % 2 == 0 { FilterReason::Krum } else { FilterReason::Trimmed };
+            if on(i) { vec![FilteredClient { client: n, reason }] } else { Vec::new() }
+        };
+
+        let round = SchedRound {
+            round: n,
+            selected: 8,
+            dropped_out: 1,
+            stragglers: 2,
+            completed: 5,
+            participation_weight: 0.5,
+            train_loss: 1.25,
+            val_clean: on(0).then_some(0.5),
+            val_adv: None,
+            round_time_s: 2.5,
+            clock_s: 10.0,
+            down_bytes: count(0) as u64,
+            up_bytes: count(1) as u64,
+            delta_dispatches: count(2),
+            edges_active: count(3),
+            filtered: filtered(4),
+            clip_applied: count(5),
+            unavailable: count(6),
+            outage_lost: count(7),
+            throttled: count(8),
+        };
+        assert_keys_follow_mask!(round, SchedRound, mask, [
+            "down_bytes", "up_bytes", "delta_dispatches", "edges_active", "filtered",
+            "clip_applied", "unavailable", "outage_lost", "throttled",
+        ]);
+
+        let agg = AsyncAggRecord {
+            agg: n,
+            merged: 2,
+            clients: vec![1, n],
+            mean_staleness: 0.5,
+            max_staleness: 1,
+            weight_retained: 0.75,
+            participation_weight: 0.5,
+            train_loss: 1.25,
+            val_clean: None,
+            val_adv: on(0).then_some(0.25),
+            mean_transfer_s: 0.125,
+            round_time_s: 2.5,
+            clock_s: 10.0,
+            down_bytes: count(0) as u64,
+            up_bytes: count(1) as u64,
+            delta_merged: count(2),
+            timed_out: count(3),
+            flush_k: on(4).then_some(n),
+            bundles: count(5),
+            edge_flushes: count(6),
+            filtered: filtered(7),
+            clip_applied: count(8),
+            unavailable: count(9),
+            outage_lost: count(10),
+            throttled: count(11),
+        };
+        assert_keys_follow_mask!(agg, AsyncAggRecord, mask, [
+            "down_bytes", "up_bytes", "delta_merged", "timed_out", "flush_k", "bundles",
+            "edge_flushes", "filtered", "clip_applied", "unavailable", "outage_lost", "throttled",
+        ]);
+
+        let pending = PendingDispatch {
+            client: n,
+            version: 1,
+            dispatch_s: 0.5,
+            finish_s: 1.5,
+            transfer_s: 0.25,
+            payload: on(0).then(|| Payload::delta(1, n as u64, 100)),
+            lost: on(1),
+            cause: on(2)
+                .then_some(if n % 2 == 0 { TraceLoss::Outage } else { TraceLoss::Unavailable }),
+            throttled: on(3),
+        };
+        assert_keys_follow_mask!(pending, PendingDispatch, mask, [
+            "payload", "lost", "cause", "throttled",
+        ]);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
