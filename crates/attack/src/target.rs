@@ -16,8 +16,10 @@ use fp_tensor::Tensor;
 pub trait AttackTarget {
     /// Mean loss over the batch and its gradient with respect to `x`.
     ///
-    /// Implementations must not leave parameter gradients behind (attack
-    /// passes are not training passes).
+    /// Implementations must not touch parameter gradients: an attack pass
+    /// is forward + dX only (`fp_nn::Layer::backward_input`), so whatever
+    /// the caller had accumulated is bitwise the same afterwards. Attacking
+    /// a model mid-accumulation is therefore safe.
     fn loss_and_input_grad(&mut self, x: &Tensor, labels: &[usize]) -> (f32, Tensor);
 
     /// Logits `[batch, classes]` for `x`, without caching gradients.
@@ -42,8 +44,8 @@ pub(crate) fn per_sample_ce(logits: &Tensor, labels: &[usize]) -> Vec<f32> {
 }
 
 /// An [`AttackTarget`] over a full [`CascadeModel`]: forward in `Eval` mode
-/// (fixed BN statistics make the inner maximization well-defined), backward
-/// for the input gradient, parameter gradients zeroed afterwards.
+/// (fixed BN statistics make the inner maximization well-defined), then the
+/// input-gradient-only backward — parameter gradients are not touched.
 pub struct ModelTarget<'a> {
     model: &'a mut CascadeModel,
     loss: CrossEntropyLoss,
@@ -63,8 +65,7 @@ impl AttackTarget for ModelTarget<'_> {
     fn loss_and_input_grad(&mut self, x: &Tensor, labels: &[usize]) -> (f32, Tensor) {
         let logits = self.model.forward(x, Mode::Eval);
         let (loss, dlogits) = self.loss.forward(&logits, labels);
-        let dx = self.model.backward(&dlogits);
-        self.model.zero_grad();
+        let dx = self.model.backward_input(&dlogits);
         (loss, dx)
     }
 
@@ -83,13 +84,22 @@ mod tests {
         let mut rng = fp_tensor::seeded_rng(0);
         let mut model = models::tiny_vgg(3, 8, 4, &[4, 8], &mut rng);
         let x = Tensor::rand_uniform(&[2, 3, 8, 8], 0.0, 1.0, &mut rng);
+        // A caller mid-accumulation: every gradient holds something.
+        for p in model.params_mut() {
+            *p.grad_mut() = Tensor::rand_uniform(p.grad().shape(), -1.0, 1.0, &mut rng);
+        }
+        let grads = |m: &CascadeModel| -> Vec<Tensor> {
+            m.params().iter().map(|p| p.grad().clone()).collect()
+        };
+        let seeded = grads(&model);
         let mut target = ModelTarget::new(&mut model);
         let (loss, dx) = target.loss_and_input_grad(&x, &[0, 1]);
         assert!(loss.is_finite());
         assert_eq!(dx.shape(), x.shape());
-        assert!(
-            model.params().iter().all(|p| p.grad().norm_l2() == 0.0),
-            "attack must not leave parameter gradients"
+        assert_eq!(
+            grads(&model),
+            seeded,
+            "attack pass touched a parameter gradient"
         );
     }
 

@@ -57,8 +57,21 @@ impl AuxHead {
     /// gradients; returns the gradient with respect to the module output.
     pub fn backward(&mut self, grad_logits: &Tensor) -> Tensor {
         let g = self.linear.backward(grad_logits);
+        self.unpool(g)
+    }
+
+    /// Input-gradient-only backward (see [`Layer::backward_input`]): the
+    /// same tensor [`AuxHead::backward`] returns, head parameter gradients
+    /// untouched.
+    pub fn backward_input(&mut self, grad_logits: &Tensor) -> Tensor {
+        let g = self.linear.backward_input(grad_logits);
+        self.unpool(g)
+    }
+
+    /// Back through the pooling stage, if the head has one.
+    fn unpool(&mut self, g: Tensor) -> Tensor {
         if self.pooled {
-            self.pool.backward(&g)
+            self.pool.backward_input(&g)
         } else {
             g
         }

@@ -60,17 +60,38 @@ impl<'a> ModuleTarget<'a> {
     /// The regularized early-exit loss and its gradients, in `mode`.
     ///
     /// Returns `(loss, grad_z_in)`; parameter gradients of the window and
-    /// the head are **accumulated** (the training step consumes them, the
-    /// attack path zeroes them via [`AttackTarget::loss_and_input_grad`]).
+    /// the head are **accumulated** for the training step to consume. The
+    /// attack path, [`AttackTarget::loss_and_input_grad`], computes the
+    /// same two values without touching them.
     pub fn loss_and_grads(&mut self, z_in: &Tensor, labels: &[usize], mode: Mode) -> (f32, Tensor) {
+        self.pass(z_in, labels, mode, true)
+    }
+
+    /// One forward + backward; `accumulate` picks the backward that also
+    /// accumulates parameter gradients over the input-gradient-only one.
+    fn pass(
+        &mut self,
+        z_in: &Tensor,
+        labels: &[usize],
+        mode: Mode,
+        accumulate: bool,
+    ) -> (f32, Tensor) {
         let (z_out, logits) = self.forward_full(z_in, mode);
         let (ce_loss, dlogits) = self.ce.forward(&logits, labels);
         let batch = labels.len() as f32;
         // µ/2·‖z_out‖² (mean over batch).
         let reg = 0.5 * self.mu * z_out.data().iter().map(|&v| v * v).sum::<f32>() / batch;
-        let mut dz_out = self.aux.backward(&dlogits);
+        let mut dz_out = if accumulate {
+            self.aux.backward(&dlogits)
+        } else {
+            self.aux.backward_input(&dlogits)
+        };
         dz_out.axpy(self.mu / batch, &z_out);
-        let dz_in = self.model.backward_range(&dz_out, self.from, self.to);
+        let dz_in = if accumulate {
+            self.model.backward_range(&dz_out, self.from, self.to)
+        } else {
+            self.model.backward_input_range(&dz_out, self.from, self.to)
+        };
         (ce_loss + reg, dz_in)
     }
 
@@ -85,9 +106,7 @@ impl<'a> ModuleTarget<'a> {
 
 impl AttackTarget for ModuleTarget<'_> {
     fn loss_and_input_grad(&mut self, z_in: &Tensor, labels: &[usize]) -> (f32, Tensor) {
-        let (loss, dz) = self.loss_and_grads(z_in, labels, Mode::Eval);
-        self.zero_grad();
-        (loss, dz)
+        self.pass(z_in, labels, Mode::Eval, false)
     }
 
     fn logits(&mut self, z_in: &Tensor) -> Tensor {
@@ -154,8 +173,9 @@ impl AttackTarget for FinalWindowTarget<'_> {
             .model
             .forward_range(z_in, self.from, self.to, Mode::Eval);
         let (loss, dlogits) = self.ce.forward(&logits, labels);
-        let dz = self.model.backward_range(&dlogits, self.from, self.to);
-        self.zero_grad();
+        let dz = self
+            .model
+            .backward_input_range(&dlogits, self.from, self.to);
         (loss, dz)
     }
 
@@ -198,6 +218,64 @@ mod tests {
             with_reg > without,
             "regularized loss {with_reg} must exceed {without}"
         );
+    }
+
+    /// Fills every gradient in `params` with noise (a caller
+    /// mid-accumulation) and returns what was written.
+    fn seed_grads(params: Vec<&mut fp_nn::Param>, rng: &mut rand::rngs::StdRng) -> Vec<Tensor> {
+        params
+            .into_iter()
+            .map(|p| {
+                *p.grad_mut() = Tensor::rand_uniform(p.grad().shape(), -1.0, 1.0, rng);
+                p.grad().clone()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn module_input_grad_has_input_shape_and_params_stay_clean() {
+        let (mut model, mut aux) = setup();
+        let mut rng = fp_tensor::seeded_rng(4);
+        let z0 = model.forward_range(
+            &Tensor::rand_uniform(&[2, 3, 8, 8], 0.0, 1.0, &mut rng),
+            0,
+            1,
+            Mode::Eval,
+        );
+        let mut params = model.params_mut();
+        params.extend(aux.params_mut());
+        let seeded = seed_grads(params, &mut rng);
+        let mut target = ModuleTarget::new(&mut model, &mut aux, 1, 2, 0.1);
+        let (loss, dz) = target.loss_and_input_grad(&z0, &[0, 1]);
+        assert!(loss.is_finite());
+        assert_eq!(dz.shape(), z0.shape());
+        let after: Vec<Tensor> = model
+            .params()
+            .into_iter()
+            .chain(aux.params())
+            .map(|p| p.grad().clone())
+            .collect();
+        assert_eq!(after, seeded, "attack pass touched a parameter gradient");
+    }
+
+    #[test]
+    fn final_window_input_grad_has_input_shape_and_params_stay_clean() {
+        let (mut model, _) = setup();
+        let mut rng = fp_tensor::seeded_rng(5);
+        let n = model.num_atoms();
+        let z0 = model.forward_range(
+            &Tensor::rand_uniform(&[2, 3, 8, 8], 0.0, 1.0, &mut rng),
+            0,
+            n - 1,
+            Mode::Eval,
+        );
+        let seeded = seed_grads(model.params_mut(), &mut rng);
+        let mut target = FinalWindowTarget::new(&mut model, n - 1, n);
+        let (loss, dz) = target.loss_and_input_grad(&z0, &[0, 1]);
+        assert!(loss.is_finite());
+        assert_eq!(dz.shape(), z0.shape());
+        let after: Vec<Tensor> = model.params().iter().map(|p| p.grad().clone()).collect();
+        assert_eq!(after, seeded, "attack pass touched a parameter gradient");
     }
 
     #[test]

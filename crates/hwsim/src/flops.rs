@@ -42,6 +42,14 @@ pub fn forward_macs_range(
 }
 
 /// How many forward/backward passes one training iteration performs.
+///
+/// This is the paper's accounting for the *modelled* device: every PGD
+/// step is charged a forward plus a full backward. The host running the
+/// simulation executes attack passes as forward + input gradient only
+/// (`fp_nn::Layer::backward_input` — no dW/db/dγ/dβ work), and the charge
+/// here deliberately does not follow it: `virtual_time_s` must not move
+/// when the host gets faster, so fpbench's `hwsim.predicted_over_measured`
+/// rises with every such speed-up instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TrainingPassProfile {
     /// PGD steps of the inner maximization (0 = standard training).

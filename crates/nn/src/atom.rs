@@ -42,9 +42,16 @@ impl Atom {
         self.inner.forward(x, mode)
     }
 
-    /// Backward pass; returns the gradient with respect to the atom input.
+    /// Backward pass; accumulates parameter gradients and returns the
+    /// gradient with respect to the atom input.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         self.inner.backward(grad_out)
+    }
+
+    /// Input-gradient-only backward pass (see [`Layer::backward_input`]):
+    /// the same dX as [`Atom::backward`], no parameter gradient touched.
+    pub fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
+        self.inner.backward_input(grad_out)
     }
 
     /// Trainable parameters.

@@ -5,6 +5,7 @@ use crate::layer::Mode;
 use crate::param::Param;
 use crate::spec::AtomSpec;
 use fp_tensor::Tensor;
+use std::borrow::Cow;
 
 /// A backbone model expressed as a plain cascade of [`Atom`]s
 /// `a₁ ∘ a₂ ∘ ⋯ ∘ a_L`, the structure FedProphet's model partitioner
@@ -94,31 +95,56 @@ impl CascadeModel {
             from < to && to <= self.atoms.len(),
             "bad atom range {from}..{to}"
         );
-        let mut cur = x.clone();
+        // The range is non-empty, so the first atom borrows `x` and
+        // nothing is copied.
+        let mut cur = Cow::Borrowed(x);
         for atom in &mut self.atoms[from..to] {
-            cur = atom.forward(&cur, mode);
+            cur = Cow::Owned(atom.forward(&cur, mode));
         }
-        cur
+        cur.into_owned()
     }
 
     /// Backward through atoms `[from, to)` (reverse order), accumulating
     /// parameter gradients; returns the gradient with respect to the input
     /// of atom `from`.
     pub fn backward_range(&mut self, grad: &Tensor, from: usize, to: usize) -> Tensor {
+        self.backprop_range(grad, from, to, Atom::backward)
+    }
+
+    /// Input-gradient-only backward through atoms `[from, to)`: the same
+    /// tensor [`CascadeModel::backward_range`] returns, with every
+    /// parameter gradient left as it was. This is the backward of an attack
+    /// pass, which fetches only `∇_x` (paper §5.1 inner maximization).
+    pub fn backward_input_range(&mut self, grad: &Tensor, from: usize, to: usize) -> Tensor {
+        self.backprop_range(grad, from, to, Atom::backward_input)
+    }
+
+    fn backprop_range(
+        &mut self,
+        grad: &Tensor,
+        from: usize,
+        to: usize,
+        step: fn(&mut Atom, &Tensor) -> Tensor,
+    ) -> Tensor {
         assert!(
             from < to && to <= self.atoms.len(),
             "bad atom range {from}..{to}"
         );
-        let mut g = grad.clone();
+        let mut g = Cow::Borrowed(grad);
         for atom in self.atoms[from..to].iter_mut().rev() {
-            g = atom.backward(&g);
+            g = Cow::Owned(step(atom, &g));
         }
-        g
+        g.into_owned()
     }
 
     /// Full backward pass.
     pub fn backward(&mut self, grad: &Tensor) -> Tensor {
         self.backward_range(grad, 0, self.atoms.len())
+    }
+
+    /// Full input-gradient-only backward pass.
+    pub fn backward_input(&mut self, grad: &Tensor) -> Tensor {
+        self.backward_input_range(grad, 0, self.atoms.len())
     }
 
     /// All trainable parameters, atom by atom.

@@ -4,7 +4,9 @@
 //! [`check_layer_gradients`], which compares analytic gradients (both with
 //! respect to the input and to every parameter) against central finite
 //! differences of the scalar surrogate loss `L = Σ r ⊙ forward(x)` for a
-//! fixed random `r`.
+//! fixed random `r`. [`check_layer_input_gradients`] does the same for the
+//! attack-pass route, [`Layer::backward_input`], in both forward modes,
+//! and checks that it leaves parameter gradients alone.
 
 use crate::layer::{Layer, Mode};
 use fp_tensor::Tensor;
@@ -46,18 +48,7 @@ pub fn check_layer_gradients_mode(
     let dx = layer.backward(&r);
     let param_grads: Vec<Tensor> = layer.params().iter().map(|p| p.grad().clone()).collect();
 
-    // Numeric input gradient.
-    let coords = pick_coords(x.numel());
-    for &i in &coords {
-        let mut xp = x.clone();
-        xp.data_mut()[i] += H;
-        let lp = loss(layer, &xp, mode, &r);
-        let mut xm = x.clone();
-        xm.data_mut()[i] -= H;
-        let lm = loss(layer, &xm, mode, &r);
-        let numeric = (lp - lm) / (2.0 * H as f64);
-        compare("input", i, dx.data()[i], numeric as f32);
-    }
+    compare_input_gradient(layer, &x, mode, &r, &dx);
 
     // Numeric parameter gradients.
     let n_params = layer.params().len();
@@ -78,6 +69,51 @@ pub fn check_layer_gradients_mode(
             let numeric = ((lp - lm) / (2.0 * H as f64)) as f32;
             compare("param", i, param_grads[pi].data()[i], numeric);
         }
+    }
+}
+
+/// Checks the input gradient [`Layer::backward_input`] returns against
+/// finite differences at a random point, after a `Mode::Train` and after a
+/// `Mode::Eval` forward, and that the pass leaves pre-seeded parameter
+/// gradients unchanged.
+///
+/// # Panics
+///
+/// Panics (fails the test) on a deviating coordinate or a touched
+/// parameter gradient.
+pub fn check_layer_input_gradients(layer: &mut dyn Layer, input_shape: &[usize], rng: &mut StdRng) {
+    for mode in [Mode::Train, Mode::Eval] {
+        let x = Tensor::rand_uniform(input_shape, -1.0, 1.0, rng);
+        for p in layer.params_mut() {
+            *p.grad_mut() = Tensor::rand_uniform(p.grad().shape(), -1.0, 1.0, rng);
+        }
+        let seeded: Vec<Tensor> = layer.params().iter().map(|p| p.grad().clone()).collect();
+        let y = layer.forward(&x, mode);
+        let r = Tensor::rand_uniform(y.shape(), -1.0, 1.0, rng);
+        let dx = layer.backward_input(&r);
+        for (p, before) in layer.params().iter().zip(&seeded) {
+            assert_eq!(
+                p.grad(),
+                before,
+                "backward_input touched the gradient of {} ({mode:?})",
+                p.name()
+            );
+        }
+        compare_input_gradient(layer, &x, mode, &r, &dx);
+    }
+}
+
+/// Compares `dx` with central finite differences of `loss` around `x`.
+fn compare_input_gradient(layer: &mut dyn Layer, x: &Tensor, mode: Mode, r: &Tensor, dx: &Tensor) {
+    for &i in &pick_coords(x.numel()) {
+        let mut xp = x.clone();
+        xp.data_mut()[i] += H;
+        let lp = loss(layer, &xp, mode, r);
+        let mut xm = x.clone();
+        xm.data_mut()[i] -= H;
+        let lm = loss(layer, &xm, mode, r);
+        let numeric = (lp - lm) / (2.0 * H as f64);
+        compare("input", i, dx.data()[i], numeric as f32);
     }
 }
 

@@ -24,11 +24,17 @@ pub enum Mode {
 /// The contract:
 ///
 /// * `forward` caches whatever it needs (inputs, masks, batch statistics)
-///   for a subsequent `backward`;
-/// * `backward` consumes the most recent cache, **accumulates** parameter
-///   gradients into [`Param::grad_mut`], and returns the gradient with
-///   respect to the layer input — input gradients are required throughout
-///   this codebase because PGD perturbs intermediate features (paper §5.1);
+///   for a subsequent backward pass;
+/// * `backward_input` consumes the most recent cache and returns the
+///   gradient with respect to the layer input. It **does not touch** any
+///   [`Param::grad`]: attack passes (PGD perturbs intermediate features,
+///   paper §5.1) fetch only `∇_x`, so whatever gradients a training loop
+///   has accumulated are bitwise the same before and after;
+/// * `backward` **accumulates** parameter gradients into
+///   [`Param::grad_mut`] and then returns exactly what `backward_input`
+///   returns for the same cache — every layer has one dX routine, which
+///   both entry points run (`tests/attack_pass_equivalence.rs` pins the two
+///   results bitwise equal for every layer kind);
 /// * `spec` returns a weight-free description aligned 1:1 with `params`
 ///   order, which the hardware simulator and the sub-model slicers rely on.
 ///
@@ -37,16 +43,30 @@ pub enum Mode {
 /// [`Layer::clone_box`]. (`Sync` is sound: layers hold only owned data and
 /// mutate exclusively through `&mut self`.)
 pub trait Layer: Send + Sync {
-    /// Runs the layer on `x`, caching state for `backward`.
+    /// Runs the layer on `x`, caching state for the backward pass.
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor;
 
-    /// Back-propagates `grad_out`, accumulating parameter gradients and
-    /// returning the gradient with respect to the layer input.
+    /// Back-propagates `grad_out` to the layer input only: returns dX and
+    /// leaves every parameter gradient untouched.
     ///
     /// # Panics
     ///
     /// Implementations may panic if called before `forward`.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor;
+
+    /// Back-propagates `grad_out`, accumulating parameter gradients and
+    /// returning the gradient with respect to the layer input.
+    ///
+    /// The default serves parameter-free layers, whose whole backward is
+    /// [`Layer::backward_input`]; a layer with parameters overrides it to
+    /// accumulate their gradients before running the same dX routine.
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic if called before `forward`.
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_input(grad_out)
+    }
 
     /// Immutable views of the trainable parameters, in a stable order.
     fn params(&self) -> Vec<&Param>;
@@ -118,6 +138,11 @@ pub trait Layer: Send + Sync {
         tmp.len()
     }
 }
+
+/// One backward step through a child layer: [`Layer::backward`] or
+/// [`Layer::backward_input`]. Composite layers write their chain rule once
+/// against this and instantiate it for both entry points.
+pub(crate) type BackStep = fn(&mut dyn Layer, &Tensor) -> Tensor;
 
 impl Clone for Box<dyn Layer> {
     fn clone(&self) -> Self {

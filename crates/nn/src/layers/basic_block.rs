@@ -1,6 +1,6 @@
 //! ResNet basic block.
 
-use crate::layer::{Layer, Mode};
+use crate::layer::{BackStep, Layer, Mode};
 use crate::layers::bn::BatchNorm2d;
 use crate::layers::conv::Conv2d;
 use crate::param::Param;
@@ -95,6 +95,39 @@ impl BasicBlock {
             sum_mask: None,
         }
     }
+
+    /// The block's chain rule, written once; `step` back-propagates one
+    /// child with or without parameter-gradient accumulation.
+    fn backprop(&mut self, grad_out: &Tensor, step: BackStep) -> Tensor {
+        let mask = self
+            .sum_mask
+            .as_ref()
+            .expect("backward called before forward");
+        // Through the final ReLU.
+        let data: Vec<f32> = grad_out
+            .data()
+            .iter()
+            .zip(mask.iter())
+            .map(|(&g, &m)| if m { g } else { 0.0 })
+            .collect();
+        let g_sum = Tensor::from_vec(data, grad_out.shape());
+        // Main path.
+        let g = step(&mut self.bn2, &g_sum);
+        let g = step(&mut self.conv2, &g);
+        let g = step(&mut self.relu1, &g);
+        let g = step(&mut self.bn1, &g);
+        let mut dx = step(&mut self.conv1, &g);
+        // Shortcut path.
+        match &mut self.shortcut {
+            Some((sc, sbn)) => {
+                let gs = step(sbn, &g_sum);
+                let gs = step(sc, &gs);
+                dx.axpy(1.0, &gs);
+            }
+            None => dx.axpy(1.0, &g_sum),
+        }
+        dx
+    }
 }
 
 impl Clone for BasicBlock {
@@ -140,35 +173,12 @@ impl Layer for BasicBlock {
         sum.map(|v| v.max(0.0))
     }
 
+    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backprop(grad_out, |l, g| l.backward_input(g))
+    }
+
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mask = self
-            .sum_mask
-            .as_ref()
-            .expect("backward called before forward");
-        // Through the final ReLU.
-        let data: Vec<f32> = grad_out
-            .data()
-            .iter()
-            .zip(mask.iter())
-            .map(|(&g, &m)| if m { g } else { 0.0 })
-            .collect();
-        let g_sum = Tensor::from_vec(data, grad_out.shape());
-        // Main path.
-        let g = self.bn2.backward(&g_sum);
-        let g = self.conv2.backward(&g);
-        let g = self.relu1.backward(&g);
-        let g = self.bn1.backward(&g);
-        let mut dx = self.conv1.backward(&g);
-        // Shortcut path.
-        match &mut self.shortcut {
-            Some((sc, sbn)) => {
-                let gs = sbn.backward(&g_sum);
-                let gs = sc.backward(&gs);
-                dx.axpy(1.0, &gs);
-            }
-            None => dx.axpy(1.0, &g_sum),
-        }
-        dx
+        self.backprop(grad_out, |l, g| l.backward(g))
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -263,7 +273,7 @@ impl Layer for BasicBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gradcheck::check_layer_gradients;
+    use crate::gradcheck::{check_layer_gradients, check_layer_input_gradients};
 
     #[test]
     fn identity_block_shape() {
@@ -295,6 +305,15 @@ mod tests {
         let mut rng = fp_tensor::seeded_rng(32);
         let mut b = BasicBlock::new("b", 2, 4, 2, 1, 2, &mut rng);
         check_layer_gradients(&mut b, &[2, 2, 4, 4], &mut rng);
+    }
+
+    #[test]
+    fn input_gradient_only_route_matches_finite_differences() {
+        let mut rng = fp_tensor::seeded_rng(36);
+        let mut identity = BasicBlock::new("b", 3, 3, 1, 1, 1, &mut rng);
+        check_layer_input_gradients(&mut identity, &[2, 3, 4, 4], &mut rng);
+        let mut projection = BasicBlock::new("b", 2, 4, 2, 1, 2, &mut rng);
+        check_layer_input_gradients(&mut projection, &[2, 2, 4, 4], &mut rng);
     }
 
     #[test]

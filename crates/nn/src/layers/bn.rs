@@ -35,6 +35,34 @@ struct Cache {
     n_per_c: usize,
 }
 
+/// Per-channel `(Σ dy·x̂, Σ dy)` over the batch.
+type ChannelSums = (Vec<f32>, Vec<f32>);
+
+impl Cache {
+    /// The two reductions of a backward pass: they are dγ and dβ, and
+    /// train-mode dX needs them too, so `backward` and `backward_input`
+    /// share this one summation order.
+    fn channel_sums(&self, grad_out: &Tensor) -> ChannelSums {
+        let (b, c, h, w) = dims4(grad_out);
+        let hw = h * w;
+        let mut dgamma = vec![0.0f32; c];
+        let mut dbeta = vec![0.0f32; c];
+        #[allow(clippy::needless_range_loop)] // index addresses per-channel planes
+        for s in 0..b {
+            for ch in 0..c {
+                let off = (s * c + ch) * hw;
+                let dy = &grad_out.data()[off..off + hw];
+                let x_hat = &self.x_hat.data()[off..off + hw];
+                for (&g, &xh) in dy.iter().zip(x_hat) {
+                    dgamma[ch] += g * xh;
+                    dbeta[ch] += g;
+                }
+            }
+        }
+        (dgamma, dbeta)
+    }
+}
+
 impl BatchNorm2d {
     /// Creates a batch-norm layer for `c` channels in channel group
     /// `group`, with γ=1, β=0, zero running mean and unit running variance.
@@ -80,6 +108,53 @@ impl BatchNorm2d {
             *v /= n;
         }
         (mean, var)
+    }
+
+    /// dX of the cached forward. `sums` are [`Cache::channel_sums`] of the
+    /// same `grad_out`; only a `Mode::Train` forward reads them.
+    fn input_grad(&self, grad_out: &Tensor, sums: Option<&ChannelSums>) -> Tensor {
+        let cache = self.cache.as_ref().expect("backward called before forward");
+        let (b, c, h, w) = dims4(grad_out);
+        assert_eq!(c, self.c, "bn grad channel mismatch");
+        let hw = h * w;
+        let gamma = self.gamma.value().data();
+        let mut dx = Tensor::zeros(grad_out.shape());
+        match cache.mode {
+            Mode::Train => {
+                // dx = (γ·inv_std/N)·(N·dy − Σdy − x̂·Σ(dy·x̂))
+                let (dgamma, dbeta) = sums.expect("train-mode dX needs the channel sums");
+                let n = cache.n_per_c as f32;
+                #[allow(clippy::needless_range_loop)] // index addresses per-channel planes
+                for s in 0..b {
+                    for ch in 0..c {
+                        let off = (s * c + ch) * hw;
+                        let k = gamma[ch] * cache.inv_std[ch] / n;
+                        let dy = &grad_out.data()[off..off + hw];
+                        let x_hat = &cache.x_hat.data()[off..off + hw];
+                        let out = &mut dx.data_mut()[off..off + hw];
+                        for ((o, &g), &xh) in out.iter_mut().zip(dy).zip(x_hat) {
+                            *o = k * (n * g - dbeta[ch] - xh * dgamma[ch]);
+                        }
+                    }
+                }
+            }
+            Mode::Eval => {
+                // Statistics are constants: dx = dy·γ·inv_std.
+                #[allow(clippy::needless_range_loop)] // index addresses per-channel planes
+                for s in 0..b {
+                    for ch in 0..c {
+                        let off = (s * c + ch) * hw;
+                        let k = gamma[ch] * cache.inv_std[ch];
+                        let dy = &grad_out.data()[off..off + hw];
+                        let out = &mut dx.data_mut()[off..off + hw];
+                        for (o, &g) in out.iter_mut().zip(dy) {
+                            *o = g * k;
+                        }
+                    }
+                }
+            }
+        }
+        dx
     }
 }
 
@@ -134,62 +209,22 @@ impl Layer for BatchNorm2d {
         out
     }
 
+    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
+        let cache = self.cache.as_ref().expect("backward called before forward");
+        // Eval statistics are constants, so that dX needs no reduction.
+        let sums = (cache.mode == Mode::Train).then(|| cache.channel_sums(grad_out));
+        self.input_grad(grad_out, sums.as_ref())
+    }
+
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let cache = self.cache.as_ref().expect("backward called before forward");
-        let (b, c, h, w) = dims4(grad_out);
-        assert_eq!(c, self.c, "bn grad channel mismatch");
-        let hw = h * w;
-        let n = cache.n_per_c as f32;
-
-        // dgamma, dbeta.
-        let mut dgamma = vec![0.0f32; c];
-        let mut dbeta = vec![0.0f32; c];
-        for s in 0..b {
-            for ch in 0..c {
-                let off = (s * c + ch) * hw;
-                for i in 0..hw {
-                    let g = grad_out.data()[off + i];
-                    dgamma[ch] += g * cache.x_hat.data()[off + i];
-                    dbeta[ch] += g;
-                }
-            }
-        }
-        for ch in 0..c {
+        let sums = cache.channel_sums(grad_out);
+        let (dgamma, dbeta) = &sums;
+        for ch in 0..self.c {
             self.gamma.grad_mut().data_mut()[ch] += dgamma[ch];
             self.beta.grad_mut().data_mut()[ch] += dbeta[ch];
         }
-
-        let mut dx = Tensor::zeros(grad_out.shape());
-        match cache.mode {
-            Mode::Train => {
-                // dx = (γ·inv_std/N)·(N·dy − Σdy − x̂·Σ(dy·x̂))
-                for s in 0..b {
-                    for ch in 0..c {
-                        let off = (s * c + ch) * hw;
-                        let g = self.gamma.value().data()[ch];
-                        let k = g * cache.inv_std[ch] / n;
-                        for i in 0..hw {
-                            let dy = grad_out.data()[off + i];
-                            let xh = cache.x_hat.data()[off + i];
-                            dx.data_mut()[off + i] = k * (n * dy - dbeta[ch] - xh * dgamma[ch]);
-                        }
-                    }
-                }
-            }
-            Mode::Eval => {
-                // Statistics are constants: dx = dy·γ·inv_std.
-                for s in 0..b {
-                    for ch in 0..c {
-                        let off = (s * c + ch) * hw;
-                        let k = self.gamma.value().data()[ch] * cache.inv_std[ch];
-                        for i in 0..hw {
-                            dx.data_mut()[off + i] = grad_out.data()[off + i] * k;
-                        }
-                    }
-                }
-            }
-        }
-        dx
+        self.input_grad(grad_out, Some(&sums))
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -227,7 +262,9 @@ impl Layer for BatchNorm2d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gradcheck::{check_layer_gradients, check_layer_gradients_mode};
+    use crate::gradcheck::{
+        check_layer_gradients, check_layer_gradients_mode, check_layer_input_gradients,
+    };
 
     #[test]
     fn train_mode_normalizes_batch() {
@@ -292,6 +329,18 @@ mod tests {
             &Tensor::from_vec(vec![1.5, 0.7], &[2]),
         );
         check_layer_gradients_mode(&mut bn, &[2, 2, 3, 3], Mode::Eval, &mut rng);
+    }
+
+    #[test]
+    fn input_gradient_only_route_matches_finite_differences() {
+        let mut rng = fp_tensor::seeded_rng(10);
+        let mut bn = BatchNorm2d::new("bn", 3, 0);
+        bn.params_mut()[0].set_value(Tensor::from_vec(vec![0.5, 1.5, -1.0], &[3]));
+        bn.set_bn_stats(
+            &Tensor::from_vec(vec![0.3, -0.2, 0.1], &[3]),
+            &Tensor::from_vec(vec![1.5, 0.7, 1.1], &[3]),
+        );
+        check_layer_input_gradients(&mut bn, &[4, 3, 2, 2], &mut rng);
     }
 
     #[test]

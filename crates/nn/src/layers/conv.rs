@@ -43,6 +43,20 @@ struct Cache {
     batch: usize,
 }
 
+impl Cache {
+    /// The cached forward, after checking that `grad_out` has its output
+    /// shape.
+    fn for_grad<'a>(cached: &'a Option<Cache>, c_out: usize, grad_out: &Tensor) -> &'a Cache {
+        let cache = cached.as_ref().expect("backward called before forward");
+        assert_eq!(
+            grad_out.shape(),
+            [cache.batch, c_out, cache.geo.h_out(), cache.geo.w_out()],
+            "grad_out shape mismatch"
+        );
+        cache
+    }
+}
+
 impl Conv2d {
     /// Creates a Kaiming-initialized convolution.
     #[allow(clippy::too_many_arguments)]
@@ -118,31 +132,10 @@ impl Layer for Conv2d {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let cache = self
-            .cached
-            .as_ref()
-            .expect("backward called before forward");
-        let geo = cache.geo;
-        let n_cols = geo.col_cols();
-        let batch = cache.batch;
-        assert_eq!(
-            grad_out.shape(),
-            [batch, self.c_out, geo.h_out(), geo.w_out()],
-            "grad_out shape mismatch"
-        );
-        let out_elems = self.c_out * n_cols;
+    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
+        let cache = Cache::for_grad(&self.cached, self.c_out, grad_out);
+        let (geo, batch) = (cache.geo, cache.batch);
         let mut dx = Tensor::zeros(&[batch, self.c_in, geo.h, geo.w]);
-        // dW += Σ_s dY_s · im2col(x_s)ᵀ
-        self.backend.conv2d_backward_weights(
-            cache.x.data(),
-            grad_out.data(),
-            self.w.grad_mut().data_mut(),
-            batch,
-            self.c_out,
-            &geo,
-            &mut self.ws,
-        );
         // dx_s = col2im(Wᵀ · dY_s)
         self.backend.conv2d_backward_input(
             self.w.value().data(),
@@ -153,7 +146,25 @@ impl Layer for Conv2d {
             &geo,
             &mut self.ws,
         );
+        dx
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let cache = Cache::for_grad(&self.cached, self.c_out, grad_out);
+        let (geo, batch) = (cache.geo, cache.batch);
+        // dW += Σ_s dY_s · im2col(x_s)ᵀ
+        self.backend.conv2d_backward_weights(
+            cache.x.data(),
+            grad_out.data(),
+            self.w.grad_mut().data_mut(),
+            batch,
+            self.c_out,
+            &geo,
+            &mut self.ws,
+        );
         if let Some(b) = &mut self.b {
+            let n_cols = geo.col_cols();
+            let out_elems = self.c_out * n_cols;
             let db = b.grad_mut().data_mut();
             for s in 0..batch {
                 let g_s = &grad_out.data()[s * out_elems..(s + 1) * out_elems];
@@ -162,7 +173,7 @@ impl Layer for Conv2d {
                 }
             }
         }
-        dx
+        self.backward_input(grad_out)
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -212,7 +223,7 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gradcheck::check_layer_gradients;
+    use crate::gradcheck::{check_layer_gradients, check_layer_input_gradients};
 
     #[test]
     fn forward_identity_kernel() {
@@ -260,6 +271,15 @@ mod tests {
         let mut rng = fp_tensor::seeded_rng(6);
         let mut conv = Conv2d::new("c", 2, 2, 3, 2, 1, false, 0, 1, &mut rng);
         check_layer_gradients(&mut conv, &[1, 2, 5, 5], &mut rng);
+    }
+
+    #[test]
+    fn input_gradient_only_route_matches_finite_differences() {
+        let mut rng = fp_tensor::seeded_rng(8);
+        let mut conv = Conv2d::new("c", 2, 3, 3, 1, 1, true, 0, 1, &mut rng);
+        check_layer_input_gradients(&mut conv, &[2, 2, 4, 4], &mut rng);
+        let mut strided = Conv2d::new("c", 2, 2, 3, 2, 1, false, 0, 1, &mut rng);
+        check_layer_input_gradients(&mut strided, &[1, 2, 5, 5], &mut rng);
     }
 
     #[test]

@@ -72,7 +72,7 @@ impl Layer for Dropout {
         }
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
         match &self.mask {
             None => grad_out.clone(),
             Some(mask) => {

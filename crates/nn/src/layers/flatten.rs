@@ -31,7 +31,7 @@ impl Layer for Flatten {
         x.reshaped(&[batch, features])
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
         let shape = self
             .in_shape
             .as_ref()

@@ -91,6 +91,26 @@ impl Layer for Linear {
         out
     }
 
+    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
+        let x = self
+            .cached_input
+            .as_ref()
+            .expect("backward called before forward");
+        let batch = x.shape()[0];
+        assert_eq!(grad_out.shape(), [batch, self.d_out]);
+        // dX = dY · W
+        let mut dx = Tensor::zeros(&[batch, self.d_in]);
+        self.backend.matmul_into(
+            grad_out.data(),
+            self.w.value().data(),
+            dx.data_mut(),
+            batch,
+            self.d_out,
+            self.d_in,
+        );
+        dx
+    }
+
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let x = self
             .cached_input
@@ -108,26 +128,14 @@ impl Layer for Linear {
             self.d_in,
         );
         // db += column sums of dY
-        {
-            let db = self.b.grad_mut().data_mut();
-            for r in 0..batch {
-                let row = &grad_out.data()[r * self.d_out..(r + 1) * self.d_out];
-                for (g, &d) in db.iter_mut().zip(row.iter()) {
-                    *g += d;
-                }
+        let db = self.b.grad_mut().data_mut();
+        for r in 0..batch {
+            let row = &grad_out.data()[r * self.d_out..(r + 1) * self.d_out];
+            for (g, &d) in db.iter_mut().zip(row.iter()) {
+                *g += d;
             }
         }
-        // dX = dY · W
-        let mut dx = Tensor::zeros(&[batch, self.d_in]);
-        self.backend.matmul_into(
-            grad_out.data(),
-            self.w.value().data(),
-            dx.data_mut(),
-            batch,
-            self.d_out,
-            self.d_in,
-        );
-        dx
+        self.backward_input(grad_out)
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -166,7 +174,7 @@ impl Layer for Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gradcheck::check_layer_gradients;
+    use crate::gradcheck::{check_layer_gradients, check_layer_input_gradients};
 
     #[test]
     fn forward_known_values() {
@@ -185,6 +193,13 @@ mod tests {
         let mut rng = fp_tensor::seeded_rng(11);
         let mut l = Linear::new("fc", 5, 3, 1, 0, 1, &mut rng);
         check_layer_gradients(&mut l, &[2, 5], &mut rng);
+    }
+
+    #[test]
+    fn input_gradient_only_route_matches_finite_differences() {
+        let mut rng = fp_tensor::seeded_rng(12);
+        let mut l = Linear::new("fc", 5, 3, 1, 0, 1, &mut rng);
+        check_layer_input_gradients(&mut l, &[2, 5], &mut rng);
     }
 
     #[test]

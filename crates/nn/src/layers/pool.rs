@@ -77,7 +77,7 @@ impl Layer for MaxPool2d {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
         let cache = self.cache.as_ref().expect("backward called before forward");
         assert_eq!(grad_out.numel(), cache.argmax.len(), "grad size mismatch");
         let mut dx = Tensor::zeros(&cache.in_shape);
@@ -147,7 +147,7 @@ impl Layer for GlobalAvgPool {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
         let in_shape = self
             .in_shape
             .as_ref()

@@ -28,7 +28,7 @@ impl Layer for ReLU {
         x.map(|v| v.max(0.0))
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
         let mask = self.mask.as_ref().expect("backward called before forward");
         assert_eq!(mask.len(), grad_out.numel(), "grad size mismatch");
         let data = grad_out

@@ -1,9 +1,10 @@
 //! Sequential container.
 
-use crate::layer::{Layer, Mode};
+use crate::layer::{BackStep, Layer, Mode};
 use crate::param::Param;
 use crate::spec::{LayerKind, LayerSpec};
 use fp_tensor::Tensor;
+use std::borrow::Cow;
 
 /// A sequence of layers applied in order.
 ///
@@ -58,6 +59,16 @@ impl Sequential {
     pub fn children_mut(&mut self) -> &mut [Box<dyn Layer>] {
         &mut self.layers
     }
+
+    /// Runs `step` through the children in reverse, borrowing `grad_out`
+    /// for the last layer.
+    fn backprop(&mut self, grad_out: &Tensor, step: BackStep) -> Tensor {
+        let mut g = Cow::Borrowed(grad_out);
+        for l in self.layers.iter_mut().rev() {
+            g = Cow::Owned(step(l.as_mut(), &g));
+        }
+        g.into_owned()
+    }
 }
 
 impl Clone for Sequential {
@@ -78,19 +89,21 @@ impl std::fmt::Debug for Sequential {
 
 impl Layer for Sequential {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let mut cur = x.clone();
+        // The first layer borrows the caller's tensor; only an empty
+        // sequence has to copy it.
+        let mut cur = Cow::Borrowed(x);
         for l in &mut self.layers {
-            cur = l.forward(&cur, mode);
+            cur = Cow::Owned(l.forward(&cur, mode));
         }
-        cur
+        cur.into_owned()
+    }
+
+    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backprop(grad_out, |l, g| l.backward_input(g))
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
-        for l in self.layers.iter_mut().rev() {
-            g = l.backward(&g);
-        }
-        g
+        self.backprop(grad_out, |l, g| l.backward(g))
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -157,7 +170,7 @@ impl Layer for Sequential {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gradcheck::check_layer_gradients;
+    use crate::gradcheck::{check_layer_gradients, check_layer_input_gradients};
     use crate::layers::linear::Linear;
     use crate::layers::relu::ReLU;
 
@@ -182,6 +195,25 @@ mod tests {
             .push(Box::new(ReLU::new(1)))
             .push(Box::new(Linear::new("b", 6, 3, 1, 1, 2, &mut rng)));
         check_layer_gradients(&mut seq, &[3, 4], &mut rng);
+    }
+
+    #[test]
+    fn input_gradient_only_route_matches_finite_differences() {
+        let mut rng = fp_tensor::seeded_rng(22);
+        let mut seq = Sequential::new()
+            .push(Box::new(Linear::new("a", 4, 6, 1, 0, 1, &mut rng)))
+            .push(Box::new(ReLU::new(1)))
+            .push(Box::new(Linear::new("b", 6, 3, 1, 1, 2, &mut rng)));
+        check_layer_input_gradients(&mut seq, &[3, 4], &mut rng);
+    }
+
+    #[test]
+    fn empty_sequence_is_the_identity() {
+        let mut seq = Sequential::new();
+        let x = Tensor::from_vec(vec![1.0, -2.0], &[1, 2]);
+        assert_eq!(seq.forward(&x, Mode::Eval), x);
+        assert_eq!(seq.backward(&x), x);
+        assert_eq!(seq.backward_input(&x), x);
     }
 
     #[test]
