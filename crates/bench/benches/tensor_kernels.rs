@@ -80,27 +80,40 @@ fn bench_matmul_grouped(c: &mut Criterion) {
     });
 }
 
+/// Conv layer forward and forward + backward: the `8x16x16x16` pair the
+/// gate has tracked since PR 6, and the convolutions the paper's loop
+/// actually runs — the four Medium stages (VGG-style, k = 3, pad 1,
+/// pooled between) at the training batch. `forward` is what every PGD
+/// step and evaluation pays per stage; `backward` is one training step.
 fn bench_conv_forward_backward(c: &mut Criterion) {
-    let mut rng = seeded_rng(1);
-    let mut conv = Conv2d::new("c", 16, 32, 3, 1, 1, false, 0, 1, &mut rng);
-    let x = Tensor::rand_uniform(&[8, 16, 16, 16], -1.0, 1.0, &mut rng);
-    // One im2col'd GEMM: batch · c_out · (c_in·k·k) · (h_out·w_out) MACs.
-    let gemm_flops = 2.0 * (8 * 32 * (16 * 3 * 3) * (16 * 16)) as f64;
-    c.bench_function("conv2d_forward_8x16x16x16", |b| {
-        b.flops(gemm_flops);
-        b.iter(|| std::hint::black_box(conv.forward(&x, Mode::Eval)));
-    });
-    let y = conv.forward(&x, Mode::Train);
-    let g = Tensor::rand_uniform(y.shape(), -1.0, 1.0, &mut rng);
-    c.bench_function("conv2d_backward_8x16x16x16", |b| {
-        // The iteration runs forward (to refresh cached activations)
-        // plus the dW and dX GEMMs — three same-shape GEMMs total.
-        b.flops(3.0 * gemm_flops);
-        b.iter(|| {
-            conv.forward(&x, Mode::Train);
-            std::hint::black_box(conv.backward(&g))
+    for &(shape, batch, c_in, c_out, hw) in &[
+        ("8x16x16x16", 8usize, 16usize, 32usize, 16usize),
+        ("32x3to12x16x16", 32, 3, 12, 16),
+        ("32x12to24x8x8", 32, 12, 24, 8),
+        ("32x24to32x4x4", 32, 24, 32, 4),
+        ("32x32to48x2x2", 32, 32, 48, 2),
+    ] {
+        let mut rng = seeded_rng(1);
+        let mut conv = Conv2d::new("c", c_in, c_out, 3, 1, 1, false, 0, 1, &mut rng);
+        let x = Tensor::rand_uniform(&[batch, c_in, hw, hw], -1.0, 1.0, &mut rng);
+        // One im2col'd GEMM: batch · c_out · (c_in·k·k) · (h_out·w_out) MACs.
+        let gemm_flops = 2.0 * (batch * c_out * (c_in * 3 * 3) * (hw * hw)) as f64;
+        c.bench_function(&format!("conv2d_forward_{shape}"), |b| {
+            b.flops(gemm_flops);
+            b.iter(|| std::hint::black_box(conv.forward(&x, Mode::Eval)));
         });
-    });
+        let y = conv.forward(&x, Mode::Train);
+        let g = Tensor::rand_uniform(y.shape(), -1.0, 1.0, &mut rng);
+        c.bench_function(&format!("conv2d_backward_{shape}"), |b| {
+            // The iteration runs forward (to refresh cached activations)
+            // plus the dW and dX GEMMs — three same-shape GEMMs total.
+            b.flops(3.0 * gemm_flops);
+            b.iter(|| {
+                conv.forward(&x, Mode::Train);
+                std::hint::black_box(conv.backward(&g))
+            });
+        });
+    }
 }
 
 fn bench_softmax(c: &mut Criterion) {

@@ -794,7 +794,7 @@ fn validate_prefix(
     let mut rng = seeded_rng(cfg.seed ^ 0x7E57 ^ round as u64);
     let (_, t) = partition.windows[m];
     let is_final = m + 1 == partition.num_modules();
-    if is_final {
+    let accs = if is_final {
         let mut target = ModelTarget::new(global);
         let clean = accuracy_of(&mut target, &x, &y);
         let adv_x = pgd.attack(&mut target, &x, &y, &mut rng);
@@ -807,7 +807,11 @@ fn validate_prefix(
         let adv_x = pgd.attack(&mut target, &x, &y, &mut rng);
         let adv = accuracy_of(&mut target, &adv_x, &y);
         (clean, adv)
-    }
+    };
+    // `run_clients` clones `global` per client: the validation batch's
+    // activations must not ride along.
+    global.clear_cache();
+    accs
 }
 
 fn accuracy_of(target: &mut dyn AttackTarget, x: &Tensor, y: &[usize]) -> f32 {
@@ -849,6 +853,7 @@ fn probe_delta_z(
         );
         sum += worst as f64;
     }
+    global.clear_cache();
     (sum / probe_clients.len() as f64) as f32
 }
 

@@ -272,6 +272,9 @@ impl FlEnv {
         let idx: Vec<usize> = (0..n).collect();
         let (x, y) = self.data.val.batch(&idx);
         let logits = model.forward(&x, fp_nn::Mode::Eval);
+        // The validation batch's activations must not ride along in the
+        // per-client clones of the global model.
+        model.clear_cache();
         let preds = argmax_rows(&logits);
         preds.iter().zip(&y).filter(|(p, l)| p == l).count() as f32 / n as f32
     }
@@ -290,6 +293,7 @@ impl FlEnv {
         let mut target = ModelTarget::new(model);
         let adv = pgd.attack(&mut target, &x, &y, &mut rng);
         let logits = model.forward(&adv, fp_nn::Mode::Eval);
+        model.clear_cache();
         let preds = argmax_rows(&logits);
         preds.iter().zip(&y).filter(|(p, l)| p == l).count() as f32 / n as f32
     }
@@ -408,6 +412,42 @@ mod tests {
         assert!((0.0..=1.0).contains(&clean));
         assert!((0.0..=1.0).contains(&adv));
         assert!(adv <= clean + 0.3, "adv {adv} clean {clean}");
+    }
+
+    /// A just-evaluated global model carries no cached activations into
+    /// its per-client clones: every layer of the clone refuses a backward.
+    #[test]
+    fn evaluated_model_clones_without_cached_activations() {
+        let e = env(6);
+        let mut rng = fp_tensor::seeded_rng(0);
+        let mut model = fp_nn::models::instantiate(
+            &e.reference_specs,
+            &e.input_shape,
+            e.data.train.n_classes(),
+            &mut rng,
+        );
+        let no_cache_left = |model: &CascadeModel| {
+            let mut layers = 0;
+            for atom in model.clone().atoms_mut() {
+                for layer in atom.layers_mut().children_mut() {
+                    let grad = fp_tensor::Tensor::zeros(&[1]);
+                    let backward = std::panic::AssertUnwindSafe(|| layer.backward_input(&grad));
+                    let refused = std::panic::catch_unwind(backward).unwrap_err();
+                    let msg = refused
+                        .downcast_ref::<String>()
+                        .map(String::as_str)
+                        .or_else(|| refused.downcast_ref::<&str>().copied())
+                        .unwrap_or_default();
+                    assert!(msg.contains("backward called before forward"), "{msg}");
+                    layers += 1;
+                }
+            }
+            assert!(layers > 0);
+        };
+        e.val_clean(&mut model, 32);
+        no_cache_left(&model);
+        e.val_adv(&mut model, 32);
+        no_cache_left(&model);
     }
 
     #[test]

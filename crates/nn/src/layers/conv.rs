@@ -1,4 +1,4 @@
-//! 2-D convolution via (fused) im2col.
+//! 2-D convolution, lowered to GEMM by the backend.
 
 use crate::layer::{Layer, Mode};
 use crate::param::Param;
@@ -12,11 +12,12 @@ use rand::Rng;
 /// Input `[batch, c_in, h, w]`, output `[batch, c_out, h', w']`. The weight
 /// is `[c_out, c_in, k, k]`. Forward and both backward products go through
 /// the backend's batched `conv2d_*` entry points: the `Parallel` backend
-/// fuses im2col into its packed-GEMM panels (no materialized `cols`
-/// buffer), while the `Scalar` reference path materializes the columns in
-/// the layer's reusable workspace. Backward only needs the cached *input*
-/// (`c_in·h·w` floats per sample instead of `c_in·k²·h'·w'` for the old
-/// per-sample `cols` cache).
+/// stages a few samples at a time as zero-padded images and gathers its
+/// packed-GEMM panels from them by offset table, the batch folded into
+/// the GEMM (no materialized `cols` buffer), while the `Scalar` reference
+/// path materializes the columns in the layer's reusable workspace.
+/// Backward only needs the cached *input* (`c_in·h·w` floats per sample
+/// instead of `c_in·k²·h'·w'` for a `cols` cache).
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     w: Param,
@@ -31,7 +32,7 @@ pub struct Conv2d {
     backend: BackendHandle,
     cached: Option<Cache>,
     /// Per-layer scratch handed to the backend (packed weight panels on
-    /// the fused path, materialized columns on the reference path),
+    /// the `Parallel` path, materialized columns on the reference path),
     /// reused across iterations instead of reallocating per sample.
     ws: Vec<f32>,
 }

@@ -10,8 +10,9 @@
 //! * [`Parallel`] — the panel-packed, cache-blocked engine in
 //!   `pack.rs`: AVX-512 / AVX2+FMA register-tiled microkernels over
 //!   packed panels (detected at runtime, portable `mul_add` fallback),
-//!   fused im2col convolution entry points, and grouped GEMM, splitting
-//!   output rows across scoped threads for large problems. Thread count
+//!   batch-folded conv kernels that gather their panels from padded
+//!   staging by offset table, and grouped GEMM, splitting output rows
+//!   across scoped threads for large problems. Thread count
 //!   is configurable so outer client-level parallelism can budget inner
 //!   kernel threads (see [`crate::parallel::thread_split`]).
 //!
@@ -57,8 +58,9 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     /// `ws` is a caller-held scratch buffer reused across calls (a conv
     /// layer passes its per-layer workspace): the reference path
     /// materializes the im2col columns in it; the [`Parallel`] override
-    /// stores packed weight panels there instead and streams the patch
-    /// columns straight into packed B panels — no `cols` buffer at all.
+    /// stores packed weight panels there instead, stages a fold group of
+    /// zero-padded images per thread and runs one GEMM per group with the
+    /// batch folded into its columns — no `cols` buffer at all.
     #[allow(clippy::too_many_arguments)]
     fn conv2d_forward(
         &self,
@@ -93,6 +95,9 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
 
     /// Conv weight gradient: `dw += Σ_s grad[s] · im2col(x[s])ᵀ` with
     /// `dw: [c_out, c_in·k²]` (accumulated; zero it for a plain gradient).
+    /// Every `dw` element accumulates sample-major, column-ascending; the
+    /// [`Parallel`] override keeps that chain while folding a group of
+    /// samples into each GEMM's reduction dimension.
     #[allow(clippy::too_many_arguments)]
     fn conv2d_backward_weights(
         &self,
@@ -119,6 +124,9 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
 
     /// Conv input gradient: `dx[s] += col2im(Wᵀ · grad[s])` per sample.
     /// `dx` must be zero-initialized by the caller for a plain gradient.
+    /// The [`Parallel`] override computes `Wᵀ · grad` for a fold group of
+    /// samples at once and scatters it back through the same offset
+    /// tables its forward gathers with, in `col2im`'s accumulation order.
     #[allow(clippy::too_many_arguments)]
     fn conv2d_backward_input(
         &self,

@@ -3,15 +3,15 @@
 //!
 //! # Structure
 //!
-//! Every GEMM flavor (`A·B`, `Aᵀ·B`, `A·Bᵀ`, and the fused im2col
-//! convolutions) is expressed as one generic driver over two *readers*:
-//! `a_at(i, p)` yields the A-operand element for output row `i` and
-//! reduction index `p`, and `b_fill(p, j0, dst)` materializes a span of
-//! B-operand columns for reduction index `p`. The driver packs A into
-//! row-panels of `MR` rows and B into column-panels of `NR` columns,
-//! blocks the reduction into `KC`-deep slabs sized so one B panel stays
-//! L1-resident, and walks a register-tiled microkernel over the packed
-//! panels:
+//! Every GEMM flavor (`A·B`, `Aᵀ·B`, `A·Bᵀ`, and the three convolution
+//! kernels) runs through one driver, [`drive_packed`], over a packed A
+//! operand and a *source* of B panels ([`BSrc`]): a row reader
+//! `f(p, j0, dst)`, a column reader for transposed operands, or a
+//! [`Gather`] — an operand read through two offset tables, `src[col[j] +
+//! red[p]]`. The driver packs A into row-panels of `MR` rows and B into
+//! column-panels of `NR` columns, blocks the reduction into `KC`-deep
+//! slabs sized so one B panel stays L1-resident, and walks a
+//! register-tiled microkernel over the packed panels:
 //!
 //! ```text
 //!   apack: [panel ip][p in 0..kc][r in 0..MR]   (zero-padded rows)
@@ -24,6 +24,45 @@
 //! square shapes get the widest kernel, skinny-M or skinny-N shapes get
 //! narrower variants that waste less zero-padding, and shallow-N shapes
 //! get deeper `KC` slabs to amortize C-tile traffic.
+//!
+//! # Staged conv lowering
+//!
+//! The training stack's convolutions are small-image, many-sample
+//! problems (3→12@16² … 32→48@2² at batch 32), where a per-sample GEMM
+//! is a few panels wide and patch gathering costs more than the
+//! arithmetic. All three conv kernels therefore share one batch-folded,
+//! table-driven lowering. The batch is cut into *fold groups* of `g`
+//! consecutive samples, `g·n_cols ≈` [`FOLD_COLS`] (one sample when
+//! `n_cols` alone exceeds it). Per group and per thread, [`Staging`]
+//! holds
+//!
+//! ```text
+//!   buf:        [g, c_in, h+2·pad, w+2·pad]   the images, borders zero
+//!   base[j]:    corner of patch j = (s, oy, ox) in buf      (g·n_cols)
+//!   row_off[p]: offset of tap p = (c, ky, kx) from a corner (c_in·k²)
+//!   gbase[j], g_off[co]: the same split for [g, c_out, n_cols] buffers
+//! ```
+//!
+//! so that `cols[p][j] = buf[base[j] + row_off[p]]` with no bounds or
+//! padding logic — a tap that falls outside the image reads a zero of
+//! the border. Where consecutive table entries are consecutive offsets
+//! (an output row at stride 1, a sample's `n_cols` gradient columns) a
+//! panel moves in fixed-width block copies, otherwise element by element
+//! ([`block_len`]). The three kernels are then:
+//!
+//! * **forward** — `out = W · cols`, the batch folded into **N**
+//!   (`N = g·n_cols`). Output columns of one sample are contiguous, those
+//!   of different samples are not ([`CMap`]); a tile that straddles
+//!   samples goes through the scratch-tile path.
+//! * **backward weights** — `dw += grad · colsᵀ`, the batch folded into
+//!   **K** (`K = g·n_cols`): the same tables with their roles swapped,
+//!   on both operands.
+//! * **backward input** — `dcols = Wᵀ · grad` folded into **N**, then
+//!   the adjoint of the gather ([`scatter_add`]) adds `dcols` into `buf`
+//!   in ascending row order; `buf` is seeded from `dx` and copied back.
+//!
+//! Offsets are `u32`, built through checked conversions; a group shrinks
+//! (down to one sample) before a table could overflow.
 //!
 //! # The canonical accumulation chain
 //!
@@ -43,6 +82,11 @@
 //! across microkernel variants (8×32, 4×16, …), tile configurations,
 //! worker-thread counts, and even instruction sets (AVX-512 vs AVX2 vs
 //! the portable `mul_add` path) — the unit tests pin all three claims.
+//! Folding the batch keeps the chain too: in N it only places more
+//! independent columns in one call, in K it concatenates the per-sample
+//! reductions in sample order — the order the sample-at-a-time loop
+//! accumulates in — and the scatter adds each image element's taps in the
+//! `(ky, kx)` order of [`crate::im2col::col2im`].
 //! The only caveat is hardware without fused multiply-add, where the
 //! portable path falls back to a (still in-order, still deterministic)
 //! libm `fmaf` and pays for the correctness guarantee with speed.
@@ -149,6 +193,8 @@ pub(crate) trait Microkernel {
 
 /// Largest `MR·NR` of any kernel variant (scratch-tile capacity).
 const MAX_TILE: usize = 12 * 32;
+/// Widest panel of any kernel variant.
+const MAX_NR: usize = 32;
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
@@ -411,6 +457,8 @@ struct Ws {
     apack: Vec<f32>,
     bpack: Vec<f32>,
     cols: Vec<f32>,
+    /// Padded images and offset tables of one conv fold group.
+    st: Staging,
 }
 
 thread_local! {
@@ -472,19 +520,60 @@ pub(crate) enum BSrc<'a> {
     /// writes are strided. Panel contents are identical to [`BSrc::Rows`]
     /// packing, so kernel numerics are unaffected.
     Cols(&'a dyn Fn(usize, usize, &mut [f32])),
+    /// `B[p][j] = src[col[j] + red[p]]` — the conv lowering's offset
+    /// tables.
+    Table(Gather<'a>),
+}
+
+/// Where a driver call's output lives: element `(i, j)` is at
+/// `i·ldc + (j / inner)·outer + j % inner`. A plain row-major matrix is
+/// one block ([`CMap::rows`]); the batch-folded conv forward has one
+/// block of `inner = n_cols` columns per sample.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CMap {
+    ldc: usize,
+    inner: usize,
+    outer: usize,
+}
+
+impl CMap {
+    /// Row-major output with row stride `ldc`.
+    pub(crate) fn rows(ldc: usize) -> Self {
+        CMap {
+            ldc,
+            inner: usize::MAX,
+            outer: 0,
+        }
+    }
+
+    fn col(&self, j: usize) -> usize {
+        (j / self.inner) * self.outer + j % self.inner
+    }
+
+    /// `at[t] = col(j0 + t)`, without a division per column.
+    fn cols_from(&self, j0: usize, at: &mut [usize]) {
+        let (mut q, mut block) = (j0 % self.inner, j0 / self.inner * self.outer);
+        for a in at {
+            if q == self.inner {
+                (q, block) = (0, block + self.outer);
+            }
+            *a = block + q;
+            q += 1;
+        }
+    }
 }
 
 /// Runs the blocked loop nest over a pre-packed A operand, packing B
 /// panels on the fly through `b_src` and driving the microkernel.
 ///
-/// `out` holds `m` rows of `n` valid columns at row stride `ldc`.
+/// `out` holds `m` rows of `n` valid columns, laid out by `cmap`.
 #[allow(clippy::too_many_arguments)] // internal driver: the loop-nest state is the argument list
 fn drive_packed<K: Microkernel>(
     m: usize,
     kdim: usize,
     n: usize,
     out: &mut [f32],
-    ldc: usize,
+    cmap: CMap,
     tiles: Tiles,
     apack: &[f32],
     bpack: &mut Vec<f32>,
@@ -493,7 +582,11 @@ fn drive_packed<K: Microkernel>(
     if m == 0 || n == 0 || kdim == 0 {
         return;
     }
-    debug_assert!(out.len() >= (m - 1) * ldc + n, "out buffer too small");
+    let ldc = cmap.ldc;
+    debug_assert!(
+        out.len() > (m - 1) * ldc + cmap.col(n - 1),
+        "out buffer too small"
+    );
     let (mr, nr) = (K::MR, K::NR);
     let kc = tiles.kc.clamp(1, kdim).min(MAX_KC);
     let nc = tiles.nc.clamp(1, n);
@@ -540,6 +633,7 @@ fn drive_packed<K: Microkernel>(
                             }
                         }
                     }
+                    BSrc::Table(g) => g.pack(j0, jw, pc, nr, &mut panel[..kcb * nr]),
                 }
             }
             // Walk MC-row bands so the active A panels stay cache-hot
@@ -554,27 +648,36 @@ fn drive_packed<K: Microkernel>(
                     let j0 = jc + jp * nr;
                     let jw = nr.min(jc + ncb - j0);
                     let bpanel = bpack[jp * kc * nr..].as_ptr();
+                    // A panel whose columns sit in one `cmap` block is
+                    // contiguous in `out`; one that straddles blocks
+                    // (samples, on the folded conv forward) is not.
+                    let mut at = [0usize; MAX_NR];
+                    cmap.cols_from(j0, &mut at[..jw]);
+                    let contiguous = jw == nr && at[nr - 1] - at[0] == nr - 1;
                     for ip in ip0..ip0 + band_pan {
                         let i0 = ip * mr;
                         let iw = mr.min(m - i0);
                         let apanel = a_slab[ip * mr * kcb..].as_ptr();
-                        if iw == mr && jw == nr {
-                            // SAFETY: the full tile lies inside `out`
-                            // (`i0+MR ≤ m`, `j0+NR ≤ n`), both panels
-                            // hold `kcb` packed steps, and the dispatch
-                            // verified the required CPU features.
+                        if iw == mr && contiguous {
+                            let tile = &mut out[i0 * ldc + at[0]..][..(mr - 1) * ldc + nr];
+                            // SAFETY: `tile` spans the full MR×NR tile
+                            // at stride `ldc` (the slice above checked
+                            // it), both panels hold `kcb` packed steps,
+                            // and the dispatch verified the required
+                            // CPU features.
                             unsafe {
-                                K::run(apanel, bpanel, kcb, out[i0 * ldc + j0..].as_mut_ptr(), ldc);
+                                K::run(apanel, bpanel, kcb, tile.as_mut_ptr(), ldc);
                             }
                         } else {
-                            // Ragged edge: run the identical kernel on a
-                            // scratch tile; copies are exact, padded
-                            // lanes fold `fma(0, x, c) = c`, so the
-                            // per-element chain is unchanged.
+                            // Ragged or straddling tile: run the
+                            // identical kernel on a scratch tile; copies
+                            // are exact, padded lanes fold
+                            // `fma(0, x, c) = c`, so the per-element
+                            // chain is unchanged.
                             let mut scratch = [0.0f32; MAX_TILE];
                             for r in 0..iw {
-                                for j in 0..jw {
-                                    scratch[r * nr + j] = out[(i0 + r) * ldc + j0 + j];
+                                for (j, &a) in at[..jw].iter().enumerate() {
+                                    scratch[r * nr + j] = out[(i0 + r) * ldc + a];
                                 }
                             }
                             // SAFETY: scratch holds MR·NR ≤ MAX_TILE
@@ -583,8 +686,8 @@ fn drive_packed<K: Microkernel>(
                                 K::run(apanel, bpanel, kcb, scratch.as_mut_ptr(), nr);
                             }
                             for r in 0..iw {
-                                for j in 0..jw {
-                                    out[(i0 + r) * ldc + j0 + j] = scratch[r * nr + j];
+                                for (j, &a) in at[..jw].iter().enumerate() {
+                                    out[(i0 + r) * ldc + a] = scratch[r * nr + j];
                                 }
                             }
                         }
@@ -597,6 +700,144 @@ fn drive_packed<K: Microkernel>(
         }
         jc += ncb;
     }
+}
+
+// ---------------------------------------------------------- table operands
+
+/// Largest power of two `l ≤ MAX_NR` such that `tab` is a whole number
+/// of `l`-blocks of consecutive offsets — the width a table gather or
+/// scatter can move per fixed-size copy (`1`: element by element).
+fn block_len(tab: &[u32]) -> usize {
+    let consecutive = |blk: &[u32]| blk.windows(2).all(|w| w[1].wrapping_sub(w[0]) == 1);
+    let mut l = MAX_NR;
+    while l > 1 && !(tab.len().is_multiple_of(l) && tab.chunks_exact(l).all(consecutive)) {
+        l /= 2;
+    }
+    l
+}
+
+/// Runs `$f::<L>($args)` with the runtime block length as the const `L`.
+macro_rules! with_block_len {
+    ($l:expr, $f:ident($($a:expr),*)) => {
+        match $l {
+            32 => $f::<32>($($a),*),
+            16 => $f::<16>($($a),*),
+            8 => $f::<8>($($a),*),
+            4 => $f::<4>($($a),*),
+            2 => $f::<2>($($a),*),
+            _ => $f::<1>($($a),*),
+        }
+    };
+}
+
+/// A GEMM operand read through two offset tables: element `(p, j)` is
+/// `src[col[j] + red[p]]`, `j` the operand's panel dimension and `p` the
+/// reduction index.
+#[derive(Clone, Copy)]
+pub(crate) struct Gather<'a> {
+    src: &'a [f32],
+    col: &'a [u32],
+    red: &'a [u32],
+    /// [`block_len`] of `col` and of `red`.
+    runs: (usize, usize),
+}
+
+impl<'a> Gather<'a> {
+    fn new(src: &'a [f32], col: &'a [u32], red: &'a [u32]) -> Self {
+        let runs = (block_len(col), block_len(red));
+        Gather {
+            src,
+            col,
+            red,
+            runs,
+        }
+    }
+
+    /// Packs one panel: `panel[p·w + t] = src[col[j0 + t] + red[p0 + p]]`
+    /// for `t < jw`, zero for the panel's remaining `w - jw` columns,
+    /// over the `panel.len() / w` reduction steps from `p0`. Blocks of
+    /// consecutive offsets move as fixed-size copies — along the panel
+    /// rows when `col` has the longer blocks, down its columns when
+    /// `red` has — and element by element when neither table has any.
+    fn pack(&self, j0: usize, jw: usize, p0: usize, w: usize, panel: &mut [f32]) {
+        fn along_rows<const L: usize>(src: &[f32], col: &[u32], red: &[u32], panel: &mut [f32]) {
+            let w = panel.len() / red.len();
+            for (&ro, dst) in red.iter().zip(panel.chunks_exact_mut(w)) {
+                for (&b, d) in col.iter().step_by(L).zip(dst.chunks_exact_mut(L)) {
+                    let o = b as usize + ro as usize;
+                    d.copy_from_slice(&src[o..o + L]);
+                }
+                dst[col.len()..].fill(0.0);
+            }
+        }
+        fn down_cols<const L: usize>(src: &[f32], col: &[u32], red: &[u32], panel: &mut [f32]) {
+            let w = panel.len() / red.len();
+            for (&b, dst) in red.iter().step_by(L).zip(panel.chunks_exact_mut(L * w)) {
+                for (t, &co) in col.iter().enumerate() {
+                    let o = b as usize + co as usize;
+                    for (row, &v) in dst.chunks_exact_mut(w).zip(&src[o..o + L]) {
+                        row[t] = v;
+                    }
+                }
+                for row in dst.chunks_exact_mut(w) {
+                    row[col.len()..].fill(0.0);
+                }
+            }
+        }
+        let (col, red) = (&self.col[j0..j0 + jw], &self.red[p0..p0 + panel.len() / w]);
+        // A block length holds for this panel only if the panel starts
+        // and ends on block boundaries of the table.
+        let aligned = |run: usize, at: usize, len: usize| {
+            if at.is_multiple_of(run) && len.is_multiple_of(run) {
+                run
+            } else {
+                1
+            }
+        };
+        let (cr, rr) = (
+            aligned(self.runs.0, j0, jw),
+            aligned(self.runs.1, p0, red.len()),
+        );
+        if cr >= rr {
+            with_block_len!(cr, along_rows(self.src, col, red, panel));
+        } else {
+            with_block_len!(rr, down_cols(self.src, col, red, panel));
+        }
+    }
+
+    /// [`pack_a_all`] through the tables: rows `i0 .. i0+m` of the
+    /// operand (`col` entries) against all of `red`.
+    fn pack_a(&self, mr: usize, i0: usize, m: usize, kc: usize, buf: &mut Vec<f32>) {
+        let (mpan, kdim) = (m.div_ceil(mr), self.red.len());
+        buf.resize(mpan * mr * kdim, 0.0);
+        for pc in (0..kdim).step_by(kc) {
+            let kcb = kc.min(kdim - pc);
+            let slab = &mut buf[mpan * mr * pc..][..mpan * mr * kcb];
+            for (ip, panel) in slab.chunks_exact_mut(mr * kcb).enumerate() {
+                self.pack(i0 + ip * mr, mr.min(m - ip * mr), pc, mr, panel);
+            }
+        }
+    }
+}
+
+/// Adjoint of a [`Gather`]: `dst[col[j] + red[r]] += d[r][j]`, rows
+/// ascending, so every `dst` element accumulates its contributions in
+/// `red` order.
+fn scatter_add(dst: &mut [f32], d: &[f32], col: &[u32], red: &[u32]) {
+    // Not inlined: as a function of its own, `dst` and `d` are known not
+    // to alias, and each block becomes one vector add.
+    #[inline(never)]
+    fn blocks<const L: usize>(dst: &mut [f32], d: &[f32], col: &[u32], red: &[u32]) {
+        for (&ro, drow) in red.iter().zip(d.chunks_exact(col.len())) {
+            for (&b, dv) in col.iter().step_by(L).zip(drow.chunks_exact(L)) {
+                let o = b as usize + ro as usize;
+                for (s, v) in dst[o..o + L].iter_mut().zip(dv) {
+                    *s += v;
+                }
+            }
+        }
+    }
+    with_block_len!(block_len(col), blocks(dst, d, col, red));
 }
 
 // ------------------------------------------------------------ entry points
@@ -624,7 +865,9 @@ pub(crate) fn gemm_with_tiles(
         let ws = &mut *ws.borrow_mut();
         dispatch_kernel!(isa, m, n, K => {
             pack_a_all(K::MR, m, kdim, tiles.kc, &a_at, &mut ws.apack);
-            drive_packed::<K>(m, kdim, n, out, ldc, tiles, &ws.apack, &mut ws.bpack, b_src);
+            drive_packed::<K>(
+                m, kdim, n, out, CMap::rows(ldc), tiles, &ws.apack, &mut ws.bpack, b_src,
+            );
         });
     });
 }
@@ -698,7 +941,7 @@ pub(crate) fn matmul_grouped(
             WS.with(|ws| {
                 let ws = &mut *ws.borrow_mut();
                 drive_packed::<K>(
-                    m, kdim, n, out, n, tiles, &apack, &mut ws.bpack,
+                    m, kdim, n, out, CMap::rows(n), tiles, &apack, &mut ws.bpack,
                     BSrc::Rows(&|p, j0, dst: &mut [f32]| {
                         let w = dst.len();
                         dst.copy_from_slice(&b[p * n + j0..p * n + j0 + w]);
@@ -735,82 +978,102 @@ pub(crate) fn matmul_grouped(
 
 // -------------------------------------------------------------- fused conv
 
-use crate::im2col::Conv2dGeometry;
+use crate::{backend::for_row_chunks, im2col::Conv2dGeometry};
 
-/// Reads a span of one im2col row straight out of the image — the fused
-/// replacement for materializing a `cols` buffer. `dst` receives
-/// `cols[row, j0 .. j0+dst.len()]`, reproducing
-/// [`crate::im2col::im2col`]'s layout exactly (including zero padding).
-///
-/// The expensive index decomposition happens once per span; inside, the
-/// span is walked one output row at a time so the stride-1 common case
-/// degenerates to `fill(0.0)` edges around one `copy_from_slice`.
-#[inline]
-fn im2col_span(
-    img: &[f32],
-    geo: &Conv2dGeometry,
-    w_out: usize,
-    row: usize,
-    j0: usize,
-    dst: &mut [f32],
-) {
-    let kk = geo.k * geo.k;
-    let c = row / kk;
-    let ky = row / geo.k % geo.k;
-    let kx = row % geo.k;
-    let plane = geo.h * geo.w;
-    let img_c = &img[c * plane..(c + 1) * plane];
-    let mut oy = j0 / w_out;
-    let mut ox = j0 % w_out;
-    let mut t = 0;
-    while t < dst.len() {
-        let run = (w_out - ox).min(dst.len() - t);
-        let seg = &mut dst[t..t + run];
-        let iy = (oy * geo.stride + ky) as isize - geo.pad as isize;
-        if !(0..geo.h as isize).contains(&iy) {
-            seg.fill(0.0);
-        } else {
-            let img_row = &img_c[iy as usize * geo.w..iy as usize * geo.w + geo.w];
-            let ix0 = (ox * geo.stride + kx) as isize - geo.pad as isize;
-            if geo.stride == 1 {
-                // ix advances with ox: zeros, one contiguous copy, zeros.
-                let lead = (-ix0).clamp(0, run as isize) as usize;
-                let have = ((geo.w as isize - ix0).clamp(0, run as isize) as usize).max(lead);
-                seg[..lead].fill(0.0);
-                // A span that ends inside the left padding has `have ==
-                // lead` with `ix0 + lead` still negative — the empty copy
-                // must not index the image row at all.
-                if have > lead {
-                    seg[lead..have]
-                        .copy_from_slice(&img_row[(ix0 + lead as isize) as usize..][..have - lead]);
-                }
-                seg[have..].fill(0.0);
-            } else {
-                let mut ix = ix0;
-                for d in seg.iter_mut() {
-                    *d = if (0..geo.w as isize).contains(&ix) {
-                        img_row[ix as usize]
-                    } else {
-                        0.0
-                    };
-                    ix += geo.stride as isize;
-                }
-            }
-        }
-        t += run;
-        ox += run;
-        if ox == w_out {
-            ox = 0;
-            oy += 1;
+/// Folded GEMM width a conv fold group aims for: four of the widest
+/// panels. The microkernel is at full rate from there, and a group's B
+/// block, `dcols` and staging — all proportional to it — stay in L2
+/// (`tune_conv_probe`: 128 beats both 64 and one whole `NC` block).
+const FOLD_COLS: usize = 4 * MAX_NR;
+
+/// `(rows, n_cols, img_len, out_len, g)` of a staged conv call.
+type ConvShape = (usize, usize, usize, usize, usize);
+
+/// The shape of a staged conv call (module doc, "Staged conv lowering"),
+/// `None` for an empty problem: the per-sample `cols` matrix is `rows ×
+/// n_cols`, a sample is `img_len` floats in and `out_len` out, and a fold
+/// group takes `g` samples — as many as bring the folded GEMM dimension
+/// (`g·n_cols`) to [`FOLD_COLS`], fewer, down to one, when the group's
+/// padded staging or output rows would outgrow the `u32` offset tables.
+fn conv_shape(batch: usize, c_out: usize, geo: &Conv2dGeometry) -> Option<ConvShape> {
+    let (rows, n_cols) = (geo.col_rows(), geo.col_cols());
+    let (img_len, out_len) = (geo.c_in * geo.h * geo.w, c_out * n_cols);
+    if batch == 0 || rows == 0 || out_len == 0 {
+        return None;
+    }
+    let padded_len = geo.c_in * (geo.h + 2 * geo.pad) * (geo.w + 2 * geo.pad);
+    let span = padded_len.max(out_len);
+    assert!(
+        span <= u32::MAX as usize,
+        "conv lowering: one sample spans {span} floats (padded c_in·(h+2·pad)·(w+2·pad) = \
+         {padded_len}, c_out·h_out·w_out = {out_len}), beyond the u32 offset tables"
+    );
+    let g = (FOLD_COLS / n_cols).min(u32::MAX as usize / span);
+    Some((rows, n_cols, img_len, out_len, g.clamp(1, batch)))
+}
+
+/// One thread's staging for a conv call: one fold group's zero-padded
+/// images and the offset tables (sample-major: a shorter last group uses
+/// a prefix).
+#[derive(Default)]
+struct Staging {
+    /// `[g, c_in, h + 2·pad, w + 2·pad]`, borders zero.
+    buf: Vec<f32>,
+    /// Per folded output column `(s, oy, ox)`: its patch's corner in `buf`.
+    base: Vec<u32>,
+    /// Per im2col row `(c, ky, kx)`: that tap's offset from the corner.
+    row_off: Vec<u32>,
+    /// Per folded output column: its place in `[g, c_out, n_cols]`, channel 0.
+    gbase: Vec<u32>,
+    /// Per output channel: its offset from `gbase`.
+    g_off: Vec<u32>,
+}
+
+/// Refills an offset table through checked `usize → u32` conversions.
+fn fill_offsets(tab: &mut Vec<u32>, field: &str, offsets: impl Iterator<Item = usize>) {
+    let checked = |v| {
+        u32::try_from(v)
+            .unwrap_or_else(|_| panic!("conv lowering: `{field}` offset {v} exceeds u32"))
+    };
+    tab.clear();
+    tab.extend(offsets.map(checked));
+}
+
+impl Staging {
+    /// Zeroes the staging and builds the tables for groups of `g`.
+    fn prepare(&mut self, geo: &Conv2dGeometry, c_out: usize, g: usize) {
+        let (hp, wp, w_out) = (geo.h + 2 * geo.pad, geo.w + 2 * geo.pad, geo.w_out());
+        let (k, s, n_cols, padded_len) = (geo.k, geo.stride, geo.col_cols(), geo.c_in * hp * wp);
+        let cols = || (0..g).flat_map(|i| (0..n_cols).map(move |q| (i, q)));
+        let corner = |(i, q)| i * padded_len + (q / w_out * wp + q % w_out) * s;
+        fill_offsets(&mut self.base, "base", cols().map(corner));
+        let out_at = |(i, q)| i * c_out * n_cols + q;
+        fill_offsets(&mut self.gbase, "gbase", cols().map(out_at));
+        let tap = |r| (r / (k * k) * hp + r / k % k) * wp + r % k;
+        fill_offsets(&mut self.row_off, "row_off", (0..geo.col_rows()).map(tap));
+        fill_offsets(&mut self.g_off, "g_off", (0..c_out).map(|co| co * n_cols));
+        self.buf.clear();
+        self.buf.resize(g * padded_len, 0.0);
+    }
+
+    /// Calls `copy(staged_row, image_row)` for every image row of the
+    /// dense `[n, c_in, h, w]` batch `imgs` and its place in `buf`.
+    fn rows<T>(&mut self, geo: &Conv2dGeometry, imgs: T, copy: impl Fn(&mut [f32], T::Item))
+    where
+        T: IntoIterator,
+    {
+        let (hp, wp) = (geo.h + 2 * geo.pad, geo.w + 2 * geo.pad);
+        for (i, row) in imgs.into_iter().enumerate() {
+            let at = ((i / geo.h * hp) + i % geo.h + geo.pad) * wp + geo.pad;
+            copy(&mut self.buf[at..at + geo.w], row);
         }
     }
 }
 
-/// Fused batched conv forward: `out[s] += W·im2col(x[s]) (+ bias)` with
-/// the patch columns streamed straight into packed B panels — no
-/// materialized `cols` buffer. The weight panels are packed once into
-/// the caller's per-layer workspace `ws` and reused across every sample
-/// (and, via the layer's workspace, across training iterations).
+/// Staged conv forward: `out[s] += W·im2col(x[s]) (+ bias)`, one GEMM
+/// per fold group with the batch folded into N. The weight panels are
+/// packed once into the caller's per-layer workspace `ws`; the B panels
+/// are gathered from the staged images — no materialized `cols` buffer.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv2d_forward_fused(
     x: &[f32],
@@ -823,46 +1086,40 @@ pub(crate) fn conv2d_forward_fused(
     ws: &mut Vec<f32>,
     threads: usize,
 ) {
-    let rows = geo.col_rows();
-    let n_cols = geo.col_cols();
-    let w_out = geo.w_out();
-    let img_len = geo.c_in * geo.h * geo.w;
-    if batch == 0 || c_out == 0 || rows == 0 || n_cols == 0 {
+    let Some((rows, n_cols, img_len, out_len, g)) = conv_shape(batch, c_out, geo) else {
         return;
-    }
-    let isa = native_isa();
-    let tiles = tiles_for(c_out, rows, n_cols);
-    dispatch_kernel!(isa, c_out, n_cols, K => {
+    };
+    let tiles = tiles_for(c_out, rows, g * n_cols);
+    dispatch_kernel!(native_isa(), c_out, g * n_cols, K => {
         pack_a_all(K::MR, c_out, rows, tiles.kc, |i, p| w[i * rows + p], ws);
         let apack: &[f32] = ws;
-        crate::backend::for_row_chunks(out, batch, c_out * n_cols, threads, |s0, _s1, chunk| {
-            WS.with(|tws| {
-                let tws = &mut *tws.borrow_mut();
-                for (si, out_s) in chunk.chunks_mut(c_out * n_cols).enumerate() {
-                    let img = &x[(s0 + si) * img_len..][..img_len];
-                    drive_packed::<K>(
-                        c_out, rows, n_cols, out_s, n_cols, tiles, apack, &mut tws.bpack,
-                        BSrc::Rows(&|p, j0, dst: &mut [f32]| im2col_span(img, geo, w_out, p, j0, dst)),
-                    );
-                    if let Some(bias) = bias {
-                        for (co, out_row) in out_s.chunks_mut(n_cols).enumerate() {
-                            let bv = bias[co];
-                            for v in out_row {
-                                *v += bv;
-                            }
-                        }
+        for_row_chunks(out, batch, out_len, threads, |s0, s1, chunk| WS.with(|tws| {
+            let Ws { bpack, st, .. } = &mut *tws.borrow_mut();
+            st.prepare(geo, c_out, g);
+            let x = &x[s0 * img_len..s1 * img_len];
+            for (out_g, x_g) in chunk.chunks_mut(g * out_len).zip(x.chunks(g * img_len)) {
+                let nn = out_g.len() / out_len * n_cols;
+                st.rows(geo, x_g.chunks_exact(geo.w), |staged, row| staged.copy_from_slice(row));
+                drive_packed::<K>(
+                    c_out, rows, nn, out_g,
+                    CMap { ldc: n_cols, inner: n_cols, outer: out_len },
+                    tiles, apack, bpack,
+                    BSrc::Table(Gather::new(&st.buf, &st.base[..nn], &st.row_off)),
+                );
+                if let Some(bias) = bias {
+                    for (out_row, &bv) in out_g.chunks_mut(n_cols).zip(bias.iter().cycle()) {
+                        out_row.iter_mut().for_each(|v| *v += bv);
                     }
                 }
-            });
-        });
+            }
+        }));
     });
 }
 
-/// Fused weight gradient: `dw += Σ_s grad[s] · im2col(x[s])ᵀ`, with the
-/// transposed patch columns streamed into packed B panels. Threads split
-/// only output rows (`c_out`); the sample loop stays sequential inside
-/// each row band, so every `dw` element sees the canonical chain
-/// `s`-major, `p`-ascending regardless of worker count.
+/// Staged weight gradient: `dw += Σ_s grad[s] · im2col(x[s])ᵀ`, one GEMM
+/// per fold group with the batch folded into K (`K = g·n_cols`). Threads
+/// split only output rows and groups run in sample order: every `dw`
+/// element sees the canonical `s`-major, `q`-ascending chain.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv2d_backward_weights_fused(
     x: &[f32],
@@ -873,45 +1130,34 @@ pub(crate) fn conv2d_backward_weights_fused(
     geo: &Conv2dGeometry,
     threads: usize,
 ) {
-    let rows = geo.col_rows();
-    let n_cols = geo.col_cols();
-    let w_out = geo.w_out();
-    let img_len = geo.c_in * geo.h * geo.w;
-    if batch == 0 || c_out == 0 || rows == 0 || n_cols == 0 {
+    let Some((rows, n_cols, img_len, out_len, g)) = conv_shape(batch, c_out, geo) else {
         return;
-    }
-    let isa = native_isa();
-    let tiles = tiles_for(c_out, n_cols, rows);
-    dispatch_kernel!(isa, c_out, rows, K => {
-        crate::backend::for_row_chunks(dw, c_out, rows, threads, |r0, r1, chunk| {
-            WS.with(|tws| {
-                let tws = &mut *tws.borrow_mut();
-                let Ws { apack, bpack, .. } = &mut *tws;
-                for s in 0..batch {
-                    let g_s = &grad[s * c_out * n_cols..][..c_out * n_cols];
-                    let img = &x[s * img_len..][..img_len];
-                    pack_a_all(
-                        K::MR, r1 - r0, n_cols, tiles.kc,
-                        |i, p| g_s[(r0 + i) * n_cols + p],
-                        apack,
-                    );
-                    // B = colsᵀ, so Bᵀ row `r` is im2col row `r` — read
-                    // it with the contiguous-run reader and let the
-                    // packer scatter it into the panels.
-                    drive_packed::<K>(
-                        r1 - r0, n_cols, rows, chunk, rows, tiles, apack, bpack,
-                        BSrc::Cols(&|r, q0, dst: &mut [f32]| im2col_span(img, geo, w_out, r, q0, dst)),
-                    );
-                }
-            });
-        });
+    };
+    let tiles = tiles_for(c_out, g * n_cols, rows);
+    dispatch_kernel!(native_isa(), c_out, rows, K => {
+        for_row_chunks(dw, c_out, rows, threads, |r0, r1, chunk| WS.with(|tws| {
+            let Ws { apack, bpack, st, .. } = &mut *tws.borrow_mut();
+            st.prepare(geo, c_out, g);
+            for (x_g, g_g) in x.chunks(g * img_len).zip(grad.chunks(g * out_len)) {
+                let nn = g_g.len() / out_len * n_cols;
+                st.rows(geo, x_g.chunks_exact(geo.w), |staged, row| staged.copy_from_slice(row));
+                // The reduction walks `(s, oy, ox)`: A is `grad` by channel,
+                // B = colsᵀ, the forward's tables with their roles swapped.
+                Gather::new(g_g, &st.g_off, &st.gbase[..nn])
+                    .pack_a(K::MR, r0, r1 - r0, tiles.kc, apack);
+                drive_packed::<K>(
+                    r1 - r0, nn, rows, chunk, CMap::rows(rows), tiles, apack, bpack,
+                    BSrc::Table(Gather::new(&st.buf, &st.row_off, &st.base[..nn])),
+                );
+            }
+        }));
     });
 }
 
-/// Fused input gradient: per sample, `dcols = Wᵀ·grad[s]` runs with Wᵀ
-/// panels packed once into the caller's workspace `ws` and reused across
-/// the batch, then `col2im` scatters `dcols` into `dx[s]`. The `dcols`
-/// staging buffer is per-thread and reused across samples.
+/// Staged input gradient: per fold group, `dcols = Wᵀ·grad` is one GEMM
+/// with the batch folded into N (Wᵀ panels packed once into `ws`); the
+/// adjoint scatter then adds `dcols` into the padded staging — seeded from
+/// `dx`, so `dx` is accumulated into — and the interiors are copied back.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv2d_backward_input_fused(
     w: &[f32],
@@ -923,37 +1169,31 @@ pub(crate) fn conv2d_backward_input_fused(
     ws: &mut Vec<f32>,
     threads: usize,
 ) {
-    let rows = geo.col_rows();
-    let n_cols = geo.col_cols();
-    let img_len = geo.c_in * geo.h * geo.w;
-    if batch == 0 || c_out == 0 || rows == 0 || n_cols == 0 {
+    let Some((rows, n_cols, img_len, out_len, g)) = conv_shape(batch, c_out, geo) else {
         return;
-    }
-    let isa = native_isa();
-    let tiles = tiles_for(rows, c_out, n_cols);
-    dispatch_kernel!(isa, rows, n_cols, K => {
+    };
+    let tiles = tiles_for(rows, c_out, g * n_cols);
+    dispatch_kernel!(native_isa(), rows, g * n_cols, K => {
         // A = Wᵀ: element (im2col row i, reduction channel p) = w[p, i].
         pack_a_all(K::MR, rows, c_out, tiles.kc, |i, p| w[p * rows + i], ws);
         let apack: &[f32] = ws;
-        crate::backend::for_row_chunks(dx, batch, img_len, threads, |s0, _s1, chunk| {
-            WS.with(|tws| {
-                let tws = &mut *tws.borrow_mut();
-                let Ws { bpack, cols, .. } = &mut *tws;
-                cols.resize(rows * n_cols, 0.0);
-                for (si, dx_s) in chunk.chunks_mut(img_len).enumerate() {
-                    let g_s = &grad[(s0 + si) * c_out * n_cols..][..c_out * n_cols];
-                    cols.fill(0.0);
-                    drive_packed::<K>(
-                        rows, c_out, n_cols, cols, n_cols, tiles, apack, bpack,
-                        BSrc::Rows(&|p, j0, dst: &mut [f32]| {
-                            let w_span = dst.len();
-                            dst.copy_from_slice(&g_s[p * n_cols + j0..p * n_cols + j0 + w_span]);
-                        }),
-                    );
-                    crate::im2col::col2im(cols, geo, dx_s);
-                }
-            });
-        });
+        for_row_chunks(dx, batch, img_len, threads, |s0, s1, chunk| WS.with(|tws| {
+            let Ws { bpack, cols, st, .. } = &mut *tws.borrow_mut();
+            st.prepare(geo, c_out, g);
+            let grad = &grad[s0 * out_len..s1 * out_len];
+            for (dx_g, g_g) in chunk.chunks_mut(g * img_len).zip(grad.chunks(g * out_len)) {
+                let nn = dx_g.len() / img_len * n_cols;
+                cols.clear();
+                cols.resize(rows * nn, 0.0);
+                drive_packed::<K>(
+                    rows, c_out, nn, cols, CMap::rows(nn), tiles, apack, bpack,
+                    BSrc::Table(Gather::new(g_g, &st.gbase[..nn], &st.g_off)),
+                );
+                st.rows(geo, dx_g.chunks_exact(geo.w), |staged, row| staged.copy_from_slice(row));
+                scatter_add(&mut st.buf, cols, &st.base[..nn], &st.row_off);
+                st.rows(geo, dx_g.chunks_exact_mut(geo.w), |staged, row| row.copy_from_slice(staged));
+            }
+        }));
     });
 }
 
@@ -1135,94 +1375,190 @@ mod tests {
         }
     }
 
-    /// Fused conv forward/backward match the materialized-`cols`
-    /// canonical chains bit for bit (stride 1 + padded, and stride 2).
+    /// The canonical conv chains evaluated literally on materialized
+    /// `cols`, from the given non-zero destinations: `(out, dw, dx)`.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_conv(
+        x: &[f32],
+        w: &[f32],
+        g: &[f32],
+        batch: usize,
+        c_out: usize,
+        geo: &Conv2dGeometry,
+        mut out: Vec<f32>,
+        mut dw: Vec<f32>,
+        mut dx: Vec<f32>,
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        let (rows, n_cols) = (geo.col_rows(), geo.col_cols());
+        let img_len = geo.c_in * geo.h * geo.w;
+        let mut cols = vec![0.0f32; rows * n_cols];
+        for s in 0..batch {
+            crate::im2col::im2col(&x[s * img_len..][..img_len], geo, &mut cols);
+            let g_s = &g[s * c_out * n_cols..][..c_out * n_cols];
+            // Forward: out[s] += W · cols_s.
+            let out_s = &mut out[s * c_out * n_cols..][..c_out * n_cols];
+            reference_gemm(w, &cols, out_s, c_out, rows, n_cols);
+            // dW: s-major, q-ascending chain.
+            for i in 0..c_out {
+                for r in 0..rows {
+                    let mut c = dw[i * rows + r];
+                    for q in 0..n_cols {
+                        c = g_s[i * n_cols + q].mul_add(cols[r * n_cols + q], c);
+                    }
+                    dw[i * rows + r] = c;
+                }
+            }
+            // dX: dcols = Wᵀ·g_s chain from zero, then col2im.
+            for r in 0..rows {
+                for q in 0..n_cols {
+                    let mut c = 0.0f32;
+                    for p in 0..c_out {
+                        c = w[p * rows + r].mul_add(g_s[p * n_cols + q], c);
+                    }
+                    cols[r * n_cols + q] = c;
+                }
+            }
+            crate::im2col::col2im(&cols, geo, &mut dx[s * img_len..][..img_len]);
+        }
+        (out, dw, dx)
+    }
+
+    /// Staged conv forward / dW / dX equal the materialized-`cols`
+    /// canonical chains bit for bit, accumulating into non-zero
+    /// destinations, across the fold edges: one sample, a ragged last
+    /// group (5, 33), panels that straddle samples (`n_cols` 1, 4, 9, 12,
+    /// 16), two-sample groups (`n_cols` 256), stride 2, pad ≥ k, and 1–3
+    /// worker threads.
     #[test]
     fn fused_conv_matches_materialized_chain() {
+        let geo = |c_in, h, w, k, stride, pad| Conv2dGeometry {
+            c_in,
+            h,
+            w,
+            k,
+            stride,
+            pad,
+        };
         for geo in [
-            Conv2dGeometry {
-                c_in: 3,
-                h: 8,
-                w: 8,
-                k: 3,
-                stride: 1,
-                pad: 1,
-            },
-            Conv2dGeometry {
-                c_in: 2,
-                h: 9,
-                w: 7,
-                k: 3,
-                stride: 2,
-                pad: 0,
-            },
+            geo(1, 1, 1, 1, 1, 0),   // n_cols 1, consecutive staging offsets
+            geo(3, 3, 3, 3, 1, 0),   // n_cols 1
+            geo(3, 2, 2, 3, 1, 1),   // n_cols 4
+            geo(2, 3, 3, 3, 1, 1),   // n_cols 9
+            geo(2, 9, 7, 3, 2, 0),   // n_cols 12, stride 2
+            geo(3, 4, 4, 3, 1, 1),   // n_cols 16
+            geo(2, 8, 8, 3, 2, 1),   // n_cols 16, stride 2
+            geo(2, 2, 2, 1, 1, 2),   // n_cols 36, pad > k
+            geo(2, 8, 8, 3, 1, 1),   // n_cols 64
+            geo(2, 16, 16, 3, 1, 1), // n_cols 256
         ] {
-            let (batch, c_out) = (2usize, 5usize);
-            let rows = geo.col_rows();
-            let n_cols = geo.col_cols();
-            let img_len = geo.c_in * geo.h * geo.w;
-            let x = arb(batch * img_len, 1);
-            let w = arb(c_out * rows, 2);
-            let g = arb(batch * c_out * n_cols, 3);
-            let mut cols = vec![0.0f32; rows * n_cols];
-
-            // Forward: out[s] = W · cols_s via the canonical chain.
-            let mut want_out = arb(batch * c_out * n_cols, 4);
-            for s in 0..batch {
-                crate::im2col::im2col(&x[s * img_len..][..img_len], &geo, &mut cols);
-                reference_gemm(
-                    &w,
-                    &cols,
-                    &mut want_out[s * c_out * n_cols..][..c_out * n_cols],
-                    c_out,
-                    rows,
-                    n_cols,
+            for batch in [1usize, 5, 32, 33] {
+                let c_out = 5usize;
+                let (rows, n_cols) = (geo.col_rows(), geo.col_cols());
+                let img_len = geo.c_in * geo.h * geo.w;
+                let x = arb(batch * img_len, 1);
+                let w = arb(c_out * rows, 2);
+                let g = arb(batch * c_out * n_cols, 3);
+                let init = (
+                    arb(batch * c_out * n_cols, 4),
+                    arb(c_out * rows, 5),
+                    arb(batch * img_len, 6),
                 );
-            }
-            let mut got_out = arb(batch * c_out * n_cols, 4);
-            let mut ws = Vec::new();
-            conv2d_forward_fused(&x, &w, None, &mut got_out, batch, c_out, &geo, &mut ws, 1);
-            assert_eq!(got_out, want_out, "forward {geo:?}");
-
-            // dW: s-major, q-ascending chain.
-            let mut want_dw = arb(c_out * rows, 5);
-            for s in 0..batch {
-                crate::im2col::im2col(&x[s * img_len..][..img_len], &geo, &mut cols);
-                let g_s = &g[s * c_out * n_cols..][..c_out * n_cols];
-                for i in 0..c_out {
-                    for r in 0..rows {
-                        let mut c = want_dw[i * rows + r];
-                        for q in 0..n_cols {
-                            c = g_s[i * n_cols + q].mul_add(cols[r * n_cols + q], c);
-                        }
-                        want_dw[i * rows + r] = c;
-                    }
+                let (out0, dw0, dx0) = init.clone();
+                let want = reference_conv(&x, &w, &g, batch, c_out, &geo, out0, dw0, dx0);
+                for threads in [1, 2, 3] {
+                    let (mut out, mut dw, mut dx) = init.clone();
+                    let mut ws = Vec::new();
+                    conv2d_forward_fused(
+                        &x, &w, None, &mut out, batch, c_out, &geo, &mut ws, threads,
+                    );
+                    conv2d_backward_weights_fused(&x, &g, &mut dw, batch, c_out, &geo, threads);
+                    conv2d_backward_input_fused(
+                        &w, &g, &mut dx, batch, c_out, &geo, &mut ws, threads,
+                    );
+                    let what = format!("{geo:?} batch {batch} threads {threads}");
+                    assert_eq!(out, want.0, "forward {what}");
+                    assert_eq!(dw, want.1, "dW {what}");
+                    assert_eq!(dx, want.2, "dX {what}");
                 }
             }
-            let mut got_dw = arb(c_out * rows, 5);
-            conv2d_backward_weights_fused(&x, &g, &mut got_dw, batch, c_out, &geo, 1);
-            assert_eq!(got_dw, want_dw, "dW {geo:?}");
-
-            // dX: dcols = Wᵀ·g_s chain, then col2im.
-            let mut want_dx = vec![0.0f32; batch * img_len];
-            for s in 0..batch {
-                let g_s = &g[s * c_out * n_cols..][..c_out * n_cols];
-                cols.fill(0.0);
-                for r in 0..rows {
-                    for q in 0..n_cols {
-                        let mut c = 0.0f32;
-                        for p in 0..c_out {
-                            c = w[p * rows + r].mul_add(g_s[p * n_cols + q], c);
-                        }
-                        cols[r * n_cols + q] = c;
-                    }
-                }
-                crate::im2col::col2im(&cols, &geo, &mut want_dx[s * img_len..][..img_len]);
-            }
-            let mut got_dx = vec![0.0f32; batch * img_len];
-            conv2d_backward_input_fused(&w, &g, &mut got_dx, batch, c_out, &geo, &mut ws, 1);
-            assert_eq!(got_dx, want_dx, "dX {geo:?}");
         }
+    }
+
+    /// Fold groups shrink — down to one sample — rather than let an
+    /// offset table outgrow `u32`, and a single sample that cannot be
+    /// addressed fails by name instead of wrapping.
+    #[test]
+    fn fused_conv_fold_group_respects_u32_offsets() {
+        let geo = |c_in, hw, stride| Conv2dGeometry {
+            c_in,
+            h: hw,
+            w: hw,
+            k: 3,
+            stride,
+            pad: 1,
+        };
+        let g = |batch, c_out, geo: Conv2dGeometry| conv_shape(batch, c_out, &geo).unwrap().4;
+        assert_eq!(g(32, 48, geo(32, 2, 1)), 32); // Medium's last stage,
+        assert_eq!(g(32, 24, geo(12, 8, 1)), 2); // its second
+        assert_eq!(g(32, 12, geo(3, 16, 1)), 1); // and its first
+        assert_eq!(g(32, 32, geo(3, 224, 2)), 1); // CNN4 stem
+
+        // 2^30 padded floats per sample: 128/4 samples would need 2^35.
+        assert_eq!(g(1000, 8, geo(1 << 26, 2, 1)), 3);
+        // 2^31 output floats per sample.
+        assert_eq!(g(1000, 1 << 29, geo(1, 2, 1)), 1);
+        let too_big = std::panic::catch_unwind(|| g(8, 8, geo(3, 40_000, 1)));
+        let msg = *too_big.unwrap_err().downcast::<String>().unwrap();
+        assert!(msg.contains("c_in·(h+2·pad)·(w+2·pad)"), "{msg}");
+        let entry = std::panic::catch_unwind(|| {
+            fill_offsets(&mut Vec::new(), "base", std::iter::once(1 << 32));
+        });
+        let msg = *entry.unwrap_err().downcast::<String>().unwrap();
+        assert!(msg.contains("`base`"), "{msg}");
+    }
+
+    /// The CNN4 stem (3→32, 224², stride 2): the largest tables the
+    /// model zoo builds, run where overflow checks are on (debug CI step
+    /// `fused_conv`), against the Scalar reference.
+    #[test]
+    fn fused_conv_cnn4_stem_tables() {
+        use crate::backend::{Backend, Scalar};
+        let geo = Conv2dGeometry {
+            c_in: 3,
+            h: 224,
+            w: 224,
+            k: 3,
+            stride: 2,
+            pad: 1,
+        };
+        let (batch, c_out) = (2usize, 32usize);
+        let (rows, n_cols) = (geo.col_rows(), geo.col_cols());
+        let img_len = geo.c_in * geo.h * geo.w;
+        let x = arb(batch * img_len, 1);
+        let w = arb(c_out * rows, 2);
+        let g = arb(batch * c_out * n_cols, 3);
+        let (mut out, mut dw, mut dx) = (
+            vec![0.0f32; batch * c_out * n_cols],
+            vec![0.0f32; c_out * rows],
+            vec![0.0f32; batch * img_len],
+        );
+        let (mut want_out, mut want_dw, mut want_dx) = (out.clone(), dw.clone(), dx.clone());
+        let mut ws = Vec::new();
+        conv2d_forward_fused(&x, &w, None, &mut out, batch, c_out, &geo, &mut ws, 1);
+        conv2d_backward_weights_fused(&x, &g, &mut dw, batch, c_out, &geo, 1);
+        conv2d_backward_input_fused(&w, &g, &mut dx, batch, c_out, &geo, &mut ws, 1);
+        Scalar.conv2d_forward(&x, &w, None, &mut want_out, batch, c_out, &geo, &mut ws);
+        Scalar.conv2d_backward_weights(&x, &g, &mut want_dw, batch, c_out, &geo, &mut ws);
+        Scalar.conv2d_backward_input(&w, &g, &mut want_dx, batch, c_out, &geo, &mut ws);
+        let close = |got: &[f32], want: &[f32], what: &str| {
+            for (i, (a, b)) in got.iter().zip(want).enumerate() {
+                let tol = 1e-4f32.max(1e-4 * b.abs());
+                assert!((a - b).abs() <= tol, "{what}[{i}]: {a} vs {b}");
+            }
+        };
+        close(&out, &want_out, "forward");
+        close(&dw, &want_dw, "dW");
+        close(&dx, &want_dx, "dX");
     }
 }
 
@@ -1292,53 +1628,125 @@ mod tune {
         }
     }
 
-    /// Manual conv probe: per-component times for the bench conv shape.
+    /// Manual conv probe (`cargo test -p fp-tensor --release
+    /// tune_conv_probe -- --ignored --nocapture`): for the four Medium
+    /// stage convolutions at batch 32, the three staged kernels end to
+    /// end, then the forward split into its parts — staging copy, table
+    /// gather into B panels (forward and dW orientation), the GEMM on an
+    /// already-dense B of the folded shape — and dX's adjoint scatter.
     #[test]
     #[ignore]
     fn tune_conv_probe() {
-        let geo = Conv2dGeometry {
-            c_in: 16,
-            h: 16,
-            w: 16,
-            k: 3,
-            stride: 1,
-            pad: 1,
-        };
-        let (batch, c_out) = (8usize, 32usize);
-        let rows = geo.col_rows();
-        let n_cols = geo.col_cols();
-        let img_len = geo.c_in * geo.h * geo.w;
-        let x = crate::test_support::arb(batch * img_len, 1);
-        let w = crate::test_support::arb(c_out * rows, 2);
-        let g = crate::test_support::arb(batch * c_out * n_cols, 3);
-        let mut out = vec![0.0f32; batch * c_out * n_cols];
-        let mut dw = vec![0.0f32; c_out * rows];
-        let mut dx = vec![0.0f32; batch * img_len];
-        let mut ws = Vec::new();
-        let reps = 200;
+        use crate::test_support::arb;
+        // Best of several short trials: the sandbox's noise is one-sided.
         let time = |f: &mut dyn FnMut()| {
             f();
-            let t = std::time::Instant::now();
-            for _ in 0..reps {
-                f();
-            }
-            t.elapsed().as_nanos() as f64 / reps as f64
+            let trial = |f: &mut dyn FnMut()| {
+                let t = std::time::Instant::now();
+                for _ in 0..40 {
+                    f();
+                }
+                t.elapsed().as_nanos() as f64 / 40.0 / 1e3
+            };
+            (0..9).map(|_| trial(f)).fold(f64::INFINITY, f64::min)
         };
-        let fwd = time(&mut || {
-            out.fill(0.0);
-            conv2d_forward_fused(&x, &w, None, &mut out, batch, c_out, &geo, &mut ws, 1);
-        });
-        let bww = time(&mut || {
-            dw.fill(0.0);
-            conv2d_backward_weights_fused(&x, &g, &mut dw, batch, c_out, &geo, 1);
-        });
-        let bwi = time(&mut || {
-            dx.fill(0.0);
-            conv2d_backward_input_fused(&w, &g, &mut dx, batch, c_out, &geo, &mut ws, 1);
-        });
-        println!("forward          {fwd:10.0} ns");
-        println!("backward_weights {bww:10.0} ns");
-        println!("backward_input   {bwi:10.0} ns");
-        std::hint::black_box((&out, &dw, &dx));
+        println!("stage             fwd      dW      dX | stage-in  gather  gatherT    gemm scatter   (µs; ns/float)");
+        for (c_in, c_out, hw) in [
+            (3usize, 12usize, 16usize),
+            (12, 24, 8),
+            (24, 32, 4),
+            (32, 48, 2),
+        ] {
+            let geo = Conv2dGeometry {
+                c_in,
+                h: hw,
+                w: hw,
+                k: 3,
+                stride: 1,
+                pad: 1,
+            };
+            let batch = 32usize;
+            let (rows, n_cols, img_len, out_len, g) =
+                conv_shape(batch, c_out, &geo).expect("non-empty");
+            let x = arb(batch * img_len, 1);
+            let w = arb(c_out * rows, 2);
+            let grad = arb(batch * out_len, 3);
+            let mut out = vec![0.0f32; batch * out_len];
+            let mut dw = vec![0.0f32; c_out * rows];
+            let mut dx = vec![0.0f32; batch * img_len];
+            let mut ws = Vec::new();
+            let fwd = time(&mut || {
+                out.fill(0.0);
+                conv2d_forward_fused(&x, &w, None, &mut out, batch, c_out, &geo, &mut ws, 1);
+            });
+            let bww = time(&mut || {
+                conv2d_backward_weights_fused(&x, &grad, &mut dw, batch, c_out, &geo, 1);
+            });
+            let bwi = time(&mut || {
+                dx.fill(0.0);
+                conv2d_backward_input_fused(&w, &grad, &mut dx, batch, c_out, &geo, &mut ws, 1);
+            });
+            // The parts, over the same fold groups.
+            let groups = batch.div_ceil(g);
+            let nn = g * n_cols;
+            let mut st = Staging::default();
+            st.prepare(&geo, c_out, g);
+            let stage_in = time(&mut || {
+                for x_g in x.chunks(g * img_len) {
+                    st.rows(&geo, x_g.chunks_exact(hw), |staged, row| {
+                        staged.copy_from_slice(row)
+                    });
+                }
+            });
+            let nr = MAX_NR;
+            let mut panel = vec![0.0f32; rows.max(nn) * nr];
+            let fwd_b = Gather::new(&st.buf, &st.base, &st.row_off);
+            let gather = time(&mut || {
+                for _ in 0..groups {
+                    for j0 in (0..nn).step_by(nr) {
+                        fwd_b.pack(j0, nr.min(nn - j0), 0, nr, &mut panel[..rows * nr]);
+                    }
+                }
+                std::hint::black_box(&panel);
+            });
+            let dw_b = Gather::new(&st.buf, &st.row_off, &st.base);
+            let gather_t = time(&mut || {
+                for _ in 0..groups {
+                    for j0 in (0..rows).step_by(nr) {
+                        dw_b.pack(j0, nr.min(rows - j0), 0, nr, &mut panel[..nn * nr]);
+                    }
+                }
+                std::hint::black_box(&panel);
+            });
+            let dense = arb(rows * nn, 4);
+            let dense_col: Vec<u32> = (0..nn as u32).collect();
+            let dense_red: Vec<u32> = (0..rows).map(|p| (p * nn) as u32).collect();
+            let mut c = vec![0.0f32; c_out * nn];
+            let gemm = time(&mut || {
+                for _ in 0..groups {
+                    gemm(
+                        c_out,
+                        rows,
+                        nn,
+                        &mut c,
+                        nn,
+                        |i, p| w[i * rows + p],
+                        BSrc::Table(Gather::new(&dense, &dense_col, &dense_red)),
+                    );
+                }
+            });
+            let dcols = arb(rows * nn, 5);
+            let scatter = time(&mut || {
+                for _ in 0..groups {
+                    scatter_add(&mut st.buf, &dcols, &st.base, &st.row_off);
+                }
+            });
+            let per = |us: f64| us * 1e3 / (groups * rows * nn) as f64;
+            println!(
+                "{c_in:2}->{c_out:2}@{hw:2}² g={g:2} {fwd:7.1} {bww:7.1} {bwi:7.1} | {stage_in:8.1} {gather:7.1} {gather_t:8.1} {gemm:7.1} {scatter:7.1}   ({:.2} {:.2} {:.2})",
+                per(gather), per(gather_t), per(scatter),
+            );
+            std::hint::black_box((&out, &dw, &dx, &c));
+        }
     }
 }

@@ -3,9 +3,13 @@
 //! * **bitwise thread invariance** — `Parallel` results are identical
 //!   bytes at 1, 2, and 4 worker threads, on shapes large enough that
 //!   the planner actually splits work;
-//! * **Scalar ≡ Parallel at 1e-5** — the fused conv and grouped-GEMM
+//! * **Scalar ≡ Parallel at 1e-5** — the staged conv and grouped-GEMM
 //!   entry points agree with the materialized reference path for random
-//!   (including skinny and degenerate) shapes.
+//!   (including skinny and degenerate) shapes;
+//! * **staged conv ≡ the canonical chain, bitwise** — forward, dW and dX
+//!   accumulate into non-zero destinations exactly as the literal
+//!   `mul_add` folds over materialized `cols` do, across every fold edge
+//!   of the batch-folded lowering.
 //!
 //! Tile-config and cross-ISA bitwise invariance are pinned by the unit
 //! tests inside `fp_tensor::pack`, which can reach the internal tile
@@ -67,7 +71,7 @@ fn gemm_flavors_bitwise_across_threads() {
     }
 }
 
-/// Fused conv entry points above the parallel threshold (≈9.4M MACs):
+/// Staged conv entry points above the parallel threshold (≈9.4M MACs):
 /// identical bytes at 1, 2, and 4 threads.
 #[test]
 fn fused_conv_bitwise_across_threads() {
@@ -109,6 +113,113 @@ fn fused_conv_bitwise_across_threads() {
     }
 }
 
+/// The canonical conv chains evaluated literally on materialized `cols`
+/// — one in-order `mul_add` fold per output element — accumulating into
+/// the given destinations: `(out, dw, dx)`.
+#[allow(clippy::too_many_arguments)]
+fn canonical_conv(
+    x: &[f32],
+    w: &[f32],
+    g: &[f32],
+    batch: usize,
+    c_out: usize,
+    geo: &Conv2dGeometry,
+    (mut out, mut dw, mut dx): (Vec<f32>, Vec<f32>, Vec<f32>),
+) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+    let (rows, n_cols) = (geo.col_rows(), geo.col_cols());
+    let img_len = geo.c_in * geo.h * geo.w;
+    let mut cols = vec![0.0f32; rows * n_cols];
+    for s in 0..batch {
+        fp_tensor::im2col(&x[s * img_len..][..img_len], geo, &mut cols);
+        let g_s = &g[s * c_out * n_cols..][..c_out * n_cols];
+        let out_s = &mut out[s * c_out * n_cols..][..c_out * n_cols];
+        for i in 0..c_out {
+            // Forward: p-ascending over the im2col rows.
+            for q in 0..n_cols {
+                let mut c = out_s[i * n_cols + q];
+                for p in 0..rows {
+                    c = w[i * rows + p].mul_add(cols[p * n_cols + q], c);
+                }
+                out_s[i * n_cols + q] = c;
+            }
+            // dW: s-major, q-ascending.
+            for r in 0..rows {
+                let mut c = dw[i * rows + r];
+                for q in 0..n_cols {
+                    c = g_s[i * n_cols + q].mul_add(cols[r * n_cols + q], c);
+                }
+                dw[i * rows + r] = c;
+            }
+        }
+        // dX: dcols = Wᵀ·g_s from zero, channel-ascending, then col2im.
+        for r in 0..rows {
+            for q in 0..n_cols {
+                let mut c = 0.0f32;
+                for p in 0..c_out {
+                    c = w[p * rows + r].mul_add(g_s[p * n_cols + q], c);
+                }
+                cols[r * n_cols + q] = c;
+            }
+        }
+        fp_tensor::col2im(&cols, geo, &mut dx[s * img_len..][..img_len]);
+    }
+    (out, dw, dx)
+}
+
+/// The batch-folded lowering against the canonical chain, bitwise,
+/// through the public entry points: batch 1 / 5 / 32 / 33 (one sample, a
+/// ragged last fold group), `n_cols` 1 / 4 / 9 / 16 / 64 / 256 (from
+/// panels that straddle many samples to two-sample groups), stride 2,
+/// 1–3 threads, and non-zero `out` / `dw` / `dx`. Channel counts put the
+/// batch-32/33 cases above the planner's threshold so the thread split
+/// is real.
+#[test]
+fn staged_conv_bitwise_canonical_chain_at_fold_edges() {
+    let geo = |c_in, hw, stride, pad| Conv2dGeometry {
+        c_in,
+        h: hw,
+        w: hw,
+        k: 3,
+        stride,
+        pad,
+    };
+    for (geo, c_out) in [
+        (geo(128, 3, 1, 0), 128usize), // n_cols 1
+        (geo(64, 2, 1, 1), 64),        // n_cols 4
+        (geo(32, 3, 1, 1), 64),        // n_cols 9
+        (geo(32, 8, 2, 1), 32),        // n_cols 16, stride 2
+        (geo(16, 8, 1, 1), 16),        // n_cols 64
+        (geo(8, 16, 1, 1), 8),         // n_cols 256
+    ] {
+        let (rows, n_cols) = (geo.col_rows(), geo.col_cols());
+        let img_len = geo.c_in * geo.h * geo.w;
+        for batch in [1usize, 5, 32, 33] {
+            let mut rng = fp_tensor::seeded_rng(0xF01D ^ (batch * n_cols) as u64);
+            let x = rand_vec(batch * img_len, &mut rng);
+            let w = rand_vec(c_out * rows, &mut rng);
+            let g = rand_vec(batch * c_out * n_cols, &mut rng);
+            let init = (
+                rand_vec(batch * c_out * n_cols, &mut rng),
+                rand_vec(c_out * rows, &mut rng),
+                rand_vec(batch * img_len, &mut rng),
+            );
+            let want = canonical_conv(&x, &w, &g, batch, c_out, &geo, init.clone());
+            for threads in [1, 2, 3] {
+                let be = Parallel::with_threads(threads);
+                let (mut out, mut dw, mut dx) = init.clone();
+                let mut ws = Vec::new();
+                be.conv2d_forward(&x, &w, None, &mut out, batch, c_out, &geo, &mut ws);
+                be.conv2d_backward_weights(&x, &g, &mut dw, batch, c_out, &geo, &mut ws);
+                be.conv2d_backward_input(&w, &g, &mut dx, batch, c_out, &geo, &mut ws);
+                let what = format!("n_cols {n_cols} batch {batch} threads {threads}");
+                assert_eq!(out, want.0, "forward {what}");
+                assert_eq!(dw, want.1, "dW {what}");
+                assert_eq!(dx, want.2, "dX {what}");
+            }
+        }
+    }
+}
+
 /// Grouped GEMM above the member-fanout threshold: identical bytes at
 /// 1, 2, and 4 threads, and identical to the member-at-a-time loop.
 #[test]
@@ -138,11 +249,12 @@ fn grouped_gemm_bitwise_across_threads() {
 }
 
 /// The PR-6 regression probe, kept as a pinned suite: k=5 pad=2
-/// stride=1 geometries where a packed B span ends inside the left
-/// padding (`run < -ix0`), which used to underflow the image-row index
-/// in `im2col_span`. Covers forward and both backward kernels, and
-/// checks the Parallel results are bitwise thread-invariant on these
-/// degenerate shapes too.
+/// stride=1 geometries where a packed B panel ends inside the left
+/// padding — the span arithmetic of the old per-row patch reader
+/// underflowed there; the staged lowering reads those taps from the
+/// zero border of its padded staging. Covers forward and both backward
+/// kernels, and checks the Parallel results are bitwise thread-invariant
+/// on these degenerate shapes too.
 #[test]
 fn conv_left_pad_short_span() {
     for (h, w) in [(5usize, 31usize), (5, 5), (3, 1)] {
@@ -194,8 +306,10 @@ proptest! {
 
     /// Edge-span sweep over kernel size and padding: every (k, pad,
     /// stride, h, w) combination that yields at least one output column
-    /// — including w < k and single-column outputs — must agree with
-    /// the Scalar reference on all three kernels without panicking.
+    /// — including w < k, single-column outputs and pad ≥ k (whole
+    /// taps inside the border) — must agree with the Scalar reference on
+    /// all three kernels without panicking, with several samples folded
+    /// into each packed panel.
     #[test]
     fn conv2d_edge_span_sweep(
         k in 1usize..6,
@@ -203,12 +317,12 @@ proptest! {
         stride in 1usize..3,
         h in 1usize..8,
         w in 1usize..8,
+        batch in 2usize..5,
         seed in 0u64..1000,
     ) {
         let geo = Conv2dGeometry { c_in: 1, h, w, k, stride, pad };
         prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
-        prop_assume!(pad < k);
-        let (batch, c_out) = (1usize, 2usize);
+        let c_out = 2usize;
         let rows = geo.col_rows();
         let n_cols = geo.col_cols();
         let img_len = geo.c_in * geo.h * geo.w;
@@ -233,7 +347,7 @@ proptest! {
         assert_within(&got.2, &want.2, "dX")?;
     }
 
-    /// Fused conv forward ≡ materialized Scalar reference at 1e-5 for
+    /// Staged conv forward ≡ materialized Scalar reference at 1e-5 for
     /// random geometry (stride 1–2, pad 0–1, skinny channel counts).
     #[test]
     fn conv2d_forward_scalar_vs_parallel(
@@ -265,7 +379,7 @@ proptest! {
         assert_within(&got, &want, "conv2d_forward")?;
     }
 
-    /// Both fused conv backward kernels ≡ the Scalar reference at 1e-5,
+    /// Both staged conv backward kernels ≡ the Scalar reference at 1e-5,
     /// including gradient accumulation into non-zero buffers (`dw`).
     #[test]
     fn conv2d_backward_scalar_vs_parallel(
