@@ -57,29 +57,6 @@ fn bench_matmul_shapes(c: &mut Criterion) {
     group.finish();
 }
 
-/// Grouped GEMM over a client cohort: one shared activation against six
-/// per-member weight matrices, the shape the FL fan-out batches when a
-/// width cohort shares a submodel architecture.
-fn bench_matmul_grouped(c: &mut Criterion) {
-    let (m, k, n, groups) = (64usize, 64usize, 256usize, 6usize);
-    let mut rng = seeded_rng(4);
-    let a = Tensor::rand_uniform(&[m, k], -1.0, 1.0, &mut rng);
-    let b_all: Vec<Tensor> = (0..groups)
-        .map(|_| Tensor::rand_uniform(&[k, n], -1.0, 1.0, &mut rng))
-        .collect();
-    let backend = Parallel::new();
-    c.bench_function("matmul_grouped_6x64x64x256", |bench| {
-        bench.flops(2.0 * (groups * m * k * n) as f64);
-        bench.iter(|| {
-            let mut outs: Vec<Vec<f32>> = vec![vec![0.0; m * n]; groups];
-            let bs: Vec<&[f32]> = b_all.iter().map(|b| b.data()).collect();
-            let mut out_refs: Vec<&mut [f32]> = outs.iter_mut().map(|o| o.as_mut_slice()).collect();
-            backend.matmul_grouped_into(a.data(), &bs, &mut out_refs, m, k, n);
-            std::hint::black_box(outs)
-        });
-    });
-}
-
 /// Conv layer forward and forward + backward: the `8x16x16x16` pair the
 /// gate has tracked since PR 6, and the convolutions the paper's loop
 /// actually runs — the four Medium stages (VGG-style, k = 3, pad 1,
@@ -127,6 +104,6 @@ fn bench_softmax(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_matmul, bench_matmul_shapes, bench_matmul_grouped, bench_conv_forward_backward, bench_softmax
+    targets = bench_matmul, bench_matmul_shapes, bench_conv_forward_backward, bench_softmax
 }
 criterion_main!(benches);

@@ -1,17 +1,22 @@
-//! Barrier-free asynchronous aggregation (FedBuff-style) on a continuous
-//! virtual-time event loop.
+//! The barrier-free aggregator (FedBuff-style): the other **barrier
+//! policy** over the shared run core.
 //!
-//! The event-driven round scheduler ([`crate::sched`]) still closes
-//! discrete rounds at a barrier: however aggressive the deadline, the
-//! server waits, then aggregates, then re-dispatches everyone at once.
-//! This module removes the barrier entirely (Nguyen et al. 2022,
-//! FedBuff):
+//! Everything a dispatch goes through — trace gate, payload planning,
+//! wire sizing, `fp-hwsim` costing, throttling, cache bookkeeping, the
+//! training fan-out, evaluation, checkpoint plane keys, resume checks —
+//! is the code the round scheduler ([`crate::sched`]) runs too (the
+//! crate-private `run.rs` has the stage diagram). That scheduler closes
+//! discrete rounds: however aggressive the deadline, the server waits,
+//! aggregates, then re-dispatches everyone at once. This module removes
+//! the barrier entirely (Nguyen et al. 2022, FedBuff), on a continuous,
+//! absolute virtual timeline ([`AsyncTimeline`]):
 //!
 //! * up to [`AsyncConfig::concurrency`] clients are in flight at any
-//!   virtual instant; each dispatch is costed end-to-end by `fp-hwsim`
-//!   (down-link model transfer + local training + up-link update
-//!   transfer on the client's degraded device);
-//! * finished updates stream into a **staleness buffer**; every
+//!   virtual instant, each costed end-to-end on its degraded device;
+//!   per-dispatch dropout draws and a server-side timeout reclaim lost
+//!   slots;
+//! * finished updates stream into a **staleness buffer** (through edge
+//!   bundles on a hierarchical topology); every
 //!   [`AsyncConfig::buffer_k`] buffered updates the server aggregates
 //!   them into the global model with FedAvg weights discounted by
 //!   `1/(1+staleness)^a` ([`staleness_weight`]), where staleness is the
@@ -54,17 +59,17 @@
 //! pending update is a pure function of `(dispatch version, client)`,
 //! and a resumed run re-derives it at its flush, bit-identically.
 
-use crate::comm::{CommConfig, CommPlane, CommState};
-use crate::config::FlConfig;
+use crate::comm::{CommConfig, CommState};
 use crate::engine::FlEnv;
 use crate::metrics::{FlOutcome, RoundRecord};
-use crate::sched::{sample_availability, LedgerOut, ModelState, ScheduledTrainer};
+use crate::quant::QuantLoss;
+use crate::run::{emit, Core, Event, EventKind, Outcome, Saved, Sink, Stack};
+use crate::sched::{sample_availability, ModelState, ScheduledTrainer};
 use crate::topology::TopologyConfig;
+use crate::trace::TraceLoss;
 use fp_hwsim::Payload;
-use fp_nn::CascadeModel;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 
 /// Domain-separation salt for the per-dispatch client-picking stream.
@@ -201,35 +206,6 @@ pub fn staleness_weight(staleness: usize, exp: f64) -> f32 {
 
 // ---------------------------------------------------------------- timeline
 
-/// One client-finish event on the continuous virtual timeline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct FinishEvent {
-    time: f64,
-    client: usize,
-}
-
-impl FinishEvent {
-    /// Total deterministic order: time (finite, non-negative — IEEE bit
-    /// patterns order correctly), then client id.
-    fn key(&self) -> (u64, usize) {
-        (self.time.to_bits(), self.client)
-    }
-}
-
-impl Eq for FinishEvent {}
-
-impl Ord for FinishEvent {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.key().cmp(&other.key())
-    }
-}
-
-impl PartialOrd for FinishEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// The continuous virtual-time dispatch fabric: slot bookkeeping, the
 /// finish-event queue, and the deterministic client picker. Shared
 /// between the generic [`AsyncScheduler`] and FedProphet's async
@@ -245,7 +221,7 @@ pub struct AsyncTimeline {
     n_clients: usize,
     concurrency: usize,
     clock_s: f64,
-    events: BinaryHeap<std::cmp::Reverse<FinishEvent>>,
+    events: BinaryHeap<std::cmp::Reverse<Event>>,
     busy: std::collections::BTreeSet<usize>,
     dispatched_at_version: std::collections::BTreeSet<usize>,
     free_slots: usize,
@@ -347,9 +323,9 @@ impl AsyncTimeline {
 
     /// Schedules the finish event of a just-picked client.
     pub fn schedule_finish(&mut self, client: usize, finish_s: f64) {
-        self.events.push(std::cmp::Reverse(FinishEvent {
+        self.events.push(std::cmp::Reverse(Event {
             time: finish_s,
-            client,
+            kind: EventKind::Finish { client },
         }));
     }
 
@@ -359,12 +335,15 @@ impl AsyncTimeline {
     /// slot, so they leave the slot accounting untouched. `None` when no
     /// events are pending.
     pub fn next_finish(&mut self) -> Option<(f64, usize)> {
-        let std::cmp::Reverse(ev) = self.events.pop()?;
-        self.clock_s = ev.time;
-        if self.busy.remove(&ev.client) {
+        let std::cmp::Reverse(Event { time, kind }) = self.events.pop()?;
+        let EventKind::Finish { client } = kind else {
+            unreachable!("the timeline only schedules finishes");
+        };
+        self.clock_s = time;
+        if self.busy.remove(&client) {
             self.free_slots += 1;
         }
-        Some((ev.time, ev.client))
+        Some((time, client))
     }
 
     /// Marks a model-version bump: every client becomes dispatchable
@@ -523,42 +502,15 @@ pub struct AsyncScheduler<T> {
 }
 
 /// The result of an asynchronous run.
-pub struct AsyncOutcome<S = ModelState> {
-    /// Final deployable global model (extracted from the state).
-    pub model: CascadeModel,
-    /// Final server state.
-    pub state: S,
-    /// Per-aggregation ledger.
-    pub ledger: Vec<AsyncAggRecord>,
-}
+pub type AsyncOutcome<S = ModelState> = Outcome<S, AsyncAggRecord>;
 
-impl<S> AsyncOutcome<S> {
-    /// Total virtual training time.
-    pub fn virtual_time_s(&self) -> f64 {
-        self.ledger.last().map_or(0.0, |r| r.clock_s)
-    }
-
-    /// The ledger as a JSON document.
-    pub fn ledger_json(&self) -> String {
-        serde_json::to_string(&self.ledger).expect("ledger serializes")
-    }
-
-    /// Converts to the generic outcome shape (one record per
-    /// aggregation).
-    pub fn into_fl_outcome(self) -> FlOutcome {
-        let history = self
-            .ledger
-            .iter()
-            .map(|r| RoundRecord {
-                round: r.agg,
-                train_loss: r.train_loss,
-                val_clean: r.val_clean,
-                val_adv: r.val_adv,
-            })
-            .collect();
-        FlOutcome {
-            model: self.model,
-            history,
+impl From<&AsyncAggRecord> for RoundRecord {
+    fn from(r: &AsyncAggRecord) -> Self {
+        RoundRecord {
+            round: r.agg,
+            train_loss: r.train_loss,
+            val_clean: r.val_clean,
+            val_adv: r.val_adv,
         }
     }
 }
@@ -733,7 +685,9 @@ pub struct AsyncCheckpoint<S = ModelState> {
 /// and then discarded, and a checkpoint is just these descriptors plus
 /// the referenced model snapshots.
 struct AsyncState<S> {
-    state: S,
+    /// Current server state plus the comm and trace planes (the trace
+    /// plane's loss counters run since the last aggregation).
+    core: Core<S>,
     version: usize,
     timeline: AsyncTimeline,
     /// Buffered (finished, unflushed) dispatches in arrival order.
@@ -744,8 +698,6 @@ struct AsyncState<S> {
     past_states: Vec<(usize, S)>,
     ledger: Vec<AsyncAggRecord>,
     last_agg_clock: f64,
-    /// Communication plane (cache table + snapshot retention).
-    comm: CommPlane<S>,
     /// Current flush threshold (rescaled per aggregation when adaptive).
     cur_k: usize,
     /// Dispatches reclaimed by timeout since the last aggregation.
@@ -761,16 +713,13 @@ struct AsyncState<S> {
     bundles: usize,
     /// Edge flushes since the last aggregation (ledger reporting).
     edge_flushes: usize,
-    /// Trace-plane state (thermal map + loss counters since the last
-    /// aggregation); inert when no trace plan is set.
-    trace: crate::trace::TraceState,
 }
 
 impl<S> AsyncState<S> {
     /// The server state a dispatch at `version` trains against.
     fn state_of(&self, version: usize) -> &S {
         if version == self.version {
-            &self.state
+            &self.core.state
         } else {
             &self
                 .past_states
@@ -875,20 +824,30 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
         s
     }
 
+    fn stack(&self) -> Stack<'_, T> {
+        Stack {
+            trainer: &self.trainer,
+            comm: self.comm,
+            topo: &self.topo,
+            trace: self.trace.as_ref(),
+        }
+    }
+
+    /// Drives to `env.cfg.rounds` aggregations and wraps up the outcome.
+    fn finish(
+        &self,
+        env: &FlEnv,
+        mut st: AsyncState<T::ServerState>,
+        mut sink: Sink<'_, AsyncAggRecord>,
+    ) -> AsyncOutcome<T::ServerState> {
+        let stop = AsyncStopPoint::after_agg(env.cfg.rounds);
+        self.drive(env, &mut st, stop, &mut sink);
+        self.stack().finish(st.core, st.ledger, st.last_agg_clock)
+    }
+
     /// Runs `env.cfg.rounds` aggregations.
     pub fn run(&self, env: &FlEnv) -> AsyncOutcome<T::ServerState> {
-        let mut st = self.fresh_state(env);
-        self.drive(
-            env,
-            &mut st,
-            AsyncStopPoint::after_agg(env.cfg.rounds),
-            &mut LedgerOut::Accumulate,
-        );
-        AsyncOutcome {
-            model: self.trainer.global_model(&st.state).clone(),
-            state: st.state,
-            ledger: st.ledger,
-        }
+        self.finish(env, self.fresh_state(env), None)
     }
 
     /// Like [`AsyncScheduler::run`], but streams every ledger record to
@@ -902,18 +861,7 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
         env: &FlEnv,
         sink: &mut dyn FnMut(&AsyncAggRecord),
     ) -> AsyncOutcome<T::ServerState> {
-        let mut st = self.fresh_state(env);
-        self.drive(
-            env,
-            &mut st,
-            AsyncStopPoint::after_agg(env.cfg.rounds),
-            &mut LedgerOut::Stream(sink),
-        );
-        AsyncOutcome {
-            model: self.trainer.global_model(&st.state).clone(),
-            state: st.state,
-            ledger: st.ledger,
-        }
+        self.finish(env, self.fresh_state(env), Some(sink))
     }
 
     /// Runs to `stop` and returns a resumable mid-flight checkpoint.
@@ -938,7 +886,8 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
             ..stop
         };
         let mut st = self.fresh_state(env);
-        self.drive(env, &mut st, stop, &mut LedgerOut::Accumulate);
+        self.drive(env, &mut st, stop, &mut None);
+        let (comm, topo, byz, trace, quant) = self.stack().keys(&st.core);
         AsyncCheckpoint {
             version: st.version,
             clock_s: st.timeline.clock_s(),
@@ -949,23 +898,23 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
             algorithm: self.trainer.name().to_string(),
             n_clients: env.cfg.n_clients,
             rounds: env.cfg.rounds,
-            comm: st.comm.to_state(),
-            cur_k: self.acfg.adaptive_buffer.map(|_| st.cur_k),
-            timed_out: st.timed_out,
-            topo: self.topo.is_hierarchical().then_some(self.topo),
-            edge_buffers: st.edge_buffers.into_iter().collect(),
-            upstream: st.upstream.into_iter().collect(),
-            bundles: st.bundles,
-            edge_flushes: st.edge_flushes,
-            byz: self.trainer.byz_policy(),
-            trace: self.trace.as_ref().map(|p| st.trace.to_checkpoint(p)),
-            quant: self.trainer.quant_state(),
-            state: st.state,
+            state: st.core.state,
             ledger: st.ledger,
             buffer: st.buffer,
             in_flight: st.in_flight,
             dispatched_at_version: st.timeline.dispatched_ids(),
             past_states: st.past_states,
+            comm,
+            cur_k: self.acfg.adaptive_buffer.map(|_| st.cur_k),
+            timed_out: st.timed_out,
+            topo,
+            edge_buffers: st.edge_buffers.into_iter().collect(),
+            upstream: st.upstream.into_iter().collect(),
+            bundles: st.bundles,
+            edge_flushes: st.edge_flushes,
+            byz,
+            trace,
+            quant,
         }
     }
 
@@ -976,76 +925,31 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
     ///
     /// Panics if the checkpoint disagrees with the resuming environment
     /// or scheduler — each mismatch message names the offending
-    /// `AsyncCheckpoint` field (`seed`, `acfg`, `algorithm`, `n_clients`,
-    /// `rounds`).
+    /// `AsyncCheckpoint` field (`acfg`, `seed`, `algorithm`, `n_clients`,
+    /// `rounds`, or a plane key).
     pub fn resume(
         &self,
         env: &FlEnv,
         ckpt: &AsyncCheckpoint<T::ServerState>,
     ) -> AsyncOutcome<T::ServerState> {
         assert_eq!(
-            ckpt.seed, env.cfg.seed,
-            "AsyncCheckpoint field `seed`: checkpoint was taken under a different master seed"
-        );
-        assert_eq!(
             ckpt.acfg, self.acfg,
             "AsyncCheckpoint field `acfg`: checkpoint was taken under a different async policy"
         );
-        assert_eq!(
-            ckpt.algorithm,
-            self.trainer.name(),
-            "AsyncCheckpoint field `algorithm`: checkpoint was taken by a different algorithm"
-        );
-        assert_eq!(
-            ckpt.n_clients, env.cfg.n_clients,
-            "AsyncCheckpoint field `n_clients`: checkpoint was taken on a different fleet size"
-        );
-        assert_eq!(
-            ckpt.rounds, env.cfg.rounds,
-            "AsyncCheckpoint field `rounds`: checkpoint was taken for a different run length"
-        );
-        // A disabled plane checkpoints as `None` whatever its inert
-        // retention knob says, so compare enabled-ness first and the
-        // full policy only when the checkpoint actually carries one.
-        assert_eq!(
-            ckpt.comm.as_ref().map(|c| c.cfg),
-            self.comm.delta_downloads.then_some(self.comm),
-            "AsyncCheckpoint field `comm`: checkpoint was taken under a different communication-plane policy"
-        );
-        // A flat topology checkpoints as `None` (the key is absent), so
-        // compare against the hierarchical-only form.
-        assert_eq!(
-            ckpt.topo,
-            self.topo.is_hierarchical().then_some(self.topo),
-            "AsyncCheckpoint field `topo`: checkpoint was taken under a different aggregation topology"
-        );
-        // A trivial policy (honest trainer, or FedAvg with no attackers)
-        // checkpoints as `None` (the key is absent).
-        assert_eq!(
-            ckpt.byz,
-            self.trainer.byz_policy(),
-            "AsyncCheckpoint field `byz`: checkpoint was taken under a different Byzantine policy"
-        );
-        // A disabled trace plane checkpoints as `None` (the key is
-        // absent); an enabled one carries its plan alongside the thermal
-        // state, and only the plan is policy.
-        assert_eq!(
-            ckpt.trace.as_ref().map(|tr| &tr.plan),
-            self.trace.as_ref(),
-            "AsyncCheckpoint field `trace`: checkpoint was taken under a different availability-trace plan"
-        );
-        // A dense trainer checkpoints as `None` (the key is absent); a
-        // quantized one carries its residual table alongside the policy,
-        // and only the policy is validated.
-        assert_eq!(
-            ckpt.quant.as_ref().map(|q| q.cfg),
-            self.trainer.quant_policy(),
-            "AsyncCheckpoint field `quant`: checkpoint was taken under a different quantization policy"
-        );
-        self.trainer.reset_quant();
-        if let Some(q) = &ckpt.quant {
-            self.trainer.restore_quant(q);
-        }
+        let saved = Saved {
+            ty: "AsyncCheckpoint",
+            seed: ckpt.seed,
+            algorithm: &ckpt.algorithm,
+            n_clients: ckpt.n_clients,
+            rounds: ckpt.rounds,
+            state: &ckpt.state,
+            comm: ckpt.comm.as_ref(),
+            topo: ckpt.topo,
+            byz: ckpt.byz,
+            trace: ckpt.trace.as_ref(),
+            quant: ckpt.quant.as_ref(),
+        };
+        let core = self.stack().restore(env, saved);
         let timeline = AsyncTimeline::restore(
             env.cfg.seed,
             env.cfg.n_clients,
@@ -1063,7 +967,7 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
         // re-derived at flush time like in the uninterrupted run, so
         // nothing needs retraining here.
         let mut st = AsyncState {
-            state: ckpt.state.clone(),
+            core,
             version: ckpt.version,
             timeline,
             buffer: ckpt.buffer.clone(),
@@ -1071,17 +975,12 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
             past_states: ckpt.past_states.clone(),
             ledger: ckpt.ledger.clone(),
             last_agg_clock: ckpt.last_agg_clock_s,
-            comm: CommPlane::from_state(ckpt.comm.as_ref(), env.cfg.n_clients),
             cur_k: ckpt.cur_k.unwrap_or_else(|| self.acfg.initial_k()),
             timed_out: ckpt.timed_out,
             edge_buffers: ckpt.edge_buffers.iter().cloned().collect(),
             upstream: ckpt.upstream.iter().cloned().collect(),
             bundles: ckpt.bundles,
             edge_flushes: ckpt.edge_flushes,
-            trace: ckpt.trace.as_ref().map_or_else(
-                crate::trace::TraceState::new,
-                crate::trace::TraceState::from_checkpoint,
-            ),
         };
         // Forwarded bundles were mid-flight on the backhaul at capture
         // time; their arrival events live only in the event heap, so
@@ -1091,24 +990,10 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
                 st.timeline.schedule_finish(env.cfg.n_clients + e, *arrive);
             }
         }
-        self.drive(
-            env,
-            &mut st,
-            AsyncStopPoint::after_agg(env.cfg.rounds),
-            &mut LedgerOut::Accumulate,
-        );
-        AsyncOutcome {
-            model: self.trainer.global_model(&st.state).clone(),
-            state: st.state,
-            ledger: st.ledger,
-        }
+        self.finish(env, st, None)
     }
 
     fn fresh_state(&self, env: &FlEnv) -> AsyncState<T::ServerState> {
-        // Error-feedback residuals are run state held by the trainer
-        // wrapper; a scheduler instance can be run repeatedly, so every
-        // fresh run starts the plane cold.
-        self.trainer.reset_quant();
         self.acfg.validate();
         assert!(
             self.acfg.concurrency <= env.cfg.n_clients,
@@ -1124,11 +1009,10 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
                 "adaptive k_max above n_clients deadlocks: at most one update per client per version"
             );
         }
-        let state = self.trainer.init(env);
-        let mut comm = CommPlane::new(self.comm, env.cfg.n_clients);
-        comm.note_version(0, &state);
+        let mut core = self.stack().fresh(env);
+        core.comm.note_version(0, &core.state);
         AsyncState {
-            state,
+            core,
             version: 0,
             timeline: AsyncTimeline::new(env.cfg.seed, env.cfg.n_clients, self.acfg.concurrency),
             buffer: Vec::new(),
@@ -1136,14 +1020,12 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
             past_states: Vec::new(),
             ledger: Vec::new(),
             last_agg_clock: 0.0,
-            comm,
             cur_k: self.acfg.initial_k(),
             timed_out: 0,
             edge_buffers: BTreeMap::new(),
             upstream: BTreeMap::new(),
             bundles: 0,
             edge_flushes: 0,
-            trace: crate::trace::TraceState::new(),
         }
     }
 
@@ -1160,9 +1042,8 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
         env: &FlEnv,
         st: &mut AsyncState<T::ServerState>,
         stop: AsyncStopPoint,
-        out: &mut LedgerOut<'_, AsyncAggRecord>,
+        sink: &mut Sink<'_, AsyncAggRecord>,
     ) {
-        let cadence = crate::baselines::eval_cadence(env.cfg.rounds);
         let n_clients = env.cfg.n_clients;
         while st.version < stop.aggregations
             || (st.version == stop.aggregations && st.buffer.len() < stop.buffered)
@@ -1189,7 +1070,7 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
                         st.version
                     );
                 }
-                self.aggregate(env, st, cadence, out);
+                self.aggregate(env, st, sink);
                 continue;
             };
             if ev_id >= n_clients {
@@ -1207,7 +1088,7 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
                 st.buffer.extend(entries);
                 st.bundles += 1;
                 if st.bundles >= st.cur_k {
-                    self.aggregate(env, st, cadence, out);
+                    self.aggregate(env, st, sink);
                 }
                 continue;
             }
@@ -1226,17 +1107,15 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
                 // outage or timeout leaves the server unsure what the
                 // client holds, so its cache entry is invalidated.
                 match entry.cause {
-                    Some(crate::trace::TraceLoss::Unavailable) => st.trace.unavailable += 1,
-                    Some(crate::trace::TraceLoss::Outage) => {
-                        st.comm.invalidate(entry.client);
-                        self.trainer
-                            .quant_invalidate(entry.client, crate::quant::QuantLoss::Outage);
-                        st.trace.outage_lost += 1;
+                    Some(TraceLoss::Unavailable) => st.core.trace.unavailable += 1,
+                    Some(TraceLoss::Outage) => {
+                        self.stack()
+                            .lost(&mut st.core, entry.client, QuantLoss::Outage);
+                        st.core.trace.outage_lost += 1;
                     }
                     None => {
-                        st.comm.invalidate(entry.client);
-                        self.trainer
-                            .quant_invalidate(entry.client, crate::quant::QuantLoss::Timeout);
+                        self.stack()
+                            .lost(&mut st.core, entry.client, QuantLoss::Timeout);
                         st.timed_out += 1;
                     }
                 }
@@ -1252,7 +1131,7 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
             } else {
                 st.buffer.push(entry);
                 if st.buffer.len() >= st.cur_k {
-                    self.aggregate(env, st, cadence, out);
+                    self.aggregate(env, st, sink);
                 }
             }
         }
@@ -1305,68 +1184,34 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
     /// it at the timeout anyway — it cannot distinguish the two.
     fn arm(&self, env: &FlEnv, st: &mut AsyncState<T::ServerState>) {
         let picked = st.timeline.pick_dispatches();
-        let cfg: &FlConfig = &env.cfg;
+        let (stack, cfg) = (self.stack(), &env.cfg);
         let v = st.version;
         let clock = st.timeline.clock_s();
         for k in picked {
-            // Trace gating happens before the download is planned: an
-            // unavailable or blacked-out client never receives anything,
-            // so its dispatch is an immediately-reclaimed lost event
-            // (slot recycles at this very instant, keeping the picker
-            // stream deterministic) and its comm cache is untouched.
-            if let Some(plan) = &self.trace {
-                let cause = if !plan.participates(cfg.seed, v, k, clock) {
-                    Some(crate::trace::TraceLoss::Unavailable)
-                } else if plan.outage_at(cfg.seed, &self.topo, k, clock) {
-                    Some(crate::trace::TraceLoss::Outage)
-                } else {
-                    None
-                };
-                if let Some(cause) = cause {
-                    st.timeline.schedule_finish(k, clock);
-                    st.in_flight.push(PendingDispatch {
-                        client: k,
-                        version: v,
-                        dispatch_s: clock,
-                        finish_s: clock,
-                        transfer_s: 0.0,
-                        payload: None,
-                        lost: true,
-                        cause: Some(cause),
-                        throttled: false,
-                    });
-                    continue;
-                }
+            // A trace-gated client never receives anything, so its
+            // dispatch is an immediately-reclaimed lost event (the slot
+            // recycles at this very instant, keeping the picker stream
+            // deterministic).
+            if let Some(cause) = stack.gate(env, v, k, clock) {
+                st.timeline.schedule_finish(k, clock);
+                st.in_flight.push(PendingDispatch {
+                    client: k,
+                    version: v,
+                    dispatch_s: clock,
+                    finish_s: clock,
+                    transfer_s: 0.0,
+                    payload: None,
+                    lost: true,
+                    cause: Some(cause),
+                    throttled: false,
+                });
+                continue;
             }
             let dev = sample_availability(env, v, k);
-            let spec = self.trainer.payload_spec(env, v, k);
-            let mut payload = st.comm.plan(
-                k,
-                v,
-                &spec,
-                || self.trainer.payload_params(env, &st.state, v, k),
-                |old| self.trainer.payload_params(env, old, v, k),
-            );
-            // Lossy up-link compression rewrites the upload size *before*
-            // latency costing (and before the payload is stored on the
-            // dispatch, so the aggregation tally and edge-bundle sizing
-            // see the quantized bytes too).
-            if let Some(qb) = self.trainer.quant_up_bytes(&spec) {
-                payload.up_bytes = qb;
-            }
-            let mut lat =
-                self.trainer
-                    .cost(env, v, k)
-                    .dispatch_round_trip(&dev, cfg.local_iters, &payload);
-            let mut throttled = false;
-            if let Some(plan) = &self.trace {
-                let (scaled, thr) = st.trace.cost(plan, cfg.seed, k, clock, lat);
-                lat = scaled;
-                throttled = thr;
-            }
+            let p = stack.plan(env, &mut st.core, v, k, &dev, clock);
             let dropped = self.acfg.dropout_p > 0.0
                 && env.client_rng(v, k, SALT_ASYNC_DROP).gen::<f64>() < self.acfg.dropout_p;
-            let mut lost = dropped || self.acfg.timeout_s.is_some_and(|to| lat.total() > to);
+            let mut lost = dropped || self.acfg.timeout_s.is_some_and(|to| p.lat.total() > to);
             let mut cause = None;
             let mut finish_s = if lost {
                 clock
@@ -1375,29 +1220,25 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
                         .timeout_s
                         .expect("lost dispatches imply a timeout")
             } else {
-                clock + lat.total()
+                clock + p.lat.total()
             };
             // A correlated outage striking mid-flight kills the round
             // trip at the window onset — the server reclaims the slot
             // then, not at the (later) natural finish.
             if !lost {
                 if let Some(plan) = &self.trace {
-                    if let Some(onset) =
-                        plan.first_outage_in(cfg.seed, &self.topo, k, clock, clock + lat.total())
-                    {
+                    let end = clock + p.lat.total();
+                    if let Some(onset) = plan.first_outage_in(cfg.seed, &self.topo, k, clock, end) {
                         lost = true;
-                        cause = Some(crate::trace::TraceLoss::Outage);
+                        cause = Some(TraceLoss::Outage);
                         finish_s = onset;
                     }
                 }
             }
+            // A coin-dropped client never started: no cache row, no
+            // thermal accrual.
             if !dropped {
-                st.comm.record_dispatch(k, v, spec.shape_id);
-                // Thermal accrual tracks the device actually working —
-                // a coin-dropped client never started.
-                if let Some(plan) = &self.trace {
-                    st.trace.note_busy(plan, cfg.seed, k, clock, lat.total());
-                }
+                stack.delivered(env, &mut st.core, v, k, &p, clock);
             }
             st.timeline.schedule_finish(k, finish_s);
             st.in_flight.push(PendingDispatch {
@@ -1405,11 +1246,11 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
                 version: v,
                 dispatch_s: clock,
                 finish_s,
-                transfer_s: lat.transfer_s,
-                payload: Some(payload),
+                transfer_s: p.lat.transfer_s,
+                payload: Some(p.payload),
                 lost,
                 cause,
-                throttled,
+                throttled: p.throttled,
             });
         }
     }
@@ -1423,9 +1264,9 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
         &self,
         env: &FlEnv,
         st: &mut AsyncState<T::ServerState>,
-        cadence: usize,
-        out: &mut LedgerOut<'_, AsyncAggRecord>,
+        sink: &mut Sink<'_, AsyncAggRecord>,
     ) {
+        let stack = self.stack();
         let v = st.version;
         let mut entries = std::mem::take(&mut st.buffer);
         // Deterministic merge order, independent of arrival order among
@@ -1434,25 +1275,8 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
         // client-id order of the lockstep loops.
         entries.sort_by_key(|d| (d.client, d.version));
         let n = entries.len();
-        let (outer, inner) = fp_tensor::parallel::thread_split(n);
-        // Cohort-batched fan-out: same-shape dispatches run contiguously
-        // per worker (constant-size packed-GEMM workspaces); results stay
-        // in `entries` order, so the merge below is unchanged.
-        let results = fp_tensor::parallel::parallel_map_grouped(
-            &entries,
-            |_, d| self.trainer.payload_spec(env, d.version, d.client).shape_id,
-            outer,
-            |_, d| {
-                self.trainer.train(
-                    env,
-                    st.state_of(d.version),
-                    d.version,
-                    d.client,
-                    env.cfg.lr.at(d.version),
-                    fp_tensor::backend_for_threads(inner),
-                )
-            },
-        );
+        let jobs: Vec<(usize, usize)> = entries.iter().map(|d| (d.version, d.client)).collect();
+        let results = stack.train(env, &jobs, |version| st.state_of(version));
         let stalenesses: Vec<usize> = entries.iter().map(|d| v - d.version).collect();
         let base: Vec<f32> = entries
             .iter()
@@ -1496,10 +1320,10 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
         // trained against it still need it for their flush (and for
         // checkpoints).
         if st.references_version(v) {
-            st.past_states.push((v, st.state.clone()));
+            st.past_states.push((v, st.core.state.clone()));
         }
         self.trainer
-            .merge_weighted(env, &mut st.state, v, updates, &weights);
+            .merge_weighted(env, &mut st.core.state, v, updates, &weights);
         // Drain the robust rule's evidence trail for this flush — which
         // staleness-discounted updates it filtered or clipped.
         let robust = self.trainer.take_robust_stats();
@@ -1507,7 +1331,7 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
         st.timeline.bump_version();
         // The new version is what subsequent dispatches download; retain
         // its snapshot for future deltas.
-        st.comm.note_version(st.version, &st.state);
+        st.core.comm.note_version(st.version, &st.core.state);
         // GC: the buffer is empty here, so the remaining pending
         // dispatches are the only referents of past versions.
         let keep: Vec<usize> = st
@@ -1517,12 +1341,7 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
             .filter(|&pv| st.references_version(pv))
             .collect();
         st.past_states.retain(|(pv, _)| keep.contains(pv));
-        let (mut vc, mut va) = (None, None);
-        if v % cadence == cadence - 1 || v + 1 == env.cfg.rounds {
-            let model = self.trainer.global_model_mut(&mut st.state);
-            vc = Some(env.val_clean(model, 64));
-            va = Some(env.val_adv(model, 64));
-        }
+        let (val_clean, val_adv) = stack.eval(env, &mut st.core, v);
         let clock = st.timeline.clock_s();
         let flush_k = self.acfg.adaptive_buffer.map(|_| st.cur_k);
         let throttled = entries.iter().filter(|d| d.throttled).count();
@@ -1535,8 +1354,8 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
             weight_retained,
             participation_weight,
             train_loss,
-            val_clean: vc,
-            val_adv: va,
+            val_clean,
+            val_adv,
             mean_transfer_s,
             round_time_s: clock - st.last_agg_clock,
             clock_s: clock,
@@ -1549,20 +1368,18 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
             edge_flushes: st.edge_flushes,
             filtered: robust.filtered,
             clip_applied: robust.clip_applied,
-            unavailable: st.trace.unavailable,
-            outage_lost: st.trace.outage_lost,
+            unavailable: st.core.trace.unavailable,
+            outage_lost: st.core.trace.outage_lost,
             throttled,
         };
-        out.emit(&mut st.ledger, rec);
+        emit(sink, &mut st.ledger, rec);
         st.last_agg_clock = clock;
         st.timed_out = 0;
         st.bundles = 0;
         st.edge_flushes = 0;
-        st.trace.unavailable = 0;
-        st.trace.outage_lost = 0;
-        if let Some(plan) = &self.trace {
-            st.trace.prune(plan, env.cfg.seed, clock);
-        }
+        st.core.trace.unavailable = 0;
+        st.core.trace.outage_lost = 0;
+        stack.prune(env, &mut st.core, clock);
         // Rescale the flush threshold from the staleness just observed.
         if let Some((k_min, k_max)) = self.acfg.adaptive_buffer {
             st.cur_k = adaptive_k(self.acfg.buffer_k, mean_staleness, k_min, k_max);

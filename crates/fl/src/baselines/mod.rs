@@ -15,45 +15,6 @@ use crate::engine::FlEnv;
 use fp_nn::CascadeModel;
 use fp_tensor::Tensor;
 
-/// How often baselines measure validation metrics (every `rounds/8`
-/// rounds, at least once).
-pub(crate) fn eval_cadence(rounds: usize) -> usize {
-    (rounds / 8).max(1)
-}
-
-/// Runs `f(client_id, backend)` for every selected client on a bounded
-/// pool of scoped worker threads, with cohort batching: clients are
-/// dispatched in stable `shape_of(k)` order (HeteroFL width cohorts,
-/// FedDF/FedET zoo members, and full-model clients each share a payload
-/// shape fingerprint), so same-architecture training steps run
-/// contiguously on each worker and the packed-GEMM workspaces they reuse
-/// stay constant-size across a cohort. Results come back in `ids` order
-/// and each client is computed independently — numerics are identical to
-/// a plain ordered fan-out.
-///
-/// The hardware budget is split between client workers and per-client
-/// kernel threads ([`fp_tensor::parallel::thread_split`]); the handed-out
-/// backend is capped accordingly, so client-level and kernel-level
-/// parallelism compose without oversubscription. Callers point their local
-/// model clones at the provided backend.
-pub(crate) fn parallel_clients_grouped<T, F>(
-    ids: &[usize],
-    shape_of: impl Fn(usize) -> u64,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, fp_tensor::BackendHandle) -> T + Sync,
-{
-    let (outer, inner) = fp_tensor::parallel::thread_split(ids.len());
-    fp_tensor::parallel::parallel_map_grouped(
-        ids,
-        |_, &k| shape_of(k),
-        outer,
-        |_, &k| f(k, fp_tensor::backend_for_threads(inner)),
-    )
-}
-
 /// Weighted-averages full local models (parameters and BN statistics) into
 /// `global`.
 pub(crate) fn fedavg_into(global: &mut CascadeModel, locals: &[(CascadeModel, f32)]) {
@@ -128,22 +89,6 @@ pub(crate) mod testenv {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_clients_preserves_order() {
-        // Cohort keys deliberately interleave (odd/even) so the grouped
-        // dispatch really permutes the work, yet results come back in
-        // `ids` order.
-        let out = parallel_clients_grouped(
-            &[3, 1, 4, 1, 5],
-            |k| (k % 2) as u64,
-            |k, backend| {
-                assert!(!backend.name().is_empty());
-                k * 2
-            },
-        );
-        assert_eq!(out, vec![6, 2, 8, 2, 10]);
-    }
 
     #[test]
     fn fedavg_of_identical_models_is_identity() {

@@ -18,8 +18,11 @@
 //! * [`FlConfig`]/[`FlEnv`] — the simulation environment: dataset splits,
 //!   per-client device samples (from `fp-hwsim`), per-round client
 //!   sampling, and per-client memory budgets;
-//! * [`sched`] — the heterogeneity-aware event-driven round scheduler
-//!   (virtual-time event queue, straggler deadlines, dropout,
+//! * `run` (crate-private) — the run core both schedulers sit on: run
+//!   state, every plane stage (gate, plan, deliver / lose, train, eval),
+//!   checkpoint plane keys, resume checks, and the shared [`Outcome`];
+//! * [`sched`] — the round scheduler, a barrier policy over that core
+//!   (per-round event queue, straggler deadlines, dropout,
 //!   over-selection, checkpoint/resume, per-round metrics ledger);
 //!   **every** algorithm above runs through it. The driven contract
 //!   ([`ScheduledTrainer`]) is generic over serializable **server
@@ -27,12 +30,12 @@
 //!   [`ModelState`] adapter (checkpoint-format-identical to the
 //!   historical single-model shape), while FedDF/FedET carry their
 //!   model zoo + temperature schedule as [`DistillState`];
-//! * [`async_sched`] — barrier-free FedBuff-style asynchronous
-//!   aggregation on a continuous virtual clock (staleness-weighted
-//!   buffer, concurrency cap, immediate re-dispatch, per-dispatch
-//!   dropout with server-side timeouts, optional staleness-adaptive
-//!   flush threshold, mid-flight checkpoint/resume); drives the same
-//!   [`ScheduledTrainer`] contract;
+//! * [`async_sched`] — the other barrier policy: FedBuff-style
+//!   asynchronous aggregation on a continuous virtual clock
+//!   (staleness-weighted buffer, concurrency cap, immediate re-dispatch,
+//!   per-dispatch dropout with server-side timeouts, optional
+//!   staleness-adaptive flush threshold, mid-flight checkpoint/resume);
+//!   drives the same [`ScheduledTrainer`] contract;
 //! * [`comm`] — the server-side communication plane: per-client payload
 //!   cache table, bounded snapshot retention, and delta-encoded
 //!   downloads; both schedulers choose delta-vs-full per dispatch and
@@ -47,6 +50,13 @@
 //!   cohort-keyed outage windows, and a cohort-straggle timing adversary
 //!   composing with the Byzantine plane; replaces the per-(round,
 //!   client) availability coin flip in both schedulers when enabled;
+//! * [`quant`] — the quantized up-link plane: a trainer wrapper with
+//!   seeded stochastic quantization, per-client error feedback and exact
+//!   wire-byte costing;
+//! * [`topology`] — the aggregation tree: flat, or two-tier with seeded
+//!   cohorts, edge bundling and a backhaul link;
+//! * [`synthetic`] — a closed-form [`SyntheticTrainer`] for fleet-scale
+//!   engine tests and benches;
 //! * [`local_train`] — the local SGD/adversarial-training loop;
 //! * [`aggregate`] — weighted FedAvg, the partial-average accumulator
 //!   (paper Eq. 16–17), and the robust-statistics primitives the
@@ -67,6 +77,7 @@ mod engine;
 mod local;
 pub mod metrics;
 pub mod quant;
+mod run;
 pub mod sched;
 pub mod submodel;
 pub mod synthetic;
@@ -93,6 +104,7 @@ pub use metrics::{FlOutcome, RoundRecord};
 pub use quant::{
     quant_seed, QuantConfig, QuantLoss, QuantLosses, QuantRow, QuantState, QuantTrainer,
 };
+pub use run::Outcome;
 pub use sched::{
     draw_dropouts, model_hash, over_select_count, sample_availability, simulate_round,
     DeadlinePolicy, EventScheduler, ModelState, ModelTrainer, RoundSim, SchedCheckpoint,

@@ -1,33 +1,32 @@
-//! Heterogeneity-aware event-driven round scheduling.
+//! The round scheduler: a **barrier policy** over the shared run core.
 //!
-//! The lockstep loops of the baselines assume every selected client
-//! reports back, instantly. Real federations (and the paper's systems
-//! story, §3/§7.2) are dominated by device heterogeneity: a TX2 swapping
-//! a 300 MB working set over 1.5 GiB/s storage takes orders of magnitude
-//! longer than a desktop GPU, clients drop out mid-round, and production
-//! servers close rounds on deadlines with over-selection rather than
-//! waiting for the slowest straggler.
+//! Everything a dispatch goes through — trace gate, payload planning,
+//! wire sizing, `fp-hwsim` costing, throttling, cache bookkeeping, the
+//! training fan-out, evaluation, the plane keys of a checkpoint and the
+//! resume checks — is spelled once, in the crate-private run core
+//! (`run.rs` has the stage diagram), and shared with
+//! [`crate::async_sched`]. What this module owns is *when the barrier
+//! falls*, in **virtual time**:
 //!
-//! This module simulates exactly that, in **virtual time**:
+//! * selection: `ceil(clients_per_round × over_select)` clients per
+//!   round, each costed on its device profile with per-round
+//!   availability degradation (§B.1) — download, local training
+//!   (compute and swap), upload — so deadline estimates see
+//!   communication-bound clients too; per-round dropout draws;
+//! * a per-round event queue ([`simulate_round`]): client-finish events
+//!   race against an optional straggler deadline, dropped-out clients
+//!   never report, and the round closes at the target-th completion or
+//!   the deadline (times are round-relative; the clock adds them up);
+//! * at the close the server trains and FedAvg-merges the clients that
+//!   actually completed, pays the edge→server hop on a hierarchical
+//!   topology, and writes one [`SchedRound`] (serializable to JSON).
 //!
-//! * every sampled client's dispatch duration is drawn from the
-//!   `fp-hwsim` latency model of its device profile (with per-round
-//!   availability degradation, §B.1): model download, local training
-//!   (compute + swap), and update upload over the device's link — so
-//!   deadline estimates see communication-bound clients too;
-//! * a virtual-time event queue ([`simulate_round`]) plays the round
-//!   forward: client-finish events race against an optional straggler
-//!   deadline, dropped-out clients never report;
-//! * at the close of the round the server aggregates over the clients
-//!   that actually completed (FedAvg-weighted), records the stragglers it
-//!   cut and the dropouts it lost, and advances the virtual clock.
-//!
-//! [`EventScheduler`] drives any [`ScheduledTrainer`] through this loop
-//! and emits a per-round [`SchedRound`] ledger (serializable to JSON).
-//! With the default [`SchedConfig`] (wait-all barrier, no dropout, no
-//! over-selection) it reproduces the historical lockstep loops
-//! bit-for-bit, which is how the `fp-fl` baselines now implement
-//! [`FlAlgorithm`](crate::FlAlgorithm).
+//! Device heterogeneity dominates real federations (and the paper's
+//! systems story, §3/§7.2), which is why production servers close rounds
+//! on deadlines with over-selection. With the default [`SchedConfig`]
+//! (wait-all barrier, no dropout, no over-selection) [`EventScheduler`]
+//! reproduces the historical lockstep loops bit-for-bit, which is how
+//! the `fp-fl` baselines implement [`FlAlgorithm`](crate::FlAlgorithm).
 //!
 //! # Determinism
 //!
@@ -41,24 +40,26 @@
 //!
 //! # Checkpointing
 //!
-//! [`SchedCheckpoint`] captures the full cross-round state (global model
+//! [`SchedCheckpoint`] captures the full cross-round state (server state
 //! via `fp-nn` checkpoints, the master seed of the RNG streams, the next
-//! round index, the virtual clock, and the ledger so far); because all
-//! per-round RNG streams are re-derived from `(seed, round)`, resuming at
-//! round `k` reproduces rounds `k+1..n` bit-identically.
+//! round index, the virtual clock, the ledger so far, and one optional
+//! key per enabled plane); because all per-round RNG streams are
+//! re-derived from `(seed, round)`, resuming at round `k` reproduces
+//! rounds `k+1..n` bit-identically.
 
-use crate::comm::{CommConfig, CommPlane, CommState};
-use crate::config::FlConfig;
+use crate::comm::{CommConfig, CommState};
 use crate::engine::FlEnv;
 use crate::metrics::{FlOutcome, RoundRecord};
+use crate::quant::QuantLoss;
+use crate::run::{emit, Core, Event, EventKind, Outcome, Planned, Saved, Sink, Stack};
 use crate::topology::TopologyConfig;
+use crate::trace::TraceLoss;
 use fp_hwsim::{ClientLatency, DeviceSample, LatencyModel, PayloadSpec};
 use fp_nn::checkpoint::Checkpoint;
 use fp_nn::CascadeModel;
 use fp_tensor::BackendHandle;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 
 /// Domain-separation salt for availability degradation. Every consumer
@@ -139,48 +140,6 @@ impl SchedConfig {
 }
 
 // -------------------------------------------------------------- event queue
-
-/// One event in a round's virtual timeline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum EventKind {
-    /// A client finished its local training. Ranked before `Deadline` so
-    /// a client finishing exactly at the deadline still counts.
-    Finish { client: usize },
-    /// The straggler deadline fired.
-    Deadline,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Event {
-    time: f64,
-    kind: EventKind,
-}
-
-impl Event {
-    /// Ordering key: time, then kind rank (finishes before deadlines),
-    /// then client id — total and deterministic (times are finite).
-    fn key(&self) -> (u64, u8, usize) {
-        let (rank, client) = match self.kind {
-            EventKind::Finish { client } => (0, client),
-            EventKind::Deadline => (1, 0),
-        };
-        (self.time.to_bits(), rank, client)
-    }
-}
-
-impl Eq for Event {}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.key().cmp(&other.key())
-    }
-}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
 
 /// Number of clients to select for a round with `target` desired
 /// completions under an over-selection factor, capped by the fleet size.
@@ -413,26 +372,13 @@ pub struct SchedRound {
     pub throttled: usize,
 }
 
-/// Where per-round (or per-aggregation) ledger records go.
-///
-/// The default, [`LedgerOut::Accumulate`], appends each record to the
-/// in-memory ledger — the historical behaviour every outcome and
-/// checkpoint format is built on. [`LedgerOut::Stream`] hands each
-/// record to a sink instead and keeps nothing resident, which is what
-/// makes 100k-client fleet runs O(active dispatches) in memory: the
-/// caller streams records to disk (or drops them) as they are born.
-pub(crate) enum LedgerOut<'a, R> {
-    /// Append to the in-memory ledger (historical behaviour).
-    Accumulate,
-    /// Stream each record to the sink; the ledger stays empty.
-    Stream(&'a mut dyn FnMut(&R)),
-}
-
-impl<R> LedgerOut<'_, R> {
-    pub(crate) fn emit(&mut self, ledger: &mut Vec<R>, rec: R) {
-        match self {
-            LedgerOut::Accumulate => ledger.push(rec),
-            LedgerOut::Stream(sink) => sink(&rec),
+impl From<&SchedRound> for RoundRecord {
+    fn from(r: &SchedRound) -> Self {
+        RoundRecord {
+            round: r.round,
+            train_loss: r.train_loss,
+            val_clean: r.val_clean,
+            val_adv: r.val_adv,
         }
     }
 }
@@ -801,44 +747,7 @@ pub struct EventScheduler<T> {
 
 /// The result of a scheduled run: final model, final server state, and
 /// the round ledger.
-pub struct SchedOutcome<S = ModelState> {
-    /// Final deployable global model (extracted from the state).
-    pub model: CascadeModel,
-    /// Final server state.
-    pub state: S,
-    /// Per-round ledger.
-    pub ledger: Vec<SchedRound>,
-}
-
-impl<S> SchedOutcome<S> {
-    /// Total virtual training time.
-    pub fn virtual_time_s(&self) -> f64 {
-        self.ledger.last().map_or(0.0, |r| r.clock_s)
-    }
-
-    /// The ledger as a JSON document.
-    pub fn ledger_json(&self) -> String {
-        serde_json::to_string(&self.ledger).expect("ledger serializes")
-    }
-
-    /// Converts to the generic outcome shape.
-    pub fn into_fl_outcome(self) -> FlOutcome {
-        let history = self
-            .ledger
-            .iter()
-            .map(|r| RoundRecord {
-                round: r.round,
-                train_loss: r.train_loss,
-                val_clean: r.val_clean,
-                val_adv: r.val_adv,
-            })
-            .collect();
-        FlOutcome {
-            model: self.model,
-            history,
-        }
-    }
-}
+pub type SchedOutcome<S = ModelState> = Outcome<S, SchedRound>;
 
 /// A serializable snapshot of a scheduled run, taken between rounds.
 ///
@@ -910,13 +819,9 @@ pub struct SchedCheckpoint<S = ModelState> {
 
 /// Mutable cross-round state of a scheduled run.
 struct DriveState<S> {
-    state: S,
+    core: Core<S>,
     clock_s: f64,
     ledger: Vec<SchedRound>,
-    comm: CommPlane<S>,
-    /// Trace-plane state (per-client thermal map); inert when no trace
-    /// plan is set.
-    trace: crate::trace::TraceState,
 }
 
 impl<T: ScheduledTrainer> EventScheduler<T> {
@@ -991,29 +896,38 @@ impl<T: ScheduledTrainer> EventScheduler<T> {
         s
     }
 
+    fn stack(&self) -> Stack<'_, T> {
+        Stack {
+            trainer: &self.trainer,
+            comm: self.comm,
+            topo: &self.topo,
+            trace: self.trace.as_ref(),
+        }
+    }
+
     fn fresh_state(&self, env: &FlEnv, capacity: usize) -> DriveState<T::ServerState> {
-        // Error-feedback residuals are run state held by the trainer
-        // wrapper; a scheduler instance can be run repeatedly, so every
-        // fresh run starts the plane cold.
-        self.trainer.reset_quant();
         DriveState {
-            state: self.trainer.init(env),
+            core: self.stack().fresh(env),
             clock_s: 0.0,
             ledger: Vec::with_capacity(capacity),
-            comm: CommPlane::new(self.comm, env.cfg.n_clients),
-            trace: crate::trace::TraceState::new(),
         }
+    }
+
+    /// Drives rounds `from..to` and wraps up the outcome.
+    fn finish(
+        &self,
+        env: &FlEnv,
+        mut st: DriveState<T::ServerState>,
+        from: usize,
+        sink: Sink<'_, SchedRound>,
+    ) -> SchedOutcome<T::ServerState> {
+        self.drive(env, &mut st, from, env.cfg.rounds, sink);
+        self.stack().finish(st.core, st.ledger, st.clock_s)
     }
 
     /// Runs all `env.cfg.rounds` rounds.
     pub fn run(&self, env: &FlEnv) -> SchedOutcome<T::ServerState> {
-        let mut st = self.fresh_state(env, env.cfg.rounds);
-        self.drive(env, &mut st, 0, env.cfg.rounds, &mut LedgerOut::Accumulate);
-        SchedOutcome {
-            model: self.trainer.global_model(&st.state).clone(),
-            state: st.state,
-            ledger: st.ledger,
-        }
+        self.finish(env, self.fresh_state(env, env.cfg.rounds), 0, None)
     }
 
     /// Like [`EventScheduler::run`], but streams every round record to
@@ -1027,26 +941,15 @@ impl<T: ScheduledTrainer> EventScheduler<T> {
         env: &FlEnv,
         sink: &mut dyn FnMut(&SchedRound),
     ) -> SchedOutcome<T::ServerState> {
-        let mut st = self.fresh_state(env, 0);
-        self.drive(
-            env,
-            &mut st,
-            0,
-            env.cfg.rounds,
-            &mut LedgerOut::Stream(sink),
-        );
-        SchedOutcome {
-            model: self.trainer.global_model(&st.state).clone(),
-            state: st.state,
-            ledger: st.ledger,
-        }
+        self.finish(env, self.fresh_state(env, 0), 0, Some(sink))
     }
 
     /// Runs rounds `0..stop_after` and returns a resumable checkpoint.
     pub fn run_until(&self, env: &FlEnv, stop_after: usize) -> SchedCheckpoint<T::ServerState> {
         let stop = stop_after.min(env.cfg.rounds);
         let mut st = self.fresh_state(env, stop);
-        self.drive(env, &mut st, 0, stop, &mut LedgerOut::Accumulate);
+        self.drive(env, &mut st, 0, stop, None);
+        let (comm, topo, byz, trace, quant) = self.stack().keys(&st.core);
         SchedCheckpoint {
             next_round: stop,
             clock_s: st.clock_s,
@@ -1056,13 +959,13 @@ impl<T: ScheduledTrainer> EventScheduler<T> {
             n_clients: env.cfg.n_clients,
             clients_per_round: env.cfg.clients_per_round,
             rounds: env.cfg.rounds,
-            comm: st.comm.to_state(),
-            topo: self.topo.is_hierarchical().then_some(self.topo),
-            byz: self.trainer.byz_policy(),
-            trace: self.trace.as_ref().map(|p| st.trace.to_checkpoint(p)),
-            quant: self.trainer.quant_state(),
-            state: st.state,
+            state: st.core.state,
             ledger: st.ledger,
+            comm,
+            topo,
+            byz,
+            trace,
+            quant,
         }
     }
 
@@ -1073,125 +976,59 @@ impl<T: ScheduledTrainer> EventScheduler<T> {
     ///
     /// Panics if the checkpoint disagrees with the resuming environment
     /// or scheduler — each mismatch message names the offending
-    /// `SchedCheckpoint` field (`seed`, `sched`, `algorithm`,
-    /// `n_clients`, `clients_per_round`, `rounds`) so a failed resume
-    /// says exactly which rule changed instead of silently diverging.
+    /// `SchedCheckpoint` field (`sched`, `clients_per_round`, `seed`,
+    /// `algorithm`, `n_clients`, `rounds`, or a plane key) so a failed
+    /// resume says exactly which rule changed instead of silently
+    /// diverging.
     pub fn resume(
         &self,
         env: &FlEnv,
         ckpt: &SchedCheckpoint<T::ServerState>,
     ) -> SchedOutcome<T::ServerState> {
         assert_eq!(
-            ckpt.seed, env.cfg.seed,
-            "SchedCheckpoint field `seed`: checkpoint was taken under a different master seed"
-        );
-        assert_eq!(
             ckpt.sched, self.sched,
             "SchedCheckpoint field `sched`: checkpoint was taken under a different scheduling policy"
-        );
-        assert_eq!(
-            ckpt.algorithm,
-            self.trainer.name(),
-            "SchedCheckpoint field `algorithm`: checkpoint was taken by a different algorithm"
-        );
-        assert_eq!(
-            ckpt.n_clients, env.cfg.n_clients,
-            "SchedCheckpoint field `n_clients`: checkpoint was taken on a different fleet size"
         );
         assert_eq!(
             ckpt.clients_per_round, env.cfg.clients_per_round,
             "SchedCheckpoint field `clients_per_round`: checkpoint was taken under a different cohort size"
         );
-        assert_eq!(
-            ckpt.rounds, env.cfg.rounds,
-            "SchedCheckpoint field `rounds`: checkpoint was taken for a different run length"
-        );
-        // A disabled plane checkpoints as `None` whatever its inert
-        // retention knob says, so compare enabled-ness first and the
-        // full policy only when the checkpoint actually carries one.
-        assert_eq!(
-            ckpt.comm.as_ref().map(|c| c.cfg),
-            self.comm.delta_downloads.then_some(self.comm),
-            "SchedCheckpoint field `comm`: checkpoint was taken under a different communication-plane policy"
-        );
-        // A flat topology checkpoints as `None` (the key is absent), so
-        // compare against the hierarchical-only form.
-        assert_eq!(
-            ckpt.topo,
-            self.topo.is_hierarchical().then_some(self.topo),
-            "SchedCheckpoint field `topo`: checkpoint was taken under a different aggregation topology"
-        );
-        // A trivial policy (honest trainer, or FedAvg with no attackers)
-        // checkpoints as `None` (the key is absent).
-        assert_eq!(
-            ckpt.byz,
-            self.trainer.byz_policy(),
-            "SchedCheckpoint field `byz`: checkpoint was taken under a different Byzantine policy"
-        );
-        // A disabled trace plane checkpoints as `None` (the key is
-        // absent); an enabled one carries its plan alongside the thermal
-        // state, and only the plan is policy.
-        assert_eq!(
-            ckpt.trace.as_ref().map(|tr| &tr.plan),
-            self.trace.as_ref(),
-            "SchedCheckpoint field `trace`: checkpoint was taken under a different availability-trace plan"
-        );
-        // A dense trainer checkpoints as `None` (the key is absent); a
-        // quantized one carries its residual table alongside the policy,
-        // and only the policy is validated.
-        assert_eq!(
-            ckpt.quant.as_ref().map(|q| q.cfg),
-            self.trainer.quant_policy(),
-            "SchedCheckpoint field `quant`: checkpoint was taken under a different quantization policy"
-        );
-        self.trainer.reset_quant();
-        if let Some(q) = &ckpt.quant {
-            self.trainer.restore_quant(q);
-        }
-        let mut st = DriveState {
-            state: ckpt.state.clone(),
+        let saved = Saved {
+            ty: "SchedCheckpoint",
+            seed: ckpt.seed,
+            algorithm: &ckpt.algorithm,
+            n_clients: ckpt.n_clients,
+            rounds: ckpt.rounds,
+            state: &ckpt.state,
+            comm: ckpt.comm.as_ref(),
+            topo: ckpt.topo,
+            byz: ckpt.byz,
+            trace: ckpt.trace.as_ref(),
+            quant: ckpt.quant.as_ref(),
+        };
+        let st = DriveState {
+            core: self.stack().restore(env, saved),
             clock_s: ckpt.clock_s,
             ledger: ckpt.ledger.clone(),
-            comm: CommPlane::from_state(ckpt.comm.as_ref(), env.cfg.n_clients),
-            trace: ckpt.trace.as_ref().map_or_else(
-                crate::trace::TraceState::new,
-                crate::trace::TraceState::from_checkpoint,
-            ),
         };
-        self.drive(
-            env,
-            &mut st,
-            ckpt.next_round,
-            env.cfg.rounds,
-            &mut LedgerOut::Accumulate,
-        );
-        SchedOutcome {
-            model: self.trainer.global_model(&st.state).clone(),
-            state: st.state,
-            ledger: st.ledger,
-        }
+        self.finish(env, st, ckpt.next_round, None)
     }
 
-    /// The shared round driver.
+    /// The round loop: plan and simulate the round, then train, merge
+    /// and evaluate at its close.
     fn drive(
         &self,
         env: &FlEnv,
         st: &mut DriveState<T::ServerState>,
         from: usize,
         to: usize,
-        out: &mut LedgerOut<'_, SchedRound>,
+        mut sink: Sink<'_, SchedRound>,
     ) {
-        let cfg = &env.cfg;
-        let cadence = crate::baselines::eval_cadence(cfg.rounds);
+        let stack = self.stack();
         for t in from..to {
-            let planned = self.plan_round(env, cfg, t, st);
-            let sim = planned.sim;
-            let lr = cfg.lr.at(t);
-            let results = crate::baselines::parallel_clients_grouped(
-                &sim.completed,
-                |k| self.trainer.payload_spec(env, t, k).shape_id,
-                |k, backend| self.trainer.train(env, &st.state, t, k, lr, backend),
-            );
+            let (sim, tally) = self.plan_round(env, t, st);
+            let jobs: Vec<(usize, usize)> = sim.completed.iter().map(|&k| (t, k)).collect();
+            let results = stack.train(env, &jobs, |_| &st.core.state);
             let train_loss = if results.is_empty() {
                 0.0
             } else {
@@ -1211,24 +1048,17 @@ impl<T: ScheduledTrainer> EventScheduler<T> {
                     .copied()
                     .zip(results.into_iter().map(|(u, _)| u))
                     .collect();
-                self.trainer.merge(env, &mut st.state, t, updates);
+                self.trainer.merge(env, &mut st.core.state, t, updates);
                 self.trainer.take_robust_stats()
             };
-            let (mut vc, mut va) = (None, None);
-            if t % cadence == cadence - 1 || t + 1 == cfg.rounds {
-                let model = self.trainer.global_model_mut(&mut st.state);
-                vc = Some(env.val_clean(model, 64));
-                va = Some(env.val_adv(model, 64));
-            }
+            let (val_clean, val_adv) = stack.eval(env, &mut st.core, t);
             // On a hierarchical topology the round's barrier sits at the
             // *server*: every edge forwards its cohort's partial sum at
             // round close, and the round ends when the slowest bundle
             // lands (the hops run concurrently, so the max binds).
-            let round_time_s = sim.round_time_s + planned.edge_forward_s;
+            let round_time_s = sim.round_time_s + tally.edge_forward_s;
             st.clock_s += round_time_s;
-            if let Some(plan) = &self.trace {
-                st.trace.prune(plan, cfg.seed, st.clock_s);
-            }
+            stack.prune(env, &mut st.core, st.clock_s);
             let rec = SchedRound {
                 round: t,
                 selected: sim.completed.len() + sim.stragglers.len() + sim.dropped_out.len(),
@@ -1237,178 +1067,117 @@ impl<T: ScheduledTrainer> EventScheduler<T> {
                 completed: sim.completed.len(),
                 participation_weight,
                 train_loss,
-                val_clean: vc,
-                val_adv: va,
+                val_clean,
+                val_adv,
                 round_time_s,
                 clock_s: st.clock_s,
-                down_bytes: planned.down_bytes,
-                up_bytes: planned.up_bytes,
-                delta_dispatches: planned.delta_dispatches,
-                edges_active: planned.edges_active,
+                down_bytes: tally.down_bytes,
+                up_bytes: tally.up_bytes,
+                delta_dispatches: tally.delta_dispatches,
+                edges_active: tally.edges_active,
                 filtered: robust.filtered,
                 clip_applied: robust.clip_applied,
-                unavailable: planned.unavailable,
-                outage_lost: planned.outage_lost,
-                throttled: planned.throttled,
+                unavailable: tally.unavailable,
+                outage_lost: tally.outage_lost,
+                throttled: tally.throttled,
             };
-            out.emit(&mut st.ledger, rec);
+            emit(&mut sink, &mut st.ledger, rec);
         }
     }
 
-    /// Samples, degrades, drops, plans payloads, and simulates one
-    /// round's timeline. Dispatch latencies are costed from the payload
-    /// the communication plane actually ships (delta where the client's
-    /// cache allows, full otherwise), and the cache table advances:
-    /// delivered dispatches record `(round, shape)`, dropped ones
-    /// invalidate the entry.
+    /// Samples, gates, drops, plans and simulates one round's timeline.
+    /// The whole cohort is planned against the cache table as the round
+    /// found it; the table advances afterwards — delivered dispatches
+    /// record `(round, shape)`, dropped ones lose their row, trace-gated
+    /// ones (never delivered) keep theirs.
     fn plan_round(
         &self,
         env: &FlEnv,
-        cfg: &FlConfig,
         t: usize,
         st: &mut DriveState<T::ServerState>,
-    ) -> PlannedRound {
+    ) -> (RoundSim, RoundTally) {
+        let (stack, cfg, clock) = (self.stack(), &env.cfg, st.clock_s);
         let target = cfg.clients_per_round;
         let n_sel = over_select_count(target, self.sched.over_select, cfg.n_clients);
         let ids = env.sample_round_n(t, n_sel);
-        let samples: Vec<DeviceSample> = ids
-            .iter()
-            .map(|&k| sample_availability(env, t, k))
-            .collect();
         let mut dropped = draw_dropouts(env, t, ids.len(), self.sched.dropout_p);
-        // Trace plane: curve-gated participation and dark outage windows
-        // are decided before any payload is planned — an unreachable
-        // client never receives the download, so no down-link bytes are
-        // charged and its cache entry stays valid.
-        let mut gated = vec![false; ids.len()];
-        let mut unavailable = 0usize;
-        let mut outage_lost = 0usize;
-        let mut throttled = 0usize;
-        if let Some(plan) = &self.trace {
-            for (i, &k) in ids.iter().enumerate() {
-                if !plan.participates(cfg.seed, t, k, st.clock_s) {
-                    gated[i] = true;
-                    unavailable += 1;
-                } else if plan.outage_at(cfg.seed, &self.topo, k, st.clock_s) {
-                    gated[i] = true;
-                    outage_lost += 1;
-                }
-            }
-        }
         // Snapshot the model the round dispatches (version `t`) so future
         // rounds can diff against it.
-        st.comm.note_version(t, &st.state);
-        let mut down_bytes = 0u64;
-        let mut delta_dispatches = 0usize;
-        let mut specs: Vec<PayloadSpec> = Vec::with_capacity(ids.len());
-        // Per-client *actual* up-link bytes: the dense spec size, or the
-        // quantized wire size when the trainer compresses uploads.
-        let mut up: Vec<u64> = Vec::with_capacity(ids.len());
-        let latency: Vec<ClientLatency> = ids
+        st.core.comm.note_version(t, &st.core.state);
+        let mut tally = RoundTally::default();
+        let planned: Vec<Option<Planned>> = ids
             .iter()
-            .enumerate()
-            .zip(&samples)
-            .map(|((i, &k), s)| {
-                let spec = self.trainer.payload_spec(env, t, k);
-                if gated[i] {
-                    up.push(spec.bytes);
-                    specs.push(spec);
-                    return ClientLatency::zero();
+            .map(|&k| match stack.gate(env, t, k, clock) {
+                Some(TraceLoss::Unavailable) => {
+                    tally.unavailable += 1;
+                    None
                 }
-                let mut payload = st.comm.plan(
-                    k,
-                    t,
-                    &spec,
-                    || self.trainer.payload_params(env, &st.state, t, k),
-                    |old| self.trainer.payload_params(env, old, t, k),
-                );
-                // Lossy up-link compression rewrites the upload size
-                // *before* latency costing: a quantized upload buys the
-                // client cheaper virtual time on its link.
-                if let Some(qb) = self.trainer.quant_up_bytes(&spec) {
-                    payload.up_bytes = qb;
+                Some(TraceLoss::Outage) => {
+                    tally.outage_lost += 1;
+                    None
                 }
-                down_bytes += payload.down_bytes;
-                delta_dispatches += payload.is_delta() as usize;
-                up.push(payload.up_bytes);
-                specs.push(spec);
-                let mut lat =
-                    self.trainer
-                        .cost(env, t, k)
-                        .dispatch_round_trip(s, cfg.local_iters, &payload);
-                // Thermal throttle + timing adversary, and busy-streak
-                // accrual for the dispatches whose device actually runs
-                // (a dropped-out client vanishes before training).
-                if let Some(plan) = &self.trace {
-                    if !dropped[i] {
-                        let (scaled, thr) = st.trace.cost(plan, cfg.seed, k, st.clock_s, lat);
-                        lat = scaled;
-                        throttled += thr as usize;
-                        st.trace
-                            .note_busy(plan, cfg.seed, k, st.clock_s, lat.total());
-                    }
+                None => {
+                    let dev = sample_availability(env, t, k);
+                    Some(stack.plan(env, &mut st.core, t, k, &dev, clock))
                 }
-                lat
             })
             .collect();
         for (i, &k) in ids.iter().enumerate() {
-            if gated[i] {
-                // Never delivered: the client's cache entry is untouched.
-            } else if dropped[i] {
-                st.comm.invalidate(k);
-                self.trainer
-                    .quant_invalidate(k, crate::quant::QuantLoss::Dropout);
+            // Trace-gated clients never report, exactly like dropouts —
+            // the ledger's `unavailable`/`outage_lost` break out the cause.
+            let Some(p) = &planned[i] else {
+                dropped[i] = true;
+                continue;
+            };
+            tally.down_bytes += p.payload.down_bytes;
+            tally.delta_dispatches += p.payload.is_delta() as usize;
+            if dropped[i] {
+                // A dropped-out client vanishes before training.
+                stack.lost(&mut st.core, k, QuantLoss::Dropout);
             } else {
-                st.comm.record_dispatch(k, t, specs[i].shape_id);
+                tally.throttled += p.throttled as usize;
+                stack.delivered(env, &mut st.core, t, k, p, clock);
             }
         }
-        // Trace-gated clients never report, exactly like dropouts — the
-        // ledger's `unavailable`/`outage_lost` break out the cause.
-        for (d, &g) in dropped.iter_mut().zip(&gated) {
-            *d |= g;
-        }
+        let latency: Vec<ClientLatency> = planned
+            .iter()
+            .map(|p| p.as_ref().map_or_else(ClientLatency::zero, |p| p.lat))
+            .collect();
         let sim = simulate_round(&ids, &latency, &dropped, target, &self.sched);
         let index_of = index_by_id(&ids);
+        // A completed client's *actual* up-link bytes: the dense spec
+        // size, or the quantized wire size when the trainer compresses.
+        let up = |k: &usize| {
+            let p = planned[index_of[k]].as_ref();
+            p.expect("completed clients were planned").payload.up_bytes
+        };
         // Only completed clients' updates reach the server's up-link.
-        let up_bytes = sim.completed.iter().map(|k| up[index_of[k]]).sum();
+        tally.up_bytes = sim.completed.iter().map(up).sum();
         // Hierarchical only: group the completed clients by cohort; each
         // active edge forwards one partial sum (wire size = its densest
         // member update — re-quantized by the edge when the plane is on)
         // and the hops run concurrently.
-        let (edges_active, edge_forward_s) = if self.topo.is_hierarchical() {
+        if self.topo.is_hierarchical() {
             let mut per_edge: BTreeMap<usize, u64> = BTreeMap::new();
             for k in &sim.completed {
                 let bytes = per_edge
                     .entry(self.topo.cohort_of(cfg.seed, *k))
                     .or_insert(0);
-                *bytes = (*bytes).max(up[index_of[k]]);
+                *bytes = (*bytes).max(up(k));
             }
-            let forward = per_edge
+            tally.edges_active = per_edge.len();
+            tally.edge_forward_s = per_edge
                 .values()
                 .map(|&b| self.topo.uplink.forward_s(b))
                 .fold(0.0, f64::max);
-            (per_edge.len(), forward)
-        } else {
-            (0, 0.0)
-        };
-        PlannedRound {
-            sim,
-            down_bytes,
-            up_bytes,
-            delta_dispatches,
-            edges_active,
-            edge_forward_s,
-            unavailable,
-            outage_lost,
-            throttled,
         }
+        (sim, tally)
     }
 }
 
-/// A planned round: the simulated timeline plus the round's wire-traffic
-/// tally.
-struct PlannedRound {
-    sim: RoundSim,
+/// A planned round's wire-traffic and trace tally.
+#[derive(Default)]
+struct RoundTally {
     down_bytes: u64,
     up_bytes: u64,
     delta_dispatches: usize,

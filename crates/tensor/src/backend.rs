@@ -11,16 +11,16 @@
 //!   `pack.rs`: AVX-512 / AVX2+FMA register-tiled microkernels over
 //!   packed panels (detected at runtime, portable `mul_add` fallback),
 //!   batch-folded conv kernels that gather their panels from padded
-//!   staging by offset table, and grouped GEMM, splitting output rows
-//!   across scoped threads for large problems. Thread count
-//!   is configurable so outer client-level parallelism can budget inner
-//!   kernel threads (see [`crate::parallel::thread_split`]).
+//!   staging by offset table, splitting output rows across scoped
+//!   threads for large problems. Thread count is configurable so outer
+//!   client-level parallelism can budget inner kernel threads (see
+//!   [`crate::parallel::thread_split`]).
 //!
 //! A process-wide default backend ([`default_backend`] /
 //! [`set_default_backend`]) seeds newly built layers; individual models
 //! can be re-pointed with `set_backend` in `fp-nn`.
 
-use crate::im2col::{col2im_channel_range, im2col_row_range, Conv2dGeometry};
+use crate::im2col::Conv2dGeometry;
 use crate::matmul::{matmul_into, matmul_nt_into, matmul_tn_into};
 use std::sync::{Arc, OnceLock, RwLock};
 
@@ -44,12 +44,17 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     /// `out[m×k] += a · bᵀ` with `a: [m×n]`, `b: [k×n]` (input grads).
     fn matmul_nt_into(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, n: usize, k: usize);
 
-    /// Lowers one `[c_in, h, w]` image into the im2col matrix.
-    fn im2col(&self, img: &[f32], geo: &Conv2dGeometry, cols: &mut [f32]);
+    /// Lowers one `[c_in, h, w]` image into the im2col matrix (the
+    /// reference lowering; only the default `conv2d_*` paths call it).
+    fn im2col(&self, img: &[f32], geo: &Conv2dGeometry, cols: &mut [f32]) {
+        crate::im2col::im2col(img, geo, cols);
+    }
 
     /// Adjoint of [`Backend::im2col`]: scatter-adds a cols-shaped gradient
     /// back into an image-shaped buffer.
-    fn col2im(&self, cols: &[f32], geo: &Conv2dGeometry, img_grad: &mut [f32]);
+    fn col2im(&self, cols: &[f32], geo: &Conv2dGeometry, img_grad: &mut [f32]) {
+        crate::im2col::col2im(cols, geo, img_grad);
+    }
 
     /// Batched conv forward: `out[s] += W·im2col(x[s])` for every sample,
     /// plus `bias` per output channel when given. `out` must be
@@ -149,25 +154,6 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
             self.col2im(&ws[..rows * n_cols], geo, dx_s);
         }
     }
-
-    /// Grouped GEMM with a shared left operand: `outs[g] += a · bs[g]`
-    /// for every member of a same-shape group. Backends may pack `a`'s
-    /// panels once and reuse them across the whole group (the
-    /// [`Parallel`] override does; the default just loops).
-    fn matmul_grouped_into(
-        &self,
-        a: &[f32],
-        bs: &[&[f32]],
-        outs: &mut [&mut [f32]],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        check_grouped_args(a, bs, outs, m, k, n);
-        for (b, out) in bs.iter().zip(outs.iter_mut()) {
-            self.matmul_into(a, b, out, m, k, n);
-        }
-    }
 }
 
 /// Validates the shared buffer-shape contract of the `conv2d_*` entry
@@ -195,16 +181,6 @@ fn check_conv2d_args(
     (rows, n_cols, img_len)
 }
 
-/// Validates the grouped-GEMM buffer contract.
-fn check_grouped_args(a: &[f32], bs: &[&[f32]], outs: &[&mut [f32]], m: usize, k: usize, n: usize) {
-    assert_eq!(bs.len(), outs.len(), "group size mismatch");
-    assert_eq!(a.len(), m * k, "lhs buffer size");
-    for (g, (b, out)) in bs.iter().zip(outs.iter()).enumerate() {
-        assert_eq!(b.len(), k * n, "rhs buffer size (group member {g})");
-        assert_eq!(out.len(), m * n, "out buffer size (group member {g})");
-    }
-}
-
 // ------------------------------------------------------------------ Scalar
 
 /// The single-threaded reference backend (the seed repository's original
@@ -228,14 +204,6 @@ impl Backend for Scalar {
     fn matmul_nt_into(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, n: usize, k: usize) {
         matmul_nt_into(a, b, out, m, n, k);
     }
-
-    fn im2col(&self, img: &[f32], geo: &Conv2dGeometry, cols: &mut [f32]) {
-        crate::im2col::im2col(img, geo, cols);
-    }
-
-    fn col2im(&self, cols: &[f32], geo: &Conv2dGeometry, img_grad: &mut [f32]) {
-        crate::im2col::col2im(cols, geo, img_grad);
-    }
 }
 
 // ---------------------------------------------------------------- Parallel
@@ -243,9 +211,6 @@ impl Backend for Scalar {
 /// Minimum multiply-accumulate count before a kernel will spawn threads;
 /// below this, scoped-thread setup costs more than it buys.
 const PAR_MACS_THRESHOLD: usize = 4 << 20;
-
-/// Minimum im2col/col2im buffer size before lowering is threaded.
-const PAR_COLS_THRESHOLD: usize = 1 << 17;
 
 /// The optimized backend: register-tiled SIMD kernels plus row-parallel
 /// execution across scoped threads.
@@ -408,39 +373,6 @@ impl Backend for Parallel {
         });
     }
 
-    fn im2col(&self, img: &[f32], geo: &Conv2dGeometry, cols: &mut [f32]) {
-        let rows = geo.col_rows();
-        let n_cols = geo.col_cols();
-        assert_eq!(img.len(), geo.c_in * geo.h * geo.w, "image buffer size");
-        assert_eq!(cols.len(), rows * n_cols, "cols buffer size");
-        let threads = if self.threads > 1 && cols.len() >= PAR_COLS_THRESHOLD {
-            self.threads.min(rows.max(1))
-        } else {
-            1
-        };
-        for_row_chunks(cols, rows, n_cols, threads, |r0, r1, chunk| {
-            im2col_row_range(img, geo, chunk, r0, r1);
-        });
-    }
-
-    fn col2im(&self, cols: &[f32], geo: &Conv2dGeometry, img_grad: &mut [f32]) {
-        let plane = geo.h * geo.w;
-        assert_eq!(img_grad.len(), geo.c_in * plane, "image buffer size");
-        assert_eq!(
-            cols.len(),
-            geo.col_rows() * geo.col_cols(),
-            "cols buffer size"
-        );
-        let threads = if self.threads > 1 && cols.len() >= PAR_COLS_THRESHOLD {
-            self.threads.min(geo.c_in.max(1))
-        } else {
-            1
-        };
-        for_row_chunks(img_grad, geo.c_in, plane, threads, |c0, c1, chunk| {
-            col2im_channel_range(cols, geo, chunk, c0, c1);
-        });
-    }
-
     fn conv2d_forward(
         &self,
         x: &[f32],
@@ -485,20 +417,6 @@ impl Backend for Parallel {
         let (rows, n_cols, _) = check_conv2d_args(dx, w, None, grad, batch, c_out, geo);
         let threads = self.plan(batch, batch * c_out * rows * n_cols);
         crate::pack::conv2d_backward_input_fused(w, grad, dx, batch, c_out, geo, ws, threads);
-    }
-
-    fn matmul_grouped_into(
-        &self,
-        a: &[f32],
-        bs: &[&[f32]],
-        outs: &mut [&mut [f32]],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        check_grouped_args(a, bs, outs, m, k, n);
-        let threads = self.plan(bs.len(), bs.len() * m * k * n);
-        crate::pack::matmul_grouped(a, bs, outs, m, k, n, threads);
     }
 }
 
@@ -601,31 +519,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_im2col_matches_scalar() {
-        let geo = Conv2dGeometry {
-            c_in: 3,
-            h: 9,
-            w: 7,
-            k: 3,
-            stride: 2,
-            pad: 1,
-        };
-        let img = arb(geo.c_in * geo.h * geo.w, 10);
-        let mut want = vec![0.0; geo.col_rows() * geo.col_cols()];
-        let mut got = want.clone();
-        Scalar.im2col(&img, &geo, &mut want);
-        Parallel::with_threads(2).im2col(&img, &geo, &mut got);
-        assert_eq!(want, got);
-
-        let cols = arb(want.len(), 11);
-        let mut gw = vec![0.0; img.len()];
-        let mut gg = gw.clone();
-        Scalar.col2im(&cols, &geo, &mut gw);
-        Parallel::with_threads(2).col2im(&cols, &geo, &mut gg);
-        assert_close(&gg, &gw, "col2im");
-    }
-
-    #[test]
     fn thread_count_does_not_change_results() {
         // Force the threaded path with a problem above the MACs threshold.
         let (m, k, n) = (64, 128, 640);
@@ -674,41 +567,6 @@ mod tests {
             Parallel::with_threads(threads).matmul_nt_into(&a, &b, &mut got, m, n, k);
             assert_eq!(one, got, "nt threads={threads} must be bit-identical");
             assert_close(&got, &want, &format!("nt threaded t{threads}"));
-        }
-    }
-
-    /// im2col/col2im chunk decomposition (`row0 > 0`, `c0 > 0`) must hold
-    /// on a geometry large enough to cross `PAR_COLS_THRESHOLD`.
-    #[test]
-    fn threaded_im2col_col2im_match_scalar() {
-        let geo = Conv2dGeometry {
-            c_in: 16,
-            h: 34,
-            w: 34,
-            k: 3,
-            stride: 1,
-            pad: 1,
-        };
-        assert!(
-            geo.col_rows() * geo.col_cols() >= super::PAR_COLS_THRESHOLD,
-            "geometry must cross the parallel threshold"
-        );
-        let img = arb(geo.c_in * geo.h * geo.w, 18);
-        let mut want = vec![0.0; geo.col_rows() * geo.col_cols()];
-        Scalar.im2col(&img, &geo, &mut want);
-        for threads in [2, 3, 5] {
-            let mut got = vec![0.0; want.len()];
-            Parallel::with_threads(threads).im2col(&img, &geo, &mut got);
-            assert_eq!(want, got, "im2col threads={threads}");
-        }
-
-        let cols = arb(want.len(), 19);
-        let mut gw = vec![0.0; img.len()];
-        Scalar.col2im(&cols, &geo, &mut gw);
-        for threads in [2, 3, 5] {
-            let mut gg = vec![0.0; img.len()];
-            Parallel::with_threads(threads).col2im(&cols, &geo, &mut gg);
-            assert_eq!(gw, gg, "col2im threads={threads}");
         }
     }
 

@@ -83,28 +83,14 @@ pub fn im2col(img: &[f32], geo: &Conv2dGeometry, cols: &mut [f32]) {
         geo.col_rows() * geo.col_cols(),
         "cols buffer size"
     );
-    im2col_row_range(img, geo, cols, 0, geo.col_rows());
-}
-
-/// Fills cols-matrix rows `[row0, row1)` into `cols_chunk` (which holds
-/// exactly those rows). Rows are independent, so the parallel backend
-/// splits them across threads.
-pub(crate) fn im2col_row_range(
-    img: &[f32],
-    geo: &Conv2dGeometry,
-    cols_chunk: &mut [f32],
-    row0: usize,
-    row1: usize,
-) {
     let (h_out, w_out) = (geo.h_out(), geo.w_out());
     let n_cols = h_out * w_out;
-    debug_assert_eq!(cols_chunk.len(), (row1 - row0) * n_cols);
-    for row in row0..row1 {
+    for row in 0..geo.col_rows() {
         let c = row / (geo.k * geo.k);
         let ky = row / geo.k % geo.k;
         let kx = row % geo.k;
         let img_c = &img[c * geo.h * geo.w..(c + 1) * geo.h * geo.w];
-        let out_row = &mut cols_chunk[(row - row0) * n_cols..(row - row0 + 1) * n_cols];
+        let out_row = &mut cols[row * n_cols..(row + 1) * n_cols];
         for oy in 0..h_out {
             let iy = (oy * geo.stride + ky) as isize - geo.pad as isize;
             if iy < 0 || iy >= geo.h as isize {
@@ -144,24 +130,10 @@ pub fn col2im(cols: &[f32], geo: &Conv2dGeometry, img_grad: &mut [f32]) {
         geo.col_rows() * geo.col_cols(),
         "cols buffer size"
     );
-    col2im_channel_range(cols, geo, img_grad, 0, geo.c_in);
-}
-
-/// Scatter-adds the cols rows of channels `[c0, c1)` into `img_chunk`
-/// (which holds exactly those channels' planes). Channels write disjoint
-/// planes, so the parallel backend splits them across threads.
-pub(crate) fn col2im_channel_range(
-    cols: &[f32],
-    geo: &Conv2dGeometry,
-    img_chunk: &mut [f32],
-    c0: usize,
-    c1: usize,
-) {
     let (h_out, w_out) = (geo.h_out(), geo.w_out());
     let n_cols = h_out * w_out;
-    debug_assert_eq!(img_chunk.len(), (c1 - c0) * geo.h * geo.w);
-    for c in c0..c1 {
-        let img_c = &mut img_chunk[(c - c0) * geo.h * geo.w..(c - c0 + 1) * geo.h * geo.w];
+    for c in 0..geo.c_in {
+        let img_c = &mut img_grad[c * geo.h * geo.w..(c + 1) * geo.h * geo.w];
         for ky in 0..geo.k {
             for kx in 0..geo.k {
                 let row = (c * geo.k + ky) * geo.k + kx;

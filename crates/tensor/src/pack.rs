@@ -910,72 +910,6 @@ pub(crate) fn gemm(
     gemm_on(native_isa(), m, kdim, n, out, ldc, a_at, b_src);
 }
 
-// ---------------------------------------------------------- grouped gemm
-
-/// Grouped GEMM with a shared left operand: `outs[g] += a · bs[g]` for
-/// every group member, with A's panels packed exactly once and reused
-/// across the whole group (the packing cost and cache residency are
-/// amortized over `bs.len()` multiplies).
-///
-/// Each member is an independent `m×kdim · kdim×n` product, so members
-/// split across `threads` workers without any effect on numerics.
-pub(crate) fn matmul_grouped(
-    a: &[f32],
-    bs: &[&[f32]],
-    outs: &mut [&mut [f32]],
-    m: usize,
-    kdim: usize,
-    n: usize,
-    threads: usize,
-) {
-    assert_eq!(bs.len(), outs.len(), "group size mismatch");
-    if bs.is_empty() || m == 0 || n == 0 || kdim == 0 {
-        return;
-    }
-    let tiles = tiles_for(m, kdim, n);
-    let isa = native_isa();
-    dispatch_kernel!(isa, m, n, K => {
-        let mut apack = Vec::new();
-        pack_a_all(K::MR, m, kdim, tiles.kc, |i, p| a[i * kdim + p], &mut apack);
-        let run_member = |b: &[f32], out: &mut [f32]| {
-            WS.with(|ws| {
-                let ws = &mut *ws.borrow_mut();
-                drive_packed::<K>(
-                    m, kdim, n, out, CMap::rows(n), tiles, &apack, &mut ws.bpack,
-                    BSrc::Rows(&|p, j0, dst: &mut [f32]| {
-                        let w = dst.len();
-                        dst.copy_from_slice(&b[p * n + j0..p * n + j0 + w]);
-                    }),
-                );
-            });
-        };
-        let workers = threads.clamp(1, bs.len());
-        if workers <= 1 {
-            for (b, out) in bs.iter().zip(outs.iter_mut()) {
-                run_member(b, out);
-            }
-        } else {
-            let per = bs.len().div_ceil(workers);
-            std::thread::scope(|s| {
-                let mut handles = Vec::new();
-                for (bchunk, ochunk) in bs.chunks(per).zip(outs.chunks_mut(per)) {
-                    let run_member = &run_member;
-                    handles.push(s.spawn(move || {
-                        for (b, out) in bchunk.iter().zip(ochunk.iter_mut()) {
-                            run_member(b, out);
-                        }
-                    }));
-                }
-                for h in handles {
-                    if let Err(p) = h.join() {
-                        std::panic::resume_unwind(p);
-                    }
-                }
-            });
-        }
-    });
-}
-
 // -------------------------------------------------------------- fused conv
 
 use crate::{backend::for_row_chunks, im2col::Conv2dGeometry};
@@ -1343,36 +1277,6 @@ mod tests {
             BSrc::Cols(&rows_src(&bt, kdim)),
         );
         assert_eq!(got, want);
-    }
-
-    /// Grouped GEMM must equal the member-at-a-time loop bit for bit, at
-    /// any worker count.
-    #[test]
-    fn grouped_matches_looped_bitwise() {
-        let (m, kdim, n, groups) = (20, 30, 25, 5);
-        let a = arb(m * kdim, 10);
-        let b_all: Vec<Vec<f32>> = (0..groups).map(|g| arb(kdim * n, 100 + g as u64)).collect();
-        let mut want: Vec<Vec<f32>> = (0..groups).map(|g| arb(m * n, 200 + g as u64)).collect();
-        for (g, out) in want.iter_mut().enumerate() {
-            gemm(
-                m,
-                kdim,
-                n,
-                out,
-                n,
-                |i, p| a[i * kdim + p],
-                BSrc::Rows(&rows_src(&b_all[g], n)),
-            );
-        }
-        for threads in [1, 2, 3] {
-            let mut outs: Vec<Vec<f32>> = (0..groups).map(|g| arb(m * n, 200 + g as u64)).collect();
-            let bs: Vec<&[f32]> = b_all.iter().map(|b| b.as_slice()).collect();
-            let mut out_refs: Vec<&mut [f32]> = outs.iter_mut().map(|o| o.as_mut_slice()).collect();
-            matmul_grouped(&a, &bs, &mut out_refs, m, kdim, n, threads);
-            for g in 0..groups {
-                assert_eq!(outs[g], want[g], "group {g} threads {threads}");
-            }
-        }
     }
 
     /// The canonical conv chains evaluated literally on materialized

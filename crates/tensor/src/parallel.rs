@@ -114,13 +114,10 @@ where
 /// same-shape work lands contiguously on the workers, while results are
 /// returned in the **original** item order.
 ///
-/// This is the scheduling half of grouped cohort batching: a worker that
-/// processes a run of same-shape items keeps its thread-local packed-GEMM
-/// workspaces at a constant size (no reallocation between items), and
-/// per-item code can exploit the shape run (e.g. via
-/// [`Backend::matmul_grouped_into`](crate::Backend::matmul_grouped_into),
-/// which packs a shared left operand once per cohort). Since every item
-/// is still computed independently, numerics are unchanged.
+/// This is what cohort batching is: a worker that processes a run of
+/// same-shape items keeps its thread-local packed-GEMM workspaces at a
+/// constant size (no reallocation between items). Since every item is
+/// still computed independently, numerics are unchanged.
 pub fn parallel_map_grouped<I, T, F>(
     items: &[I],
     key: impl Fn(usize, &I) -> u64,

@@ -220,34 +220,6 @@ fn staged_conv_bitwise_canonical_chain_at_fold_edges() {
     }
 }
 
-/// Grouped GEMM above the member-fanout threshold: identical bytes at
-/// 1, 2, and 4 threads, and identical to the member-at-a-time loop.
-#[test]
-fn grouped_gemm_bitwise_across_threads() {
-    let (m, k, n, groups) = (64, 64, 256, 6);
-    let mut rng = fp_tensor::seeded_rng(0xD1);
-    let a = rand_vec(m * k, &mut rng);
-    let b_all: Vec<Vec<f32>> = (0..groups).map(|_| rand_vec(k * n, &mut rng)).collect();
-    let run = |threads: usize| {
-        let be = Parallel::with_threads(threads);
-        let mut outs: Vec<Vec<f32>> = vec![vec![0.0; m * n]; groups];
-        let bs: Vec<&[f32]> = b_all.iter().map(|b| b.as_slice()).collect();
-        let mut out_refs: Vec<&mut [f32]> = outs.iter_mut().map(|o| o.as_mut_slice()).collect();
-        be.matmul_grouped_into(&a, &bs, &mut out_refs, m, k, n);
-        outs
-    };
-    let want = run(1);
-    for threads in [2, 4] {
-        assert_eq!(want, run(threads), "grouped threads={threads}");
-    }
-    // The grouped call is the same computation as looping matmul_into.
-    let mut looped: Vec<Vec<f32>> = vec![vec![0.0; m * n]; groups];
-    for (b, out) in b_all.iter().zip(looped.iter_mut()) {
-        Parallel::with_threads(1).matmul_into(&a, b, out, m, k, n);
-    }
-    assert_eq!(want, looped, "grouped vs looped");
-}
-
 /// The PR-6 regression probe, kept as a pinned suite: k=5 pad=2
 /// stride=1 geometries where a packed B panel ends inside the left
 /// padding — the span arithmetic of the old per-row patch reader
@@ -418,34 +390,5 @@ proptest! {
         Parallel::with_threads(2)
             .conv2d_backward_input(&wt, &g, &mut got_dx, batch, c_out, &geo, &mut ws_p);
         assert_within(&got_dx, &want_dx, "conv2d_backward_input")?;
-    }
-
-    /// Grouped GEMM ≡ Scalar reference at 1e-5 for random group sizes
-    /// and skinny/degenerate member shapes (m, k, or n of 1).
-    #[test]
-    fn grouped_gemm_scalar_vs_parallel(
-        m in 1usize..24,
-        k in 1usize..32,
-        n in 1usize..24,
-        groups in 1usize..6,
-        seed in 0u64..1000,
-    ) {
-        let mut rng = fp_tensor::seeded_rng(seed ^ 0xF2);
-        let a = rand_vec(m * k, &mut rng);
-        let b_all: Vec<Vec<f32>> = (0..groups).map(|_| rand_vec(k * n, &mut rng)).collect();
-        let init: Vec<Vec<f32>> = (0..groups).map(|_| rand_vec(m * n, &mut rng)).collect();
-        let run = |be: &dyn Backend| {
-            let mut outs = init.clone();
-            let bs: Vec<&[f32]> = b_all.iter().map(|b| b.as_slice()).collect();
-            let mut out_refs: Vec<&mut [f32]> =
-                outs.iter_mut().map(|o| o.as_mut_slice()).collect();
-            be.matmul_grouped_into(&a, &bs, &mut out_refs, m, k, n);
-            outs
-        };
-        let want = run(&Scalar);
-        let got = run(&Parallel::with_threads(2));
-        for (g, w) in got.iter().zip(&want) {
-            assert_within(g, w, "grouped")?;
-        }
     }
 }

@@ -225,38 +225,6 @@ proptest! {
         assert_within(&got, &want, "nt")?;
     }
 
-    /// `Parallel` im2col/col2im agree with the `Scalar` reference exactly
-    /// (pure data movement) for random convolution geometry.
-    #[test]
-    fn parallel_im2col_matches_scalar(
-        c in 1usize..5,
-        h in 3usize..10,
-        w in 3usize..10,
-        stride in 1usize..3,
-        pad in 0usize..2,
-        seed in 0u64..1000,
-    ) {
-        let geo = Conv2dGeometry { c_in: c, h, w, k: 3, stride, pad };
-        prop_assume!(h + 2 * pad >= 3 && w + 2 * pad >= 3);
-        let mut rng = fp_tensor::seeded_rng(seed ^ 0x73);
-        let img = rand_vec(c * h * w, &mut rng);
-        let par = Parallel::with_threads(1);
-
-        let mut want = vec![0.0; geo.col_rows() * geo.col_cols()];
-        let mut got = want.clone();
-        Scalar.im2col(&img, &geo, &mut want);
-        par.im2col(&img, &geo, &mut got);
-        prop_assert_eq!(&want, &got);
-
-        let cols = rand_vec(want.len(), &mut rng);
-        let acc = rand_vec(img.len(), &mut rng);
-        let mut gw = acc.clone();
-        let mut gg = acc;
-        Scalar.col2im(&cols, &geo, &mut gw);
-        par.col2im(&cols, &geo, &mut gg);
-        assert_within(&gg, &gw, "col2im")?;
-    }
-
     /// The backend contract is accumulation: running a matmul twice adds
     /// the product twice, on both backends.
     #[test]

@@ -12,14 +12,21 @@
 //!    reproduces the wait-all synchronous round bit-for-bit, so the
 //!    historical lockstep results stay pinned while the async path
 //!    evolves.
+//!    A planes-on twin (delta down-links, q8 up-links, trimmed mean vs
+//!    sign-flippers) pins that every shared dispatch stage means the
+//!    same thing on both engines.
 //! 3. **Mid-flight checkpointing.** A checkpoint taken with buffered
 //!    updates *and* clients still in flight round-trips through JSON and
 //!    resumes bit-identically.
+//! 4. **Streamed runs keep their clock.** `run_streamed` returns an empty
+//!    ledger by design; `virtual_time_s()` still reports the run's clock
+//!    on both engines.
 
 use fedprophet_repro::data::{generate, partition_pathological, SynthConfig};
 use fedprophet_repro::fl::{
     model_hash, AsyncCheckpoint, AsyncConfig, AsyncOutcome, AsyncScheduler, AsyncStopPoint,
-    EventScheduler, FlConfig, FlEnv, JFat, SchedConfig,
+    AttackKind, AttackPlan, ByzTrainer, CommConfig, EventScheduler, FlConfig, FlEnv, JFat,
+    QuantConfig, QuantTrainer, RobustRule, SchedConfig, SyntheticTrainer,
 };
 use fedprophet_repro::hwsim::{sample_fleet, SamplingMode, CIFAR_POOL};
 use fedprophet_repro::nn::models::{vgg_atom_specs, VggConfig};
@@ -39,6 +46,17 @@ fn env_with(rounds: usize, seed: u64, clients_per_round: Option<usize>) -> FlEnv
 
 fn env(rounds: usize, seed: u64) -> FlEnv {
     env_with(rounds, seed, None)
+}
+
+/// A lazy fleet of `n` clients, all selected every round (what the
+/// synthetic-trainer tests run on).
+fn lazy_env(n: usize, rounds: usize, seed: u64) -> FlEnv {
+    let mut cfg = FlConfig::fast(rounds, seed);
+    cfg.n_clients = n;
+    cfg.clients_per_round = n;
+    let data = generate(&SynthConfig::tiny(4, 8), seed);
+    let specs = vgg_atom_specs(&VggConfig::tiny(3, 8, 4, &[8, 16]));
+    FlEnv::lazy(data, &CIFAR_POOL, SamplingMode::Balanced, specs, cfg)
 }
 
 /// The async policy under test: more slots than the buffer flush size, so
@@ -201,6 +219,76 @@ fn degenerate_async_config_is_bitwise_synchronous() {
         assert_eq!(a.max_staleness, 0);
         assert_eq!(a.weight_retained, 1.0, "a = 0 keeps full FedAvg mass");
     }
+}
+
+#[test]
+fn degenerate_async_config_is_bitwise_synchronous_with_planes_on() {
+    // The same degenerate config with every plane that rides a dispatch
+    // switched on: delta down-links planned against the cache table, a
+    // q8 up-link sized before costing, and a trimmed mean judging what
+    // 25 % sign-flippers put on the wire. Both engines run these through
+    // the same stages, so they must still agree to the bit.
+    let n = 8;
+    let env = lazy_env(n, 5, 99);
+    let trainer = || {
+        ByzTrainer::new(
+            QuantTrainer::new(SyntheticTrainer, QuantConfig::new(8)),
+            RobustRule::TrimmedMean { trim: 0.25 },
+            Some(AttackPlan {
+                fraction: 0.25,
+                salt: 7,
+                kind: AttackKind::SignFlip { scale: 4.0 },
+            }),
+        )
+    };
+    let comm = CommConfig::delta();
+    let sync = EventScheduler::with_comm(trainer(), SchedConfig::default(), comm).run(&env);
+    let async_out =
+        AsyncScheduler::with_comm(trainer(), AsyncConfig::synchronous(n), comm).run(&env);
+
+    assert_eq!(
+        model_hash(&sync.model),
+        model_hash(&async_out.model),
+        "final models must be bit-identical"
+    );
+    assert_eq!(sync.ledger.len(), async_out.ledger.len());
+    for (s, a) in sync.ledger.iter().zip(&async_out.ledger) {
+        assert_eq!(a.clock_s, s.clock_s, "round {} clock", s.round);
+        assert_eq!(a.down_bytes, s.down_bytes, "round {} down", s.round);
+        assert_eq!(a.up_bytes, s.up_bytes, "round {} up", s.round);
+        assert_eq!(a.delta_merged, s.delta_dispatches, "round {}", s.round);
+        assert_eq!(a.filtered, s.filtered, "round {} filtered", s.round);
+        assert_eq!(a.train_loss, s.train_loss, "round {} loss", s.round);
+    }
+    // The planes really were on.
+    let dense_up = n as u64 * env.model_param_bytes();
+    assert!(sync.ledger.iter().all(|s| s.up_bytes < dense_up / 3));
+    assert!(sync.ledger.iter().any(|s| s.delta_dispatches > 0));
+    assert!(sync.ledger.iter().any(|s| !s.filtered.is_empty()));
+}
+
+#[test]
+fn streamed_runs_report_the_same_virtual_time() {
+    // `virtual_time_s()` used to read the last ledger record, which a
+    // streamed run does not keep — it reported 0.
+    let env = lazy_env(8, 4, 31);
+    let sync = EventScheduler::new(SyntheticTrainer, SchedConfig::default());
+    let kept = sync.run(&env).virtual_time_s();
+    let mut last = 0.0;
+    let streamed = sync.run_streamed(&env, &mut |r| last = r.clock_s);
+    assert!(streamed.ledger.is_empty());
+    assert!(kept > 0.0);
+    assert_eq!(streamed.virtual_time_s(), kept);
+    assert_eq!(last, kept);
+
+    let asyn = AsyncScheduler::new(SyntheticTrainer, golden_async());
+    let kept = asyn.run(&env).virtual_time_s();
+    let mut last = 0.0;
+    let streamed = asyn.run_streamed(&env, &mut |r| last = r.clock_s);
+    assert!(streamed.ledger.is_empty());
+    assert!(kept > 0.0);
+    assert_eq!(streamed.virtual_time_s(), kept);
+    assert_eq!(last, kept);
 }
 
 #[test]

@@ -296,3 +296,73 @@ fn planes_v2_async_checkpoint_resumes_to_the_uninterrupted_model() {
     assert_eq!(full.ledger, resumed.ledger);
     assert_eq!(model_hash(&full.model), model_hash(&resumed.model));
 }
+
+// ------------------------------------------------------ resume rejections
+
+/// The panic message of a `resume` that must refuse its checkpoint.
+fn rejection(resume: impl FnOnce()) -> String {
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(resume))
+        .expect_err("resume must reject the checkpoint");
+    match payload.downcast::<String>() {
+        Ok(msg) => *msg,
+        Err(payload) => payload
+            .downcast_ref::<&str>()
+            .expect("panic carries a message")
+            .to_string(),
+    }
+}
+
+/// One row of the rejection table: the field the panic must name, and the
+/// mutation that makes the checkpoint disagree on it.
+type Mismatch<C> = (&'static str, fn(&mut C));
+
+/// Every policy check of both engines' `resume`, one mismatch at a time
+/// against the planes-on fixtures (every optional key present): the panic
+/// names the checkpoint type and the field that disagrees.
+#[test]
+fn resume_rejects_each_mismatched_policy_by_type_and_field() {
+    let sync: [Mismatch<SchedCheckpoint>; 11] = [
+        ("seed", |c| c.seed += 1),
+        ("sched", |c| c.sched.dropout_p = 0.5),
+        ("algorithm", |c| c.algorithm.push('x')),
+        ("n_clients", |c| c.n_clients += 1),
+        ("clients_per_round", |c| c.clients_per_round += 1),
+        ("rounds", |c| c.rounds += 1),
+        ("comm", |c| c.comm = None),
+        ("topo", |c| c.topo = None),
+        ("byz", |c| c.byz = None),
+        ("trace", |c| c.trace = None),
+        ("quant", |c| c.quant = None),
+    ];
+    let json = include_str!("fixtures/sched_checkpoint_planes_v2.json");
+    let e = planes_env(PLANES_SYNC_ROUNDS);
+    for (field, mutate) in sync {
+        let mut ckpt: SchedCheckpoint = serde_json::from_str(json).unwrap();
+        mutate(&mut ckpt);
+        let msg = rejection(|| drop(planes_sync_sched().resume(&e, &ckpt)));
+        let want = format!("SchedCheckpoint field `{field}`");
+        assert!(msg.contains(&want), "{field}: {msg}");
+    }
+
+    let asyn: [Mismatch<AsyncCheckpoint>; 10] = [
+        ("seed", |c| c.seed += 1),
+        ("acfg", |c| c.acfg.staleness_exp = 2.0),
+        ("algorithm", |c| c.algorithm.push('x')),
+        ("n_clients", |c| c.n_clients += 1),
+        ("rounds", |c| c.rounds += 1),
+        ("comm", |c| c.comm = None),
+        ("topo", |c| c.topo = None),
+        ("byz", |c| c.byz = None),
+        ("trace", |c| c.trace = None),
+        ("quant", |c| c.quant = None),
+    ];
+    let json = include_str!("fixtures/async_checkpoint_planes_v2.json");
+    let e = planes_env(PLANES_ASYNC_AGGS);
+    for (field, mutate) in asyn {
+        let mut ckpt: AsyncCheckpoint = serde_json::from_str(json).unwrap();
+        mutate(&mut ckpt);
+        let msg = rejection(|| drop(planes_async_sched().resume(&e, &ckpt)));
+        let want = format!("AsyncCheckpoint field `{field}`");
+        assert!(msg.contains(&want), "{field}: {msg}");
+    }
+}
