@@ -195,13 +195,13 @@ impl Pgd {
         labels: &[usize],
         rng: &mut StdRng,
     ) -> Tensor {
+        if self.cfg.restarts == 1 {
+            return self.single_run(target, x, labels, rng);
+        }
         let mut best = x.clone();
         let mut best_loss = vec![f32::NEG_INFINITY; labels.len()];
         for _ in 0..self.cfg.restarts {
             let adv = self.single_run(target, x, labels, rng);
-            if self.cfg.restarts == 1 {
-                return adv;
-            }
             let losses = target.per_sample_loss(&adv, labels);
             keep_per_sample_best(&mut best, &mut best_loss, &adv, &losses);
         }

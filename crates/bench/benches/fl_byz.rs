@@ -6,7 +6,8 @@
 //!   the event scheduler under a 30 % sign-flip attack, once per robust
 //!   rule (FedAvg passthrough, coordinate-wise trimmed mean, norm-clipped
 //!   multi-Krum) — the price of robustness is the rule's own arithmetic,
-//!   so the three medians bound its overhead directly;
+//!   so the three medians bound its overhead directly — plus the
+//!   trimmed-mean kernel alone at `fpbench`'s flush shape;
 //! * the accuracy accounting the Byzantine plane exists for: per rule,
 //!   the final clean validation accuracy, the parameter drift from the
 //!   honest (attack-free) trajectory, and the ledger totals of filtered
@@ -16,6 +17,7 @@
 
 use criterion::{criterion_group, criterion_main, take_results, Criterion};
 use fp_data::{generate, SynthConfig};
+use fp_fl::aggregate::trimmed_mean;
 use fp_fl::{
     model_hash, AttackKind, AttackPlan, ByzTrainer, EventScheduler, FlConfig, FlEnv, RobustRule,
     SchedConfig, SchedOutcome, SyntheticTrainer,
@@ -75,6 +77,24 @@ fn bench_wall(c: &mut Criterion) {
             b.iter(|| std::hint::black_box(run_attacked(&env, rule)))
         });
     }
+}
+
+/// The trimmed-mean kernel alone at the shape `fpbench`'s
+/// `fleet_async_planes` flushes: 16 buffered updates of the 24 276-parameter
+/// payload, a quarter trimmed from each end.
+fn bench_kernel(c: &mut Criterion) {
+    const N: usize = 16;
+    const LEN: usize = 24_276;
+    let updates: Vec<(usize, Vec<f32>)> = (0..N)
+        .map(|i| {
+            let v = (0..LEN).map(|j| ((j * 31 + i * 17) % 101) as f32 * (1.0 + i as f32 * 1e-3));
+            (i, v.collect())
+        })
+        .collect();
+    let weights = [1.0f32; N];
+    c.bench_function("fl_byz/trimmed_mean_16x24276", |b| {
+        b.iter(|| std::hint::black_box(trimmed_mean(&updates, &weights, N / 4)))
+    });
 }
 
 fn l2(a: &[f32], b: &[f32]) -> f64 {
@@ -141,6 +161,6 @@ fn report_byz(_c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_wall, report_byz
+    targets = bench_wall, bench_kernel, report_byz
 }
 criterion_main!(benches);

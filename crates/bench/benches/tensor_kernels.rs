@@ -8,7 +8,7 @@
 //! the PR gate: parallel must beat scalar by ≥ 2×).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fp_nn::{Conv2d, Layer, Mode};
+use fp_nn::{Conv2d, Layer, Mode, QuantizedUpdate};
 use fp_tensor::{seeded_rng, Backend, Parallel, Scalar, Tensor};
 
 fn bench_matmul(c: &mut Criterion) {
@@ -101,9 +101,35 @@ fn bench_softmax(c: &mut Criterion) {
     });
 }
 
+/// The up-link codec at the payload `fpbench`'s `fleet_async_planes` ships
+/// (24 276 parameters, 4-bit codes, 256-element chunks): the quantizer and
+/// dequantizer alone, then through the packed wire format.
+fn bench_quant(c: &mut Criterion) {
+    const LEN: usize = 24_276;
+    const BITS: u32 = 4;
+    const CHUNK: usize = 256;
+    let mut rng = seeded_rng(4);
+    let x = Tensor::rand_uniform(&[LEN], -1.0, 1.0, &mut rng).into_vec();
+    let (mut codes, mut scales, mut back) = (Vec::new(), Vec::new(), Vec::new());
+    c.bench_function("quantize_q4_24276", |b| {
+        b.iter(|| fp_tensor::quant::quantize_into(&x, BITS, CHUNK, 9, &mut codes, &mut scales));
+    });
+    c.bench_function("dequantize_q4_24276", |b| {
+        b.iter(|| fp_tensor::quant::dequantize_into(&codes, &scales, BITS, CHUNK, &mut back));
+    });
+    c.bench_function("qcodec_encode_q4_24276", |b| {
+        b.iter(|| std::hint::black_box(QuantizedUpdate::encode(&x, BITS, CHUNK, 9)));
+    });
+    let enc = QuantizedUpdate::encode(&x, BITS, CHUNK, 9);
+    c.bench_function("qcodec_decode_q4_24276", |b| {
+        b.iter(|| std::hint::black_box(enc.decode()));
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_matmul, bench_matmul_shapes, bench_conv_forward_backward, bench_softmax
+    targets = bench_matmul, bench_matmul_shapes, bench_conv_forward_backward, bench_softmax,
+        bench_quant
 }
 criterion_main!(benches);

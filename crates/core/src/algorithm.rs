@@ -583,8 +583,7 @@ impl FedProphet {
             );
             prev_ratio = Some((c_star, a_star));
             if m + 1 < n_modules {
-                eps_ref =
-                    probe_delta_z(env, &mut global, &mut heads, &partition, m, last_eps, pcfg);
+                eps_ref = probe_delta_z(env, &global, &heads, &partition, m, last_eps, pcfg);
                 delta_z_refs.push(eps_ref);
             }
         }
@@ -822,10 +821,15 @@ fn accuracy_of(target: &mut dyn AttackTarget, x: &Tensor, y: &[usize]) -> f32 {
 
 /// Clients probe `max‖Δz_m‖₂` of the fixed module `m` and the server
 /// averages (the `E[·]` of Eq. 11).
+///
+/// The probes fan out like [`run_clients`]: each job attacks its own clone
+/// of the model and head in `Eval` mode, which reads parameters and BN
+/// statistics but writes neither, so the per-client maxima — summed in
+/// client order — do not depend on the worker count.
 fn probe_delta_z(
     env: &FlEnv,
-    global: &mut CascadeModel,
-    heads: &mut [Option<AuxHead>],
+    global: &CascadeModel,
+    heads: &[Option<AuxHead>],
     partition: &ModulePartition,
     m: usize,
     eps_star: f32,
@@ -833,13 +837,18 @@ fn probe_delta_z(
 ) -> f32 {
     let cfg = &env.cfg;
     let (f, t) = partition.windows[m];
-    let head = heads[m].as_mut().expect("probed module has a head");
+    let head = heads[m].as_ref().expect("probed module has a head");
     let probe_clients: Vec<usize> = env.sample_round(usize::MAX - m);
-    let mut sum = 0.0f64;
-    for &k in &probe_clients {
-        let worst = max_feature_perturbation(
-            global,
-            head,
+    let (outer, inner) = fp_tensor::parallel::thread_split(probe_clients.len());
+    let worst = fp_tensor::parallel::parallel_map(&probe_clients, outer, |_, &k| {
+        let backend = fp_tensor::backend_for_threads(inner);
+        let mut model = global.clone();
+        let mut head = head.clone();
+        model.set_backend(&backend);
+        head.set_backend(&backend);
+        max_feature_perturbation(
+            &mut model,
+            &mut head,
             f,
             t,
             &env.data.train,
@@ -850,10 +859,9 @@ fn probe_delta_z(
             cfg.batch_size,
             pcfg.probe_batches,
             cfg.seed ^ 0x0B5E ^ k as u64,
-        );
-        sum += worst as f64;
-    }
-    global.clear_cache();
+        )
+    });
+    let sum: f64 = worst.iter().map(|&w| w as f64).sum();
     (sum / probe_clients.len() as f64) as f32
 }
 

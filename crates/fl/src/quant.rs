@@ -6,11 +6,17 @@
 //! update exists only client-side, so compression is necessarily lossy.
 //! This module is the opt-in plane that makes it cheap anyway:
 //!
-//! * **stochastic quantization** — each update is encoded with the seeded
-//!   b-bit quantizer ([`fp_nn::qcodec`] over [`fp_tensor::quant`]); the
-//!   exact wire byte count overrides `Payload::up_bytes` *before* latency
-//!   costing, so quantized uploads buy cheaper virtual time, not just
-//!   smaller ledger numbers;
+//! * **stochastic quantization** — each update goes through the seeded
+//!   b-bit quantizer ([`fp_tensor::quant`]) and straight back: the
+//!   simulated up-link never materialises wire bytes. What the server
+//!   merges is `dequantize(quantize(v))`, which is what decoding the packed
+//!   stream yields bit for bit (`fp_nn::qcodec`'s tests hold the two
+//!   equal), because packing is a bijection of the codes.
+//!   [`fp_nn::qcodec::QuantizedUpdate`] stays the layout of record — the
+//!   byte format a real client would send — and its exact size, computed
+//!   arithmetically by [`qcodec::wire_bytes`], overrides
+//!   `Payload::up_bytes` *before* latency costing, so quantized uploads
+//!   buy cheaper virtual time, not just smaller ledger numbers;
 //! * **error feedback** — the quantization error of each upload is kept
 //!   client-side and added to the next update before encoding, so the
 //!   bias telescopes away instead of accumulating (the standard EF-SGD
@@ -37,6 +43,7 @@
 //! every client trains against the residual state *before* the merge, so
 //! worker count cannot reorder the feedback chain.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -325,13 +332,30 @@ where
                 }
             }
         }
-        let enc = qcodec::QuantizedUpdate::encode(
-            &v,
-            self.cfg.bits,
-            self.cfg.chunk,
-            quant_seed(env.cfg.seed, t, k),
-        );
-        let d = enc.decode();
+        // What the server would decode. At b = 32 the wire carries the raw
+        // f32 bits, so that is `v` itself; below, it is the codes and scales
+        // dequantized — the packed bytes in between are a bijection of the
+        // codes and are never materialised here (`quant_up_bytes` charges
+        // their exact size arithmetically).
+        let mut d = Vec::new();
+        if self.cfg.bits == 32 {
+            d.clone_from(&v);
+        } else {
+            thread_local! {
+                static CODES: RefCell<(Vec<i8>, Vec<f32>)> =
+                    const { RefCell::new((Vec::new(), Vec::new())) };
+            }
+            CODES.with(|cell| {
+                let (codes, scales) = &mut *cell.borrow_mut();
+                let (bits, chunk) = (self.cfg.bits, self.cfg.chunk);
+                let seed = quant_seed(env.cfg.seed, t, k);
+                fp_tensor::quant::quantize_into(&v, bits, chunk, seed, codes, scales);
+                fp_tensor::quant::dequantize_into(codes, scales, bits, chunk, &mut d);
+            });
+        }
+        // A fresh row rather than `v` reused in place: keeping the buffer
+        // allocated *before* the transient ones as the long-lived row
+        // fragments the heap (+11 MB peak on fpbench's 1 600-row fleet).
         let residual: Vec<f32> = v.iter().zip(&d).map(|(a, b)| a - b).collect();
         self.table
             .lock()

@@ -16,6 +16,7 @@
 //!   scales   4 B × ⌈n/chunk⌉      per-chunk max-norm scales (f32 LE)
 //!   codes    ⌈n·bits/8⌉ B         signed b-bit codes, two's complement,
 //!                                 packed LSB-first into a byte stream
+//!                                 (eight codes = `bits` whole bytes)
 //!   ---- b = 32 passthrough ----
 //!   header   8 B   (bits = 32, no scale table)
 //!   raw      4 B × n              the untouched f32 bit patterns (LE)
@@ -115,24 +116,47 @@ impl QuantizedUpdate {
     }
 }
 
+// Eight codes are exactly `bits` bytes, so the LSB-first stream is a run
+// of byte-aligned groups: each is assembled in (or pulled apart from) one
+// `u64` and moved as `bits` little-endian bytes, and the last `n % 8` codes
+// are one more, shorter, group. The width is a const parameter so that the
+// shifts and the group copy are fixed-size; `pack_codes` / `unpack_codes`
+// pick the instance.
+
+/// Calls `$f::<BITS>($args)` for the runtime code width `$bits`.
+macro_rules! at_width {
+    ($bits:expr, $f:ident($($arg:expr),*)) => {
+        match $bits {
+            2 => $f::<2>($($arg),*),
+            3 => $f::<3>($($arg),*),
+            4 => $f::<4>($($arg),*),
+            5 => $f::<5>($($arg),*),
+            6 => $f::<6>($($arg),*),
+            7 => $f::<7>($($arg),*),
+            8 => $f::<8>($($arg),*),
+            bits => panic!("packed code width must be in 2..=8, got {bits}"),
+        }
+    };
+}
+
 /// Packs signed codes (two's complement, `bits` wide) LSB-first.
 fn pack_codes(codes: &[i8], bits: u32) -> Vec<u8> {
-    let mask = (1u64 << bits) - 1;
-    let mut out = Vec::with_capacity((codes.len() * bits as usize).div_ceil(8));
-    let mut acc = 0u64;
-    let mut filled = 0u32;
-    for &c in codes {
-        acc |= (c as u8 as u64 & mask) << filled;
-        filled += bits;
-        while filled >= 8 {
-            out.push(acc as u8);
-            acc >>= 8;
-            filled -= 8;
-        }
+    at_width!(bits, pack_width(codes))
+}
+
+fn pack_width<const BITS: usize>(codes: &[i8]) -> Vec<u8> {
+    let mask = (1u64 << BITS) - 1;
+    let word_of = |group: &[i8]| {
+        let place = |word, (j, &c): (usize, &i8)| word | (c as u8 as u64 & mask) << (j * BITS);
+        group.iter().enumerate().fold(0u64, place)
+    };
+    let mut out = vec![0u8; (codes.len() * BITS).div_ceil(8)];
+    let (groups, last) = codes.as_chunks::<8>();
+    let (whole, rest) = out.split_at_mut(groups.len() * BITS);
+    for (bytes, group) in whole.as_chunks_mut::<BITS>().0.iter_mut().zip(groups) {
+        bytes.copy_from_slice(&word_of(group).to_le_bytes()[..BITS]);
     }
-    if filled > 0 {
-        out.push(acc as u8);
-    }
+    rest.copy_from_slice(&word_of(last).to_le_bytes()[..rest.len()]);
     out
 }
 
@@ -146,27 +170,31 @@ fn unpack_codes(data: &[u8], bits: u32, n: usize) -> Vec<i8> {
         data.len() as u64 >= (n as u64 * bits as u64).div_ceil(8),
         "packed code stream too short for {n} codes at {bits} bits"
     );
-    let mask = (1u64 << bits) - 1;
-    let sign = 1u64 << (bits - 1);
-    let mut out = Vec::with_capacity(n);
-    let mut acc = 0u64;
-    let mut filled = 0u32;
-    let mut pos = 0usize;
-    for _ in 0..n {
-        while filled < bits {
-            acc |= (data[pos] as u64) << filled;
-            pos += 1;
-            filled += 8;
+    at_width!(bits, unpack_width(data, n))
+}
+
+fn unpack_width<const BITS: usize>(data: &[u8], n: usize) -> Vec<i8> {
+    let word_of = |bytes: &[u8]| {
+        let mut word = [0u8; 8];
+        word[..bytes.len()].copy_from_slice(bytes);
+        u64::from_le_bytes(word)
+    };
+    // Code `j` of a group, sign-extended: its low `BITS` up against the
+    // top of a byte, then back down arithmetically.
+    let code =
+        |word: u64, j: usize| (((word >> (j * BITS)) as u8) << (8 - BITS)) as i8 >> (8 - BITS);
+    let mut out = vec![0i8; n];
+    let (groups, last) = out.as_chunks_mut::<8>();
+    let (whole, rest) = data[..(n * BITS).div_ceil(8)].split_at(groups.len() * BITS);
+    for (codes, bytes) in groups.iter_mut().zip(whole.as_chunks::<BITS>().0) {
+        let word = word_of(bytes);
+        for (j, c) in codes.iter_mut().enumerate() {
+            *c = code(word, j);
         }
-        let raw = acc & mask;
-        acc >>= bits;
-        filled -= bits;
-        let v = if raw & sign != 0 {
-            (raw | !mask) as i64
-        } else {
-            raw as i64
-        };
-        out.push(v as i8);
+    }
+    let word = word_of(rest);
+    for (j, c) in last.iter_mut().enumerate() {
+        *c = code(word, j);
     }
     out
 }
@@ -199,6 +227,85 @@ mod tests {
                 (codes.len() as u64 * bits as u64).div_ceil(8)
             );
             assert_eq!(unpack_codes(&packed, bits, codes.len()), codes);
+        }
+    }
+
+    /// The layout of record, one bit group at a time (the packer before
+    /// it moved whole `u64` groups).
+    fn pack_codes_bit_by_bit(codes: &[i8], bits: u32) -> Vec<u8> {
+        let mask = (1u64 << bits) - 1;
+        let mut out = Vec::new();
+        let mut acc = 0u64;
+        let mut filled = 0u32;
+        for &c in codes {
+            acc |= (c as u8 as u64 & mask) << filled;
+            filled += bits;
+            while filled >= 8 {
+                out.push(acc as u8);
+                acc >>= 8;
+                filled -= 8;
+            }
+        }
+        if filled > 0 {
+            out.push(acc as u8);
+        }
+        out
+    }
+
+    /// Lengths around the eight-code group and the 16-lane kernels, plus
+    /// the payload `fpbench` ships.
+    fn lengths() -> impl Iterator<Item = usize> {
+        (0..=67).chain([24_276])
+    }
+
+    #[test]
+    fn plane_kernel_pack_keeps_the_layout_and_round_trips() {
+        for bits in 2..=8u32 {
+            let l = (1i32 << (bits - 1)) - 1;
+            for len in lengths() {
+                // Every level of the width, extremes included.
+                let codes: Vec<i8> = (0..len as i32)
+                    .map(|i| ((i * 7 + 3) % (2 * l + 1) - l) as i8)
+                    .collect();
+                let packed = pack_codes(&codes, bits);
+                assert_eq!(
+                    packed,
+                    pack_codes_bit_by_bit(&codes, bits),
+                    "bits {bits} len {len}"
+                );
+                assert_eq!(
+                    unpack_codes(&packed, bits, len),
+                    codes,
+                    "bits {bits} len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn plane_kernel_codec_equals_quantize_then_dequantize() {
+        for bits in 2..=8u32 {
+            for len in lengths() {
+                let mut x = arb(len, 31 * len as u64 + bits as u64);
+                if len > 5 {
+                    x[1] = -0.0;
+                    x[3] = 0.0;
+                    x[5] = -x[4];
+                }
+                for chunk in [1usize, 7, 256] {
+                    let q = QuantizedUpdate::encode(&x, bits, chunk, 77);
+                    let (codes, scales) = fp_tensor::quant::quantize(&x, bits, chunk, 77);
+                    assert_eq!(
+                        q.data.len() as u64,
+                        q.wire_bytes() - QHEADER_BYTES - 4 * scales.len() as u64,
+                        "bits {bits} len {len} chunk {chunk}"
+                    );
+                    let direct = fp_tensor::quant::dequantize(&codes, &scales, bits, chunk);
+                    let via_wire: Vec<u32> = q.decode().iter().map(|v| v.to_bits()).collect();
+                    let direct: Vec<u32> = direct.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(via_wire, direct, "bits {bits} len {len} chunk {chunk}");
+                }
+            }
         }
     }
 

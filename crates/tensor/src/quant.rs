@@ -22,7 +22,10 @@
 //! `min_ps` semantics, and a sign applied from the *sign bit* of `x` (what
 //! the SIMD blend sees) rather than a `< 0.0` compare. The stochastic draw
 //! is a counter-based murmur3 `fmix32` of the element's global index, so it
-//! is independent of evaluation order. The AVX-512, AVX2, and scalar paths
+//! is independent of evaluation order. The chunk scale is a maximum over
+//! `|x_i|` with NaNs dropped — a set function — so its scan runs as
+//! independent lanes reduced at the end and still returns the bits of the
+//! sequential `max` chain. The AVX-512, AVX2, and scalar paths
 //! are therefore bit-identical, chunks are independent (no carried state),
 //! and results cannot depend on how a caller partitions work across
 //! threads. The unit tests pin all of this on every ISA the host can run.
@@ -90,13 +93,7 @@ pub fn quantize_into(
     let isa = native_isa();
     for (ci, xs) in x.chunks(chunk).enumerate() {
         let start = ci * chunk;
-        // The scale scan is a plain sequential max — `f32::max` over
-        // finite values is order-independent, and every ISA path consumes
-        // the same scalar-computed scale.
-        let mut scale = 0.0f32;
-        for &v in xs {
-            scale = scale.max(v.abs());
-        }
+        let scale = chunk_scale(isa, xs);
         scales.push(scale);
         let lf = l as f32;
         let inv = if scale > 0.0 { lf / scale } else { 0.0 };
@@ -166,6 +163,25 @@ fn quantize_chunk(isa: Isa, xs: &[f32], base: u32, sfold: u32, inv: f32, lf: f32
     }
 }
 
+/// The chunk's max-norm scale `max |x_i|`, NaNs ignored, `0.0` when empty.
+///
+/// The defining chain is `fold(0.0, |m, v| m.max(v.abs()))`. `f32::max`
+/// drops a NaN operand and `abs` leaves no `-0.0`, so over what remains it
+/// is the maximum of a set — associative and commutative — and the scan
+/// runs as independent lanes reduced at the end instead of one
+/// chunk-long dependency chain. Every ISA path returns the same bits.
+fn chunk_scale(isa: Isa, xs: &[f32]) -> f32 {
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe { chunk_scale_avx512(xs) },
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => unsafe { chunk_scale_avx2(xs) },
+        #[cfg(not(target_arch = "x86_64"))]
+        Isa::Avx512 | Isa::Avx2 => chunk_scale_scalar(xs),
+        Isa::Portable => chunk_scale_scalar(xs),
+    }
+}
+
 fn dequantize_chunk(isa: Isa, cs: &[i8], dq: f32, out: &mut [f32]) {
     match isa {
         #[cfg(target_arch = "x86_64")]
@@ -206,6 +222,23 @@ fn quantize_chunk_scalar(xs: &[f32], base: u32, sfold: u32, inv: f32, lf: f32, o
     for (j, (&x, o)) in xs.iter().zip(out.iter_mut()).enumerate() {
         *o = quantize_one(x, base + j as u32, sfold, inv, lf);
     }
+}
+
+/// Folds `xs` into the running maximum `m` (the sequential chain itself).
+#[inline(always)]
+fn max_abs_from(m: f32, xs: &[f32]) -> f32 {
+    xs.iter().fold(m, |m, v| m.max(v.abs()))
+}
+
+fn chunk_scale_scalar(xs: &[f32]) -> f32 {
+    let mut lanes = [0.0f32; 8];
+    let mut groups = xs.chunks_exact(8);
+    for group in &mut groups {
+        for (lane, v) in lanes.iter_mut().zip(group) {
+            *lane = lane.max(v.abs());
+        }
+    }
+    max_abs_from(max_abs_from(0.0, groups.remainder()), &lanes)
 }
 
 fn dequantize_chunk_scalar(cs: &[i8], dq: f32, out: &mut [f32]) {
@@ -275,6 +308,27 @@ unsafe fn quantize_chunk_avx2(
 /// Caller must have verified `avx2` support.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
+unsafe fn chunk_scale_avx2(xs: &[f32]) -> f32 {
+    use std::arch::x86_64::*;
+    let absmask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFF_FFFF));
+    let mut acc = _mm256_setzero_ps();
+    let mut groups = xs.chunks_exact(8);
+    for group in &mut groups {
+        let a = _mm256_and_ps(_mm256_loadu_ps(group.as_ptr()), absmask);
+        // `max_ps` returns its second operand when either is NaN: a NaN
+        // input leaves the (never-NaN) accumulator as it was.
+        acc = _mm256_max_ps(a, acc);
+    }
+    let mut lanes = [0.0f32; 8];
+    _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
+    max_abs_from(max_abs_from(0.0, groups.remainder()), &lanes)
+}
+
+/// # Safety
+///
+/// Caller must have verified `avx2` support.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
 unsafe fn dequantize_chunk_avx2(cs: &[i8], dq: f32, out: &mut [f32]) {
     use std::arch::x86_64::*;
     let n = cs.len();
@@ -294,8 +348,8 @@ unsafe fn dequantize_chunk_avx2(cs: &[i8], dq: f32, out: &mut [f32]) {
 
 /// # Safety
 ///
-/// Caller must have verified `avx512f` (and `avx512bw` is not required —
-/// the narrow store goes through a stack spill).
+/// Caller must have verified `avx512f` (nothing here needs `avx512dq` or
+/// `avx512bw`: `abs_ps` and the `vpmovdb` narrowing are both `avx512f`).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn quantize_chunk_avx512(
@@ -315,7 +369,6 @@ unsafe fn quantize_chunk_avx512(
     let m1 = _mm512_set1_epi32(0x85EB_CA6Bu32 as i32);
     let m2 = _mm512_set1_epi32(0xC2B2_AE35u32 as i32);
     let u_scale = _mm512_set1_ps(1.0 / 16_777_216.0);
-    let absmask = _mm512_castsi512_ps(_mm512_set1_epi32(0x7FFF_FFFF));
     let invv = _mm512_set1_ps(inv);
     let lfv = _mm512_set1_ps(lf);
     while j + 16 <= n {
@@ -328,7 +381,7 @@ unsafe fn quantize_chunk_avx512(
         h = _mm512_xor_si512(h, _mm512_srli_epi32(h, 16));
         let u = _mm512_mul_ps(_mm512_cvtepi32_ps(_mm512_srli_epi32(h, 8)), u_scale);
         let x = _mm512_loadu_ps(xs.as_ptr().add(j));
-        let a = _mm512_and_ps(x, absmask);
+        let a = _mm512_abs_ps(x);
         let v = _mm512_mul_ps(a, invv);
         let w = _mm512_add_ps(v, u);
         // floor = round toward negative infinity, exceptions suppressed —
@@ -338,14 +391,30 @@ unsafe fn quantize_chunk_avx512(
         let q = _mm512_cvttps_epi32(c);
         let sgn = _mm512_srai_epi32(_mm512_castps_si512(x), 31);
         let signed = _mm512_sub_epi32(_mm512_xor_si512(q, sgn), sgn);
-        let mut tmp = [0i32; 16];
-        _mm512_storeu_si512(tmp.as_mut_ptr().cast(), signed);
-        for (o, &t) in out[j..j + 16].iter_mut().zip(tmp.iter()) {
-            *o = t as i8;
-        }
+        // Truncating narrow, as `t as i8` (codes are within ±127 anyway).
+        let bytes = _mm512_cvtepi32_epi8(signed);
+        _mm_storeu_si128(out[j..j + 16].as_mut_ptr().cast(), bytes);
         j += 16;
     }
     quantize_chunk_scalar(&xs[j..], base + j as u32, sfold, inv, lf, &mut out[j..]);
+}
+
+/// # Safety
+///
+/// Caller must have verified `avx512f` support.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn chunk_scale_avx512(xs: &[f32]) -> f32 {
+    use std::arch::x86_64::*;
+    let mut acc = _mm512_setzero_ps();
+    let mut groups = xs.chunks_exact(16);
+    for group in &mut groups {
+        // Second operand on NaN, as in the AVX2 scan.
+        acc = _mm512_max_ps(_mm512_abs_ps(_mm512_loadu_ps(group.as_ptr())), acc);
+    }
+    let mut lanes = [0.0f32; 16];
+    _mm512_storeu_ps(lanes.as_mut_ptr(), acc);
+    max_abs_from(max_abs_from(0.0, groups.remainder()), &lanes)
 }
 
 /// # Safety
@@ -446,6 +515,50 @@ mod tests {
                         dbits, rbits,
                         "{isa:?} dequant diverges at len {len} bits {bits}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plane_kernel_scale_scan_matches_sequential_chain() {
+        let specials = [
+            f32::NAN,
+            -f32::NAN,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -3.5,
+            f32::MIN_POSITIVE,
+        ];
+        // Lengths around the 8- and 16-lane groups and their tails.
+        for len in (0..=67).chain([255, 256, 257, 1000]) {
+            let base = arb(len, 0x5CA1E ^ len as u64);
+            let mut cases = vec![
+                base.clone(),
+                vec![f32::NAN; len],
+                vec![-0.0; len],
+                base.iter().map(|v| v * 1e-3).collect(),
+            ];
+            for (k, &sp) in specials.iter().enumerate() {
+                // One special, then every third element special.
+                let mut one = base.clone();
+                let mut many = base.clone();
+                if len > 0 {
+                    one[(k * 5) % len] = sp;
+                }
+                for v in many.iter_mut().skip(k % 3).step_by(3) {
+                    *v = sp;
+                }
+                cases.push(one);
+                cases.push(many);
+            }
+            for xs in &cases {
+                let want = xs.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+                for isa in available_isas() {
+                    let got = chunk_scale(isa, xs);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{isa:?} len {len}: {xs:?}");
                 }
             }
         }
