@@ -193,7 +193,7 @@ pub fn method_cost(w: &Workload, method: Method, het: SamplingMode, seed: u64) -
     let full_macs = forward_macs(&w.specs, &w.input_shape);
     match method {
         Method::FedProphet | Method::FedProphetNoDma => {
-            prophet_cost(w, &fleet, full_mem, method == Method::FedProphet, seed)
+            prophet_cost(w, &fleet, method == Method::FedProphet, seed)
         }
         _ => generic_cost(w, method, &fleet, full_mem, full_macs, seed),
     }
@@ -285,13 +285,7 @@ fn generic_cost(
     }
 }
 
-fn prophet_cost(
-    w: &Workload,
-    fleet: &Fleet,
-    full_mem: u64,
-    use_dma: bool,
-    seed: u64,
-) -> CostResult {
+fn prophet_cost(w: &Workload, fleet: &Fleet, use_dma: bool, seed: u64) -> CostResult {
     let r_min = *fleet.budgets.iter().min().unwrap();
     let partition = prophet_partition(w, r_min);
     let n_modules = partition.num_modules();
@@ -318,34 +312,20 @@ fn prophet_cost(
                     let assign = if use_dma {
                         assign_modules(&partition, m, mem, perf, perf_min)
                     } else {
-                        ModuleAssignment {
-                            current: m,
-                            last: m,
-                        }
+                        ModuleAssignment::only(m)
                     };
-                    let mem_req: u64 = (assign.current..=assign.last)
-                        .map(|n| partition.mem_bytes[n])
-                        .sum();
-                    let macs: u64 = (assign.current..=assign.last)
-                        .map(|n| partition.fwd_macs[n])
-                        .sum();
                     let mut sample = fleet.samples[k];
                     sample.avail_mem_bytes = mem;
                     sample.avail_tflops = perf;
-                    LatencyModel {
-                        mem_req_bytes: mem_req,
-                        fwd_macs_per_sample: macs,
-                        batch: w.batch,
-                        profile: TrainingPassProfile::adversarial(PGD_STEPS),
-                    }
-                    .local_training(&sample, LOCAL_ITERS)
+                    assign
+                        .latency_model(&partition, w.batch, PGD_STEPS)
+                        .local_training(&sample, LOCAL_ITERS)
                 })
                 .collect();
             total = total.add(&fp_hwsim::latency::round_sync_latency(&per));
             round += 1;
         }
     }
-    let _ = full_mem;
     CostResult {
         compute_s: total.compute_s,
         data_s: total.data_access_s,

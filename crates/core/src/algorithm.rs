@@ -1,4 +1,44 @@
 //! The full FedProphet federated loop (paper Algorithm 2).
+//!
+//! One private `Server` (cascade, aux heads, ledger, ε traces, round
+//! counter) is driven module by module; within a module `Phase` carries
+//! the APA controller, the ε of the version being dispatched and the
+//! early-stop bookkeeping. Every stage is spelled once:
+//!
+//! ```text
+//!  per dispatch (module m, client k, model version = round counter)
+//!    plan    availability draw ▶ DMA window (or module m alone)
+//!            ▶ window latency model + window-weights payload
+//!            ▶ hwsim dispatch round trip
+//!    train   fan-out over (client, plan) jobs against the current global
+//!            state; each result keeps its plan and dispatch version
+//!
+//!  per barrier (round close | buffer flush)
+//!    close   take-or-draw ε ▶ trace ▶ partial average (Eq. 16/17), if any
+//!            ▶ validate the cascaded prefix ▶ APA ▶ ledger record
+//!            ▶ round counter ▶ early stop
+//! ```
+//!
+//! `sync_round` and `async_phase` add only their barrier policy:
+//!
+//! * `sync_round` — select (with over-selection), plan the whole cohort
+//!   against its own slowest member, draw dropouts, play the round on the
+//!   virtual-time queue (`simulate_round`), train the clients that made the
+//!   cut, close.
+//! * `async_phase` — an `AsyncTimeline` per module: arm free slots (plan
+//!   against the fleet's slowest possible participant, schedule the
+//!   finish, train eagerly), pop finishes into a buffer, and at `buffer_k`
+//!   sort by `(client, version)`, discount the FedAvg weights by
+//!   staleness, close.
+//!
+//! ε is drawn lazily — at a version's first dispatch, or at its close if
+//! nothing was dispatched against it — and taken at close, so both
+//! policies call `Apa::epsilon()` exactly once per aggregation: the trace
+//! has one entry per ledger record, and the record carries the ε the
+//! *dispatches of that version* trained under (stale updates merged with
+//! them trained under their own, earlier ε — inherent to staleness).
+//!
+//! `tests/prophet_golden.rs` pins this loop bit-for-bit in every mode.
 
 use crate::apa::Apa;
 use crate::aux_head::AuxHead;
@@ -7,12 +47,13 @@ use crate::module_target::ModuleTarget;
 use crate::partition::{partition_model, ModulePartition};
 use crate::trainer::{max_feature_perturbation, train_module_window, WindowTrainConfig};
 use fp_attack::{AttackTarget, ModelTarget, Pgd, PgdConfig};
+use fp_fl::aggregate::{average_bn_stats, weighted_average};
 use fp_fl::async_sched::{staleness_weight, AsyncConfig, AsyncTimeline};
 use fp_fl::sched::{draw_dropouts, over_select_count, simulate_round, SchedConfig, SALT_AVAIL};
 use fp_fl::{FlAlgorithm, FlEnv, FlOutcome, RoundRecord};
-use fp_hwsim::{param_transfer_bytes, ClientLatency, LatencyModel, Payload, TrainingPassProfile};
+use fp_hwsim::{param_transfer_bytes, ClientLatency, Payload};
 use fp_nn::CascadeModel;
-use fp_tensor::{argmax_rows, seeded_rng, Tensor};
+use fp_tensor::{seeded_rng, Tensor};
 use rand::Rng;
 use serde::Serialize;
 
@@ -59,7 +100,9 @@ pub struct ProphetConfig {
     /// client slots re-arm immediately. `sched` is ignored in this mode;
     /// module boundaries stay synchronization points (module `m` must be
     /// fixed before `m+1` starts — clients still in flight at a boundary
-    /// are discarded).
+    /// are discarded). The phase has no dispatch timeout, dropout or
+    /// adaptive buffer: `timeout_s`, `dropout_p` and `adaptive_buffer`
+    /// must stay at their defaults ([`ProphetConfig::validate`]).
     pub async_agg: Option<AsyncConfig>,
 }
 
@@ -80,6 +123,63 @@ impl Default for ProphetConfig {
             sched: SchedConfig::default(),
             async_agg: None,
         }
+    }
+}
+
+impl ProphetConfig {
+    /// Validates the configuration against the environment it is about to
+    /// run on — once, before any client trains.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a degenerate value, naming the field; `sched` and
+    /// `async_agg` are held to their own `validate`. The async module
+    /// phase has no dispatch timeout, dropout or adaptive buffer, so
+    /// setting one is rejected rather than ignored.
+    pub fn validate(&self, env: &FlEnv) {
+        let check = |field: &str, ok: bool, want: &str| {
+            assert!(ok, "ProphetConfig field `{field}`: {want}");
+        };
+        let mu_ok = self.mu >= 0.0 && self.mu.is_finite();
+        check("mu", mu_ok, "must be finite and non-negative");
+        let apa = [
+            ("alpha0", self.alpha0),
+            ("delta_alpha", self.delta_alpha),
+            ("gamma", self.gamma),
+        ];
+        for (field, v) in apa {
+            check(
+                field,
+                v > 0.0 && v.is_finite(),
+                "must be finite and positive",
+            );
+        }
+        let counts = [
+            ("rounds_per_module", self.rounds_per_module.unwrap_or(1)),
+            ("probe_batches", self.probe_batches),
+            ("val_samples", self.val_samples),
+        ];
+        for (field, n) in counts {
+            check(field, n >= 1, "must be >= 1");
+        }
+        self.sched.validate();
+        let Some(acfg) = &self.async_agg else {
+            return;
+        };
+        let unsupported = [
+            ("async_agg.timeout_s", acfg.timeout_s.is_some()),
+            ("async_agg.dropout_p", acfg.dropout_p != 0.0),
+            ("async_agg.adaptive_buffer", acfg.adaptive_buffer.is_some()),
+        ];
+        for (field, set) in unsupported {
+            check(field, !set, "not supported by the module phase");
+        }
+        acfg.validate();
+        check(
+            "async_agg.buffer_k",
+            acfg.buffer_k <= env.cfg.n_clients,
+            "above n_clients deadlocks the module phase",
+        );
     }
 }
 
@@ -194,376 +294,44 @@ impl FedProphet {
     }
 
     /// Runs Algorithm 2, returning the detailed outcome.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration does not [`ProphetConfig::validate`].
     pub fn run_detailed(&self, env: &FlEnv) -> ProphetOutcome {
-        let cfg = &env.cfg;
         let pcfg = &self.config;
-        let n_classes = env.data.train.n_classes();
-        let partition = partition_model(
-            &env.reference_specs,
-            &env.input_shape,
-            cfg.batch_size,
-            n_classes,
-            pcfg.r_min_override.unwrap_or_else(|| env.r_min()),
-        );
-        let n_modules = partition.num_modules();
+        pcfg.validate(env);
+        let mut server = Server::new(env, pcfg);
+        let n_modules = server.partition.num_modules();
         let rounds_per_module = pcfg
             .rounds_per_module
-            .unwrap_or((cfg.rounds / n_modules).max(1));
-
-        let mut rng = seeded_rng(cfg.seed ^ 0x9120_9127);
-        let mut global =
-            fp_nn::models::instantiate(&env.reference_specs, &env.input_shape, n_classes, &mut rng);
-        // One auxiliary head per non-final module.
-        let mut heads: Vec<Option<AuxHead>> = (0..n_modules)
-            .map(|m| {
-                (m + 1 < n_modules).then(|| {
-                    let (_, t) = partition.windows[m];
-                    AuxHead::new(
-                        &format!("aux{m}"),
-                        &global.feature_shape(t),
-                        n_classes,
-                        &mut rng,
-                    )
-                })
-            })
-            .collect();
-
-        let mut records = Vec::new();
-        let mut eps_traces: Vec<Vec<f32>> = vec![Vec::new(); n_modules];
+            .unwrap_or((env.cfg.rounds / n_modules).max(1));
         let mut delta_z_refs: Vec<f32> = Vec::new();
-        let mut global_round = 0usize;
         // ε reference for the *current* module's input: ε₀ for module 1.
-        let mut eps_ref = cfg.eps0;
+        let mut eps_ref = env.cfg.eps0;
         let mut prev_ratio: Option<(f32, f32)> = None;
 
-        #[allow(clippy::needless_range_loop)] // index shared across several buffers
         for m in 0..n_modules {
-            let mut apa = if m == 0 {
-                None
-            } else {
+            let apa = (m > 0).then(|| {
                 let mut a = Apa::new(pcfg.alpha0, pcfg.delta_alpha, pcfg.gamma, eps_ref);
                 if let Some((c, adv)) = prev_ratio {
                     a.set_reference_ratio(c, adv);
                 }
-                Some(a)
+                a
+            });
+            let mut phase = Phase {
+                m,
+                apa,
+                eps: None,
+                last_eps: env.cfg.eps0,
+                best_score: f32::NEG_INFINITY,
+                since_best: 0,
             };
-            let mut best_score = f32::NEG_INFINITY;
-            let mut since_best = 0usize;
-            let mut last_eps = cfg.eps0;
-
-            if let Some(acfg) = pcfg.async_agg {
-                // ---------------- barrier-free async module phase ----------------
-                acfg.validate();
-                assert!(
-                    acfg.buffer_k <= cfg.n_clients,
-                    "buffer_k above n_clients deadlocks the module phase"
-                );
-                // DMA's FLOPs reference: with no barrier to stretch,
-                // extra modules are bounded against the slowest possible
-                // participant (fleet-minimum peak at the §B.1 degradation
-                // floor) instead of a round cohort's minimum.
-                let perf_floor = env
-                    .fleet
-                    .iter()
-                    .map(|d| d.device.tflops)
-                    .fold(f64::INFINITY, f64::min)
-                    * 0.2;
-                let phase_seed = cfg.seed ^ 0x00A5_F1ED ^ ((m as u64 + 1) << 40);
-                let mut timeline = AsyncTimeline::new(phase_seed, cfg.n_clients, acfg.concurrency);
-                struct PhasePending {
-                    client: usize,
-                    version: usize,
-                    latency: ClientLatency,
-                    assigned: usize,
-                    result: ClientResult,
-                }
-                let mut in_flight: Vec<PhasePending> = Vec::new();
-                let mut buffer: Vec<PhasePending> = Vec::new();
-                let mut aggs = 0usize;
-                let mut last_clock = 0.0f64;
-                // ε of the current version, drawn lazily at its first
-                // dispatch batch — exactly one `Apa::epsilon()` trace
-                // entry per aggregation, matching the sync loop's
-                // one-per-round discipline.
-                let mut cur_eps: Option<f32> = None;
-                while aggs < rounds_per_module {
-                    // Arm freed slots: cost, schedule, and eagerly train
-                    // each picked client on its DMA-assigned window
-                    // against the current global state.
-                    let picked = timeline.pick_dispatches();
-                    if !picked.is_empty() {
-                        let eps = *cur_eps.get_or_insert_with(|| match apa.as_mut() {
-                            None => cfg.eps0,
-                            Some(a) => a.epsilon(),
-                        });
-                        let lr = cfg.lr.at(global_round);
-                        let mut assigns = Vec::with_capacity(picked.len());
-                        let mut lats = Vec::with_capacity(picked.len());
-                        for &k in &picked {
-                            let (mem, perf) = prophet_availability(env, global_round, k);
-                            let assign = if pcfg.use_dma {
-                                assign_modules(&partition, m, mem, perf, perf_floor)
-                            } else {
-                                ModuleAssignment {
-                                    current: m,
-                                    last: m,
-                                }
-                            };
-                            let (model, payload) =
-                                window_latency_model(env, &partition, assign, cfg);
-                            let lat = model.dispatch_round_trip(
-                                &degraded_sample(env, k, mem, perf),
-                                cfg.local_iters,
-                                &payload,
-                            );
-                            timeline.schedule_finish(k, timeline.clock_s() + lat.total());
-                            assigns.push(assign);
-                            lats.push(lat);
-                        }
-                        let results = run_clients(
-                            env,
-                            &global,
-                            &heads,
-                            &partition,
-                            &assigns,
-                            &picked,
-                            eps,
-                            lr,
-                            global_round,
-                            pcfg,
-                        );
-                        for ((&k, (&assign, lat)), result) in
-                            picked.iter().zip(assigns.iter().zip(lats)).zip(results)
-                        {
-                            in_flight.push(PhasePending {
-                                client: k,
-                                version: aggs,
-                                latency: lat,
-                                assigned: assign.count(),
-                                result,
-                            });
-                        }
-                    }
-                    let (time, client) = timeline
-                        .next_finish()
-                        .expect("clients stay in flight while aggregations remain");
-                    let idx = in_flight
-                        .iter()
-                        .position(|p| p.client == client)
-                        .expect("finished client is in flight");
-                    buffer.push(in_flight.swap_remove(idx));
-                    if buffer.len() < acfg.buffer_k {
-                        continue;
-                    }
-                    // Flush: staleness-discounted partial averaging
-                    // (Eq. 16/17 with weights `w_k / (1+s)^a`), in
-                    // deterministic (client, version) order.
-                    let mut entries = std::mem::take(&mut buffer);
-                    entries.sort_by_key(|p| (p.client, p.version));
-                    let stalenesses: Vec<usize> =
-                        entries.iter().map(|p| aggs - p.version).collect();
-                    let mean_staleness =
-                        stalenesses.iter().sum::<usize>() as f32 / entries.len() as f32;
-                    let mean_assigned = entries.iter().map(|p| p.assigned as f32).sum::<f32>()
-                        / entries.len() as f32;
-                    let slowest = entries
-                        .iter()
-                        .map(|p| p.latency)
-                        .max_by(|a, b| a.total().partial_cmp(&b.total()).expect("finite latency"))
-                        .expect("non-empty flush");
-                    let mean_loss =
-                        entries.iter().map(|p| p.result.loss).sum::<f32>() / entries.len() as f32;
-                    let results: Vec<ClientResult> = entries
-                        .into_iter()
-                        .zip(&stalenesses)
-                        .map(|(p, &s)| {
-                            let mut r = p.result;
-                            r.weight *= staleness_weight(s, acfg.staleness_exp);
-                            r
-                        })
-                        .collect();
-                    aggregate(&mut global, &mut heads, &partition, &results, m, n_modules);
-                    // Record the ε the dispatches of this version used
-                    // (merged updates from older versions trained under
-                    // their own, earlier ε — inherent to staleness).
-                    let eps = cur_eps.take().unwrap_or_else(|| match apa.as_mut() {
-                        None => cfg.eps0,
-                        Some(a) => a.epsilon(),
-                    });
-                    last_eps = eps;
-                    eps_traces[m].push(eps);
-                    let (vc, va) = validate_prefix(
-                        &mut global,
-                        &mut heads,
-                        &partition,
-                        m,
-                        env,
-                        pcfg.val_samples,
-                        global_round,
-                    );
-                    if pcfg.use_apa {
-                        if let Some(a) = apa.as_mut() {
-                            a.adjust(vc, va);
-                        }
-                    }
-                    records.push(ProphetRound {
-                        round: global_round,
-                        module: m,
-                        epsilon: eps,
-                        train_loss: mean_loss,
-                        val_clean: vc,
-                        val_adv: va,
-                        latency_compute_s: slowest.compute_s,
-                        latency_data_s: slowest.data_access_s,
-                        latency_transfer_s: slowest.transfer_s,
-                        mean_assigned,
-                        mean_staleness,
-                        round_time_s: time - last_clock,
-                        completed: results.len(),
-                        stragglers: 0,
-                        dropped_out: 0,
-                    });
-                    last_clock = time;
-                    aggs += 1;
-                    global_round += 1;
-                    timeline.bump_version();
-
-                    let score = vc + va;
-                    if score > best_score + 1e-4 {
-                        best_score = score;
-                        since_best = 0;
-                    } else {
-                        since_best += 1;
-                        if since_best >= pcfg.patience {
-                            break;
-                        }
-                    }
-                }
-                // Clients still in flight at the module boundary are
-                // discarded: module m is fixed before m+1 dispatches.
-            } else {
-                for _ in 0..rounds_per_module {
-                    let eps = match apa.as_mut() {
-                        None => cfg.eps0,
-                        Some(a) => a.epsilon(),
-                    };
-                    last_eps = eps;
-                    eps_traces[m].push(eps);
-
-                    // Over-selection: sample extra clients; the round closes
-                    // once `clients_per_round` of them have reported.
-                    let target = cfg.clients_per_round;
-                    let n_sel = over_select_count(target, pcfg.sched.over_select, cfg.n_clients);
-                    let ids = env.sample_round_n(global_round, n_sel);
-                    // Per-(round, client) real-time availability (paper §B.1
-                    // degrade), from the stream shared with the schedulers.
-                    let avail: Vec<(u64, f64)> = ids
-                        .iter()
-                        .map(|&k| prophet_availability(env, global_round, k))
-                        .collect();
-                    let perf_min = avail.iter().map(|&(_, p)| p).fold(f64::INFINITY, f64::min);
-                    let assignments: Vec<ModuleAssignment> = avail
-                        .iter()
-                        .map(|&(mem, perf)| {
-                            if pcfg.use_dma {
-                                assign_modules(&partition, m, mem, perf, perf_min)
-                            } else {
-                                ModuleAssignment {
-                                    current: m,
-                                    last: m,
-                                }
-                            }
-                        })
-                        .collect();
-
-                    // Virtual-time round simulation: each client's duration is
-                    // the hwsim latency of its DMA-assigned window on its
-                    // degraded device, so prophet clients (more modules) take
-                    // longer and can straggle past the deadline.
-                    let lat = client_latencies(env, &partition, &assignments, &ids, &avail, cfg);
-                    let dropped = draw_dropouts(env, global_round, ids.len(), pcfg.sched.dropout_p);
-                    let sim = simulate_round(&ids, &lat, &dropped, target, &pcfg.sched);
-                    let cidx: Vec<usize> = sim
-                        .completed
-                        .iter()
-                        .map(|k| ids.iter().position(|x| x == k).expect("completed id"))
-                        .collect();
-                    let c_assignments: Vec<ModuleAssignment> =
-                        cidx.iter().map(|&i| assignments[i]).collect();
-
-                    let lr = cfg.lr.at(global_round);
-                    let results = run_clients(
-                        env,
-                        &global,
-                        &heads,
-                        &partition,
-                        &c_assignments,
-                        &sim.completed,
-                        eps,
-                        lr,
-                        global_round,
-                        pcfg,
-                    );
-                    let mean_loss = if results.is_empty() {
-                        0.0
-                    } else {
-                        results.iter().map(|r| r.loss).sum::<f32>() / results.len() as f32
-                    };
-
-                    if !results.is_empty() {
-                        aggregate(&mut global, &mut heads, &partition, &results, m, n_modules);
-                    }
-
-                    // Validation of the cascaded prefix (w*₁ ∘ ⋯ ∘ w_m^t).
-                    let (vc, va) = validate_prefix(
-                        &mut global,
-                        &mut heads,
-                        &partition,
-                        m,
-                        env,
-                        pcfg.val_samples,
-                        global_round,
-                    );
-                    if pcfg.use_apa {
-                        if let Some(a) = apa.as_mut() {
-                            a.adjust(vc, va);
-                        }
-                    }
-
-                    // Latency accounting: the barrier cost actually paid is
-                    // the slowest aggregated client.
-                    let mean_assigned = if c_assignments.is_empty() {
-                        0.0
-                    } else {
-                        c_assignments.iter().map(|a| a.count() as f32).sum::<f32>()
-                            / c_assignments.len() as f32
-                    };
-                    records.push(ProphetRound {
-                        round: global_round,
-                        module: m,
-                        epsilon: eps,
-                        train_loss: mean_loss,
-                        val_clean: vc,
-                        val_adv: va,
-                        latency_compute_s: sim.slowest_completed.compute_s,
-                        latency_data_s: sim.slowest_completed.data_access_s,
-                        latency_transfer_s: sim.slowest_completed.transfer_s,
-                        mean_assigned,
-                        mean_staleness: 0.0,
-                        round_time_s: sim.round_time_s,
-                        completed: sim.completed.len(),
-                        stragglers: sim.stragglers.len(),
-                        dropped_out: sim.dropped_out.len(),
-                    });
-                    global_round += 1;
-
-                    let score = vc + va;
-                    if score > best_score + 1e-4 {
-                        best_score = score;
-                        since_best = 0;
-                    } else {
-                        since_best += 1;
-                        if since_best >= pcfg.patience {
+            match &pcfg.async_agg {
+                Some(acfg) => server.async_phase(&mut phase, acfg, rounds_per_module),
+                None => {
+                    for _ in 0..rounds_per_module {
+                        if server.sync_round(&mut phase) {
                             break;
                         }
                     }
@@ -572,27 +340,18 @@ impl FedProphet {
 
             // Fix module m: record C*/A* and probe max‖Δz_m‖ for the next
             // module's APA reference (Eq. 11).
-            let (c_star, a_star) = validate_prefix(
-                &mut global,
-                &mut heads,
-                &partition,
-                m,
-                env,
-                pcfg.val_samples,
-                global_round,
-            );
-            prev_ratio = Some((c_star, a_star));
+            prev_ratio = Some(server.validate_prefix(m));
             if m + 1 < n_modules {
-                eps_ref = probe_delta_z(env, &global, &heads, &partition, m, last_eps, pcfg);
+                eps_ref = server.probe_delta_z(m, phase.last_eps);
                 delta_z_refs.push(eps_ref);
             }
         }
 
         ProphetOutcome {
-            model: global,
-            partition,
-            rounds: records,
-            eps_traces,
+            model: server.global,
+            partition: server.partition,
+            rounds: server.rounds,
+            eps_traces: server.eps_traces,
             delta_z_refs,
         }
     }
@@ -608,261 +367,479 @@ impl FlAlgorithm for FedProphet {
     }
 }
 
-/// `(module index, window flat params, window BN stats)` as trained by
-/// one client.
-type ModuleUpdate = (usize, Vec<f32>, Vec<(Tensor, Tensor)>);
+/// Everything the server holds between rounds — what an engine port would
+/// checkpoint as its `ServerState`.
+struct Server<'a> {
+    env: &'a FlEnv,
+    pcfg: &'a ProphetConfig,
+    partition: ModulePartition,
+    global: CascadeModel,
+    /// One auxiliary head per non-final module.
+    heads: Vec<Option<AuxHead>>,
+    /// The ledger.
+    rounds: Vec<ProphetRound>,
+    eps_traces: Vec<Vec<f32>>,
+    /// Global round counter: one per aggregation in either mode, so it is
+    /// also the model version dispatches and staleness are counted in.
+    round: usize,
+}
 
-/// A borrowed module contribution during aggregation: flat params, BN
-/// stats, FedAvg weight.
-type Contribution<'a> = (&'a Vec<f32>, &'a [(Tensor, Tensor)], f32);
+/// One module's learning phase.
+struct Phase {
+    /// Module being learned.
+    m: usize,
+    /// The APA controller (module 1 pins ε₀ and has none).
+    apa: Option<Apa>,
+    /// ε of the version being dispatched: drawn at its first dispatch,
+    /// taken at its close.
+    eps: Option<f32>,
+    /// ε of the last closed version (ε*, the probe's input budget).
+    last_eps: f32,
+    best_score: f32,
+    since_best: usize,
+}
 
-/// One client's round result.
+impl Phase {
+    /// ε of the version being dispatched, drawing it on first use.
+    fn epsilon(&mut self, eps0: f32) -> f32 {
+        *self.eps.get_or_insert_with(|| match self.apa.as_mut() {
+            None => eps0,
+            Some(a) => a.epsilon(),
+        })
+    }
+}
+
+/// One costed dispatch: the DMA-assigned window and its simulated round
+/// trip (down-link window transfer + compute + swap traffic + up-link).
+#[derive(Clone, Copy)]
+struct Planned {
+    assign: ModuleAssignment,
+    latency: ClientLatency,
+}
+
+/// `(flat params, BN stats)` of one module as trained by one client.
+type ModuleUpdate = (Vec<f32>, Vec<(Tensor, Tensor)>);
+
+/// One client's trained dispatch.
 struct ClientResult {
-    /// Per-module updates of the assigned window.
+    client: usize,
+    /// Model version (round counter) it was dispatched against.
+    version: usize,
+    plan: Planned,
+    /// One update per module of the assigned window, from
+    /// `plan.assign.current` on.
     modules: Vec<ModuleUpdate>,
-    /// Trained aux head of the last assigned module (absent when it is
-    /// the final module).
-    aux: Option<(usize, Vec<f32>)>,
+    /// Trained aux head of `plan.assign.last` (absent when that is the
+    /// final module).
+    aux: Option<Vec<f32>>,
     weight: f32,
     loss: f32,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_clients(
-    env: &FlEnv,
-    global: &CascadeModel,
-    heads: &[Option<AuxHead>],
-    partition: &ModulePartition,
-    assignments: &[ModuleAssignment],
-    ids: &[usize],
-    eps: f32,
-    lr: f32,
-    round: usize,
-    pcfg: &ProphetConfig,
-) -> Vec<ClientResult> {
-    let cfg = &env.cfg;
-    let jobs: Vec<(usize, ModuleAssignment)> = ids
-        .iter()
-        .copied()
-        .zip(assignments.iter().copied())
-        .collect();
-    // Two-level parallelism: clients fan out over `outer` worker threads,
-    // and each client's kernels get the leftover `inner` thread budget.
-    let (outer, inner) = fp_tensor::parallel::thread_split(jobs.len());
-    fp_tensor::parallel::parallel_map(&jobs, outer, |_, &(k, assign)| {
-        let mut model = global.clone();
-        let (from, to) = assign.atom_window(partition);
-        let is_final = assign.last == partition.num_modules() - 1;
-        let mut aux = if is_final {
-            None
-        } else {
-            heads[assign.last].clone()
-        };
-        let wtc = WindowTrainConfig {
-            from_atom: from,
-            to_atom: to,
-            epsilon: eps,
-            mu: pcfg.mu,
-            pgd_steps: cfg.pgd_steps,
-            iters: cfg.local_iters,
-            batch_size: cfg.batch_size,
-            lr,
-            momentum: cfg.momentum,
-            weight_decay: cfg.weight_decay,
-            seed: cfg.seed ^ (round as u64) << 24 ^ k as u64,
-            backend_threads: inner,
-        };
-        let loss = train_module_window(
-            &mut model,
-            aux.as_mut(),
-            &env.data.train,
-            &env.splits[k].indices,
-            &wtc,
-        );
-        let modules = (assign.current..=assign.last)
-            .map(|n| {
-                let (f, t) = partition.windows[n];
-                (n, model.flat_params_range(f, t), model.bn_stats_range(f, t))
-            })
-            .collect();
-        ClientResult {
-            modules,
-            aux: aux.map(|a| (assign.last, a.flat_params())),
-            weight: env.splits[k].weight,
-            loss,
-        }
-    })
-}
-
-/// Partial-average aggregation: modules by Eq. 16, aux heads by Eq. 17.
-fn aggregate(
-    global: &mut CascadeModel,
-    heads: &mut [Option<AuxHead>],
-    partition: &ModulePartition,
-    results: &[ClientResult],
-    m: usize,
-    n_modules: usize,
-) {
-    for n in m..n_modules {
-        // Eq. 16: S_n = clients that trained module n (M_k ≥ n).
-        let contributions: Vec<Contribution<'_>> = results
-            .iter()
-            .flat_map(|r| {
-                r.modules
-                    .iter()
-                    .filter(|(idx, _, _)| *idx == n)
-                    .map(|(_, flat, bn)| (flat, bn.as_slice(), r.weight))
-            })
-            .collect();
-        if contributions.is_empty() {
-            continue;
-        }
-        let updates: Vec<(Vec<f32>, f32)> = contributions
-            .iter()
-            .map(|(flat, _, w)| ((*flat).clone(), *w))
-            .collect();
-        let avg = fp_fl::aggregate::weighted_average(&updates);
-        let (f, t) = partition.windows[n];
-        global.set_flat_params_range(&avg, f, t);
-        // Average BN running statistics of the window.
-        let total: f32 = contributions.iter().map(|(_, _, w)| *w).sum();
-        if !contributions[0].1.is_empty() {
-            let mut means: Vec<Tensor> = contributions[0]
-                .1
-                .iter()
-                .map(|(mean, _)| Tensor::zeros(mean.shape()))
-                .collect();
-            let mut vars: Vec<Tensor> = contributions[0]
-                .1
-                .iter()
-                .map(|(_, var)| Tensor::zeros(var.shape()))
-                .collect();
-            for (_, bn, w) in &contributions {
-                let wn = *w / total;
-                for (i, (mean, var)) in bn.iter().enumerate() {
-                    means[i].axpy(wn, mean);
-                    vars[i].axpy(wn, var);
-                }
-            }
-            let stats: Vec<(Tensor, Tensor)> = means.into_iter().zip(vars).collect();
-            global.set_bn_stats_range(&stats, f, t);
-        }
-    }
-    // Eq. 17: K_n = clients whose *last* module is n.
-    #[allow(clippy::needless_range_loop)] // index shared across several buffers
-    for n in m..n_modules.saturating_sub(1) {
-        let aux_updates: Vec<(Vec<f32>, f32)> = results
-            .iter()
-            .filter_map(|r| {
-                r.aux
-                    .as_ref()
-                    .filter(|(idx, _)| *idx == n)
-                    .map(|(_, flat)| (flat.clone(), r.weight))
-            })
-            .collect();
-        if !aux_updates.is_empty() {
-            let avg = fp_fl::aggregate::weighted_average(&aux_updates);
-            if let Some(head) = heads[n].as_mut() {
-                head.set_flat_params(&avg);
-            }
-        }
-    }
-}
-
-/// Validation clean/adversarial accuracy of the cascaded prefix through
-/// module `m` (its aux head is the exit; the final module uses the
-/// backbone classifier). The adversarial attack is input-space PGD with
-/// the training ε₀.
-fn validate_prefix(
-    global: &mut CascadeModel,
-    heads: &mut [Option<AuxHead>],
-    partition: &ModulePartition,
-    m: usize,
-    env: &FlEnv,
-    val_samples: usize,
-    round: usize,
-) -> (f32, f32) {
-    let n = env.data.val.len().min(val_samples);
-    let idx: Vec<usize> = (0..n).collect();
-    let (x, y) = env.data.val.batch(&idx);
-    let cfg = &env.cfg;
-    let pgd = Pgd::new(PgdConfig {
-        steps: cfg.pgd_steps.max(1),
-        ..PgdConfig::train_linf(cfg.eps0)
-    });
-    let mut rng = seeded_rng(cfg.seed ^ 0x7E57 ^ round as u64);
-    let (_, t) = partition.windows[m];
-    let is_final = m + 1 == partition.num_modules();
-    let accs = if is_final {
-        let mut target = ModelTarget::new(global);
-        let clean = accuracy_of(&mut target, &x, &y);
-        let adv_x = pgd.attack(&mut target, &x, &y, &mut rng);
-        let adv = accuracy_of(&mut target, &adv_x, &y);
-        (clean, adv)
-    } else {
-        let head = heads[m].as_mut().expect("non-final module has a head");
-        let mut target = ModuleTarget::new(global, head, 0, t, 0.0);
-        let clean = accuracy_of(&mut target, &x, &y);
-        let adv_x = pgd.attack(&mut target, &x, &y, &mut rng);
-        let adv = accuracy_of(&mut target, &adv_x, &y);
-        (clean, adv)
-    };
-    // `run_clients` clones `global` per client: the validation batch's
-    // activations must not ride along.
-    global.clear_cache();
-    accs
-}
-
-fn accuracy_of(target: &mut dyn AttackTarget, x: &Tensor, y: &[usize]) -> f32 {
-    let logits = target.logits(x);
-    let preds = argmax_rows(&logits);
-    preds.iter().zip(y).filter(|(p, l)| p == l).count() as f32 / y.len() as f32
-}
-
-/// Clients probe `max‖Δz_m‖₂` of the fixed module `m` and the server
-/// averages (the `E[·]` of Eq. 11).
-///
-/// The probes fan out like [`run_clients`]: each job attacks its own clone
-/// of the model and head in `Eval` mode, which reads parameters and BN
-/// statistics but writes neither, so the per-client maxima — summed in
-/// client order — do not depend on the worker count.
-fn probe_delta_z(
-    env: &FlEnv,
-    global: &CascadeModel,
-    heads: &[Option<AuxHead>],
-    partition: &ModulePartition,
-    m: usize,
-    eps_star: f32,
-    pcfg: &ProphetConfig,
-) -> f32 {
-    let cfg = &env.cfg;
-    let (f, t) = partition.windows[m];
-    let head = heads[m].as_ref().expect("probed module has a head");
-    let probe_clients: Vec<usize> = env.sample_round(usize::MAX - m);
-    let (outer, inner) = fp_tensor::parallel::thread_split(probe_clients.len());
-    let worst = fp_tensor::parallel::parallel_map(&probe_clients, outer, |_, &k| {
-        let backend = fp_tensor::backend_for_threads(inner);
-        let mut model = global.clone();
-        let mut head = head.clone();
-        model.set_backend(&backend);
-        head.set_backend(&backend);
-        max_feature_perturbation(
-            &mut model,
-            &mut head,
-            f,
-            t,
-            &env.data.train,
-            &env.splits[k].indices,
-            eps_star,
-            pcfg.mu,
-            cfg.pgd_steps,
+impl<'a> Server<'a> {
+    fn new(env: &'a FlEnv, pcfg: &'a ProphetConfig) -> Self {
+        let cfg = &env.cfg;
+        let n_classes = env.data.train.n_classes();
+        let partition = partition_model(
+            &env.reference_specs,
+            &env.input_shape,
             cfg.batch_size,
-            pcfg.probe_batches,
-            cfg.seed ^ 0x0B5E ^ k as u64,
+            n_classes,
+            pcfg.r_min_override.unwrap_or_else(|| env.r_min()),
+        );
+        let n_modules = partition.num_modules();
+        let mut rng = seeded_rng(cfg.seed ^ 0x9120_9127);
+        let global =
+            fp_nn::models::instantiate(&env.reference_specs, &env.input_shape, n_classes, &mut rng);
+        let heads = (0..n_modules)
+            .map(|m| {
+                (m + 1 < n_modules).then(|| {
+                    let (_, t) = partition.windows[m];
+                    AuxHead::new(
+                        &format!("aux{m}"),
+                        &global.feature_shape(t),
+                        n_classes,
+                        &mut rng,
+                    )
+                })
+            })
+            .collect();
+        Server {
+            env,
+            pcfg,
+            partition,
+            global,
+            heads,
+            rounds: Vec::new(),
+            eps_traces: vec![Vec::new(); n_modules],
+            round: 0,
+        }
+    }
+
+    // ------------------------------------------------------ barrier policies
+
+    /// One synchronous round of module `phase.m`; `true` when the phase
+    /// should stop early.
+    fn sync_round(&mut self, phase: &mut Phase) -> bool {
+        let (env, cfg, sched) = (self.env, &self.env.cfg, &self.pcfg.sched);
+        // Over-selection: sample extra clients; the round closes once
+        // `clients_per_round` of them have reported.
+        let target = cfg.clients_per_round;
+        let n_sel = over_select_count(target, sched.over_select, cfg.n_clients);
+        let ids = env.sample_round_n(self.round, n_sel);
+        // DMA's FLOPs reference: the slowest member of this cohort.
+        let perf_min = ids
+            .iter()
+            .map(|&k| prophet_availability(env, self.round, k).1)
+            .fold(f64::INFINITY, f64::min);
+        // Each client's duration is the hwsim latency of its DMA-assigned
+        // window on its degraded device, so prophet clients (more modules)
+        // take longer and can straggle past the deadline.
+        let plans: Vec<Planned> = ids
+            .iter()
+            .map(|&k| self.plan(phase.m, k, perf_min))
+            .collect();
+        let lat: Vec<ClientLatency> = plans.iter().map(|p| p.latency).collect();
+        let dropped = draw_dropouts(env, self.round, ids.len(), sched.dropout_p);
+        let sim = simulate_round(&ids, &lat, &dropped, target, sched);
+        // `ids` is ascending (`sample_round_n`).
+        let jobs: Vec<(usize, Planned)> = sim
+            .completed
+            .iter()
+            .map(|k| (*k, plans[ids.binary_search(k).expect("completed id")]))
+            .collect();
+        let results = self.train(phase.epsilon(cfg.eps0), &jobs);
+        self.close(
+            phase,
+            results,
+            sim.round_time_s,
+            sim.stragglers.len(),
+            sim.dropped_out.len(),
         )
-    });
-    let sum: f64 = worst.iter().map(|&w| w as f64).sum();
-    (sum / probe_clients.len() as f64) as f32
+    }
+
+    /// The barrier-free phase of module `phase.m`: up to `max_aggs`
+    /// buffer flushes on a continuous virtual clock. Module boundaries
+    /// stay synchronization points — clients still in flight when the
+    /// phase ends are discarded.
+    fn async_phase(&mut self, phase: &mut Phase, acfg: &AsyncConfig, max_aggs: usize) {
+        let (env, cfg) = (self.env, &self.env.cfg);
+        // DMA's FLOPs reference: with no barrier to stretch, extra
+        // modules are bounded against the slowest possible participant
+        // (fleet-minimum peak at the §B.1 degradation floor) instead of a
+        // round cohort's minimum.
+        let perf_floor = env
+            .fleet
+            .iter()
+            .map(|d| d.device.tflops)
+            .fold(f64::INFINITY, f64::min)
+            * 0.2;
+        let phase_seed = cfg.seed ^ 0x00A5_F1ED ^ ((phase.m as u64 + 1) << 40);
+        let mut timeline = AsyncTimeline::new(phase_seed, cfg.n_clients, acfg.concurrency);
+        let mut in_flight: Vec<ClientResult> = Vec::new();
+        let mut buffer: Vec<ClientResult> = Vec::new();
+        let first_round = self.round;
+        let mut last_clock = 0.0f64;
+        while self.round - first_round < max_aggs {
+            // Arm freed slots: cost, schedule, and eagerly train each
+            // picked client against the current global state.
+            let picked = timeline.pick_dispatches();
+            if !picked.is_empty() {
+                let jobs: Vec<(usize, Planned)> = picked
+                    .iter()
+                    .map(|&k| {
+                        let plan = self.plan(phase.m, k, perf_floor);
+                        timeline.schedule_finish(k, timeline.clock_s() + plan.latency.total());
+                        (k, plan)
+                    })
+                    .collect();
+                in_flight.extend(self.train(phase.epsilon(cfg.eps0), &jobs));
+            }
+            let (time, client) = timeline
+                .next_finish()
+                .expect("clients stay in flight while aggregations remain");
+            let idx = in_flight
+                .iter()
+                .position(|r| r.client == client)
+                .expect("finished client is in flight");
+            buffer.push(in_flight.swap_remove(idx));
+            if buffer.len() < acfg.buffer_k {
+                continue;
+            }
+            // Flush: staleness-discounted partial averaging (Eq. 16/17
+            // with weights `w_k / (1+s)^a`), in deterministic
+            // (client, version) order.
+            let mut results = std::mem::take(&mut buffer);
+            results.sort_by_key(|r| (r.client, r.version));
+            for r in &mut results {
+                r.weight *= staleness_weight(self.round - r.version, acfg.staleness_exp);
+            }
+            let stop = self.close(phase, results, time - last_clock, 0, 0);
+            last_clock = time;
+            timeline.bump_version();
+            if stop {
+                break;
+            }
+        }
+    }
+
+    // ---------------------------------------------------------------- stages
+
+    /// Costs client `k`'s dispatch for module `m` at the current version:
+    /// availability draw, window assignment (`perf_ref` is DMA's `P_min`),
+    /// hwsim round trip.
+    fn plan(&self, m: usize, k: usize, perf_ref: f64) -> Planned {
+        let (env, cfg) = (self.env, &self.env.cfg);
+        let (mem, perf) = prophet_availability(env, self.round, k);
+        let assign = if self.pcfg.use_dma {
+            assign_modules(&self.partition, m, mem, perf, perf_ref)
+        } else {
+            ModuleAssignment::only(m)
+        };
+        // Only the window's weights ship (down and, after training, back
+        // up); the (GAP→linear) aux head is negligible next to even one
+        // conv atom and is not counted.
+        let (f, t) = assign.atom_window(&self.partition);
+        let payload = Payload::window(param_transfer_bytes(&env.reference_specs[f..t]));
+        // The device with its availability overridden by the draw.
+        let mut device = env.fleet[k];
+        device.avail_mem_bytes = mem;
+        device.avail_tflops = perf;
+        let latency = assign
+            .latency_model(&self.partition, cfg.batch_size, cfg.pgd_steps)
+            .dispatch_round_trip(&device, cfg.local_iters, &payload);
+        Planned { assign, latency }
+    }
+
+    /// Trains every `(client, plan)` job on its window against the current
+    /// global state under budget `eps`.
+    fn train(&self, eps: f32, jobs: &[(usize, Planned)]) -> Vec<ClientResult> {
+        let (env, cfg, partition) = (self.env, &self.env.cfg, &self.partition);
+        let lr = cfg.lr.at(self.round);
+        // Two-level parallelism: clients fan out over `outer` worker
+        // threads, and each client's kernels get the leftover `inner`
+        // thread budget.
+        let (outer, inner) = fp_tensor::parallel::thread_split(jobs.len());
+        fp_tensor::parallel::parallel_map(jobs, outer, |_, &(k, plan)| {
+            let assign = plan.assign;
+            let mut model = self.global.clone();
+            let (from, to) = assign.atom_window(partition);
+            let is_final = assign.last == partition.num_modules() - 1;
+            let mut aux = if is_final {
+                None
+            } else {
+                self.heads[assign.last].clone()
+            };
+            let wtc = WindowTrainConfig {
+                from_atom: from,
+                to_atom: to,
+                epsilon: eps,
+                mu: self.pcfg.mu,
+                pgd_steps: cfg.pgd_steps,
+                iters: cfg.local_iters,
+                batch_size: cfg.batch_size,
+                lr,
+                momentum: cfg.momentum,
+                weight_decay: cfg.weight_decay,
+                seed: cfg.seed ^ (self.round as u64) << 24 ^ k as u64,
+                backend_threads: inner,
+            };
+            let loss = train_module_window(
+                &mut model,
+                aux.as_mut(),
+                &env.data.train,
+                &env.splits[k].indices,
+                &wtc,
+            );
+            let modules = (assign.current..=assign.last)
+                .map(|n| {
+                    let (f, t) = partition.windows[n];
+                    (model.flat_params_range(f, t), model.bn_stats_range(f, t))
+                })
+                .collect();
+            ClientResult {
+                client: k,
+                version: self.round,
+                plan,
+                modules,
+                aux: aux.map(|a| a.flat_params()),
+                weight: env.splits[k].weight,
+                loss,
+            }
+        })
+    }
+
+    /// Closes the current version over `results` (possibly none): ε, merge,
+    /// validation, APA, ledger record, round counter. Returns whether the
+    /// phase's early stop fired.
+    fn close(
+        &mut self,
+        phase: &mut Phase,
+        results: Vec<ClientResult>,
+        round_time_s: f64,
+        stragglers: usize,
+        dropped_out: usize,
+    ) -> bool {
+        let (m, n) = (phase.m, results.len());
+        let eps = phase.epsilon(self.env.cfg.eps0);
+        phase.eps = None;
+        phase.last_eps = eps;
+        self.eps_traces[m].push(eps);
+
+        let mean = |sum: f32| if n == 0 { 0.0 } else { sum / n as f32 };
+        let staleness: usize = results.iter().map(|r| self.round - r.version).sum();
+        // The barrier cost actually paid is the slowest aggregated client.
+        let slowest = results
+            .iter()
+            .map(|r| r.plan.latency)
+            .max_by(|a, b| a.total().total_cmp(&b.total()))
+            .unwrap_or_else(ClientLatency::zero);
+        if n > 0 {
+            self.aggregate(&results, m);
+        }
+        // Validation of the cascaded prefix (w*₁ ∘ ⋯ ∘ w_m^t).
+        let (vc, va) = self.validate_prefix(m);
+        if self.pcfg.use_apa {
+            if let Some(a) = phase.apa.as_mut() {
+                a.adjust(vc, va);
+            }
+        }
+        self.rounds.push(ProphetRound {
+            round: self.round,
+            module: m,
+            epsilon: eps,
+            train_loss: mean(results.iter().map(|r| r.loss).sum()),
+            val_clean: vc,
+            val_adv: va,
+            latency_compute_s: slowest.compute_s,
+            latency_data_s: slowest.data_access_s,
+            latency_transfer_s: slowest.transfer_s,
+            mean_assigned: mean(results.iter().map(|r| r.plan.assign.count() as f32).sum()),
+            mean_staleness: mean(staleness as f32),
+            round_time_s,
+            completed: n,
+            stragglers,
+            dropped_out,
+        });
+        self.round += 1;
+
+        let score = vc + va;
+        if score > phase.best_score + 1e-4 {
+            phase.best_score = score;
+            phase.since_best = 0;
+            return false;
+        }
+        phase.since_best += 1;
+        phase.since_best >= self.pcfg.patience
+    }
+
+    /// Partial-average aggregation: modules by Eq. 16, aux heads by Eq. 17.
+    /// Every result is a window starting at module `m`.
+    fn aggregate(&mut self, results: &[ClientResult], m: usize) {
+        for n in m..self.partition.num_modules() {
+            // Eq. 16: S_n = clients that trained module n (M_k ≥ n).
+            let of_n = || {
+                results
+                    .iter()
+                    .filter_map(move |r| Some((r.modules.get(n - m)?, r.weight)))
+            };
+            let flats: Vec<(&[f32], f32)> = of_n().map(|((flat, _), w)| (&flat[..], w)).collect();
+            if flats.is_empty() {
+                continue;
+            }
+            let (f, t) = self.partition.windows[n];
+            self.global
+                .set_flat_params_range(&weighted_average(&flats), f, t);
+            // Average BN running statistics of the window.
+            let stats: Vec<(&[(Tensor, Tensor)], f32)> =
+                of_n().map(|((_, bn), w)| (&bn[..], w)).collect();
+            if let Some(avg) = average_bn_stats(&stats) {
+                self.global.set_bn_stats_range(&avg, f, t);
+            }
+        }
+        // Eq. 17: K_n = clients whose *last* module is n.
+        for (n, head) in self.heads.iter_mut().enumerate().skip(m) {
+            let aux_updates: Vec<(&[f32], f32)> = results
+                .iter()
+                .filter(|r| r.plan.assign.last == n)
+                .filter_map(|r| Some((&r.aux.as_ref()?[..], r.weight)))
+                .collect();
+            if let (Some(head), false) = (head.as_mut(), aux_updates.is_empty()) {
+                head.set_flat_params(&weighted_average(&aux_updates));
+            }
+        }
+    }
+
+    /// Validation clean/adversarial accuracy of the cascaded prefix through
+    /// module `m` (its aux head is the exit; the final module uses the
+    /// backbone classifier). The adversarial attack is input-space PGD with
+    /// the training ε₀.
+    fn validate_prefix(&mut self, m: usize) -> (f32, f32) {
+        let (env, cfg) = (self.env, &self.env.cfg);
+        let n = env.data.val.len().min(self.pcfg.val_samples);
+        let idx: Vec<usize> = (0..n).collect();
+        let (x, y) = env.data.val.batch(&idx);
+        let pgd = Pgd::new(PgdConfig {
+            steps: cfg.pgd_steps.max(1),
+            ..PgdConfig::train_linf(cfg.eps0)
+        });
+        let mut rng = seeded_rng(cfg.seed ^ 0x7E57 ^ self.round as u64);
+        let mut clean_and_adv = |target: &mut dyn AttackTarget| {
+            let clean = fp_nn::accuracy(&target.logits(&x), &y);
+            let adv_x = pgd.attack(target, &x, &y, &mut rng);
+            (clean, fp_nn::accuracy(&target.logits(&adv_x), &y))
+        };
+        let accs = match self.heads[m].as_mut() {
+            None => clean_and_adv(&mut ModelTarget::new(&mut self.global)),
+            Some(head) => {
+                let (_, t) = self.partition.windows[m];
+                clean_and_adv(&mut ModuleTarget::new(&mut self.global, head, 0, t, 0.0))
+            }
+        };
+        // `train` clones the global model per client: the validation
+        // batch's activations must not ride along.
+        self.global.clear_cache();
+        accs
+    }
+
+    /// Clients probe `max‖Δz_m‖₂` of the fixed module `m` under its final
+    /// input budget `eps_star` and the server averages (the `E[·]` of
+    /// Eq. 11).
+    ///
+    /// The probes fan out like [`Server::train`]: each job attacks its own
+    /// clone of the model and head in `Eval` mode, which reads parameters
+    /// and BN statistics but writes neither, so the per-client maxima —
+    /// summed in client order — do not depend on the worker count.
+    fn probe_delta_z(&self, m: usize, eps_star: f32) -> f32 {
+        let (env, cfg) = (self.env, &self.env.cfg);
+        let (f, t) = self.partition.windows[m];
+        let head = self.heads[m].as_ref().expect("probed module has a head");
+        let probe_clients: Vec<usize> = env.sample_round(usize::MAX - m);
+        let (outer, inner) = fp_tensor::parallel::thread_split(probe_clients.len());
+        let worst = fp_tensor::parallel::parallel_map(&probe_clients, outer, |_, &k| {
+            let backend = fp_tensor::backend_for_threads(inner);
+            let mut model = self.global.clone();
+            let mut head = head.clone();
+            model.set_backend(&backend);
+            head.set_backend(&backend);
+            max_feature_perturbation(
+                &mut model,
+                &mut head,
+                f,
+                t,
+                &env.data.train,
+                &env.splits[k].indices,
+                eps_star,
+                self.pcfg.mu,
+                cfg.pgd_steps,
+                cfg.batch_size,
+                self.pcfg.probe_batches,
+                cfg.seed ^ 0x0B5E ^ k as u64,
+            )
+        });
+        let sum: f64 = worst.iter().map(|&w| w as f64).sum();
+        (sum / probe_clients.len() as f64) as f32
+    }
 }
 
 /// Client `k`'s round-`t` real-time availability for FedProphet's loop —
@@ -875,69 +852,6 @@ fn prophet_availability(env: &FlEnv, t: usize, k: usize) -> (u64, f64) {
     let mem = (env.mem_budget(k) as f64 * (0.8 + 0.2 * rng.gen::<f64>())) as u64;
     let perf = env.fleet[k].device.tflops * (0.2 + 0.8 * rng.gen::<f64>());
     (mem, perf)
-}
-
-/// The hwsim cost description of one DMA-assigned module window — the
-/// latency model plus the window-weights payload that crosses the
-/// client's link.
-fn window_latency_model(
-    env: &FlEnv,
-    partition: &ModulePartition,
-    assign: ModuleAssignment,
-    cfg: &fp_fl::FlConfig,
-) -> (LatencyModel, Payload) {
-    let mem_req: u64 = (assign.current..=assign.last)
-        .map(|n| partition.mem_bytes[n])
-        .sum();
-    let macs: u64 = (assign.current..=assign.last)
-        .map(|n| partition.fwd_macs[n])
-        .sum();
-    let (f, t) = assign.atom_window(partition);
-    let model = LatencyModel {
-        mem_req_bytes: mem_req,
-        fwd_macs_per_sample: macs,
-        batch: cfg.batch_size,
-        profile: TrainingPassProfile::adversarial(cfg.pgd_steps),
-    };
-    // Only the window's weights ship (down and, after training, back up);
-    // the (GAP→linear) aux head is negligible next to even one conv atom
-    // and is not counted.
-    let payload = Payload::window(param_transfer_bytes(&env.reference_specs[f..t]));
-    (model, payload)
-}
-
-/// Client `k`'s device sample with its availability overridden by the
-/// round's degradation draw.
-fn degraded_sample(env: &FlEnv, k: usize, mem: u64, perf: f64) -> fp_hwsim::DeviceSample {
-    let mut sample = env.fleet[k];
-    sample.avail_mem_bytes = mem;
-    sample.avail_tflops = perf;
-    sample
-}
-
-/// Per-selected-client dispatch latency over the DMA-assigned window
-/// (down-link window transfer + compute + swap traffic + up-link update
-/// transfer) — the durations fed to the round's virtual-time event queue.
-fn client_latencies(
-    env: &FlEnv,
-    partition: &ModulePartition,
-    assignments: &[ModuleAssignment],
-    ids: &[usize],
-    avail: &[(u64, f64)],
-    cfg: &fp_fl::FlConfig,
-) -> Vec<ClientLatency> {
-    ids.iter()
-        .zip(assignments.iter())
-        .zip(avail.iter())
-        .map(|((&k, assign), &(mem_avail, perf))| {
-            let (model, payload) = window_latency_model(env, partition, *assign, cfg);
-            model.dispatch_round_trip(
-                &degraded_sample(env, k, mem_avail, perf),
-                cfg.local_iters,
-                &payload,
-            )
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -1182,5 +1096,137 @@ mod tests {
             assert!(r.completed >= 1);
             assert!(r.train_loss.is_finite());
         }
+    }
+
+    /// Runs `cfg` far enough to be rejected: validation is the first thing
+    /// `run_detailed` does, before the partition or any client exists.
+    fn rejected(cfg: ProphetConfig) {
+        FedProphet::new(cfg).run_detailed(&make_env(2, 1));
+    }
+
+    fn with_async(acfg: AsyncConfig) -> ProphetConfig {
+        ProphetConfig {
+            async_agg: Some(acfg),
+            ..ProphetConfig::default()
+        }
+    }
+
+    #[test]
+    fn default_and_async_default_configs_validate() {
+        let env = make_env(2, 1);
+        ProphetConfig::default().validate(&env);
+        with_async(AsyncConfig::default()).validate(&env);
+    }
+
+    #[test]
+    #[should_panic(expected = "field `mu`")]
+    fn negative_mu_rejected() {
+        rejected(ProphetConfig {
+            mu: -1e-4,
+            ..ProphetConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "field `alpha0`")]
+    fn zero_alpha0_rejected() {
+        rejected(ProphetConfig {
+            alpha0: 0.0,
+            ..ProphetConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "field `delta_alpha`")]
+    fn zero_delta_alpha_rejected() {
+        rejected(ProphetConfig {
+            delta_alpha: 0.0,
+            ..ProphetConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "field `gamma`")]
+    fn negative_gamma_rejected() {
+        rejected(ProphetConfig {
+            gamma: -0.05,
+            ..ProphetConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "field `rounds_per_module`")]
+    fn zero_rounds_per_module_rejected() {
+        rejected(ProphetConfig {
+            rounds_per_module: Some(0),
+            ..ProphetConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "field `probe_batches`")]
+    fn zero_probe_batches_rejected() {
+        rejected(ProphetConfig {
+            probe_batches: 0,
+            ..ProphetConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "field `val_samples`")]
+    fn zero_val_samples_rejected() {
+        rejected(ProphetConfig {
+            val_samples: 0,
+            ..ProphetConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "over_select must be >= 1")]
+    fn sched_is_validated_at_the_door() {
+        rejected(ProphetConfig {
+            sched: SchedConfig {
+                over_select: 0.5,
+                ..SchedConfig::default()
+            },
+            ..ProphetConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "field `async_agg.timeout_s`")]
+    fn async_timeout_rejected_not_ignored() {
+        rejected(with_async(AsyncConfig {
+            timeout_s: Some(1.0),
+            ..AsyncConfig::default()
+        }));
+    }
+
+    #[test]
+    #[should_panic(expected = "field `async_agg.dropout_p`")]
+    fn async_dropout_rejected_not_ignored() {
+        rejected(with_async(AsyncConfig {
+            dropout_p: 0.1,
+            ..AsyncConfig::default()
+        }));
+    }
+
+    #[test]
+    #[should_panic(expected = "field `async_agg.adaptive_buffer`")]
+    fn async_adaptive_buffer_rejected_not_ignored() {
+        rejected(with_async(AsyncConfig {
+            adaptive_buffer: Some((1, 4)),
+            ..AsyncConfig::default()
+        }));
+    }
+
+    #[test]
+    #[should_panic(expected = "field `async_agg.buffer_k`")]
+    fn async_buffer_above_fleet_rejected() {
+        rejected(with_async(AsyncConfig {
+            concurrency: 8,
+            buffer_k: 9,
+            ..AsyncConfig::default()
+        }));
     }
 }

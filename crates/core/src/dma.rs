@@ -1,6 +1,7 @@
 //! Differentiated Module Assignment (paper §6.3).
 
 use crate::partition::ModulePartition;
+use fp_hwsim::{LatencyModel, TrainingPassProfile};
 use serde::Serialize;
 
 /// One client's assignment for a round: it trains modules
@@ -14,6 +15,14 @@ pub struct ModuleAssignment {
 }
 
 impl ModuleAssignment {
+    /// The assignment without DMA: module `m` alone.
+    pub fn only(m: usize) -> Self {
+        ModuleAssignment {
+            current: m,
+            last: m,
+        }
+    }
+
     /// Number of modules assigned.
     pub fn count(&self) -> usize {
         self.last - self.current + 1
@@ -25,6 +34,28 @@ impl ModuleAssignment {
             partition.windows[self.current].0,
             partition.windows[self.last].1,
         )
+    }
+
+    /// The `fp-hwsim` cost description of adversarially training the
+    /// assigned window: memory requirement and forward MACs are the sums
+    /// of the partition's per-module costs over `[current, last]` — the
+    /// same conservative sums [`assign_modules`] bounds against `R_k` and
+    /// the FLOPs limit — at mini-batch `batch` under a `pgd_steps`-step
+    /// PGD inner loop. The training loop and the full-scale cost model
+    /// both charge a window through this one description.
+    pub fn latency_model(
+        &self,
+        partition: &ModulePartition,
+        batch: usize,
+        pgd_steps: usize,
+    ) -> LatencyModel {
+        let modules = self.current..=self.last;
+        LatencyModel {
+            mem_req_bytes: partition.mem_bytes[modules.clone()].iter().sum(),
+            fwd_macs_per_sample: partition.fwd_macs[modules].iter().sum(),
+            batch,
+            profile: TrainingPassProfile::adversarial(pgd_steps),
+        }
     }
 }
 

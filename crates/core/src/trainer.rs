@@ -2,7 +2,7 @@
 
 use crate::aux_head::AuxHead;
 use crate::module_target::ModuleTarget;
-use fp_attack::{NormBall, Pgd, PgdConfig};
+use fp_attack::{AttackTarget, NormBall, Pgd, PgdConfig};
 use fp_data::{BatchIter, Dataset};
 use fp_nn::{CascadeModel, Mode, Param, Sgd};
 use fp_tensor::{seeded_rng, Tensor};
@@ -42,13 +42,14 @@ pub struct WindowTrainConfig {
     pub backend_threads: usize,
 }
 
-impl WindowTrainConfig {
-    fn ball(&self) -> (NormBall, Option<(f32, f32)>) {
-        if self.from_atom == 0 {
-            (NormBall::Linf(self.epsilon), Some((0.0, 1.0)))
-        } else {
-            (NormBall::L2(self.epsilon), None)
-        }
+/// The perturbation ball (and feature clamp) on a window's input: ℓ∞ on
+/// `[0, 1]` images when the window starts at the input, ℓ2 on features
+/// otherwise.
+fn window_ball(from_atom: usize, eps: f32) -> (NormBall, Option<(f32, f32)>) {
+    if from_atom == 0 {
+        (NormBall::Linf(eps), Some((0.0, 1.0)))
+    } else {
+        (NormBall::L2(eps), None)
     }
 }
 
@@ -79,7 +80,7 @@ pub fn train_module_window(
     let mut it = BatchIter::new(ds, indices, cfg.batch_size, cfg.seed);
     let mut opt = Sgd::new(cfg.momentum, cfg.weight_decay);
     let mut rng = seeded_rng(cfg.seed ^ 0xCA5CADE);
-    let (ball, clamp) = cfg.ball();
+    let (ball, clamp) = window_ball(cfg.from_atom, cfg.epsilon);
     let attack = (cfg.pgd_steps > 0 && cfg.epsilon > 0.0).then(|| {
         Pgd::new(PgdConfig {
             steps: cfg.pgd_steps,
@@ -133,38 +134,34 @@ fn step_window(
     rng: &mut rand::rngs::StdRng,
 ) -> f32 {
     // Inner maximization on the window input feature.
-    let (adv_z, loss) = match aux {
+    let mut perturb = |target: &mut dyn AttackTarget| match attack {
+        Some(p) => p.attack(target, z_in, y, rng),
+        None => z_in.clone(),
+    };
+    match aux {
         Some(aux) => {
             let mut target = ModuleTarget::new(model, aux, cfg.from_atom, cfg.to_atom, cfg.mu);
-            let adv_z = match attack {
-                Some(p) => p.attack(&mut target, z_in, y, rng),
-                None => z_in.clone(),
-            };
+            let adv_z = perturb(&mut target);
             target.zero_grad();
             let (loss, _) = target.loss_and_grads(&adv_z, y, Mode::Train);
             let mut params: Vec<&mut Param> = model.params_range_mut(cfg.from_atom, cfg.to_atom);
             params.extend(aux.params_mut());
             opt.step(&mut params, cfg.lr);
-            (adv_z, loss)
+            loss
         }
         None => {
             // Final window: the backbone classifier is the exit; plain CE
             // (`l_M = l`, paper Proposition 1), no µ-regularizer.
             let mut target =
                 crate::module_target::FinalWindowTarget::new(model, cfg.from_atom, cfg.to_atom);
-            let adv_z = match attack {
-                Some(p) => p.attack(&mut target, z_in, y, rng),
-                None => z_in.clone(),
-            };
+            let adv_z = perturb(&mut target);
             target.zero_grad();
             let loss = target.train_step(&adv_z, y);
             let mut params: Vec<&mut Param> = model.params_range_mut(cfg.from_atom, cfg.to_atom);
             opt.step(&mut params, cfg.lr);
-            (adv_z, loss)
+            loss
         }
-    };
-    let _ = adv_z;
-    loss
+    }
 }
 
 /// Probes the largest output-feature perturbation of a *fixed* module
@@ -191,11 +188,7 @@ pub fn max_feature_perturbation(
 ) -> f32 {
     let mut it = BatchIter::new(ds, indices, batch_size, seed);
     let mut rng = seeded_rng(seed ^ 0xDE17A);
-    let (ball, clamp) = if from_atom == 0 {
-        (NormBall::Linf(epsilon_in), Some((0.0, 1.0)))
-    } else {
-        (NormBall::L2(epsilon_in), None)
-    };
+    let (ball, clamp) = window_ball(from_atom, epsilon_in);
     let pgd = Pgd::new(PgdConfig {
         steps: pgd_steps.max(1),
         alpha: None,

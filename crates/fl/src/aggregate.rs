@@ -1,20 +1,25 @@
 //! Model aggregation.
 
+use fp_tensor::Tensor;
+
 /// Weighted average of flat parameter vectors (FedAvg, paper Eq. 1).
 ///
-/// Weights are renormalized over the participating clients.
+/// Weights are renormalized over the participating clients. The vectors
+/// are only read, so callers pass whatever they hold — owned `Vec`s or
+/// slices borrowed from the updates.
 ///
 /// # Panics
 ///
 /// Panics if `updates` is empty, lengths disagree, or total weight is not
 /// positive.
-pub fn weighted_average(updates: &[(Vec<f32>, f32)]) -> Vec<f32> {
+pub fn weighted_average<V: AsRef<[f32]>>(updates: &[(V, f32)]) -> Vec<f32> {
     assert!(!updates.is_empty(), "no updates to aggregate");
-    let len = updates[0].0.len();
+    let len = updates[0].0.as_ref().len();
     let total: f64 = updates.iter().map(|(_, w)| *w as f64).sum();
     assert!(total > 0.0, "total weight must be positive");
     let mut out = vec![0.0f64; len];
     for (vals, w) in updates {
+        let vals = vals.as_ref();
         assert_eq!(vals.len(), len, "update length mismatch");
         let wn = *w as f64 / total;
         for (o, &v) in out.iter_mut().zip(vals.iter()) {
@@ -22,6 +27,39 @@ pub fn weighted_average(updates: &[(Vec<f32>, f32)]) -> Vec<f32> {
         }
     }
     out.into_iter().map(|v| v as f32).collect()
+}
+
+/// Weighted mean of BatchNorm running statistics: one `(mean, var)` pair
+/// per BN layer and update, every update listing the same layers in the
+/// same order (`CascadeModel::bn_stats` / `bn_stats_range`). Weights are
+/// renormalized over the given updates in `f32` and each update is folded
+/// in with one `axpy(w / total, ·)` per tensor, in update order — the
+/// arithmetic every FedAvg-style merge in the workspace has always used
+/// for BN statistics, so model hashes do not depend on which caller
+/// averaged them.
+///
+/// `None` when there is nothing to average: no updates, or models without
+/// BN layers.
+pub fn average_bn_stats<S: AsRef<[(Tensor, Tensor)]>>(
+    updates: &[(S, f32)],
+) -> Option<Vec<(Tensor, Tensor)>> {
+    let template = updates.first()?.0.as_ref();
+    if template.is_empty() {
+        return None;
+    }
+    let total: f32 = updates.iter().map(|(_, w)| *w).sum();
+    let mut out: Vec<(Tensor, Tensor)> = template
+        .iter()
+        .map(|(m, v)| (Tensor::zeros(m.shape()), Tensor::zeros(v.shape())))
+        .collect();
+    for (stats, w) in updates {
+        let wn = *w / total;
+        for ((mean, var), (m, v)) in out.iter_mut().zip(stats.as_ref()) {
+            mean.axpy(wn, m);
+            var.axpy(wn, v);
+        }
+    }
+    Some(out)
 }
 
 // ------------------------------------------------------- robust statistics
@@ -454,7 +492,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no updates")]
     fn empty_average_rejected() {
-        weighted_average(&[]);
+        weighted_average::<Vec<f32>>(&[]);
     }
 
     #[test]

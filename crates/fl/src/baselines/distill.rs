@@ -289,19 +289,23 @@ impl ScheduledTrainer for Distill {
         // `a = 0`-equivalence suites pin this).
         #[allow(clippy::needless_range_loop)] // index shared across several buffers
         for arch in 0..state.zoo.len() {
-            let mut members: Vec<(CascadeModel, f32)> = Vec::new();
+            let mut members: Vec<(&CascadeModel, f32)> = Vec::new();
             let mut anchor = 0.0f32;
             for ((k, (a, m)), &w) in updates.iter().zip(weights) {
                 if *a == arch {
-                    members.push((m.clone(), w));
+                    members.push((m, w));
                     anchor += env.splits[*k].weight - w;
                 }
             }
             if members.is_empty() {
                 continue;
             }
+            // The anchor is the prototype being overwritten: the one
+            // clone aliasing forces.
+            let prototype;
             if anchor > 0.0 {
-                members.push((state.zoo[arch].clone(), anchor));
+                prototype = state.zoo[arch].clone();
+                members.push((&prototype, anchor));
             }
             fedavg_into(&mut state.zoo[arch], &members);
         }

@@ -110,8 +110,7 @@ impl ModelTrainer for FedRbn {
             .map(|((_, (m, at)), &w)| (m, w, at))
             .collect();
         // Weights: plain FedAvg over everyone.
-        let all: Vec<(CascadeModel, f32)> =
-            results.iter().map(|(m, w, _)| (m.clone(), *w)).collect();
+        let all: Vec<(&CascadeModel, f32)> = results.iter().map(|(m, w, _)| (m, *w)).collect();
         fedavg_into(global, &all);
         // Robustness propagation: adversarial BN statistics override.
         if let Some(stats) = at_weighted_bn(&results) {
@@ -134,31 +133,12 @@ impl FlAlgorithm for FedRbn {
 
 /// Weighted-average BN statistics over adversarially trained clients only.
 fn at_weighted_bn(results: &[(CascadeModel, f32, bool)]) -> Option<Vec<(Tensor, Tensor)>> {
-    let at: Vec<&(CascadeModel, f32, bool)> = results.iter().filter(|(_, _, adv)| *adv).collect();
-    if at.is_empty() {
-        return None;
-    }
-    let total: f32 = at.iter().map(|(_, w, _)| *w).sum();
-    let template = at[0].0.bn_stats();
-    if template.is_empty() {
-        return None;
-    }
-    let mut means: Vec<Tensor> = template
+    let at: Vec<_> = results
         .iter()
-        .map(|(m, _)| Tensor::zeros(m.shape()))
+        .filter(|(_, _, adv)| *adv)
+        .map(|(m, w, _)| (m.bn_stats(), *w))
         .collect();
-    let mut vars: Vec<Tensor> = template
-        .iter()
-        .map(|(_, v)| Tensor::zeros(v.shape()))
-        .collect();
-    for (m, w, _) in at {
-        let wn = *w / total;
-        for (i, (mean, var)) in m.bn_stats().iter().enumerate() {
-            means[i].axpy(wn, mean);
-            vars[i].axpy(wn, var);
-        }
-    }
-    Some(means.into_iter().zip(vars).collect())
+    crate::aggregate::average_bn_stats(&at)
 }
 
 #[cfg(test)]

@@ -95,8 +95,8 @@ impl ModelTrainer for JFat {
         updates: Vec<(usize, CascadeModel)>,
         weights: &[f32],
     ) {
-        let weighted: Vec<(CascadeModel, f32)> = updates
-            .into_iter()
+        let weighted: Vec<(&CascadeModel, f32)> = updates
+            .iter()
             .zip(weights)
             .map(|((_, m), &w)| (m, w))
             .collect();

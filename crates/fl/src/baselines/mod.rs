@@ -13,45 +13,17 @@ pub use partial::PartialTraining;
 
 use crate::engine::FlEnv;
 use fp_nn::CascadeModel;
-use fp_tensor::Tensor;
 
 /// Weighted-averages full local models (parameters and BN statistics) into
 /// `global`.
-pub(crate) fn fedavg_into(global: &mut CascadeModel, locals: &[(CascadeModel, f32)]) {
+pub(crate) fn fedavg_into(global: &mut CascadeModel, locals: &[(&CascadeModel, f32)]) {
     assert!(!locals.is_empty(), "no local models");
-    let updates: Vec<(Vec<f32>, f32)> = locals.iter().map(|(m, w)| (m.flat_params(), *w)).collect();
-    let avg = crate::aggregate::weighted_average(&updates);
-    global.set_flat_params(&avg);
-    average_bn_into(global, locals);
-}
-
-/// Weighted-averages only BN running statistics into `global`.
-pub(crate) fn average_bn_into(global: &mut CascadeModel, locals: &[(CascadeModel, f32)]) {
-    let total: f32 = locals.iter().map(|(_, w)| *w).sum();
-    if total <= 0.0 {
-        return;
+    let flats: Vec<(Vec<f32>, f32)> = locals.iter().map(|(m, w)| (m.flat_params(), *w)).collect();
+    global.set_flat_params(&crate::aggregate::weighted_average(&flats));
+    let stats: Vec<_> = locals.iter().map(|(m, w)| (m.bn_stats(), *w)).collect();
+    if let Some(avg) = crate::aggregate::average_bn_stats(&stats) {
+        global.set_bn_stats(&avg);
     }
-    let template = locals[0].0.bn_stats();
-    if template.is_empty() {
-        return;
-    }
-    let mut means: Vec<Tensor> = template
-        .iter()
-        .map(|(m, _)| Tensor::zeros(m.shape()))
-        .collect();
-    let mut vars: Vec<Tensor> = template
-        .iter()
-        .map(|(_, v)| Tensor::zeros(v.shape()))
-        .collect();
-    for (m, w) in locals {
-        let wn = *w / total;
-        for (i, (mean, var)) in m.bn_stats().iter().enumerate() {
-            means[i].axpy(wn, mean);
-            vars[i].axpy(wn, var);
-        }
-    }
-    let stats: Vec<(Tensor, Tensor)> = means.into_iter().zip(vars).collect();
-    global.set_bn_stats(&stats);
 }
 
 /// Builds the freshly initialized reference (global) model of an
@@ -95,7 +67,7 @@ mod tests {
         let env = testenv::make_env(1, 0);
         let global = init_global(&env);
         let mut merged = global.clone();
-        fedavg_into(&mut merged, &[(global.clone(), 0.5), (global.clone(), 0.5)]);
+        fedavg_into(&mut merged, &[(&global, 0.5), (&global, 0.5)]);
         for (a, b) in merged.flat_params().iter().zip(global.flat_params()) {
             assert!((a - b).abs() < 1e-6);
         }

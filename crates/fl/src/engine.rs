@@ -7,7 +7,7 @@ use fp_data::{ClientSplit, SynthDataset};
 use fp_hwsim::{model_mem_req, sample_fleet, Device, DeviceSample, SamplingMode};
 use fp_nn::spec::AtomSpec;
 use fp_nn::CascadeModel;
-use fp_tensor::{argmax_rows, seeded_rng};
+use fp_tensor::seeded_rng;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
@@ -275,8 +275,7 @@ impl FlEnv {
         // The validation batch's activations must not ride along in the
         // per-client clones of the global model.
         model.clear_cache();
-        let preds = argmax_rows(&logits);
-        preds.iter().zip(&y).filter(|(p, l)| p == l).count() as f32 / n as f32
+        fp_nn::accuracy(&logits, &y)
     }
 
     /// Quick validation adversarial accuracy (PGD with the training
@@ -294,8 +293,7 @@ impl FlEnv {
         let adv = pgd.attack(&mut target, &x, &y, &mut rng);
         let logits = model.forward(&adv, fp_nn::Mode::Eval);
         model.clear_cache();
-        let preds = argmax_rows(&logits);
-        preds.iter().zip(&y).filter(|(p, l)| p == l).count() as f32 / n as f32
+        fp_nn::accuracy(&logits, &y)
     }
 }
 
