@@ -8,7 +8,7 @@
 //! the PR gate: parallel must beat scalar by ≥ 2×).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fp_nn::{Conv2d, Layer, Mode, QuantizedUpdate};
+use fp_nn::{BatchNorm2d, Conv2d, Layer, MaxPool2d, Mode, QuantizedUpdate, ReLU};
 use fp_tensor::{seeded_rng, Backend, Parallel, Scalar, Tensor};
 
 fn bench_matmul(c: &mut Criterion) {
@@ -93,6 +93,51 @@ fn bench_conv_forward_backward(c: &mut Criterion) {
     }
 }
 
+/// The non-GEMM layers between the convolutions — `BatchNorm2d`, `ReLU`
+/// and 2×2 `MaxPool2d` — at the four Medium stages' conv outputs (batch
+/// 32). Eval forward is what every PGD step pays; the backward rows time
+/// `backward` alone (the forward that fills the cache runs once, outside
+/// the loop). The pool rows read post-ReLU values, as the pool does in
+/// every model (ties at zero change its branch behaviour). Ids are
+/// `nn_layers/<row>/<b>x<c>x<h>x<w>`.
+fn bench_nn_layers(c: &mut Criterion) {
+    type Make = fn(usize) -> Box<dyn Layer>;
+    let bn: Make = |ch| Box::new(BatchNorm2d::new("bn", ch, 0));
+    let relu: Make = |_| Box::new(ReLU::new(0));
+    let pool: Make = |_| Box::new(MaxPool2d::new(2, 2, 0));
+    // (row, layer for `c` channels, forward mode, time backward instead)
+    let rows: [(&str, Make, Mode, bool); 7] = [
+        ("bn_forward_eval", bn, Mode::Eval, false),
+        ("bn_forward_train", bn, Mode::Train, false),
+        ("bn_backward_train", bn, Mode::Train, true),
+        ("relu_forward", relu, Mode::Eval, false),
+        ("relu_backward", relu, Mode::Eval, true),
+        ("maxpool2x2_forward", pool, Mode::Eval, false),
+        ("maxpool2x2_backward", pool, Mode::Eval, true),
+    ];
+    let mut group = c.benchmark_group("nn_layers");
+    for (row, make, mode, backward) in rows {
+        for &(ch, hw) in &[(12usize, 16usize), (24, 8), (32, 4), (48, 2)] {
+            let mut rng = seeded_rng(5);
+            let mut x = Tensor::rand_uniform(&[32, ch, hw, hw], -1.0, 1.0, &mut rng);
+            if row.starts_with("maxpool") {
+                x.map_inplace(|v| v.max(0.0));
+            }
+            let mut layer = make(ch);
+            let y = layer.forward(&x, mode);
+            let g = Tensor::rand_uniform(y.shape(), -1.0, 1.0, &mut rng);
+            group.bench_function(&format!("{row}/32x{ch}x{hw}x{hw}"), |b| {
+                if backward {
+                    b.iter(|| std::hint::black_box(layer.backward(&g)));
+                } else {
+                    b.iter(|| std::hint::black_box(layer.forward(&x, mode)));
+                }
+            });
+        }
+    }
+    group.finish();
+}
+
 fn bench_softmax(c: &mut Criterion) {
     let mut rng = seeded_rng(2);
     let logits = Tensor::rand_uniform(&[256, 256], -5.0, 5.0, &mut rng);
@@ -129,7 +174,7 @@ fn bench_quant(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_matmul, bench_matmul_shapes, bench_conv_forward_backward, bench_softmax,
-        bench_quant
+    targets = bench_matmul, bench_matmul_shapes, bench_conv_forward_backward, bench_nn_layers,
+        bench_softmax, bench_quant
 }
 criterion_main!(benches);

@@ -1,5 +1,6 @@
 //! Batch normalization over channels.
 
+use super::{planes, recycle};
 use crate::layer::{Layer, Mode};
 use crate::param::Param;
 use crate::spec::{LayerKind, LayerSpec};
@@ -28,7 +29,7 @@ pub struct BatchNorm2d {
 
 #[derive(Debug, Clone)]
 struct Cache {
-    x_hat: Tensor,
+    x_hat: Vec<f32>,
     inv_std: Vec<f32>,
     mode: Mode,
     /// Elements per channel in the normalized batch (`b·h·w`).
@@ -38,29 +39,85 @@ struct Cache {
 /// Per-channel `(Σ dy·x̂, Σ dy)` over the batch.
 type ChannelSums = (Vec<f32>, Vec<f32>);
 
+/// Independent f32 chains the reductions run abreast. Each chain is still
+/// one sequential fold in the parent's order; the lanes only let the core
+/// overlap eight of them instead of waiting on one add at a time.
+const LANES: usize = 8;
+
 impl Cache {
     /// The two reductions of a backward pass: they are dγ and dβ, and
     /// train-mode dX needs them too, so `backward` and `backward_input`
-    /// share this one summation order.
+    /// share this one summation order — per channel one chain from `+0.0`
+    /// over `s`, then `i` — computed [`LANES`] channels abreast.
     fn channel_sums(&self, grad_out: &Tensor) -> ChannelSums {
-        let (b, c, h, w) = dims4(grad_out);
-        let hw = h * w;
-        let mut dgamma = vec![0.0f32; c];
-        let mut dbeta = vec![0.0f32; c];
-        #[allow(clippy::needless_range_loop)] // index addresses per-channel planes
-        for s in 0..b {
-            for ch in 0..c {
-                let off = (s * c + ch) * hw;
-                let dy = &grad_out.data()[off..off + hw];
-                let x_hat = &self.x_hat.data()[off..off + hw];
-                for (&g, &xh) in dy.iter().zip(x_hat) {
-                    dgamma[ch] += g * xh;
-                    dbeta[ch] += g;
-                }
+        let (_, c, h, w) = dims4(grad_out);
+        let (dy, x_hat) = (grad_out.data(), &self.x_hat[..]);
+        assert_eq!(dy.len(), x_hat.len(), "bn grad shape mismatch");
+        let mut sums: ChannelSums = (Vec::with_capacity(c), Vec::with_capacity(c));
+        let full = c - c % LANES;
+        for c0 in (0..full).step_by(LANES) {
+            channel_chains::<LANES>(dy, x_hat, c, h * w, c0, &mut sums);
+        }
+        for c0 in full..c {
+            channel_chains::<1>(dy, x_hat, c, h * w, c0, &mut sums);
+        }
+        sums
+    }
+}
+
+/// Appends channels `c0..c0 + L` of [`Cache::channel_sums`], one lane each.
+fn channel_chains<const L: usize>(
+    dy: &[f32],
+    x_hat: &[f32],
+    c: usize,
+    hw: usize,
+    c0: usize,
+    (dgammas, dbetas): &mut ChannelSums,
+) {
+    let (mut dgamma, mut dbeta) = ([0.0f32; L], [0.0f32; L]);
+    let sample = (c * hw).max(1);
+    for (dy_s, xh_s) in dy.chunks_exact(sample).zip(x_hat.chunks_exact(sample)) {
+        let dys: [&[f32]; L] = std::array::from_fn(|l| &dy_s[(c0 + l) * hw..][..hw]);
+        let xhs: [&[f32]; L] = std::array::from_fn(|l| &xh_s[(c0 + l) * hw..][..hw]);
+        for i in 0..hw {
+            for l in 0..L {
+                dgamma[l] += dys[l][i] * xhs[l][i];
+                dbeta[l] += dys[l][i];
             }
         }
-        (dgamma, dbeta)
     }
+    dgammas.extend_from_slice(&dgamma);
+    dbetas.extend_from_slice(&dbeta);
+}
+
+/// `Σ term(v, mu_of(p))` over each `hw`-element plane `p` of `x`: one
+/// sequential chain per plane from `-0.0`, i.e. exactly
+/// `plane.iter().map(..).sum::<f32>()`, computed [`LANES`] planes abreast.
+fn plane_sums(
+    x: &[f32],
+    hw: usize,
+    mu_of: impl Fn(usize) -> f32,
+    term: impl Fn(f32, f32) -> f32,
+) -> Vec<f32> {
+    let mut sums = Vec::with_capacity(x.len() / hw.max(1));
+    let mut groups = x.chunks_exact(LANES * hw.max(1));
+    for group in groups.by_ref() {
+        let lane: [&[f32]; LANES] = std::array::from_fn(|l| &group[l * hw..][..hw]);
+        let mu: [f32; LANES] = std::array::from_fn(|l| mu_of(sums.len() + l));
+        let mut acc = [-0.0f32; LANES];
+        #[allow(clippy::needless_range_loop)] // one offset into eight planes
+        for i in 0..hw {
+            for l in 0..LANES {
+                acc[l] += term(lane[l][i], mu[l]);
+            }
+        }
+        sums.extend_from_slice(&acc);
+    }
+    for plane in planes(groups.remainder(), hw) {
+        let mu = mu_of(sums.len());
+        sums.push(plane.iter().map(|&v| term(v, mu)).sum());
+    }
+    sums
 }
 
 impl BatchNorm2d {
@@ -80,81 +137,65 @@ impl BatchNorm2d {
         }
     }
 
+    /// Batch mean and biased variance per channel: each `(s, ch)` plane's
+    /// sum is one [`plane_sums`] chain, and the plane sums fold into their
+    /// channel from `+0.0` in `(s, ch)` order before the division by `N`.
     fn stats_for_batch(&self, x: &Tensor) -> (Vec<f32>, Vec<f32>) {
         let (b, c, h, w) = dims4(x);
         let n = (b * h * w) as f32;
-        let mut mean = vec![0.0f32; c];
-        let mut var = vec![0.0f32; c];
-        let hw = h * w;
-        #[allow(clippy::needless_range_loop)] // index addresses per-channel planes
-        for s in 0..b {
-            for ch in 0..c {
-                let plane = &x.data()[(s * c + ch) * hw..(s * c + ch + 1) * hw];
-                mean[ch] += plane.iter().sum::<f32>();
+        let per_channel = |sums: Vec<f32>| -> Vec<f32> {
+            let mut acc = vec![0.0f32; c];
+            for (&s, ch) in sums.iter().zip((0..c).cycle()) {
+                acc[ch] += s;
             }
-        }
-        for m in &mut mean {
-            *m /= n;
-        }
-        #[allow(clippy::needless_range_loop)] // index addresses per-channel planes
-        for s in 0..b {
-            for ch in 0..c {
-                let plane = &x.data()[(s * c + ch) * hw..(s * c + ch + 1) * hw];
-                let mu = mean[ch];
-                var[ch] += plane.iter().map(|&v| (v - mu) * (v - mu)).sum::<f32>();
-            }
-        }
-        for v in &mut var {
-            *v /= n;
-        }
-        (mean, var)
+            acc.iter().map(|&a| a / n).collect()
+        };
+        let mean = per_channel(plane_sums(x.data(), h * w, |_| 0.0, |v, _| v));
+        let centered = plane_sums(
+            x.data(),
+            h * w,
+            |p| mean[p % c],
+            |v, mu| (v - mu) * (v - mu),
+        );
+        (mean, per_channel(centered))
     }
 
     /// dX of the cached forward. `sums` are [`Cache::channel_sums`] of the
-    /// same `grad_out`; only a `Mode::Train` forward reads them.
+    /// same `grad_out`; only a `Mode::Train` forward reads them. One
+    /// plane-sliced pass with the per-plane constants hoisted; every
+    /// element is the parent's expression, rounding for rounding.
     fn input_grad(&self, grad_out: &Tensor, sums: Option<&ChannelSums>) -> Tensor {
         let cache = self.cache.as_ref().expect("backward called before forward");
-        let (b, c, h, w) = dims4(grad_out);
+        let (_, c, h, w) = dims4(grad_out);
         assert_eq!(c, self.c, "bn grad channel mismatch");
-        let hw = h * w;
         let gamma = self.gamma.value().data();
-        let mut dx = Tensor::zeros(grad_out.shape());
+        let dy_planes = planes(grad_out.data(), h * w).zip((0..c).cycle());
+        let mut dx = Vec::with_capacity(grad_out.numel());
         match cache.mode {
             Mode::Train => {
                 // dx = (γ·inv_std/N)·(N·dy − Σdy − x̂·Σ(dy·x̂))
+                // `channel_sums` checked that `grad_out` matches `x̂`.
                 let (dgamma, dbeta) = sums.expect("train-mode dX needs the channel sums");
                 let n = cache.n_per_c as f32;
-                #[allow(clippy::needless_range_loop)] // index addresses per-channel planes
-                for s in 0..b {
-                    for ch in 0..c {
-                        let off = (s * c + ch) * hw;
-                        let k = gamma[ch] * cache.inv_std[ch] / n;
-                        let dy = &grad_out.data()[off..off + hw];
-                        let x_hat = &cache.x_hat.data()[off..off + hw];
-                        let out = &mut dx.data_mut()[off..off + hw];
-                        for ((o, &g), &xh) in out.iter_mut().zip(dy).zip(x_hat) {
-                            *o = k * (n * g - dbeta[ch] - xh * dgamma[ch]);
-                        }
-                    }
+                for ((dy, ch), x_hat) in dy_planes.zip(planes(&cache.x_hat, h * w)) {
+                    let k = gamma[ch] * cache.inv_std[ch] / n;
+                    let (db, dg) = (dbeta[ch], dgamma[ch]);
+                    dx.extend(
+                        dy.iter()
+                            .zip(x_hat)
+                            .map(|(&g, &xh)| k * (n * g - db - xh * dg)),
+                    );
                 }
             }
             Mode::Eval => {
                 // Statistics are constants: dx = dy·γ·inv_std.
-                #[allow(clippy::needless_range_loop)] // index addresses per-channel planes
-                for s in 0..b {
-                    for ch in 0..c {
-                        let off = (s * c + ch) * hw;
-                        let k = gamma[ch] * cache.inv_std[ch];
-                        let dy = &grad_out.data()[off..off + hw];
-                        let out = &mut dx.data_mut()[off..off + hw];
-                        for (o, &g) in out.iter_mut().zip(dy) {
-                            *o = g * k;
-                        }
-                    }
+                for (dy, ch) in dy_planes {
+                    let k = gamma[ch] * cache.inv_std[ch];
+                    dx.extend(dy.iter().map(|&g| g * k));
                 }
             }
         }
-        dx
+        Tensor::from_vec(dx, grad_out.shape())
     }
 }
 
@@ -164,6 +205,10 @@ fn dims4(x: &Tensor) -> (usize, usize, usize, usize) {
 }
 
 impl Layer for BatchNorm2d {
+    /// Normalizes plane by plane: `x̂ = (x − μ)·inv_std` into the recycled
+    /// `x̂` buffer, then `γ·x̂ + β` from it — two roundings each, as in
+    /// the parent (never a fused multiply-add), written by `extend`
+    /// instead of over a zero fill.
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
         let (b, c, h, w) = dims4(x);
         assert_eq!(c, self.c, "bn channel mismatch");
@@ -185,28 +230,22 @@ impl Layer for BatchNorm2d {
             ),
         };
         let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + EPS).sqrt()).collect();
-        let hw = h * w;
-        let mut x_hat = Tensor::zeros(x.shape());
-        let mut out = Tensor::zeros(x.shape());
-        for s in 0..b {
-            for ch in 0..c {
-                let off = (s * c + ch) * hw;
-                let g = self.gamma.value().data()[ch];
-                let bt = self.beta.value().data()[ch];
-                for i in 0..hw {
-                    let xh = (x.data()[off + i] - mean[ch]) * inv_std[ch];
-                    x_hat.data_mut()[off + i] = xh;
-                    out.data_mut()[off + i] = g * xh + bt;
-                }
-            }
+        let (gamma, beta) = (self.gamma.value().data(), self.beta.value().data());
+        let mut x_hat = recycle(self.cache.take().map(|c| c.x_hat), x.numel());
+        let mut out = Vec::with_capacity(x.numel());
+        for (plane, ch) in planes(x.data(), h * w).zip((0..c).cycle()) {
+            let (mu, k, g, bt) = (mean[ch], inv_std[ch], gamma[ch], beta[ch]);
+            let start = x_hat.len();
+            x_hat.extend(plane.iter().map(|&v| (v - mu) * k));
+            out.extend(x_hat[start..].iter().map(|&xh| g * xh + bt));
         }
         self.cache = Some(Cache {
             x_hat,
             inv_std,
             mode,
-            n_per_c: b * hw,
+            n_per_c: b * h * w,
         });
-        out
+        Tensor::from_vec(out, x.shape())
     }
 
     fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {

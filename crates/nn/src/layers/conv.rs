@@ -1,5 +1,6 @@
 //! 2-D convolution, lowered to GEMM by the backend.
 
+use super::cache_copy;
 use crate::layer::{Layer, Mode};
 use crate::param::Param;
 use crate::spec::{LayerKind, LayerSpec};
@@ -17,7 +18,8 @@ use rand::Rng;
 /// the GEMM (no materialized `cols` buffer), while the `Scalar` reference
 /// path materializes the columns in the layer's reusable workspace.
 /// Backward only needs the cached *input* (`c_in·h·w` floats per sample
-/// instead of `c_in·k²·h'·w'` for a `cols` cache).
+/// instead of `c_in·k²·h'·w'` for a `cols` cache), copied into the
+/// previous forward's buffer when the element count is unchanged.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     w: Param,
@@ -114,6 +116,7 @@ impl Layer for Conv2d {
         let (batch, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
         let geo = self.geometry(h, w);
         let (h_out, w_out) = (geo.h_out(), geo.w_out());
+        let old = self.cached.take().map(|c| c.x);
         let mut out = Tensor::zeros(&[batch, self.c_out, h_out, w_out]);
         self.backend.conv2d_forward(
             x.data(),
@@ -126,7 +129,7 @@ impl Layer for Conv2d {
             &mut self.ws,
         );
         self.cached = Some(Cache {
-            x: x.clone(),
+            x: cache_copy(old, x),
             geo,
             batch,
         });

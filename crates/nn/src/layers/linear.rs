@@ -1,5 +1,6 @@
 //! Fully connected layer.
 
+use super::cache_copy;
 use crate::layer::{Layer, Mode};
 use crate::param::Param;
 use crate::spec::{LayerKind, LayerSpec};
@@ -87,7 +88,7 @@ impl Layer for Linear {
                 *o += bv;
             }
         }
-        self.cached_input = Some(x.clone());
+        self.cached_input = Some(cache_copy(self.cached_input.take(), x));
         out
     }
 

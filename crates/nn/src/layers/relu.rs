@@ -1,5 +1,6 @@
 //! Rectified linear unit.
 
+use super::recycle;
 use crate::layer::{Layer, Mode};
 use crate::param::Param;
 use crate::spec::{LayerKind, LayerSpec};
@@ -23,8 +24,12 @@ impl ReLU {
 }
 
 impl Layer for ReLU {
+    /// One pass per output: the mask into the previous forward's
+    /// recycled buffer, then `max(v, 0)`.
     fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
-        self.mask = Some(x.data().iter().map(|&v| v > 0.0).collect());
+        let mut mask = recycle(self.mask.take(), x.numel());
+        mask.extend(x.data().iter().map(|&v| v > 0.0));
+        self.mask = Some(mask);
         x.map(|v| v.max(0.0))
     }
 
