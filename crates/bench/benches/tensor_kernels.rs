@@ -63,9 +63,10 @@ fn bench_matmul_shapes(c: &mut Criterion) {
 /// pooled between) at the training batch. `forward` is what every PGD
 /// step and evaluation pays per stage; `backward` is one training step;
 /// `backward_input` (Medium stages only) is the input gradient alone,
-/// what every PGD step pays on top of its forward, on one kernel thread
-/// as a training client runs it (the default backend would split the
-/// 8×8 stage over two threads, and time thread start-up with it).
+/// what every PGD step pays on top of its forward. The Medium `forward`
+/// and `backward_input` rows run one kernel thread, as a training client
+/// runs them (the default backend would split the 8×8 stage over two
+/// threads, and time thread start-up with it).
 fn bench_conv_forward_backward(c: &mut Criterion) {
     for &(shape, batch, c_in, c_out, hw) in &[
         ("8x16x16x16", 8usize, 16usize, 32usize, 16usize),
@@ -79,18 +80,20 @@ fn bench_conv_forward_backward(c: &mut Criterion) {
         let x = Tensor::rand_uniform(&[batch, c_in, hw, hw], -1.0, 1.0, &mut rng);
         // One im2col'd GEMM: batch · c_out · (c_in·k·k) · (h_out·w_out) MACs.
         let gemm_flops = 2.0 * (batch * c_out * (c_in * 3 * 3) * (hw * hw)) as f64;
-        c.bench_function(&format!("conv2d_forward_{shape}"), |b| {
-            b.flops(gemm_flops);
-            b.iter(|| std::hint::black_box(conv.forward(&x, Mode::Eval)));
-        });
         let y = conv.forward(&x, Mode::Train);
         let g = Tensor::rand_uniform(y.shape(), -1.0, 1.0, &mut rng);
+        let mut timed = conv.clone();
         if batch == 32 {
-            let mut one_thread = conv.clone();
-            one_thread.set_backend(&fp_tensor::backend_for_threads(1));
+            timed.set_backend(&fp_tensor::backend_for_threads(1));
+        }
+        c.bench_function(&format!("conv2d_forward_{shape}"), |b| {
+            b.flops(gemm_flops);
+            b.iter(|| std::hint::black_box(timed.forward(&x, Mode::Eval)));
+        });
+        if batch == 32 {
             c.bench_function(&format!("conv2d_backward_input_{shape}"), |b| {
                 b.flops(gemm_flops);
-                b.iter(|| std::hint::black_box(one_thread.backward_input(&g)));
+                b.iter(|| std::hint::black_box(timed.backward_input(&g)));
             });
         }
         c.bench_function(&format!("conv2d_backward_{shape}"), |b| {

@@ -1,4 +1,15 @@
 //! Client-side adversarial cascade training (paper §5.1, Eq. 9/13).
+//!
+//! A window `[from_atom, to_atom)` trains on `z_{m−1}`, the output of the
+//! frozen prefix — atoms `[0, from_atom)` run in `Eval` mode. Both entry
+//! points read their batches through `WindowInputs`, which forwards each
+//! sample the client's batches use through the prefix once per call and
+//! gathers every batch's rows from those features, instead of re-running
+//! the prefix on every batch. That is exact: only the window's parameters
+//! are stepped while the call runs, an `Eval` forward reads the prefix's
+//! running statistics rather than updating them, and every layer of an
+//! `Eval` forward computes each sample independently of the rest of its
+//! batch, so a sample's `z_{m−1}` is the same bits in any batch.
 
 use crate::aux_head::AuxHead;
 use crate::module_target::ModuleTarget;
@@ -6,6 +17,7 @@ use fp_attack::{AttackTarget, NormBall, Pgd, PgdConfig};
 use fp_data::{BatchIter, Dataset};
 use fp_nn::{CascadeModel, Mode, Param, Sgd};
 use fp_tensor::{seeded_rng, Tensor};
+use std::collections::HashMap;
 
 /// Configuration for training one assigned module window on one client
 /// for one round.
@@ -42,6 +54,94 @@ pub struct WindowTrainConfig {
     pub backend_threads: usize,
 }
 
+/// The window inputs of a client's local batches: the `n_batches` batches
+/// a [`BatchIter`] draws over the client's samples, in its order, each as
+/// the frozen prefix's output — or as the images, when the window starts
+/// at the input (module doc).
+struct WindowInputs {
+    /// Dataset indices of each batch, in draw order.
+    batches: Vec<Vec<usize>>,
+    from_atom: usize,
+    /// Every used sample's prefix output; `None` forwards per batch.
+    prefix: Option<Prefix>,
+}
+
+/// Prefix outputs, one row of `shape` per sample.
+struct Prefix {
+    row_of: HashMap<usize, usize>,
+    rows: Vec<f32>,
+    shape: Vec<usize>,
+}
+
+impl WindowInputs {
+    /// Draws the batches and, when `reuse` and `from_atom > 0`, forwards
+    /// the samples they use through atoms `[0, from_atom)` once, in
+    /// first-use order, one batch-size chunk at a time. Without `reuse`,
+    /// [`batch`](Self::batch) runs the prefix per batch — the route this
+    /// replaces, kept as the tests' reference.
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        model: &mut CascadeModel,
+        ds: &Dataset,
+        indices: &[usize],
+        batch_size: usize,
+        seed: u64,
+        n_batches: usize,
+        from_atom: usize,
+        reuse: bool,
+    ) -> Self {
+        let mut it = BatchIter::new(ds, indices, batch_size, seed);
+        let batches: Vec<Vec<usize>> = (0..n_batches).map(|_| it.next_indices().to_vec()).collect();
+        let prefix = (reuse && from_atom > 0).then(|| {
+            let (mut row_of, mut used) = (HashMap::new(), Vec::new());
+            for &i in batches.iter().flatten() {
+                row_of.entry(i).or_insert_with(|| {
+                    used.push(i);
+                    used.len() - 1
+                });
+            }
+            let (mut rows, mut shape) = (Vec::new(), Vec::new());
+            for chunk in used.chunks(it.batch_size()) {
+                let z = model.forward_range(&ds.batch(chunk).0, 0, from_atom, Mode::Eval);
+                shape = z.shape()[1..].to_vec();
+                rows.extend_from_slice(z.data());
+            }
+            Prefix {
+                row_of,
+                rows,
+                shape,
+            }
+        });
+        WindowInputs {
+            batches,
+            from_atom,
+            prefix,
+        }
+    }
+
+    /// Batch `b`'s window input `z_{m−1}` and labels.
+    fn batch(&self, model: &mut CascadeModel, ds: &Dataset, b: usize) -> (Tensor, Vec<usize>) {
+        let idx = &self.batches[b];
+        let Some(p) = &self.prefix else {
+            let (x, y) = ds.batch(idx);
+            if self.from_atom == 0 {
+                return (x, y);
+            }
+            return (model.forward_range(&x, 0, self.from_atom, Mode::Eval), y);
+        };
+        let per: usize = p.shape.iter().product();
+        let mut data = Vec::with_capacity(idx.len() * per);
+        for i in idx {
+            data.extend_from_slice(&p.rows[p.row_of[i] * per..][..per]);
+        }
+        let shape: Vec<usize> = std::iter::once(idx.len())
+            .chain(p.shape.iter().copied())
+            .collect();
+        let labels = idx.iter().map(|&i| ds.label(i)).collect();
+        (Tensor::from_vec(data, &shape), labels)
+    }
+}
+
 /// The perturbation ball (and feature clamp) on a window's input: ℓ∞ on
 /// `[0, 1]` images when the window starts at the input, ℓ2 on features
 /// otherwise.
@@ -58,9 +158,11 @@ fn window_ball(from_atom: usize, eps: f32) -> (NormBall, Option<(f32, f32)>) {
 /// client's local data; earlier atoms stay fixed and provide the input
 /// features. Returns the mean regularized training loss.
 ///
-/// Each iteration: freeze-forward to `z_{m−1}`, run PGD on the feature
-/// within the ε-ball, then take one SGD step on the window and head
-/// parameters against the strong-convexity regularized early-exit loss.
+/// Each iteration: take the batch's `z_{m−1}` (the frozen prefix's
+/// output, computed once per sample for the whole call — module doc), run
+/// PGD on the feature within the ε-ball, then take one SGD step on the
+/// window and head parameters against the strong-convexity regularized
+/// early-exit loss.
 ///
 /// # Panics
 ///
@@ -72,12 +174,24 @@ pub fn train_module_window(
     indices: &[usize],
     cfg: &WindowTrainConfig,
 ) -> f32 {
+    train_window(model, aux, ds, indices, cfg, true)
+}
+
+/// [`train_module_window`] with the prefix reused (`reuse`) or run per
+/// batch.
+fn train_window(
+    model: &mut CascadeModel,
+    aux: Option<&mut AuxHead>,
+    ds: &Dataset,
+    indices: &[usize],
+    cfg: &WindowTrainConfig,
+    reuse: bool,
+) -> f32 {
     assert!(!indices.is_empty(), "client has no data");
     assert!(
         cfg.from_atom < cfg.to_atom && cfg.to_atom <= model.num_atoms(),
         "bad window"
     );
-    let mut it = BatchIter::new(ds, indices, cfg.batch_size, cfg.seed);
     let mut opt = Sgd::new(cfg.momentum, cfg.weight_decay);
     let mut rng = seeded_rng(cfg.seed ^ 0xCA5CADE);
     let (ball, clamp) = window_ball(cfg.from_atom, cfg.epsilon);
@@ -99,14 +213,19 @@ pub fn train_module_window(
             a.set_backend(&backend);
         }
     }
+    let inputs = WindowInputs::new(
+        model,
+        ds,
+        indices,
+        cfg.batch_size,
+        cfg.seed,
+        cfg.iters,
+        cfg.from_atom,
+        reuse,
+    );
     let mut total = 0.0f64;
-    for _ in 0..cfg.iters {
-        let (x, y) = it.next_batch();
-        let z_in = if cfg.from_atom == 0 {
-            x
-        } else {
-            model.forward_range(&x, 0, cfg.from_atom, Mode::Eval)
-        };
+    for b in 0..cfg.iters {
+        let (z_in, y) = inputs.batch(model, ds, b);
         let loss = step_window(
             model,
             aux.as_deref_mut(),
@@ -186,7 +305,28 @@ pub fn max_feature_perturbation(
     n_batches: usize,
     seed: u64,
 ) -> f32 {
-    let mut it = BatchIter::new(ds, indices, batch_size, seed);
+    let inputs = WindowInputs::new(
+        model, ds, indices, batch_size, seed, n_batches, from_atom, true,
+    );
+    feature_perturbation(
+        model, aux, &inputs, ds, from_atom, to_atom, epsilon_in, mu, pgd_steps, seed,
+    )
+}
+
+/// [`max_feature_perturbation`] over the batches of `inputs`.
+#[allow(clippy::too_many_arguments)]
+fn feature_perturbation(
+    model: &mut CascadeModel,
+    aux: &mut AuxHead,
+    inputs: &WindowInputs,
+    ds: &Dataset,
+    from_atom: usize,
+    to_atom: usize,
+    epsilon_in: f32,
+    mu: f32,
+    pgd_steps: usize,
+    seed: u64,
+) -> f32 {
     let mut rng = seeded_rng(seed ^ 0xDE17A);
     let (ball, clamp) = window_ball(from_atom, epsilon_in);
     let pgd = Pgd::new(PgdConfig {
@@ -198,13 +338,8 @@ pub fn max_feature_perturbation(
         clamp,
     });
     let mut worst = 0.0f32;
-    for _ in 0..n_batches {
-        let (x, y) = it.next_batch();
-        let z_in = if from_atom == 0 {
-            x
-        } else {
-            model.forward_range(&x, 0, from_atom, Mode::Eval)
-        };
+    for b in 0..inputs.batches.len() {
+        let (z_in, y) = inputs.batch(model, ds, b);
         let adv = {
             let mut target = ModuleTarget::new(model, aux, from_atom, to_atom, mu);
             pgd.attack(&mut target, &z_in, &y, &mut rng)
@@ -256,6 +391,98 @@ mod tests {
             weight_decay: 1e-4,
             seed: 5,
             backend_threads: 0,
+        }
+    }
+
+    /// [`setup`] after one `Train` forward, so the prefix's BN running
+    /// statistics are not their initial values.
+    fn warmed_setup() -> (CascadeModel, Vec<AuxHead>, Dataset) {
+        let (mut model, heads, ds) = setup();
+        let idx: Vec<usize> = (0..32).collect();
+        model.forward(&ds.batch(&idx).0, Mode::Train);
+        (model, heads, ds)
+    }
+
+    /// Every bit a window call can change: each parameter and BN
+    /// statistic of the model, then the head's parameters.
+    fn state(model: &CascadeModel, aux: Option<&AuxHead>) -> Vec<u32> {
+        let mut v = model.flat_params();
+        for (mean, var) in model.bn_stats() {
+            v.extend(mean.data().iter().chain(var.data()));
+        }
+        v.extend(aux.map(AuxHead::flat_params).unwrap_or_default());
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The prefix's parameters and BN statistics as bits.
+    fn prefix_state(model: &CascadeModel, to: usize) -> Vec<u32> {
+        let mut v = model.flat_params_range(0, to);
+        for (mean, var) in model.bn_stats_range(0, to) {
+            v.extend(mean.data().iter().chain(var.data()));
+        }
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Windows from atoms 1 and 2 (with a head, and the final window
+    /// without one) over clients smaller than one batch, exactly one, and
+    /// larger (two batches an epoch, so the third draw reshuffles).
+    fn window_cases() -> Vec<(usize, usize, Vec<usize>)> {
+        let (model, _, ds) = setup();
+        let n = model.num_atoms();
+        assert!(n >= 4 && ds.len() >= 80, "{n} atoms, {} samples", ds.len());
+        let mut cases = Vec::new();
+        for (from, to) in [(1, 2), (2, 3), (1, n), (2, n)] {
+            for size in [7, 16, 40] {
+                let idx = (0..size).map(|i| (i * 7 + from) % 80).collect();
+                cases.push((from, to, idx));
+            }
+        }
+        cases
+    }
+
+    /// `train_module_window` with the prefix computed once per call leaves
+    /// the model and head bitwise where the per-batch prefix route does,
+    /// returns the same loss, and never touches the prefix.
+    #[test]
+    fn window_inputs_train_like_the_per_batch_prefix() {
+        for (from, to, idx) in window_cases() {
+            let c = WindowTrainConfig {
+                iters: 7,
+                ..cfg(from, to, 0.5)
+            };
+            let run = |reuse: bool| {
+                let (mut model, mut heads, ds) = warmed_setup();
+                let before = prefix_state(&model, from);
+                let mut aux = (to < model.num_atoms()).then(|| heads.swap_remove(to - 1));
+                let loss = train_window(&mut model, aux.as_mut(), &ds, &idx, &c, reuse);
+                assert_eq!(prefix_state(&model, from), before, "prefix moved");
+                (loss.to_bits(), state(&model, aux.as_ref()))
+            };
+            let what = format!("window {from}..{to}, {} samples", idx.len());
+            assert!(run(true) == run(false), "{what}");
+        }
+    }
+
+    /// `max_feature_perturbation` with the prefix computed once per call
+    /// returns the per-batch route's bits and leaves the same state.
+    #[test]
+    fn window_inputs_probe_like_the_per_batch_prefix() {
+        for (from, to, idx) in window_cases() {
+            if to == setup().0.num_atoms() {
+                continue;
+            }
+            let run = |reuse: bool| {
+                let (mut model, mut heads, ds) = warmed_setup();
+                let before = prefix_state(&model, from);
+                let aux = &mut heads[to - 1];
+                let inputs = WindowInputs::new(&mut model, &ds, &idx, 16, 3, 4, from, reuse);
+                let worst =
+                    feature_perturbation(&mut model, aux, &inputs, &ds, from, to, 0.5, 1e-3, 2, 3);
+                assert_eq!(prefix_state(&model, from), before, "prefix moved");
+                (worst.to_bits(), state(&model, Some(aux)))
+            };
+            let what = format!("window {from}..{to}, {} samples", idx.len());
+            assert!(run(true) == run(false), "{what}");
         }
     }
 

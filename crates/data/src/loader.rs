@@ -49,13 +49,20 @@ impl<'a> BatchIter<'a> {
 
     /// Draws the next mini-batch `([b, ...], labels)`.
     pub fn next_batch(&mut self) -> (Tensor, Vec<usize>) {
+        let ds = self.ds;
+        ds.batch(self.next_indices())
+    }
+
+    /// Draws the next mini-batch as its dataset indices — the samples
+    /// [`next_batch`](Self::next_batch) would have copied out, in the same
+    /// order, advancing the iterator the same way.
+    pub fn next_indices(&mut self) -> &[usize] {
         if self.cursor + self.batch_size > self.indices.len() {
             self.reshuffle();
         }
-        let slice = &self.indices[self.cursor..self.cursor + self.batch_size];
-        let batch = self.ds.batch(slice);
+        let at = self.cursor;
         self.cursor += self.batch_size;
-        batch
+        &self.indices[at..at + self.batch_size]
     }
 
     /// The effective batch size (may be smaller than requested for tiny
@@ -111,6 +118,22 @@ mod tests {
         let mut b = BatchIter::new(&ds, &idx, 4, 7);
         for _ in 0..6 {
             assert_eq!(a.next_batch().1, b.next_batch().1);
+        }
+    }
+
+    #[test]
+    fn next_indices_draws_the_batches_of_next_batch() {
+        let ds = generate(&SynthConfig::tiny(3, 8), 0).train;
+        let idx: Vec<usize> = (3..13).collect();
+        let (mut a, mut b) = (
+            BatchIter::new(&ds, &idx, 4, 9),
+            BatchIter::new(&ds, &idx, 4, 9),
+        );
+        // 10 / 4: the third draw of every epoch reshuffles.
+        for _ in 0..9 {
+            let (x, y) = a.next_batch();
+            let drawn = b.next_indices().to_vec();
+            assert_eq!(ds.batch(&drawn), (x, y));
         }
     }
 

@@ -209,7 +209,11 @@ impl Backend for Scalar {
 // ---------------------------------------------------------------- Parallel
 
 /// Minimum multiply-accumulate count before a kernel will spawn threads;
-/// below this, scoped-thread setup costs more than it buys.
+/// below this, scoped-thread setup costs more than it buys. Re-read from
+/// the per-call 1- vs 2-thread conv table (`pack::tune::tune_conv_threads`,
+/// the four Medium stages at batch 32 and 64, forward and dX; committed in
+/// `BENCH_conv_fwd.json`): every call under 4 M MACs ran slower on two
+/// threads, calls of 5–7 M won or lost by run, and 10.6 M won.
 const PAR_MACS_THRESHOLD: usize = 4 << 20;
 
 /// The optimized backend: register-tiled SIMD kernels plus row-parallel
@@ -265,8 +269,8 @@ impl Default for Parallel {
 }
 
 /// Splits `out` into per-thread contiguous row chunks and runs `body` on
-/// each chunk in a scoped thread. `body(r0, r1, chunk)` sees rows
-/// `[r0, r1)`.
+/// each: the last chunk on the calling thread, every other one in a scoped
+/// thread. `body(r0, r1, chunk)` sees rows `[r0, r1)`.
 ///
 /// Chunk boundaries are aligned to multiples of 4 rows so they coincide
 /// with the kernels' register-tile boundaries — that makes results
@@ -294,8 +298,12 @@ pub(crate) fn for_row_chunks<F>(
             let r1 = (r0 + chunk_rows).min(rows);
             let (chunk, tail) = rest.split_at_mut((r1 - r0) * row_len);
             rest = tail;
-            let body = &body;
-            s.spawn(move || body(r0, r1, chunk));
+            if r1 == rows {
+                body(r0, r1, chunk);
+            } else {
+                let body = &body;
+                s.spawn(move || body(r0, r1, chunk));
+            }
             r0 = r1;
         }
     });

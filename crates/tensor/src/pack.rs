@@ -30,10 +30,11 @@
 //! The training stack's convolutions are small-image, many-sample
 //! problems (3→12@16² … 32→48@2² at batch 32), where a per-sample GEMM
 //! is a few panels wide and patch gathering costs more than the
-//! arithmetic. The forward and the weight gradient at every stride, and
-//! the input gradient at stride ≥ 2 (the CNN4 stem, ResNet
-//! downsampling), therefore share one batch-folded, table-driven
-//! lowering; the stride-1 input gradient runs the direct kernel below.
+//! arithmetic. The weight gradient at every stride, and the forward and
+//! the input gradient at stride ≥ 2 (the CNN4 stem, ResNet downsampling),
+//! therefore share one batch-folded, table-driven lowering; at stride 1
+//! the forward and the input gradient run the direct kernels below, and
+//! the staged lowering is their bitwise reference.
 //! The batch is cut into *fold groups* of `g`
 //! consecutive samples, `g·n_cols ≈` [`FOLD_COLS`] (one sample when
 //! `n_cols` alone exceeds it). Per group and per thread, [`Staging`]
@@ -53,7 +54,8 @@
 //! panel moves in fixed-width block copies, otherwise element by element
 //! ([`block_len`]). The three kernels are then:
 //!
-//! * **forward** — `out = W · cols`, the batch folded into **N**
+//! * **forward** (stride ≥ 2, or `k > 5`) — `out = W · cols`, the batch
+//!   folded into **N**
 //!   (`N = g·n_cols`). Output columns of one sample are contiguous, those
 //!   of different samples are not ([`CMap`]); a tile that straddles
 //!   samples goes through the scratch-tile path.
@@ -77,9 +79,25 @@
 //! scatter, no FMA on a tap whose lanes all fall in the padding. A
 //! *vector* is 16 lanes: 16 consecutive elements of a `(sample, channel)`
 //! plane read in place, or — for planes too small to fill one (2×2) —
-//! one pixel of 16 samples staged sample-innermost ([`DxLayout`]). Every
-//! `(vector, tap)` has a lane mask; the register tile is 4 input channels
-//! × 3 vectors (3 × 1 on AVX2) and walks `co` in its inner loop.
+//! one pixel of 16 samples staged sample-innermost ([`DirectLayout`]).
+//! Every `(vector, tap)` has a lane mask; the register tile is 4 input
+//! channels × 3 vectors (3 × 1 on AVX2) and walks `co` in its inner loop.
+//!
+//! # Direct forward (stride 1)
+//!
+//! The forward is the same walk with the tap offset negated ([`Dir`]):
+//! output pixel `(y, x)` reads input `(y + ky − pad, x + kx − pad)`. The
+//! direct forward ([`conv2d_forward_direct`], `k ≤ 5`) places its vectors
+//! in the `out` planes with the same [`DirectLayout`] and computes each
+//! element's whole chain in registers from `x` and the weights read in
+//! place — no staging copy, no gathered panels, no packed weights. Its
+//! register tile is 12 output channels × 2 vectors (6 × 1 on AVX2): per
+//! `(c, tap)` it loads the two input vectors once and FMAs them into every
+//! channel's accumulators; each tap's source pointers and masks are read
+//! from the layout once per block of vectors, for all its channel tiles.
+//! [`direct_conv`] is the one driver of both directions: in place or
+//! sample-innermost, samples split across threads as in the staged
+//! kernels.
 //!
 //! # The canonical accumulation chain
 //!
@@ -122,6 +140,29 @@
 //! `t = +0.0` turns a `-0.0` in `dx` into `+0.0`, and an infinite weight
 //! times a padded zero is NaN. (The staged lowering is exact because its
 //! padding taps land in the staging border, which is never copied back.)
+//!
+//! The forward's chain per `out` element is, from the incoming `out`:
+//!
+//! ```text
+//!   for (c, ky, kx) in ascending order:
+//!     o ← fma(w[co, c, ky, kx], x[c, y+ky−pad, x+kx−pad], o)   (+0.0 off the image)
+//!   o ← o + bias[co]                                           (with a bias)
+//! ```
+//!
+//! Here the padding *is* part of the chain: the staged GEMM reads `+0.0`
+//! from its border, so the direct forward computes a padding lane as an
+//! FMA on the `+0.0` of a zero-filling masked load. A tap whose lanes all
+//! read padding (5 of 9 taps per pixel on the 2×2 stage's
+//! sample-innermost vectors) may be skipped only where it cannot change a
+//! bit. For a finite `w`, `fma(w, +0.0, o)` is `o` unless `o` is `-0.0`
+//! and `w`'s sign bit is clear, when it is `+0.0`. So the kernel skips
+//! such taps only when every weight is finite (one scan per call), and —
+//! because `-0.0` can also arise mid-chain, from the incoming `out` or
+//! from a product that underflows — a register tile that skipped a tap
+//! and ends with a `±0.0` on a computed lane is recomputed with every
+//! tap: a chain that differs from the exact one only in the sign of a
+//! zero either ends as a zero or loses the difference at its next
+//! non-zero product ([`fwd_tile`]).
 //!
 //! The only caveat is hardware without fused multiply-add, where the
 //! portable path falls back to a (still in-order, still deterministic)
@@ -495,7 +536,7 @@ struct Ws {
     cols: Vec<f32>,
     /// Padded images and offset tables of one conv fold group.
     st: Staging,
-    /// Sample-innermost `grad` and `dx` of one direct-dX lane group.
+    /// Sample-innermost source and destination of one direct-kernel call.
     lanes: Vec<f32>,
 }
 
@@ -1042,12 +1083,34 @@ impl Staging {
     }
 }
 
-/// Staged conv forward: `out[s] += W·im2col(x[s]) (+ bias)`, one GEMM
-/// per fold group with the batch folded into N. The weight panels are
-/// packed once into the caller's per-layer workspace `ws`; the B panels
-/// are gathered from the staged images — no materialized `cols` buffer.
+/// Conv forward, `out[s] += W·im2col(x[s]) (+ bias)`: the direct kernel
+/// ([`conv2d_forward_direct`]) at stride 1 with `k ≤ 5`, the staged
+/// lowering otherwise. Both compute the same chain per `out` element.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv2d_forward_fused(
+    x: &[f32],
+    w: &[f32],
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    batch: usize,
+    c_out: usize,
+    geo: &Conv2dGeometry,
+    ws: &mut Vec<f32>,
+    threads: usize,
+) {
+    if geo.stride == 1 && geo.k * geo.k <= MAX_TAPS {
+        conv2d_forward_direct(native_isa(), x, w, bias, out, batch, c_out, geo, threads);
+    } else {
+        conv2d_forward_staged(x, w, bias, out, batch, c_out, geo, ws, threads);
+    }
+}
+
+/// Staged conv forward: one GEMM per fold group with the batch folded
+/// into N. The weight panels are packed once into the caller's per-layer
+/// workspace `ws`; the B panels are gathered from the staged images — no
+/// materialized `cols` buffer.
+#[allow(clippy::too_many_arguments)]
+fn conv2d_forward_staged(
     x: &[f32],
     w: &[f32],
     bias: Option<&[f32]>,
@@ -1190,18 +1253,18 @@ fn conv2d_backward_input_staged(
     });
 }
 
-// --------------------------------------------------------------- direct dX
+// ---------------------------------------------------------- direct kernels
 
-/// Lanes of one direct-dX vector: 16 consecutive elements of a `(sample,
-/// channel)` plane read in place, or one pixel of 16 samples staged
-/// sample-innermost.
+/// Lanes of one direct-kernel vector: 16 consecutive elements of a
+/// `(sample, channel)` plane read in place, or one pixel of 16 samples
+/// staged sample-innermost.
 const LANES: usize = 16;
 
-/// The lane operations the direct dX kernel is written against, for one
+/// The lane operations the direct kernels are written against, for one
 /// [`LANES`]-wide vector: one `zmm`, two `ymm`, or sixteen scalars.
 /// Masked-off lanes are never dereferenced. The methods use their ISA's
 /// instructions unchecked: a vector type is only used inside the
-/// [`dx_vectors`] instance compiled for its ISA.
+/// [`direct_vectors`] instances compiled for its ISA.
 trait Lanes: Copy {
     /// A lane mask in the form the ISA's masked loads take.
     type Mask: Copy;
@@ -1215,8 +1278,12 @@ trait Lanes: Copy {
     unsafe fn load(p: *const f32, m: Self::Mask) -> Self;
     /// `fma(a, b, c)` per lane.
     fn fma(a: Self, b: Self, c: Self) -> Self;
+    /// `a + b` per lane.
+    fn add(a: Self, b: Self) -> Self;
     /// `a[l] + t[l]` on the masked lanes, `a[l]` elsewhere.
     fn add_masked(a: Self, t: Self, m: Self::Mask) -> Self;
+    /// Lane bits of the lanes that are `±0.0`.
+    fn zeros(a: Self) -> u16;
     /// `p[l] = v[l]` on the masked lanes only.
     unsafe fn store(p: *mut f32, m: Self::Mask, v: Self);
 }
@@ -1253,8 +1320,16 @@ mod lanes_x86 {
             Zmm(unsafe { _mm512_fmadd_ps(a.0, b.0, c.0) })
         }
         #[inline(always)]
+        fn add(a: Self, b: Self) -> Self {
+            Zmm(unsafe { _mm512_add_ps(a.0, b.0) })
+        }
+        #[inline(always)]
         fn add_masked(a: Self, t: Self, m: __mmask16) -> Self {
             Zmm(unsafe { _mm512_mask_add_ps(a.0, m, a.0, t.0) })
+        }
+        #[inline(always)]
+        fn zeros(a: Self) -> u16 {
+            unsafe { _mm512_cmp_ps_mask::<_CMP_EQ_OQ>(a.0, _mm512_setzero_ps()) }
         }
         #[inline(always)]
         unsafe fn store(p: *mut f32, m: __mmask16, v: Self) {
@@ -1308,11 +1383,22 @@ mod lanes_x86 {
             }
         }
         #[inline(always)]
+        fn add(a: Self, b: Self) -> Self {
+            unsafe { Ymm2(_mm256_add_ps(a.0, b.0), _mm256_add_ps(a.1, b.1)) }
+        }
+        #[inline(always)]
         fn add_masked(a: Self, t: Self, m: Self::Mask) -> Self {
             unsafe {
                 let half =
                     |a, t, m| _mm256_blendv_ps(a, _mm256_add_ps(a, t), _mm256_castsi256_ps(m));
                 Ymm2(half(a.0, t.0, m.0), half(a.1, t.1, m.1))
+            }
+        }
+        #[inline(always)]
+        fn zeros(a: Self) -> u16 {
+            unsafe {
+                let z = |h| _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_EQ_OQ>(h, _mm256_setzero_ps()));
+                (z(a.0) | z(a.1) << 8) as u16
             }
         }
         #[inline(always)]
@@ -1359,6 +1445,10 @@ impl Lanes for Portable16 {
         Portable16(std::array::from_fn(|l| a.0[l].mul_add(b.0[l], c.0[l])))
     }
     #[inline(always)]
+    fn add(a: Self, b: Self) -> Self {
+        Portable16(std::array::from_fn(|l| a.0[l] + b.0[l]))
+    }
+    #[inline(always)]
     fn add_masked(a: Self, t: Self, m: u16) -> Self {
         Portable16(std::array::from_fn(|l| {
             if m >> l & 1 == 1 {
@@ -1367,6 +1457,10 @@ impl Lanes for Portable16 {
                 a.0[l]
             }
         }))
+    }
+    #[inline(always)]
+    fn zeros(a: Self) -> u16 {
+        (0..LANES).fold(0, |b, l| b | u16::from(a.0[l] == 0.0) << l)
     }
     #[inline(always)]
     unsafe fn store(p: *mut f32, m: u16, v: Self) {
@@ -1378,308 +1472,281 @@ impl Lanes for Portable16 {
     }
 }
 
-/// Where the direct kernel's vectors sit and what each tap reads.
-/// Vector `j` of a call is slot `j % at.len()` of sample `j / at.len()`:
-/// it starts `s·dx_stride + at[slot]` floats into `dx` (channels `dcs`
-/// apart), and for tap `t = (ky, kx)` its lane `l` reads `grad` element
-/// `s·g_stride + taps[slot·k² + t].0 + l` (channels `gcs` apart) on the
-/// lanes set in `taps[slot·k² + t].1` — those whose output position
-/// `(y + pad − ky, x + pad − kx)` exists. Offsets of masked-off lanes may
-/// fall outside the buffers, so they are applied with `wrapping_offset`
-/// and never read. Consecutive vectors share their masks in runs of
-/// `run`; a register tile never straddles two runs.
-struct DxLayout {
-    at: Vec<usize>,
+/// Which way a direct kernel's taps point. A kernel's vectors sit in its
+/// *destination* planes and each tap reads its *source* planes: output
+/// pixel `(y, x)` of the forward reads input `(y + ky − pad, x + kx −
+/// pad)`, input pixel `(y, x)` of the input gradient reads the output
+/// gradient at `(y + pad − ky, x + pad − kx)` — the same tap, its offset
+/// negated.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Dir {
+    /// Destination `out` (`c_out` planes of `h_out × w_out`), source `x`.
+    Forward,
+    /// Destination `dx` (`c_in` planes of `h × w`), source `grad`.
+    Backward,
+}
+
+impl Dir {
+    /// `((h, w), channels)` of the destination and of the source planes.
+    fn planes(self, geo: &Conv2dGeometry, c_out: usize) -> [((usize, usize), usize); 2] {
+        let image = ((geo.h, geo.w), geo.c_in);
+        let output = ((geo.h_out(), geo.w_out()), c_out);
+        match self {
+            Dir::Forward => [output, image],
+            Dir::Backward => [image, output],
+        }
+    }
+
+    /// The tap's signed shift along one axis: `kk − pad` or `pad − kk`.
+    fn shift(self, kk: usize, pad: usize) -> isize {
+        let d = kk as isize - pad as isize;
+        match self {
+            Dir::Forward => d,
+            Dir::Backward => -d,
+        }
+    }
+
+    /// The source row (column) that destination row (column) `i` reads
+    /// through kernel row (column) `kk`, if it is in `0..n`.
+    fn reaches(self, i: usize, kk: usize, pad: usize, n: usize) -> Option<usize> {
+        usize::try_from(i as isize + self.shift(kk, pad))
+            .ok()
+            .filter(|&o| o < n)
+    }
+}
+
+/// Bits of lanes `0..n`.
+fn lane_bits(n: usize) -> u16 {
+    u16::MAX >> (LANES - n.min(LANES))
+}
+
+/// Where a direct kernel's vectors sit and what each tap reads — one
+/// layout for both [`Dir`]ections. Vector `j` of a call is slot `j %
+/// at.len()` of sample `j / at.len()`: it starts `s·d_stride + at[slot].0`
+/// floats into the destination (channels `dcs` apart) and computes the
+/// lanes set in `at[slot].1`; for tap `t = (ky, kx)` its lane `l` reads
+/// source element `s·s_stride + taps[slot·k² + t].0 + l` (channels `scs`
+/// apart) on the lanes set in `taps[slot·k² + t].1` — those whose source
+/// pixel exists; the others are zero padding. Offsets of masked-off lanes
+/// may fall outside the buffers, so they are applied with
+/// `wrapping_offset` and never read. Consecutive vectors share their masks
+/// in runs of `run`; a register tile never straddles two runs.
+struct DirectLayout {
+    at: Vec<(usize, u16)>,
     taps: Vec<(isize, u16)>,
     run: usize,
     dcs: usize,
-    gcs: usize,
-    dx_stride: usize,
-    g_stride: usize,
+    scs: usize,
+    d_stride: usize,
+    s_stride: usize,
 }
 
 /// `(ky, kx)` in tap order.
-fn dx_taps(k: usize) -> impl Iterator<Item = (usize, usize)> {
+fn taps(k: usize) -> impl Iterator<Item = (usize, usize)> {
     (0..k).flat_map(move |ky| (0..k).map(move |kx| (ky, kx)))
 }
 
-/// The output row (column) that image row (column) `i` feeds through
-/// kernel row (column) `kk` at stride 1: `i + pad − kk`, if in `0..n_out`.
-fn dx_reaches(i: usize, kk: usize, pad: usize, n_out: usize) -> Option<usize> {
-    (i + pad).checked_sub(kk).filter(|&o| o < n_out)
-}
-
-impl DxLayout {
-    /// Vectors over NCHW planes, read in place: 16-element runs of the
-    /// whole plane when `w_out == w` (one tap offset then serves every
-    /// lane), of each image row otherwise.
-    fn in_place(geo: &Conv2dGeometry, c_out: usize) -> Self {
-        let (h, w, k, pad) = (geo.h, geo.w, geo.k, geo.pad);
-        let (h_out, w_out) = (geo.h_out(), geo.w_out());
-        let starts: Vec<(usize, usize)> = if w_out == w {
-            (0..h * w)
+impl DirectLayout {
+    /// Vectors over NCHW destination planes, read in place: 16-element
+    /// runs of the whole plane when the source rows are as wide (one tap
+    /// offset then serves every lane), of each destination row otherwise.
+    fn in_place(geo: &Conv2dGeometry, c_out: usize, dir: Dir) -> Self {
+        let [((hd, wd), cd), ((hs, ws), cs)] = dir.planes(geo, c_out);
+        let (k, pad) = (geo.k, geo.pad);
+        let starts: Vec<(usize, usize)> = if wd == ws {
+            (0..hd * wd)
                 .step_by(LANES)
-                .map(|i| (i, LANES.min(h * w - i)))
+                .map(|i| (i, LANES.min(hd * wd - i)))
                 .collect()
         } else {
-            (0..h)
+            (0..hd)
                 .flat_map(|y| {
-                    (0..w)
+                    (0..wd)
                         .step_by(LANES)
-                        .map(move |x| (y * w + x, LANES.min(w - x)))
+                        .map(move |x| (y * wd + x, LANES.min(wd - x)))
                 })
                 .collect()
         };
-        // A lane's tap is valid iff its row and its column both reach an
-        // output, so a run's masks are `rows[ky] & cols[kx]`.
-        let mut taps = Vec::with_capacity(starts.len() * k * k);
+        // A lane's tap is valid iff its row and its column both reach a
+        // source pixel, so a run's masks are `rows[ky] & cols[kx]`.
+        let mut taps_of = Vec::with_capacity(starts.len() * k * k);
         let (mut rows, mut cols) = (vec![0u16; k], vec![0u16; k]);
         for &(i0, n) in &starts {
-            let (y0, x0) = (i0 / w, i0 % w);
+            let (y0, x0) = (i0 / wd, i0 % wd);
             rows.fill(0);
             cols.fill(0);
             let (mut y, mut x) = (y0, x0);
             for l in 0..n {
                 for kk in 0..k {
-                    rows[kk] |= u16::from(dx_reaches(y, kk, pad, h_out).is_some()) << l;
-                    cols[kk] |= u16::from(dx_reaches(x, kk, pad, w_out).is_some()) << l;
+                    rows[kk] |= u16::from(dir.reaches(y, kk, pad, hs).is_some()) << l;
+                    cols[kk] |= u16::from(dir.reaches(x, kk, pad, ws).is_some()) << l;
                 }
-                (y, x) = if x + 1 == w { (y + 1, 0) } else { (y, x + 1) };
+                (y, x) = if x + 1 == wd { (y + 1, 0) } else { (y, x + 1) };
             }
-            for (ky, kx) in dx_taps(k) {
+            for (ky, kx) in taps(k) {
                 // Lane 0's offset, valid or not: the lanes are linear in it.
-                let (dy, dx) = (pad as isize - ky as isize, pad as isize - kx as isize);
-                let off = (y0 as isize + dy) * w_out as isize + x0 as isize + dx;
-                taps.push((off, rows[ky] & cols[kx]));
+                let (sy, sx) = (dir.shift(ky, pad), dir.shift(kx, pad));
+                let off = (y0 as isize + sy) * ws as isize + x0 as isize + sx;
+                taps_of.push((off, rows[ky] & cols[kx]));
             }
         }
-        DxLayout {
-            at: starts.iter().map(|&(i0, _)| i0).collect(),
-            taps,
+        DirectLayout {
+            at: starts.iter().map(|&(i0, n)| (i0, lane_bits(n))).collect(),
+            taps: taps_of,
             run: usize::MAX,
-            dcs: h * w,
-            gcs: h_out * w_out,
-            dx_stride: geo.c_in * h * w,
-            g_stride: c_out * h_out * w_out,
+            dcs: hd * wd,
+            scs: hs * ws,
+            d_stride: cd * hd * wd,
+            s_stride: cs * hs * ws,
         }
     }
 
-    /// Vectors over a sample-innermost staging of `groups · 16` samples,
-    /// `[c][h·w][groups·16]` for `dx` and `[co][n_cols][groups·16]` for
-    /// `grad`: one vector per `(pixel, group)`, pixel-major, every lane of
-    /// a tap valid or none — so a pixel's `groups` vectors are one run.
-    fn staged(geo: &Conv2dGeometry, groups: usize) -> Self {
-        let (hw, lanes, pad) = (geo.h * geo.w, groups * LANES, geo.pad);
-        let (h_out, w_out) = (geo.h_out(), geo.w_out());
-        let mut taps = Vec::with_capacity(hw * groups * geo.k * geo.k);
-        for i in 0..hw {
-            let (y, x) = (i / geo.w, i % geo.w);
+    /// Vectors over a sample-innermost staging of `samples` samples in
+    /// `groups = ⌈samples / 16⌉` lane groups, `[channel][pixel][groups·16]`
+    /// on both sides: one vector per `(destination pixel, group)`,
+    /// pixel-major, every lane of a tap valid or none — so a pixel's
+    /// `groups` vectors are one run. Lanes past the last sample are not
+    /// computed.
+    fn staged(geo: &Conv2dGeometry, c_out: usize, dir: Dir, samples: usize) -> Self {
+        let [((hd, wd), _), ((hs, ws), _)] = dir.planes(geo, c_out);
+        let (k, pad, groups) = (geo.k, geo.pad, samples.div_ceil(LANES));
+        let lanes = groups * LANES;
+        let mut taps_of = Vec::with_capacity(hd * wd * groups * k * k);
+        for i in 0..hd * wd {
+            let (y, x) = (i / wd, i % wd);
             for gi in 0..groups {
-                for (ky, kx) in dx_taps(geo.k) {
-                    let out = (dx_reaches(y, ky, pad, h_out), dx_reaches(x, kx, pad, w_out));
-                    taps.push(match out {
-                        (Some(oy), Some(ox)) => {
-                            (((oy * w_out + ox) * lanes + gi * LANES) as isize, u16::MAX)
+                for (ky, kx) in taps(k) {
+                    let src = (dir.reaches(y, ky, pad, hs), dir.reaches(x, kx, pad, ws));
+                    taps_of.push(match src {
+                        (Some(sy), Some(sx)) => {
+                            (((sy * ws + sx) * lanes + gi * LANES) as isize, u16::MAX)
                         }
                         _ => (0, 0),
                     });
                 }
             }
         }
-        DxLayout {
-            at: (0..hw * groups).map(|v| v * LANES).collect(),
-            taps,
+        let live = |v: usize| lane_bits(samples - v % groups * LANES);
+        DirectLayout {
+            at: (0..hd * wd * groups)
+                .map(|v| (v * LANES, live(v)))
+                .collect(),
+            taps: taps_of,
             run: groups,
-            dcs: hw * lanes,
-            gcs: geo.col_cols() * lanes,
-            dx_stride: 0,
-            g_stride: 0,
+            dcs: hd * wd * lanes,
+            scs: hs * ws * lanes,
+            d_stride: 0,
+            s_stride: 0,
         }
     }
 }
 
-/// One direct-dX call: `w` is the layer's `[co][c][tap]` weight, `lay`
-/// places the vectors.
-#[derive(Clone, Copy)]
-struct DxKernel<'a> {
-    w: &'a [f32],
-    c_in: usize,
-    c_out: usize,
-    k2: usize,
-    lay: &'a DxLayout,
+/// One direct kernel: the register tiles it runs over a [`DirectLayout`]'s
+/// vectors, and its per-ISA instances.
+trait Direct: Copy {
+    /// Every destination channel of `NV` vectors, `CM` channels per
+    /// register tile.
+    ///
+    /// # Safety
+    ///
+    /// `dst[v]` / `src[v]` must point at vector `v`'s first destination
+    /// element (channel 0) and at its sample's source origin, with every
+    /// lane the layout names in bounds, and the CPU must support `L`.
+    unsafe fn block<L: Lanes, const CM: usize, const NV: usize>(
+        self,
+        lay: &DirectLayout,
+        dst: [*mut f32; NV],
+        src: [*const f32; NV],
+        slot: [usize; NV],
+    );
+
+    /// Runs [`direct_vectors`] on `isa`.
+    ///
+    /// # Safety
+    ///
+    /// As [`Direct::block`], for every vector of `samples` samples.
+    unsafe fn run(
+        self,
+        isa: Isa,
+        lay: &DirectLayout,
+        dst: *mut f32,
+        src: *const f32,
+        samples: usize,
+    );
 }
 
-/// Input channels `c0 .. c0+C` of `NV` vectors: per tap with any valid
-/// lane, `t = +0.0`, `t = fma(w[co,c,tap], grad[co, …], t)` for `co`
-/// ascending, then `dx += t` on the valid lanes — each `dx` element's
-/// chain is the staged GEMM's `dcols` chain followed by the scatter's add.
-///
-/// # Safety
-///
-/// `dx[v]` / `grad[v]` must point at vector `v`'s first `dx` element in
-/// channel `c0` and its sample's `grad` origin, with every valid lane in
-/// bounds, and the CPU must support `L`.
+/// `NV` vectors from vector `j0` on.
 #[inline(always)]
-unsafe fn dx_tile<L: Lanes, const C: usize, const NV: usize>(
-    k: DxKernel,
-    c0: usize,
-    dx: [*mut f32; NV],
-    grad: [*const f32; NV],
-    slot: [usize; NV],
-) {
-    // (`array::map` would call its closure out of line, outside this
-    // function's target features.)
-    let mut live = [L::mask(0); NV];
-    for v in 0..NV {
-        let taps = &k.lay.taps[slot[v] * k.k2..][..k.k2];
-        live[v] = L::mask(taps.iter().fold(0, |b, t| b | t.1));
-    }
-    let mut acc = [[L::zero(); NV]; C];
-    for (c, row) in acc.iter_mut().enumerate() {
-        for v in 0..NV {
-            row[v] = unsafe { L::load(dx[v].wrapping_add(c * k.lay.dcs), live[v]) };
-        }
-    }
-    for tap in 0..k.k2 {
-        let mut bits = [0u16; NV];
-        let mut g0 = grad;
-        for v in 0..NV {
-            let (off, b) = k.lay.taps[slot[v] * k.k2 + tap];
-            bits[v] = b;
-            g0[v] = grad[v].wrapping_offset(off);
-        }
-        if bits.iter().all(|&b| b == 0) {
-            continue;
-        }
-        let mut m = [L::mask(0); NV];
-        for v in 0..NV {
-            m[v] = L::mask(bits[v]);
-        }
-        let mut t = [[L::zero(); NV]; C];
-        // w[co, c, tap] for c = c0: each of the C broadcasts is its own
-        // load, so the weight is read in place, k² apart.
-        let w_tap = k.w[c0 * k.k2 + tap..].as_ptr();
-        for co in 0..k.c_out {
-            let mut g = [L::zero(); NV];
-            for v in 0..NV {
-                g[v] = unsafe { L::load(g0[v].wrapping_add(co * k.lay.gcs), m[v]) };
-            }
-            let w_co = w_tap.wrapping_add(co * k.c_in * k.k2);
-            for (c, row) in t.iter_mut().enumerate() {
-                let wc = unsafe { L::splat(w_co.wrapping_add(c * k.k2)) };
-                for v in 0..NV {
-                    row[v] = L::fma(wc, g[v], row[v]);
-                }
-            }
-        }
-        for (a, t) in acc.iter_mut().zip(&t) {
-            for v in 0..NV {
-                a[v] = L::add_masked(a[v], t[v], m[v]);
-            }
-        }
-    }
-    for (c, row) in acc.iter().enumerate() {
-        for v in 0..NV {
-            unsafe { L::store(dx[v].wrapping_add(c * k.lay.dcs), live[v], row[v]) };
-        }
-    }
-}
-
-/// `NV` vectors from vector `j0` on: every input channel, `CM ≤ 4` at a
-/// time.
-#[inline(always)]
-unsafe fn dx_block<L: Lanes, const CM: usize, const NV: usize>(
-    k: DxKernel,
-    dx: *mut f32,
-    grad: *const f32,
+unsafe fn direct_block<L: Lanes, K: Direct, const CM: usize, const NV: usize>(
+    k: K,
+    lay: &DirectLayout,
+    dst: *mut f32,
+    src: *const f32,
     j0: usize,
 ) {
-    let (lay, n_slots) = (k.lay, k.lay.at.len());
+    let n_slots = lay.at.len();
     let mut slot = [0usize; NV];
-    let mut dxv = [dx; NV];
-    let mut gv = [grad; NV];
+    let mut dv = [dst; NV];
+    let mut sv = [src; NV];
     for v in 0..NV {
         let (s, sl) = ((j0 + v) / n_slots, (j0 + v) % n_slots);
         slot[v] = sl;
-        dxv[v] = dx.wrapping_add(s * lay.dx_stride + lay.at[sl]);
-        gv[v] = grad.wrapping_add(s * lay.g_stride);
+        dv[v] = dst.wrapping_add(s * lay.d_stride + lay.at[sl].0);
+        sv[v] = src.wrapping_add(s * lay.s_stride);
     }
-    for c0 in (0..k.c_in).step_by(CM) {
-        let mut dxc = dxv;
-        for p in &mut dxc {
-            *p = p.wrapping_add(c0 * lay.dcs);
-        }
-        unsafe {
-            match (k.c_in - c0).min(CM) {
-                1 => dx_tile::<L, 1, NV>(k, c0, dxc, gv, slot),
-                2 => dx_tile::<L, 2, NV>(k, c0, dxc, gv, slot),
-                3 => dx_tile::<L, 3, NV>(k, c0, dxc, gv, slot),
-                _ => dx_tile::<L, 4, NV>(k, c0, dxc, gv, slot),
-            }
-        }
-    }
+    // SAFETY: vector `j0 + v` is slot `sl` of sample `s`, so `dv[v]` /
+    // `sv[v]` are its destination element and source origin; the caller
+    // guarantees its lanes in bounds and the CPU support.
+    unsafe { k.block::<L, CM, NV>(lay, dv, sv, slot) };
 }
 
 /// Every vector of `samples` samples, `NV` abreast (then two, then one at
-/// the end of each run), `CM` input channels at a time.
+/// the end of each run), `CM` destination channels at a time.
 #[inline(always)]
-unsafe fn dx_vectors<L: Lanes, const CM: usize, const NV: usize>(
-    k: DxKernel,
-    dx: *mut f32,
-    grad: *const f32,
+unsafe fn direct_vectors<L: Lanes, K: Direct, const CM: usize, const NV: usize>(
+    k: K,
+    lay: &DirectLayout,
+    dst: *mut f32,
+    src: *const f32,
     samples: usize,
 ) {
-    let total = samples * k.lay.at.len();
+    let total = samples * lay.at.len();
     let mut j = 0;
     while j < total {
-        let left = (k.lay.run - j % k.lay.run).min(total - j);
+        let left = (lay.run - j % lay.run).min(total - j);
+        // SAFETY: every block lies within the `total` vectors the caller
+        // vouches for.
         unsafe {
             if left >= NV {
-                dx_block::<L, CM, NV>(k, dx, grad, j);
+                direct_block::<L, K, CM, NV>(k, lay, dst, src, j);
                 j += NV;
             } else if NV > 2 && left >= 2 {
-                dx_block::<L, CM, 2>(k, dx, grad, j);
+                direct_block::<L, K, CM, 2>(k, lay, dst, src, j);
                 j += 2;
             } else {
-                dx_block::<L, CM, 1>(k, dx, grad, j);
+                direct_block::<L, K, CM, 1>(k, lay, dst, src, j);
                 j += 1;
             }
         }
     }
 }
 
-/// Defines `$name` as [`dx_vectors`] over `$lanes`, `$cm` channels × `$nv`
-/// vectors, compiled with `$feature` enabled.
-macro_rules! dx_vectors_for {
-    ($name:ident, $lanes:ty, $cm:literal, $nv:literal, $feature:literal) => {
+/// Defines `$name` as [`direct_vectors`] of `$kernel` over `$lanes`, `$cm`
+/// channels × `$nv` vectors, compiled with `$feature` enabled.
+macro_rules! direct_vectors_for {
+    ($name:ident, $kernel:ident, $lanes:ty, $cm:literal, $nv:literal, $feature:literal) => {
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = $feature)]
-        unsafe fn $name(k: DxKernel, dx: *mut f32, grad: *const f32, samples: usize) {
-            unsafe { dx_vectors::<$lanes, $cm, $nv>(k, dx, grad, samples) }
+        unsafe fn $name(
+            k: $kernel,
+            lay: &DirectLayout,
+            dst: *mut f32,
+            src: *const f32,
+            samples: usize,
+        ) {
+            unsafe { direct_vectors::<$lanes, $kernel, $cm, $nv>(k, lay, dst, src, samples) }
         }
     };
-}
-// 4 channels × 3 vectors: 12 chains + 12 accumulators + 3 gradient
-// vectors + 1 weight = 28 of 32 zmm.
-dx_vectors_for!(dx_vectors_avx512, lanes_x86::Zmm, 4, 3, "avx512f");
-// 3 channels × one vector of two halves: 6 + 6 + 2 + 1 = 15 of 16 ymm.
-dx_vectors_for!(dx_vectors_avx2, lanes_x86::Ymm2, 3, 1, "avx2,fma");
-
-/// Runs [`dx_vectors`] on `isa`.
-///
-/// # Safety
-///
-/// As [`dx_tile`], for every vector of `samples` samples.
-unsafe fn dx_vectors_on(isa: Isa, k: DxKernel, dx: *mut f32, grad: *const f32, samples: usize) {
-    unsafe {
-        match isa {
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => dx_vectors_avx512(k, dx, grad, samples),
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => dx_vectors_avx2(k, dx, grad, samples),
-            _ => dx_vectors::<Portable16, 4, 1>(k, dx, grad, samples),
-        }
-    }
 }
 
 /// Elements of a sample row moved per pass of [`to_lanes`] /
@@ -1711,16 +1778,210 @@ fn from_lanes(src: &[f32], ld: usize, dst: &mut [f32], len: usize) {
     }
 }
 
+/// Runs direct kernel `k` in direction `dir` over `batch` samples of `dst`
+/// from `src`. Planes are read in place unless staging them
+/// sample-innermost, 16 samples per vector, computes fewer lanes (planes
+/// of under 16 elements — the 2×2 stage: one vector per pixel instead of
+/// a quarter-used vector per plane); the staging lives in the thread's
+/// workspace. Samples are split across threads as in the staged kernels,
+/// so the result is thread-count invariant.
+#[allow(clippy::too_many_arguments)]
+fn direct_conv<K: Direct + Sync>(
+    isa: Isa,
+    k: K,
+    dir: Dir,
+    geo: &Conv2dGeometry,
+    c_out: usize,
+    dst: &mut [f32],
+    src: &[f32],
+    batch: usize,
+    threads: usize,
+) {
+    debug_assert_eq!(geo.stride, 1, "the direct kernels are stride-1 only");
+    let [((hd, wd), cd), ((hs, ws), cs)] = dir.planes(geo, c_out);
+    let (d_len, s_len) = (cd * hd * wd, cs * hs * ws);
+    if batch == 0 || d_len == 0 || s_len == 0 {
+        return;
+    }
+    let in_place = DirectLayout::in_place(geo, c_out, dir);
+    // Vector lanes per tap of the whole batch: in place against staged.
+    let staged = in_place.at.len() * LANES * batch > batch.next_multiple_of(LANES) * hd * wd;
+    for_row_chunks(dst, batch, d_len, threads, |s0, s1, chunk| {
+        let (src, samples) = (&src[s0 * s_len..s1 * s_len], s1 - s0);
+        if !staged {
+            // SAFETY: every slot's lanes are in-plane elements of the
+            // chunk's samples; `isa` is one the CPU supports.
+            unsafe { k.run(isa, &in_place, chunk.as_mut_ptr(), src.as_ptr(), samples) };
+            return;
+        }
+        let lay = DirectLayout::staged(geo, c_out, dir, samples);
+        let ld = samples.next_multiple_of(LANES);
+        WS.with(|tws| {
+            let lanes = &mut tws.borrow_mut().lanes;
+            // Lanes past the last sample keep whatever an earlier call
+            // left there: they are loaded but never copied back.
+            let len = (s_len + d_len) * ld;
+            if lanes.len() < len {
+                lanes.resize(len, 0.0);
+            }
+            let (s_t, d_t) = lanes[..len].split_at_mut(s_len * ld);
+            to_lanes(src, s_len, s_t, ld);
+            to_lanes(chunk, d_len, d_t, ld);
+            // SAFETY: the staging holds every lane the layout names.
+            unsafe { k.run(isa, &lay, d_t.as_mut_ptr(), s_t.as_ptr(), 1) };
+            from_lanes(d_t, ld, chunk, d_len);
+        });
+    });
+}
+
+// -------------------------------------------------------------- direct dX
+
+/// The direct input gradient: `w` is the layer's `[co][c][tap]` weight.
+#[derive(Clone, Copy)]
+struct DxKernel<'a> {
+    w: &'a [f32],
+    c_in: usize,
+    c_out: usize,
+    k2: usize,
+}
+
+/// Input channels `c0 .. c0+C` of `NV` vectors: per tap with any valid
+/// lane, `t = +0.0`, `t = fma(w[co,c,tap], grad[co, …], t)` for `co`
+/// ascending, then `dx += t` on the valid lanes — each `dx` element's
+/// chain is the staged GEMM's `dcols` chain followed by the scatter's add.
+///
+/// # Safety
+///
+/// `dx[v]` / `grad[v]` must point at vector `v`'s first `dx` element in
+/// channel `c0` and at its sample's `grad` origin, with every lane the
+/// layout names in bounds, and the CPU must support `L`.
+#[inline(always)]
+unsafe fn dx_tile<L: Lanes, const C: usize, const NV: usize>(
+    k: DxKernel,
+    lay: &DirectLayout,
+    c0: usize,
+    dx: [*mut f32; NV],
+    grad: [*const f32; NV],
+    slot: [usize; NV],
+) {
+    // (`array::map` would call its closure out of line, outside this
+    // function's target features.)
+    let mut live = [L::mask(0); NV];
+    for v in 0..NV {
+        live[v] = L::mask(lay.at[slot[v]].1);
+    }
+    let mut acc = [[L::zero(); NV]; C];
+    for (c, row) in acc.iter_mut().enumerate() {
+        for v in 0..NV {
+            row[v] = unsafe { L::load(dx[v].wrapping_add(c * lay.dcs), live[v]) };
+        }
+    }
+    for tap in 0..k.k2 {
+        let mut bits = [0u16; NV];
+        let mut g0 = grad;
+        for v in 0..NV {
+            let (off, b) = lay.taps[slot[v] * k.k2 + tap];
+            bits[v] = b;
+            g0[v] = grad[v].wrapping_offset(off);
+        }
+        if bits.iter().all(|&b| b == 0) {
+            continue;
+        }
+        let mut m = [L::mask(0); NV];
+        for v in 0..NV {
+            m[v] = L::mask(bits[v]);
+        }
+        let mut t = [[L::zero(); NV]; C];
+        // w[co, c, tap] for c = c0: each of the C broadcasts is its own
+        // load, so the weight is read in place, k² apart.
+        let w_tap = k.w[c0 * k.k2 + tap..].as_ptr();
+        for co in 0..k.c_out {
+            let mut g = [L::zero(); NV];
+            for v in 0..NV {
+                g[v] = unsafe { L::load(g0[v].wrapping_add(co * lay.scs), m[v]) };
+            }
+            let w_co = w_tap.wrapping_add(co * k.c_in * k.k2);
+            for (c, row) in t.iter_mut().enumerate() {
+                let wc = unsafe { L::splat(w_co.wrapping_add(c * k.k2)) };
+                for v in 0..NV {
+                    row[v] = L::fma(wc, g[v], row[v]);
+                }
+            }
+        }
+        for (a, t) in acc.iter_mut().zip(&t) {
+            for v in 0..NV {
+                a[v] = L::add_masked(a[v], t[v], m[v]);
+            }
+        }
+    }
+    for (c, row) in acc.iter().enumerate() {
+        for v in 0..NV {
+            unsafe { L::store(dx[v].wrapping_add(c * lay.dcs), live[v], row[v]) };
+        }
+    }
+}
+
+impl Direct for DxKernel<'_> {
+    /// Input channels `CM ≤ 4` at a time.
+    #[inline(always)]
+    unsafe fn block<L: Lanes, const CM: usize, const NV: usize>(
+        self,
+        lay: &DirectLayout,
+        dx: [*mut f32; NV],
+        grad: [*const f32; NV],
+        slot: [usize; NV],
+    ) {
+        for c0 in (0..self.c_in).step_by(CM) {
+            let mut dc = dx;
+            for p in &mut dc {
+                *p = p.wrapping_add(c0 * lay.dcs);
+            }
+            // SAFETY: `dc` points at channel `c0` of the block's vectors;
+            // each tile takes at most the channels that remain.
+            unsafe {
+                match (self.c_in - c0).min(CM) {
+                    1 => dx_tile::<L, 1, NV>(self, lay, c0, dc, grad, slot),
+                    2 => dx_tile::<L, 2, NV>(self, lay, c0, dc, grad, slot),
+                    3 => dx_tile::<L, 3, NV>(self, lay, c0, dc, grad, slot),
+                    _ => dx_tile::<L, 4, NV>(self, lay, c0, dc, grad, slot),
+                }
+            }
+        }
+    }
+
+    unsafe fn run(
+        self,
+        isa: Isa,
+        lay: &DirectLayout,
+        dx: *mut f32,
+        grad: *const f32,
+        samples: usize,
+    ) {
+        // SAFETY: the caller's contract; each instance is chosen by `isa`,
+        // which the caller verified the CPU supports.
+        unsafe {
+            match isa {
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx512 => dx_vectors_avx512(self, lay, dx, grad, samples),
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx2 => dx_vectors_avx2(self, lay, dx, grad, samples),
+                _ => direct_vectors::<Portable16, Self, 4, 1>(self, lay, dx, grad, samples),
+            }
+        }
+    }
+}
+
+// 4 channels × 3 vectors: 12 chains + 12 accumulators + 3 gradient
+// vectors + 1 weight = 28 of 32 zmm.
+direct_vectors_for!(dx_vectors_avx512, DxKernel, lanes_x86::Zmm, 4, 3, "avx512f");
+// 3 channels × one vector of two halves: 6 + 6 + 2 + 1 = 15 of 16 ymm.
+direct_vectors_for!(dx_vectors_avx2, DxKernel, lanes_x86::Ymm2, 3, 1, "avx2,fma");
+
 /// Direct input gradient of a stride-1 convolution (module doc, "The
 /// canonical accumulation chain"): every `dx` element is produced in
 /// registers from `grad` and the weights, both read in place — no
 /// `dcols`, no scatter, no FMA on a tap whose lanes all fall in the
-/// padding. Planes are read in place unless staging them
-/// sample-innermost, 16 samples per vector, computes fewer lanes (the
-/// 2×2 stage: one vector per pixel instead of a quarter-used vector per
-/// plane); the staging lives in the thread's workspace. Samples are
-/// split across threads as in the staged kernels, so the result is
-/// thread-count invariant.
+/// padding ([`direct_conv`] places the vectors).
 #[allow(clippy::too_many_arguments)]
 fn conv2d_backward_input_direct(
     isa: Isa,
@@ -1732,50 +1993,306 @@ fn conv2d_backward_input_direct(
     geo: &Conv2dGeometry,
     threads: usize,
 ) {
-    debug_assert_eq!(geo.stride, 1, "the direct dX kernel is stride-1 only");
-    let (c_in, k2, hw) = (geo.c_in, geo.k * geo.k, geo.h * geo.w);
-    let (img_len, out_len) = (c_in * hw, c_out * geo.col_cols());
-    if batch == 0 || img_len == 0 || out_len == 0 {
-        return;
-    }
-    let in_place = DxLayout::in_place(geo, c_out);
-    // Vector lanes per tap of the whole batch: in place against staged.
-    let staged = in_place.at.len() * LANES * batch > batch.next_multiple_of(LANES) * hw;
     let kernel = DxKernel {
         w,
-        c_in,
+        c_in: geo.c_in,
         c_out,
-        k2,
-        lay: &in_place,
+        k2: geo.k * geo.k,
     };
-    for_row_chunks(dx, batch, img_len, threads, |s0, s1, chunk| {
-        let (grad, samples) = (&grad[s0 * out_len..s1 * out_len], s1 - s0);
-        if !staged {
-            // SAFETY: every slot's valid lanes are in-plane elements of
-            // the chunk's samples; `isa` is one the CPU supports.
-            unsafe { dx_vectors_on(isa, kernel, chunk.as_mut_ptr(), grad.as_ptr(), samples) };
-            return;
+    direct_conv(
+        isa,
+        kernel,
+        Dir::Backward,
+        geo,
+        c_out,
+        dx,
+        grad,
+        batch,
+        threads,
+    );
+}
+
+// --------------------------------------------------------- direct forward
+
+/// Largest `k²` the direct forward takes (`k ≤ 5`): a tile keeps each
+/// tap's source pointers and masks in arrays of this length.
+const MAX_TAPS: usize = 25;
+
+/// The direct forward: `w` is the layer's `[co][c][tap]` weight. `skip`
+/// allows a tile to skip the FMAs of a tap whose lanes all read padding —
+/// set only when every weight is finite.
+#[derive(Clone, Copy)]
+struct FwdKernel<'a> {
+    w: &'a [f32],
+    bias: Option<&'a [f32]>,
+    c_in: usize,
+    c_out: usize,
+    k2: usize,
+    skip: bool,
+}
+
+/// What a forward block's tiles read per tap, hoisted out of their
+/// `(c, tap)` loops: each vector's source origin and lane mask, whether any
+/// of the block's lanes is valid, and the lanes each vector computes.
+struct FwdTaps<L: Lanes, const NV: usize> {
+    src: [[*const f32; NV]; MAX_TAPS],
+    mask: [[L::Mask; NV]; MAX_TAPS],
+    valid: [bool; MAX_TAPS],
+    live_bits: [u16; NV],
+    live: [L::Mask; NV],
+}
+
+/// Output channels `co0 .. co0+C` of `NV` vectors: from `out`, for each
+/// `(c, tap)` ascending, `acc = fma(w[co,c,tap], x[c, …], acc)` with
+/// padding lanes read as `+0.0` by the masked loads, then `acc + bias` —
+/// each element's chain is the staged GEMM's, followed by its bias add.
+///
+/// With `skip`, a tap whose lanes all read padding is not computed. Its
+/// `fma(w, +0, acc)` would, for a finite `w`, only turn an `acc` of `-0.0`
+/// into `+0.0` (when `w`'s sign bit is clear), and once two chains differ
+/// only in the sign of a zero, every later step either keeps them zeros
+/// or gives both the same value (`x + (±0) = x` for any non-zero `x`).
+/// So a skipping chain ends bitwise exact or as a zero of the other sign,
+/// and a tile that ends with a `±0.0` on a computed lane is recomputed
+/// with every tap.
+///
+/// # Safety
+///
+/// `out[v]` must point at vector `v`'s first `out` element in channel
+/// `co0` and `taps` name only in-bounds source lanes; the CPU must
+/// support `L`.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)] // index loops mirror the register tile
+unsafe fn fwd_tile<L: Lanes, const C: usize, const NV: usize>(
+    k: FwdKernel,
+    lay: &DirectLayout,
+    taps: &FwdTaps<L, NV>,
+    mut skip: bool,
+    co0: usize,
+    out: [*mut f32; NV],
+) {
+    let ck2 = k.c_in * k.k2;
+    let w0 = k.w[co0 * ck2..].as_ptr();
+    loop {
+        let mut acc = [[L::zero(); NV]; C];
+        for (co, row) in acc.iter_mut().enumerate() {
+            for v in 0..NV {
+                // SAFETY: channel `co0 + co` of vector `v`, its computed
+                // lanes only (the function's contract).
+                row[v] = unsafe { L::load(out[v].wrapping_add(co * lay.dcs), taps.live[v]) };
+            }
         }
-        let groups = samples.div_ceil(LANES);
-        let (lay, ld) = (DxLayout::staged(geo, groups), groups * LANES);
-        WS.with(|tws| {
-            let lanes = &mut tws.borrow_mut().lanes;
-            // Lanes past the last sample stay zero; their results are
-            // never copied back.
-            lanes.clear();
-            lanes.resize((out_len + img_len) * ld, 0.0);
-            let (g_t, d_t) = lanes.split_at_mut(out_len * ld);
-            to_lanes(grad, out_len, g_t, ld);
-            to_lanes(chunk, img_len, d_t, ld);
-            // SAFETY: the staging holds every lane the layout names.
-            let k = DxKernel {
-                lay: &lay,
-                ..kernel
+        for c in 0..k.c_in {
+            let w_c = w0.wrapping_add(c * k.k2);
+            for t in 0..k.k2 {
+                if skip && !taps.valid[t] {
+                    continue;
+                }
+                let mut xv = [L::zero(); NV];
+                for v in 0..NV {
+                    let p = taps.src[t][v].wrapping_add(c * lay.scs);
+                    // SAFETY: the tap's valid lanes of input channel `c`.
+                    xv[v] = unsafe { L::load(p, taps.mask[t][v]) };
+                }
+                // w[co0 + co, c, tap]: read in place, c_in·k² apart.
+                let w_t = w_c.wrapping_add(t);
+                for (co, row) in acc.iter_mut().enumerate() {
+                    // SAFETY: `w[co0 + co, c, t]`, inside `w` since
+                    // `co0 + co < c_out`, `c < c_in`, `t < k²`.
+                    let wv = unsafe { L::splat(w_t.wrapping_add(co * ck2)) };
+                    for v in 0..NV {
+                        row[v] = L::fma(wv, xv[v], row[v]);
+                    }
+                }
+            }
+        }
+        if let Some(bias) = k.bias {
+            for (co, row) in acc.iter_mut().enumerate() {
+                // SAFETY: a reference into `bias`.
+                let bv = unsafe { L::splat(&bias[co0 + co]) };
+                for v in 0..NV {
+                    row[v] = L::add(row[v], bv);
+                }
+            }
+        }
+        if skip {
+            let mut zeros = 0u16;
+            for row in &acc {
+                for v in 0..NV {
+                    zeros |= L::zeros(row[v]) & taps.live_bits[v];
+                }
+            }
+            if zeros != 0 {
+                skip = false;
+                continue;
+            }
+        }
+        for (co, row) in acc.iter().enumerate() {
+            for v in 0..NV {
+                // SAFETY: as the loads of `acc` above.
+                unsafe { L::store(out[v].wrapping_add(co * lay.dcs), taps.live[v], row[v]) };
+            }
+        }
+        return;
+    }
+}
+
+impl Direct for FwdKernel<'_> {
+    /// Full tiles of `CM` output channels, the tail in pieces of 8, 4, 2,
+    /// 1; the taps are read once for all of them.
+    #[inline(always)]
+    #[allow(clippy::needless_range_loop)] // index loops mirror the register tile
+    unsafe fn block<L: Lanes, const CM: usize, const NV: usize>(
+        self,
+        lay: &DirectLayout,
+        out: [*mut f32; NV],
+        x: [*const f32; NV],
+        slot: [usize; NV],
+    ) {
+        let mut taps = FwdTaps::<L, NV> {
+            src: [x; MAX_TAPS],
+            mask: [[L::mask(0); NV]; MAX_TAPS],
+            valid: [false; MAX_TAPS],
+            live_bits: [0; NV],
+            live: [L::mask(0); NV],
+        };
+        for t in 0..self.k2 {
+            for v in 0..NV {
+                let (off, bits) = lay.taps[slot[v] * self.k2 + t];
+                taps.src[t][v] = x[v].wrapping_offset(off);
+                taps.mask[t][v] = L::mask(bits);
+                taps.valid[t] |= bits != 0;
+            }
+        }
+        for v in 0..NV {
+            taps.live_bits[v] = lay.at[slot[v]].1;
+            taps.live[v] = L::mask(taps.live_bits[v]);
+        }
+        let skip = self.skip && taps.valid[..self.k2].contains(&false);
+        let mut co0 = 0;
+        while co0 < self.c_out {
+            let mut o = out;
+            for p in &mut o {
+                *p = p.wrapping_add(co0 * lay.dcs);
+            }
+            let left = self.c_out - co0;
+            // SAFETY: `o` points at channel `co0` of the block's vectors,
+            // whose source lanes `taps` holds from the caller's layout;
+            // each tile takes at most the `left` channels that remain.
+            co0 += unsafe {
+                if left >= CM {
+                    fwd_tile::<L, CM, NV>(self, lay, &taps, skip, co0, o);
+                    CM
+                } else if left >= 8 {
+                    fwd_tile::<L, 8, NV>(self, lay, &taps, skip, co0, o);
+                    8
+                } else if left >= 4 {
+                    fwd_tile::<L, 4, NV>(self, lay, &taps, skip, co0, o);
+                    4
+                } else if left >= 2 {
+                    fwd_tile::<L, 2, NV>(self, lay, &taps, skip, co0, o);
+                    2
+                } else {
+                    fwd_tile::<L, 1, NV>(self, lay, &taps, skip, co0, o);
+                    1
+                }
             };
-            unsafe { dx_vectors_on(isa, k, d_t.as_mut_ptr(), g_t.as_ptr(), 1) };
-            from_lanes(d_t, ld, chunk, img_len);
-        });
-    });
+        }
+    }
+
+    unsafe fn run(
+        self,
+        isa: Isa,
+        lay: &DirectLayout,
+        out: *mut f32,
+        x: *const f32,
+        samples: usize,
+    ) {
+        // SAFETY: the caller's contract; each instance is chosen by `isa`,
+        // which the caller verified the CPU supports.
+        unsafe {
+            match isa {
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx512 => fwd_vectors_avx512(self, lay, out, x, samples),
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx2 => fwd_vectors_avx2(self, lay, out, x, samples),
+                _ => direct_vectors::<Portable16, Self, 4, 1>(self, lay, out, x, samples),
+            }
+        }
+    }
+}
+
+// 12 channels × 2 vectors: 24 accumulators + 2 input vectors; the weight
+// broadcasts are memory operands of the FMAs.
+direct_vectors_for!(
+    fwd_vectors_avx512,
+    FwdKernel,
+    lanes_x86::Zmm,
+    12,
+    2,
+    "avx512f"
+);
+// 6 channels × one vector of two halves: 12 + 2 + 1 weight = 15 of 16 ymm.
+direct_vectors_for!(
+    fwd_vectors_avx2,
+    FwdKernel,
+    lanes_x86::Ymm2,
+    6,
+    1,
+    "avx2,fma"
+);
+
+/// Whether every element of `w` is finite: `v · 0` is a zero for a finite
+/// `v` and NaN otherwise, summed sixteen abreast (a form the baseline
+/// x86-64 target vectorizes).
+fn all_finite(w: &[f32]) -> bool {
+    let mut acc = [0.0f32; LANES];
+    let chunks = w.chunks_exact(LANES);
+    let tail = chunks.remainder();
+    for c in chunks {
+        for (a, &v) in acc.iter_mut().zip(c) {
+            *a += v * 0.0;
+        }
+    }
+    acc.iter().chain(tail).all(|v| v.is_finite())
+}
+
+/// Direct forward of a stride-1 convolution (module doc, "Direct forward
+/// (stride 1)"): every `out` element's chain runs in registers from `x`
+/// and the weights, both read in place — no staging copy, no gathered
+/// panels, no packed weights ([`direct_conv`] places the vectors).
+#[allow(clippy::too_many_arguments)]
+fn conv2d_forward_direct(
+    isa: Isa,
+    x: &[f32],
+    w: &[f32],
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    batch: usize,
+    c_out: usize,
+    geo: &Conv2dGeometry,
+    threads: usize,
+) {
+    let kernel = FwdKernel {
+        w,
+        bias,
+        c_in: geo.c_in,
+        c_out,
+        k2: geo.k * geo.k,
+        // Finite iff the exponent is not all ones: one vectorized max.
+        skip: all_finite(w),
+    };
+    direct_conv(
+        isa,
+        kernel,
+        Dir::Forward,
+        geo,
+        c_out,
+        out,
+        x,
+        batch,
+        threads,
+    );
 }
 
 #[cfg(test)]
@@ -2221,6 +2738,223 @@ mod tests {
         }
     }
 
+    /// The direct forward against the staged lowering (the stride-1 path
+    /// it replaced) on every ISA the CPU runs, at 1, 2 and 4 threads,
+    /// accumulating into `out0`.
+    #[allow(clippy::too_many_arguments)]
+    fn check_direct_fwd(
+        geo: &Conv2dGeometry,
+        batch: usize,
+        c_out: usize,
+        w: &[f32],
+        x: &[f32],
+        bias: Option<&[f32]>,
+        out0: &[f32],
+        what: &str,
+    ) {
+        let mut want = out0.to_vec();
+        conv2d_forward_staged(x, w, bias, &mut want, batch, c_out, geo, &mut Vec::new(), 1);
+        for isa in available_isas() {
+            for threads in [1, 2, 4] {
+                let mut got = out0.to_vec();
+                conv2d_forward_direct(isa, x, w, bias, &mut got, batch, c_out, geo, threads);
+                assert_same_bits(&got, &want, &format!("{what} {isa:?} threads {threads}"));
+            }
+        }
+    }
+
+    /// `arb` with a `-0.0` in every third element: a non-zero initial
+    /// `out` whose signed zeros a padding tap must not lose.
+    fn out_with_neg_zeros(n: usize, seed: u64) -> Vec<f32> {
+        let mut v = arb(n, seed);
+        v.iter_mut().step_by(3).for_each(|o| *o = -0.0);
+        v
+    }
+
+    /// Stride-1 geometries: every `k ∈ {1, 3, 5}` × `pad ∈ {0, 1, 2}` over
+    /// planes from 1×1 to 19×19 (`w_out` equal to `w`, wider and
+    /// narrower; planes under 16 elements, not a multiple of 16), channel
+    /// counts 1–50 that leave every output-channel tile tail and short and
+    /// long reductions, batches 1–5 (two thread chunks at 5) and 17 / 33
+    /// (short sample-innermost lane groups), bias on and off.
+    #[test]
+    fn conv_fwd_direct_matches_staged_lowering() {
+        const CH: [usize; 10] = [1, 2, 3, 4, 5, 7, 12, 17, 32, 50];
+        let planes = [
+            (1, 1),
+            (2, 2),
+            (3, 5),
+            (4, 4),
+            (5, 3),
+            (7, 9),
+            (8, 8),
+            (15, 17),
+            (16, 16),
+            (19, 19),
+            (1, 19),
+            (19, 1),
+        ];
+        let mut case = 0usize;
+        for k in [1, 3, 5] {
+            for pad in [0, 1, 2] {
+                for &(h, w) in &planes {
+                    if h + 2 * pad < k || w + 2 * pad < k {
+                        continue;
+                    }
+                    case += 1;
+                    let (c_in, c_out) = (CH[case * 7 % 10], CH[(case * 3 + 5) % 10]);
+                    let batch = match case % 11 {
+                        5 if h * w < 16 => 33,
+                        7 => 17,
+                        n => 1 + n % 5,
+                    };
+                    let geo = Conv2dGeometry {
+                        c_in,
+                        h,
+                        w,
+                        k,
+                        stride: 1,
+                        pad,
+                    };
+                    let out_len = batch * c_out * geo.col_cols();
+                    let wt = arb(c_out * geo.col_rows(), case as u64);
+                    let x = arb(batch * c_in * h * w, 100 + case as u64);
+                    let bias = arb(c_out, 300 + case as u64);
+                    let bias = case.is_multiple_of(2).then_some(&bias[..]);
+                    let out0 = out_with_neg_zeros(out_len, 200 + case as u64);
+                    let what = format!("{geo:?} b{batch} co{c_out} bias {}", bias.is_some());
+                    check_direct_fwd(&geo, batch, c_out, &wt, &x, bias, &out0, &what);
+                }
+            }
+        }
+        assert!(case > 90, "{case} geometries");
+    }
+
+    /// The four Medium stages at the training and the validation batch,
+    /// where the in-place and sample-innermost layouts are each chosen.
+    #[test]
+    fn conv_fwd_medium_stages() {
+        for (c_in, c_out, hw) in [(3, 12, 16), (12, 24, 8), (24, 32, 4), (32, 48, 2)] {
+            let geo = Conv2dGeometry {
+                c_in,
+                h: hw,
+                w: hw,
+                k: 3,
+                stride: 1,
+                pad: 1,
+            };
+            for batch in [32, 64] {
+                let wt = arb(c_out * geo.col_rows(), 1);
+                let x = arb(batch * c_in * hw * hw, 2);
+                let bias = arb(c_out, 3);
+                let out0 = vec![0.0f32; batch * c_out * hw * hw];
+                let what = format!("{c_in}->{c_out}@{hw} b{batch}");
+                check_direct_fwd(&geo, batch, c_out, &wt, &x, Some(&bias), &out0, &what);
+            }
+        }
+    }
+
+    /// ±inf / NaN in the weights and the input and `-0.0` in `out` give
+    /// the staged lowering's bits: a padding tap is an FMA on a zero, so
+    /// an infinite weight there makes NaN and a `-0.0` may turn `+0.0`.
+    #[test]
+    fn conv_fwd_special_values() {
+        let specials = |n: usize, seed: u64, every: usize, vals: &[f32]| {
+            let mut v = arb(n, seed);
+            for (i, x) in v.iter_mut().enumerate().filter(|(i, _)| i % every == 3) {
+                *x = vals[i / every % vals.len()];
+            }
+            v
+        };
+        for (c_in, c_out, h, w, k, pad, batch) in [
+            (3, 12, 16, 16, 3, 1, 5),
+            (5, 7, 4, 4, 3, 1, 3),
+            (32, 48, 2, 2, 3, 1, 20),
+            (4, 3, 7, 9, 5, 2, 2),
+            (2, 17, 19, 5, 3, 0, 4),
+            (6, 5, 3, 3, 1, 2, 5),
+        ] {
+            let geo = Conv2dGeometry {
+                c_in,
+                h,
+                w,
+                k,
+                stride: 1,
+                pad,
+            };
+            let (rows, out_len) = (geo.col_rows(), batch * c_out * geo.col_cols());
+            let inf = f32::INFINITY;
+            let wt = specials(c_out * rows, 1, 37, &[inf, -inf, f32::NAN]);
+            let x = specials(batch * c_in * h * w, 2, 41, &[-inf, f32::NAN, inf]);
+            let bias = arb(c_out, 4);
+            let out0 = specials(out_len, 3, 3, &[-0.0]);
+            for bias in [None, Some(&bias[..])] {
+                let what = format!("{geo:?} specials bias {}", bias.is_some());
+                check_direct_fwd(&geo, batch, c_out, &wt, &x, bias, &out0, &what);
+            }
+            // Finite values: only the signed zeros remain.
+            let wt = arb(c_out * rows, 5);
+            let x = vec![0.0f32; batch * c_in * h * w];
+            let out0 = vec![-0.0f32; out_len];
+            check_direct_fwd(
+                &geo,
+                batch,
+                c_out,
+                &wt,
+                &x,
+                None,
+                &out0,
+                &format!("{geo:?} -0.0"),
+            );
+        }
+    }
+
+    /// Skipping a tap whose lanes all read padding is exact only through
+    /// its two guards. On the 2×2 stage (sample-innermost layout; each
+    /// pixel reads 5 of its 9 taps from the padding) each case below
+    /// breaks a tile that skips without them:
+    /// * one infinite weight — the padding tap makes NaN;
+    /// * `out = -0.0`, inputs `-0.0`, positive weights — every valid
+    ///   product is `-0.0`, so only the padding taps' `+0.0` products turn
+    ///   the chain `+0.0`;
+    /// * `out = +0.0` and a valid product that underflows to `-0.0` before
+    ///   a padding tap with a positive weight, then `-0.0` products.
+    #[test]
+    fn conv_fwd_skipped_taps_are_exact() {
+        let geo = |c_in| Conv2dGeometry {
+            c_in,
+            h: 2,
+            w: 2,
+            k: 3,
+            stride: 1,
+            pad: 1,
+        };
+        let (c_out, batch) = (5, 20);
+        let g = geo(4);
+        let mut wt: Vec<f32> = arb(c_out * g.col_rows(), 1);
+        wt[2 * g.col_rows() + 9] = f32::INFINITY; // co 2, c 1, tap (0, 0)
+        let x = arb(batch * 4 * 4, 2);
+        let out0 = vec![0.0f32; batch * c_out * 4];
+        check_direct_fwd(&g, batch, c_out, &wt, &x, None, &out0, "inf weight");
+
+        let wt: Vec<f32> = arb(c_out * g.col_rows(), 3)
+            .iter()
+            .map(|v| v.abs())
+            .collect();
+        let x = vec![-0.0f32; batch * 4 * 4];
+        let out0 = vec![-0.0f32; batch * c_out * 4];
+        check_direct_fwd(&g, batch, c_out, &wt, &x, None, &out0, "-0.0 chains");
+
+        // Pixel (0, 0) reads taps 4, 5, 7, 8; taps 0–3 and 6 are padding.
+        let g = geo(1);
+        let tiny = 1e-30f32;
+        let wt1 = [1.0, 1.0, 1.0, 1.0, -tiny, -tiny, 1.0, -0.0, -0.0];
+        let wt: Vec<f32> = wt1.iter().copied().cycle().take(c_out * 9).collect();
+        let x = vec![tiny; batch * 4];
+        let out0 = vec![0.0f32; batch * c_out * 4];
+        check_direct_fwd(&g, batch, c_out, &wt, &x, None, &out0, "underflow to -0.0");
+    }
+
     /// Fold groups shrink — down to one sample — rather than let an
     /// offset table outgrow `u32`, and a single sample that cannot be
     /// addressed fails by name instead of wrapping.
@@ -2365,12 +3099,81 @@ mod tune {
         }
     }
 
+    /// Manual thread probe (`cargo test -p fp-tensor --release --lib
+    /// tune_conv_threads -- --ignored --nocapture`): per-call forward and
+    /// input-gradient time of the four Medium stages at the training (32)
+    /// and validation (64) batch on one and on two kernel threads,
+    /// interleaved, best of several trials, with each call's
+    /// multiply-accumulate count — the table `PAR_MACS_THRESHOLD` is read
+    /// from.
+    #[test]
+    #[ignore]
+    fn tune_conv_threads() {
+        use crate::test_support::arb;
+        println!("batch stage          MACs   fwd 1t   fwd 2t    dX 1t    dX 2t   (µs)");
+        let stages = [
+            (3usize, 12usize, 16usize),
+            (12, 24, 8),
+            (24, 32, 4),
+            (32, 48, 2),
+        ];
+        for (batch, (c_in, c_out, hw)) in [32usize, 64]
+            .into_iter()
+            .flat_map(|b| stages.map(|st| (b, st)))
+        {
+            let geo = Conv2dGeometry {
+                c_in,
+                h: hw,
+                w: hw,
+                k: 3,
+                stride: 1,
+                pad: 1,
+            };
+            let (img_len, out_len) = (c_in * hw * hw, c_out * hw * hw);
+            let x = arb(batch * img_len, 1);
+            let w = arb(c_out * geo.col_rows(), 2);
+            let grad = arb(batch * out_len, 3);
+            let mut out = vec![0.0f32; batch * out_len];
+            let mut dx = vec![0.0f32; batch * img_len];
+            let mut ws = Vec::new();
+            let mut best = [f64::INFINITY; 4];
+            for _ in 0..15 {
+                for (i, threads) in [(0, 1), (1, 2), (0, 1), (1, 2)] {
+                    let t = std::time::Instant::now();
+                    for _ in 0..20 {
+                        out.fill(0.0);
+                        conv2d_forward_fused(
+                            &x, &w, None, &mut out, batch, c_out, &geo, &mut ws, threads,
+                        );
+                    }
+                    best[i] = best[i].min(t.elapsed().as_nanos() as f64 / 20.0 / 1e3);
+                    let t = std::time::Instant::now();
+                    for _ in 0..20 {
+                        dx.fill(0.0);
+                        conv2d_backward_input_fused(
+                            &w, &grad, &mut dx, batch, c_out, &geo, &mut ws, threads,
+                        );
+                    }
+                    best[2 + i] = best[2 + i].min(t.elapsed().as_nanos() as f64 / 20.0 / 1e3);
+                }
+            }
+            let macs = batch * c_out * geo.col_rows() * geo.col_cols();
+            println!(
+                "{batch:5} {c_in:2}->{c_out:2}@{hw:2}² {macs:9} {:8.1} {:8.1} {:8.1} {:8.1}",
+                best[0], best[1], best[2], best[3]
+            );
+            std::hint::black_box((&out, &dx));
+        }
+    }
+
     /// Manual conv probe (`cargo test -p fp-tensor --release
     /// tune_conv_probe -- --ignored --nocapture`): for the four Medium
     /// stage convolutions at batch 32, the three staged kernels end to
     /// end, then the forward split into its parts — staging copy, table
     /// gather into B panels (forward and dW orientation), the GEMM on an
-    /// already-dense B of the folded shape — and dX's adjoint scatter.
+    /// already-dense B of the folded shape — dX's adjoint scatter, and
+    /// the direct dX and forward kernels that replace the staged ones at
+    /// stride 1.
     #[test]
     #[ignore]
     fn tune_conv_probe() {
@@ -2387,7 +3190,7 @@ mod tune {
             };
             (0..9).map(|_| trial(f)).fold(f64::INFINITY, f64::min)
         };
-        println!("stage             fwd      dW      dX | stage-in  gather  gatherT    gemm scatter  direct   (µs; ns/float)");
+        println!("stage             fwd      dW      dX | stage-in  gather  gatherT    gemm scatter  direct direct-fwd  (µs; ns/float)");
         for (c_in, c_out, hw) in [
             (3usize, 12usize, 16usize),
             (12, 24, 8),
@@ -2414,7 +3217,11 @@ mod tune {
             let mut ws = Vec::new();
             let fwd = time(&mut || {
                 out.fill(0.0);
-                conv2d_forward_fused(&x, &w, None, &mut out, batch, c_out, &geo, &mut ws, 1);
+                conv2d_forward_staged(&x, &w, None, &mut out, batch, c_out, &geo, &mut ws, 1);
+            });
+            let direct_fwd = time(&mut || {
+                out.fill(0.0);
+                conv2d_forward_direct(native_isa(), &x, &w, None, &mut out, batch, c_out, &geo, 1);
             });
             let bww = time(&mut || {
                 conv2d_backward_weights_fused(&x, &grad, &mut dw, batch, c_out, &geo, 1);
@@ -2493,7 +3300,7 @@ mod tune {
             });
             let per = |us: f64| us * 1e3 / (groups * rows * nn) as f64;
             println!(
-                "{c_in:2}->{c_out:2}@{hw:2}² g={g:2} {fwd:7.1} {bww:7.1} {bwi:7.1} | {stage_in:8.1} {gather:7.1} {gather_t:8.1} {gemm:7.1} {scatter:7.1} {direct:7.1}   ({:.2} {:.2} {:.2})",
+                "{c_in:2}->{c_out:2}@{hw:2}² g={g:2} {fwd:7.1} {bww:7.1} {bwi:7.1} | {stage_in:8.1} {gather:7.1} {gather_t:8.1} {gemm:7.1} {scatter:7.1} {direct:7.1} {direct_fwd:10.1}  ({:.2} {:.2} {:.2})",
                 per(gather), per(gather_t), per(scatter),
             );
             std::hint::black_box((&out, &dw, &dx, &c));
