@@ -8,6 +8,7 @@
 //! the PR gate: parallel must beat scalar by ≥ 2×).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use fp_fl::aggregate::trimmed_mean;
 use fp_nn::{BatchNorm2d, Conv2d, Layer, MaxPool2d, Mode, QuantizedUpdate, ReLU};
 use fp_tensor::{seeded_rng, Backend, Parallel, Scalar, Tensor};
 
@@ -186,10 +187,28 @@ fn bench_quant(c: &mut Criterion) {
     });
 }
 
+/// The trimmed-mean kernel at the shape `fpbench`'s `fleet_async_planes`
+/// flushes: 16 buffered updates of the same 24 276-parameter payload, a
+/// quarter trimmed from each end.
+fn bench_trimmed_mean(c: &mut Criterion) {
+    const N: usize = 16;
+    const LEN: usize = 24_276;
+    let updates: Vec<(usize, Vec<f32>)> = (0..N)
+        .map(|i| {
+            let v = (0..LEN).map(|j| ((j * 31 + i * 17) % 101) as f32 * (1.0 + i as f32 * 1e-3));
+            (i, v.collect())
+        })
+        .collect();
+    let weights = [1.0f32; N];
+    c.bench_function("trimmed_mean_16x24276", |b| {
+        b.iter(|| std::hint::black_box(trimmed_mean(&updates, &weights, N / 4)))
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
     targets = bench_matmul, bench_matmul_shapes, bench_conv_forward_backward, bench_nn_layers,
-        bench_softmax, bench_quant
+        bench_softmax, bench_quant, bench_trimmed_mean
 }
 criterion_main!(benches);

@@ -1,15 +1,14 @@
 //! The CI bench-regression gate.
 //!
 //! Compares freshly emitted benchmark JSON (the `$FP_BENCH_JSON` report
-//! written by the vendored criterion, or the `"wall"` section of the
-//! virtual-time reports `BENCH_fl_sched.json` / `BENCH_fl_async.json`)
-//! against a committed baseline and fails on a throughput regression
-//! beyond a tolerance: a benchmark regresses when its fresh median
-//! exceeds `baseline × (1 + tolerance)`, or — for kernel benches that
-//! report GFLOP/s — when its fresh throughput falls below
-//! `baseline ÷ (1 + tolerance)`. The throughput gate matters when a
-//! bench's shape (and so its flop count) changes: a smaller shape can
-//! post a faster median while the kernel itself got slower.
+//! written by the vendored criterion) against a committed baseline and
+//! fails on a throughput regression beyond a tolerance: a benchmark
+//! regresses when its fresh median exceeds `baseline × (1 + tolerance)`,
+//! or — for kernel benches that report GFLOP/s — when its fresh
+//! throughput falls below `baseline ÷ (1 + tolerance)`. The throughput
+//! gate matters when a bench's shape (and so its flop count) changes: a
+//! smaller shape can post a faster median while the kernel itself got
+//! slower.
 //!
 //! Benchmarks present on only one side are reported but never fail the
 //! gate (adding a bench must not break CI retroactively); improvements
@@ -28,8 +27,7 @@ pub struct BenchEntry {
     /// Median wall-clock per iteration in nanoseconds.
     pub median_ns: f64,
     /// Arithmetic throughput, when the bench declared its flop count
-    /// (absent from reports emitted before the packed-GEMM work, and from
-    /// all virtual-time `"wall"` sections).
+    /// (absent from reports emitted before the packed-GEMM work).
     #[serde(default)]
     pub gflops: Option<f64>,
 }
@@ -41,26 +39,15 @@ struct KernelReport {
     benchmarks: Vec<BenchEntry>,
 }
 
-/// A virtual-time report carrying its criterion timings under `"wall"`
-/// (`BENCH_fl_sched.json` / `BENCH_fl_async.json`).
-#[derive(Deserialize)]
-struct WallReport {
-    wall: Vec<BenchEntry>,
-}
-
-/// Parses either report shape out of a JSON document.
+/// Parses a kernel-bench report out of a JSON document.
 ///
 /// # Errors
 ///
-/// Returns a message when the document is neither shape.
+/// Returns a message when the document has no `benchmarks` array.
 pub fn parse_report(json: &str) -> Result<Vec<BenchEntry>, String> {
-    if let Ok(k) = serde_json::from_str::<KernelReport>(json) {
-        return Ok(k.benchmarks);
-    }
-    if let Ok(w) = serde_json::from_str::<WallReport>(json) {
-        return Ok(w.wall);
-    }
-    Err("document has neither a `benchmarks` nor a `wall` array".to_string())
+    serde_json::from_str::<KernelReport>(json)
+        .map(|k| k.benchmarks)
+        .map_err(|_| "document has no `benchmarks` array".to_string())
 }
 
 /// The verdict on one benchmark id.
@@ -185,11 +172,9 @@ mod tests {
     }
 
     #[test]
-    fn parses_both_report_shapes() {
+    fn parses_the_kernel_report_shape() {
         let kernel = r#"{"benchmarks": [{"id": "a", "median_ns": 10.0, "min_ns": 9.0, "max_ns": 11.0, "samples": 10}]}"#;
-        let wall = r#"{"config": {"rounds": 12}, "virtual_speedup": 2.0, "wall": [{"id": "b", "median_ns": 5.0}]}"#;
         assert_eq!(parse_report(kernel).unwrap()[0].id, "a");
-        assert_eq!(parse_report(wall).unwrap()[0].id, "b");
         assert!(parse_report("{}").is_err());
     }
 
@@ -296,17 +281,9 @@ mod tests {
 
     #[test]
     fn committed_baselines_parse() {
-        // The committed BENCH_*.json baselines must stay parseable,
+        // The committed baselines a workflow gates must stay parseable,
         // or the CI gate would dry-run green.
-        for name in [
-            "BENCH_tensor.json",
-            "BENCH_fl_sched.json",
-            "BENCH_fl_async.json",
-            "BENCH_fl_hier.json",
-            "BENCH_fl_byz.json",
-            "BENCH_fl_trace.json",
-            "BENCH_fl_quant.json",
-        ] {
+        for name in ["BENCH_tensor.json", "BENCH_fl_round.json"] {
             let path = format!("{}/../../{}", env!("CARGO_MANIFEST_DIR"), name);
             let json = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
             let entries = parse_report(&json).unwrap_or_else(|e| panic!("{path}: {e}"));

@@ -1,66 +1,4 @@
-//! Table formatting and streaming sinks for experiment output.
-
-use std::io::Write;
-
-/// A buffered JSONL sink for `run_streamed` ledgers: every record goes
-/// straight through a [`std::io::BufWriter`] instead of accumulating in a
-/// `Vec<String>` first, so a fleet-scale streamed run holds no ledger
-/// history in memory *and* no line buffer either. Call [`JsonlSink::flush`]
-/// at checkpoint boundaries to bound data loss on a crash, and
-/// [`JsonlSink::finish`] when the stream ends.
-#[derive(Debug)]
-pub struct JsonlSink {
-    w: std::io::BufWriter<std::fs::File>,
-    lines: usize,
-}
-
-impl JsonlSink {
-    /// Creates (truncating) the sink file.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the file cannot be created.
-    pub fn create(path: impl AsRef<std::path::Path>) -> Self {
-        let f = std::fs::File::create(path.as_ref()).unwrap_or_else(|e| {
-            panic!("create JSONL sink {}: {e}", path.as_ref().display());
-        });
-        JsonlSink {
-            w: std::io::BufWriter::new(f),
-            lines: 0,
-        }
-    }
-
-    /// Appends one record line (a trailing newline is added).
-    ///
-    /// # Panics
-    ///
-    /// Panics on I/O errors — a bench sink has nowhere to report them.
-    pub fn push(&mut self, line: &str) {
-        self.w.write_all(line.as_bytes()).expect("JSONL sink write");
-        self.w.write_all(b"\n").expect("JSONL sink write");
-        self.lines += 1;
-    }
-
-    /// Flushes buffered lines to disk — call at checkpoint boundaries.
-    ///
-    /// # Panics
-    ///
-    /// Panics on I/O errors.
-    pub fn flush(&mut self) {
-        self.w.flush().expect("JSONL sink flush");
-    }
-
-    /// Lines pushed so far.
-    pub fn lines(&self) -> usize {
-        self.lines
-    }
-
-    /// Flushes and returns the total line count.
-    pub fn finish(mut self) -> usize {
-        self.flush();
-        self.lines
-    }
-}
+//! Table formatting for experiment output.
 
 /// A simple fixed-width text table, printed to stdout in the shape of the
 /// paper's tables (rows of labelled measurements, with a paper-reference
@@ -179,19 +117,5 @@ mod tests {
         assert_eq!(pct(0.5), "50.00%");
         assert_eq!(mb(1024 * 1024 * 10), "10.0 MB");
         assert_eq!(secs(2.0e5), "2.00e5 s");
-    }
-
-    #[test]
-    fn jsonl_sink_streams_lines() {
-        let path = std::env::temp_dir().join(format!("fp-jsonl-sink-{}.jsonl", std::process::id()));
-        let mut sink = JsonlSink::create(&path);
-        sink.push("{\"a\": 1}");
-        sink.flush();
-        sink.push("{\"a\": 2}");
-        assert_eq!(sink.lines(), 2);
-        assert_eq!(sink.finish(), 2);
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(body, "{\"a\": 1}\n{\"a\": 2}\n");
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -11,8 +11,9 @@
 //!    filters an exact, pinned set of clients per merge — recorded in
 //!    the ledger with reasons, bit-identical at 1/2/4 worker threads.
 //! 3. **Defense effectiveness.** A sign-flip attack drags the plain
-//!    FedAvg model far from the honest trajectory; multi-Krum keeps it
-//!    close by filtering the flagged clients.
+//!    FedAvg model far from the honest trajectory; the trimmed mean
+//!    holds it closer, and multi-Krum closest by filtering the flagged
+//!    clients.
 //! 4. **Policy-carrying checkpoints.** Checkpoints serialize the rule +
 //!    plan under the `byz` key, round-trip through JSON, resume
 //!    bit-identically, and refuse to resume under a different policy
@@ -316,11 +317,18 @@ fn multi_krum_holds_the_model_near_the_honest_trajectory() {
         .flat_params()
     };
     let fedavg_dist = l2(&attacked(RobustRule::FedAvg), &honest);
+    let trimmed_dist = l2(&attacked(RobustRule::TrimmedMean { trim: 0.25 }), &honest);
     let krum_dist = l2(&attacked(krum_rule()), &honest);
     assert!(
         krum_dist < fedavg_dist / 2.0,
         "multi-Krum ({krum_dist:.6}) should at least halve the FedAvg \
          drift under attack ({fedavg_dist:.6})"
+    );
+    // Each robust rule resists the sign-flip, the filtering one most.
+    assert!(
+        krum_dist < trimmed_dist && trimmed_dist < fedavg_dist,
+        "drift order multi-Krum ({krum_dist:.6}) < trimmed mean \
+         ({trimmed_dist:.6}) < FedAvg ({fedavg_dist:.6})"
     );
 }
 

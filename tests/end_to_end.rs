@@ -214,6 +214,18 @@ fn scheduler_golden_run_is_thread_count_invariant() {
     let clock: f64 = a.ledger.iter().map(|r| r.round_time_s).sum();
     assert!((a.ledger.last().unwrap().clock_s - clock).abs() < 1e-9);
 
+    // What the policy is for: over-selection plus the median deadline
+    // finish the same rounds in well under the lockstep barrier's
+    // virtual time (≈ ×4.7 on this fleet; 1.5× is the floor).
+    let lockstep = EventScheduler::new(JFat::new(), SchedConfig::default())
+        .run(&env(GOLDEN_ROUNDS, GOLDEN_SEED))
+        .virtual_time_s();
+    assert!(
+        1.5 * a.virtual_time_s() <= lockstep,
+        "scheduled {} s vs lockstep {lockstep} s: under the 1.5x floor",
+        a.virtual_time_s()
+    );
+
     // Structural invariants of every ledger row.
     for r in &a.ledger {
         assert_eq!(r.selected, r.completed + r.stragglers + r.dropped_out);

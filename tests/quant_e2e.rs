@@ -12,10 +12,12 @@
 //!    per-round up-link byte schedule, bit-identical at 1/2/4 worker
 //!    threads (the seeded stochastic draw is counter-based, so neither
 //!    thread count nor SIMD width moves a byte).
-//! 3. **Cheaper virtual time.** The 4-bit async run moves ≥ 4× fewer
-//!    up-link bytes than dense and finishes sooner on the virtual
-//!    clock; the buffer holds dequantized vectors (staleness discounts
-//!    act on what the wire carried) and runs are deterministic.
+//! 3. **Cheaper virtual time.** The 8-, 4- and 2-bit async runs charge
+//!    each merged upload exactly its packed wire size; each narrower
+//!    code drifts further from the dense model and finishes sooner on
+//!    the virtual clock; the buffer holds dequantized vectors
+//!    (staleness discounts act on what the wire carried) and runs are
+//!    deterministic.
 //! 4. **Error-feedback lifecycle.** Residual rows stay within the LRU
 //!    bound, dropouts invalidate rows with cause attribution, and the
 //!    counters ride checkpoints under the `quant` key.
@@ -33,6 +35,7 @@ use fedprophet_repro::fl::{
 };
 use fedprophet_repro::hwsim::{SamplingMode, CIFAR_POOL};
 use fedprophet_repro::nn::models::{vgg_atom_specs, VggConfig};
+use fedprophet_repro::nn::qcodec::wire_bytes;
 
 const QUANT_SEED: u64 = 117;
 const QUANT_ROUNDS: usize = 4;
@@ -57,6 +60,14 @@ fn async_cfg() -> AsyncConfig {
 
 fn q4() -> QuantConfig {
     QuantConfig::new(4)
+}
+
+fn l2(a: &[f32], b: &[f32]) -> f64 {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| ((x - y) as f64).powi(2))
+        .sum::<f64>()
+        .sqrt()
 }
 
 /// Resets the global worker budget when a test panics mid-run.
@@ -157,33 +168,48 @@ fn quant4_sync_ledger_is_pinned_and_worker_invariant() {
 fn quant4_async_cuts_up_bytes_4x_and_finishes_sooner() {
     let env = quant_env(32, QUANT_ROUNDS, QUANT_SEED);
     let dense = AsyncScheduler::new(SyntheticTrainer, async_cfg()).run(&env);
-    let sched = AsyncScheduler::new(QuantTrainer::new(SyntheticTrainer, q4()), async_cfg());
-    let quant = sched.run(&env);
-    let dense_up: u64 = dense.ledger.iter().map(|r| r.up_bytes).sum();
-    let quant_up: u64 = quant.ledger.iter().map(|r| r.up_bytes).sum();
-    assert!(
-        quant_up * 4 <= dense_up,
-        "4-bit must cut up-link bytes at least 4x: {quant_up} vs {dense_up}"
-    );
-    // Smaller uploads reach the buffer earlier: the virtual clock at the
-    // final aggregation must beat the dense run's.
-    let dense_clock = dense.ledger.last().unwrap().clock_s;
-    let quant_clock = quant.ledger.last().unwrap().clock_s;
-    assert!(
-        quant_clock < dense_clock,
-        "quantized run must finish sooner: {quant_clock} vs {dense_clock}"
-    );
-    // The buffer holds *dequantized* vectors, so clients that uploaded
-    // have residuals resident (what the wire dropped, carried forward).
-    assert!(
-        sched.trainer.resident_rows() > 0,
-        "EF rows must be resident"
-    );
-    // Determinism: same ledger, same model, run-to-run.
-    let again =
-        AsyncScheduler::new(QuantTrainer::new(SyntheticTrainer, q4()), async_cfg()).run(&env);
-    assert_eq!(quant.ledger_json(), again.ledger_json());
-    assert_eq!(model_hash(&quant.model), model_hash(&again.model));
+    let dense_params = dense.model.flat_params();
+    let n = dense_params.len() as u64;
+    // Every bit width below is one step further from the dense run: more
+    // drift from its model, an earlier final aggregation.
+    let (mut prev_drift, mut prev_clock) = (0.0f64, dense.ledger.last().unwrap().clock_s);
+    for bits in [8, 4, 2] {
+        let cfg = QuantConfig::new(bits);
+        let sched = AsyncScheduler::new(QuantTrainer::new(SyntheticTrainer, cfg), async_cfg());
+        let quant = sched.run(&env);
+        // Each merged upload is charged exactly its packed wire size
+        // (q4 on this 1676-parameter model: 874 B against 6704 B dense).
+        let up: u64 = quant.ledger.iter().map(|r| r.up_bytes).sum();
+        let merged: usize = quant.ledger.iter().map(|r| r.merged).sum();
+        assert_eq!(
+            up,
+            merged as u64 * wire_bytes(n, bits, cfg.chunk),
+            "q{bits} up-link bytes are not {merged} packed uploads"
+        );
+        let drift = l2(&quant.model.flat_params(), &dense_params);
+        assert!(
+            drift > prev_drift,
+            "q{bits} drift from dense {drift} must exceed the wider code's {prev_drift}"
+        );
+        // Smaller uploads reach the buffer earlier.
+        let clock = quant.ledger.last().unwrap().clock_s;
+        assert!(
+            clock < prev_clock,
+            "q{bits} must finish before the wider code: {clock} vs {prev_clock}"
+        );
+        (prev_drift, prev_clock) = (drift, clock);
+        // The buffer holds *dequantized* vectors, so clients that uploaded
+        // have residuals resident (what the wire dropped, carried forward).
+        assert!(
+            sched.trainer.resident_rows() > 0,
+            "EF rows must be resident"
+        );
+        // Determinism: same ledger, same model, run-to-run.
+        let again =
+            AsyncScheduler::new(QuantTrainer::new(SyntheticTrainer, cfg), async_cfg()).run(&env);
+        assert_eq!(quant.ledger_json(), again.ledger_json());
+        assert_eq!(model_hash(&quant.model), model_hash(&again.model));
+    }
 }
 
 // ------------------------------------------------ error-feedback lifecycle
