@@ -46,7 +46,7 @@ use crate::dma::{assign_modules, ModuleAssignment};
 use crate::module_target::ModuleTarget;
 use crate::partition::{partition_model, ModulePartition};
 use crate::trainer::{max_feature_perturbation, train_module_window, WindowTrainConfig};
-use fp_attack::{AttackTarget, ModelTarget, Pgd, PgdConfig};
+use fp_attack::{AttackTarget, Pgd, PgdConfig};
 use fp_fl::aggregate::{average_bn_stats, weighted_average};
 use fp_fl::async_sched::{staleness_weight, AsyncConfig, AsyncTimeline};
 use fp_fl::sched::{draw_dropouts, over_select_count, simulate_round, SchedConfig, SALT_AVAIL};
@@ -791,18 +791,14 @@ impl<'a> Server<'a> {
             ..PgdConfig::train_linf(cfg.eps0)
         });
         let mut rng = seeded_rng(cfg.seed ^ 0x7E57 ^ self.round as u64);
-        let mut clean_and_adv = |target: &mut dyn AttackTarget| {
-            let clean = fp_nn::accuracy(&target.logits(&x), &y);
-            let adv_x = pgd.attack(target, &x, &y, &mut rng);
-            (clean, fp_nn::accuracy(&target.logits(&adv_x), &y))
+        let (_, t) = self.partition.windows[m];
+        let mut target = match self.heads[m].as_mut() {
+            None => ModuleTarget::final_window(&mut self.global, 0),
+            Some(head) => ModuleTarget::new(&mut self.global, head, 0, t, 0.0),
         };
-        let accs = match self.heads[m].as_mut() {
-            None => clean_and_adv(&mut ModelTarget::new(&mut self.global)),
-            Some(head) => {
-                let (_, t) = self.partition.windows[m];
-                clean_and_adv(&mut ModuleTarget::new(&mut self.global, head, 0, t, 0.0))
-            }
-        };
+        let clean = fp_nn::accuracy(&target.logits(&x), &y);
+        let adv_x = pgd.attack(&mut target, &x, &y, &mut rng);
+        let accs = (clean, fp_nn::accuracy(&target.logits(&adv_x), &y));
         // `train` clones the global model per client: the validation
         // batch's activations must not ride along.
         self.global.clear_cache();

@@ -54,6 +54,6 @@ pub use algorithm::{FedProphet, ProphetConfig, ProphetOutcome, ProphetRound};
 pub use apa::Apa;
 pub use aux_head::AuxHead;
 pub use dma::{assign_modules, ModuleAssignment};
-pub use module_target::{FinalWindowTarget, ModuleTarget};
+pub use module_target::ModuleTarget;
 pub use partition::{partition_model, ModulePartition};
 pub use trainer::{max_feature_perturbation, train_module_window, WindowTrainConfig};

@@ -2,23 +2,33 @@
 
 use crate::aux_head::AuxHead;
 use fp_attack::AttackTarget;
-use fp_nn::{CascadeModel, CrossEntropyLoss, Mode};
+use fp_nn::{CascadeModel, CrossEntropyLoss, Mode, Param};
 use fp_tensor::Tensor;
 
-/// An [`AttackTarget`] over a module window `w_m ∘ ⋯ ∘ w_M` plus its
-/// auxiliary head, differentiated at the window's **input feature**
-/// `z_{m−1}` — the adversarial-cascade-learning inner maximization of
-/// Eq. 9/13.
+/// An [`AttackTarget`] over a module window `w_m ∘ ⋯ ∘ w_M` plus its exit,
+/// differentiated at the window's **input feature** `z_{m−1}` — the
+/// adversarial-cascade-learning inner maximization of Eq. 9/13.
 ///
-/// The loss is the strong-convexity regularized early-exit loss
-/// `l_CE(aux(z_M), y) + µ/2·‖z_M‖²`.
+/// With an auxiliary head ([`ModuleTarget::new`]) the loss is the
+/// strong-convexity regularized early-exit loss
+/// `l_CE(aux(z_M), y) + µ/2·‖z_M‖²`. The final window
+/// ([`ModuleTarget::final_window`]) exits through the backbone classifier
+/// itself (`l_M = l`, paper Proposition 1): plain cross-entropy, no head
+/// and no µ-term.
 pub struct ModuleTarget<'a> {
     model: &'a mut CascadeModel,
-    aux: &'a mut AuxHead,
     from: usize,
     to: usize,
-    mu: f32,
+    exit: Exit<'a>,
     ce: CrossEntropyLoss,
+}
+
+/// Where a [`ModuleTarget`]'s window exits.
+enum Exit<'a> {
+    /// An auxiliary head and the strong convexity coefficient µ.
+    Head(&'a mut AuxHead, f32),
+    /// The backbone classifier: the window's output is the logits.
+    Classifier,
 }
 
 impl<'a> ModuleTarget<'a> {
@@ -35,32 +45,39 @@ impl<'a> ModuleTarget<'a> {
         to: usize,
         mu: f32,
     ) -> Self {
+        assert!(mu >= 0.0, "mu must be non-negative");
+        Self::with_exit(model, from, to, Exit::Head(aux, mu))
+    }
+
+    /// Wraps the final window, atoms `[from, num_atoms)` of `model`, whose
+    /// exit is the backbone classifier.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `from < model.num_atoms()`.
+    pub fn final_window(model: &'a mut CascadeModel, from: usize) -> Self {
+        let to = model.num_atoms();
+        Self::with_exit(model, from, to, Exit::Classifier)
+    }
+
+    fn with_exit(model: &'a mut CascadeModel, from: usize, to: usize, exit: Exit<'a>) -> Self {
         assert!(
             from < to && to <= model.num_atoms(),
             "bad window {from}..{to}"
         );
-        assert!(mu >= 0.0, "mu must be non-negative");
         ModuleTarget {
             model,
-            aux,
             from,
             to,
-            mu,
+            exit,
             ce: CrossEntropyLoss::new(),
         }
     }
 
-    /// Forward in `mode`, returning `(z_out, logits)`.
-    pub fn forward_full(&mut self, z_in: &Tensor, mode: Mode) -> (Tensor, Tensor) {
-        let z_out = self.model.forward_range(z_in, self.from, self.to, mode);
-        let logits = self.aux.forward(&z_out, mode);
-        (z_out, logits)
-    }
-
-    /// The regularized early-exit loss and its gradients, in `mode`.
+    /// The window's loss (type doc) and its gradients, in `mode`.
     ///
     /// Returns `(loss, grad_z_in)`; parameter gradients of the window and
-    /// the head are **accumulated** for the training step to consume. The
+    /// any head are **accumulated** for the training step to consume. The
     /// attack path, [`AttackTarget::loss_and_input_grad`], computes the
     /// same two values without touching them.
     pub fn loss_and_grads(&mut self, z_in: &Tensor, labels: &[usize], mode: Mode) -> (f32, Tensor) {
@@ -74,7 +91,7 @@ impl<'a> ModuleTarget<'a> {
     /// One `Train`-mode training pass: accumulates the window's and the
     /// head's parameter gradients exactly as [`ModuleTarget::loss_and_grads`]
     /// does, without the input gradient nobody reads, and returns the loss.
-    pub(crate) fn train_step(&mut self, z_in: &Tensor, labels: &[usize]) -> f32 {
+    pub fn train_step(&mut self, z_in: &Tensor, labels: &[usize]) -> f32 {
         self.pass(z_in, labels, Mode::Train, Backward::Params).0
     }
 
@@ -87,17 +104,24 @@ impl<'a> ModuleTarget<'a> {
         mode: Mode,
         route: Backward,
     ) -> (f32, Option<Tensor>) {
-        let (z_out, logits) = self.forward_full(z_in, mode);
-        let (ce_loss, dlogits) = self.ce.forward(&logits, labels);
-        let batch = labels.len() as f32;
-        // µ/2·‖z_out‖² (mean over batch).
-        let reg = 0.5 * self.mu * z_out.data().iter().map(|&v| v * v).sum::<f32>() / batch;
-        let mut dz_out = match route {
-            Backward::Input => self.aux.backward_input(&dlogits),
-            Backward::Full | Backward::Params => self.aux.backward(&dlogits),
-        };
-        dz_out.axpy(self.mu / batch, &z_out);
         let (model, from, to) = (&mut *self.model, self.from, self.to);
+        let z_out = model.forward_range(z_in, from, to, mode);
+        let (loss, dz_out) = match &mut self.exit {
+            Exit::Classifier => self.ce.forward(&z_out, labels),
+            Exit::Head(aux, mu) => {
+                let logits = aux.forward(&z_out, mode);
+                let (ce_loss, dlogits) = self.ce.forward(&logits, labels);
+                let batch = labels.len() as f32;
+                // µ/2·‖z_out‖² (mean over batch).
+                let reg = 0.5 * *mu * z_out.data().iter().map(|&v| v * v).sum::<f32>() / batch;
+                let mut dz_out = match route {
+                    Backward::Input => aux.backward_input(&dlogits),
+                    Backward::Full | Backward::Params => aux.backward(&dlogits),
+                };
+                dz_out.axpy(*mu / batch, &z_out);
+                (ce_loss + reg, dz_out)
+            }
+        };
         let dz_in = match route {
             Backward::Input => Some(model.backward_input_range(&dz_out, from, to)),
             Backward::Full => Some(model.backward_range(&dz_out, from, to)),
@@ -106,15 +130,23 @@ impl<'a> ModuleTarget<'a> {
                 None
             }
         };
-        (ce_loss + reg, dz_in)
+        (loss, dz_in)
+    }
+
+    /// The window's parameters, then the head's.
+    pub(crate) fn params_mut(&mut self) -> Vec<&mut Param> {
+        let mut params = self.model.params_range_mut(self.from, self.to);
+        if let Exit::Head(aux, _) = &mut self.exit {
+            params.extend(aux.params_mut());
+        }
+        params
     }
 
     /// Zeroes the window's and head's parameter gradients.
     pub fn zero_grad(&mut self) {
-        for p in self.model.params_range_mut(self.from, self.to) {
+        for p in self.params_mut() {
             p.zero_grad();
         }
-        self.aux.zero_grad();
     }
 }
 
@@ -142,77 +174,10 @@ impl AttackTarget for ModuleTarget<'_> {
         let z_out = self
             .model
             .forward_range(z_in, self.from, self.to, Mode::Eval);
-        self.aux.forward(&z_out, Mode::Eval)
-    }
-}
-
-/// An [`AttackTarget`] over the **final** module window, whose exit is the
-/// backbone classifier itself (`l_M = l`, paper Proposition 1): plain
-/// cross-entropy, no auxiliary head, no µ-regularizer.
-pub struct FinalWindowTarget<'a> {
-    model: &'a mut CascadeModel,
-    from: usize,
-    to: usize,
-    ce: CrossEntropyLoss,
-}
-
-impl<'a> FinalWindowTarget<'a> {
-    /// Wraps atoms `[from, to)`; `to` must be the model end.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `to == model.num_atoms()`.
-    pub fn new(model: &'a mut CascadeModel, from: usize, to: usize) -> Self {
-        assert_eq!(
-            to,
-            model.num_atoms(),
-            "final window must reach the model end"
-        );
-        assert!(from < to, "bad window");
-        FinalWindowTarget {
-            model,
-            from,
-            to,
-            ce: CrossEntropyLoss::new(),
+        match &mut self.exit {
+            Exit::Classifier => z_out,
+            Exit::Head(aux, _) => aux.forward(&z_out, Mode::Eval),
         }
-    }
-
-    /// Zeroes the window's parameter gradients.
-    pub fn zero_grad(&mut self) {
-        for p in self.model.params_range_mut(self.from, self.to) {
-            p.zero_grad();
-        }
-    }
-
-    /// One training pass in `Train` mode: accumulates window gradients and
-    /// returns the loss (the caller applies the optimizer step). The
-    /// gradient at the window input is not computed.
-    pub fn train_step(&mut self, z_in: &Tensor, labels: &[usize]) -> f32 {
-        let logits = self
-            .model
-            .forward_range(z_in, self.from, self.to, Mode::Train);
-        let (loss, dlogits) = self.ce.forward(&logits, labels);
-        self.model
-            .backward_params_range(&dlogits, self.from, self.to);
-        loss
-    }
-}
-
-impl AttackTarget for FinalWindowTarget<'_> {
-    fn loss_and_input_grad(&mut self, z_in: &Tensor, labels: &[usize]) -> (f32, Tensor) {
-        let logits = self
-            .model
-            .forward_range(z_in, self.from, self.to, Mode::Eval);
-        let (loss, dlogits) = self.ce.forward(&logits, labels);
-        let dz = self
-            .model
-            .backward_input_range(&dlogits, self.from, self.to);
-        (loss, dz)
-    }
-
-    fn logits(&mut self, z_in: &Tensor) -> Tensor {
-        self.model
-            .forward_range(z_in, self.from, self.to, Mode::Eval)
     }
 }
 
@@ -301,7 +266,7 @@ mod tests {
             Mode::Eval,
         );
         let seeded = seed_grads(model.params_mut(), &mut rng);
-        let mut target = FinalWindowTarget::new(&mut model, n - 1, n);
+        let mut target = ModuleTarget::final_window(&mut model, n - 1);
         let (loss, dz) = target.loss_and_input_grad(&z0, &[0, 1]);
         assert!(loss.is_finite());
         assert_eq!(dz.shape(), z0.shape());

@@ -13,9 +13,9 @@
 
 use crate::aux_head::AuxHead;
 use crate::module_target::ModuleTarget;
-use fp_attack::{AttackTarget, NormBall, Pgd, PgdConfig};
+use fp_attack::{NormBall, Pgd, PgdConfig};
 use fp_data::{BatchIter, Dataset};
-use fp_nn::{CascadeModel, Mode, Param, Sgd};
+use fp_nn::{CascadeModel, Mode, Sgd};
 use fp_tensor::{seeded_rng, Tensor};
 use std::collections::HashMap;
 
@@ -192,6 +192,10 @@ fn train_window(
         cfg.from_atom < cfg.to_atom && cfg.to_atom <= model.num_atoms(),
         "bad window"
     );
+    assert!(
+        aux.is_some() || cfg.to_atom == model.num_atoms(),
+        "final window must reach the model end"
+    );
     let mut opt = Sgd::new(cfg.momentum, cfg.weight_decay);
     let mut rng = seeded_rng(cfg.seed ^ 0xCA5CADE);
     let (ball, clamp) = window_ball(cfg.from_atom, cfg.epsilon);
@@ -252,35 +256,21 @@ fn step_window(
     opt: &mut Sgd,
     rng: &mut rand::rngs::StdRng,
 ) -> f32 {
+    // The final window exits through the backbone classifier: plain CE
+    // (`l_M = l`, paper Proposition 1), no µ-regularizer.
+    let mut target = match aux {
+        Some(aux) => ModuleTarget::new(model, aux, cfg.from_atom, cfg.to_atom, cfg.mu),
+        None => ModuleTarget::final_window(model, cfg.from_atom),
+    };
     // Inner maximization on the window input feature.
-    let mut perturb = |target: &mut dyn AttackTarget| match attack {
-        Some(p) => p.attack(target, z_in, y, rng),
+    let adv_z = match attack {
+        Some(p) => p.attack(&mut target, z_in, y, rng),
         None => z_in.clone(),
     };
-    match aux {
-        Some(aux) => {
-            let mut target = ModuleTarget::new(model, aux, cfg.from_atom, cfg.to_atom, cfg.mu);
-            let adv_z = perturb(&mut target);
-            target.zero_grad();
-            let loss = target.train_step(&adv_z, y);
-            let mut params: Vec<&mut Param> = model.params_range_mut(cfg.from_atom, cfg.to_atom);
-            params.extend(aux.params_mut());
-            opt.step(&mut params, cfg.lr);
-            loss
-        }
-        None => {
-            // Final window: the backbone classifier is the exit; plain CE
-            // (`l_M = l`, paper Proposition 1), no µ-regularizer.
-            let mut target =
-                crate::module_target::FinalWindowTarget::new(model, cfg.from_atom, cfg.to_atom);
-            let adv_z = perturb(&mut target);
-            target.zero_grad();
-            let loss = target.train_step(&adv_z, y);
-            let mut params: Vec<&mut Param> = model.params_range_mut(cfg.from_atom, cfg.to_atom);
-            opt.step(&mut params, cfg.lr);
-            loss
-        }
-    }
+    target.zero_grad();
+    let loss = target.train_step(&adv_z, y);
+    opt.step(&mut target.params_mut(), cfg.lr);
+    loss
 }
 
 /// Probes the largest output-feature perturbation of a *fixed* module

@@ -74,11 +74,6 @@ impl SynthConfig {
             grid: 2,
         }
     }
-
-    /// Total training samples.
-    pub fn train_len(&self) -> usize {
-        self.n_classes * self.train_per_class
-    }
 }
 
 /// A generated train/test pair plus a held-out validation split.

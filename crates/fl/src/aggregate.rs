@@ -415,14 +415,6 @@ impl PartialAccumulator {
         self.weight[idx] += weight as f64;
     }
 
-    /// Adds a whole dense slice starting at `offset` (convenience for
-    /// fully covered tensors).
-    pub fn add_dense(&mut self, offset: usize, values: &[f32], weight: f32) {
-        for (i, &v) in values.iter().enumerate() {
-            self.add(offset + i, v, weight);
-        }
-    }
-
     /// Resolves the average: covered entries become
     /// `sum/weight`, uncovered entries copy `prev`.
     ///

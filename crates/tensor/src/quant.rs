@@ -14,21 +14,27 @@
 //! so the rounding is unbiased conditioned on the chunk scale and the
 //! per-element error is bounded by `s/L`.
 //!
-//! # Bit-identity across ISAs and thread counts
+//! # One body, compiled per ISA
 //!
-//! Exactly like the GEMM engine (`crate::pack`), every lane evaluates one
-//! canonical operation chain — plain multiply then plain add (never an FMA),
-//! `floor`, a `min`-style clamp written so the scalar branch mirrors
-//! `min_ps` semantics, and a sign applied from the *sign bit* of `x` (what
-//! the SIMD blend sees) rather than a `< 0.0` compare. The stochastic draw
-//! is a counter-based murmur3 `fmix32` of the element's global index, so it
-//! is independent of evaluation order. The chunk scale is a maximum over
-//! `|x_i|` with NaNs dropped — a set function — so its scan runs as
-//! independent lanes reduced at the end and still returns the bits of the
-//! sequential `max` chain. The AVX-512, AVX2, and scalar paths
-//! are therefore bit-identical, chunks are independent (no carried state),
-//! and results cannot depend on how a caller partitions work across
-//! threads. The unit tests pin all of this on every ISA the host can run.
+//! Each per-chunk kernel — quantize, scale scan, dequantize — is one safe
+//! `#[inline(always)]` loop that `per_isa!` compiles for `avx512f`, for
+//! `avx2` and for the baseline target, like `fp_fl::aggregate`'s trimmed
+//! mean; the compiler vectorises each instance and nothing here names an
+//! intrinsic. Every element evaluates one canonical chain: plain multiply
+//! then plain add (never an FMA), `floor`, the clamp `if f < lf { f } else
+//! { lf }` (`min_ps`'s operand order: a NaN takes `L`), and the sign from
+//! the *sign bit* of `x`. The draw is a counter hash of the element's
+//! global index, independent of evaluation order. The chunk scale is a
+//! maximum over `|x_i|` with NaNs dropped — a set function — so it runs as
+//! 16 independent lanes and still returns the bits of the sequential `max`
+//! chain. The instances are therefore bit-identical, chunks carry no
+//! state, and results cannot depend on how a caller splits work across
+//! threads; the unit tests pin this on every ISA the host can run.
+//!
+//! The clamped level `c` lies in `[0, L]`, so it converts exactly as the
+//! mantissa bits of `c + 2^23` (a debug build overflow-checks that). A
+//! saturating cast (`as i32`, `as u8`, `as i16`) is banned in these
+//! bodies: its range handling keeps the loop scalar, ~4× slower.
 
 use crate::pack::{native_isa, Isa};
 
@@ -64,8 +70,9 @@ fn fmix32(mut h: u32) -> u32 {
 #[inline(always)]
 fn draw(i: u32, sfold: u32) -> f32 {
     let h = fmix32(i.wrapping_mul(GOLD) ^ sfold);
-    // Top 24 bits → an exactly representable f32 in [0, 1).
-    (h >> 8) as f32 * (1.0 / 16_777_216.0)
+    // Top 24 bits → an exactly representable f32 in [0, 1). Converted
+    // through `i32` (exact below 2^24): AVX2 has no unsigned convert.
+    (h >> 8) as i32 as f32 * (1.0 / 16_777_216.0)
 }
 
 /// Quantizes `x` into signed b-bit codes with per-chunk max-norm scales,
@@ -136,7 +143,7 @@ pub fn dequantize_into(codes: &[i8], scales: &[f32], bits: u32, chunk: usize, ou
             "code exceeds level bound {l}"
         );
         // `scale / L` in f32 once per chunk; every element multiplies by
-        // the identical value, so scalar and SIMD lanes agree bitwise.
+        // the identical value, so all lanes agree bitwise.
         let dq = scale / l as f32;
         dequantize_chunk(isa, cs, dq, &mut out[start..start + cs.len()]);
     }
@@ -149,76 +156,27 @@ pub fn dequantize(codes: &[i8], scales: &[f32], bits: u32, chunk: usize) -> Vec<
     out
 }
 
-// ---------------------------------------------------------------- dispatch
+// ------------------------------------------------------------------ bodies
 
-fn quantize_chunk(isa: Isa, xs: &[f32], base: u32, sfold: u32, inv: f32, lf: f32, out: &mut [i8]) {
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe { quantize_chunk_avx512(xs, base, sfold, inv, lf, out) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { quantize_chunk_avx2(xs, base, sfold, inv, lf, out) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Isa::Avx512 | Isa::Avx2 => quantize_chunk_scalar(xs, base, sfold, inv, lf, out),
-        Isa::Portable => quantize_chunk_scalar(xs, base, sfold, inv, lf, out),
-    }
-}
-
-/// The chunk's max-norm scale `max |x_i|`, NaNs ignored, `0.0` when empty.
-///
-/// The defining chain is `fold(0.0, |m, v| m.max(v.abs()))`. `f32::max`
-/// drops a NaN operand and `abs` leaves no `-0.0`, so over what remains it
-/// is the maximum of a set — associative and commutative — and the scan
-/// runs as independent lanes reduced at the end instead of one
-/// chunk-long dependency chain. Every ISA path returns the same bits.
-fn chunk_scale(isa: Isa, xs: &[f32]) -> f32 {
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe { chunk_scale_avx512(xs) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { chunk_scale_avx2(xs) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Isa::Avx512 | Isa::Avx2 => chunk_scale_scalar(xs),
-        Isa::Portable => chunk_scale_scalar(xs),
-    }
-}
-
-fn dequantize_chunk(isa: Isa, cs: &[i8], dq: f32, out: &mut [f32]) {
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe { dequantize_chunk_avx512(cs, dq, out) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { dequantize_chunk_avx2(cs, dq, out) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Isa::Avx512 | Isa::Avx2 => dequantize_chunk_scalar(cs, dq, out),
-        Isa::Portable => dequantize_chunk_scalar(cs, dq, out),
-    }
-}
-
-// ------------------------------------------------------- scalar reference
-
-/// The canonical per-element chain; every SIMD lane mirrors this exactly.
+/// The canonical per-element chain (module doc).
 #[inline(always)]
 fn quantize_one(x: f32, i: u32, sfold: u32, inv: f32, lf: f32) -> i8 {
     let u = draw(i, sfold);
-    let a = x.abs();
-    let v = a * inv; // plain mul — no FMA with the add below
-    let w = v + u;
-    let f = w.floor();
-    // Written as `(f < lf) ? f : lf` to mirror `min_ps(f, lf)` exactly
-    // (including its NaN-propagates-second-operand behavior).
+    let v = x.abs() * inv; // plain mul — no FMA with the add below
+    let f = (v + u).floor();
+    // `min_ps(f, lf)`: a NaN `f` takes `lf`, so `c` is always in [0, L].
     let c = if f < lf { f } else { lf };
-    let q = c as i32;
-    // Sign from the sign *bit* (what the SIMD path blends on), not a
-    // `< 0.0` compare: -0.0 yields q = 0 either way, and the two only
-    // disagree on negative NaN inputs, which the SIMD lanes sign by bit.
-    if x.is_sign_negative() {
-        -q as i8
-    } else {
-        q as i8
-    }
+    // Exact for integers in [0, 2^23): 2^23 + c has mantissa c.
+    let q = ((c + 8_388_608.0).to_bits() - 0x4B00_0000) as i32;
+    // Negate by the sign *bit*: -0.0 yields 0 either way, and a negative
+    // NaN is negated like any other negative input.
+    let s = (x.to_bits() as i32) >> 31;
+    ((q ^ s) - s) as i8
 }
 
-fn quantize_chunk_scalar(xs: &[f32], base: u32, sfold: u32, inv: f32, lf: f32, out: &mut [i8]) {
+/// Quantizes one chunk whose first element has global index `base`.
+#[inline(always)]
+fn quantize_body(xs: &[f32], base: u32, sfold: u32, inv: f32, lf: f32, out: &mut [i8]) {
     for (j, (&x, o)) in xs.iter().zip(out.iter_mut()).enumerate() {
         *o = quantize_one(x, base + j as u32, sfold, inv, lf);
     }
@@ -230,212 +188,67 @@ fn max_abs_from(m: f32, xs: &[f32]) -> f32 {
     xs.iter().fold(m, |m, v| m.max(v.abs()))
 }
 
-fn chunk_scale_scalar(xs: &[f32]) -> f32 {
-    let mut lanes = [0.0f32; 8];
-    let mut groups = xs.chunks_exact(8);
+/// The chunk's max-norm scale `max |x_i|`, NaNs ignored, `0.0` when empty.
+///
+/// The defining chain is `fold(0.0, |m, v| m.max(v.abs()))`. `f32::max`
+/// drops a NaN operand and `abs` leaves no `-0.0`, so over what remains it
+/// is the maximum of a set — associative and commutative — and the scan
+/// runs as 16 independent lanes reduced at the end instead of one
+/// chunk-long dependency chain. `if a > m { a } else { m }` is `max_ps(a,
+/// m)`: a NaN `a` leaves the (never-NaN) lane as it was.
+#[inline(always)]
+fn chunk_scale_body(xs: &[f32]) -> f32 {
+    let mut lanes = [0.0f32; 16];
+    let mut groups = xs.chunks_exact(16);
     for group in &mut groups {
-        for (lane, v) in lanes.iter_mut().zip(group) {
-            *lane = lane.max(v.abs());
+        for (m, v) in lanes.iter_mut().zip(group) {
+            let a = v.abs();
+            *m = if a > *m { a } else { *m };
         }
     }
     max_abs_from(max_abs_from(0.0, groups.remainder()), &lanes)
 }
 
-fn dequantize_chunk_scalar(cs: &[i8], dq: f32, out: &mut [f32]) {
+#[inline(always)]
+fn dequantize_body(cs: &[i8], dq: f32, out: &mut [f32]) {
     for (&c, o) in cs.iter().zip(out.iter_mut()) {
         *o = c as f32 * dq;
     }
 }
 
-// ------------------------------------------------------------------- avx2
-
-/// # Safety
-///
-/// Caller must have verified `avx2` support.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn quantize_chunk_avx2(
-    xs: &[f32],
-    base: u32,
-    sfold: u32,
-    inv: f32,
-    lf: f32,
-    out: &mut [i8],
-) {
-    use std::arch::x86_64::*;
-    let n = xs.len();
-    let mut j = 0usize;
-    let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-    let gold = _mm256_set1_epi32(GOLD as i32);
-    let sfoldv = _mm256_set1_epi32(sfold as i32);
-    let m1 = _mm256_set1_epi32(0x85EB_CA6Bu32 as i32);
-    let m2 = _mm256_set1_epi32(0xC2B2_AE35u32 as i32);
-    let u_scale = _mm256_set1_ps(1.0 / 16_777_216.0);
-    let absmask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFF_FFFF));
-    let invv = _mm256_set1_ps(inv);
-    let lfv = _mm256_set1_ps(lf);
-    while j + 8 <= n {
-        let idx = _mm256_add_epi32(_mm256_set1_epi32((base + j as u32) as i32), lanes);
-        let mut h = _mm256_xor_si256(_mm256_mullo_epi32(idx, gold), sfoldv);
-        h = _mm256_xor_si256(h, _mm256_srli_epi32(h, 16));
-        h = _mm256_mullo_epi32(h, m1);
-        h = _mm256_xor_si256(h, _mm256_srli_epi32(h, 13));
-        h = _mm256_mullo_epi32(h, m2);
-        h = _mm256_xor_si256(h, _mm256_srli_epi32(h, 16));
-        let u = _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_srli_epi32(h, 8)), u_scale);
-        let x = _mm256_loadu_ps(xs.as_ptr().add(j));
-        let a = _mm256_and_ps(x, absmask);
-        let v = _mm256_mul_ps(a, invv); // same mul-then-add chain as scalar
-        let w = _mm256_add_ps(v, u);
-        let f = _mm256_floor_ps(w);
-        let c = _mm256_min_ps(f, lfv);
-        let q = _mm256_cvttps_epi32(c);
-        // Two's-complement negate lanes whose input sign bit is set.
-        let sgn = _mm256_srai_epi32(_mm256_castps_si256(x), 31);
-        let signed = _mm256_sub_epi32(_mm256_xor_si256(q, sgn), sgn);
-        let mut tmp = [0i32; 8];
-        _mm256_storeu_si256(tmp.as_mut_ptr().cast(), signed);
-        for (o, &t) in out[j..j + 8].iter_mut().zip(tmp.iter()) {
-            *o = t as i8;
+/// Defines `$name(isa, ..)`, which runs `$body` compiled for `avx512f`, for
+/// `avx2` or for the baseline target, as `isa` says (the body is
+/// `#[inline(always)]`, so each instance is vectorised for its unit).
+macro_rules! per_isa {
+    ($name:ident => $body:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)?) => {
+        fn $name(isa: Isa, $($arg: $ty),*) $(-> $ret)? {
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx512f")]
+            fn avx512($($arg: $ty),*) $(-> $ret)? {
+                $body($($arg),*)
+            }
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx2")]
+            fn avx2($($arg: $ty),*) $(-> $ret)? {
+                $body($($arg),*)
+            }
+            match isa {
+                // SAFETY: `native_isa` names an ISA only after detecting its
+                // feature, and the tests pass only `available_isas`.
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx512 => unsafe { avx512($($arg),*) },
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx2 => unsafe { avx2($($arg),*) },
+                _ => $body($($arg),*),
+            }
         }
-        j += 8;
-    }
-    quantize_chunk_scalar(&xs[j..], base + j as u32, sfold, inv, lf, &mut out[j..]);
+    };
 }
-
-/// # Safety
-///
-/// Caller must have verified `avx2` support.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn chunk_scale_avx2(xs: &[f32]) -> f32 {
-    use std::arch::x86_64::*;
-    let absmask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFF_FFFF));
-    let mut acc = _mm256_setzero_ps();
-    let mut groups = xs.chunks_exact(8);
-    for group in &mut groups {
-        let a = _mm256_and_ps(_mm256_loadu_ps(group.as_ptr()), absmask);
-        // `max_ps` returns its second operand when either is NaN: a NaN
-        // input leaves the (never-NaN) accumulator as it was.
-        acc = _mm256_max_ps(a, acc);
-    }
-    let mut lanes = [0.0f32; 8];
-    _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-    max_abs_from(max_abs_from(0.0, groups.remainder()), &lanes)
-}
-
-/// # Safety
-///
-/// Caller must have verified `avx2` support.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dequantize_chunk_avx2(cs: &[i8], dq: f32, out: &mut [f32]) {
-    use std::arch::x86_64::*;
-    let n = cs.len();
-    let mut j = 0usize;
-    let dqv = _mm256_set1_ps(dq);
-    while j + 8 <= n {
-        let bytes = _mm_loadl_epi64(cs.as_ptr().add(j).cast());
-        let q = _mm256_cvtepi8_epi32(bytes);
-        let v = _mm256_mul_ps(_mm256_cvtepi32_ps(q), dqv);
-        _mm256_storeu_ps(out.as_mut_ptr().add(j), v);
-        j += 8;
-    }
-    dequantize_chunk_scalar(&cs[j..], dq, &mut out[j..]);
-}
-
-// ----------------------------------------------------------------- avx512
-
-/// # Safety
-///
-/// Caller must have verified `avx512f` (nothing here needs `avx512dq` or
-/// `avx512bw`: `abs_ps` and the `vpmovdb` narrowing are both `avx512f`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn quantize_chunk_avx512(
-    xs: &[f32],
-    base: u32,
-    sfold: u32,
-    inv: f32,
-    lf: f32,
-    out: &mut [i8],
-) {
-    use std::arch::x86_64::*;
-    let n = xs.len();
-    let mut j = 0usize;
-    let lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-    let gold = _mm512_set1_epi32(GOLD as i32);
-    let sfoldv = _mm512_set1_epi32(sfold as i32);
-    let m1 = _mm512_set1_epi32(0x85EB_CA6Bu32 as i32);
-    let m2 = _mm512_set1_epi32(0xC2B2_AE35u32 as i32);
-    let u_scale = _mm512_set1_ps(1.0 / 16_777_216.0);
-    let invv = _mm512_set1_ps(inv);
-    let lfv = _mm512_set1_ps(lf);
-    while j + 16 <= n {
-        let idx = _mm512_add_epi32(_mm512_set1_epi32((base + j as u32) as i32), lanes);
-        let mut h = _mm512_xor_si512(_mm512_mullo_epi32(idx, gold), sfoldv);
-        h = _mm512_xor_si512(h, _mm512_srli_epi32(h, 16));
-        h = _mm512_mullo_epi32(h, m1);
-        h = _mm512_xor_si512(h, _mm512_srli_epi32(h, 13));
-        h = _mm512_mullo_epi32(h, m2);
-        h = _mm512_xor_si512(h, _mm512_srli_epi32(h, 16));
-        let u = _mm512_mul_ps(_mm512_cvtepi32_ps(_mm512_srli_epi32(h, 8)), u_scale);
-        let x = _mm512_loadu_ps(xs.as_ptr().add(j));
-        let a = _mm512_abs_ps(x);
-        let v = _mm512_mul_ps(a, invv);
-        let w = _mm512_add_ps(v, u);
-        // floor = round toward negative infinity, exceptions suppressed —
-        // identical to `_mm256_floor_ps` / `f32::floor`.
-        let f = _mm512_roundscale_ps::<{ _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC }>(w);
-        let c = _mm512_min_ps(f, lfv);
-        let q = _mm512_cvttps_epi32(c);
-        let sgn = _mm512_srai_epi32(_mm512_castps_si512(x), 31);
-        let signed = _mm512_sub_epi32(_mm512_xor_si512(q, sgn), sgn);
-        // Truncating narrow, as `t as i8` (codes are within ±127 anyway).
-        let bytes = _mm512_cvtepi32_epi8(signed);
-        _mm_storeu_si128(out[j..j + 16].as_mut_ptr().cast(), bytes);
-        j += 16;
-    }
-    quantize_chunk_scalar(&xs[j..], base + j as u32, sfold, inv, lf, &mut out[j..]);
-}
-
-/// # Safety
-///
-/// Caller must have verified `avx512f` support.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn chunk_scale_avx512(xs: &[f32]) -> f32 {
-    use std::arch::x86_64::*;
-    let mut acc = _mm512_setzero_ps();
-    let mut groups = xs.chunks_exact(16);
-    for group in &mut groups {
-        // Second operand on NaN, as in the AVX2 scan.
-        acc = _mm512_max_ps(_mm512_abs_ps(_mm512_loadu_ps(group.as_ptr())), acc);
-    }
-    let mut lanes = [0.0f32; 16];
-    _mm512_storeu_ps(lanes.as_mut_ptr(), acc);
-    max_abs_from(max_abs_from(0.0, groups.remainder()), &lanes)
-}
-
-/// # Safety
-///
-/// Caller must have verified `avx512f` support.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn dequantize_chunk_avx512(cs: &[i8], dq: f32, out: &mut [f32]) {
-    use std::arch::x86_64::*;
-    let n = cs.len();
-    let mut j = 0usize;
-    let dqv = _mm512_set1_ps(dq);
-    while j + 16 <= n {
-        let bytes = _mm_loadu_si128(cs.as_ptr().add(j).cast());
-        let q = _mm512_cvtepi8_epi32(bytes);
-        let v = _mm512_mul_ps(_mm512_cvtepi32_ps(q), dqv);
-        _mm512_storeu_ps(out.as_mut_ptr().add(j), v);
-        j += 16;
-    }
-    dequantize_chunk_scalar(&cs[j..], dq, &mut out[j..]);
-}
+per_isa!(quantize_chunk => quantize_body(
+    xs: &[f32], base: u32, sfold: u32, inv: f32, lf: f32, out: &mut [i8]
+));
+per_isa!(chunk_scale => chunk_scale_body(xs: &[f32]) -> f32);
+per_isa!(dequantize_chunk => dequantize_body(cs: &[i8], dq: f32, out: &mut [f32]));
 
 // ------------------------------------------------------------------ tests
 
@@ -489,34 +302,109 @@ mod tests {
         out
     }
 
+    /// IEEE specials, subnormals and a near-subnormal, cycled into inputs.
+    const SPECIALS: [f32; 9] = [
+        f32::NAN,
+        -f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        0.0,
+        -0.0,
+        f32::MIN_POSITIVE,
+        -1e-40,
+        1e-45,
+    ];
+
+    /// Integers in `[-L, L]` with `±L` leading every chunk, so the scale is
+    /// `L`, `inv` is exactly 1 and every `|x|·inv` lands on a level.
+    fn on_levels(len: usize, chunk: usize, bits: u32) -> Vec<f32> {
+        let l = max_level(bits);
+        (0..len)
+            .map(|i| match i % chunk {
+                0 if i % 2 == 0 => l as f32,
+                0 => -l as f32,
+                j => ((j as i32 * 7919) % (2 * l + 1) - l) as f32,
+            })
+            .collect()
+    }
+
     #[test]
-    fn isas_agree_bitwise() {
-        // Lengths straddle the 8- and 16-lane boundaries and chunk tails.
-        for &(len, chunk) in &[(1usize, 4usize), (7, 8), (64, 16), (257, 64), (1000, 256)] {
-            let x = arb(len, 0xDEAD_BEEF);
-            for &bits in &[2u32, 4, 8] {
-                let isas = available_isas();
-                let reference = quantize_with_isa(Isa::Portable, &x, bits, chunk, 42);
-                let scales: Vec<f32> = x
-                    .chunks(chunk)
-                    .map(|c| c.iter().fold(0.0f32, |m, v| m.max(v.abs())))
-                    .collect();
-                let dref = dequantize_with_isa(Isa::Portable, &reference, &scales, bits, chunk);
-                for &isa in &isas {
-                    let got = quantize_with_isa(isa, &x, bits, chunk, 42);
-                    assert_eq!(
-                        got, reference,
-                        "{isa:?} codes diverge at len {len} bits {bits}"
-                    );
-                    let d = dequantize_with_isa(isa, &got, &scales, bits, chunk);
-                    let dbits: Vec<u32> = d.iter().map(|v| v.to_bits()).collect();
-                    let rbits: Vec<u32> = dref.iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(
-                        dbits, rbits,
-                        "{isa:?} dequant diverges at len {len} bits {bits}"
-                    );
+    fn plane_kernel_quantizer_isas_agree_bitwise() {
+        // Lengths straddle the 16-lane groups and chunk tails.
+        let shapes = [
+            (1usize, 4usize),
+            (7, 8),
+            (33, 16),
+            (64, 16),
+            (257, 64),
+            (300, 300),
+            (1000, 7),
+            (1000, 256),
+            (4096, 1),
+            (5, 256),
+        ];
+        for &(len, chunk) in &shapes {
+            for bits in 2..=8u32 {
+                let base = arb(len, 0xDEAD_BEEF ^ len as u64);
+                let mut special = base.clone();
+                for (k, v) in special.iter_mut().enumerate().step_by(7) {
+                    *v = SPECIALS[(k / 7) % SPECIALS.len()];
+                }
+                for x in [base, special, on_levels(len, chunk, bits)] {
+                    for seed in [42u64, 0x5EED_0000_0001] {
+                        assert_isas_agree(&x, bits, chunk, seed);
+                    }
                 }
             }
+        }
+    }
+
+    /// The per-element chain spelled the obvious way: the draw through
+    /// `u32`, a saturating `as i32` and a branch on the sign bit.
+    fn quantize_one_reference(x: f32, i: u32, sfold: u32, inv: f32, lf: f32) -> i8 {
+        let u = (fmix32(i.wrapping_mul(GOLD) ^ sfold) >> 8) as f32 * (1.0 / 16_777_216.0);
+        let f = (x.abs() * inv + u).floor();
+        let q = f.min(lf) as i32;
+        if x.is_sign_negative() {
+            -q as i8
+        } else {
+            q as i8
+        }
+    }
+
+    /// Codes and dequantized values of every available ISA equal the
+    /// reference chain's bitwise.
+    fn assert_isas_agree(x: &[f32], bits: u32, chunk: usize, seed: u64) {
+        let len = x.len();
+        let lf = max_level(bits) as f32;
+        let sfold = (seed ^ (seed >> 32)) as u32;
+        let scales: Vec<f32> = x
+            .chunks(chunk)
+            .map(|c| c.iter().fold(0.0f32, |m, v| m.max(v.abs())))
+            .collect();
+        let reference: Vec<i8> = x
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| {
+                let scale = scales[i / chunk];
+                let inv = if scale > 0.0 { lf / scale } else { 0.0 };
+                quantize_one_reference(v, i as u32, sfold, inv, lf)
+            })
+            .collect();
+        let dref = dequantize_with_isa(Isa::Portable, &reference, &scales, bits, chunk);
+        let rbits: Vec<u32> = dref.iter().map(|v| v.to_bits()).collect();
+        for isa in available_isas() {
+            let got = quantize_with_isa(isa, x, bits, chunk, seed);
+            assert_eq!(
+                got, reference,
+                "{isa:?} codes diverge at len {len} chunk {chunk} bits {bits}: {x:?}"
+            );
+            let d = dequantize_with_isa(isa, &got, &scales, bits, chunk);
+            let dbits: Vec<u32> = d.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(
+                dbits, rbits,
+                "{isa:?} dequant diverges at len {len} chunk {chunk} bits {bits}"
+            );
         }
     }
 

@@ -7,8 +7,8 @@
 //! * every layer kind returns the same dX from `backward_input` as from
 //!   `backward` after the same forward, and `backward_input` leaves
 //!   pre-seeded parameter gradients untouched;
-//! * `ModelTarget`, `ModuleTarget` and `FinalWindowTarget` drive `Pgd` and
-//!   `Apgd` to the same adversarial examples as [`OldRoute`], a test-only
+//! * `ModelTarget` and `ModuleTarget` (head exit and
+//!   `ModuleTarget::final_window`) drive `Pgd` and `Apgd` to the same adversarial examples as [`OldRoute`], a test-only
 //!   target that takes the pre-change route (full backward, then
 //!   `zero_grad`), at 1 and 2 backend threads;
 //! * `train_module_window` and `local_train` end on the same parameters
@@ -22,9 +22,7 @@ use fedprophet_repro::attack::{
     Apgd, ApgdConfig, AttackTarget, ModelTarget, NormBall, Pgd, PgdConfig,
 };
 use fedprophet_repro::data::{generate, BatchIter, Dataset, SynthConfig};
-use fedprophet_repro::fedprophet::{
-    train_module_window, AuxHead, FinalWindowTarget, ModuleTarget, WindowTrainConfig,
-};
+use fedprophet_repro::fedprophet::{train_module_window, AuxHead, ModuleTarget, WindowTrainConfig};
 use fedprophet_repro::fl::{local_train, LocalTrainConfig};
 use fedprophet_repro::nn::models;
 use fedprophet_repro::nn::{
@@ -229,7 +227,7 @@ fn model_atoms_routes_agree() {
 /// The attack pass as it was before `backward_input` existed: the full
 /// backward, parameter gradients and all, then `zero_grad` to throw them
 /// away. `aux: None` is the plain cross-entropy exit (`ModelTarget`,
-/// `FinalWindowTarget`); `Some` adds the head and the µ-regularizer
+/// `ModuleTarget::final_window`); `Some` adds the head and the µ-regularizer
 /// (`ModuleTarget`).
 struct OldRoute<'a> {
     model: &'a mut CascadeModel,
@@ -392,7 +390,7 @@ fn targets_match_the_old_route_bitwise() {
                 );
             }
 
-            // FinalWindowTarget: the last two atoms at their input feature.
+            // The final window: the last two atoms at their input feature.
             let from = n - 2;
             let z_in = model.forward_range(&x, 0, from, Mode::Eval);
             let (mut reference, mut ours) = (model.clone(), model.clone());
@@ -411,7 +409,7 @@ fn targets_match_the_old_route_bitwise() {
                 3,
             );
             let got = attack_both(
-                &mut FinalWindowTarget::new(&mut ours, from, n),
+                &mut ModuleTarget::final_window(&mut ours, from),
                 &z_in,
                 &y,
                 l2.0,
@@ -420,7 +418,7 @@ fn targets_match_the_old_route_bitwise() {
             );
             assert_eq!(
                 got, want,
-                "FinalWindowTarget, resnet={resnet}, threads={threads}"
+                "ModuleTarget::final_window, resnet={resnet}, threads={threads}"
             );
         }
     }
@@ -499,7 +497,7 @@ fn reference_train_module_window(
                 loss
             }
             None => {
-                let loss = FinalWindowTarget::new(model, from, to).train_step(&adv, &y);
+                let loss = ModuleTarget::final_window(model, from).train_step(&adv, &y);
                 opt.step(&mut model.params_range_mut(from, to), cfg.lr);
                 loss
             }
