@@ -25,6 +25,9 @@ mod pgd;
 mod target;
 
 pub use apgd::{Apgd, ApgdConfig};
-pub use eval::{clean_accuracy, evaluate_robustness, RobustnessReport};
+pub use eval::{
+    clean_accuracy, evaluate_robustness, split_accuracy, RobustnessReport, SplitAccuracy,
+    SplitModel,
+};
 pub use pgd::{fgsm, poison_params, NormBall, Pgd, PgdConfig};
 pub use target::{AttackTarget, ModelTarget};

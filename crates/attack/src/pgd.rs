@@ -184,7 +184,8 @@ impl Pgd {
         &self.cfg
     }
 
-    /// Produces adversarial examples for `(x, labels)`.
+    /// Produces adversarial examples for `(x, labels)`: [`Pgd::attack_from`]
+    /// the [`Pgd::starts`] drawn from `rng`.
     ///
     /// With multiple restarts, each sample keeps the restart that maximized
     /// its own loss.
@@ -195,31 +196,66 @@ impl Pgd {
         labels: &[usize],
         rng: &mut StdRng,
     ) -> Tensor {
-        if self.cfg.restarts == 1 {
-            return self.single_run(target, x, labels, rng);
+        let starts = self.starts(x.shape(), rng);
+        self.attack_from(target, x, labels, &starts)
+    }
+
+    /// The starting perturbations of an attack on inputs of `shape`, one
+    /// per restart, in [`Pgd::attack`]'s draw order: a random point in the
+    /// ball with `random_start` (for ℓ2 one per sample), zeros otherwise.
+    /// The runs draw nothing, so drawing every start first changes no bit —
+    /// and a batch split by sample slices these rows instead of drawing
+    /// its own.
+    pub fn starts(&self, shape: &[usize], rng: &mut StdRng) -> Vec<Tensor> {
+        (0..self.cfg.restarts)
+            .map(|_| {
+                if self.cfg.random_start {
+                    self.cfg.ball.random_init(shape, rng)
+                } else {
+                    Tensor::zeros(shape)
+                }
+            })
+            .collect()
+    }
+
+    /// [`Pgd::attack`] from the given starts (one run per start; each
+    /// sample keeps its worst run). Every step of a run is per sample —
+    /// elementwise in ℓ∞, one norm per row in ℓ2 — so rows of `x` attacked
+    /// in chunks against a target whose loss is the mean over the whole
+    /// batch give the rows of one attack on the batch, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `starts` is empty.
+    pub fn attack_from(
+        &self,
+        target: &mut dyn AttackTarget,
+        x: &Tensor,
+        labels: &[usize],
+        starts: &[Tensor],
+    ) -> Tensor {
+        if let [start] = starts {
+            return self.run_from(target, x, labels, start.clone());
         }
+        assert!(!starts.is_empty(), "pgd needs a start");
         let mut best = x.clone();
         let mut best_loss = vec![f32::NEG_INFINITY; labels.len()];
-        for _ in 0..self.cfg.restarts {
-            let adv = self.single_run(target, x, labels, rng);
+        for start in starts {
+            let adv = self.run_from(target, x, labels, start.clone());
             let losses = target.per_sample_loss(&adv, labels);
             keep_per_sample_best(&mut best, &mut best_loss, &adv, &losses);
         }
         best
     }
 
-    fn single_run(
+    /// One run of `steps` ascent steps from the perturbation `delta`.
+    fn run_from(
         &self,
         target: &mut dyn AttackTarget,
         x: &Tensor,
         labels: &[usize],
-        rng: &mut StdRng,
+        mut delta: Tensor,
     ) -> Tensor {
-        let mut delta = if self.cfg.random_start {
-            self.cfg.ball.random_init(x.shape(), rng)
-        } else {
-            Tensor::zeros(x.shape())
-        };
         let alpha = self.cfg.step_size();
         for _ in 0..self.cfg.steps {
             let adv = self.apply(x, &delta);

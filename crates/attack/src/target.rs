@@ -1,6 +1,6 @@
 //! The attack target abstraction.
 
-use fp_nn::{CascadeModel, CrossEntropyLoss, Mode};
+use fp_nn::{CascadeModel, CrossEntropyLoss};
 use fp_tensor::Tensor;
 
 /// Anything an attack can differentiate through: produces logits and the
@@ -43,9 +43,11 @@ pub(crate) fn per_sample_ce(logits: &Tensor, labels: &[usize]) -> Vec<f32> {
         .collect()
 }
 
-/// An [`AttackTarget`] over a full [`CascadeModel`]: forward in `Eval` mode
-/// (fixed BN statistics make the inner maximization well-defined), then the
-/// input-gradient-only backward — parameter gradients are not touched.
+/// An [`AttackTarget`] over a full [`CascadeModel`]: the attack-pass
+/// forward ([`CascadeModel::forward_dx_only`], the `Eval` output — fixed BN
+/// statistics make the inner maximization well-defined — caching only what
+/// dX reads), then the input-gradient-only backward: parameter gradients
+/// are not touched.
 pub struct ModelTarget<'a> {
     model: &'a mut CascadeModel,
     loss: CrossEntropyLoss,
@@ -59,18 +61,27 @@ impl<'a> ModelTarget<'a> {
             loss: CrossEntropyLoss::new(),
         }
     }
+
+    /// The target of a row chunk of an `n`-row batch: its loss and
+    /// gradient are divided by `n` ([`CrossEntropyLoss::mean_over`]).
+    pub fn mean_over(self, n: usize) -> Self {
+        ModelTarget {
+            loss: CrossEntropyLoss::mean_over(n),
+            ..self
+        }
+    }
 }
 
 impl AttackTarget for ModelTarget<'_> {
     fn loss_and_input_grad(&mut self, x: &Tensor, labels: &[usize]) -> (f32, Tensor) {
-        let logits = self.model.forward(x, Mode::Eval);
+        let logits = self.model.forward_dx_only(x);
         let (loss, dlogits) = self.loss.forward(&logits, labels);
         let dx = self.model.backward_input(&dlogits);
         (loss, dx)
     }
 
     fn logits(&mut self, x: &Tensor) -> Tensor {
-        self.model.forward(x, Mode::Eval)
+        self.model.forward_dx_only(x)
     }
 }
 

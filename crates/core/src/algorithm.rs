@@ -43,10 +43,10 @@
 use crate::apa::Apa;
 use crate::aux_head::AuxHead;
 use crate::dma::{assign_modules, ModuleAssignment};
-use crate::module_target::ModuleTarget;
+use crate::module_target::OwnedWindow;
 use crate::partition::{partition_model, ModulePartition};
 use crate::trainer::{max_feature_perturbation, train_module_window, WindowTrainConfig};
-use fp_attack::{AttackTarget, Pgd, PgdConfig};
+use fp_attack::{split_accuracy, Pgd, PgdConfig};
 use fp_fl::aggregate::{average_bn_stats, weighted_average};
 use fp_fl::async_sched::{staleness_weight, AsyncConfig, AsyncTimeline};
 use fp_fl::sched::{draw_dropouts, over_select_count, simulate_round, SchedConfig, SALT_AVAIL};
@@ -780,8 +780,10 @@ impl<'a> Server<'a> {
     /// Validation clean/adversarial accuracy of the cascaded prefix through
     /// module `m` (its aux head is the exit; the final module uses the
     /// backbone classifier). The adversarial attack is input-space PGD with
-    /// the training ε₀.
-    fn validate_prefix(&mut self, m: usize) -> (f32, f32) {
+    /// the training ε₀, split by sample over the thread budget
+    /// (`fp_attack::split_accuracy`): the chunks attack clones, so the
+    /// global model caches nothing a client clone would carry.
+    fn validate_prefix(&self, m: usize) -> (f32, f32) {
         let (env, cfg) = (self.env, &self.env.cfg);
         let n = env.data.val.len().min(self.pcfg.val_samples);
         let idx: Vec<usize> = (0..n).collect();
@@ -791,18 +793,16 @@ impl<'a> Server<'a> {
             ..PgdConfig::train_linf(cfg.eps0)
         });
         let mut rng = seeded_rng(cfg.seed ^ 0x7E57 ^ self.round as u64);
-        let (_, t) = self.partition.windows[m];
-        let mut target = match self.heads[m].as_mut() {
-            None => ModuleTarget::final_window(&mut self.global, 0),
-            Some(head) => ModuleTarget::new(&mut self.global, head, 0, t, 0.0),
+        let mut prefix = OwnedWindow {
+            model: self.global.clone(),
+            head: self.heads[m].clone(),
+            from: 0,
+            to: self.partition.windows[m].1,
+            mu: 0.0,
         };
-        let clean = fp_nn::accuracy(&target.logits(&x), &y);
-        let adv_x = pgd.attack(&mut target, &x, &y, &mut rng);
-        let accs = (clean, fp_nn::accuracy(&target.logits(&adv_x), &y));
-        // `train` clones the global model per client: the validation
-        // batch's activations must not ride along.
-        self.global.clear_cache();
-        accs
+        let threads = fp_tensor::parallel::thread_split(n);
+        let acc = split_accuracy(&mut prefix, &x, &y, &pgd, &mut rng, threads);
+        (acc.clean, acc.adv)
     }
 
     /// Clients probe `max‖Δz_m‖₂` of the fixed module `m` under its final

@@ -53,6 +53,17 @@ impl AuxHead {
         }
     }
 
+    /// The attack-pass forward (see [`Layer::forward_dx_only`]): the
+    /// `Eval` logits, caching only what [`AuxHead::backward_input`] reads.
+    pub fn forward_dx_only(&mut self, z: &Tensor) -> Tensor {
+        if self.pooled {
+            let p = self.pool.forward_dx_only(z);
+            self.linear.forward_dx_only(&p)
+        } else {
+            self.linear.forward_dx_only(z)
+        }
+    }
+
     /// Back-propagates a logits gradient, accumulating head parameter
     /// gradients; returns the gradient with respect to the module output.
     pub fn backward(&mut self, grad_logits: &Tensor) -> Tensor {

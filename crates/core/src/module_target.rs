@@ -1,9 +1,9 @@
 //! Attacking a module window at its input feature.
 
 use crate::aux_head::AuxHead;
-use fp_attack::AttackTarget;
+use fp_attack::{AttackTarget, SplitModel};
 use fp_nn::{CascadeModel, CrossEntropyLoss, Mode, Param};
-use fp_tensor::Tensor;
+use fp_tensor::{BackendHandle, Tensor};
 
 /// An [`AttackTarget`] over a module window `w_m ∘ ⋯ ∘ w_M` plus its exit,
 /// differentiated at the window's **input feature** `z_{m−1}` — the
@@ -20,7 +20,8 @@ pub struct ModuleTarget<'a> {
     from: usize,
     to: usize,
     exit: Exit<'a>,
-    ce: CrossEntropyLoss,
+    /// The denominator of the batch mean; `None` is the batch itself.
+    over: Option<usize>,
 }
 
 /// Where a [`ModuleTarget`]'s window exits.
@@ -70,7 +71,18 @@ impl<'a> ModuleTarget<'a> {
             from,
             to,
             exit,
-            ce: CrossEntropyLoss::new(),
+            over: None,
+        }
+    }
+
+    /// The target of a row chunk of an `n`-row batch: the cross-entropy,
+    /// the µ-term and their gradients are divided by `n`, not by the
+    /// chunk's rows, so every gradient row is that row of the whole
+    /// batch's.
+    pub fn mean_over(self, n: usize) -> Self {
+        ModuleTarget {
+            over: Some(n),
+            ..self
         }
     }
 
@@ -105,13 +117,22 @@ impl<'a> ModuleTarget<'a> {
         route: Backward,
     ) -> (f32, Option<Tensor>) {
         let (model, from, to) = (&mut *self.model, self.from, self.to);
-        let z_out = model.forward_range(z_in, from, to, mode);
+        let z_out = match route {
+            Backward::Input => model.forward_dx_only_range(z_in, from, to),
+            Backward::Full | Backward::Params => model.forward_range(z_in, from, to, mode),
+        };
+        let ce = self
+            .over
+            .map_or_else(CrossEntropyLoss::new, CrossEntropyLoss::mean_over);
         let (loss, dz_out) = match &mut self.exit {
-            Exit::Classifier => self.ce.forward(&z_out, labels),
+            Exit::Classifier => ce.forward(&z_out, labels),
             Exit::Head(aux, mu) => {
-                let logits = aux.forward(&z_out, mode);
-                let (ce_loss, dlogits) = self.ce.forward(&logits, labels);
-                let batch = labels.len() as f32;
+                let logits = match route {
+                    Backward::Input => aux.forward_dx_only(&z_out),
+                    Backward::Full | Backward::Params => aux.forward(&z_out, mode),
+                };
+                let (ce_loss, dlogits) = ce.forward(&logits, labels);
+                let batch = self.over.unwrap_or(labels.len()) as f32;
                 // µ/2·‖z_out‖² (mean over batch).
                 let reg = 0.5 * *mu * z_out.data().iter().map(|&v| v * v).sum::<f32>() / batch;
                 let mut dz_out = match route {
@@ -153,7 +174,8 @@ impl<'a> ModuleTarget<'a> {
 /// The backward a [`ModuleTarget`] pass runs.
 #[derive(Clone, Copy)]
 enum Backward {
-    /// `∇z_in` only (an attack pass).
+    /// `∇z_in` only (an attack pass), after the `Eval` forward that
+    /// caches only what it reads.
     Input,
     /// Parameter gradients and `∇z_in`.
     Full,
@@ -171,20 +193,47 @@ impl AttackTarget for ModuleTarget<'_> {
     }
 
     fn logits(&mut self, z_in: &Tensor) -> Tensor {
-        let z_out = self
-            .model
-            .forward_range(z_in, self.from, self.to, Mode::Eval);
+        let z_out = self.model.forward_dx_only_range(z_in, self.from, self.to);
         match &mut self.exit {
             Exit::Classifier => z_out,
-            Exit::Head(aux, _) => aux.forward(&z_out, Mode::Eval),
+            Exit::Head(aux, _) => aux.forward_dx_only(&z_out),
         }
+    }
+}
+
+/// A window and its exit, owned, as `fp_attack::split_accuracy` attacks
+/// it: atoms `[from, to)` exiting through `head` with µ, or through the
+/// classifier at the model's end when there is no head.
+#[derive(Clone)]
+pub(crate) struct OwnedWindow {
+    pub(crate) model: CascadeModel,
+    pub(crate) head: Option<AuxHead>,
+    pub(crate) from: usize,
+    pub(crate) to: usize,
+    pub(crate) mu: f32,
+}
+
+impl SplitModel for OwnedWindow {
+    fn set_backend(&mut self, backend: &BackendHandle) {
+        self.model.set_backend(backend);
+        if let Some(head) = &mut self.head {
+            head.set_backend(backend);
+        }
+    }
+
+    fn chunk_target(&mut self, n: usize) -> Box<dyn AttackTarget + '_> {
+        let target = match &mut self.head {
+            None => ModuleTarget::final_window(&mut self.model, self.from),
+            Some(head) => ModuleTarget::new(&mut self.model, head, self.from, self.to, self.mu),
+        };
+        Box::new(target.mean_over(n))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fp_attack::{NormBall, Pgd, PgdConfig};
+    use fp_attack::{split_accuracy, NormBall, Pgd, PgdConfig};
     use fp_nn::models;
 
     fn setup() -> (CascadeModel, AuxHead) {
@@ -193,6 +242,80 @@ mod tests {
         let feature = model.feature_shape(2); // output of atom 1 window end
         let aux = AuxHead::new("aux", &feature, 4, &mut rng);
         (model, aux)
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `split_accuracy` over `ModuleTarget` windows — head exits with
+    /// µ > 0 (at the image input and at a feature) and the classifier
+    /// exit — under an ℓ2 ball, whose per-sample normalisation exposes a
+    /// wrong denominator in the cross-entropy or the µ-term: for n ∈ {0, 1,
+    /// 2, 31, 63, 64} and 1–4 workers, the adversarial rows and both
+    /// accuracies equal the one-chunk run, which equals the unsplit
+    /// attack, bit for bit.
+    #[test]
+    fn split_validation_module_target_matches_one_chunk() {
+        let (mut model, aux) = setup();
+        let mut rng = fp_tensor::seeded_rng(4);
+        let x = Tensor::rand_uniform(&[64, 3, 8, 8], 0.0, 1.0, &mut rng);
+        let z = model.forward_range(&x, 0, 1, Mode::Eval);
+        let labels: Vec<usize> = (0..64).map(|i| (i * 5 + i / 3) % 4).collect();
+        let head0 = AuxHead::new("aux0", &model.feature_shape(1), 4, &mut rng);
+        let windows = [
+            (Some(head0), 0, 1, &x, Some((0.0, 1.0))),
+            (Some(aux), 1, 2, &z, None),
+            (None, 1, 3, &z, None),
+        ];
+        for (head, from, to, input, clamp) in windows {
+            let pgd = Pgd::new(PgdConfig {
+                steps: 3,
+                alpha: None,
+                ball: NormBall::L2(0.6),
+                random_start: true,
+                restarts: 1,
+                clamp,
+            });
+            let window = OwnedWindow {
+                model: model.clone(),
+                head,
+                from,
+                to,
+                mu: 0.7,
+            };
+            for n in [0, 1, 2, 31, 63, 64] {
+                let per: usize = input.shape()[1..].iter().product();
+                let mut shape = input.shape().to_vec();
+                shape[0] = n;
+                let rows = Tensor::from_vec(input.data()[..n * per].to_vec(), &shape);
+                let labels = &labels[..n];
+                let run = |workers| {
+                    let mut rng = fp_tensor::seeded_rng(n as u64);
+                    let mut copy = window.clone();
+                    split_accuracy(&mut copy, &rows, labels, &pgd, &mut rng, (workers, 1))
+                };
+                let one = run(1);
+                let what = format!("window {from}..{to} n {n}");
+                if n > 0 {
+                    let mut copy = window.clone();
+                    let mut target = match &mut copy.head {
+                        None => ModuleTarget::final_window(&mut copy.model, from),
+                        Some(h) => ModuleTarget::new(&mut copy.model, h, from, to, copy.mu),
+                    };
+                    let mut rng = fp_tensor::seeded_rng(n as u64);
+                    let adv = pgd.attack(&mut target, &rows, labels, &mut rng);
+                    assert_eq!(bits(&one.adv_x), bits(&adv), "{what}: unsplit attack");
+                }
+                for workers in 2..=4 {
+                    let split = run(workers);
+                    let tag = format!("{what} workers {workers}");
+                    assert_eq!(bits(&split.adv_x), bits(&one.adv_x), "{tag}: rows");
+                    assert_eq!(split.clean.to_bits(), one.clean.to_bits(), "{tag}");
+                    assert_eq!(split.adv.to_bits(), one.adv.to_bits(), "{tag}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Client-side adversarial cascade training (paper §5.1, Eq. 9/13).
 //!
 //! A window `[from_atom, to_atom)` trains on `z_{m−1}`, the output of the
-//! frozen prefix — atoms `[0, from_atom)` run in `Eval` mode. Both entry
+//! frozen prefix — atoms `[0, from_atom)` run in `Eval` mode, on the
+//! attack-pass route (`CascadeModel::forward_dx_only_range`: no backward
+//! ever follows a prefix forward, so it caches nothing it would). Both entry
 //! points read their batches through `WindowInputs`, which forwards each
 //! sample the client's batches use through the prefix once per call and
 //! gathers every batch's rows from those features, instead of re-running
@@ -15,7 +17,7 @@ use crate::aux_head::AuxHead;
 use crate::module_target::ModuleTarget;
 use fp_attack::{NormBall, Pgd, PgdConfig};
 use fp_data::{BatchIter, Dataset};
-use fp_nn::{CascadeModel, Mode, Sgd};
+use fp_nn::{CascadeModel, Sgd};
 use fp_tensor::{seeded_rng, Tensor};
 use std::collections::HashMap;
 
@@ -102,7 +104,7 @@ impl WindowInputs {
             }
             let (mut rows, mut shape) = (Vec::new(), Vec::new());
             for chunk in used.chunks(it.batch_size()) {
-                let z = model.forward_range(&ds.batch(chunk).0, 0, from_atom, Mode::Eval);
+                let z = model.forward_dx_only_range(&ds.batch(chunk).0, 0, from_atom);
                 shape = z.shape()[1..].to_vec();
                 rows.extend_from_slice(z.data());
             }
@@ -127,7 +129,7 @@ impl WindowInputs {
             if self.from_atom == 0 {
                 return (x, y);
             }
-            return (model.forward_range(&x, 0, self.from_atom, Mode::Eval), y);
+            return (model.forward_dx_only_range(&x, 0, self.from_atom), y);
         };
         let per: usize = p.shape.iter().product();
         let mut data = Vec::with_capacity(idx.len() * per);
@@ -334,8 +336,8 @@ fn feature_perturbation(
             let mut target = ModuleTarget::new(model, aux, from_atom, to_atom, mu);
             pgd.attack(&mut target, &z_in, &y, &mut rng)
         };
-        let z_clean = model.forward_range(&z_in, from_atom, to_atom, Mode::Eval);
-        let z_adv = model.forward_range(&adv, from_atom, to_atom, Mode::Eval);
+        let z_clean = model.forward_dx_only_range(&z_in, from_atom, to_atom);
+        let z_adv = model.forward_dx_only_range(&adv, from_atom, to_atom);
         let diff = z_adv.sub(&z_clean);
         let batch = diff.shape()[0];
         let per: usize = diff.shape()[1..].iter().product();
@@ -355,7 +357,7 @@ fn feature_perturbation(
 mod tests {
     use super::*;
     use fp_data::{generate, SynthConfig};
-    use fp_nn::models;
+    use fp_nn::{models, Mode};
 
     fn setup() -> (CascadeModel, Vec<AuxHead>, Dataset) {
         let mut rng = fp_tensor::seeded_rng(0);

@@ -2,12 +2,12 @@
 
 use crate::config::FlConfig;
 use crate::metrics::FlOutcome;
-use fp_attack::{ModelTarget, Pgd, PgdConfig};
+use fp_attack::{split_accuracy, Pgd, PgdConfig};
 use fp_data::{ClientSplit, SynthDataset};
 use fp_hwsim::{model_mem_req, sample_fleet, Device, DeviceSample, SamplingMode};
 use fp_nn::spec::AtomSpec;
 use fp_nn::CascadeModel;
-use fp_tensor::seeded_rng;
+use fp_tensor::{seeded_rng, Tensor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
@@ -268,10 +268,8 @@ impl FlEnv {
 
     /// Quick validation clean accuracy on at most `max_samples` samples.
     pub fn val_clean(&self, model: &mut CascadeModel, max_samples: usize) -> f32 {
-        let n = self.data.val.len().min(max_samples);
-        let idx: Vec<usize> = (0..n).collect();
-        let (x, y) = self.data.val.batch(&idx);
-        let logits = model.forward(&x, fp_nn::Mode::Eval);
+        let (x, y) = self.val_batch(max_samples);
+        let logits = model.forward_dx_only(&x);
         // The validation batch's activations must not ride along in the
         // per-client clones of the global model.
         model.clear_cache();
@@ -279,21 +277,35 @@ impl FlEnv {
     }
 
     /// Quick validation adversarial accuracy (PGD with the training
-    /// budget) on at most `max_samples` samples.
+    /// budget) on at most `max_samples` samples: [`FlEnv::val_accuracy`]'s
+    /// second figure.
     pub fn val_adv(&self, model: &mut CascadeModel, max_samples: usize) -> f32 {
-        let n = self.data.val.len().min(max_samples);
-        let idx: Vec<usize> = (0..n).collect();
-        let (x, y) = self.data.val.batch(&idx);
+        self.val_accuracy(model, max_samples).1
+    }
+
+    /// Quick validation `(clean, adversarial)` accuracy on at most
+    /// `max_samples` samples, from one gathered batch: clean logits, PGD
+    /// with the training budget, adversarial logits, split by sample over
+    /// the thread budget (`fp_attack::split_accuracy`; at a budget of one
+    /// `model` itself is attacked).
+    pub fn val_accuracy(&self, model: &mut CascadeModel, max_samples: usize) -> (f32, f32) {
+        let (x, y) = self.val_batch(max_samples);
         let pgd = Pgd::new(PgdConfig {
             steps: self.cfg.pgd_steps.max(1),
             ..PgdConfig::train_linf(self.cfg.eps0)
         });
         let mut rng = seeded_rng(self.cfg.seed ^ VAL_SEED);
-        let mut target = ModelTarget::new(model);
-        let adv = pgd.attack(&mut target, &x, &y, &mut rng);
-        let logits = model.forward(&adv, fp_nn::Mode::Eval);
+        let threads = fp_tensor::parallel::thread_split(y.len());
+        let acc = split_accuracy(model, &x, &y, &pgd, &mut rng, threads);
         model.clear_cache();
-        fp_nn::accuracy(&logits, &y)
+        (acc.clean, acc.adv)
+    }
+
+    /// The first `min(max_samples, |val|)` validation samples.
+    fn val_batch(&self, max_samples: usize) -> (Tensor, Vec<usize>) {
+        let n = self.data.val.len().min(max_samples);
+        let idx: Vec<usize> = (0..n).collect();
+        self.data.val.batch(&idx)
     }
 }
 
@@ -393,6 +405,47 @@ mod tests {
         // Different rounds differ (with overwhelming probability).
         let c = e.sample_round(8);
         assert!(a != c || e.cfg.clients_per_round == e.cfg.n_clients);
+    }
+
+    /// `val_accuracy` splits its batch over the thread budget and still
+    /// reports the one-chunk figures (the pre-split `val_clean` /
+    /// `val_adv`), and every worker count gives the same adversarial rows.
+    #[test]
+    fn split_validation_val_accuracy_matches_one_chunk() {
+        let e = env(7);
+        let mut rng = fp_tensor::seeded_rng(1);
+        let mut model = fp_nn::models::instantiate(
+            &e.reference_specs,
+            &e.input_shape,
+            e.data.train.n_classes(),
+            &mut rng,
+        );
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let pgd = Pgd::new(PgdConfig {
+            steps: e.cfg.pgd_steps.max(1),
+            ..PgdConfig::train_linf(e.cfg.eps0)
+        });
+        for n in [0, 1, 2, 31, 63, 64] {
+            let (x, y) = e.val_batch(n);
+            let run = |workers| {
+                let mut rng = seeded_rng(e.cfg.seed ^ VAL_SEED);
+                split_accuracy(&mut model.clone(), &x, &y, &pgd, &mut rng, (workers, 1))
+            };
+            let one = run(1);
+            for workers in 2..=4 {
+                let split = run(workers);
+                assert_eq!(
+                    bits(&split.adv_x),
+                    bits(&one.adv_x),
+                    "n {n} workers {workers}"
+                );
+                assert_eq!((split.clean, split.adv), (one.clean, one.adv), "n {n}");
+            }
+            let both = e.val_accuracy(&mut model, n);
+            assert_eq!(both, (one.clean, one.adv), "n {n}: val_accuracy");
+            assert_eq!(e.val_clean(&mut model, n), one.clean, "n {n}: val_clean");
+            assert_eq!(e.val_adv(&mut model, n), one.adv, "n {n}: val_adv");
+        }
     }
 
     #[test]

@@ -444,7 +444,8 @@ impl<T: ScheduledTrainer> Stack<'_, T> {
             return (None, None);
         }
         let model = self.trainer.global_model_mut(&mut core.state);
-        (Some(env.val_clean(model, 64)), Some(env.val_adv(model, 64)))
+        let (clean, adv) = env.val_accuracy(model, 64);
+        (Some(clean), Some(adv))
     }
 
     /// Drops thermal rows that have cooled by `clock` (cold and absent

@@ -42,6 +42,13 @@ impl Atom {
         self.inner.forward(x, mode)
     }
 
+    /// Attack-pass forward (see [`Layer::forward_dx_only`]): the output of
+    /// `forward(x, Mode::Eval)`, caching only what
+    /// [`Atom::backward_input`] reads.
+    pub fn forward_dx_only(&mut self, x: &Tensor) -> Tensor {
+        self.inner.forward_dx_only(x)
+    }
+
     /// Backward pass; accumulates parameter gradients and returns the
     /// gradient with respect to the atom input.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {

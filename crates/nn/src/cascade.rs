@@ -91,17 +91,27 @@ impl CascadeModel {
     ///
     /// Panics if the range is empty or out of bounds.
     pub fn forward_range(&mut self, x: &Tensor, from: usize, to: usize, mode: Mode) -> Tensor {
-        assert!(
-            from < to && to <= self.atoms.len(),
-            "bad atom range {from}..{to}"
-        );
-        // The range is non-empty, so the first atom borrows `x` and
-        // nothing is copied.
-        let mut cur = Cow::Borrowed(x);
-        for atom in &mut self.atoms[from..to] {
-            cur = Cow::Owned(atom.forward(&cur, mode));
-        }
-        cur.into_owned()
+        forward(self.atoms_in(from, to), x, |a, x| a.forward(x, mode))
+    }
+
+    /// The attack-pass forward through atoms `[from, to)` (see
+    /// [`Layer::forward_dx_only`](crate::Layer::forward_dx_only)): the
+    /// output of `forward_range(x, from, to, Mode::Eval)` bit for bit,
+    /// caching only what [`CascadeModel::backward_input_range`] reads. Any
+    /// forward no parameter backward follows may take it; after it
+    /// `backward_range` and `backward_params_range` panic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is empty or out of bounds.
+    pub fn forward_dx_only_range(&mut self, x: &Tensor, from: usize, to: usize) -> Tensor {
+        forward(self.atoms_in(from, to), x, Atom::forward_dx_only)
+    }
+
+    /// Full attack-pass forward, producing logits (see
+    /// [`CascadeModel::forward_dx_only_range`]).
+    pub fn forward_dx_only(&mut self, x: &Tensor) -> Tensor {
+        self.forward_dx_only_range(x, 0, self.atoms.len())
     }
 
     /// Backward through atoms `[from, to)` (reverse order), accumulating
@@ -299,6 +309,16 @@ impl CascadeModel {
             a.clear_cache();
         }
     }
+}
+
+/// Runs `step` through `atoms` in order. The range is non-empty, so the
+/// first atom borrows `x` and nothing is copied.
+fn forward(atoms: &mut [Atom], x: &Tensor, step: impl Fn(&mut Atom, &Tensor) -> Tensor) -> Tensor {
+    let mut cur = Cow::Borrowed(x);
+    for atom in atoms {
+        cur = Cow::Owned(step(atom, &cur));
+    }
+    cur.into_owned()
 }
 
 /// Runs `step` through `atoms` in reverse, borrowing `grad` for the last

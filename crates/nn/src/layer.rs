@@ -48,6 +48,20 @@ pub trait Layer: Send + Sync {
     /// Runs the layer on `x`, caching state for the backward pass.
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor;
 
+    /// The forward of an attack pass — a forward read only by an input
+    /// gradient: the output of `forward(x, Mode::Eval)` bit for bit,
+    /// caching only what [`Layer::backward_input`] reads. `Conv2d` and
+    /// `Linear` keep no input copy and `BatchNorm2d` no `x̂`; a
+    /// [`crate::Sequential`] runs each `BatchNorm2d → ReLU → MaxPool2d(2, 2)`
+    /// run in it as one pass. After it, [`Layer::backward`] and
+    /// [`Layer::backward_params`] panic naming this route (a layer
+    /// without parameters may still serve them).
+    ///
+    /// The default is `forward(x, Mode::Eval)`, which caches everything.
+    fn forward_dx_only(&mut self, x: &Tensor) -> Tensor {
+        self.forward(x, Mode::Eval)
+    }
+
     /// Back-propagates `grad_out` to the layer input only: returns dX and
     /// leaves every parameter gradient untouched.
     ///
@@ -160,6 +174,10 @@ pub trait Layer: Send + Sync {
         tmp.len()
     }
 }
+
+/// The panic of a parameter backward after [`Layer::forward_dx_only`].
+pub(crate) const DX_ONLY_ROUTE: &str =
+    "parameter backward after forward_dx_only: the dX-only route caches no parameter-gradient inputs";
 
 /// One backward step through a child layer: [`Layer::backward`] or
 /// [`Layer::backward_input`]. Composite layers write their chain rule once

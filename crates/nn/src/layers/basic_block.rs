@@ -96,6 +96,29 @@ impl BasicBlock {
         }
     }
 
+    /// The block's forward, written once; `step` runs one child.
+    fn forward_with(
+        &mut self,
+        x: &Tensor,
+        step: impl Fn(&mut dyn Layer, &Tensor) -> Tensor,
+    ) -> Tensor {
+        let h = step(&mut self.conv1, x);
+        let h = step(&mut self.bn1, &h);
+        let h = step(&mut self.relu1, &h);
+        let h = step(&mut self.conv2, &h);
+        let h = step(&mut self.bn2, &h);
+        let s = match &mut self.shortcut {
+            Some((sc, sbn)) => {
+                let s = step(sc, x);
+                step(sbn, &s)
+            }
+            None => x.clone(),
+        };
+        let sum = h.add(&s);
+        self.sum_mask = Some(sum.data().iter().map(|&v| v > 0.0).collect());
+        sum.map(|v| v.max(0.0))
+    }
+
     /// The block's chain rule, written once; `step` back-propagates one
     /// child with or without parameter-gradient accumulation.
     fn backprop(&mut self, grad_out: &Tensor, step: BackStep) -> Tensor {
@@ -156,21 +179,11 @@ impl std::fmt::Debug for BasicBlock {
 
 impl Layer for BasicBlock {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let h = self.conv1.forward(x, mode);
-        let h = self.bn1.forward(&h, mode);
-        let h = self.relu1.forward(&h, mode);
-        let h = self.conv2.forward(&h, mode);
-        let h = self.bn2.forward(&h, mode);
-        let s = match &mut self.shortcut {
-            Some((sc, sbn)) => {
-                let s = sc.forward(x, mode);
-                sbn.forward(&s, mode)
-            }
-            None => x.clone(),
-        };
-        let sum = h.add(&s);
-        self.sum_mask = Some(sum.data().iter().map(|&v| v > 0.0).collect());
-        sum.map(|v| v.max(0.0))
+        self.forward_with(x, |l, x| l.forward(x, mode))
+    }
+
+    fn forward_dx_only(&mut self, x: &Tensor) -> Tensor {
+        self.forward_with(x, |l, x| l.forward_dx_only(x))
     }
 
     fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {

@@ -1,7 +1,7 @@
 //! Batch normalization over channels.
 
 use super::{planes, recycle};
-use crate::layer::{Layer, Mode};
+use crate::layer::{Layer, Mode, DX_ONLY_ROUTE};
 use crate::param::Param;
 use crate::spec::{LayerKind, LayerSpec};
 use fp_tensor::Tensor;
@@ -29,7 +29,9 @@ pub struct BatchNorm2d {
 
 #[derive(Debug, Clone)]
 struct Cache {
-    x_hat: Vec<f32>,
+    /// `None` after [`Layer::forward_dx_only`]: only dγ / dβ and a
+    /// `Train` dX read it.
+    x_hat: Option<Vec<f32>>,
     inv_std: Vec<f32>,
     mode: Mode,
     /// Elements per channel in the normalized batch (`b·h·w`).
@@ -51,7 +53,8 @@ impl Cache {
     /// over `s`, then `i` — computed [`LANES`] channels abreast.
     fn channel_sums(&self, grad_out: &Tensor) -> ChannelSums {
         let (_, c, h, w) = dims4(grad_out);
-        let (dy, x_hat) = (grad_out.data(), &self.x_hat[..]);
+        let x_hat = self.x_hat.as_deref().expect(DX_ONLY_ROUTE);
+        let dy = grad_out.data();
         assert_eq!(dy.len(), x_hat.len(), "bn grad shape mismatch");
         let mut sums: ChannelSums = (Vec::with_capacity(c), Vec::with_capacity(c));
         let full = c - c % LANES;
@@ -177,7 +180,8 @@ impl BatchNorm2d {
                 // `channel_sums` checked that `grad_out` matches `x̂`.
                 let (dgamma, dbeta) = sums.expect("train-mode dX needs the channel sums");
                 let n = cache.n_per_c as f32;
-                for ((dy, ch), x_hat) in dy_planes.zip(planes(&cache.x_hat, h * w)) {
+                let x_hat = cache.x_hat.as_deref().expect(DX_ONLY_ROUTE);
+                for ((dy, ch), x_hat) in dy_planes.zip(planes(x_hat, h * w)) {
                     let k = gamma[ch] * cache.inv_std[ch] / n;
                     let (db, dg) = (dbeta[ch], dgamma[ch]);
                     dx.extend(
@@ -199,17 +203,23 @@ impl BatchNorm2d {
     }
 }
 
+/// `1 / √(var + ε)` per channel.
+pub(crate) fn inv_std(var: &[f32]) -> Vec<f32> {
+    var.iter().map(|&v| 1.0 / (v + EPS).sqrt()).collect()
+}
+
 fn dims4(x: &Tensor) -> (usize, usize, usize, usize) {
     assert_eq!(x.shape().len(), 4, "batchnorm input must be [b,c,h,w]");
     (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3])
 }
 
-impl Layer for BatchNorm2d {
+impl BatchNorm2d {
     /// Normalizes plane by plane: `x̂ = (x − μ)·inv_std` into the recycled
     /// `x̂` buffer, then `γ·x̂ + β` from it — two roundings each, as in
     /// the parent (never a fused multiply-add), written by `extend`
-    /// instead of over a zero fill.
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+    /// instead of over a zero fill. Without `keep_x_hat` the same two
+    /// roundings run per element with no `x̂` buffer.
+    fn run(&mut self, x: &Tensor, mode: Mode, keep_x_hat: bool) -> Tensor {
         let (b, c, h, w) = dims4(x);
         assert_eq!(c, self.c, "bn channel mismatch");
         let (mean, var) = match mode {
@@ -229,15 +239,21 @@ impl Layer for BatchNorm2d {
                 self.running_var.data().to_vec(),
             ),
         };
-        let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + EPS).sqrt()).collect();
+        let inv_std = inv_std(&var);
         let (gamma, beta) = (self.gamma.value().data(), self.beta.value().data());
-        let mut x_hat = recycle(self.cache.take().map(|c| c.x_hat), x.numel());
+        let old = self.cache.take().and_then(|c| c.x_hat);
+        let mut x_hat = keep_x_hat.then(|| recycle(old, x.numel()));
         let mut out = Vec::with_capacity(x.numel());
         for (plane, ch) in planes(x.data(), h * w).zip((0..c).cycle()) {
             let (mu, k, g, bt) = (mean[ch], inv_std[ch], gamma[ch], beta[ch]);
-            let start = x_hat.len();
-            x_hat.extend(plane.iter().map(|&v| (v - mu) * k));
-            out.extend(x_hat[start..].iter().map(|&xh| g * xh + bt));
+            match &mut x_hat {
+                Some(x_hat) => {
+                    let start = x_hat.len();
+                    x_hat.extend(plane.iter().map(|&v| (v - mu) * k));
+                    out.extend(x_hat[start..].iter().map(|&xh| g * xh + bt));
+                }
+                None => out.extend(plane.iter().map(|&v| g * ((v - mu) * k) + bt)),
+            }
         }
         self.cache = Some(Cache {
             x_hat,
@@ -246,6 +262,17 @@ impl Layer for BatchNorm2d {
             n_per_c: b * h * w,
         });
         Tensor::from_vec(out, x.shape())
+    }
+}
+
+impl Layer for BatchNorm2d {
+    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+        self.run(x, mode, true)
+    }
+
+    /// The `Eval` forward without `x̂`: its dX reads only γ·inv_std.
+    fn forward_dx_only(&mut self, x: &Tensor) -> Tensor {
+        self.run(x, Mode::Eval, false)
     }
 
     fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {

@@ -1,7 +1,7 @@
 //! 2-D convolution, lowered to GEMM by the backend.
 
 use super::cache_copy;
-use crate::layer::{Layer, Mode};
+use crate::layer::{Layer, Mode, DX_ONLY_ROUTE};
 use crate::param::Param;
 use crate::spec::{LayerKind, LayerSpec};
 use fp_tensor::{BackendHandle, Conv2dGeometry, Tensor};
@@ -41,7 +41,8 @@ pub struct Conv2d {
 
 #[derive(Debug, Clone)]
 struct Cache {
-    x: Tensor,
+    /// The input, for dW; `None` after [`Layer::forward_dx_only`].
+    x: Option<Tensor>,
     geo: Conv2dGeometry,
     batch: usize,
 }
@@ -107,16 +108,15 @@ impl Conv2d {
             pad: self.pad,
         }
     }
-}
 
-impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
+    /// The forward, caching a copy of `x` only when `keep_input`.
+    fn run(&mut self, x: &Tensor, keep_input: bool) -> Tensor {
         assert_eq!(x.shape().len(), 4, "conv input must be [b,c,h,w]");
         assert_eq!(x.shape()[1], self.c_in, "conv channel mismatch");
         let (batch, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
         let geo = self.geometry(h, w);
         let (h_out, w_out) = (geo.h_out(), geo.w_out());
-        let old = self.cached.take().map(|c| c.x);
+        let old = self.cached.take().and_then(|c| c.x);
         let mut out = Tensor::zeros(&[batch, self.c_out, h_out, w_out]);
         self.backend.conv2d_forward(
             x.data(),
@@ -129,11 +129,22 @@ impl Layer for Conv2d {
             &mut self.ws,
         );
         self.cached = Some(Cache {
-            x: cache_copy(old, x),
+            x: keep_input.then(|| cache_copy(old, x)),
             geo,
             batch,
         });
         out
+    }
+}
+
+impl Layer for Conv2d {
+    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
+        self.run(x, true)
+    }
+
+    /// The forward without the input copy: dX reads only the weights.
+    fn forward_dx_only(&mut self, x: &Tensor) -> Tensor {
+        self.run(x, false)
     }
 
     fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
@@ -161,9 +172,10 @@ impl Layer for Conv2d {
     fn backward_params(&mut self, grad_out: &Tensor) {
         let cache = Cache::for_grad(&self.cached, self.c_out, grad_out);
         let (geo, batch) = (cache.geo, cache.batch);
+        let x = cache.x.as_ref().expect(DX_ONLY_ROUTE);
         // dW += Σ_s dY_s · im2col(x_s)ᵀ
         self.backend.conv2d_backward_weights(
-            cache.x.data(),
+            x.data(),
             grad_out.data(),
             self.w.grad_mut().data_mut(),
             batch,

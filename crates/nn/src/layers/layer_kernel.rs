@@ -1,5 +1,6 @@
 //! Bitwise oracle for the non-GEMM layer loops (`BatchNorm2d`, `ReLU`,
-//! `MaxPool2d`) and the recycled cache buffers.
+//! `MaxPool2d`), the dX-only route's fused `BatchNorm2d → ReLU →
+//! MaxPool2d(2, 2)` run, and the recycled cache buffers.
 //!
 //! `RefBn`, `ref_relu` and `ref_pool` below are the parent's bodies of
 //! those layers, kept verbatim apart from plain `Vec` parameters: every output of the
@@ -12,8 +13,9 @@
 // The references index per-channel planes exactly as the parent did.
 #![allow(clippy::needless_range_loop)]
 
+use super::fused;
 use crate::layer::{Layer, Mode};
-use crate::{BatchNorm2d, Conv2d, Linear, MaxPool2d, ReLU};
+use crate::{BasicBlock, BatchNorm2d, Conv2d, Linear, MaxPool2d, ReLU, Sequential};
 use fp_tensor::{seeded_rng, Tensor};
 use rand::Rng;
 
@@ -563,6 +565,184 @@ fn layer_kernel_cleared_cache_refuses_backward() {
                     layer.spec()
                 );
             }
+        }
+    }
+}
+
+/// Runs `f`, which must panic, and returns its message.
+fn panic_message(f: impl FnOnce()) -> String {
+    let err =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).expect_err("expected a panic");
+    let msg = err.downcast_ref::<&str>().map(|s| s.to_string());
+    msg.or_else(|| err.downcast_ref::<String>().cloned())
+        .unwrap()
+}
+
+/// `[BatchNorm2d, ReLU, MaxPool2d(2, 2)]` for `bn`.
+fn bn_relu_pool(bn: BatchNorm2d) -> Vec<Box<dyn Layer>> {
+    vec![
+        Box::new(bn),
+        Box::new(ReLU::new(0)),
+        Box::new(MaxPool2d::new(2, 2, 0)),
+    ]
+}
+
+/// The dX-only route of `[BatchNorm2d, ReLU, MaxPool2d(2, 2)]` — one fused
+/// run — against `RefBn` → `ref_relu` → `ref_pool` in `Eval` mode: the
+/// pooled output, the argmax (as per-input winner counts, which a tie
+/// broken the other way cannot hide) and dX. Shapes cover batch 1, odd
+/// H / W remainders and 1×1 outputs; values cover NaN, ±inf, ±0 and tied
+/// windows; γ covers negative values and `-0.0` (so `0.0·k` is `-0.0` at
+/// non-winners) and, in one case in eight, ±inf / NaN (a non-finite `k`).
+#[test]
+fn layer_kernel_fused_run_matches_reference_bitwise() {
+    let mut rng = seeded_rng(30);
+    let specials = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+    for case in 0..600 {
+        let [b, c, h, w] = shape(&mut rng, 2);
+        let (mut bn, mut reference) = bn_pair(&mut rng, c);
+        if case % 8 == 7 {
+            let ch = rng.gen_range(0..c);
+            reference.gamma[ch] = specials[rng.gen_range(0..specials.len())];
+            bn.params_mut()[0].set_value(Tensor::from_vec(reference.gamma.clone(), &[c]));
+        }
+        let flavour = case % FLAVOURS;
+        let tag = format!("case {case} [{b},{c},{h},{w}] flavour {flavour}");
+        let x = values(&mut rng, &[b, c, h, w], flavour);
+
+        let y_bn = reference.forward(&x, Mode::Eval);
+        let (r, _) = ref_relu(&y_bn, &y_bn);
+        let (want_y, counts) = ref_pool(&r, 2, 2, None);
+        let g_flavour = rng.gen_range(0..FLAVOURS);
+        let g = values(&mut rng, want_y.shape(), g_flavour);
+        let (_, dx_pool) = ref_pool(&r, 2, 2, Some(&g));
+        let (_, dx_relu) = ref_relu(&y_bn, &dx_pool);
+        let want_dx = reference.backward_input(&dx_relu);
+
+        let layers = bn_relu_pool(bn);
+        let mut runs = fused::find_runs(&layers);
+        assert_eq!(runs.len(), 1, "{tag}: one run");
+        let y = runs[0].forward(layers[0].as_ref(), &x);
+        assert_same(y.data(), want_y.data(), &format!("{tag} fused forward"));
+        let mut winners = vec![0.0f32; x.numel()];
+        for &a in runs[0].argmax() {
+            winners[a as usize] += 1.0;
+        }
+        assert_same(&winners, counts.data(), &format!("{tag} argmax"));
+
+        let mut seq = Sequential::new();
+        for l in layers {
+            seq.add(l);
+        }
+        let y = seq.forward_dx_only(&x);
+        assert_same(y.data(), want_y.data(), &format!("{tag} route forward"));
+        assert_same(
+            seq.backward_input(&g).data(),
+            want_dx.data(),
+            &format!("{tag} route dX"),
+        );
+        let msg = panic_message(|| {
+            seq.backward(&g);
+        });
+        assert!(msg.contains("forward_dx_only"), "{tag}: {msg}");
+    }
+}
+
+/// A `Sequential` finds its runs once and only where the three kinds
+/// follow each other with a 2×2, stride-2 pool; a fused run between
+/// other children keeps their dX-only routes and the plain `Eval` dX.
+#[test]
+fn layer_kernel_fused_runs_sit_between_unfused_children() {
+    let mut rng = seeded_rng(31);
+    let bn = |rng: &mut rand::rngs::StdRng| bn_pair(rng, 6).0;
+    let conv = |rng: &mut rand::rngs::StdRng| {
+        Box::new(Conv2d::new("c", 6, 6, 3, 1, 1, true, 0, 0, rng)) as Box<dyn Layer>
+    };
+    let mut layers: Vec<Box<dyn Layer>> = vec![conv(&mut rng)];
+    layers.extend(bn_relu_pool(bn(&mut rng)));
+    layers.push(Box::new(bn(&mut rng)));
+    layers.push(Box::new(ReLU::new(0)));
+    layers.push(Box::new(MaxPool2d::new(2, 1, 0)));
+    layers.push(conv(&mut rng));
+    layers.extend(bn_relu_pool(bn(&mut rng)));
+    let at: Vec<usize> = fused::find_runs(&layers).iter().map(|r| r.at).collect();
+    assert_eq!(at, [1, 8]);
+    let mut seq = Sequential::new();
+    for l in layers {
+        seq.add(l);
+    }
+    for case in 0..20 {
+        let b = rng.gen_range(1..4);
+        let x = values(&mut rng, &[b, 6, 9, 9], case % FLAVOURS);
+        let mut eval = seq.clone();
+        let want_y = eval.forward(&x, Mode::Eval);
+        let y = seq.forward_dx_only(&x);
+        assert_same(y.data(), want_y.data(), &format!("case {case} forward"));
+        let g = values(&mut rng, y.shape(), case % FLAVOURS);
+        assert_same(
+            seq.backward_input(&g).data(),
+            eval.backward_input(&g).data(),
+            &format!("case {case} dX"),
+        );
+        // A full forward after the route serves a full backward again.
+        seq.forward(&x, Mode::Train);
+        seq.backward(&g);
+    }
+}
+
+/// After `forward_dx_only`, every layer kind's `backward_input` is the
+/// dX of an `Eval` forward, bit for bit, and a parameter backward —
+/// `backward` or `backward_params` — panics naming the route.
+#[test]
+fn layer_kernel_dx_only_route_refuses_parameter_backward() {
+    let mut rng = seeded_rng(32);
+    let x = values(&mut rng, &[3, 4, 6, 6], 3);
+    let layers: Vec<(Box<dyn Layer>, Tensor)> = vec![
+        (Box::new(bn_pair(&mut rng, 4).0), x.clone()),
+        (
+            Box::new(Conv2d::new("c", 4, 5, 3, 1, 1, true, 0, 1, &mut rng)),
+            x.clone(),
+        ),
+        (
+            Box::new(Linear::new("fc", 144, 3, 36, 0, 1, &mut rng)),
+            x.reshaped(&[3, 144]),
+        ),
+        (
+            Box::new(BasicBlock::new("b", 4, 8, 2, 0, 1, &mut rng)),
+            x.clone(),
+        ),
+        (
+            Box::new(
+                Sequential::new()
+                    .push(Box::new(bn_pair(&mut rng, 4).0))
+                    .push(Box::new(ReLU::new(0)))
+                    .push(Box::new(MaxPool2d::new(2, 2, 0))),
+            ),
+            x.clone(),
+        ),
+    ];
+    for (mut layer, input) in layers {
+        let what = format!("{:?}", layer.spec().kind);
+        let mut eval = layer.clone_box();
+        let want = eval.forward(&input, Mode::Eval);
+        let y = layer.forward_dx_only(&input);
+        assert_same(y.data(), want.data(), &format!("{what} forward"));
+        let g = values(&mut rng, y.shape(), 0);
+        assert_same(
+            layer.backward_input(&g).data(),
+            eval.backward_input(&g).data(),
+            &format!("{what} dX"),
+        );
+        for params_only in [false, true] {
+            let mut probe = layer.clone_box();
+            let msg = panic_message(|| {
+                if params_only {
+                    probe.backward_params(&g);
+                } else {
+                    probe.backward(&g);
+                }
+            });
+            assert!(msg.contains("forward_dx_only"), "{what}: {msg}");
         }
     }
 }

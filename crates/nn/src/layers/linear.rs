@@ -1,7 +1,7 @@
 //! Fully connected layer.
 
 use super::cache_copy;
-use crate::layer::{Layer, Mode};
+use crate::layer::{Layer, Mode, DX_ONLY_ROUTE};
 use crate::param::Param;
 use crate::spec::{LayerKind, LayerSpec};
 use fp_tensor::{BackendHandle, Tensor};
@@ -22,6 +22,9 @@ pub struct Linear {
     in_group: usize,
     out_group: usize,
     backend: BackendHandle,
+    /// The batch size of the last forward.
+    cached_batch: Option<usize>,
+    /// Its input, for dW; `None` after [`Layer::forward_dx_only`].
     cached_input: Option<Tensor>,
 }
 
@@ -51,6 +54,7 @@ impl Linear {
             in_group,
             out_group,
             backend: fp_tensor::default_backend(),
+            cached_batch: None,
             cached_input: None,
         }
     }
@@ -64,10 +68,9 @@ impl Linear {
     pub fn d_out(&self) -> usize {
         self.d_out
     }
-}
 
-impl Layer for Linear {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
+    /// The forward, caching a copy of `x` only when `keep_input`.
+    fn run(&mut self, x: &Tensor, keep_input: bool) -> Tensor {
         assert_eq!(x.shape().len(), 2, "linear input must be [batch, d_in]");
         assert_eq!(x.shape()[1], self.d_in, "linear input width mismatch");
         let batch = x.shape()[0];
@@ -88,17 +91,32 @@ impl Layer for Linear {
                 *o += bv;
             }
         }
-        self.cached_input = Some(cache_copy(self.cached_input.take(), x));
+        let old = self.cached_input.take();
+        self.cached_input = keep_input.then(|| cache_copy(old, x));
+        self.cached_batch = Some(batch);
         out
     }
 
-    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self
-            .cached_input
-            .as_ref()
-            .expect("backward called before forward");
-        let batch = x.shape()[0];
+    /// The last forward's batch size, after checking `grad_out` against it.
+    fn batch_for(&self, grad_out: &Tensor) -> usize {
+        let batch = self.cached_batch.expect("backward called before forward");
         assert_eq!(grad_out.shape(), [batch, self.d_out]);
+        batch
+    }
+}
+
+impl Layer for Linear {
+    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
+        self.run(x, true)
+    }
+
+    /// The forward without the input copy: dX reads only the weights.
+    fn forward_dx_only(&mut self, x: &Tensor) -> Tensor {
+        self.run(x, false)
+    }
+
+    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
+        let batch = self.batch_for(grad_out);
         // dX = dY · W
         let mut dx = Tensor::zeros(&[batch, self.d_in]);
         self.backend.matmul_into(
@@ -118,12 +136,8 @@ impl Layer for Linear {
     }
 
     fn backward_params(&mut self, grad_out: &Tensor) {
-        let x = self
-            .cached_input
-            .as_ref()
-            .expect("backward called before forward");
-        let batch = x.shape()[0];
-        assert_eq!(grad_out.shape(), [batch, self.d_out]);
+        let batch = self.batch_for(grad_out);
+        let x = self.cached_input.as_ref().expect(DX_ONLY_ROUTE);
         // dW += dYᵀ·X  (i.e. for W[d_out,d_in]: dW = gradᵀ · x)
         self.backend.matmul_tn_into(
             grad_out.data(),
@@ -168,6 +182,7 @@ impl Layer for Linear {
     }
 
     fn clear_cache(&mut self) {
+        self.cached_batch = None;
         self.cached_input = None;
     }
 

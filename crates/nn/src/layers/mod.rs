@@ -5,6 +5,7 @@ pub mod bn;
 pub mod conv;
 pub mod dropout;
 pub mod flatten;
+mod fused;
 pub mod linear;
 pub mod pool;
 pub mod relu;

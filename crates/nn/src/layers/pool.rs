@@ -40,7 +40,7 @@ impl MaxPool2d {
 }
 
 /// Panics unless `u32` argmax indices can address `n` input elements.
-fn check_argmax_limit(n: usize) {
+pub(crate) fn check_argmax_limit(n: usize) {
     assert!(
         u32::try_from(n).is_ok(),
         "MaxPool2d field `argmax`: {n} input elements overflow u32 indices"
@@ -63,7 +63,7 @@ fn window_max(first: (f32, u32), rest: impl IntoIterator<Item = (f32, u32)>) -> 
 /// vectorizes rows of 4 outputs and up with no run-time overlap checks
 /// (inlined, it fell back to scalar code below 8).
 #[inline(never)]
-fn row_2x2(top: &[f32], bottom: &[f32], out: &mut [f32], argmax: &mut [u32], at: u32) {
+pub(crate) fn row_2x2(top: &[f32], bottom: &[f32], out: &mut [f32], argmax: &mut [u32], at: u32) {
     let w = top.len() as u32;
     let windows = top.chunks_exact(2).zip(bottom.chunks_exact(2));
     for ((ox, (o, a)), (t, b)) in out.iter_mut().zip(argmax).enumerate().zip(windows) {

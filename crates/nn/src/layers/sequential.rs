@@ -1,6 +1,7 @@
 //! Sequential container.
 
-use crate::layer::{BackStep, Layer, Mode};
+use crate::layer::{BackStep, Layer, Mode, DX_ONLY_ROUTE};
+use crate::layers::fused::{self, FusedRun};
 use crate::param::Param;
 use crate::spec::{LayerKind, LayerSpec};
 use fp_tensor::Tensor;
@@ -13,26 +14,36 @@ use std::borrow::Cow;
 /// sequences (composite containers report their children through
 /// [`Sequential::child_specs`]); the cascaded-model code always works with
 /// per-child specs.
+///
+/// On [`Layer::forward_dx_only`] each `BatchNorm2d → ReLU →
+/// MaxPool2d(2, 2)` run of children runs as one fused pass (found once,
+/// after the last change to the children; see `layers::fused`).
 #[derive(Default)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
+    /// The fused runs, each with its cache slot; `None` until the first
+    /// dX-only forward after a change to the children.
+    runs: Option<Vec<FusedRun>>,
+    /// Whether the last forward took the dX-only route.
+    dx_only: bool,
 }
 
 impl Sequential {
     /// Creates an empty sequence.
     pub fn new() -> Self {
-        Sequential { layers: Vec::new() }
+        Sequential::default()
     }
 
     /// Appends a layer, returning `self` for chaining.
     pub fn push(mut self, layer: Box<dyn Layer>) -> Self {
-        self.layers.push(layer);
+        self.add(layer);
         self
     }
 
     /// Appends a layer in place.
     pub fn add(&mut self, layer: Box<dyn Layer>) {
         self.layers.push(layer);
+        self.runs = None;
     }
 
     /// Number of child layers.
@@ -55,9 +66,17 @@ impl Sequential {
         &self.layers
     }
 
-    /// Mutable access to children.
+    /// Mutable access to children. Drops the fused runs of the dX-only
+    /// route with their caches: a child may be replaced.
     pub fn children_mut(&mut self) -> &mut [Box<dyn Layer>] {
+        (self.runs, self.dx_only) = (None, false);
         &mut self.layers
+    }
+
+    /// Panics unless the last forward cached what a parameter backward
+    /// reads.
+    fn check_full_route(&self) {
+        assert!(!self.dx_only, "{DX_ONLY_ROUTE}");
     }
 }
 
@@ -79,6 +98,8 @@ impl Clone for Sequential {
     fn clone(&self) -> Self {
         Sequential {
             layers: self.layers.clone(),
+            runs: self.runs.clone(),
+            dx_only: self.dx_only,
         }
     }
 }
@@ -99,20 +120,74 @@ impl Layer for Sequential {
         for l in &mut self.layers {
             cur = Cow::Owned(l.forward(&cur, mode));
         }
+        // Only one route's caches are held at a time: a training step
+        // after an attack pass peaks no higher than before the fusion.
+        for run in self.runs.iter_mut().flatten() {
+            run.clear_cache();
+        }
+        self.dx_only = false;
         cur.into_owned()
     }
 
+    /// Every child's [`Layer::forward_dx_only`], except that each fused
+    /// run replaces its three children's forwards.
+    fn forward_dx_only(&mut self, x: &Tensor) -> Tensor {
+        let runs = self
+            .runs
+            .get_or_insert_with(|| fused::find_runs(&self.layers));
+        let mut runs = runs.iter_mut().peekable();
+        let mut cur = Cow::Borrowed(x);
+        let mut i = 0;
+        while i < self.layers.len() {
+            cur = Cow::Owned(match runs.next_if(|r| r.at == i) {
+                Some(run) => {
+                    i += fused::LEN;
+                    run.forward(self.layers[run.at].as_ref(), &cur)
+                }
+                None => {
+                    i += 1;
+                    self.layers[i - 1].forward_dx_only(&cur)
+                }
+            });
+        }
+        self.dx_only = true;
+        cur.into_owned()
+    }
+
+    /// Every child's [`Layer::backward_input`], except that after a
+    /// dX-only forward each fused run stands in for its three children.
     fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
-        backprop(&mut self.layers, grad_out, |l, g| l.backward_input(g)).into_owned()
+        let runs = match &self.runs {
+            Some(runs) if self.dx_only => &runs[..],
+            _ => &[],
+        };
+        let mut runs = runs.iter().rev().peekable();
+        let mut g = Cow::Borrowed(grad_out);
+        let mut i = self.layers.len();
+        while i > 0 {
+            g = Cow::Owned(match runs.next_if(|r| r.at + fused::LEN == i) {
+                Some(run) => {
+                    i = run.at;
+                    run.backward_input(&g)
+                }
+                None => {
+                    i -= 1;
+                    self.layers[i].backward_input(&g)
+                }
+            });
+        }
+        g.into_owned()
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.check_full_route();
         backprop(&mut self.layers, grad_out, |l, g| l.backward(g)).into_owned()
     }
 
     /// [`Layer::backward`] through every child but the first, whose
     /// [`Layer::backward_params`] ends the pass.
     fn backward_params(&mut self, grad_out: &Tensor) {
+        self.check_full_route();
         if let Some((first, rest)) = self.layers.split_first_mut() {
             first.backward_params(&backprop(rest, grad_out, |l, g| l.backward(g)));
         }
@@ -169,6 +244,9 @@ impl Layer for Sequential {
     fn clear_cache(&mut self) {
         for l in &mut self.layers {
             l.clear_cache();
+        }
+        for run in self.runs.iter_mut().flatten() {
+            run.clear_cache();
         }
     }
 

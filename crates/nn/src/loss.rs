@@ -8,16 +8,29 @@ use fp_tensor::{log_softmax_rows, softmax_rows, Tensor};
 /// the logits — computing them together is free (`∂L/∂logits =
 /// (softmax − onehot)/batch`) and every training loop needs both.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct CrossEntropyLoss;
+pub struct CrossEntropyLoss {
+    /// The mean's denominator; `None` is the batch given to `forward`.
+    over: Option<usize>,
+}
 
 impl CrossEntropyLoss {
-    /// Creates the loss.
+    /// Creates the loss, a mean over the batch given to `forward`.
     pub fn new() -> Self {
-        CrossEntropyLoss
+        CrossEntropyLoss::default()
+    }
+
+    /// The loss of a row chunk of an `n`-row batch: the loss and its
+    /// gradient are divided by `n`, not by the chunk's rows, so every
+    /// gradient row is bitwise that row of the whole batch's gradient
+    /// (the loss itself is the chunk's share of the batch mean). This is
+    /// what lets an attack split its batch by sample.
+    pub fn mean_over(n: usize) -> Self {
+        CrossEntropyLoss { over: Some(n) }
     }
 
     /// Mean cross-entropy of `logits` `[batch, classes]` against integer
-    /// `labels`, plus the gradient with respect to the logits.
+    /// `labels` (divided by [`CrossEntropyLoss::mean_over`]'s `n` when
+    /// given), plus the gradient with respect to the logits.
     ///
     /// # Panics
     ///
@@ -32,13 +45,14 @@ impl CrossEntropyLoss {
             assert!(y < classes, "label {y} out of range {classes}");
             loss -= log_probs.data()[r * classes + y] as f64;
         }
+        let n = self.over.unwrap_or(batch);
         let mut grad = softmax_rows(logits);
-        let scale = 1.0 / batch as f32;
+        let scale = 1.0 / n as f32;
         for (r, &y) in labels.iter().enumerate() {
             grad.data_mut()[r * classes + y] -= 1.0;
         }
         grad.map_inplace(|g| g * scale);
-        ((loss / batch as f64) as f32, grad)
+        ((loss / n as f64) as f32, grad)
     }
 
     /// Loss only (no gradient). Convenience for evaluation loops.
@@ -122,6 +136,31 @@ mod tests {
                 grad.data()[i]
             );
         }
+    }
+
+    /// A row chunk's gradient under `mean_over(n)` is bitwise those rows
+    /// of the whole batch's gradient, and the chunks' losses add up to
+    /// the batch loss.
+    #[test]
+    fn split_validation_mean_over_slices_the_batch_gradient() {
+        let mut rng = fp_tensor::seeded_rng(5);
+        let (n, classes) = (13, 7);
+        let logits = Tensor::rand_uniform(&[n, classes], -4.0, 4.0, &mut rng);
+        let labels: Vec<usize> = (0..n).map(|r| (r * 5) % classes).collect();
+        let (loss, grad) = CrossEntropyLoss::new().forward(&logits, &labels);
+        let mut summed = 0.0;
+        for (lo, hi) in [(0, 1), (1, 6), (6, 12), (12, 13), (13, 13)] {
+            let rows = Tensor::from_vec(
+                logits.data()[lo * classes..hi * classes].to_vec(),
+                &[hi - lo, classes],
+            );
+            let (part, g) = CrossEntropyLoss::mean_over(n).forward(&rows, &labels[lo..hi]);
+            let want = &grad.data()[lo * classes..hi * classes];
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(g.data()), bits(want), "rows {lo}..{hi}");
+            summed += part;
+        }
+        assert!((summed - loss).abs() < 1e-5, "{summed} vs {loss}");
     }
 
     #[test]
