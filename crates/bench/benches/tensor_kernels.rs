@@ -64,10 +64,12 @@ fn bench_matmul_shapes(c: &mut Criterion) {
 /// pooled between) at the training batch. `forward` is what every PGD
 /// step and evaluation pays per stage; `backward` is one training step;
 /// `backward_input` (Medium stages only) is the input gradient alone,
-/// what every PGD step pays on top of its forward. The Medium `forward`
-/// and `backward_input` rows run one kernel thread, as a training client
-/// runs them (the default backend would split the 8×8 stage over two
-/// threads, and time thread start-up with it).
+/// what every PGD step pays on top of its forward, and `backward_weights`
+/// (Medium stages only) the weight gradient alone, what a training step
+/// adds. The Medium `forward`, `backward_input` and `backward_weights`
+/// rows run one kernel thread, as a training client runs them (the
+/// default backend would split the 8×8 stage over two threads, and time
+/// thread start-up with it).
 fn bench_conv_forward_backward(c: &mut Criterion) {
     for &(shape, batch, c_in, c_out, hw) in &[
         ("8x16x16x16", 8usize, 16usize, 32usize, 16usize),
@@ -95,6 +97,12 @@ fn bench_conv_forward_backward(c: &mut Criterion) {
             c.bench_function(&format!("conv2d_backward_input_{shape}"), |b| {
                 b.flops(gemm_flops);
                 b.iter(|| std::hint::black_box(timed.backward_input(&g)));
+            });
+            // dW accumulates into the weight gradient; the cached input is
+            // the last forward's.
+            c.bench_function(&format!("conv2d_backward_weights_{shape}"), |b| {
+                b.flops(gemm_flops);
+                b.iter(|| timed.backward_params(&g));
             });
         }
         c.bench_function(&format!("conv2d_backward_{shape}"), |b| {

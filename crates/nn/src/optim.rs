@@ -86,19 +86,16 @@ impl Sgd {
             params.len(),
             "optimizer bound to a different parameter list"
         );
+        let (wd, mu) = (self.weight_decay, self.momentum);
         for (p, v) in params.iter_mut().zip(self.velocity.iter_mut()) {
             assert_eq!(v.len(), p.numel(), "parameter {} changed size", p.name());
-            let wd = self.weight_decay;
-            let mu = self.momentum;
-            // Split borrows: read grad, write value.
-            let n = p.numel();
-            #[allow(clippy::needless_range_loop)] // index shared across several buffers
-            for i in 0..n {
-                let g = p.grad().data()[i] + wd * p.value().data()[i];
-                v[i] = mu * v[i] + g;
-                p.value_mut().data_mut()[i] -= lr * v[i];
+            let (value, grad) = p.value_and_grad_mut();
+            for ((w, g), v) in value.iter_mut().zip(grad.iter_mut()).zip(v.iter_mut()) {
+                let d = *g + wd * *w;
+                *v = mu * *v + d;
+                *w -= lr * *v;
+                *g = 0.0;
             }
-            p.zero_grad();
         }
     }
 
@@ -160,6 +157,96 @@ mod tests {
         opt.step(&mut [&mut p], 1.0);
         // After reset the second step is not boosted by momentum: θ = -2.
         assert!((p.value().data()[0] + 2.0).abs() < 1e-6);
+    }
+
+    /// The per-index loop `step` was before it became one pass over
+    /// zipped slices: the same three updates per element, then the
+    /// gradient zeroed.
+    fn step_per_index(opt: &mut Sgd, params: &mut [&mut Param], lr: f32) {
+        if opt.velocity.is_empty() {
+            opt.velocity = params.iter().map(|p| vec![0.0; p.numel()]).collect();
+        }
+        for (p, v) in params.iter_mut().zip(opt.velocity.iter_mut()) {
+            let (wd, mu) = (opt.weight_decay, opt.momentum);
+            #[allow(clippy::needless_range_loop)] // index shared across several buffers
+            for i in 0..p.numel() {
+                let g = p.grad().data()[i] + wd * p.value().data()[i];
+                v[i] = mu * v[i] + g;
+                p.value_mut().data_mut()[i] -= lr * v[i];
+            }
+            p.zero_grad();
+        }
+    }
+
+    /// `step` equals the per-index loop bit for bit (NaN as NaN) over
+    /// several steps of velocity, with and without momentum and weight
+    /// decay, on parameters holding ±0, ±inf, NaN, subnormals and values
+    /// whose products overflow, in tensors of lengths around the vector
+    /// width.
+    #[test]
+    fn sgd_step_matches_per_index_loop_bitwise() {
+        let specials = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            1e-40,
+            -3e38,
+            2.5,
+        ];
+        let vals = |n: usize, seed: usize| -> Vec<f32> {
+            (0..n)
+                .map(|i| {
+                    let k = (i * 7 + seed * 13) % 23;
+                    if k < specials.len() {
+                        specials[k]
+                    } else {
+                        (k as f32 - 15.0) * 0.37
+                    }
+                })
+                .collect()
+        };
+        let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        for (mu, wd) in [(0.9, 5e-4), (0.0, 5e-4), (0.9, 0.0), (0.0, 0.0)] {
+            let lens = [1usize, 7, 16, 33, 100];
+            let make = || -> Vec<Param> { lens.iter().map(|&n| param(&vals(n, n))).collect() };
+            let (mut got, mut want) = (make(), make());
+            let (mut opt, mut reference) = (Sgd::new(mu, wd), Sgd::new(mu, wd));
+            for step in 0..4 {
+                for (a, b) in got.iter_mut().zip(want.iter_mut()) {
+                    let g = vals(a.numel(), step + 3);
+                    a.grad_mut().data_mut().copy_from_slice(&g);
+                    b.grad_mut().data_mut().copy_from_slice(&g);
+                }
+                opt.step(&mut got.iter_mut().collect::<Vec<_>>(), 0.05);
+                step_per_index(
+                    &mut reference,
+                    &mut want.iter_mut().collect::<Vec<_>>(),
+                    0.05,
+                );
+                for (a, b) in got.iter().zip(&want) {
+                    for (x, y) in a.value().data().iter().zip(b.value().data()) {
+                        assert!(same(*x, *y), "mu {mu} wd {wd} step {step}: {x} vs {y}");
+                    }
+                    assert!(
+                        a.grad().data().iter().all(|g| g.to_bits() == 0),
+                        "grad zeroed"
+                    );
+                }
+                for (u, w) in opt
+                    .velocity
+                    .iter()
+                    .flatten()
+                    .zip(reference.velocity.iter().flatten())
+                {
+                    assert!(
+                        same(*u, *w),
+                        "velocity mu {mu} wd {wd} step {step}: {u} vs {w}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -52,6 +52,12 @@ impl Param {
         &mut self.grad
     }
 
+    /// The value and the gradient at once, for updates that read one and
+    /// write the other.
+    pub(crate) fn value_and_grad_mut(&mut self) -> (&mut [f32], &mut [f32]) {
+        (self.value.data_mut(), self.grad.data_mut())
+    }
+
     /// Resets the gradient to zero.
     pub fn zero_grad(&mut self) {
         self.grad.data_mut().fill(0.0);

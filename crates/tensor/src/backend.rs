@@ -101,8 +101,9 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     /// Conv weight gradient: `dw += Σ_s grad[s] · im2col(x[s])ᵀ` with
     /// `dw: [c_out, c_in·k²]` (accumulated; zero it for a plain gradient).
     /// Every `dw` element accumulates sample-major, column-ascending; the
-    /// [`Parallel`] override keeps that chain while folding a group of
-    /// samples into each GEMM's reduction dimension.
+    /// [`Parallel`] override keeps that chain with the vector lanes over
+    /// output channels, reading each image factor from a zero-padded
+    /// staging of a group of samples.
     #[allow(clippy::too_many_arguments)]
     fn conv2d_backward_weights(
         &self,

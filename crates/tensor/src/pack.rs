@@ -3,9 +3,9 @@
 //!
 //! # Structure
 //!
-//! Every GEMM flavor (`A·B`, `Aᵀ·B`, `A·Bᵀ`, and the three convolution
-//! kernels) runs through one driver, [`drive_packed`], over a packed A
-//! operand and a *source* of B panels ([`BSrc`]): a row reader
+//! Every GEMM flavor (`A·B`, `Aᵀ·B`, `A·Bᵀ`, and the three staged
+//! convolution kernels) runs through one driver, [`drive_packed`], over a
+//! packed A operand and a *source* of B panels ([`BSrc`]): a row reader
 //! `f(p, j0, dst)`, a column reader for transposed operands, or a
 //! [`Gather`] — an operand read through two offset tables, `src[col[j] +
 //! red[p]]`. The driver packs A into row-panels of `MR` rows and B into
@@ -30,11 +30,13 @@
 //! The training stack's convolutions are small-image, many-sample
 //! problems (3→12@16² … 32→48@2² at batch 32), where a per-sample GEMM
 //! is a few panels wide and patch gathering costs more than the
-//! arithmetic. The weight gradient at every stride, and the forward and
-//! the input gradient at stride ≥ 2 (the CNN4 stem, ResNet downsampling),
-//! therefore share one batch-folded, table-driven lowering; at stride 1
-//! the forward and the input gradient run the direct kernels below, and
-//! the staged lowering is their bitwise reference.
+//! arithmetic. The forward and the input gradient at stride ≥ 2 (the
+//! CNN4 stem, ResNet downsampling) therefore run one batch-folded,
+//! table-driven lowering; at stride 1 they run the direct kernels below,
+//! and the staged lowering is their bitwise reference. The weight
+//! gradient reads the same staging at every stride, through broadcasts
+//! rather than a GEMM ("Broadcast weight gradient" below), except for the
+//! largest `dw`.
 //! The batch is cut into *fold groups* of `g`
 //! consecutive samples, `g·n_cols ≈` [`FOLD_COLS`] (one sample when
 //! `n_cols` alone exceeds it). Per group and per thread, [`Staging`]
@@ -52,16 +54,16 @@
 //! the border. Where consecutive table entries are consecutive offsets
 //! (an output row at stride 1, a sample's `n_cols` gradient columns) a
 //! panel moves in fixed-width block copies, otherwise element by element
-//! ([`block_len`]). The three kernels are then:
+//! ([`block_len`]). The three staged kernels are then:
 //!
 //! * **forward** (stride ≥ 2, or `k > 5`) — `out = W · cols`, the batch
 //!   folded into **N**
 //!   (`N = g·n_cols`). Output columns of one sample are contiguous, those
 //!   of different samples are not ([`CMap`]); a tile that straddles
 //!   samples goes through the scratch-tile path.
-//! * **backward weights** — `dw += grad · colsᵀ`, the batch folded into
-//!   **K** (`K = g·n_cols`): the same tables with their roles swapped,
-//!   on both operands.
+//! * **backward weights** (`dw` past [`BROADCAST_DW_MAX`] floats) — `dw +=
+//!   grad · colsᵀ`, the batch folded into **K** (`K = g·n_cols`): the same
+//!   tables with their roles swapped, on both operands.
 //! * **backward input** (stride ≥ 2) — `dcols = Wᵀ · grad` folded into
 //!   **N**, then the adjoint of the gather ([`scatter_add`]) adds `dcols`
 //!   into `buf` in ascending row order; `buf` is seeded from `dx` and
@@ -98,6 +100,40 @@
 //! [`direct_conv`] is the one driver of both directions: in place or
 //! sample-innermost, samples split across threads as in the staged
 //! kernels.
+//!
+//! # Broadcast weight gradient
+//!
+//! `dw += Σ_s grad[s] · im2col(x[s])ᵀ` reduces over `K = (s, oy, ox)`,
+//! and its factor from the image, `cols[p][j] = buf[base[j] + row_off[p]]`,
+//! is a gather. A GEMM needs it packed as `colsᵀ` panels, element by
+//! element; the broadcast kernel ([`conv2d_backward_weights_broadcast`],
+//! every stride and `k`, `dw` up to [`BROADCAST_DW_MAX`] floats) instead
+//! puts the vector lanes over output channels and reads each image factor
+//! from the staging in place, as the broadcast operand of an FMA. Per
+//! thread (threads split the output channels) and fold group it holds
+//!
+//! ```text
+//!   gt[j][co]:  grad[s, co, oy, ox] for j = (s, oy, ox)   (lanes: channels)
+//!   dwt[p][co]: dw[co, p], transposed once per call       (lanes: channels)
+//! ```
+//!
+//! (channels padded with zero lanes to whole vectors; [`transpose`] moves
+//! both), and a register tile of up to 3 channel vectors × 9 taps walks
+//! `j`:
+//!
+//! ```text
+//!   for each tap p, from the incoming dw[co, p]:
+//!     for j = (s, oy, ox) in ascending order, over every fold group:
+//!       dw ← fma(grad[s, co, oy, ox], buf[base[j] + row_off[p]], dw)
+//! ```
+//!
+//! — the staged GEMM's chain (`K` folded in sample order), so every bit
+//! of `dw` is unchanged. A padding tap is an FMA on the border's `+0.0`:
+//! an infinite gradient there makes NaN, and a product `+0.0` turns a
+//! `-0.0` chain `+0.0`, as they do in the GEMM. Past
+//! [`BROADCAST_DW_MAX`] (big-channel convs on small planes) the GEMM's
+//! reuse of each packed panel across all output channels wins, and dW
+//! stays staged.
 //!
 //! # The canonical accumulation chain
 //!
@@ -341,6 +377,68 @@ mod x86 {
         }
     }
 
+    /// `d[c·ld_d + r] = s[r·ld_s + c]` for `c < cols ≤ 8` and `r < width ≤
+    /// 8`, reading `+0.0` for `r ≥ rows`: unpack pairs of rows, shuffle
+    /// quadruples, swap 128-bit halves. Short rows and columns move
+    /// through masked loads and stores.
+    ///
+    /// # Safety
+    ///
+    /// `s` must hold `rows` rows of `cols` floats at stride `ld_s`, `d`
+    /// `cols` rows of `width` floats at stride `ld_d`.
+    #[target_feature(enable = "avx")]
+    #[allow(clippy::needless_range_loop)] // index loops mirror the shuffle network
+    pub unsafe fn transpose8(
+        s: *const f32,
+        ld_s: usize,
+        d: *mut f32,
+        ld_d: usize,
+        rows: usize,
+        cols: usize,
+        width: usize,
+    ) {
+        const FIRST: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+        // SAFETY: the loads read the first `cols` floats of rows below
+        // `rows`, the stores write the first `width` of rows below `cols`
+        // (the contract); the masks come from inside `FIRST`.
+        unsafe {
+            let col_mask = _mm256_loadu_si256(FIRST.as_ptr().add(8 - cols).cast());
+            let width_mask = _mm256_loadu_si256(FIRST.as_ptr().add(8 - width).cast());
+            let mut r = [_mm256_setzero_ps(); 8];
+            for i in 0..rows {
+                r[i] = if cols == 8 {
+                    _mm256_loadu_ps(s.add(i * ld_s))
+                } else {
+                    _mm256_maskload_ps(s.add(i * ld_s), col_mask)
+                };
+            }
+            let mut t = [_mm256_setzero_ps(); 8];
+            for i in 0..4 {
+                t[2 * i] = _mm256_unpacklo_ps(r[2 * i], r[2 * i + 1]);
+                t[2 * i + 1] = _mm256_unpackhi_ps(r[2 * i], r[2 * i + 1]);
+            }
+            let mut q = [_mm256_setzero_ps(); 8];
+            for h in [0, 4] {
+                q[h] = _mm256_shuffle_ps::<0x44>(t[h], t[h + 2]);
+                q[h + 1] = _mm256_shuffle_ps::<0xEE>(t[h], t[h + 2]);
+                q[h + 2] = _mm256_shuffle_ps::<0x44>(t[h + 1], t[h + 3]);
+                q[h + 3] = _mm256_shuffle_ps::<0xEE>(t[h + 1], t[h + 3]);
+            }
+            for c in 0..cols {
+                let v = if c < 4 {
+                    _mm256_permute2f128_ps::<0x20>(q[c], q[c + 4])
+                } else {
+                    _mm256_permute2f128_ps::<0x31>(q[c - 4], q[c])
+                };
+                if width == 8 {
+                    _mm256_storeu_ps(d.add(c * ld_d), v);
+                } else {
+                    _mm256_maskstore_ps(d.add(c * ld_d), width_mask, v);
+                }
+            }
+        }
+    }
+
     /// `MR×(NU·8)` AVX2+FMA microkernel, same structure as [`mk512`].
     #[target_feature(enable = "avx2,fma")]
     #[allow(clippy::needless_range_loop)] // index loops mirror the register tile
@@ -536,7 +634,8 @@ struct Ws {
     cols: Vec<f32>,
     /// Padded images and offset tables of one conv fold group.
     st: Staging,
-    /// Sample-innermost source and destination of one direct-kernel call.
+    /// Sample-innermost source and destination of one direct-kernel call;
+    /// the channel-innermost `dwt` and `gt` of one broadcast-dW call.
     lanes: Vec<f32>,
 }
 
@@ -1075,10 +1174,16 @@ impl Staging {
     where
         T: IntoIterator,
     {
-        let (hp, wp) = (geo.h + 2 * geo.pad, geo.w + 2 * geo.pad);
-        for (i, row) in imgs.into_iter().enumerate() {
-            let at = ((i / geo.h * hp) + i % geo.h + geo.pad) * wp + geo.pad;
-            copy(&mut self.buf[at..at + geo.w], row);
+        let wp = geo.w + 2 * geo.pad;
+        let mut imgs = imgs.into_iter();
+        for plane in self.buf.chunks_exact_mut((geo.h + 2 * geo.pad) * wp) {
+            for y in 0..geo.h {
+                let Some(row) = imgs.next() else {
+                    return;
+                };
+                let at = (y + geo.pad) * wp + geo.pad;
+                copy(&mut plane[at..at + geo.w], row);
+            }
         }
     }
 }
@@ -1151,12 +1256,42 @@ fn conv2d_forward_staged(
     });
 }
 
+/// Largest `dw` (`c_out·c_in·k²` floats) the broadcast weight gradient
+/// takes. Past it the transposed `dw` a thread keeps outgrows L2 and each
+/// fold group streams it again, and every image factor is re-read once
+/// per block of three channel vectors, while the staged GEMM reuses each
+/// packed `colsᵀ` panel across all output channels. In the geometry table
+/// of `BENCH_conv_dw.json` (one thread, three runs) the broadcast kernel
+/// reads ×1.2–2.6 the staged speed up to 64→128@16² (74 k floats),
+/// ×0.83–1.26 at 128→128@16² (147 k), ×0.84–0.91 at 256→256@8² (590 k)
+/// and ×0.3–0.7 at 512→512@4² and @2² (2.4 M).
+const BROADCAST_DW_MAX: usize = 1 << 18;
+
+/// Conv weight gradient, `dw += Σ_s grad[s] · im2col(x[s])ᵀ`: the
+/// broadcast kernel ([`conv2d_backward_weights_broadcast`]) at every
+/// stride and `k` up to [`BROADCAST_DW_MAX`], the staged GEMM past it.
+/// Both compute the same chain per `dw` element.
+pub(crate) fn conv2d_backward_weights_fused(
+    x: &[f32],
+    grad: &[f32],
+    dw: &mut [f32],
+    batch: usize,
+    c_out: usize,
+    geo: &Conv2dGeometry,
+    threads: usize,
+) {
+    if c_out * geo.col_rows() <= BROADCAST_DW_MAX {
+        conv2d_backward_weights_broadcast(native_isa(), x, grad, dw, batch, c_out, geo, threads);
+    } else {
+        conv2d_backward_weights_staged(x, grad, dw, batch, c_out, geo, threads);
+    }
+}
+
 /// Staged weight gradient: `dw += Σ_s grad[s] · im2col(x[s])ᵀ`, one GEMM
 /// per fold group with the batch folded into K (`K = g·n_cols`). Threads
 /// split only output rows and groups run in sample order: every `dw`
 /// element sees the canonical `s`-major, `q`-ascending chain.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn conv2d_backward_weights_fused(
+fn conv2d_backward_weights_staged(
     x: &[f32],
     grad: &[f32],
     dw: &mut [f32],
@@ -2295,6 +2430,304 @@ fn conv2d_forward_direct(
     );
 }
 
+// ------------------------------------------------ broadcast weight gradient
+
+/// One fold group of the broadcast weight gradient: the staged images,
+/// each folded column's patch corner and each tap's offset from it (the
+/// [`Staging`] tables), and the channel-innermost operands — `gt[j][co]`
+/// and `dwt[p][co]`, rows `ld` floats apart.
+#[derive(Clone, Copy)]
+struct DwKernel<'a> {
+    buf: &'a [f32],
+    base: &'a [u32],
+    row_off: &'a [u32],
+    ld: usize,
+}
+
+/// Taps `p0 .. p0+P` of `NV` channel vectors: from `dwt`, for each
+/// folded column `j` ascending, `acc = fma(gt[j], buf[base[j] +
+/// row_off[p]], acc)` — the image factor broadcast from the staging in
+/// place, a padding tap reading the border's `+0.0`.
+///
+/// # Safety
+///
+/// `gt` / `dwt` must point at the tile's first channel vector of `k.ld`-
+/// float rows (`k.base.len()` of them in `gt`, `p0 + P` in `dwt`), every
+/// table offset must lie in `k.buf`, and the CPU must support `L`.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)] // index loops mirror the register tile
+unsafe fn dw_tile<L: Lanes, const P: usize, const NV: usize>(
+    k: DwKernel,
+    gt: *const f32,
+    dwt: *mut f32,
+    p0: usize,
+) {
+    let all = L::mask(u16::MAX);
+    let mut tap = [k.buf.as_ptr(); P];
+    for t in 0..P {
+        tap[t] = k.buf[k.row_off[p0 + t] as usize..].as_ptr();
+    }
+    let mut acc = [[L::zero(); NV]; P];
+    for (t, row) in acc.iter_mut().enumerate() {
+        for v in 0..NV {
+            // SAFETY: row `p0 + t` of `dwt`, vector `v` (the contract).
+            row[v] = unsafe { L::load(dwt.wrapping_add((p0 + t) * k.ld + v * LANES), all) };
+        }
+    }
+    for (j, &b) in k.base.iter().enumerate() {
+        let mut g = [L::zero(); NV];
+        for v in 0..NV {
+            // SAFETY: row `j` of `gt`, vector `v`.
+            g[v] = unsafe { L::load(gt.wrapping_add(j * k.ld + v * LANES), all) };
+        }
+        for (t, row) in acc.iter_mut().enumerate() {
+            // SAFETY: `base[j] + row_off[p0 + t]` lies in `buf`.
+            let xv = unsafe { L::splat(tap[t].wrapping_add(b as usize)) };
+            for v in 0..NV {
+                row[v] = L::fma(g[v], xv, row[v]);
+            }
+        }
+    }
+    for (t, row) in acc.iter().enumerate() {
+        for v in 0..NV {
+            // SAFETY: as the loads above.
+            unsafe { L::store(dwt.wrapping_add((p0 + t) * k.ld + v * LANES), all, row[v]) };
+        }
+    }
+}
+
+/// Every tap of `NV` channel vectors: tiles of `P` taps, the tail in
+/// pieces of 8, 4, 2, 1.
+///
+/// # Safety
+///
+/// As [`dw_tile`], for `dwt` rows `0 .. row_off.len()`.
+#[inline(always)]
+unsafe fn dw_taps<L: Lanes, const P: usize, const NV: usize>(
+    k: DwKernel,
+    gt: *const f32,
+    dwt: *mut f32,
+) {
+    let rows = k.row_off.len();
+    let mut p0 = 0;
+    while p0 < rows {
+        let left = rows - p0;
+        // SAFETY: each tile takes at most the taps that remain.
+        p0 += unsafe {
+            if left >= P {
+                dw_tile::<L, P, NV>(k, gt, dwt, p0);
+                P
+            } else if left >= 8 {
+                dw_tile::<L, 8, NV>(k, gt, dwt, p0);
+                8
+            } else if left >= 4 {
+                dw_tile::<L, 4, NV>(k, gt, dwt, p0);
+                4
+            } else if left >= 2 {
+                dw_tile::<L, 2, NV>(k, gt, dwt, p0);
+                2
+            } else {
+                dw_tile::<L, 1, NV>(k, gt, dwt, p0);
+                1
+            }
+        };
+    }
+}
+
+/// All `k.ld / LANES` channel vectors, up to `NV` abreast: `P1`, `P2` and
+/// `P3` taps per tile at one, two and three vectors.
+///
+/// # Safety
+///
+/// As [`dw_tile`], for every vector of the rows.
+#[inline(always)]
+unsafe fn dw_vectors<
+    L: Lanes,
+    const NV: usize,
+    const P1: usize,
+    const P2: usize,
+    const P3: usize,
+>(
+    k: DwKernel,
+    gt: *const f32,
+    dwt: *mut f32,
+) {
+    let vectors = k.ld / LANES;
+    let mut v0 = 0;
+    while v0 < vectors {
+        let (gt, dwt) = (gt.wrapping_add(v0 * LANES), dwt.wrapping_add(v0 * LANES));
+        // Four vectors go two and two rather than three and one.
+        let nv = match (vectors - v0).min(NV) {
+            3 if vectors - v0 == 4 => 2,
+            n => n,
+        };
+        // SAFETY: vectors `v0 .. v0 + nv` exist.
+        unsafe {
+            match nv {
+                1 => dw_taps::<L, P1, 1>(k, gt, dwt),
+                2 => dw_taps::<L, P2, 2>(k, gt, dwt),
+                _ => dw_taps::<L, P3, 3>(k, gt, dwt),
+            }
+        }
+        v0 += nv;
+    }
+}
+
+/// Defines `$name` as [`dw_vectors`] over `$lanes` with `$nv` vectors
+/// abreast at most and the tile heights `$p`, compiled with `$feature`.
+macro_rules! dw_vectors_for {
+    ($name:ident, $lanes:ty, $nv:literal, [$($p:literal),*], $feature:literal) => {
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = $feature)]
+        unsafe fn $name(k: DwKernel, gt: *const f32, dwt: *mut f32) {
+            unsafe { dw_vectors::<$lanes, $nv, $($p),*>(k, gt, dwt) }
+        }
+    };
+}
+
+// One vector: 24 accumulators + 1 gradient vector; two: 24 + 2; three:
+// 27 + 3 of 32 zmm. The image factors are memory operands of the FMAs.
+dw_vectors_for!(dw_vectors_avx512, lanes_x86::Zmm, 3, [9, 9, 7], "avx512f");
+// One vector of two halves: 12 accumulators + 2 + 1 broadcast of 16 ymm.
+dw_vectors_for!(dw_vectors_avx2, lanes_x86::Ymm2, 1, [6, 6, 6], "avx2,fma");
+
+impl DwKernel<'_> {
+    /// Runs [`dw_vectors`] on `isa`.
+    ///
+    /// # Safety
+    ///
+    /// As [`dw_tile`], for every vector of `k.ld` and every tap; `isa` must
+    /// be one the CPU supports.
+    unsafe fn run(self, isa: Isa, gt: *const f32, dwt: *mut f32) {
+        // SAFETY: the caller's contract.
+        unsafe {
+            match isa {
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx512 => dw_vectors_avx512(self, gt, dwt),
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx2 => dw_vectors_avx2(self, gt, dwt),
+                _ => dw_vectors::<Portable16, 1, 4, 4, 4>(self, gt, dwt),
+            }
+        }
+    }
+}
+
+/// `dst[c·ld_dst + r] = src[r·ld_src + c]` for `c < cols` and `r < width`
+/// (`≥ rows`), `+0.0` for `r ≥ rows`: the transpose of `src` with its rows
+/// padded to `width`. It moves 8×8 blocks (register shuffles on the x86
+/// SIMD ISAs), so one block's rows stay in L1 however far apart they are,
+/// and it moves bits only.
+#[allow(clippy::too_many_arguments)]
+fn transpose(
+    isa: Isa,
+    src: &[f32],
+    ld_src: usize,
+    dst: &mut [f32],
+    ld_dst: usize,
+    rows: usize,
+    cols: usize,
+    width: usize,
+) {
+    let simd = cfg!(target_arch = "x86_64") && isa != Isa::Portable;
+    for r0 in (0..width).step_by(8) {
+        let (rn, wn) = (rows.saturating_sub(r0).min(8), (width - r0).min(8));
+        for c0 in (0..cols).step_by(8) {
+            let cn = (cols - c0).min(8);
+            let s = if rn > 0 {
+                &src[r0 * ld_src + c0..][..(rn - 1) * ld_src + cn]
+            } else {
+                &[]
+            };
+            let d = &mut dst[c0 * ld_dst + r0..][..(cn - 1) * ld_dst + wn];
+            if simd {
+                // SAFETY: `s` / `d` hold the block's rows and columns; both
+                // x86 SIMD ISAs include AVX.
+                #[cfg(target_arch = "x86_64")]
+                unsafe {
+                    x86::transpose8(s.as_ptr(), ld_src, d.as_mut_ptr(), ld_dst, rn, cn, wn)
+                };
+                continue;
+            }
+            for c in 0..cn {
+                for r in 0..wn {
+                    d[c * ld_dst + r] = if r < rn { s[r * ld_src + c] } else { 0.0 };
+                }
+            }
+        }
+    }
+}
+
+/// Broadcast weight gradient (module doc, "Broadcast weight gradient"):
+/// threads split the output channels as the staged GEMM's rows were split;
+/// each keeps its channels' `dw` transposed (`dwt[p][co]`, channels padded
+/// to whole vectors) for the whole call and, per fold group, stages the
+/// images, transposes `grad` to `gt[j][co]` and runs [`DwKernel`]. Groups
+/// run in sample order, so every `dw` element's chain is the canonical
+/// `s`-major, `(oy, ox)`-ascending one.
+#[allow(clippy::too_many_arguments)]
+fn conv2d_backward_weights_broadcast(
+    isa: Isa,
+    x: &[f32],
+    grad: &[f32],
+    dw: &mut [f32],
+    batch: usize,
+    c_out: usize,
+    geo: &Conv2dGeometry,
+    threads: usize,
+) {
+    let Some((rows, n_cols, img_len, out_len, g)) = conv_shape(batch, c_out, geo) else {
+        return;
+    };
+    for_row_chunks(dw, c_out, rows, threads, |r0, r1, chunk| {
+        WS.with(|tws| {
+            let Ws { st, lanes, .. } = &mut *tws.borrow_mut();
+            st.prepare(geo, c_out, g);
+            // Lanes past `r1 - r0` are transposed in as zeros: computed,
+            // never copied back.
+            let ld = (r1 - r0).next_multiple_of(LANES);
+            let len = (rows + g * n_cols) * ld;
+            if lanes.len() < len {
+                lanes.resize(len, 0.0);
+            }
+            let (dwt, gt) = lanes[..len].split_at_mut(rows * ld);
+            transpose(isa, chunk, rows, dwt, ld, r1 - r0, rows, ld);
+            for (x_g, g_g) in x.chunks(g * img_len).zip(grad.chunks(g * out_len)) {
+                let nn = g_g.len() / out_len * n_cols;
+                st.rows(geo, x_g.chunks_exact(geo.w), |staged, row| {
+                    staged.copy_from_slice(row)
+                });
+                // `gt[j][co]` from `grad[s][r0 + co][q]`, `j = (s, q)`.
+                for (g_s, gt_s) in g_g
+                    .chunks_exact(out_len)
+                    .zip(gt.chunks_exact_mut(n_cols * ld))
+                {
+                    transpose(
+                        isa,
+                        &g_s[r0 * n_cols..],
+                        n_cols,
+                        gt_s,
+                        ld,
+                        r1 - r0,
+                        n_cols,
+                        ld,
+                    );
+                }
+                let k = DwKernel {
+                    buf: &st.buf,
+                    base: &st.base[..nn],
+                    row_off: &st.row_off,
+                    ld,
+                };
+                // SAFETY: `gt` holds `nn` rows and `dwt` `rows` rows of `ld`
+                // floats; every corner plus tap offset lies in the staging;
+                // `isa` is one the CPU supports.
+                unsafe { k.run(isa, gt.as_ptr(), dwt.as_mut_ptr()) };
+            }
+            transpose(isa, dwt, ld, chunk, rows, rows, r1 - r0, rows);
+        })
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2459,6 +2892,7 @@ mod tests {
     ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
         let (rows, n_cols) = (geo.col_rows(), geo.col_cols());
         let img_len = geo.c_in * geo.h * geo.w;
+        reference_dw(x, g, &mut dw, batch, c_out, geo);
         let mut cols = vec![0.0f32; rows * n_cols];
         for s in 0..batch {
             crate::im2col::im2col(&x[s * img_len..][..img_len], geo, &mut cols);
@@ -2466,16 +2900,6 @@ mod tests {
             // Forward: out[s] += W · cols_s.
             let out_s = &mut out[s * c_out * n_cols..][..c_out * n_cols];
             reference_gemm(w, &cols, out_s, c_out, rows, n_cols);
-            // dW: s-major, q-ascending chain.
-            for i in 0..c_out {
-                for r in 0..rows {
-                    let mut c = dw[i * rows + r];
-                    for q in 0..n_cols {
-                        c = g_s[i * n_cols + q].mul_add(cols[r * n_cols + q], c);
-                    }
-                    dw[i * rows + r] = c;
-                }
-            }
             // dX: dcols = Wᵀ·g_s chain from zero, then col2im.
             for r in 0..rows {
                 for q in 0..n_cols {
@@ -2491,7 +2915,7 @@ mod tests {
         (out, dw, dx)
     }
 
-    /// Staged conv forward / dW / dX equal the materialized-`cols`
+    /// The conv forward / dW / dX entry points equal the materialized-`cols`
     /// canonical chains bit for bit, accumulating into non-zero
     /// destinations, across the fold edges: one sample, a ragged last
     /// group (5, 33), panels that straddle samples (`n_cols` 1, 4, 9, 12,
@@ -2955,6 +3379,277 @@ mod tests {
         check_direct_fwd(&g, batch, c_out, &wt, &x, None, &out0, "underflow to -0.0");
     }
 
+    /// The weight-gradient oracle: `Scalar`'s lowering (`im2col` per
+    /// sample) and the canonical chain evaluated literally, `dw[co, p] =
+    /// fma(grad[s, co, q], cols_s[p, q], dw[co, p])` for `s`, then `q`,
+    /// ascending. (`Scalar`'s own `matmul_nt` sums each sample from zero
+    /// with a separate multiply and add: the same sum, not the same bits.)
+    fn reference_dw(
+        x: &[f32],
+        g: &[f32],
+        dw: &mut [f32],
+        batch: usize,
+        c_out: usize,
+        geo: &Conv2dGeometry,
+    ) {
+        use crate::backend::{Backend, Scalar};
+        let (rows, n_cols) = (geo.col_rows(), geo.col_cols());
+        let img_len = geo.c_in * geo.h * geo.w;
+        let mut cols = vec![0.0f32; rows * n_cols];
+        for s in 0..batch {
+            Scalar.im2col(&x[s * img_len..][..img_len], geo, &mut cols);
+            let g_s = &g[s * c_out * n_cols..][..c_out * n_cols];
+            for (co, dw_co) in dw.chunks_exact_mut(rows).enumerate() {
+                for (p, d) in dw_co.iter_mut().enumerate() {
+                    for q in 0..n_cols {
+                        *d = g_s[co * n_cols + q].mul_add(cols[p * n_cols + q], *d);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The broadcast dW against [`reference_dw`] on every ISA the CPU
+    /// runs, and the staged GEMM that takes the largest `dw`, at 1, 2 and
+    /// 4 threads, accumulating into `dw0`.
+    fn check_dw(
+        geo: &Conv2dGeometry,
+        batch: usize,
+        c_out: usize,
+        x: &[f32],
+        g: &[f32],
+        dw0: &[f32],
+        what: &str,
+    ) -> Vec<f32> {
+        let mut want = dw0.to_vec();
+        reference_dw(x, g, &mut want, batch, c_out, geo);
+        for threads in [1, 2, 4] {
+            for isa in available_isas() {
+                let mut got = dw0.to_vec();
+                conv2d_backward_weights_broadcast(isa, x, g, &mut got, batch, c_out, geo, threads);
+                assert_same_bits(&got, &want, &format!("{what} {isa:?} threads {threads}"));
+            }
+            let mut got = dw0.to_vec();
+            conv2d_backward_weights_staged(x, g, &mut got, batch, c_out, geo, threads);
+            assert_same_bits(&got, &want, &format!("{what} staged threads {threads}"));
+        }
+        want
+    }
+
+    /// Every `k ∈ {1, 3, 5}` × stride `∈ {1, 2}` × `pad ∈ {0, 1, 2}` over
+    /// planes from 1×1 to 19×19, `c_out ∈ {1, 5, 12, 17, 24, 48, 50}`
+    /// (one, two, three and two-and-two channel vectors, and every lane
+    /// tail once threads split the channels), `c_in` 1–7 (every tap-tile
+    /// tail), batches 1–5 and 17 / 33 (a ragged last fold group), from a
+    /// non-zero `dw`.
+    #[test]
+    fn conv_dw_matches_reference_chain() {
+        const C_OUT: [usize; 7] = [1, 5, 12, 17, 24, 48, 50];
+        let planes = [
+            (1, 1),
+            (2, 2),
+            (3, 5),
+            (4, 4),
+            (5, 3),
+            (7, 9),
+            (8, 8),
+            (15, 17),
+            (19, 19),
+            (1, 19),
+            (19, 1),
+        ];
+        let mut case = 0usize;
+        for k in [1, 3, 5] {
+            for stride in [1, 2] {
+                for pad in [0, 1, 2] {
+                    for &(h, w) in &planes {
+                        if h + 2 * pad < k || w + 2 * pad < k {
+                            continue;
+                        }
+                        case += 1;
+                        let (c_in, c_out) = (1 + case * 5 % 7, C_OUT[case % 7]);
+                        let batch = match case % 11 {
+                            5 if h * w < 16 => 33,
+                            7 if h * w < 64 => 17,
+                            n => 1 + n % 5,
+                        };
+                        let geo = Conv2dGeometry {
+                            c_in,
+                            h,
+                            w,
+                            k,
+                            stride,
+                            pad,
+                        };
+                        let x = arb(batch * c_in * h * w, case as u64);
+                        let g = arb(batch * c_out * geo.col_cols(), 100 + case as u64);
+                        let dw0 = arb(c_out * geo.col_rows(), 200 + case as u64);
+                        let what = format!("{geo:?} b{batch} co{c_out}");
+                        check_dw(&geo, batch, c_out, &x, &g, &dw0, &what);
+                    }
+                }
+            }
+        }
+        assert!(case > 160, "{case} geometries");
+    }
+
+    /// A `dw` past [`BROADCAST_DW_MAX`] (64 × 512·3² floats): the entry
+    /// point takes the staged GEMM there, and both kernels still give the
+    /// reference's bits over 4608 taps.
+    #[test]
+    fn conv_dw_large_dw() {
+        let geo = Conv2dGeometry {
+            c_in: 512,
+            h: 2,
+            w: 2,
+            k: 3,
+            stride: 1,
+            pad: 1,
+        };
+        let (c_out, batch) = (64, 2);
+        assert!(c_out * geo.col_rows() > BROADCAST_DW_MAX);
+        let x = arb(batch * 512 * 4, 1);
+        let g = arb(batch * c_out * 4, 2);
+        let dw0 = arb(c_out * geo.col_rows(), 3);
+        let want = check_dw(&geo, batch, c_out, &x, &g, &dw0, "large dw");
+        let mut got = dw0.clone();
+        conv2d_backward_weights_fused(&x, &g, &mut got, batch, c_out, &geo, 2);
+        assert_same_bits(&got, &want, "large dw, entry point");
+    }
+
+    /// The four Medium stages at the training batch.
+    #[test]
+    fn conv_dw_medium_stages() {
+        for (c_in, c_out, hw) in [(3, 12, 16), (12, 24, 8), (24, 32, 4), (32, 48, 2)] {
+            let geo = Conv2dGeometry {
+                c_in,
+                h: hw,
+                w: hw,
+                k: 3,
+                stride: 1,
+                pad: 1,
+            };
+            let batch = 32;
+            let x = arb(batch * c_in * hw * hw, 1);
+            let g = arb(batch * c_out * hw * hw, 2);
+            let dw0 = arb(c_out * geo.col_rows(), 3);
+            check_dw(
+                &geo,
+                batch,
+                c_out,
+                &x,
+                &g,
+                &dw0,
+                &format!("{c_in}->{c_out}@{hw}"),
+            );
+        }
+    }
+
+    /// ±inf / NaN in `x` and `grad` and `-0.0` in the incoming `dw`, at
+    /// both strides and every pad, five channel vectors (three and two).
+    #[test]
+    fn conv_dw_special_values() {
+        let specials = |n: usize, seed: u64, every: usize, vals: &[f32]| {
+            let mut v = arb(n, seed);
+            for (i, x) in v.iter_mut().enumerate().filter(|(i, _)| i % every == 3) {
+                *x = vals[i / every % vals.len()];
+            }
+            v
+        };
+        let inf = f32::INFINITY;
+        for (c_in, c_out, h, w, k, stride, pad, batch) in [
+            (3, 12, 16, 16, 3, 1, 1, 3),
+            (5, 7, 4, 4, 3, 1, 1, 3),
+            (32, 48, 2, 2, 3, 1, 1, 20),
+            (4, 3, 7, 9, 5, 2, 2, 2),
+            (2, 17, 19, 5, 3, 2, 0, 4),
+            (6, 70, 3, 3, 1, 1, 2, 5),
+        ] {
+            let geo = Conv2dGeometry {
+                c_in,
+                h,
+                w,
+                k,
+                stride,
+                pad,
+            };
+            let x = specials(batch * c_in * h * w, 1, 37, &[inf, -inf, f32::NAN]);
+            let g = specials(
+                batch * c_out * geo.col_cols(),
+                2,
+                41,
+                &[-inf, f32::NAN, inf],
+            );
+            let dw0 = specials(c_out * geo.col_rows(), 3, 3, &[-0.0]);
+            check_dw(
+                &geo,
+                batch,
+                c_out,
+                &x,
+                &g,
+                &dw0,
+                &format!("{geo:?} specials"),
+            );
+        }
+    }
+
+    /// pad 1, k = 3: an output pixel's taps off the image read the border.
+    const PADDED: Conv2dGeometry = Conv2dGeometry {
+        c_in: 2,
+        h: 5,
+        w: 4,
+        k: 3,
+        stride: 1,
+        pad: 1,
+    };
+
+    /// A padding tap is an FMA on the border's `+0.0`, never skipped: an
+    /// infinite gradient at output (0, 0) makes `inf · 0 = NaN` in every
+    /// tap that reads padding there (row 0 or column 0 of the kernel).
+    #[test]
+    fn conv_dw_padding_taps_make_nan() {
+        let (geo, c_out, batch) = (PADDED, 3, 2);
+        let (rows, n_cols) = (geo.col_rows(), geo.col_cols());
+        let x = arb(batch * 2 * 5 * 4, 1);
+        let mut g = arb(batch * c_out * n_cols, 2);
+        g[n_cols] = f32::INFINITY; // sample 0, channel 1, output (0, 0)
+        let dw = check_dw(&geo, batch, c_out, &x, &g, &vec![0.0; c_out * rows], "inf");
+        for (i, &d) in dw.iter().enumerate() {
+            let (co, p) = (i / rows, i % rows);
+            let reads_padding = p % 9 < 3 || p % 3 == 0;
+            assert_eq!(co == 1 && reads_padding, d.is_nan(), "co {co} tap {p}: {d}");
+        }
+    }
+
+    /// From `dw = -0.0`, with `x = -0.0` and positive gradients every
+    /// in-image product is `-0.0`, so only the padding products' `+0.0`
+    /// turn a tap's chain `+0.0`: every tap but the centre one reads
+    /// padding somewhere, and the centre one keeps `-0.0`.
+    #[test]
+    fn conv_dw_padding_taps_clear_negative_zero() {
+        let (geo, c_out, batch) = (PADDED, 3, 2);
+        let (rows, n_cols) = (geo.col_rows(), geo.col_cols());
+        let x = vec![-0.0f32; batch * 2 * 5 * 4];
+        let g: Vec<f32> = arb(batch * c_out * n_cols, 3)
+            .iter()
+            .map(|v| v.abs() + 0.5)
+            .collect();
+        let dw = check_dw(
+            &geo,
+            batch,
+            c_out,
+            &x,
+            &g,
+            &vec![-0.0; c_out * rows],
+            "-0.0",
+        );
+        for (i, &d) in dw.iter().enumerate() {
+            let p = i % rows;
+            let want = if p % 9 == 4 { -0.0f32 } else { 0.0 };
+            assert_eq!(d.to_bits(), want.to_bits(), "tap {p}: {d:?}");
+        }
+    }
+
     /// Fold groups shrink — down to one sample — rather than let an
     /// offset table outgrow `u32`, and a single sample that cannot be
     /// addressed fails by name instead of wrapping.
@@ -3168,12 +3863,14 @@ mod tune {
 
     /// Manual conv probe (`cargo test -p fp-tensor --release
     /// tune_conv_probe -- --ignored --nocapture`): for the four Medium
-    /// stage convolutions at batch 32, the three staged kernels end to
-    /// end, then the forward split into its parts — staging copy, table
-    /// gather into B panels (forward and dW orientation), the GEMM on an
-    /// already-dense B of the folded shape — dX's adjoint scatter, and
-    /// the direct dX and forward kernels that replace the staged ones at
-    /// stride 1.
+    /// stage convolutions at batch 32 on one thread, the staged forward
+    /// and dX end to end, the staged dW against the broadcast dW that
+    /// replaced it there (and the broadcast dW's gradient transpose and
+    /// kernel alone), then
+    /// the staged forward split into its parts — staging copy, table
+    /// gather into B panels, the GEMM on an already-dense B of the folded
+    /// shape — dX's adjoint scatter, and the direct dX and forward kernels
+    /// that replace the staged ones at stride 1.
     #[test]
     #[ignore]
     fn tune_conv_probe() {
@@ -3190,7 +3887,7 @@ mod tune {
             };
             (0..9).map(|_| trial(f)).fold(f64::INFINITY, f64::min)
         };
-        println!("stage             fwd      dW      dX | stage-in  gather  gatherT    gemm scatter  direct direct-fwd  (µs; ns/float)");
+        println!("stage             fwd  dW-stgd  dW-bcst  ×  gradT kernel      dX | stage-in  gather    gemm scatter  direct direct-fwd  (µs; ns/float)");
         for (c_in, c_out, hw) in [
             (3usize, 12usize, 16usize),
             (12, 24, 8),
@@ -3212,7 +3909,6 @@ mod tune {
             let w = arb(c_out * rows, 2);
             let grad = arb(batch * out_len, 3);
             let mut out = vec![0.0f32; batch * out_len];
-            let mut dw = vec![0.0f32; c_out * rows];
             let mut dx = vec![0.0f32; batch * img_len];
             let mut ws = Vec::new();
             let fwd = time(&mut || {
@@ -3223,8 +3919,55 @@ mod tune {
                 out.fill(0.0);
                 conv2d_forward_direct(native_isa(), &x, &w, None, &mut out, batch, c_out, &geo, 1);
             });
-            let bww = time(&mut || {
-                conv2d_backward_weights_fused(&x, &grad, &mut dw, batch, c_out, &geo, 1);
+            let mut dw = vec![0.0f32; c_out * rows];
+            let dw_staged = time(&mut || {
+                dw.fill(0.0);
+                conv2d_backward_weights_staged(&x, &grad, &mut dw, batch, c_out, &geo, 1);
+            });
+            let want = dw.clone();
+            let dw_bcast = time(&mut || {
+                dw.fill(0.0);
+                conv2d_backward_weights_broadcast(
+                    native_isa(),
+                    &x,
+                    &grad,
+                    &mut dw,
+                    batch,
+                    c_out,
+                    &geo,
+                    1,
+                );
+            });
+            assert_eq!(dw, want, "broadcast dW against the staged GEMM");
+            let ld = c_out.next_multiple_of(LANES);
+            let mut gt = vec![0.0f32; g * n_cols * ld];
+            let grad_t = time(&mut || {
+                for g_g in grad.chunks(g * out_len) {
+                    for (g_s, gt_s) in g_g
+                        .chunks_exact(out_len)
+                        .zip(gt.chunks_exact_mut(n_cols * ld))
+                    {
+                        transpose(native_isa(), g_s, n_cols, gt_s, ld, c_out, n_cols, ld);
+                    }
+                }
+                std::hint::black_box(&gt);
+            });
+            // The broadcast kernel alone, on one group's operands.
+            let mut dwt = vec![0.0f32; rows * ld];
+            let mut st = Staging::default();
+            st.prepare(&geo, c_out, g);
+            let kern = time(&mut || {
+                let k = DwKernel {
+                    buf: &st.buf,
+                    base: &st.base,
+                    row_off: &st.row_off,
+                    ld,
+                };
+                for _ in 0..batch.div_ceil(g) {
+                    // SAFETY: `gt` holds the group's rows and `dwt` every
+                    // tap's, `ld` floats each; the tables index the staging.
+                    unsafe { k.run(native_isa(), gt.as_ptr(), dwt.as_mut_ptr()) };
+                }
             });
             let bwi = time(&mut || {
                 dx.fill(0.0);
@@ -3246,8 +3989,6 @@ mod tune {
             // The parts, over the same fold groups.
             let groups = batch.div_ceil(g);
             let nn = g * n_cols;
-            let mut st = Staging::default();
-            st.prepare(&geo, c_out, g);
             let stage_in = time(&mut || {
                 for x_g in x.chunks(g * img_len) {
                     st.rows(&geo, x_g.chunks_exact(hw), |staged, row| {
@@ -3256,21 +3997,12 @@ mod tune {
                 }
             });
             let nr = MAX_NR;
-            let mut panel = vec![0.0f32; rows.max(nn) * nr];
+            let mut panel = vec![0.0f32; rows * nr];
             let fwd_b = Gather::new(&st.buf, &st.base, &st.row_off);
             let gather = time(&mut || {
                 for _ in 0..groups {
                     for j0 in (0..nn).step_by(nr) {
-                        fwd_b.pack(j0, nr.min(nn - j0), 0, nr, &mut panel[..rows * nr]);
-                    }
-                }
-                std::hint::black_box(&panel);
-            });
-            let dw_b = Gather::new(&st.buf, &st.row_off, &st.base);
-            let gather_t = time(&mut || {
-                for _ in 0..groups {
-                    for j0 in (0..rows).step_by(nr) {
-                        dw_b.pack(j0, nr.min(rows - j0), 0, nr, &mut panel[..nn * nr]);
+                        fwd_b.pack(j0, nr.min(nn - j0), 0, nr, &mut panel);
                     }
                 }
                 std::hint::black_box(&panel);
@@ -3300,10 +4032,10 @@ mod tune {
             });
             let per = |us: f64| us * 1e3 / (groups * rows * nn) as f64;
             println!(
-                "{c_in:2}->{c_out:2}@{hw:2}² g={g:2} {fwd:7.1} {bww:7.1} {bwi:7.1} | {stage_in:8.1} {gather:7.1} {gather_t:8.1} {gemm:7.1} {scatter:7.1} {direct:7.1} {direct_fwd:10.1}  ({:.2} {:.2} {:.2})",
-                per(gather), per(gather_t), per(scatter),
+                "{c_in:2}->{c_out:2}@{hw:2}² g={g:2} {fwd:7.1} {dw_staged:8.1} {dw_bcast:8.1} {:4.2} {grad_t:6.1} {kern:6.1} {bwi:7.1} | {stage_in:8.1} {gather:7.1} {gemm:7.1} {scatter:7.1} {direct:7.1} {direct_fwd:10.1}  ({:.2} {:.2})",
+                dw_staged / dw_bcast, per(gather), per(scatter),
             );
-            std::hint::black_box((&out, &dw, &dx, &c));
+            std::hint::black_box((&out, &dx, &c));
         }
     }
 }
