@@ -10,18 +10,18 @@
 //! * [`Parallel`] — the panel-packed, cache-blocked engine in
 //!   `pack.rs`: AVX-512 / AVX2+FMA register-tiled microkernels over
 //!   packed panels (detected at runtime, portable `mul_add` fallback),
-//!   batch-folded conv kernels that gather their panels from padded
-//!   staging by offset table, splitting output rows across scoped
-//!   threads for large problems. Thread count is configurable so outer
-//!   client-level parallelism can budget inner kernel threads (see
-//!   [`crate::parallel::thread_split`]).
+//!   direct stride-1 conv kernels and a broadcast conv weight gradient,
+//!   splitting output rows across scoped threads for large problems.
+//!   Thread count is configurable so outer client-level parallelism can
+//!   budget inner kernel threads (see [`crate::parallel::thread_split`]).
 //!
 //! A process-wide default backend ([`default_backend`] /
 //! [`set_default_backend`]) seeds newly built layers; individual models
 //! can be re-pointed with `set_backend` in `fp-nn`.
 
-use crate::im2col::Conv2dGeometry;
+use crate::im2col::{col2im, im2col, Conv2dGeometry};
 use crate::matmul::{matmul_into, matmul_nt_into, matmul_tn_into};
+use crate::pack::{self, native_isa};
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// A shared, thread-safe backend handle.
@@ -44,28 +44,13 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     /// `out[m×k] += a · bᵀ` with `a: [m×n]`, `b: [k×n]` (input grads).
     fn matmul_nt_into(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, n: usize, k: usize);
 
-    /// Lowers one `[c_in, h, w]` image into the im2col matrix (the
-    /// reference lowering; only the default `conv2d_*` paths call it).
-    fn im2col(&self, img: &[f32], geo: &Conv2dGeometry, cols: &mut [f32]) {
-        crate::im2col::im2col(img, geo, cols);
-    }
-
-    /// Adjoint of [`Backend::im2col`]: scatter-adds a cols-shaped gradient
-    /// back into an image-shaped buffer.
-    fn col2im(&self, cols: &[f32], geo: &Conv2dGeometry, img_grad: &mut [f32]) {
-        crate::im2col::col2im(cols, geo, img_grad);
-    }
-
     /// Batched conv forward: `out[s] += W·im2col(x[s])` for every sample,
     /// plus `bias` per output channel when given. `out` must be
     /// zero-initialized by the caller for a plain convolution.
     ///
     /// `ws` is a caller-held scratch buffer reused across calls (a conv
-    /// layer passes its per-layer workspace): the reference path
-    /// materializes the im2col columns in it; the [`Parallel`] override
-    /// stores packed weight panels there instead, stages a fold group of
-    /// zero-padded images per thread and runs one GEMM per group with the
-    /// batch folded into its columns — no `cols` buffer at all.
+    /// layer passes its per-layer workspace); the `im2col` lowering
+    /// materializes one sample's columns in it.
     #[allow(clippy::too_many_arguments)]
     fn conv2d_forward(
         &self,
@@ -78,24 +63,7 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
         geo: &Conv2dGeometry,
         ws: &mut Vec<f32>,
     ) {
-        let (rows, n_cols, img_len) = check_conv2d_args(x, w, bias, out, batch, c_out, geo);
-        ws.resize(rows * n_cols, 0.0);
-        for s in 0..batch {
-            self.im2col(
-                &x[s * img_len..(s + 1) * img_len],
-                geo,
-                &mut ws[..rows * n_cols],
-            );
-            let out_s = &mut out[s * c_out * n_cols..(s + 1) * c_out * n_cols];
-            self.matmul_into(w, &ws[..rows * n_cols], out_s, c_out, rows, n_cols);
-            if let Some(bias) = bias {
-                for (co, out_row) in out_s.chunks_mut(n_cols).enumerate() {
-                    for v in out_row {
-                        *v += bias[co];
-                    }
-                }
-            }
-        }
+        lowered_conv2d_forward(self, x, w, bias, out, batch, c_out, geo, ws);
     }
 
     /// Conv weight gradient: `dw += Σ_s grad[s] · im2col(x[s])ᵀ` with
@@ -118,7 +86,7 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
         let (rows, n_cols, img_len) = check_conv2d_args(x, dw, None, grad, batch, c_out, geo);
         ws.resize(rows * n_cols, 0.0);
         for s in 0..batch {
-            self.im2col(
+            im2col(
                 &x[s * img_len..(s + 1) * img_len],
                 geo,
                 &mut ws[..rows * n_cols],
@@ -130,9 +98,6 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
 
     /// Conv input gradient: `dx[s] += col2im(Wᵀ · grad[s])` per sample.
     /// `dx` must be zero-initialized by the caller for a plain gradient.
-    /// The [`Parallel`] override computes `Wᵀ · grad` for a fold group of
-    /// samples at once and scatters it back through the same offset
-    /// tables its forward gathers with, in `col2im`'s accumulation order.
     #[allow(clippy::too_many_arguments)]
     fn conv2d_backward_input(
         &self,
@@ -144,16 +109,62 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
         geo: &Conv2dGeometry,
         ws: &mut Vec<f32>,
     ) {
-        let (rows, n_cols, img_len) = check_conv2d_args(dx, w, None, grad, batch, c_out, geo);
-        ws.resize(rows * n_cols, 0.0);
-        for s in 0..batch {
-            let g_s = &grad[s * c_out * n_cols..(s + 1) * c_out * n_cols];
-            let dcols = &mut ws[..rows * n_cols];
-            dcols.fill(0.0);
-            self.matmul_tn_into(w, g_s, dcols, c_out, rows, n_cols);
-            let dx_s = &mut dx[s * img_len..(s + 1) * img_len];
-            self.col2im(&ws[..rows * n_cols], geo, dx_s);
+        lowered_conv2d_backward_input(self, w, grad, dx, batch, c_out, geo, ws);
+    }
+}
+
+/// The `im2col` + GEMM forward, one sample at a time on `b`'s
+/// `matmul_into`: the reference lowering, and `Parallel`'s route where no
+/// direct kernel applies (stride ≥ 2 or `k > 5`).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn lowered_conv2d_forward<B: Backend + ?Sized>(
+    b: &B,
+    x: &[f32],
+    w: &[f32],
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    batch: usize,
+    c_out: usize,
+    geo: &Conv2dGeometry,
+    ws: &mut Vec<f32>,
+) {
+    let (rows, n_cols, img_len) = check_conv2d_args(x, w, bias, out, batch, c_out, geo);
+    ws.resize(rows * n_cols, 0.0);
+    let cols = &mut ws[..rows * n_cols];
+    for s in 0..batch {
+        im2col(&x[s * img_len..(s + 1) * img_len], geo, cols);
+        let out_s = &mut out[s * c_out * n_cols..(s + 1) * c_out * n_cols];
+        b.matmul_into(w, cols, out_s, c_out, rows, n_cols);
+        if let Some(bias) = bias {
+            for (out_row, &bv) in out_s.chunks_mut(n_cols).zip(bias) {
+                out_row.iter_mut().for_each(|v| *v += bv);
+            }
         }
+    }
+}
+
+/// The GEMM + `col2im` input gradient, one sample at a time on `b`'s
+/// `matmul_tn_into`: the reference lowering, and `Parallel`'s route where
+/// no direct kernel applies (stride ≥ 2).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn lowered_conv2d_backward_input<B: Backend + ?Sized>(
+    b: &B,
+    w: &[f32],
+    grad: &[f32],
+    dx: &mut [f32],
+    batch: usize,
+    c_out: usize,
+    geo: &Conv2dGeometry,
+    ws: &mut Vec<f32>,
+) {
+    let (rows, n_cols, img_len) = check_conv2d_args(dx, w, None, grad, batch, c_out, geo);
+    ws.resize(rows * n_cols, 0.0);
+    let dcols = &mut ws[..rows * n_cols];
+    for s in 0..batch {
+        let g_s = &grad[s * c_out * n_cols..(s + 1) * c_out * n_cols];
+        dcols.fill(0.0);
+        b.matmul_tn_into(w, g_s, dcols, c_out, rows, n_cols);
+        col2im(dcols, geo, &mut dx[s * img_len..(s + 1) * img_len]);
     }
 }
 
@@ -321,14 +332,14 @@ impl Backend for Parallel {
         assert_eq!(out.len(), m * n, "out buffer size");
         let threads = self.plan(m, m * k * n);
         for_row_chunks(out, m, n, threads, |r0, r1, chunk| {
-            crate::pack::gemm(
+            pack::gemm(
                 r1 - r0,
                 k,
                 n,
                 chunk,
                 n,
                 |i, p| a[(r0 + i) * k + p],
-                crate::pack::BSrc::Rows(&|p, j0, dst| {
+                pack::BSrc::Rows(&|p, j0, dst| {
                     let w = dst.len();
                     dst.copy_from_slice(&b[p * n + j0..p * n + j0 + w]);
                 }),
@@ -343,14 +354,14 @@ impl Backend for Parallel {
         let threads = self.plan(k, m * k * n);
         // Output rows are A's columns; the reduction runs over A/B rows.
         for_row_chunks(out, k, n, threads, |p0, p1, chunk| {
-            crate::pack::gemm(
+            pack::gemm(
                 p1 - p0,
                 m,
                 n,
                 chunk,
                 n,
                 |i, red| a[red * k + p0 + i],
-                crate::pack::BSrc::Rows(&|red, j0, dst| {
+                pack::BSrc::Rows(&|red, j0, dst| {
                     let w = dst.len();
                     dst.copy_from_slice(&b[red * n + j0..red * n + j0 + w]);
                 }),
@@ -367,20 +378,26 @@ impl Backend for Parallel {
         // the Cols packing streams each `b` row once and scatters it
         // into the L1-resident panel.
         for_row_chunks(out, m, k, threads, |r0, r1, chunk| {
-            crate::pack::gemm(
+            pack::gemm(
                 r1 - r0,
                 n,
                 k,
                 chunk,
                 k,
                 |i, p| a[(r0 + i) * n + p],
-                crate::pack::BSrc::Cols(&|j, p0, dst| {
+                pack::BSrc::Cols(&|j, p0, dst| {
                     let w = dst.len();
                     dst.copy_from_slice(&b[j * n + p0..j * n + p0 + w]);
                 }),
             );
         });
     }
+
+    // The route is chosen here, by geometry alone: the direct forward at
+    // stride 1 with `k ≤ 5`, the direct dX at stride 1, the broadcast dW
+    // everywhere, and the `im2col` + GEMM lowering otherwise. Every route
+    // computes the canonical chain (`pack.rs`), so the choice never moves
+    // a bit.
 
     fn conv2d_forward(
         &self,
@@ -393,9 +410,13 @@ impl Backend for Parallel {
         geo: &Conv2dGeometry,
         ws: &mut Vec<f32>,
     ) {
-        let (rows, n_cols, _) = check_conv2d_args(x, w, bias, out, batch, c_out, geo);
-        let threads = self.plan(batch, batch * c_out * rows * n_cols);
-        crate::pack::conv2d_forward_fused(x, w, bias, out, batch, c_out, geo, ws, threads);
+        if geo.stride == 1 && geo.k * geo.k <= pack::MAX_TAPS {
+            let (rows, n_cols, _) = check_conv2d_args(x, w, bias, out, batch, c_out, geo);
+            let threads = self.plan(batch, batch * c_out * rows * n_cols);
+            pack::conv2d_forward_direct(native_isa(), x, w, bias, out, batch, c_out, geo, threads);
+        } else {
+            lowered_conv2d_forward(self, x, w, bias, out, batch, c_out, geo, ws);
+        }
     }
 
     fn conv2d_backward_weights(
@@ -410,7 +431,16 @@ impl Backend for Parallel {
     ) {
         let (rows, n_cols, _) = check_conv2d_args(x, dw, None, grad, batch, c_out, geo);
         let threads = self.plan(c_out, batch * c_out * rows * n_cols);
-        crate::pack::conv2d_backward_weights_fused(x, grad, dw, batch, c_out, geo, threads);
+        pack::conv2d_backward_weights_broadcast(
+            native_isa(),
+            x,
+            grad,
+            dw,
+            batch,
+            c_out,
+            geo,
+            threads,
+        );
     }
 
     fn conv2d_backward_input(
@@ -423,9 +453,22 @@ impl Backend for Parallel {
         geo: &Conv2dGeometry,
         ws: &mut Vec<f32>,
     ) {
-        let (rows, n_cols, _) = check_conv2d_args(dx, w, None, grad, batch, c_out, geo);
-        let threads = self.plan(batch, batch * c_out * rows * n_cols);
-        crate::pack::conv2d_backward_input_fused(w, grad, dx, batch, c_out, geo, ws, threads);
+        if geo.stride == 1 {
+            let (rows, n_cols, _) = check_conv2d_args(dx, w, None, grad, batch, c_out, geo);
+            let threads = self.plan(batch, batch * c_out * rows * n_cols);
+            pack::conv2d_backward_input_direct(
+                native_isa(),
+                w,
+                grad,
+                dx,
+                batch,
+                c_out,
+                geo,
+                threads,
+            );
+        } else {
+            lowered_conv2d_backward_input(self, w, grad, dx, batch, c_out, geo, ws);
+        }
     }
 }
 

@@ -3,14 +3,12 @@
 //!
 //! # Structure
 //!
-//! Every GEMM flavor (`A·B`, `Aᵀ·B`, `A·Bᵀ`, and the three staged
-//! convolution kernels) runs through one driver, [`drive_packed`], over a
-//! packed A operand and a *source* of B panels ([`BSrc`]): a row reader
-//! `f(p, j0, dst)`, a column reader for transposed operands, or a
-//! [`Gather`] — an operand read through two offset tables, `src[col[j] +
-//! red[p]]`. The driver packs A into row-panels of `MR` rows and B into
-//! column-panels of `NR` columns, blocks the reduction into `KC`-deep
-//! slabs sized so one B panel stays L1-resident, and walks a
+//! Every GEMM flavor (`A·B`, `Aᵀ·B`, `A·Bᵀ`) runs through one driver,
+//! [`drive_packed`], over a packed A operand and a *source* of B panels
+//! ([`BSrc`]): a row reader `f(p, j0, dst)` or a column reader for
+//! transposed operands. The driver packs A into row-panels of `MR` rows
+//! and B into column-panels of `NR` columns, blocks the reduction into
+//! `KC`-deep slabs sized so one B panel stays L1-resident, and walks a
 //! register-tiled microkernel over the packed panels:
 //!
 //! ```text
@@ -25,52 +23,15 @@
 //! narrower variants that waste less zero-padding, and shallow-N shapes
 //! get deeper `KC` slabs to amortize C-tile traffic.
 //!
-//! # Staged conv lowering
+//! # Reference lowering (stride ≥ 2, k > 5)
 //!
-//! The training stack's convolutions are small-image, many-sample
-//! problems (3→12@16² … 32→48@2² at batch 32), where a per-sample GEMM
-//! is a few panels wide and patch gathering costs more than the
-//! arithmetic. The forward and the input gradient at stride ≥ 2 (the
-//! CNN4 stem, ResNet downsampling) therefore run one batch-folded,
-//! table-driven lowering; at stride 1 they run the direct kernels below,
-//! and the staged lowering is their bitwise reference. The weight
-//! gradient reads the same staging at every stride, through broadcasts
-//! rather than a GEMM ("Broadcast weight gradient" below), except for the
-//! largest `dw`.
-//! The batch is cut into *fold groups* of `g`
-//! consecutive samples, `g·n_cols ≈` [`FOLD_COLS`] (one sample when
-//! `n_cols` alone exceeds it). Per group and per thread, [`Staging`]
-//! holds
-//!
-//! ```text
-//!   buf:        [g, c_in, h+2·pad, w+2·pad]   the images, borders zero
-//!   base[j]:    corner of patch j = (s, oy, ox) in buf      (g·n_cols)
-//!   row_off[p]: offset of tap p = (c, ky, kx) from a corner (c_in·k²)
-//!   gbase[j], g_off[co]: the same split for [g, c_out, n_cols] buffers
-//! ```
-//!
-//! so that `cols[p][j] = buf[base[j] + row_off[p]]` with no bounds or
-//! padding logic — a tap that falls outside the image reads a zero of
-//! the border. Where consecutive table entries are consecutive offsets
-//! (an output row at stride 1, a sample's `n_cols` gradient columns) a
-//! panel moves in fixed-width block copies, otherwise element by element
-//! ([`block_len`]). The three staged kernels are then:
-//!
-//! * **forward** (stride ≥ 2, or `k > 5`) — `out = W · cols`, the batch
-//!   folded into **N**
-//!   (`N = g·n_cols`). Output columns of one sample are contiguous, those
-//!   of different samples are not ([`CMap`]); a tile that straddles
-//!   samples goes through the scratch-tile path.
-//! * **backward weights** (`dw` past [`BROADCAST_DW_MAX`] floats) — `dw +=
-//!   grad · colsᵀ`, the batch folded into **K** (`K = g·n_cols`): the same
-//!   tables with their roles swapped, on both operands.
-//! * **backward input** (stride ≥ 2) — `dcols = Wᵀ · grad` folded into
-//!   **N**, then the adjoint of the gather ([`scatter_add`]) adds `dcols`
-//!   into `buf` in ascending row order; `buf` is seeded from `dx` and
-//!   copied back.
-//!
-//! Offsets are `u32`, built through checked conversions; a group shrinks
-//! (down to one sample) before a table could overflow.
+//! The training stack's convolutions are k = 3, stride 1: their forward
+//! and input gradient run the direct kernels below, their weight gradient
+//! the broadcast kernel. A forward at stride ≥ 2 or `k > 5` and an input
+//! gradient at stride ≥ 2 (the CNN4 stem, ResNet downsampling) take the
+//! `im2col` + GEMM lowering of [`crate::backend`] instead, per sample on
+//! this packed GEMM. Its chains are the canonical ones below, so it is
+//! also the direct kernels' bitwise reference.
 //!
 //! # Direct input gradient (stride 1)
 //!
@@ -92,28 +53,31 @@
 //! direct forward ([`conv2d_forward_direct`], `k ≤ 5`) places its vectors
 //! in the `out` planes with the same [`DirectLayout`] and computes each
 //! element's whole chain in registers from `x` and the weights read in
-//! place — no staging copy, no gathered panels, no packed weights. Its
-//! register tile is 12 output channels × 2 vectors (6 × 1 on AVX2): per
-//! `(c, tap)` it loads the two input vectors once and FMAs them into every
-//! channel's accumulators; each tap's source pointers and masks are read
-//! from the layout once per block of vectors, for all its channel tiles.
+//! place — no `cols`, no packed weights. Its register tile is 12 output
+//! channels × 2 vectors (6 × 1 on AVX2): per `(c, tap)` it loads the two
+//! input vectors once and FMAs them into every channel's accumulators;
+//! each tap's source pointers and masks are read from the layout once per
+//! block of vectors, for all its channel tiles.
 //! [`direct_conv`] is the one driver of both directions: in place or
-//! sample-innermost, samples split across threads as in the staged
-//! kernels.
+//! sample-innermost, samples split across threads.
 //!
 //! # Broadcast weight gradient
 //!
-//! `dw += Σ_s grad[s] · im2col(x[s])ᵀ` reduces over `K = (s, oy, ox)`,
-//! and its factor from the image, `cols[p][j] = buf[base[j] + row_off[p]]`,
-//! is a gather. A GEMM needs it packed as `colsᵀ` panels, element by
-//! element; the broadcast kernel ([`conv2d_backward_weights_broadcast`],
-//! every stride and `k`, `dw` up to [`BROADCAST_DW_MAX`] floats) instead
-//! puts the vector lanes over output channels and reads each image factor
-//! from the staging in place, as the broadcast operand of an FMA. Per
-//! thread (threads split the output channels) and fold group it holds
+//! `dw += Σ_s grad[s] · im2col(x[s])ᵀ` reduces over `K = (s, oy, ox)`.
+//! The broadcast kernel ([`conv2d_backward_weights_broadcast`], every
+//! stride, `k` and size) puts the vector lanes over output channels and
+//! reads each image factor in place, as the broadcast operand of an FMA.
+//! The batch is cut into *fold groups* of `g` consecutive samples,
+//! `g·n_cols ≈` [`FOLD_COLS`] (one sample when `n_cols` alone exceeds it).
+//! Per thread (threads split the output channels) and fold group it holds
+//! a [`Staging`] (`buf`, `base`, `row_off`) and two channel-innermost
+//! operands (`gt`, `dwt`):
 //!
 //! ```text
-//!   gt[j][co]:  grad[s, co, oy, ox] for j = (s, oy, ox)   (lanes: channels)
+//!   buf:        [g, c_in, h+2·pad, w+2·pad]   the images, borders zero
+//!   base[j]:    corner of patch j = (s, oy, ox) in buf      (g·n_cols)
+//!   row_off[p]: offset of tap p = (c, ky, kx) from a corner (c_in·k²)
+//!   gt[j][co]:  grad[s, co, oy, ox]                       (lanes: channels)
 //!   dwt[p][co]: dw[co, p], transposed once per call       (lanes: channels)
 //! ```
 //!
@@ -127,13 +91,13 @@
 //!       dw ← fma(grad[s, co, oy, ox], buf[base[j] + row_off[p]], dw)
 //! ```
 //!
-//! — the staged GEMM's chain (`K` folded in sample order), so every bit
-//! of `dw` is unchanged. A padding tap is an FMA on the border's `+0.0`:
-//! an infinite gradient there makes NaN, and a product `+0.0` turns a
-//! `-0.0` chain `+0.0`, as they do in the GEMM. Past
-//! [`BROADCAST_DW_MAX`] (big-channel convs on small planes) the GEMM's
-//! reuse of each packed panel across all output channels wins, and dW
-//! stays staged.
+//! — `im2col(x[s])[p][q]` is `buf[base[j] + row_off[p]]`, read with no
+//! bounds or padding logic, so this is the GEMM chain with `K` folded in
+//! sample order, bit for bit. A padding tap is an FMA on the border's
+//! `+0.0`: an infinite gradient there makes NaN, and a product `+0.0`
+//! turns a `-0.0` chain `+0.0`, as they do on `im2col`'s zeros. Offsets
+//! are `u32`, built through checked conversions; a group shrinks (down to
+//! one sample) before a table could overflow.
 //!
 //! # The canonical accumulation chain
 //!
@@ -153,11 +117,10 @@
 //! across microkernel variants (8×32, 4×16, …), tile configurations,
 //! worker-thread counts, and even instruction sets (AVX-512 vs AVX2 vs
 //! the portable `mul_add` path) — the unit tests pin all three claims.
-//! Folding the batch keeps the chain too: in N it only places more
-//! independent columns in one call, in K it concatenates the per-sample
-//! reductions in sample order — the order the sample-at-a-time loop
-//! accumulates in — and the scatter adds each image element's taps in the
-//! `(ky, kx)` order of [`crate::im2col::col2im`].
+//! The weight gradient's `K = (s, oy, ox)` concatenates the per-sample
+//! reductions in sample order, the order the sample-at-a-time loop
+//! accumulates in, and [`crate::im2col::col2im`] adds each image
+//! element's taps in `(ky, kx)` order.
 //!
 //! The input gradient's chain per `dx` element is therefore, from the
 //! incoming `dx`:
@@ -174,8 +137,8 @@
 //! touching memory, and the add into `dx` is masked too, so an invalid
 //! tap never reaches `dx`. Zero padding would not be exact — adding its
 //! `t = +0.0` turns a `-0.0` in `dx` into `+0.0`, and an infinite weight
-//! times a padded zero is NaN. (The staged lowering is exact because its
-//! padding taps land in the staging border, which is never copied back.)
+//! times a padded zero is NaN. (`col2im` is exact because it skips the
+//! taps that fall off the image.)
 //!
 //! The forward's chain per `out` element is, from the incoming `out`:
 //!
@@ -185,8 +148,8 @@
 //!   o ← o + bias[co]                                           (with a bias)
 //! ```
 //!
-//! Here the padding *is* part of the chain: the staged GEMM reads `+0.0`
-//! from its border, so the direct forward computes a padding lane as an
+//! Here the padding *is* part of the chain: `im2col` writes `+0.0` for
+//! a tap off the image, so the direct forward computes a padding lane as an
 //! FMA on the `+0.0` of a zero-filling masked load. A tap whose lanes all
 //! read padding (5 of 9 taps per pixel on the 2×2 stage's
 //! sample-innermost vectors) may be skipped only where it cannot change a
@@ -631,7 +594,6 @@ macro_rules! dispatch_kernel {
 struct Ws {
     apack: Vec<f32>,
     bpack: Vec<f32>,
-    cols: Vec<f32>,
     /// Padded images and offset tables of one conv fold group.
     st: Staging,
     /// Sample-innermost source and destination of one direct-kernel call;
@@ -698,60 +660,19 @@ pub(crate) enum BSrc<'a> {
     /// writes are strided. Panel contents are identical to [`BSrc::Rows`]
     /// packing, so kernel numerics are unaffected.
     Cols(&'a dyn Fn(usize, usize, &mut [f32])),
-    /// `B[p][j] = src[col[j] + red[p]]` — the conv lowering's offset
-    /// tables.
-    Table(Gather<'a>),
-}
-
-/// Where a driver call's output lives: element `(i, j)` is at
-/// `i·ldc + (j / inner)·outer + j % inner`. A plain row-major matrix is
-/// one block ([`CMap::rows`]); the batch-folded conv forward has one
-/// block of `inner = n_cols` columns per sample.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CMap {
-    ldc: usize,
-    inner: usize,
-    outer: usize,
-}
-
-impl CMap {
-    /// Row-major output with row stride `ldc`.
-    pub(crate) fn rows(ldc: usize) -> Self {
-        CMap {
-            ldc,
-            inner: usize::MAX,
-            outer: 0,
-        }
-    }
-
-    fn col(&self, j: usize) -> usize {
-        (j / self.inner) * self.outer + j % self.inner
-    }
-
-    /// `at[t] = col(j0 + t)`, without a division per column.
-    fn cols_from(&self, j0: usize, at: &mut [usize]) {
-        let (mut q, mut block) = (j0 % self.inner, j0 / self.inner * self.outer);
-        for a in at {
-            if q == self.inner {
-                (q, block) = (0, block + self.outer);
-            }
-            *a = block + q;
-            q += 1;
-        }
-    }
 }
 
 /// Runs the blocked loop nest over a pre-packed A operand, packing B
 /// panels on the fly through `b_src` and driving the microkernel.
 ///
-/// `out` holds `m` rows of `n` valid columns, laid out by `cmap`.
+/// `out` holds `m` rows of `n` valid columns at row stride `ldc`.
 #[allow(clippy::too_many_arguments)] // internal driver: the loop-nest state is the argument list
 fn drive_packed<K: Microkernel>(
     m: usize,
     kdim: usize,
     n: usize,
     out: &mut [f32],
-    cmap: CMap,
+    ldc: usize,
     tiles: Tiles,
     apack: &[f32],
     bpack: &mut Vec<f32>,
@@ -760,11 +681,7 @@ fn drive_packed<K: Microkernel>(
     if m == 0 || n == 0 || kdim == 0 {
         return;
     }
-    let ldc = cmap.ldc;
-    debug_assert!(
-        out.len() > (m - 1) * ldc + cmap.col(n - 1),
-        "out buffer too small"
-    );
+    debug_assert!(out.len() >= (m - 1) * ldc + n, "out buffer too small");
     let (mr, nr) = (K::MR, K::NR);
     let kc = tiles.kc.clamp(1, kdim).min(MAX_KC);
     let nc = tiles.nc.clamp(1, n);
@@ -811,7 +728,6 @@ fn drive_packed<K: Microkernel>(
                             }
                         }
                     }
-                    BSrc::Table(g) => g.pack(j0, jw, pc, nr, &mut panel[..kcb * nr]),
                 }
             }
             // Walk MC-row bands so the active A panels stay cache-hot
@@ -826,18 +742,12 @@ fn drive_packed<K: Microkernel>(
                     let j0 = jc + jp * nr;
                     let jw = nr.min(jc + ncb - j0);
                     let bpanel = bpack[jp * kc * nr..].as_ptr();
-                    // A panel whose columns sit in one `cmap` block is
-                    // contiguous in `out`; one that straddles blocks
-                    // (samples, on the folded conv forward) is not.
-                    let mut at = [0usize; MAX_NR];
-                    cmap.cols_from(j0, &mut at[..jw]);
-                    let contiguous = jw == nr && at[nr - 1] - at[0] == nr - 1;
                     for ip in ip0..ip0 + band_pan {
                         let i0 = ip * mr;
                         let iw = mr.min(m - i0);
                         let apanel = a_slab[ip * mr * kcb..].as_ptr();
-                        if iw == mr && contiguous {
-                            let tile = &mut out[i0 * ldc + at[0]..][..(mr - 1) * ldc + nr];
+                        if iw == mr && jw == nr {
+                            let tile = &mut out[i0 * ldc + j0..][..(mr - 1) * ldc + nr];
                             // SAFETY: `tile` spans the full MR×NR tile
                             // at stride `ldc` (the slice above checked
                             // it), both panels hold `kcb` packed steps,
@@ -847,16 +757,14 @@ fn drive_packed<K: Microkernel>(
                                 K::run(apanel, bpanel, kcb, tile.as_mut_ptr(), ldc);
                             }
                         } else {
-                            // Ragged or straddling tile: run the
-                            // identical kernel on a scratch tile; copies
-                            // are exact, padded lanes fold
-                            // `fma(0, x, c) = c`, so the per-element
+                            // Ragged tile: run the identical kernel on a
+                            // scratch tile; copies are exact, padded lanes
+                            // fold `fma(0, x, c) = c`, so the per-element
                             // chain is unchanged.
                             let mut scratch = [0.0f32; MAX_TILE];
                             for r in 0..iw {
-                                for (j, &a) in at[..jw].iter().enumerate() {
-                                    scratch[r * nr + j] = out[(i0 + r) * ldc + a];
-                                }
+                                let row = &out[(i0 + r) * ldc + j0..][..jw];
+                                scratch[r * nr..r * nr + jw].copy_from_slice(row);
                             }
                             // SAFETY: scratch holds MR·NR ≤ MAX_TILE
                             // floats; panels as above.
@@ -864,9 +772,8 @@ fn drive_packed<K: Microkernel>(
                                 K::run(apanel, bpanel, kcb, scratch.as_mut_ptr(), nr);
                             }
                             for r in 0..iw {
-                                for (j, &a) in at[..jw].iter().enumerate() {
-                                    out[(i0 + r) * ldc + a] = scratch[r * nr + j];
-                                }
+                                let row = &mut out[(i0 + r) * ldc + j0..][..jw];
+                                row.copy_from_slice(&scratch[r * nr..r * nr + jw]);
                             }
                         }
                     }
@@ -878,144 +785,6 @@ fn drive_packed<K: Microkernel>(
         }
         jc += ncb;
     }
-}
-
-// ---------------------------------------------------------- table operands
-
-/// Largest power of two `l ≤ MAX_NR` such that `tab` is a whole number
-/// of `l`-blocks of consecutive offsets — the width a table gather or
-/// scatter can move per fixed-size copy (`1`: element by element).
-fn block_len(tab: &[u32]) -> usize {
-    let consecutive = |blk: &[u32]| blk.windows(2).all(|w| w[1].wrapping_sub(w[0]) == 1);
-    let mut l = MAX_NR;
-    while l > 1 && !(tab.len().is_multiple_of(l) && tab.chunks_exact(l).all(consecutive)) {
-        l /= 2;
-    }
-    l
-}
-
-/// Runs `$f::<L>($args)` with the runtime block length as the const `L`.
-macro_rules! with_block_len {
-    ($l:expr, $f:ident($($a:expr),*)) => {
-        match $l {
-            32 => $f::<32>($($a),*),
-            16 => $f::<16>($($a),*),
-            8 => $f::<8>($($a),*),
-            4 => $f::<4>($($a),*),
-            2 => $f::<2>($($a),*),
-            _ => $f::<1>($($a),*),
-        }
-    };
-}
-
-/// A GEMM operand read through two offset tables: element `(p, j)` is
-/// `src[col[j] + red[p]]`, `j` the operand's panel dimension and `p` the
-/// reduction index.
-#[derive(Clone, Copy)]
-pub(crate) struct Gather<'a> {
-    src: &'a [f32],
-    col: &'a [u32],
-    red: &'a [u32],
-    /// [`block_len`] of `col` and of `red`.
-    runs: (usize, usize),
-}
-
-impl<'a> Gather<'a> {
-    fn new(src: &'a [f32], col: &'a [u32], red: &'a [u32]) -> Self {
-        let runs = (block_len(col), block_len(red));
-        Gather {
-            src,
-            col,
-            red,
-            runs,
-        }
-    }
-
-    /// Packs one panel: `panel[p·w + t] = src[col[j0 + t] + red[p0 + p]]`
-    /// for `t < jw`, zero for the panel's remaining `w - jw` columns,
-    /// over the `panel.len() / w` reduction steps from `p0`. Blocks of
-    /// consecutive offsets move as fixed-size copies — along the panel
-    /// rows when `col` has the longer blocks, down its columns when
-    /// `red` has — and element by element when neither table has any.
-    fn pack(&self, j0: usize, jw: usize, p0: usize, w: usize, panel: &mut [f32]) {
-        fn along_rows<const L: usize>(src: &[f32], col: &[u32], red: &[u32], panel: &mut [f32]) {
-            let w = panel.len() / red.len();
-            for (&ro, dst) in red.iter().zip(panel.chunks_exact_mut(w)) {
-                for (&b, d) in col.iter().step_by(L).zip(dst.chunks_exact_mut(L)) {
-                    let o = b as usize + ro as usize;
-                    d.copy_from_slice(&src[o..o + L]);
-                }
-                dst[col.len()..].fill(0.0);
-            }
-        }
-        fn down_cols<const L: usize>(src: &[f32], col: &[u32], red: &[u32], panel: &mut [f32]) {
-            let w = panel.len() / red.len();
-            for (&b, dst) in red.iter().step_by(L).zip(panel.chunks_exact_mut(L * w)) {
-                for (t, &co) in col.iter().enumerate() {
-                    let o = b as usize + co as usize;
-                    for (row, &v) in dst.chunks_exact_mut(w).zip(&src[o..o + L]) {
-                        row[t] = v;
-                    }
-                }
-                for row in dst.chunks_exact_mut(w) {
-                    row[col.len()..].fill(0.0);
-                }
-            }
-        }
-        let (col, red) = (&self.col[j0..j0 + jw], &self.red[p0..p0 + panel.len() / w]);
-        // A block length holds for this panel only if the panel starts
-        // and ends on block boundaries of the table.
-        let aligned = |run: usize, at: usize, len: usize| {
-            if at.is_multiple_of(run) && len.is_multiple_of(run) {
-                run
-            } else {
-                1
-            }
-        };
-        let (cr, rr) = (
-            aligned(self.runs.0, j0, jw),
-            aligned(self.runs.1, p0, red.len()),
-        );
-        if cr >= rr {
-            with_block_len!(cr, along_rows(self.src, col, red, panel));
-        } else {
-            with_block_len!(rr, down_cols(self.src, col, red, panel));
-        }
-    }
-
-    /// [`pack_a_all`] through the tables: rows `i0 .. i0+m` of the
-    /// operand (`col` entries) against all of `red`.
-    fn pack_a(&self, mr: usize, i0: usize, m: usize, kc: usize, buf: &mut Vec<f32>) {
-        let (mpan, kdim) = (m.div_ceil(mr), self.red.len());
-        buf.resize(mpan * mr * kdim, 0.0);
-        for pc in (0..kdim).step_by(kc) {
-            let kcb = kc.min(kdim - pc);
-            let slab = &mut buf[mpan * mr * pc..][..mpan * mr * kcb];
-            for (ip, panel) in slab.chunks_exact_mut(mr * kcb).enumerate() {
-                self.pack(i0 + ip * mr, mr.min(m - ip * mr), pc, mr, panel);
-            }
-        }
-    }
-}
-
-/// Adjoint of a [`Gather`]: `dst[col[j] + red[r]] += d[r][j]`, rows
-/// ascending, so every `dst` element accumulates its contributions in
-/// `red` order.
-fn scatter_add(dst: &mut [f32], d: &[f32], col: &[u32], red: &[u32]) {
-    // Not inlined: as a function of its own, `dst` and `d` are known not
-    // to alias, and each block becomes one vector add.
-    #[inline(never)]
-    fn blocks<const L: usize>(dst: &mut [f32], d: &[f32], col: &[u32], red: &[u32]) {
-        for (&ro, drow) in red.iter().zip(d.chunks_exact(col.len())) {
-            for (&b, dv) in col.iter().step_by(L).zip(drow.chunks_exact(L)) {
-                let o = b as usize + ro as usize;
-                for (s, v) in dst[o..o + L].iter_mut().zip(dv) {
-                    *s += v;
-                }
-            }
-        }
-    }
-    with_block_len!(block_len(col), blocks(dst, d, col, red));
 }
 
 // ------------------------------------------------------------ entry points
@@ -1044,7 +813,7 @@ pub(crate) fn gemm_with_tiles(
         dispatch_kernel!(isa, m, n, K => {
             pack_a_all(K::MR, m, kdim, tiles.kc, &a_at, &mut ws.apack);
             drive_packed::<K>(
-                m, kdim, n, out, CMap::rows(ldc), tiles, &ws.apack, &mut ws.bpack, b_src,
+                m, kdim, n, out, ldc, tiles, &ws.apack, &mut ws.bpack, b_src,
             );
         });
     });
@@ -1088,25 +857,24 @@ pub(crate) fn gemm(
     gemm_on(native_isa(), m, kdim, n, out, ldc, a_at, b_src);
 }
 
-// -------------------------------------------------------------- fused conv
+// ------------------------------------------------------------ conv staging
 
 use crate::{backend::for_row_chunks, im2col::Conv2dGeometry};
 
-/// Folded GEMM width a conv fold group aims for: four of the widest
-/// panels. The microkernel is at full rate from there, and a group's B
-/// block, `dcols` and staging — all proportional to it — stay in L2
-/// (`tune_conv_probe`: 128 beats both 64 and one whole `NC` block).
+/// Folded reduction length a weight-gradient fold group aims for: four of
+/// the widest GEMM panels. A group's staging and transposed gradient —
+/// both proportional to it — stay in L2.
 const FOLD_COLS: usize = 4 * MAX_NR;
 
 /// `(rows, n_cols, img_len, out_len, g)` of a staged conv call.
 type ConvShape = (usize, usize, usize, usize, usize);
 
-/// The shape of a staged conv call (module doc, "Staged conv lowering"),
-/// `None` for an empty problem: the per-sample `cols` matrix is `rows ×
-/// n_cols`, a sample is `img_len` floats in and `out_len` out, and a fold
-/// group takes `g` samples — as many as bring the folded GEMM dimension
-/// (`g·n_cols`) to [`FOLD_COLS`], fewer, down to one, when the group's
-/// padded staging or output rows would outgrow the `u32` offset tables.
+/// The shape of a staged conv call (module doc, "Broadcast weight
+/// gradient"), `None` for an empty problem: the per-sample `cols` matrix
+/// is `rows × n_cols`, a sample is `img_len` floats in and `out_len` out,
+/// and a fold group takes `g` samples — as many as bring the folded
+/// reduction (`g·n_cols`) to [`FOLD_COLS`], fewer, down to one, when the
+/// group's padded staging would outgrow the `u32` offset tables.
 fn conv_shape(batch: usize, c_out: usize, geo: &Conv2dGeometry) -> Option<ConvShape> {
     let (rows, n_cols) = (geo.col_rows(), geo.col_cols());
     let (img_len, out_len) = (geo.c_in * geo.h * geo.w, c_out * n_cols);
@@ -1114,13 +882,12 @@ fn conv_shape(batch: usize, c_out: usize, geo: &Conv2dGeometry) -> Option<ConvSh
         return None;
     }
     let padded_len = geo.c_in * (geo.h + 2 * geo.pad) * (geo.w + 2 * geo.pad);
-    let span = padded_len.max(out_len);
     assert!(
-        span <= u32::MAX as usize,
-        "conv lowering: one sample spans {span} floats (padded c_in·(h+2·pad)·(w+2·pad) = \
-         {padded_len}, c_out·h_out·w_out = {out_len}), beyond the u32 offset tables"
+        padded_len <= u32::MAX as usize,
+        "conv lowering: one sample spans {padded_len} floats (padded \
+         c_in·(h+2·pad)·(w+2·pad)), beyond the u32 offset tables"
     );
-    let g = (FOLD_COLS / n_cols).min(u32::MAX as usize / span);
+    let g = (FOLD_COLS / n_cols).min(u32::MAX as usize / padded_len);
     Some((rows, n_cols, img_len, out_len, g.clamp(1, batch)))
 }
 
@@ -1135,10 +902,6 @@ struct Staging {
     base: Vec<u32>,
     /// Per im2col row `(c, ky, kx)`: that tap's offset from the corner.
     row_off: Vec<u32>,
-    /// Per folded output column: its place in `[g, c_out, n_cols]`, channel 0.
-    gbase: Vec<u32>,
-    /// Per output channel: its offset from `gbase`.
-    g_off: Vec<u32>,
 }
 
 /// Refills an offset table through checked `usize → u32` conversions.
@@ -1153,239 +916,33 @@ fn fill_offsets(tab: &mut Vec<u32>, field: &str, offsets: impl Iterator<Item = u
 
 impl Staging {
     /// Zeroes the staging and builds the tables for groups of `g`.
-    fn prepare(&mut self, geo: &Conv2dGeometry, c_out: usize, g: usize) {
+    fn prepare(&mut self, geo: &Conv2dGeometry, g: usize) {
         let (hp, wp, w_out) = (geo.h + 2 * geo.pad, geo.w + 2 * geo.pad, geo.w_out());
         let (k, s, n_cols, padded_len) = (geo.k, geo.stride, geo.col_cols(), geo.c_in * hp * wp);
-        let cols = || (0..g).flat_map(|i| (0..n_cols).map(move |q| (i, q)));
         let corner = |(i, q)| i * padded_len + (q / w_out * wp + q % w_out) * s;
-        fill_offsets(&mut self.base, "base", cols().map(corner));
-        let out_at = |(i, q)| i * c_out * n_cols + q;
-        fill_offsets(&mut self.gbase, "gbase", cols().map(out_at));
+        let cols = (0..g).flat_map(|i| (0..n_cols).map(move |q| (i, q)));
+        fill_offsets(&mut self.base, "base", cols.map(corner));
         let tap = |r| (r / (k * k) * hp + r / k % k) * wp + r % k;
         fill_offsets(&mut self.row_off, "row_off", (0..geo.col_rows()).map(tap));
-        fill_offsets(&mut self.g_off, "g_off", (0..c_out).map(|co| co * n_cols));
         self.buf.clear();
         self.buf.resize(g * padded_len, 0.0);
     }
 
-    /// Calls `copy(staged_row, image_row)` for every image row of the
-    /// dense `[n, c_in, h, w]` batch `imgs` and its place in `buf`.
-    fn rows<T>(&mut self, geo: &Conv2dGeometry, imgs: T, copy: impl Fn(&mut [f32], T::Item))
-    where
-        T: IntoIterator,
-    {
+    /// Copies the dense `[n, c_in, h, w]` batch `imgs` into the interiors
+    /// of `buf`, row by row.
+    fn stage(&mut self, geo: &Conv2dGeometry, imgs: &[f32]) {
         let wp = geo.w + 2 * geo.pad;
-        let mut imgs = imgs.into_iter();
+        let mut rows = imgs.chunks_exact(geo.w);
         for plane in self.buf.chunks_exact_mut((geo.h + 2 * geo.pad) * wp) {
             for y in 0..geo.h {
-                let Some(row) = imgs.next() else {
+                let Some(row) = rows.next() else {
                     return;
                 };
                 let at = (y + geo.pad) * wp + geo.pad;
-                copy(&mut plane[at..at + geo.w], row);
+                plane[at..at + geo.w].copy_from_slice(row);
             }
         }
     }
-}
-
-/// Conv forward, `out[s] += W·im2col(x[s]) (+ bias)`: the direct kernel
-/// ([`conv2d_forward_direct`]) at stride 1 with `k ≤ 5`, the staged
-/// lowering otherwise. Both compute the same chain per `out` element.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn conv2d_forward_fused(
-    x: &[f32],
-    w: &[f32],
-    bias: Option<&[f32]>,
-    out: &mut [f32],
-    batch: usize,
-    c_out: usize,
-    geo: &Conv2dGeometry,
-    ws: &mut Vec<f32>,
-    threads: usize,
-) {
-    if geo.stride == 1 && geo.k * geo.k <= MAX_TAPS {
-        conv2d_forward_direct(native_isa(), x, w, bias, out, batch, c_out, geo, threads);
-    } else {
-        conv2d_forward_staged(x, w, bias, out, batch, c_out, geo, ws, threads);
-    }
-}
-
-/// Staged conv forward: one GEMM per fold group with the batch folded
-/// into N. The weight panels are packed once into the caller's per-layer
-/// workspace `ws`; the B panels are gathered from the staged images — no
-/// materialized `cols` buffer.
-#[allow(clippy::too_many_arguments)]
-fn conv2d_forward_staged(
-    x: &[f32],
-    w: &[f32],
-    bias: Option<&[f32]>,
-    out: &mut [f32],
-    batch: usize,
-    c_out: usize,
-    geo: &Conv2dGeometry,
-    ws: &mut Vec<f32>,
-    threads: usize,
-) {
-    let Some((rows, n_cols, img_len, out_len, g)) = conv_shape(batch, c_out, geo) else {
-        return;
-    };
-    let tiles = tiles_for(c_out, rows, g * n_cols);
-    dispatch_kernel!(native_isa(), c_out, g * n_cols, K => {
-        pack_a_all(K::MR, c_out, rows, tiles.kc, |i, p| w[i * rows + p], ws);
-        let apack: &[f32] = ws;
-        for_row_chunks(out, batch, out_len, threads, |s0, s1, chunk| WS.with(|tws| {
-            let Ws { bpack, st, .. } = &mut *tws.borrow_mut();
-            st.prepare(geo, c_out, g);
-            let x = &x[s0 * img_len..s1 * img_len];
-            for (out_g, x_g) in chunk.chunks_mut(g * out_len).zip(x.chunks(g * img_len)) {
-                let nn = out_g.len() / out_len * n_cols;
-                st.rows(geo, x_g.chunks_exact(geo.w), |staged, row| staged.copy_from_slice(row));
-                drive_packed::<K>(
-                    c_out, rows, nn, out_g,
-                    CMap { ldc: n_cols, inner: n_cols, outer: out_len },
-                    tiles, apack, bpack,
-                    BSrc::Table(Gather::new(&st.buf, &st.base[..nn], &st.row_off)),
-                );
-                if let Some(bias) = bias {
-                    for (out_row, &bv) in out_g.chunks_mut(n_cols).zip(bias.iter().cycle()) {
-                        out_row.iter_mut().for_each(|v| *v += bv);
-                    }
-                }
-            }
-        }));
-    });
-}
-
-/// Largest `dw` (`c_out·c_in·k²` floats) the broadcast weight gradient
-/// takes. Past it the transposed `dw` a thread keeps outgrows L2 and each
-/// fold group streams it again, and every image factor is re-read once
-/// per block of three channel vectors, while the staged GEMM reuses each
-/// packed `colsᵀ` panel across all output channels. In the geometry table
-/// of `BENCH_conv_dw.json` (one thread, three runs) the broadcast kernel
-/// reads ×1.2–2.6 the staged speed up to 64→128@16² (74 k floats),
-/// ×0.83–1.26 at 128→128@16² (147 k), ×0.84–0.91 at 256→256@8² (590 k)
-/// and ×0.3–0.7 at 512→512@4² and @2² (2.4 M).
-const BROADCAST_DW_MAX: usize = 1 << 18;
-
-/// Conv weight gradient, `dw += Σ_s grad[s] · im2col(x[s])ᵀ`: the
-/// broadcast kernel ([`conv2d_backward_weights_broadcast`]) at every
-/// stride and `k` up to [`BROADCAST_DW_MAX`], the staged GEMM past it.
-/// Both compute the same chain per `dw` element.
-pub(crate) fn conv2d_backward_weights_fused(
-    x: &[f32],
-    grad: &[f32],
-    dw: &mut [f32],
-    batch: usize,
-    c_out: usize,
-    geo: &Conv2dGeometry,
-    threads: usize,
-) {
-    if c_out * geo.col_rows() <= BROADCAST_DW_MAX {
-        conv2d_backward_weights_broadcast(native_isa(), x, grad, dw, batch, c_out, geo, threads);
-    } else {
-        conv2d_backward_weights_staged(x, grad, dw, batch, c_out, geo, threads);
-    }
-}
-
-/// Staged weight gradient: `dw += Σ_s grad[s] · im2col(x[s])ᵀ`, one GEMM
-/// per fold group with the batch folded into K (`K = g·n_cols`). Threads
-/// split only output rows and groups run in sample order: every `dw`
-/// element sees the canonical `s`-major, `q`-ascending chain.
-fn conv2d_backward_weights_staged(
-    x: &[f32],
-    grad: &[f32],
-    dw: &mut [f32],
-    batch: usize,
-    c_out: usize,
-    geo: &Conv2dGeometry,
-    threads: usize,
-) {
-    let Some((rows, n_cols, img_len, out_len, g)) = conv_shape(batch, c_out, geo) else {
-        return;
-    };
-    let tiles = tiles_for(c_out, g * n_cols, rows);
-    dispatch_kernel!(native_isa(), c_out, rows, K => {
-        for_row_chunks(dw, c_out, rows, threads, |r0, r1, chunk| WS.with(|tws| {
-            let Ws { apack, bpack, st, .. } = &mut *tws.borrow_mut();
-            st.prepare(geo, c_out, g);
-            for (x_g, g_g) in x.chunks(g * img_len).zip(grad.chunks(g * out_len)) {
-                let nn = g_g.len() / out_len * n_cols;
-                st.rows(geo, x_g.chunks_exact(geo.w), |staged, row| staged.copy_from_slice(row));
-                // The reduction walks `(s, oy, ox)`: A is `grad` by channel,
-                // B = colsᵀ, the forward's tables with their roles swapped.
-                Gather::new(g_g, &st.g_off, &st.gbase[..nn])
-                    .pack_a(K::MR, r0, r1 - r0, tiles.kc, apack);
-                drive_packed::<K>(
-                    r1 - r0, nn, rows, chunk, CMap::rows(rows), tiles, apack, bpack,
-                    BSrc::Table(Gather::new(&st.buf, &st.row_off, &st.base[..nn])),
-                );
-            }
-        }));
-    });
-}
-
-/// Conv input gradient, `dx += col2im(Wᵀ·grad)`: the direct kernel
-/// ([`conv2d_backward_input_direct`]) at stride 1, the staged lowering
-/// otherwise. Both compute the same chain per `dx` element.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn conv2d_backward_input_fused(
-    w: &[f32],
-    grad: &[f32],
-    dx: &mut [f32],
-    batch: usize,
-    c_out: usize,
-    geo: &Conv2dGeometry,
-    ws: &mut Vec<f32>,
-    threads: usize,
-) {
-    if geo.stride == 1 {
-        conv2d_backward_input_direct(native_isa(), w, grad, dx, batch, c_out, geo, threads);
-    } else {
-        conv2d_backward_input_staged(w, grad, dx, batch, c_out, geo, ws, threads);
-    }
-}
-
-/// Staged input gradient: per fold group, `dcols = Wᵀ·grad` is one GEMM
-/// with the batch folded into N (Wᵀ panels packed once into `ws`); the
-/// adjoint scatter then adds `dcols` into the padded staging — seeded from
-/// `dx`, so `dx` is accumulated into — and the interiors are copied back.
-#[allow(clippy::too_many_arguments)]
-fn conv2d_backward_input_staged(
-    w: &[f32],
-    grad: &[f32],
-    dx: &mut [f32],
-    batch: usize,
-    c_out: usize,
-    geo: &Conv2dGeometry,
-    ws: &mut Vec<f32>,
-    threads: usize,
-) {
-    let Some((rows, n_cols, img_len, out_len, g)) = conv_shape(batch, c_out, geo) else {
-        return;
-    };
-    let tiles = tiles_for(rows, c_out, g * n_cols);
-    dispatch_kernel!(native_isa(), rows, g * n_cols, K => {
-        // A = Wᵀ: element (im2col row i, reduction channel p) = w[p, i].
-        pack_a_all(K::MR, rows, c_out, tiles.kc, |i, p| w[p * rows + i], ws);
-        let apack: &[f32] = ws;
-        for_row_chunks(dx, batch, img_len, threads, |s0, s1, chunk| WS.with(|tws| {
-            let Ws { bpack, cols, st, .. } = &mut *tws.borrow_mut();
-            st.prepare(geo, c_out, g);
-            let grad = &grad[s0 * out_len..s1 * out_len];
-            for (dx_g, g_g) in chunk.chunks_mut(g * img_len).zip(grad.chunks(g * out_len)) {
-                let nn = dx_g.len() / img_len * n_cols;
-                cols.clear();
-                cols.resize(rows * nn, 0.0);
-                drive_packed::<K>(
-                    rows, c_out, nn, cols, CMap::rows(nn), tiles, apack, bpack,
-                    BSrc::Table(Gather::new(g_g, &st.gbase[..nn], &st.g_off)),
-                );
-                st.rows(geo, dx_g.chunks_exact(geo.w), |staged, row| staged.copy_from_slice(row));
-                scatter_add(&mut st.buf, cols, &st.base[..nn], &st.row_off);
-                st.rows(geo, dx_g.chunks_exact_mut(geo.w), |staged, row| row.copy_from_slice(staged));
-            }
-        }));
-    });
 }
 
 // ---------------------------------------------------------- direct kernels
@@ -1918,8 +1475,8 @@ fn from_lanes(src: &[f32], ld: usize, dst: &mut [f32], len: usize) {
 /// sample-innermost, 16 samples per vector, computes fewer lanes (planes
 /// of under 16 elements — the 2×2 stage: one vector per pixel instead of
 /// a quarter-used vector per plane); the staging lives in the thread's
-/// workspace. Samples are split across threads as in the staged kernels,
-/// so the result is thread-count invariant.
+/// workspace. Threads split whole samples, so the result is thread-count
+/// invariant.
 #[allow(clippy::too_many_arguments)]
 fn direct_conv<K: Direct + Sync>(
     isa: Isa,
@@ -1983,7 +1540,7 @@ struct DxKernel<'a> {
 /// Input channels `c0 .. c0+C` of `NV` vectors: per tap with any valid
 /// lane, `t = +0.0`, `t = fma(w[co,c,tap], grad[co, …], t)` for `co`
 /// ascending, then `dx += t` on the valid lanes — each `dx` element's
-/// chain is the staged GEMM's `dcols` chain followed by the scatter's add.
+/// chain is the GEMM's `dcols` chain followed by `col2im`'s add.
 ///
 /// # Safety
 ///
@@ -2118,7 +1675,7 @@ direct_vectors_for!(dx_vectors_avx2, DxKernel, lanes_x86::Ymm2, 3, 1, "avx2,fma"
 /// `dcols`, no scatter, no FMA on a tap whose lanes all fall in the
 /// padding ([`direct_conv`] places the vectors).
 #[allow(clippy::too_many_arguments)]
-fn conv2d_backward_input_direct(
+pub(crate) fn conv2d_backward_input_direct(
     isa: Isa,
     w: &[f32],
     grad: &[f32],
@@ -2151,7 +1708,7 @@ fn conv2d_backward_input_direct(
 
 /// Largest `k²` the direct forward takes (`k ≤ 5`): a tile keeps each
 /// tap's source pointers and masks in arrays of this length.
-const MAX_TAPS: usize = 25;
+pub(crate) const MAX_TAPS: usize = 25;
 
 /// The direct forward: `w` is the layer's `[co][c][tap]` weight. `skip`
 /// allows a tile to skip the FMAs of a tap whose lanes all read padding —
@@ -2180,7 +1737,7 @@ struct FwdTaps<L: Lanes, const NV: usize> {
 /// Output channels `co0 .. co0+C` of `NV` vectors: from `out`, for each
 /// `(c, tap)` ascending, `acc = fma(w[co,c,tap], x[c, …], acc)` with
 /// padding lanes read as `+0.0` by the masked loads, then `acc + bias` —
-/// each element's chain is the staged GEMM's, followed by its bias add.
+/// each element's chain is the `im2col` + GEMM one, then its bias add.
 ///
 /// With `skip`, a tap whose lanes all read padding is not computed. Its
 /// `fma(w, +0, acc)` would, for a finite `w`, only turn an `acc` of `-0.0`
@@ -2394,10 +1951,10 @@ fn all_finite(w: &[f32]) -> bool {
 
 /// Direct forward of a stride-1 convolution (module doc, "Direct forward
 /// (stride 1)"): every `out` element's chain runs in registers from `x`
-/// and the weights, both read in place — no staging copy, no gathered
-/// panels, no packed weights ([`direct_conv`] places the vectors).
+/// and the weights, both read in place — no `cols`, no packed weights
+/// ([`direct_conv`] places the vectors).
 #[allow(clippy::too_many_arguments)]
-fn conv2d_forward_direct(
+pub(crate) fn conv2d_forward_direct(
     isa: Isa,
     x: &[f32],
     w: &[f32],
@@ -2658,14 +2215,14 @@ fn transpose(
 }
 
 /// Broadcast weight gradient (module doc, "Broadcast weight gradient"):
-/// threads split the output channels as the staged GEMM's rows were split;
-/// each keeps its channels' `dw` transposed (`dwt[p][co]`, channels padded
-/// to whole vectors) for the whole call and, per fold group, stages the
+/// threads split the output channels; each keeps its channels' `dw`
+/// transposed (`dwt[p][co]`, channels padded to whole vectors) for the
+/// whole call and, per fold group, stages the
 /// images, transposes `grad` to `gt[j][co]` and runs [`DwKernel`]. Groups
 /// run in sample order, so every `dw` element's chain is the canonical
 /// `s`-major, `(oy, ox)`-ascending one.
 #[allow(clippy::too_many_arguments)]
-fn conv2d_backward_weights_broadcast(
+pub(crate) fn conv2d_backward_weights_broadcast(
     isa: Isa,
     x: &[f32],
     grad: &[f32],
@@ -2681,7 +2238,7 @@ fn conv2d_backward_weights_broadcast(
     for_row_chunks(dw, c_out, rows, threads, |r0, r1, chunk| {
         WS.with(|tws| {
             let Ws { st, lanes, .. } = &mut *tws.borrow_mut();
-            st.prepare(geo, c_out, g);
+            st.prepare(geo, g);
             // Lanes past `r1 - r0` are transposed in as zeros: computed,
             // never copied back.
             let ld = (r1 - r0).next_multiple_of(LANES);
@@ -2693,9 +2250,7 @@ fn conv2d_backward_weights_broadcast(
             transpose(isa, chunk, rows, dwt, ld, r1 - r0, rows, ld);
             for (x_g, g_g) in x.chunks(g * img_len).zip(grad.chunks(g * out_len)) {
                 let nn = g_g.len() / out_len * n_cols;
-                st.rows(geo, x_g.chunks_exact(geo.w), |staged, row| {
-                    staged.copy_from_slice(row)
-                });
+                st.stage(geo, x_g);
                 // `gt[j][co]` from `grad[s][r0 + co][q]`, `j = (s, q)`.
                 for (g_s, gt_s) in g_g
                     .chunks_exact(out_len)
@@ -2731,6 +2286,8 @@ fn conv2d_backward_weights_broadcast(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{lowered_conv2d_backward_input, lowered_conv2d_forward};
+    use crate::backend::{Backend, Parallel, Scalar};
     use crate::test_support::arb;
 
     /// The canonical chain evaluated literally: one in-order `mul_add`
@@ -2915,12 +2472,11 @@ mod tests {
         (out, dw, dx)
     }
 
-    /// The conv forward / dW / dX entry points equal the materialized-`cols`
-    /// canonical chains bit for bit, accumulating into non-zero
-    /// destinations, across the fold edges: one sample, a ragged last
-    /// group (5, 33), panels that straddle samples (`n_cols` 1, 4, 9, 12,
-    /// 16), two-sample groups (`n_cols` 256), stride 2, pad ≥ k, and 1–3
-    /// worker threads.
+    /// `Parallel`'s conv forward / dW / dX entry points equal the
+    /// materialized-`cols` canonical chains bit for bit, accumulating into
+    /// non-zero destinations, on every route (direct, lowered, broadcast)
+    /// and across the dW fold edges: one sample, a ragged last group (5,
+    /// 33), `n_cols` 1 to 256, stride 2, pad ≥ k, 1–3 kernel threads.
     #[test]
     fn fused_conv_matches_materialized_chain() {
         let geo = |c_in, h, w, k, stride, pad| Conv2dGeometry {
@@ -2958,15 +2514,12 @@ mod tests {
                 let (out0, dw0, dx0) = init.clone();
                 let want = reference_conv(&x, &w, &g, batch, c_out, &geo, out0, dw0, dx0);
                 for threads in [1, 2, 3] {
+                    let be = Parallel::with_threads(threads);
                     let (mut out, mut dw, mut dx) = init.clone();
                     let mut ws = Vec::new();
-                    conv2d_forward_fused(
-                        &x, &w, None, &mut out, batch, c_out, &geo, &mut ws, threads,
-                    );
-                    conv2d_backward_weights_fused(&x, &g, &mut dw, batch, c_out, &geo, threads);
-                    conv2d_backward_input_fused(
-                        &w, &g, &mut dx, batch, c_out, &geo, &mut ws, threads,
-                    );
+                    be.conv2d_forward(&x, &w, None, &mut out, batch, c_out, &geo, &mut ws);
+                    be.conv2d_backward_weights(&x, &g, &mut dw, batch, c_out, &geo, &mut ws);
+                    be.conv2d_backward_input(&w, &g, &mut dx, batch, c_out, &geo, &mut ws);
                     let what = format!("{geo:?} batch {batch} threads {threads}");
                     assert_eq!(out, want.0, "forward {what}");
                     assert_eq!(dw, want.1, "dW {what}");
@@ -2991,8 +2544,8 @@ mod tests {
         }
     }
 
-    /// The direct dX kernel against the staged GEMM + scatter lowering
-    /// (the stride-1 path it replaced) on every ISA the CPU runs, at 1, 2
+    /// The direct dX kernel against the GEMM + `col2im` lowering on
+    /// `Parallel` (the canonical chain) on every ISA the CPU runs, at 1, 2
     /// and 4 threads, accumulating into `dx0`.
     #[allow(clippy::too_many_arguments)]
     fn check_direct_dx(
@@ -3005,7 +2558,8 @@ mod tests {
         what: &str,
     ) {
         let mut want = dx0.to_vec();
-        conv2d_backward_input_staged(w, g, &mut want, batch, c_out, geo, &mut Vec::new(), 1);
+        let one = Parallel::with_threads(1);
+        lowered_conv2d_backward_input(&one, w, g, &mut want, batch, c_out, geo, &mut Vec::new());
         for isa in available_isas() {
             for threads in [1, 2, 4] {
                 let mut got = dx0.to_vec();
@@ -3021,7 +2575,7 @@ mod tests {
     /// that leave every channel-tile tail, batches 1–5 (two thread chunks
     /// at 5) and 17 / 33 (short sample-innermost lane groups).
     #[test]
-    fn conv_dx_direct_matches_staged_lowering() {
+    fn conv_dx_direct_matches_lowering() {
         const CH: [usize; 9] = [1, 2, 3, 4, 5, 7, 12, 17, 50];
         let planes = [
             (1, 1),
@@ -3108,7 +2662,7 @@ mod tests {
     }
 
     /// Padding taps are masked, never computed as zeros: a `-0.0` in the
-    /// incoming `dx` and ±inf / NaN weights and gradients give the staged
+    /// incoming `dx` and ±inf / NaN weights and gradients give the
     /// lowering's bits (a zero-padded tap would turn `-0.0` into `+0.0`
     /// and `inf · 0` into NaN at the borders).
     #[test]
@@ -3162,9 +2716,9 @@ mod tests {
         }
     }
 
-    /// The direct forward against the staged lowering (the stride-1 path
-    /// it replaced) on every ISA the CPU runs, at 1, 2 and 4 threads,
-    /// accumulating into `out0`.
+    /// The direct forward against the `im2col` + GEMM lowering on
+    /// `Parallel` (the canonical chain) on every ISA the CPU runs, at 1, 2
+    /// and 4 threads, accumulating into `out0`.
     #[allow(clippy::too_many_arguments)]
     fn check_direct_fwd(
         geo: &Conv2dGeometry,
@@ -3177,7 +2731,18 @@ mod tests {
         what: &str,
     ) {
         let mut want = out0.to_vec();
-        conv2d_forward_staged(x, w, bias, &mut want, batch, c_out, geo, &mut Vec::new(), 1);
+        let one = Parallel::with_threads(1);
+        lowered_conv2d_forward(
+            &one,
+            x,
+            w,
+            bias,
+            &mut want,
+            batch,
+            c_out,
+            geo,
+            &mut Vec::new(),
+        );
         for isa in available_isas() {
             for threads in [1, 2, 4] {
                 let mut got = out0.to_vec();
@@ -3202,7 +2767,7 @@ mod tests {
     /// long reductions, batches 1–5 (two thread chunks at 5) and 17 / 33
     /// (short sample-innermost lane groups), bias on and off.
     #[test]
-    fn conv_fwd_direct_matches_staged_lowering() {
+    fn conv_fwd_direct_matches_lowering() {
         const CH: [usize; 10] = [1, 2, 3, 4, 5, 7, 12, 17, 32, 50];
         let planes = [
             (1, 1),
@@ -3279,7 +2844,7 @@ mod tests {
     }
 
     /// ±inf / NaN in the weights and the input and `-0.0` in `out` give
-    /// the staged lowering's bits: a padding tap is an FMA on a zero, so
+    /// the lowering's bits: a padding tap is an FMA on a zero, so
     /// an infinite weight there makes NaN and a `-0.0` may turn `+0.0`.
     #[test]
     fn conv_fwd_special_values() {
@@ -3392,12 +2957,11 @@ mod tests {
         c_out: usize,
         geo: &Conv2dGeometry,
     ) {
-        use crate::backend::{Backend, Scalar};
         let (rows, n_cols) = (geo.col_rows(), geo.col_cols());
         let img_len = geo.c_in * geo.h * geo.w;
         let mut cols = vec![0.0f32; rows * n_cols];
         for s in 0..batch {
-            Scalar.im2col(&x[s * img_len..][..img_len], geo, &mut cols);
+            crate::im2col::im2col(&x[s * img_len..][..img_len], geo, &mut cols);
             let g_s = &g[s * c_out * n_cols..][..c_out * n_cols];
             for (co, dw_co) in dw.chunks_exact_mut(rows).enumerate() {
                 for (p, d) in dw_co.iter_mut().enumerate() {
@@ -3410,8 +2974,7 @@ mod tests {
     }
 
     /// The broadcast dW against [`reference_dw`] on every ISA the CPU
-    /// runs, and the staged GEMM that takes the largest `dw`, at 1, 2 and
-    /// 4 threads, accumulating into `dw0`.
+    /// runs, at 1, 2 and 4 threads, accumulating into `dw0`.
     fn check_dw(
         geo: &Conv2dGeometry,
         batch: usize,
@@ -3429,9 +2992,6 @@ mod tests {
                 conv2d_backward_weights_broadcast(isa, x, g, &mut got, batch, c_out, geo, threads);
                 assert_same_bits(&got, &want, &format!("{what} {isa:?} threads {threads}"));
             }
-            let mut got = dw0.to_vec();
-            conv2d_backward_weights_staged(x, g, &mut got, batch, c_out, geo, threads);
-            assert_same_bits(&got, &want, &format!("{what} staged threads {threads}"));
         }
         want
     }
@@ -3493,9 +3053,9 @@ mod tests {
         assert!(case > 160, "{case} geometries");
     }
 
-    /// A `dw` past [`BROADCAST_DW_MAX`] (64 × 512·3² floats): the entry
-    /// point takes the staged GEMM there, and both kernels still give the
-    /// reference's bits over 4608 taps.
+    /// The largest `dw` of the model zoo, 512→512@2² (512 × 512·3² =
+    /// 2.4 M floats): the broadcast kernel gives the reference's bits over
+    /// 4608 taps, and so does `Parallel`'s entry point.
     #[test]
     fn conv_dw_large_dw() {
         let geo = Conv2dGeometry {
@@ -3506,14 +3066,21 @@ mod tests {
             stride: 1,
             pad: 1,
         };
-        let (c_out, batch) = (64, 2);
-        assert!(c_out * geo.col_rows() > BROADCAST_DW_MAX);
+        let (c_out, batch) = (512, 2);
         let x = arb(batch * 512 * 4, 1);
         let g = arb(batch * c_out * 4, 2);
         let dw0 = arb(c_out * geo.col_rows(), 3);
         let want = check_dw(&geo, batch, c_out, &x, &g, &dw0, "large dw");
         let mut got = dw0.clone();
-        conv2d_backward_weights_fused(&x, &g, &mut got, batch, c_out, &geo, 2);
+        Parallel::with_threads(2).conv2d_backward_weights(
+            &x,
+            &g,
+            &mut got,
+            batch,
+            c_out,
+            &geo,
+            &mut Vec::new(),
+        );
         assert_same_bits(&got, &want, "large dw, entry point");
     }
 
@@ -3671,8 +3238,6 @@ mod tests {
 
         // 2^30 padded floats per sample: 128/4 samples would need 2^35.
         assert_eq!(g(1000, 8, geo(1 << 26, 2, 1)), 3);
-        // 2^31 output floats per sample.
-        assert_eq!(g(1000, 1 << 29, geo(1, 2, 1)), 1);
         let too_big = std::panic::catch_unwind(|| g(8, 8, geo(3, 40_000, 1)));
         let msg = *too_big.unwrap_err().downcast::<String>().unwrap();
         assert!(msg.contains("c_in·(h+2·pad)·(w+2·pad)"), "{msg}");
@@ -3683,12 +3248,12 @@ mod tests {
         assert!(msg.contains("`base`"), "{msg}");
     }
 
-    /// The CNN4 stem (3→32, 224², stride 2): the largest tables the
-    /// model zoo builds, run where overflow checks are on (debug CI step
+    /// The CNN4 stem (3→32, 224², stride 2): the largest staging tables
+    /// the model zoo builds (the broadcast dW's) and the lowered forward
+    /// and dX, run where overflow checks are on (debug CI step
     /// `fused_conv`), against the Scalar reference.
     #[test]
     fn fused_conv_cnn4_stem_tables() {
-        use crate::backend::{Backend, Scalar};
         let geo = Conv2dGeometry {
             c_in: 3,
             h: 224,
@@ -3710,9 +3275,10 @@ mod tests {
         );
         let (mut want_out, mut want_dw, mut want_dx) = (out.clone(), dw.clone(), dx.clone());
         let mut ws = Vec::new();
-        conv2d_forward_fused(&x, &w, None, &mut out, batch, c_out, &geo, &mut ws, 1);
-        conv2d_backward_weights_fused(&x, &g, &mut dw, batch, c_out, &geo, 1);
-        conv2d_backward_input_fused(&w, &g, &mut dx, batch, c_out, &geo, &mut ws, 1);
+        let one = Parallel::with_threads(1);
+        one.conv2d_forward(&x, &w, None, &mut out, batch, c_out, &geo, &mut ws);
+        one.conv2d_backward_weights(&x, &g, &mut dw, batch, c_out, &geo, &mut ws);
+        one.conv2d_backward_input(&w, &g, &mut dx, batch, c_out, &geo, &mut ws);
         Scalar.conv2d_forward(&x, &w, None, &mut want_out, batch, c_out, &geo, &mut ws);
         Scalar.conv2d_backward_weights(&x, &g, &mut want_dw, batch, c_out, &geo, &mut ws);
         Scalar.conv2d_backward_input(&w, &g, &mut want_dx, batch, c_out, &geo, &mut ws);
@@ -3830,23 +3396,37 @@ mod tune {
             let grad = arb(batch * out_len, 3);
             let mut out = vec![0.0f32; batch * out_len];
             let mut dx = vec![0.0f32; batch * img_len];
-            let mut ws = Vec::new();
             let mut best = [f64::INFINITY; 4];
             for _ in 0..15 {
                 for (i, threads) in [(0, 1), (1, 2), (0, 1), (1, 2)] {
                     let t = std::time::Instant::now();
                     for _ in 0..20 {
                         out.fill(0.0);
-                        conv2d_forward_fused(
-                            &x, &w, None, &mut out, batch, c_out, &geo, &mut ws, threads,
+                        conv2d_forward_direct(
+                            native_isa(),
+                            &x,
+                            &w,
+                            None,
+                            &mut out,
+                            batch,
+                            c_out,
+                            &geo,
+                            threads,
                         );
                     }
                     best[i] = best[i].min(t.elapsed().as_nanos() as f64 / 20.0 / 1e3);
                     let t = std::time::Instant::now();
                     for _ in 0..20 {
                         dx.fill(0.0);
-                        conv2d_backward_input_fused(
-                            &w, &grad, &mut dx, batch, c_out, &geo, &mut ws, threads,
+                        conv2d_backward_input_direct(
+                            native_isa(),
+                            &w,
+                            &grad,
+                            &mut dx,
+                            batch,
+                            c_out,
+                            &geo,
+                            threads,
                         );
                     }
                     best[2 + i] = best[2 + i].min(t.elapsed().as_nanos() as f64 / 20.0 / 1e3);
@@ -3863,17 +3443,14 @@ mod tune {
 
     /// Manual conv probe (`cargo test -p fp-tensor --release
     /// tune_conv_probe -- --ignored --nocapture`): for the four Medium
-    /// stage convolutions at batch 32 on one thread, the staged forward
-    /// and dX end to end, the staged dW against the broadcast dW that
-    /// replaced it there (and the broadcast dW's gradient transpose and
-    /// kernel alone), then
-    /// the staged forward split into its parts — staging copy, table
-    /// gather into B panels, the GEMM on an already-dense B of the folded
-    /// shape — dX's adjoint scatter, and the direct dX and forward kernels
-    /// that replace the staged ones at stride 1.
+    /// stage convolutions at batch 32 on one thread, the `im2col` + GEMM
+    /// forward and dX next to the direct kernels that replace them at
+    /// stride 1, then the broadcast dW end to end and in its parts — the
+    /// staging copy, the gradient transpose and the kernel alone.
     #[test]
     #[ignore]
     fn tune_conv_probe() {
+        use crate::backend::{lowered_conv2d_backward_input, lowered_conv2d_forward, Parallel};
         use crate::test_support::arb;
         // Best of several short trials: the sandbox's noise is one-sided.
         let time = |f: &mut dyn FnMut()| {
@@ -3887,7 +3464,8 @@ mod tune {
             };
             (0..9).map(|_| trial(f)).fold(f64::INFINITY, f64::min)
         };
-        println!("stage             fwd  dW-stgd  dW-bcst  ×  gradT kernel      dX | stage-in  gather    gemm scatter  direct direct-fwd  (µs; ns/float)");
+        let one = Parallel::with_threads(1);
+        println!("stage             fwd  direct-fwd      dX  direct   dW-bcst stage-in  gradT kernel  (µs)");
         for (c_in, c_out, hw) in [
             (3usize, 12usize, 16usize),
             (12, 24, 8),
@@ -3913,65 +3491,17 @@ mod tune {
             let mut ws = Vec::new();
             let fwd = time(&mut || {
                 out.fill(0.0);
-                conv2d_forward_staged(&x, &w, None, &mut out, batch, c_out, &geo, &mut ws, 1);
+                lowered_conv2d_forward(&one, &x, &w, None, &mut out, batch, c_out, &geo, &mut ws);
             });
             let direct_fwd = time(&mut || {
                 out.fill(0.0);
                 conv2d_forward_direct(native_isa(), &x, &w, None, &mut out, batch, c_out, &geo, 1);
             });
-            let mut dw = vec![0.0f32; c_out * rows];
-            let dw_staged = time(&mut || {
-                dw.fill(0.0);
-                conv2d_backward_weights_staged(&x, &grad, &mut dw, batch, c_out, &geo, 1);
-            });
-            let want = dw.clone();
-            let dw_bcast = time(&mut || {
-                dw.fill(0.0);
-                conv2d_backward_weights_broadcast(
-                    native_isa(),
-                    &x,
-                    &grad,
-                    &mut dw,
-                    batch,
-                    c_out,
-                    &geo,
-                    1,
-                );
-            });
-            assert_eq!(dw, want, "broadcast dW against the staged GEMM");
-            let ld = c_out.next_multiple_of(LANES);
-            let mut gt = vec![0.0f32; g * n_cols * ld];
-            let grad_t = time(&mut || {
-                for g_g in grad.chunks(g * out_len) {
-                    for (g_s, gt_s) in g_g
-                        .chunks_exact(out_len)
-                        .zip(gt.chunks_exact_mut(n_cols * ld))
-                    {
-                        transpose(native_isa(), g_s, n_cols, gt_s, ld, c_out, n_cols, ld);
-                    }
-                }
-                std::hint::black_box(&gt);
-            });
-            // The broadcast kernel alone, on one group's operands.
-            let mut dwt = vec![0.0f32; rows * ld];
-            let mut st = Staging::default();
-            st.prepare(&geo, c_out, g);
-            let kern = time(&mut || {
-                let k = DwKernel {
-                    buf: &st.buf,
-                    base: &st.base,
-                    row_off: &st.row_off,
-                    ld,
-                };
-                for _ in 0..batch.div_ceil(g) {
-                    // SAFETY: `gt` holds the group's rows and `dwt` every
-                    // tap's, `ld` floats each; the tables index the staging.
-                    unsafe { k.run(native_isa(), gt.as_ptr(), dwt.as_mut_ptr()) };
-                }
-            });
             let bwi = time(&mut || {
                 dx.fill(0.0);
-                conv2d_backward_input_staged(&w, &grad, &mut dx, batch, c_out, &geo, &mut ws, 1);
+                lowered_conv2d_backward_input(
+                    &one, &w, &grad, &mut dx, batch, c_out, &geo, &mut ws,
+                );
             });
             let direct = time(&mut || {
                 dx.fill(0.0);
@@ -3986,56 +3516,59 @@ mod tune {
                     1,
                 );
             });
+            let mut dw = vec![0.0f32; c_out * rows];
+            let dw_bcast = time(&mut || {
+                dw.fill(0.0);
+                conv2d_backward_weights_broadcast(
+                    native_isa(),
+                    &x,
+                    &grad,
+                    &mut dw,
+                    batch,
+                    c_out,
+                    &geo,
+                    1,
+                );
+            });
             // The parts, over the same fold groups.
-            let groups = batch.div_ceil(g);
-            let nn = g * n_cols;
+            let mut st = Staging::default();
+            st.prepare(&geo, g);
             let stage_in = time(&mut || {
                 for x_g in x.chunks(g * img_len) {
-                    st.rows(&geo, x_g.chunks_exact(hw), |staged, row| {
-                        staged.copy_from_slice(row)
-                    });
+                    st.stage(&geo, x_g);
                 }
             });
-            let nr = MAX_NR;
-            let mut panel = vec![0.0f32; rows * nr];
-            let fwd_b = Gather::new(&st.buf, &st.base, &st.row_off);
-            let gather = time(&mut || {
-                for _ in 0..groups {
-                    for j0 in (0..nn).step_by(nr) {
-                        fwd_b.pack(j0, nr.min(nn - j0), 0, nr, &mut panel);
+            let ld = c_out.next_multiple_of(LANES);
+            let mut gt = vec![0.0f32; g * n_cols * ld];
+            let grad_t = time(&mut || {
+                for g_g in grad.chunks(g * out_len) {
+                    for (g_s, gt_s) in g_g
+                        .chunks_exact(out_len)
+                        .zip(gt.chunks_exact_mut(n_cols * ld))
+                    {
+                        transpose(native_isa(), g_s, n_cols, gt_s, ld, c_out, n_cols, ld);
                     }
                 }
-                std::hint::black_box(&panel);
+                std::hint::black_box(&gt);
             });
-            let dense = arb(rows * nn, 4);
-            let dense_col: Vec<u32> = (0..nn as u32).collect();
-            let dense_red: Vec<u32> = (0..rows).map(|p| (p * nn) as u32).collect();
-            let mut c = vec![0.0f32; c_out * nn];
-            let gemm = time(&mut || {
-                for _ in 0..groups {
-                    gemm(
-                        c_out,
-                        rows,
-                        nn,
-                        &mut c,
-                        nn,
-                        |i, p| w[i * rows + p],
-                        BSrc::Table(Gather::new(&dense, &dense_col, &dense_red)),
-                    );
+            let mut dwt = vec![0.0f32; rows * ld];
+            let kern = time(&mut || {
+                let k = DwKernel {
+                    buf: &st.buf,
+                    base: &st.base,
+                    row_off: &st.row_off,
+                    ld,
+                };
+                for _ in 0..batch.div_ceil(g) {
+                    // SAFETY: `gt` holds the group's rows and `dwt` every
+                    // tap's, `ld` floats each; the tables index the staging.
+                    unsafe { k.run(native_isa(), gt.as_ptr(), dwt.as_mut_ptr()) };
                 }
             });
-            let dcols = arb(rows * nn, 5);
-            let scatter = time(&mut || {
-                for _ in 0..groups {
-                    scatter_add(&mut st.buf, &dcols, &st.base, &st.row_off);
-                }
-            });
-            let per = |us: f64| us * 1e3 / (groups * rows * nn) as f64;
             println!(
-                "{c_in:2}->{c_out:2}@{hw:2}² g={g:2} {fwd:7.1} {dw_staged:8.1} {dw_bcast:8.1} {:4.2} {grad_t:6.1} {kern:6.1} {bwi:7.1} | {stage_in:8.1} {gather:7.1} {gemm:7.1} {scatter:7.1} {direct:7.1} {direct_fwd:10.1}  ({:.2} {:.2})",
-                dw_staged / dw_bcast, per(gather), per(scatter),
+                "{c_in:2}->{c_out:2}@{hw:2}² g={g:2} {fwd:7.1} {direct_fwd:11.1} {bwi:7.1} {direct:7.1} {dw_bcast:9.1} {stage_in:8.1} {grad_t:6.1} {kern:6.1}",
             );
-            std::hint::black_box((&out, &dx, &c));
+            std::hint::black_box((&out, &dx, &dw));
         }
     }
 }

@@ -3,13 +3,13 @@
 //! * **bitwise thread invariance** — `Parallel` results are identical
 //!   bytes at 1, 2, and 4 worker threads, on shapes large enough that
 //!   the planner actually splits work;
-//! * **Scalar ≡ Parallel at 1e-5** — the staged conv and grouped-GEMM
-//!   entry points agree with the materialized reference path for random
-//!   (including skinny and degenerate) shapes;
-//! * **staged conv ≡ the canonical chain, bitwise** — forward, dW and dX
+//! * **Scalar ≡ Parallel at 1e-5** — the conv and GEMM entry points
+//!   agree with the materialized reference path for random (including
+//!   skinny and degenerate) shapes;
+//! * **every conv route ≡ the canonical chain, bitwise** — forward, dW
+//!   and dX (direct kernels, broadcast dW, `im2col` + GEMM lowering)
 //!   accumulate into non-zero destinations exactly as the literal
-//!   `mul_add` folds over materialized `cols` do, across every fold edge
-//!   of the batch-folded lowering.
+//!   `mul_add` folds over materialized `cols` do.
 //!
 //! Tile-config and cross-ISA bitwise invariance are pinned by the unit
 //! tests inside `fp_tensor::pack`, which can reach the internal tile
@@ -71,7 +71,7 @@ fn gemm_flavors_bitwise_across_threads() {
     }
 }
 
-/// Staged conv entry points above the parallel threshold (≈9.4M MACs):
+/// Conv entry points above the parallel threshold (≈9.4M MACs):
 /// identical bytes at 1, 2, and 4 threads.
 #[test]
 fn fused_conv_bitwise_across_threads() {
@@ -166,34 +166,39 @@ fn canonical_conv(
     (out, dw, dx)
 }
 
-/// The batch-folded lowering against the canonical chain, bitwise,
-/// through the public entry points: batch 1 / 5 / 32 / 33 (one sample, a
-/// ragged last fold group), `n_cols` 1 / 4 / 9 / 16 / 64 / 256 (from
-/// panels that straddle many samples to two-sample groups), stride 2,
-/// 1–3 threads, and non-zero `out` / `dw` / `dx`. Channel counts put the
-/// batch-32/33 cases above the planner's threshold so the thread split
-/// is real.
+/// `Parallel`'s conv entry points against the canonical chain, bitwise,
+/// on every route: the direct forward and dX and the broadcast dW at k = 3,
+/// stride 1 (`n_cols` 1 / 4 / 9 / 64 / 256, so the dW fold groups range
+/// from one sample to 128), the `im2col` + GEMM lowering at stride 2 (a
+/// k = 3 downsampling conv, a 1×1 ResNet projection, the CNN4 stem on an
+/// odd plane) and at k = 7 / pad 3. Batch 0 / 1 / 5 / 32 / 33 (a ragged
+/// last fold group), 1–3 threads, non-zero `out` / `dw` / `dx`. Channel
+/// counts put the batch-32/33 k = 3 cases above the planner's threshold,
+/// so the direct kernels' and the broadcast dW's thread split is real.
 #[test]
-fn staged_conv_bitwise_canonical_chain_at_fold_edges() {
-    let geo = |c_in, hw, stride, pad| Conv2dGeometry {
+fn conv_routes_bitwise_canonical_chain() {
+    let geo = |c_in, hw, k, stride, pad| Conv2dGeometry {
         c_in,
         h: hw,
         w: hw,
-        k: 3,
+        k,
         stride,
         pad,
     };
     for (geo, c_out) in [
-        (geo(128, 3, 1, 0), 128usize), // n_cols 1
-        (geo(64, 2, 1, 1), 64),        // n_cols 4
-        (geo(32, 3, 1, 1), 64),        // n_cols 9
-        (geo(32, 8, 2, 1), 32),        // n_cols 16, stride 2
-        (geo(16, 8, 1, 1), 16),        // n_cols 64
-        (geo(8, 16, 1, 1), 8),         // n_cols 256
+        (geo(128, 3, 3, 1, 0), 128usize), // n_cols 1
+        (geo(64, 2, 3, 1, 1), 64),        // n_cols 4
+        (geo(32, 3, 3, 1, 1), 64),        // n_cols 9
+        (geo(32, 8, 3, 2, 1), 32),        // n_cols 16, stride 2
+        (geo(16, 8, 3, 1, 1), 16),        // n_cols 64
+        (geo(8, 16, 3, 1, 1), 8),         // n_cols 256
+        (geo(4, 9, 7, 1, 3), 8),          // k 7, pad 3: lowered forward
+        (geo(16, 8, 1, 2, 0), 32),        // 1×1 stride-2 projection
+        (geo(3, 33, 3, 2, 1), 32),        // CNN4 stem, odd plane
     ] {
         let (rows, n_cols) = (geo.col_rows(), geo.col_cols());
         let img_len = geo.c_in * geo.h * geo.w;
-        for batch in [1usize, 5, 32, 33] {
+        for batch in [0usize, 1, 5, 32, 33] {
             let mut rng = fp_tensor::seeded_rng(0xF01D ^ (batch * n_cols) as u64);
             let x = rand_vec(batch * img_len, &mut rng);
             let w = rand_vec(c_out * rows, &mut rng);
@@ -211,7 +216,7 @@ fn staged_conv_bitwise_canonical_chain_at_fold_edges() {
                 be.conv2d_forward(&x, &w, None, &mut out, batch, c_out, &geo, &mut ws);
                 be.conv2d_backward_weights(&x, &g, &mut dw, batch, c_out, &geo, &mut ws);
                 be.conv2d_backward_input(&w, &g, &mut dx, batch, c_out, &geo, &mut ws);
-                let what = format!("n_cols {n_cols} batch {batch} threads {threads}");
+                let what = format!("{geo:?} batch {batch} threads {threads}");
                 assert_eq!(out, want.0, "forward {what}");
                 assert_eq!(dw, want.1, "dW {what}");
                 assert_eq!(dx, want.2, "dX {what}");
@@ -223,8 +228,9 @@ fn staged_conv_bitwise_canonical_chain_at_fold_edges() {
 /// The PR-6 regression probe, kept as a pinned suite: k=5 pad=2
 /// stride=1 geometries where a packed B panel ends inside the left
 /// padding — the span arithmetic of the old per-row patch reader
-/// underflowed there; the staged lowering reads those taps from the
-/// zero border of its padded staging. Covers forward and both backward
+/// underflowed there; the direct kernels mask those taps and the
+/// broadcast dW reads them from the zero border of its padded staging.
+/// Covers forward and both backward
 /// kernels, and checks the Parallel results are bitwise thread-invariant
 /// on these degenerate shapes too.
 #[test]
@@ -319,7 +325,7 @@ proptest! {
         assert_within(&got.2, &want.2, "dX")?;
     }
 
-    /// Staged conv forward ≡ materialized Scalar reference at 1e-5 for
+    /// Parallel conv forward ≡ materialized Scalar reference at 1e-5 for
     /// random geometry (stride 1–2, pad 0–1, skinny channel counts).
     #[test]
     fn conv2d_forward_scalar_vs_parallel(
@@ -351,7 +357,7 @@ proptest! {
         assert_within(&got, &want, "conv2d_forward")?;
     }
 
-    /// Both staged conv backward kernels ≡ the Scalar reference at 1e-5,
+    /// Both Parallel conv backward kernels ≡ the Scalar reference at 1e-5,
     /// including gradient accumulation into non-zero buffers (`dw`).
     #[test]
     fn conv2d_backward_scalar_vs_parallel(
