@@ -1,5 +1,6 @@
 //! Model aggregation.
 
+use fp_tensor::isa::{native_isa, Isa};
 use fp_tensor::Tensor;
 
 /// Weighted average of flat parameter vectors (FedAvg, paper Eq. 1).
@@ -98,9 +99,10 @@ pub fn average_bn_stats<S: AsRef<[(Tensor, Tensor)]>>(
 // every column abreast: per column that is the chain `Iterator::sum`
 // evaluates — from its `-0.0` identity, which is observable (an all-`-0.0`
 // coordinate averages to `-0.0`) — in rank order. The whole block kernel is
-// integer `min` / `max` plus IEEE `+ * /` in a fixed order, so compiling it
-// for wider vectors (`trim_block_avx512` / `_avx2`) cannot change a bit of
-// any number it returns; `tests::trimmed_mean_reference` is the old
+// integer `min` / `max` plus IEEE `+ * /` in a fixed order (Rust never
+// fuses a multiply and an add the source keeps apart), so compiling it for
+// wider vectors (`trim_block_on`: `avx512f`, `avx2` + `fma`) cannot change
+// a bit of any number it returns; `tests::trimmed_mean_reference` is the old
 // per-coordinate `sort_by` body it is held to.
 
 /// Coordinates sorted together by [`trimmed_mean`].
@@ -203,46 +205,24 @@ fn trim_block(
     }
 }
 
-/// Defines `$name` as [`trim_block`] compiled with `$feature` enabled (the
-/// body is `#[inline(always)]`, so it is re-vectorised for the wider unit).
-macro_rules! trim_block_for {
-    ($name:ident, $feature:literal) => {
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = $feature)]
-        fn $name(
-            net: &[(usize, usize)],
-            w64: &[f64],
-            keys: &mut [u64],
-            rows: &[&[f32]],
-            g: usize,
-            trimmed: &mut [usize],
-            outs: &mut [f32],
-        ) {
-            trim_block(net, w64, keys, rows, g, trimmed, outs)
-        }
-    };
-}
-// 8-lane `u64` `min` / `max`; 4-lane compare + blend.
-trim_block_for!(trim_block_avx512, "avx512f");
-trim_block_for!(trim_block_avx2, "avx2");
-
-/// The signature of [`trim_block`]; `unsafe` because an instance may need a
-/// CPU feature.
-type TrimBlock =
-    unsafe fn(&[(usize, usize)], &[f64], &mut [u64], &[&[f32]], usize, &mut [usize], &mut [f32]);
-
-/// The widest [`trim_block`] instance the running CPU supports.
-fn trim_block_for_this_cpu() -> TrimBlock {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            return trim_block_avx512;
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return trim_block_avx2;
-        }
+fp_tensor::per_isa! {
+    /// [`trim_block`] compiled for `isa` (8-lane `u64` `min` / `max` on
+    /// AVX-512, 4-lane compare + blend on AVX2).
+    #[allow(clippy::too_many_arguments)]
+    fn trim_block_on(
+        isa: Isa,
+        net: &[(usize, usize)],
+        w64: &[f64],
+        keys: &mut [u64],
+        rows: &[&[f32]],
+        g: usize,
+        trimmed: &mut [usize],
+        outs: &mut [f32],
+    ) {
+        avx512 => trim_block(net, w64, keys, rows, g, trimmed, outs),
+        avx2 => trim_block(net, w64, keys, rows, g, trimmed, outs),
+        base => trim_block(net, w64, keys, rows, g, trimmed, outs),
     }
-    trim_block
 }
 
 /// Coordinate-wise trimmed mean: per coordinate, the `g` lowest and `g`
@@ -259,6 +239,16 @@ fn trim_block_for_this_cpu() -> TrimBlock {
 /// Panics if `updates` is empty, lengths disagree, or trimming would
 /// discard every value (`2g ≥ n`).
 pub fn trimmed_mean(
+    updates: &[(usize, Vec<f32>)],
+    weights: &[f32],
+    g: usize,
+) -> (Vec<f32>, Vec<usize>) {
+    trimmed_mean_on(native_isa(), updates, weights, g)
+}
+
+/// [`trimmed_mean`] with its block kernel on `isa`, one the CPU runs.
+fn trimmed_mean_on(
+    isa: Isa,
     updates: &[(usize, Vec<f32>)],
     weights: &[f32],
     g: usize,
@@ -284,14 +274,11 @@ pub fn trimmed_mean(
     let mut buf = vec![0u64; n * BLOCK + 7];
     let lead = buf.as_ptr().align_offset(64).min(7);
     let keys = &mut buf[lead..lead + n * BLOCK];
-    let kernel = trim_block_for_this_cpu();
     let mut rows: Vec<&[f32]> = Vec::with_capacity(n);
     for (block, outs) in out.chunks_mut(BLOCK).enumerate() {
         rows.clear();
         rows.extend(updates.iter().map(|(_, u)| &u[block * BLOCK..]));
-        // SAFETY: `trim_block_for_this_cpu` hands out an instance compiled
-        // for a CPU feature only after detecting that feature.
-        unsafe { kernel(&net, &w64, keys, &rows, g, &mut trimmed, outs) };
+        trim_block_on(isa, &net, &w64, keys, &rows, g, &mut trimmed, outs);
     }
     (out, trimmed)
 }
@@ -577,6 +564,8 @@ mod tests {
             .collect()
     }
 
+    /// The blocked kernel on every ISA the CPU runs against the
+    /// per-coordinate `sort_by` reference: output bits and trimmed counts.
     #[test]
     fn plane_kernel_trimmed_mean_matches_reference_bitwise() {
         let mut rng = fp_tensor::seeded_rng(0x7219);
@@ -608,16 +597,18 @@ mod tests {
                 .collect();
             for g in 0..n.div_ceil(2) {
                 let (want, want_trimmed) = trimmed_mean_reference(&updates, &weights, g);
-                let (got, got_trimmed) = trimmed_mean(&updates, &weights, g);
-                assert_eq!(
-                    got_trimmed, want_trimmed,
-                    "case {case}: n {n} len {len} g {g}"
-                );
-                assert_eq!(
-                    bits(&got),
-                    bits(&want),
-                    "case {case}: n {n} len {len} g {g}"
-                );
+                for isa in fp_tensor::isa::available_isas() {
+                    let (got, got_trimmed) = trimmed_mean_on(isa, &updates, &weights, g);
+                    assert_eq!(
+                        got_trimmed, want_trimmed,
+                        "case {case}: {isa:?} n {n} len {len} g {g}"
+                    );
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "case {case}: {isa:?} n {n} len {len} g {g}"
+                    );
+                }
             }
         }
     }

@@ -20,8 +20,9 @@
 //! can be re-pointed with `set_backend` in `fp-nn`.
 
 use crate::im2col::{col2im, im2col, Conv2dGeometry};
+use crate::isa::native_isa;
 use crate::matmul::{matmul_into, matmul_nt_into, matmul_tn_into};
-use crate::pack::{self, native_isa};
+use crate::pack;
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// A shared, thread-safe backend handle.

@@ -31,6 +31,7 @@
 
 mod backend;
 mod im2col;
+pub mod isa;
 mod matmul;
 mod ops;
 mod pack;

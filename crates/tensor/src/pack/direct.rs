@@ -8,10 +8,11 @@
 //! an ISA the caller verified the CPU runs. Offsets of masked-off lanes
 //! are applied with `wrapping_*` and never read.
 
-#[cfg(target_arch = "x86_64")]
-use super::lanes::lanes_x86;
 use super::lanes::{Lanes, Portable16, LANES};
-use super::{Isa, WS};
+#[cfg(target_arch = "x86_64")]
+use super::lanes::{Ymm2, Zmm};
+use super::WS;
+use crate::isa::Isa;
 use crate::{backend::for_row_chunks, im2col::Conv2dGeometry};
 
 /// Which way a direct kernel's taps point. A kernel's vectors sit in its
@@ -202,20 +203,14 @@ trait Direct: Copy {
         slot: [usize; NV],
     );
 
-    /// Runs [`direct_vectors`] on `isa`.
-    ///
-    /// # Safety
-    ///
-    /// As [`Direct::block`], for every vector of `samples` samples.
-    unsafe fn run(
-        self,
-        isa: Isa,
-        lay: &DirectLayout,
-        dst: *mut f32,
-        src: *const f32,
-        samples: usize,
-    );
+    /// `(isa, k, lay, dst, src, samples)`: [`direct_vectors`] of `k` on
+    /// `isa` ([`dx_vectors`], [`fwd_vectors`]). Safety: as
+    /// [`Direct::block`], for every vector of `samples` samples.
+    const VECTORS: Vectors<Self>;
 }
+
+/// The signature of a [`Direct::VECTORS`].
+type Vectors<K> = unsafe fn(Isa, K, &DirectLayout, *mut f32, *const f32, usize);
 
 /// `NV` vectors from vector `j0` on.
 #[inline(always)]
@@ -271,24 +266,6 @@ unsafe fn direct_vectors<L: Lanes, K: Direct, const CM: usize, const NV: usize>(
             }
         }
     }
-}
-
-/// Defines `$name` as [`direct_vectors`] of `$kernel` over `$lanes`, `$cm`
-/// channels × `$nv` vectors, compiled with `$feature` enabled.
-macro_rules! direct_vectors_for {
-    ($name:ident, $kernel:ident, $lanes:ty, $cm:literal, $nv:literal, $feature:literal) => {
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = $feature)]
-        unsafe fn $name(
-            k: $kernel,
-            lay: &DirectLayout,
-            dst: *mut f32,
-            src: *const f32,
-            samples: usize,
-        ) {
-            unsafe { direct_vectors::<$lanes, $kernel, $cm, $nv>(k, lay, dst, src, samples) }
-        }
-    };
 }
 
 /// Elements of a sample row moved per pass of [`to_lanes`] /
@@ -353,7 +330,7 @@ fn direct_conv<K: Direct + Sync>(
         if !staged {
             // SAFETY: every slot's lanes are in-plane elements of the
             // chunk's samples; `isa` is one the CPU supports.
-            unsafe { k.run(isa, &in_place, chunk.as_mut_ptr(), src.as_ptr(), samples) };
+            unsafe { K::VECTORS(isa, k, &in_place, chunk.as_mut_ptr(), src.as_ptr(), samples) };
             return;
         }
         let lay = DirectLayout::staged(geo, c_out, dir, samples);
@@ -370,7 +347,7 @@ fn direct_conv<K: Direct + Sync>(
             to_lanes(src, s_len, s_t, ld);
             to_lanes(chunk, d_len, d_t, ld);
             // SAFETY: the staging holds every lane the layout names.
-            unsafe { k.run(isa, &lay, d_t.as_mut_ptr(), s_t.as_ptr(), 1) };
+            unsafe { K::VECTORS(isa, k, &lay, d_t.as_mut_ptr(), s_t.as_ptr(), 1) };
             from_lanes(d_t, ld, chunk, d_len);
         });
     });
@@ -491,33 +468,27 @@ impl Direct for DxKernel<'_> {
         }
     }
 
-    unsafe fn run(
-        self,
+    const VECTORS: Vectors<Self> = dx_vectors;
+}
+
+crate::per_isa! {
+    /// [`direct_vectors`] of the direct dX on `isa`.
+    unsafe fn dx_vectors(
         isa: Isa,
+        k: DxKernel<'_>,
         lay: &DirectLayout,
         dx: *mut f32,
         grad: *const f32,
         samples: usize,
     ) {
-        // SAFETY: the caller's contract; each instance is chosen by `isa`,
-        // which the caller verified the CPU supports.
-        unsafe {
-            match isa {
-                #[cfg(target_arch = "x86_64")]
-                Isa::Avx512 => dx_vectors_avx512(self, lay, dx, grad, samples),
-                #[cfg(target_arch = "x86_64")]
-                Isa::Avx2 => dx_vectors_avx2(self, lay, dx, grad, samples),
-                _ => direct_vectors::<Portable16, Self, 4, 1>(self, lay, dx, grad, samples),
-            }
-        }
+        // 4 channels × 3 vectors: 12 chains + 12 accumulators + 3 gradient
+        // vectors + 1 weight = 28 of 32 zmm.
+        avx512 => unsafe { direct_vectors::<Zmm, DxKernel, 4, 3>(k, lay, dx, grad, samples) },
+        // 3 channels × one vector of two halves: 6 + 6 + 2 + 1 = 15 of 16 ymm.
+        avx2 => unsafe { direct_vectors::<Ymm2, DxKernel, 3, 1>(k, lay, dx, grad, samples) },
+        base => unsafe { direct_vectors::<Portable16, DxKernel, 4, 1>(k, lay, dx, grad, samples) },
     }
 }
-
-// 4 channels × 3 vectors: 12 chains + 12 accumulators + 3 gradient
-// vectors + 1 weight = 28 of 32 zmm.
-direct_vectors_for!(dx_vectors_avx512, DxKernel, lanes_x86::Zmm, 4, 3, "avx512f");
-// 3 channels × one vector of two halves: 6 + 6 + 2 + 1 = 15 of 16 ymm.
-direct_vectors_for!(dx_vectors_avx2, DxKernel, lanes_x86::Ymm2, 3, 1, "avx2,fma");
 
 /// Direct input gradient of a stride-1 convolution (module doc, "The
 /// canonical accumulation chain"): every `dx` element is produced in
@@ -742,47 +713,28 @@ impl Direct for FwdKernel<'_> {
         }
     }
 
-    unsafe fn run(
-        self,
+    const VECTORS: Vectors<Self> = fwd_vectors;
+}
+
+crate::per_isa! {
+    /// [`direct_vectors`] of the direct forward on `isa`.
+    unsafe fn fwd_vectors(
         isa: Isa,
+        k: FwdKernel<'_>,
         lay: &DirectLayout,
         out: *mut f32,
         x: *const f32,
         samples: usize,
     ) {
-        // SAFETY: the caller's contract; each instance is chosen by `isa`,
-        // which the caller verified the CPU supports.
-        unsafe {
-            match isa {
-                #[cfg(target_arch = "x86_64")]
-                Isa::Avx512 => fwd_vectors_avx512(self, lay, out, x, samples),
-                #[cfg(target_arch = "x86_64")]
-                Isa::Avx2 => fwd_vectors_avx2(self, lay, out, x, samples),
-                _ => direct_vectors::<Portable16, Self, 4, 1>(self, lay, out, x, samples),
-            }
-        }
+        // 12 channels × 2 vectors: 24 accumulators + 2 input vectors; the
+        // weight broadcasts are memory operands of the FMAs.
+        avx512 => unsafe { direct_vectors::<Zmm, FwdKernel, 12, 2>(k, lay, out, x, samples) },
+        // 6 channels × one vector of two halves: 12 + 2 + 1 weight = 15 of
+        // 16 ymm.
+        avx2 => unsafe { direct_vectors::<Ymm2, FwdKernel, 6, 1>(k, lay, out, x, samples) },
+        base => unsafe { direct_vectors::<Portable16, FwdKernel, 4, 1>(k, lay, out, x, samples) },
     }
 }
-
-// 12 channels × 2 vectors: 24 accumulators + 2 input vectors; the weight
-// broadcasts are memory operands of the FMAs.
-direct_vectors_for!(
-    fwd_vectors_avx512,
-    FwdKernel,
-    lanes_x86::Zmm,
-    12,
-    2,
-    "avx512f"
-);
-// 6 channels × one vector of two halves: 12 + 2 + 1 weight = 15 of 16 ymm.
-direct_vectors_for!(
-    fwd_vectors_avx2,
-    FwdKernel,
-    lanes_x86::Ymm2,
-    6,
-    1,
-    "avx2,fma"
-);
 
 /// Whether every element of `w` is finite: `v · 0` is a zero for a finite
 /// `v` and NaN otherwise, summed sixteen abreast (a form the baseline

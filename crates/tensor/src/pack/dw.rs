@@ -9,10 +9,11 @@
 //! CPU runs.
 
 use super::gemm::MAX_NR;
-#[cfg(target_arch = "x86_64")]
-use super::lanes::lanes_x86;
 use super::lanes::{transpose, Lanes, Portable16, LANES};
-use super::{Isa, Ws, WS};
+#[cfg(target_arch = "x86_64")]
+use super::lanes::{Ymm2, Zmm};
+use super::{Ws, WS};
+use crate::isa::Isa;
 use crate::{backend::for_row_chunks, im2col::Conv2dGeometry};
 
 // ------------------------------------------------------------ conv staging
@@ -244,42 +245,21 @@ unsafe fn dw_vectors<
     }
 }
 
-/// Defines `$name` as [`dw_vectors`] over `$lanes` with `$nv` vectors
-/// abreast at most and the tile heights `$p`, compiled with `$feature`.
-macro_rules! dw_vectors_for {
-    ($name:ident, $lanes:ty, $nv:literal, [$($p:literal),*], $feature:literal) => {
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = $feature)]
-        unsafe fn $name(k: DwKernel, gt: *const f32, dwt: *mut f32) {
-            unsafe { dw_vectors::<$lanes, $nv, $($p),*>(k, gt, dwt) }
-        }
-    };
-}
-
-// One vector: 24 accumulators + 1 gradient vector; two: 24 + 2; three:
-// 27 + 3 of 32 zmm. The image factors are memory operands of the FMAs.
-dw_vectors_for!(dw_vectors_avx512, lanes_x86::Zmm, 3, [9, 9, 7], "avx512f");
-// One vector of two halves: 12 accumulators + 2 + 1 broadcast of 16 ymm.
-dw_vectors_for!(dw_vectors_avx2, lanes_x86::Ymm2, 1, [6, 6, 6], "avx2,fma");
-
-impl DwKernel<'_> {
-    /// Runs [`dw_vectors`] on `isa`.
+crate::per_isa! {
+    /// [`dw_vectors`] on `isa`.
     ///
     /// # Safety
     ///
-    /// As [`dw_tile`], for every vector of `k.ld` and every tap; `isa` must
-    /// be one the CPU supports.
-    pub(super) unsafe fn run(self, isa: Isa, gt: *const f32, dwt: *mut f32) {
-        // SAFETY: the caller's contract.
-        unsafe {
-            match isa {
-                #[cfg(target_arch = "x86_64")]
-                Isa::Avx512 => dw_vectors_avx512(self, gt, dwt),
-                #[cfg(target_arch = "x86_64")]
-                Isa::Avx2 => dw_vectors_avx2(self, gt, dwt),
-                _ => dw_vectors::<Portable16, 1, 4, 4, 4>(self, gt, dwt),
-            }
-        }
+    /// As [`dw_tile`], for every vector of `k.ld` and every tap.
+    pub(super) unsafe fn dw_kernel(isa: Isa, k: DwKernel<'_>, gt: *const f32, dwt: *mut f32) {
+        // One vector: 24 accumulators + 1 gradient vector; two: 24 + 2;
+        // three: 27 + 3 of 32 zmm. The image factors are memory operands of
+        // the FMAs.
+        avx512 => unsafe { dw_vectors::<Zmm, 3, 9, 9, 7>(k, gt, dwt) },
+        // One vector of two halves: 12 accumulators + 2 + 1 broadcast of 16
+        // ymm.
+        avx2 => unsafe { dw_vectors::<Ymm2, 1, 6, 6, 6>(k, gt, dwt) },
+        base => unsafe { dw_vectors::<Portable16, 1, 4, 4, 4>(k, gt, dwt) },
     }
 }
 
@@ -345,7 +325,7 @@ pub(crate) fn conv2d_backward_weights_broadcast(
                 // SAFETY: `gt` holds `nn` rows and `dwt` `rows` rows of `ld`
                 // floats; every corner plus tap offset lies in the staging;
                 // `isa` is one the CPU supports.
-                unsafe { k.run(isa, gt.as_ptr(), dwt.as_mut_ptr()) };
+                unsafe { dw_kernel(isa, k, gt.as_ptr(), dwt.as_mut_ptr()) };
             }
             transpose(isa, dwt, ld, chunk, rows, rows, r1 - r0, rows);
         })

@@ -6,7 +6,8 @@
 //! `ldc`. [`drive_packed`] hands it only panels it packed and tiles it
 //! bounds-checked as slices, on an ISA the caller verified the CPU runs.
 
-use super::{native_isa, Isa, WS};
+use super::WS;
+use crate::isa::{native_isa, Isa};
 
 // ------------------------------------------------------------------- tiles
 
@@ -43,22 +44,62 @@ pub(crate) fn tiles_for(m: usize, kdim: usize, n: usize) -> Tiles {
 
 // ------------------------------------------------------------ microkernels
 
-/// A register-tiled `MR×NR` inner kernel over packed panels.
-pub(crate) trait Microkernel {
-    /// Panel height (output rows per tile).
-    const MR: usize;
-    /// Panel width (output columns per tile).
-    const NR: usize;
+/// A register-tiled `MR×NR` inner kernel over packed panels:
+/// `run(isa, apanel, bpanel, kc, c, ldc)` is `C[MR×NR] ← C + Apanel·Bpanel`
+/// over `kc` reduction steps, `apanel` holding `kc·MR` floats, `bpanel`
+/// `kc·NR` and `c` an `MR×NR` tile at row stride `ldc` (the file's safety
+/// contract).
+#[derive(Clone, Copy)]
+struct Tile {
+    mr: usize,
+    nr: usize,
+    run: unsafe fn(Isa, *const f32, *const f32, usize, *mut f32, usize),
+}
 
-    /// `C[MR×NR] ← C + Apanel·Bpanel` over `kc` reduction steps.
-    ///
-    /// # Safety
-    ///
-    /// `apanel` must hold `kc·MR` floats, `bpanel` `kc·NR` floats, and
-    /// `c` must point at an `MR×NR` tile with row stride `ldc` that lies
-    /// entirely inside a valid allocation. The required CPU features
-    /// must have been verified by the caller.
-    unsafe fn run(apanel: *const f32, bpanel: *const f32, kc: usize, c: *mut f32, ldc: usize);
+impl Tile {
+    /// The portable tile [`mk_portable`] compiled for the ISA it runs on.
+    fn portable<const MR: usize, const NR: usize>() -> Self {
+        Tile {
+            mr: MR,
+            nr: NR,
+            run: mk_tile::<MR, NR>,
+        }
+    }
+
+    /// The hand-written AVX-512 tile [`x86::mk512`], `MR × NU·16`.
+    #[cfg(target_arch = "x86_64")]
+    fn avx512<const MR: usize, const NU: usize>() -> Self {
+        Tile {
+            mr: MR,
+            nr: NU * 16,
+            run: x86::mk512::<MR, NU>,
+        }
+    }
+}
+
+/// The tile for `isa` and an `m × n` output. Skinny-M shapes (`m ≤ 4`)
+/// take the 4-row tiles, skinny-N shapes the one-vector-wide ones — less
+/// zero-padded panel work on degenerate shapes. Every tile computes the
+/// same canonical chain, so the choice never affects results.
+fn tile_for(isa: Isa, m: usize, n: usize) -> Tile {
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => match (m, n) {
+            (..=4, ..=16) => Tile::avx512::<4, 1>(),
+            (..=4, _) => Tile::avx512::<4, 2>(),
+            (_, ..=16) => Tile::avx512::<8, 1>(),
+            (..=8, _) => Tile::avx512::<8, 2>(),
+            _ => Tile::avx512::<12, 2>(),
+        },
+        Isa::Avx2 => match (m, n) {
+            (..=4, ..=8) => Tile::portable::<4, 8>(),
+            (..=4, _) => Tile::portable::<4, 16>(),
+            (_, ..=8) => Tile::portable::<6, 8>(),
+            _ => Tile::portable::<6, 16>(),
+        },
+        _ if m <= 4 => Tile::portable::<4, 16>(),
+        _ => Tile::portable::<8, 16>(),
+    }
 }
 
 /// Largest `MR·NR` of any kernel variant (scratch-tile capacity).
@@ -72,10 +113,12 @@ mod x86 {
 
     /// `MR×(NU·16)` AVX-512 microkernel: `NU` zmm column vectors per row,
     /// one broadcast FMA per packed A element, C loaded first and stored
-    /// last so the per-element chain is the canonical in-order fold.
+    /// last so the per-element chain is the canonical in-order fold. The
+    /// [`Tile`](super::Tile) signature's ISA is always AVX-512 here.
     #[target_feature(enable = "avx512f")]
     #[allow(clippy::needless_range_loop)] // index loops mirror the register tile
     pub unsafe fn mk512<const MR: usize, const NU: usize>(
+        _: super::Isa,
         apanel: *const f32,
         bpanel: *const f32,
         kc: usize,
@@ -133,51 +176,13 @@ mod x86 {
             }
         }
     }
-
-    /// `MR×(NU·8)` AVX2+FMA microkernel, same structure as [`mk512`].
-    #[target_feature(enable = "avx2,fma")]
-    #[allow(clippy::needless_range_loop)] // index loops mirror the register tile
-    pub unsafe fn mk256<const MR: usize, const NU: usize>(
-        apanel: *const f32,
-        bpanel: *const f32,
-        kc: usize,
-        c: *mut f32,
-        ldc: usize,
-    ) {
-        unsafe {
-            let mut acc = [[_mm256_setzero_ps(); NU]; MR];
-            for r in 0..MR {
-                for u in 0..NU {
-                    acc[r][u] = _mm256_loadu_ps(c.add(r * ldc + u * 8));
-                }
-            }
-            let mut a = apanel;
-            let mut b = bpanel;
-            for _ in 0..kc {
-                let mut bv = [_mm256_setzero_ps(); NU];
-                for (u, slot) in bv.iter_mut().enumerate() {
-                    *slot = _mm256_loadu_ps(b.add(u * 8));
-                }
-                for r in 0..MR {
-                    let av = _mm256_set1_ps(*a.add(r));
-                    for u in 0..NU {
-                        acc[r][u] = _mm256_fmadd_ps(av, bv[u], acc[r][u]);
-                    }
-                }
-                a = a.add(MR);
-                b = b.add(NU * 8);
-            }
-            for r in 0..MR {
-                for u in 0..NU {
-                    _mm256_storeu_ps(c.add(r * ldc + u * 8), acc[r][u]);
-                }
-            }
-        }
-    }
 }
 
 /// Portable `MR×NR` microkernel on `f32::mul_add` — the same correctly
 /// rounded fused operation the SIMD lanes perform, in the same order.
+/// Compiled for AVX2 + FMA it is the AVX2 tile: the compiler's code for it
+/// matches the hand-written `ymm` kernel it replaced.
+#[inline(always)]
 unsafe fn mk_portable<const MR: usize, const NR: usize>(
     apanel: *const f32,
     bpanel: *const f32,
@@ -210,111 +215,20 @@ unsafe fn mk_portable<const MR: usize, const NR: usize>(
     }
 }
 
-macro_rules! kernel {
-    ($name:ident, $inner:path, $mr:expr, $nr:expr) => {
-        pub(crate) struct $name;
-        impl Microkernel for $name {
-            const MR: usize = $mr;
-            const NR: usize = $nr;
-            #[inline]
-            unsafe fn run(
-                apanel: *const f32,
-                bpanel: *const f32,
-                kc: usize,
-                c: *mut f32,
-                ldc: usize,
-            ) {
-                unsafe { $inner(apanel, bpanel, kc, c, ldc) }
-            }
-        }
-    };
-}
-
-#[cfg(target_arch = "x86_64")]
-kernel!(K512x12x32, x86::mk512::<12, 2>, 12, 32);
-#[cfg(target_arch = "x86_64")]
-kernel!(K512x8x32, x86::mk512::<8, 2>, 8, 32);
-#[cfg(target_arch = "x86_64")]
-kernel!(K512x8x16, x86::mk512::<8, 1>, 8, 16);
-#[cfg(target_arch = "x86_64")]
-kernel!(K512x4x32, x86::mk512::<4, 2>, 4, 32);
-#[cfg(target_arch = "x86_64")]
-kernel!(K512x4x16, x86::mk512::<4, 1>, 4, 16);
-#[cfg(target_arch = "x86_64")]
-kernel!(K256x6x16, x86::mk256::<6, 2>, 6, 16);
-#[cfg(target_arch = "x86_64")]
-kernel!(K256x6x8, x86::mk256::<6, 1>, 6, 8);
-#[cfg(target_arch = "x86_64")]
-kernel!(K256x4x16, x86::mk256::<4, 2>, 4, 16);
-#[cfg(target_arch = "x86_64")]
-kernel!(K256x4x8, x86::mk256::<4, 1>, 4, 8);
-kernel!(KPort4x16, mk_portable::<4, 16>, 4, 16);
-kernel!(KPort8x16, mk_portable::<8, 16>, 8, 16);
-
-/// Picks the microkernel variant for an ISA and problem shape and runs
-/// `$body` with `$k` bound to the chosen kernel type. Skinny-M shapes
-/// (`m ≤ 4`) take the 4-row variants, skinny-N shapes the single-vector
-/// column variants — less zero-padded panel work on degenerate shapes.
-/// Every variant computes the same canonical chain, so the choice never
-/// affects results.
-macro_rules! dispatch_kernel {
-    ($isa:expr, $m:expr, $n:expr, $k:ident => $body:expr) => {{
-        match $isa {
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => {
-                if $m <= 4 {
-                    if $n <= 16 {
-                        type $k = K512x4x16;
-                        $body
-                    } else {
-                        type $k = K512x4x32;
-                        $body
-                    }
-                } else if $n <= 16 {
-                    type $k = K512x8x16;
-                    $body
-                } else if $m <= 8 {
-                    type $k = K512x8x32;
-                    $body
-                } else {
-                    type $k = K512x12x32;
-                    $body
-                }
-            }
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => {
-                if $m <= 4 {
-                    if $n <= 8 {
-                        type $k = K256x4x8;
-                        $body
-                    } else {
-                        type $k = K256x4x16;
-                        $body
-                    }
-                } else if $n <= 8 {
-                    type $k = K256x6x8;
-                    $body
-                } else {
-                    type $k = K256x6x16;
-                    $body
-                }
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            Isa::Avx512 | Isa::Avx2 => {
-                type $k = KPort4x16;
-                $body
-            }
-            Isa::Portable => {
-                if $m <= 4 {
-                    type $k = KPort4x16;
-                    $body
-                } else {
-                    type $k = KPort8x16;
-                    $body
-                }
-            }
-        }
-    }};
+crate::per_isa! {
+    /// [`mk_portable`] compiled for `isa`.
+    unsafe fn mk_tile<const MR: usize, const NR: usize>(
+        isa: Isa,
+        apanel: *const f32,
+        bpanel: *const f32,
+        kc: usize,
+        c: *mut f32,
+        ldc: usize,
+    ) {
+        avx512 => unsafe { mk_portable::<MR, NR>(apanel, bpanel, kc, c, ldc) },
+        avx2 => unsafe { mk_portable::<MR, NR>(apanel, bpanel, kc, c, ldc) },
+        base => unsafe { mk_portable::<MR, NR>(apanel, bpanel, kc, c, ldc) },
+    }
 }
 
 // ------------------------------------------------------------------ driver
@@ -379,7 +293,9 @@ pub(crate) enum BSrc<'a> {
 ///
 /// `out` holds `m` rows of `n` valid columns at row stride `ldc`.
 #[allow(clippy::too_many_arguments)] // internal driver: the loop-nest state is the argument list
-fn drive_packed<K: Microkernel>(
+fn drive_packed(
+    isa: Isa,
+    tile: Tile,
     m: usize,
     kdim: usize,
     n: usize,
@@ -394,7 +310,7 @@ fn drive_packed<K: Microkernel>(
         return;
     }
     debug_assert!(out.len() >= (m - 1) * ldc + n, "out buffer too small");
-    let (mr, nr) = (K::MR, K::NR);
+    let (mr, nr) = (tile.mr, tile.nr);
     let kc = tiles.kc.clamp(1, kdim).min(MAX_KC);
     let nc = tiles.nc.clamp(1, n);
     let mc = tiles.mc.clamp(1, m);
@@ -459,14 +375,13 @@ fn drive_packed<K: Microkernel>(
                         let iw = mr.min(m - i0);
                         let apanel = a_slab[ip * mr * kcb..].as_ptr();
                         if iw == mr && jw == nr {
-                            let tile = &mut out[i0 * ldc + j0..][..(mr - 1) * ldc + nr];
-                            // SAFETY: `tile` spans the full MR×NR tile
-                            // at stride `ldc` (the slice above checked
-                            // it), both panels hold `kcb` packed steps,
-                            // and the dispatch verified the required
-                            // CPU features.
+                            let c = &mut out[i0 * ldc + j0..][..(mr - 1) * ldc + nr];
+                            // SAFETY: `c` spans the full MR×NR tile at
+                            // stride `ldc` (the slice above checked it),
+                            // both panels hold `kcb` packed steps, and the
+                            // caller verified the CPU runs `isa`.
                             unsafe {
-                                K::run(apanel, bpanel, kcb, tile.as_mut_ptr(), ldc);
+                                (tile.run)(isa, apanel, bpanel, kcb, c.as_mut_ptr(), ldc);
                             }
                         } else {
                             // Ragged tile: run the identical kernel on a
@@ -481,7 +396,7 @@ fn drive_packed<K: Microkernel>(
                             // SAFETY: scratch holds MR·NR ≤ MAX_TILE
                             // floats; panels as above.
                             unsafe {
-                                K::run(apanel, bpanel, kcb, scratch.as_mut_ptr(), nr);
+                                (tile.run)(isa, apanel, bpanel, kcb, scratch.as_mut_ptr(), nr);
                             }
                             for r in 0..iw {
                                 let row = &mut out[(i0 + r) * ldc + j0..][..jw];
@@ -520,14 +435,23 @@ pub(crate) fn gemm_with_tiles(
     if m == 0 || n == 0 || kdim == 0 {
         return;
     }
+    let tile = tile_for(isa, m, n);
     WS.with(|ws| {
         let ws = &mut *ws.borrow_mut();
-        dispatch_kernel!(isa, m, n, K => {
-            pack_a_all(K::MR, m, kdim, tiles.kc, &a_at, &mut ws.apack);
-            drive_packed::<K>(
-                m, kdim, n, out, ldc, tiles, &ws.apack, &mut ws.bpack, b_src,
-            );
-        });
+        pack_a_all(tile.mr, m, kdim, tiles.kc, &a_at, &mut ws.apack);
+        drive_packed(
+            isa,
+            tile,
+            m,
+            kdim,
+            n,
+            out,
+            ldc,
+            tiles,
+            &ws.apack,
+            &mut ws.bpack,
+            b_src,
+        );
     });
 }
 

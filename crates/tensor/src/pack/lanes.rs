@@ -7,7 +7,7 @@
 //! its loads and stores dereference exactly the masked lanes, which the
 //! caller vouches are in bounds.
 
-use super::Isa;
+use crate::isa::Isa;
 
 // ---------------------------------------------------------- direct kernels
 
@@ -45,7 +45,10 @@ pub(super) trait Lanes: Copy {
 }
 
 #[cfg(target_arch = "x86_64")]
-pub(super) mod lanes_x86 {
+pub(super) use lanes_x86::{Ymm2, Zmm};
+
+#[cfg(target_arch = "x86_64")]
+mod lanes_x86 {
     use super::Lanes;
     use std::arch::x86_64::*;
 
@@ -299,7 +302,8 @@ mod x86 {
 /// (`≥ rows`), `+0.0` for `r ≥ rows`: the transpose of `src` with its rows
 /// padded to `width`. It moves 8×8 blocks (register shuffles on the x86
 /// SIMD ISAs), so one block's rows stay in L1 however far apart they are,
-/// and it moves bits only.
+/// and it moves bits only. The shuffles are written by hand: the scalar
+/// block loop below, compiled for AVX2 or AVX-512, measured 2.5–4× slower.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn transpose(
     isa: Isa,

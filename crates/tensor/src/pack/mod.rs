@@ -17,11 +17,12 @@
 //!   C tile: MR×NR accumulators, ldc-strided loads/stores
 //! ```
 //!
-//! A per-shape dispatcher (`gemm::tiles_for` plus the kernel-variant choice
-//! in `dispatch_kernel!`) picks `MC/KC/NC` and the microkernel size:
-//! square shapes get the widest kernel, skinny-M or skinny-N shapes get
-//! narrower variants that waste less zero-padding, and shallow-N shapes
-//! get deeper `KC` slabs to amortize C-tile traffic.
+//! Per shape, `gemm::tiles_for` picks `MC/KC/NC` and `gemm::tile_for` the
+//! microkernel: square shapes get the widest tile, skinny-M or skinny-N
+//! shapes narrower ones that waste less zero-padding, and shallow-N shapes
+//! get deeper `KC` slabs to amortize C-tile traffic. The AVX-512 tiles are
+//! written by hand; the AVX2 and portable ones are one `mul_add` body the
+//! compiler writes per ISA ([`per_isa!`](crate::per_isa)).
 //!
 //! # Reference lowering (stride ≥ 2, k > 5)
 //!
@@ -181,53 +182,8 @@ pub(crate) use dw::conv2d_backward_weights_broadcast;
 pub(crate) use gemm::{gemm, BSrc};
 
 use std::cell::RefCell;
-use std::sync::OnceLock;
 
 use dw::Staging;
-
-// --------------------------------------------------------------------- isa
-
-/// Instruction sets the microkernel dispatcher can target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Isa {
-    /// 16-lane `zmm` kernels (requires `avx512f`).
-    Avx512,
-    /// 8-lane `ymm` kernels (requires `avx2` + `fma`).
-    Avx2,
-    /// `f32::mul_add` loops — bit-identical to the SIMD paths on any
-    /// IEEE-754 machine, but slow without hardware FMA (libm `fmaf`).
-    Portable,
-}
-
-/// The best ISA this CPU supports, detected once.
-pub(crate) fn native_isa() -> Isa {
-    static ISA: OnceLock<Isa> = OnceLock::new();
-    *ISA.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                return Isa::Avx512;
-            }
-            if std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-            {
-                return Isa::Avx2;
-            }
-        }
-        Isa::Portable
-    })
-}
-
-/// Every ISA the current CPU can actually execute (used by the bitwise
-/// cross-ISA equivalence tests).
-#[cfg(test)]
-pub(crate) fn available_isas() -> Vec<Isa> {
-    match native_isa() {
-        Isa::Avx512 => vec![Isa::Avx512, Isa::Avx2, Isa::Portable],
-        Isa::Avx2 => vec![Isa::Avx2, Isa::Portable],
-        Isa::Portable => vec![Isa::Portable],
-    }
-}
 
 // --------------------------------------------------------------- workspace
 

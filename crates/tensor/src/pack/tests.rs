@@ -1,7 +1,8 @@
-use super::{direct::*, dw::*, gemm::*, *};
+use super::{direct::*, dw::*, gemm::*, lanes::*};
 use crate::backend::{lowered_conv2d_backward_input, lowered_conv2d_forward};
 use crate::backend::{Backend, Parallel, Scalar};
 use crate::im2col::Conv2dGeometry;
+use crate::isa::{available_isas, native_isa};
 use crate::test_support::arb;
 
 /// The canonical chain evaluated literally: one in-order `mul_add`
@@ -29,7 +30,7 @@ fn rows_src(b: &[f32], n: usize) -> impl Fn(usize, usize, &mut [f32]) + '_ {
 /// the literal canonical chain — including ragged/skinny shapes that
 /// exercise the scratch-tile edge path and every kernel variant.
 #[test]
-fn cross_isa_bitwise_equal_to_canonical_chain() {
+fn gemm_cross_isa_bitwise_equal_to_canonical_chain() {
     let shapes = [
         (13, 37, 29),
         (1, 5, 1),
@@ -64,7 +65,7 @@ fn cross_isa_bitwise_equal_to_canonical_chain() {
 
 /// Tile configuration must not affect a single bit of the result.
 #[test]
-fn tile_config_bitwise_invariant() {
+fn gemm_tile_config_bitwise_invariant() {
     let (m, kdim, n) = (50, 300, 70);
     let a = arb(m * kdim, 44);
     let b = arb(kdim * n, 55);
@@ -112,7 +113,7 @@ fn tile_config_bitwise_invariant() {
 /// `BSrc::Cols` packing (transposed source) fills panels with the
 /// same bits as `BSrc::Rows`, so results match exactly.
 #[test]
-fn cols_packing_matches_rows_packing() {
+fn gemm_cols_packing_matches_rows_packing() {
     let (m, kdim, n) = (21, 600, 37);
     let a = arb(m * kdim, 7);
     let b = arb(kdim * n, 8);
@@ -871,6 +872,45 @@ fn conv_dw_special_values() {
             &dw0,
             &format!("{geo:?} specials"),
         );
+    }
+}
+
+/// The transpose against a plain index loop on every ISA: rows padded
+/// with `+0.0` up to `width` (8-row blocks wholly past `rows` included),
+/// `cols` off the 8-column grid, source and destination strides wider than
+/// the block, and the destination columns past `width` left as they were.
+/// It moves bits: `-0.0`, infinities and NaN payloads arrive unchanged.
+#[test]
+fn conv_dw_transpose_matches_index_loop() {
+    let specials = [-0.0, f32::INFINITY, f32::NAN, -f32::NAN, f32::MIN_POSITIVE];
+    // (rows, cols, width, ld_src, ld_dst)
+    for (rows, cols, width, ld_src, ld_dst) in [
+        (8, 8, 8, 8, 8),
+        (3, 5, 16, 5, 16),    // rows < width: block r0 = 8 is all padding
+        (0, 7, 8, 7, 8),      // no source rows at all
+        (8, 3, 24, 3, 24),    // blocks r0 = 8, 16 start at or past `rows`
+        (13, 21, 16, 24, 20), // ragged cols, both strides wider
+        (17, 1, 32, 1, 35),   // one column, rows ending mid-block
+        (12, 70, 16, 70, 17),
+    ] {
+        let mut src = arb(rows * ld_src, (rows * 31 + cols) as u64);
+        for (v, &x) in src.iter_mut().step_by(5).zip(specials.iter().cycle()) {
+            *v = x;
+        }
+        let dst0 = arb(cols * ld_dst, 7);
+        let mut want = dst0.clone();
+        for c in 0..cols {
+            for r in 0..width {
+                want[c * ld_dst + r] = if r < rows { src[r * ld_src + c] } else { 0.0 };
+            }
+        }
+        let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+        for isa in available_isas() {
+            let mut got = dst0.clone();
+            transpose(isa, &src, ld_src, &mut got, ld_dst, rows, cols, width);
+            let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "{isa:?} rows {rows} cols {cols} width {width}");
+        }
     }
 }
 

@@ -1,5 +1,6 @@
-use super::{direct::*, dw::*, gemm::*, lanes::*, *};
+use super::{direct::*, dw::*, gemm::*, lanes::*, Staging};
 use crate::im2col::Conv2dGeometry;
+use crate::isa::native_isa;
 
 /// Manual tuning probe (`cargo test -p fp-tensor --release tune_probe
 /// -- --ignored --nocapture`): times the 512³ hot shape under
@@ -256,7 +257,7 @@ fn tune_conv_probe() {
             for _ in 0..batch.div_ceil(g) {
                 // SAFETY: `gt` holds the group's rows and `dwt` every
                 // tap's, `ld` floats each; the tables index the staging.
-                unsafe { k.run(native_isa(), gt.as_ptr(), dwt.as_mut_ptr()) };
+                unsafe { dw_kernel(native_isa(), k, gt.as_ptr(), dwt.as_mut_ptr()) };
             }
         });
         println!(

@@ -17,9 +17,9 @@
 //! # One body, compiled per ISA
 //!
 //! Each per-chunk kernel — quantize, scale scan, dequantize — is one safe
-//! `#[inline(always)]` loop that `per_isa!` compiles for `avx512f`, for
-//! `avx2` and for the baseline target, like `fp_fl::aggregate`'s trimmed
-//! mean; the compiler vectorises each instance and nothing here names an
+//! `#[inline(always)]` loop that [`per_isa!`](crate::per_isa) compiles
+//! for `avx512f`, for `avx2` + `fma` and for the baseline target, like
+//! `fp_fl::aggregate`'s trimmed mean; the compiler vectorises each instance and nothing here names an
 //! intrinsic. Every element evaluates one canonical chain: plain multiply
 //! then plain add (never an FMA), `floor`, the clamp `if f < lf { f } else
 //! { lf }` (`min_ps`'s operand order: a NaN takes `L`), and the sign from
@@ -36,7 +36,7 @@
 //! saturating cast (`as i32`, `as u8`, `as i16`) is banned in these
 //! bodies: its range handling keeps the loop scalar, ~4× slower.
 
-use crate::pack::{native_isa, Isa};
+use crate::isa::{native_isa, Isa};
 
 /// Golden-ratio index mixer feeding the per-element hash counter.
 const GOLD: u32 = 0x9E37_79B9;
@@ -216,46 +216,42 @@ fn dequantize_body(cs: &[i8], dq: f32, out: &mut [f32]) {
     }
 }
 
-/// Defines `$name(isa, ..)`, which runs `$body` compiled for `avx512f`, for
-/// `avx2` or for the baseline target, as `isa` says (the body is
-/// `#[inline(always)]`, so each instance is vectorised for its unit).
-macro_rules! per_isa {
-    ($name:ident => $body:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)?) => {
-        fn $name(isa: Isa, $($arg: $ty),*) $(-> $ret)? {
-            #[cfg(target_arch = "x86_64")]
-            #[target_feature(enable = "avx512f")]
-            fn avx512($($arg: $ty),*) $(-> $ret)? {
-                $body($($arg),*)
-            }
-            #[cfg(target_arch = "x86_64")]
-            #[target_feature(enable = "avx2")]
-            fn avx2($($arg: $ty),*) $(-> $ret)? {
-                $body($($arg),*)
-            }
-            match isa {
-                // SAFETY: `native_isa` names an ISA only after detecting its
-                // feature, and the tests pass only `available_isas`.
-                #[cfg(target_arch = "x86_64")]
-                Isa::Avx512 => unsafe { avx512($($arg),*) },
-                #[cfg(target_arch = "x86_64")]
-                Isa::Avx2 => unsafe { avx2($($arg),*) },
-                _ => $body($($arg),*),
-            }
-        }
-    };
+crate::per_isa! {
+    fn quantize_chunk(
+        isa: Isa,
+        xs: &[f32],
+        base: u32,
+        sfold: u32,
+        inv: f32,
+        lf: f32,
+        out: &mut [i8],
+    ) {
+        avx512 => quantize_body(xs, base, sfold, inv, lf, out),
+        avx2 => quantize_body(xs, base, sfold, inv, lf, out),
+        base => quantize_body(xs, base, sfold, inv, lf, out),
+    }
 }
-per_isa!(quantize_chunk => quantize_body(
-    xs: &[f32], base: u32, sfold: u32, inv: f32, lf: f32, out: &mut [i8]
-));
-per_isa!(chunk_scale => chunk_scale_body(xs: &[f32]) -> f32);
-per_isa!(dequantize_chunk => dequantize_body(cs: &[i8], dq: f32, out: &mut [f32]));
+crate::per_isa! {
+    fn chunk_scale(isa: Isa, xs: &[f32]) -> f32 {
+        avx512 => chunk_scale_body(xs),
+        avx2 => chunk_scale_body(xs),
+        base => chunk_scale_body(xs),
+    }
+}
+crate::per_isa! {
+    fn dequantize_chunk(isa: Isa, cs: &[i8], dq: f32, out: &mut [f32]) {
+        avx512 => dequantize_body(cs, dq, out),
+        avx2 => dequantize_body(cs, dq, out),
+        base => dequantize_body(cs, dq, out),
+    }
+}
 
 // ------------------------------------------------------------------ tests
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pack::available_isas;
+    use crate::isa::available_isas;
     use crate::test_support::arb;
 
     /// Runs the full quantize pass pinned to one ISA (same chunking and
