@@ -7,10 +7,10 @@
 //!   PGD-20 for evaluation), under ℓ∞ or ℓ2 constraints ([`NormBall`]),
 //!   with random starts and restarts;
 //! * [`Apgd`] — an AutoAttack substitute: momentum-accelerated PGD with
-//!   adaptive step halving and multiple restarts (see `DESIGN.md` §2 — the
-//!   real four-attack AutoAttack ensemble has no Rust implementation; this
-//!   surrogate is strictly stronger than our PGD-20 evaluation, preserving
-//!   the paper's `Clean ≥ PGD ≥ AA` ordering);
+//!   adaptive step halving and multiple restarts (the real four-attack
+//!   AutoAttack ensemble has no Rust implementation; this surrogate is
+//!   strictly stronger than our PGD-20 evaluation, preserving the paper's
+//!   `Clean ≥ PGD ≥ AA` ordering);
 //! * [`evaluate_robustness`] — clean / PGD / APGD accuracy of a model over
 //!   a dataset.
 //!

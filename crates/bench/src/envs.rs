@@ -7,7 +7,7 @@ use fp_nn::models::{vgg_atom_specs, VggConfig};
 use fp_nn::spec::AtomSpec;
 use fp_nn::LrSchedule;
 
-/// Training-experiment scale (DESIGN.md §5).
+/// Training-experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Seconds-scale: tiny models, few rounds. Default for tests.
@@ -39,7 +39,7 @@ impl Het {
 }
 
 /// The trainable stand-in for "VGG16 on CIFAR-10": a VGG-style cascade on
-/// the CIFAR-shaped synthetic dataset (DESIGN.md §2 substitution).
+/// the CIFAR-shaped synthetic dataset, which substitutes for CIFAR-10.
 pub fn cifar_env(scale: Scale, het: Het, seed: u64) -> FlEnv {
     let (cfg, data_cfg, widths, hw) = match scale {
         Scale::Fast => (

@@ -1,6 +1,6 @@
 //! The experiment harness: one module per table/figure of the paper.
 //!
-//! Two kinds of experiments coexist (see `DESIGN.md` §5):
+//! Two kinds of experiments coexist:
 //!
 //! * **training experiments** (Tables 1–3, Figures 8–10) run real federated
 //!   (adversarial) training on synthetic data with tiny models, at a scale

@@ -7,8 +7,7 @@
 //! `clamp(template + smooth noise + pixel noise)`. This preserves what the
 //! paper's accuracy experiments need — a non-trivially learnable image
 //! classification task with an accuracy–robustness trade-off — while being
-//! fully deterministic given a seed (see `DESIGN.md` §2 for the
-//! substitution argument).
+//! fully deterministic given a seed.
 //!
 //! Federated splits follow the paper's protocol (§7.1, after Shah et al.
 //! 2021): on each client, 80 % of the data comes from ~20 % of the classes

@@ -47,7 +47,8 @@ impl SynthConfig {
     }
 
     /// A Caltech-256-shaped configuration at reduced resolution
-    /// (256 classes, 3×32×32 instead of 3×224×224 — see DESIGN.md §5).
+    /// (256 classes, 3×32×32 instead of 3×224×224, so a training run stays
+    /// seconds-scale).
     pub fn caltech_like() -> Self {
         SynthConfig {
             n_classes: 256,

@@ -33,7 +33,7 @@ pub enum DistillVariant {
     /// FedET (Cho et al. 2022): confidence-weighted ensemble — each
     /// teacher's per-sample weight is proportional to its prediction
     /// confidence (inverse-entropy; a simplification of FedET's
-    /// uncertainty weighting, recorded in DESIGN.md).
+    /// uncertainty weighting).
     FedEt,
 }
 

@@ -20,8 +20,7 @@ use fp_tensor::Tensor;
 /// Simplification vs. the original dual-BN design: we keep a single BN per
 /// layer and overwrite its statistics with the AT-weighted average (the
 /// original maintains separate clean/adversarial BNs; the propagated
-/// quantity — adversarial BN statistics — is the same). Recorded in
-/// DESIGN.md.
+/// quantity — adversarial BN statistics — is the same).
 ///
 /// Expected Table-2 shape: high clean accuracy (most clients train clean)
 /// but weak robustness under high systematic heterogeneity, because few

@@ -209,7 +209,7 @@ impl DeviceSample {
     /// `peak × U[0.2, 1]` — the paper samples `U[0, 1]`, but with a hard
     /// synchronization barrier an unbounded tail would let a single
     /// near-zero draw dominate every round; the 0.2 floor keeps stragglers
-    /// realistic (recorded as a deviation in DESIGN.md §8).
+    /// realistic (a deliberate deviation from the paper).
     pub fn resample_availability(&mut self, rng: &mut StdRng) {
         let mem_factor = 1.0 - 0.2 * rng.gen::<f64>();
         let perf_factor = 0.2 + 0.8 * rng.gen::<f64>();

@@ -1,6 +1,6 @@
 //! FLOPs accounting.
 //!
-//! Convention (validated against the paper's Tables 7–8, see `DESIGN.md`):
+//! Convention (validated against the paper's Tables 7–8):
 //! "FLOPs of one forward propagation" = per-sample MACs × batch. Training
 //! FLOPs per iteration follow the standard backward ≈ 2× forward rule, and
 //! PGD-n adversarial training adds `n` forward+backward pairs for the inner

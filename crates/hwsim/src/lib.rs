@@ -6,7 +6,7 @@
 //!
 //! * [`memory`] — a ZeRO-style training-memory estimator
 //!   (`12 B/param` model states + `4 B · batch · stored activations`),
-//!   calibrated against the paper's Table 8 (see `DESIGN.md`);
+//!   calibrated against the paper's Table 8;
 //! * [`flops`] — MACs accounting matching the paper's Table 7/8 convention
 //!   (`FLOPs of one forward = per-sample MACs × batch`), plus the
 //!   adversarial-training multiplier (`PGD-n` costs `n` extra

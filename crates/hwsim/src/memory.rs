@@ -1,6 +1,6 @@
 //! Training-memory estimation.
 //!
-//! Convention (calibrated against the paper's Table 8; see `DESIGN.md` §4):
+//! Convention (calibrated against the paper's Table 8):
 //!
 //! * **model states**: 12 bytes per trainable scalar — fp32 parameter +
 //!   gradient + SGD momentum (the ZeRO accounting of Rajbhandari et al.
@@ -26,7 +26,7 @@ const BYTES_PER_ACT: u64 = 4;
 /// The auxiliary early-exit model attached to a cascade module: global
 /// average pooling followed by one linear layer (paper §5.1 design (1);
 /// pooling keeps the head linear, so Lemma 1's strong-convexity argument
-/// is unaffected — see DESIGN.md §8).
+/// is unaffected).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct AuxHeadSpec {
     /// Input feature channels (or flat features for 1-D module outputs).
@@ -179,7 +179,7 @@ mod tests {
     #[test]
     fn vgg16_total_near_paper() {
         // Paper §7.2: VGG16 requires ≈302 MB at batch 64; our accounting
-        // lands within 15 % (see DESIGN.md for the per-module comparison).
+        // lands within 15 %.
         let m = model_mem_req(&vgg16_spec_cifar(), &[3, 32, 32], 64);
         let mb = m.total() as f64 / MB;
         assert!((250.0..340.0).contains(&mb), "vgg16 total {mb} MB");

@@ -119,7 +119,7 @@ pub fn vgg_atom_specs(cfg: &VggConfig) -> Vec<AtomSpec> {
             layers.push(LayerSpec::same_group(LayerKind::Relu, out_group));
             // Pool closes the stage, attached as a suffix of its last conv
             // (the convention under which the paper's Table 7 module-1
-            // memory reproduces; see DESIGN.md).
+            // memory reproduces).
             if ci == n_convs - 1 {
                 layers.push(LayerSpec::same_group(
                     LayerKind::MaxPool2d { k: 2, stride: 2 },

@@ -228,8 +228,8 @@ impl LayerSpec {
 
     /// Elements of stored activation this layer's output contributes for
     /// one sample, under the accounting convention calibrated against the
-    /// paper's Table 8 (see `DESIGN.md`): every layer output is stored
-    /// except ReLU and Dropout, which operate in place.
+    /// paper's Table 8: every layer output is stored except ReLU and
+    /// Dropout, which operate in place.
     pub fn stored_activation_elems(&self, input: &[usize]) -> u64 {
         match &self.kind {
             LayerKind::Relu | LayerKind::Dropout { .. } => 0,

@@ -2,7 +2,7 @@
 //!
 //! Re-exports every sub-crate so examples and integration tests can use one
 //! coherent namespace. See the workspace `README.md` for the architecture
-//! overview and `DESIGN.md` for the paper-to-module map.
+//! overview and the paper-to-module map.
 
 pub use fedprophet;
 pub use fp_attack as attack;
