@@ -52,6 +52,14 @@ pub fn available_isas() -> impl Iterator<Item = Isa> {
         .filter(|&isa| isa <= native_isa())
 }
 
+/// Panics unless the CPU runs `isa`: the guard in front of every kernel
+/// instance compiled for an ISA, since running one the CPU lacks is
+/// undefined behaviour.
+#[track_caller]
+pub fn assert_runs(isa: Isa) {
+    assert!(isa <= native_isa(), "{isa:?} kernel on a CPU without it");
+}
+
 /// Defines `fn $name(isa: Isa, args…)`, which runs the `avx512` body
 /// compiled with `avx512f`, the `avx2` body compiled with `avx2,fma` or the
 /// `base` body on the baseline target, as `isa` says. A body is usually a
@@ -60,8 +68,8 @@ pub fn available_isas() -> impl Iterator<Item = Isa> {
 /// the instances. An `unsafe fn` makes unsafe instances; its bodies still
 /// spell out their `unsafe` blocks.
 ///
-/// The caller must pass an `isa` the CPU runs ([`native_isa`] or one of
-/// [`available_isas`]); debug builds assert it.
+/// `isa` must be one the CPU runs ([`native_isa`] or one of
+/// [`available_isas`]); the dispatcher checks it ([`assert_runs`]).
 ///
 /// ```
 /// use fp_tensor::isa::{native_isa, Isa};
@@ -111,14 +119,10 @@ macro_rules! per_isa {
             $($unsafety)? fn avx2 $(<$(const $g: $gt),+>)?($($arg: $ty),*) $(-> $ret)? {
                 $avx2
             }
-            debug_assert!(
-                $isa <= $crate::isa::native_isa(),
-                "{:?} kernel on a CPU without it",
-                $isa
-            );
+            $crate::isa::assert_runs($isa);
             match $isa {
-                // SAFETY: the CPU runs `isa` (the caller's contract), and
-                // each instance needs no more than its ISA's features.
+                // SAFETY: the CPU runs `isa` (asserted above), and each
+                // instance needs no more than its ISA's features.
                 #[cfg(target_arch = "x86_64")]
                 $crate::isa::Isa::Avx512 => unsafe { avx512 $(::<$($g),+>)?($($arg),*) },
                 #[cfg(target_arch = "x86_64")]

@@ -5,7 +5,7 @@
 //! Safety contract: a kernel instance dereferences only the lanes a
 //! [`DirectLayout`] names — every destination lane inside the destination
 //! planes, every unmasked tap lane inside the source planes — and runs on
-//! an ISA the caller verified the CPU runs. Offsets of masked-off lanes
+//! an ISA the CPU runs (`per_isa!` asserts it). Offsets of masked-off lanes
 //! are applied with `wrapping_*` and never read.
 
 use super::lanes::{Lanes, Portable16, LANES};
@@ -329,7 +329,7 @@ fn direct_conv<K: Direct + Sync>(
         let (src, samples) = (&src[s0 * s_len..s1 * s_len], s1 - s0);
         if !staged {
             // SAFETY: every slot's lanes are in-plane elements of the
-            // chunk's samples; `isa` is one the CPU supports.
+            // chunk's samples; the dispatcher checks `isa`.
             unsafe { K::VECTORS(isa, k, &in_place, chunk.as_mut_ptr(), src.as_ptr(), samples) };
             return;
         }

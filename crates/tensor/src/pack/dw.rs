@@ -5,8 +5,8 @@
 //! Safety contract: every `base[j] + row_off[p]` lies in the staging
 //! buffer (the tables are built from the geometry through checked `u32`
 //! conversions), `gt` and `dwt` hold whole `ld`-float rows of channel
-//! vectors, and a kernel instance runs on an ISA the caller verified the
-//! CPU runs.
+//! vectors, and a kernel instance runs on an ISA the CPU runs (`per_isa!`
+//! asserts it).
 
 use super::gemm::MAX_NR;
 use super::lanes::{transpose, Lanes, Portable16, LANES};
@@ -324,7 +324,7 @@ pub(crate) fn conv2d_backward_weights_broadcast(
                 };
                 // SAFETY: `gt` holds `nn` rows and `dwt` `rows` rows of `ld`
                 // floats; every corner plus tap offset lies in the staging;
-                // `isa` is one the CPU supports.
+                // the dispatcher checks `isa`.
                 unsafe { dw_kernel(isa, k, gt.as_ptr(), dwt.as_mut_ptr()) };
             }
             transpose(isa, dwt, ld, chunk, rows, rows, r1 - r0, rows);

@@ -4,10 +4,10 @@
 //! Safety contract: a tile reads `kc` packed steps of an `MR`-row and an
 //! `NR`-column panel and reads and writes one `MR×NR` tile at row stride
 //! `ldc`. [`drive_packed`] hands it only panels it packed and tiles it
-//! bounds-checked as slices, on an ISA the caller verified the CPU runs.
+//! bounds-checked as slices, on an ISA [`tile_for`] checked the CPU runs.
 
 use super::WS;
-use crate::isa::{native_isa, Isa};
+use crate::isa::{assert_runs, native_isa, Isa};
 
 // ------------------------------------------------------------------- tiles
 
@@ -82,6 +82,7 @@ impl Tile {
 /// zero-padded panel work on degenerate shapes. Every tile computes the
 /// same canonical chain, so the choice never affects results.
 fn tile_for(isa: Isa, m: usize, n: usize) -> Tile {
+    assert_runs(isa);
     match isa {
         #[cfg(target_arch = "x86_64")]
         Isa::Avx512 => match (m, n) {
@@ -378,8 +379,8 @@ fn drive_packed(
                             let c = &mut out[i0 * ldc + j0..][..(mr - 1) * ldc + nr];
                             // SAFETY: `c` spans the full MR×NR tile at
                             // stride `ldc` (the slice above checked it),
-                            // both panels hold `kcb` packed steps, and the
-                            // caller verified the CPU runs `isa`.
+                            // both panels hold `kcb` packed steps, and
+                            // `tile_for` asserted the CPU runs `isa`.
                             unsafe {
                                 (tile.run)(isa, apanel, bpanel, kcb, c.as_mut_ptr(), ldc);
                             }

@@ -7,7 +7,7 @@
 //! its loads and stores dereference exactly the masked lanes, which the
 //! caller vouches are in bounds.
 
-use crate::isa::Isa;
+use crate::isa::{assert_runs, Isa};
 
 // ---------------------------------------------------------- direct kernels
 
@@ -315,6 +315,7 @@ pub(super) fn transpose(
     cols: usize,
     width: usize,
 ) {
+    assert_runs(isa);
     let simd = cfg!(target_arch = "x86_64") && isa != Isa::Portable;
     for r0 in (0..width).step_by(8) {
         let (rn, wn) = (rows.saturating_sub(r0).min(8), (width - r0).min(8));
@@ -327,8 +328,9 @@ pub(super) fn transpose(
             };
             let d = &mut dst[c0 * ld_dst + r0..][..(cn - 1) * ld_dst + wn];
             if simd {
-                // SAFETY: `s` / `d` hold the block's rows and columns; both
-                // x86 SIMD ISAs include AVX.
+                // SAFETY: `s` / `d` hold the block's rows and columns; the
+                // CPU runs `isa` (asserted above) and both x86 SIMD ISAs
+                // include AVX.
                 #[cfg(target_arch = "x86_64")]
                 unsafe {
                     x86::transpose8(s.as_ptr(), ld_src, d.as_mut_ptr(), ld_dst, rn, cn, wn)
