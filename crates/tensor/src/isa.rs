@@ -7,8 +7,8 @@
 //! [`per_isa!`](crate::per_isa) compiles a kernel once per ISA behind one
 //! dispatcher. Only three kernels name intrinsics, each because the
 //! compiler's code for the portable body measured slower: `pack::gemm`'s
-//! AVX-512 tiles (30–60× on the 8- and 12-row tiles), the `Zmm` / `Ymm2`
-//! conv lanes (6–30×) and `pack::lanes`'s 8×8 transpose (2.5–4×).
+//! AVX-512 tiles (34–63× on the 8- and 12-row tiles), the `Zmm` / `Ymm2`
+//! conv lanes (6–31×) and `pack::lanes`'s 8×8 transpose (2.5–4.6×).
 
 use std::sync::OnceLock;
 
@@ -53,8 +53,7 @@ pub fn available_isas() -> impl Iterator<Item = Isa> {
 }
 
 /// Panics unless the CPU runs `isa`: the guard in front of every kernel
-/// instance compiled for an ISA, since running one the CPU lacks is
-/// undefined behaviour.
+/// instance, since running one built for a missing feature is UB.
 #[track_caller]
 pub fn assert_runs(isa: Isa) {
     assert!(isa <= native_isa(), "{isa:?} kernel on a CPU without it");

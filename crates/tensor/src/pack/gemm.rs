@@ -44,11 +44,9 @@ pub(crate) fn tiles_for(m: usize, kdim: usize, n: usize) -> Tiles {
 
 // ------------------------------------------------------------ microkernels
 
-/// A register-tiled `MR×NR` inner kernel over packed panels:
-/// `run(isa, apanel, bpanel, kc, c, ldc)` is `C[MR×NR] ← C + Apanel·Bpanel`
-/// over `kc` reduction steps, `apanel` holding `kc·MR` floats, `bpanel`
-/// `kc·NR` and `c` an `MR×NR` tile at row stride `ldc` (the file's safety
-/// contract).
+/// A register-tiled `MR×NR` inner kernel over packed panels: `run(isa,
+/// apanel, bpanel, kc, c, ldc)` is `C ← C + Apanel·Bpanel` over `kc`
+/// reduction steps (the file's safety contract).
 #[derive(Clone, Copy)]
 struct Tile {
     mr: usize,
@@ -181,8 +179,7 @@ mod x86 {
 
 /// Portable `MR×NR` microkernel on `f32::mul_add` — the same correctly
 /// rounded fused operation the SIMD lanes perform, in the same order.
-/// Compiled for AVX2 + FMA it is the AVX2 tile: the compiler's code for it
-/// matches the hand-written `ymm` kernel it replaced.
+/// [`mk_tile`] compiled for `avx2,fma`, it is also the AVX2 tile.
 #[inline(always)]
 unsafe fn mk_portable<const MR: usize, const NR: usize>(
     apanel: *const f32,

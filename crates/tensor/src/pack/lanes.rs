@@ -303,7 +303,7 @@ mod x86 {
 /// padded to `width`. It moves 8×8 blocks (register shuffles on the x86
 /// SIMD ISAs), so one block's rows stay in L1 however far apart they are,
 /// and it moves bits only. The shuffles are written by hand: the scalar
-/// block loop below, compiled for AVX2 or AVX-512, measured 2.5–4× slower.
+/// block loop below, compiled for AVX2 or AVX-512, measured 2.5–4.6× slower.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn transpose(
     isa: Isa,

@@ -181,9 +181,8 @@ pub(crate) use direct::{conv2d_backward_input_direct, conv2d_forward_direct, MAX
 pub(crate) use dw::conv2d_backward_weights_broadcast;
 pub(crate) use gemm::{gemm, BSrc};
 
-use std::cell::RefCell;
-
 use dw::Staging;
+use std::cell::RefCell;
 
 // --------------------------------------------------------------- workspace
 
