@@ -1,4 +1,4 @@
-use super::{direct::*, dw::*, gemm::*, lanes::*, Staging};
+use super::{direct::*, dw::*, gemm::*, lanes::*};
 use crate::im2col::Conv2dGeometry;
 use crate::isa::native_isa;
 
