@@ -12,8 +12,7 @@ use fp_nn::LrSchedule;
 pub enum Scale {
     /// Seconds-scale: tiny models, few rounds. Default for tests.
     Fast,
-    /// Minutes-scale: wider models, more clients and rounds — the scale
-    /// used for the numbers in `EXPERIMENTS.md`.
+    /// Minutes-scale: wider models, more clients and rounds.
     Medium,
     /// Paper-shaped counts (`N=100`, `C=10`, `E=30`, PGD-10). Hours on a
     /// CPU; for unattended runs.

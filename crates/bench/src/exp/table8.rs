@@ -41,7 +41,7 @@ pub fn run() {
     t.print();
     println!(
         "notes: our stem memory includes the stored BN output (239 MB vs paper 148.6 MB, \
-         see EXPERIMENTS.md); modules {} (paper 7)\n",
+         whose figure implies an in-place stem BN); modules {} (paper 7)\n",
         p.num_modules()
     );
 }

@@ -10,7 +10,7 @@
 //!   analytically — they always run at paper scale and are instant.
 //!
 //! The `repro` binary dispatches one experiment per subcommand and prints
-//! paper-vs-measured rows; `EXPERIMENTS.md` records a full run.
+//! paper-vs-measured rows.
 
 pub mod check;
 pub mod costmodel;

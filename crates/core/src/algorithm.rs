@@ -602,7 +602,7 @@ impl<'a> Server<'a> {
         let (f, t) = assign.atom_window(&self.partition);
         let payload = Payload::window(param_transfer_bytes(&env.reference_specs[f..t]));
         // The device with its availability overridden by the draw.
-        let mut device = env.fleet[k];
+        let mut device = env.client_device(k);
         device.avail_mem_bytes = mem;
         device.avail_tflops = perf;
         let latency = assign
@@ -655,7 +655,7 @@ impl<'a> Server<'a> {
                 &mut model,
                 aux.as_mut(),
                 &env.data.train,
-                &env.splits[k].indices,
+                env.client_indices(k),
                 &wtc,
             );
             let modules = (assign.current..=assign.last)
@@ -670,7 +670,7 @@ impl<'a> Server<'a> {
                 plan,
                 modules,
                 aux: aux.map(|a| a.flat_params()),
-                weight: env.splits[k].weight,
+                weight: env.client_weight(k),
                 loss,
             }
         })
@@ -831,7 +831,7 @@ impl<'a> Server<'a> {
                 f,
                 t,
                 &env.data.train,
-                &env.splits[k].indices,
+                env.client_indices(k),
                 eps_star,
                 self.pcfg.mu,
                 cfg.pgd_steps,
@@ -853,7 +853,7 @@ impl<'a> Server<'a> {
 fn prophet_availability(env: &FlEnv, t: usize, k: usize) -> (u64, f64) {
     let mut rng = env.client_rng(t, k, SALT_AVAIL);
     let mem = (env.mem_budget(k) as f64 * (0.8 + 0.2 * rng.gen::<f64>())) as u64;
-    let perf = env.fleet[k].device.tflops * (0.2 + 0.8 * rng.gen::<f64>());
+    let perf = env.client_device(k).device.tflops * (0.2 + 0.8 * rng.gen::<f64>());
     (mem, perf)
 }
 
@@ -881,6 +881,22 @@ pub(crate) mod testenv {
 mod tests {
     use super::testenv::make_env;
     use super::*;
+
+    /// A lazy environment holds no per-client data: FedProphet's first
+    /// read of a client's split names the lazy env instead of indexing
+    /// past the empty fleet vector.
+    #[test]
+    #[should_panic(expected = "read from a lazy FlEnv")]
+    fn lazy_env_fails_by_name() {
+        use fp_data::{generate, SynthConfig};
+        use fp_hwsim::{SamplingMode, CIFAR_POOL};
+        use fp_nn::models::{vgg_atom_specs, VggConfig};
+        let cfg = fp_fl::FlConfig::fast(2, 3);
+        let data = generate(&SynthConfig::tiny(4, 8), 3);
+        let specs = vgg_atom_specs(&VggConfig::tiny(3, 8, 4, &[8, 16, 24]));
+        let env = FlEnv::lazy(data, &CIFAR_POOL, SamplingMode::Balanced, specs, cfg);
+        FedProphet::new(ProphetConfig::default()).run(&env);
+    }
 
     #[test]
     fn fedprophet_runs_end_to_end_and_learns() {

@@ -1137,6 +1137,17 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
         }
     }
 
+    /// The wire payload of dispatch `d`. Entries loaded from
+    /// pre-communication-plane checkpoints carry none; they were
+    /// full-payload dispatches, re-derivable from the trainer.
+    fn payload_of(&self, env: &FlEnv, d: &PendingDispatch) -> Payload {
+        d.payload.unwrap_or_else(|| {
+            self.trainer
+                .payload_spec(env, d.version, d.client)
+                .materialize()
+        })
+    }
+
     /// Forwards edge `e`'s accumulated cohort updates upstream as one
     /// partial-sum bundle: the bundle arrives at the server after a
     /// backhaul hop costed on the partial sum's wire size (the densest
@@ -1152,17 +1163,7 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
         }
         let bundle_bytes = entries
             .iter()
-            .map(|d| {
-                d.payload.map_or_else(
-                    || {
-                        self.trainer
-                            .payload_spec(env, d.version, d.client)
-                            .materialize()
-                            .up_bytes
-                    },
-                    |p| p.up_bytes,
-                )
-            })
+            .map(|d| self.payload_of(env, d).up_bytes)
             .max()
             .expect("non-empty bundle");
         let arrive = st.timeline.clock_s() + self.topo.uplink.forward_s(bundle_bytes);
@@ -1289,18 +1290,12 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
             .collect();
         let train_loss = results.iter().map(|(_, l)| *l).sum::<f32>() / n as f32;
         let mean_transfer_s = entries.iter().map(|d| d.transfer_s).sum::<f64>() / n as f64;
-        // Wire-traffic tally of the merged dispatches. Entries loaded
-        // from pre-communication-plane checkpoints carry no payload; they
-        // were full-payload dispatches, re-derivable from the trainer.
+        // Wire-traffic tally of the merged dispatches.
         let mut down_bytes = 0u64;
         let mut up_bytes = 0u64;
         let mut delta_merged = 0usize;
         for d in &entries {
-            let p = d.payload.unwrap_or_else(|| {
-                self.trainer
-                    .payload_spec(env, d.version, d.client)
-                    .materialize()
-            });
+            let p = self.payload_of(env, d);
             down_bytes += p.down_bytes;
             up_bytes += p.up_bytes;
             delta_merged += p.is_delta() as usize;

@@ -13,11 +13,9 @@
 //! `tests/distill_sched_e2e.rs`).
 
 use super::{fedavg_into, init_global};
-use crate::engine::{FlAlgorithm, FlEnv};
-use crate::local::{local_train, LocalTrainConfig};
-use crate::metrics::FlOutcome;
-use crate::sched::{EventScheduler, SchedConfig, ScheduledTrainer};
-use fp_attack::PgdConfig;
+use crate::engine::FlEnv;
+use crate::local::train_client;
+use crate::sched::ScheduledTrainer;
 use fp_hwsim::{forward_macs, model_mem_req, param_transfer_bytes, TrainingPassProfile};
 use fp_nn::checkpoint::Checkpoint;
 use fp_nn::spec::AtomSpec;
@@ -50,6 +48,18 @@ pub struct DistillState {
     pub zoo: Vec<CascadeModel>,
     /// Current softmax temperature τ of the transfer step.
     pub temperature: f32,
+}
+
+impl AsRef<CascadeModel> for DistillState {
+    fn as_ref(&self) -> &CascadeModel {
+        &self.student
+    }
+}
+
+impl AsMut<CascadeModel> for DistillState {
+    fn as_mut(&mut self) -> &mut CascadeModel {
+        &mut self.student
+    }
 }
 
 // Hand-written: converts the live models to and from their `Checkpoint`s.
@@ -231,14 +241,6 @@ impl ScheduledTrainer for Distill {
         }
     }
 
-    fn global_model<'a>(&self, state: &'a DistillState) -> &'a CascadeModel {
-        &state.student
-    }
-
-    fn global_model_mut<'a>(&self, state: &'a mut DistillState) -> &'a mut CascadeModel {
-        &mut state.student
-    }
-
     fn train(
         &self,
         env: &FlEnv,
@@ -248,23 +250,10 @@ impl ScheduledTrainer for Distill {
         lr: f32,
         backend: fp_tensor::BackendHandle,
     ) -> (Self::Update, f32) {
-        let cfg = &env.cfg;
         let arch = self.fit_arch(env, k);
         let mut model = state.zoo[arch].clone();
         model.set_backend(&backend);
-        let ltc = LocalTrainConfig {
-            iters: cfg.local_iters,
-            batch_size: cfg.batch_size,
-            lr,
-            momentum: cfg.momentum,
-            weight_decay: cfg.weight_decay,
-            pgd: Some(PgdConfig {
-                steps: cfg.pgd_steps,
-                ..PgdConfig::train_linf(cfg.eps0)
-            }),
-            seed: cfg.seed ^ (t as u64) << 24 ^ k as u64,
-        };
-        let loss = local_train(&mut model, &env.data.train, &env.splits[k].indices, &ltc);
+        let loss = train_client(env, &mut model, t, k, lr, true);
         ((arch, model), loss)
     }
 
@@ -280,7 +269,7 @@ impl ScheduledTrainer for Distill {
         // weights. `fedavg_into` renormalizes within the group, which
         // would cancel a uniform staleness discount (a maximally stale
         // singleton would still fully overwrite its prototype) — so the
-        // FedAvg mass the discount removed (full `env.splits` weight
+        // FedAvg mass the discount removed (the client's full weight
         // minus the handed weight) is anchored on the *current*
         // prototype: a stale update drags its prototype, and through it
         // the ensemble's logits, proportionally less. Undiscounted
@@ -294,7 +283,7 @@ impl ScheduledTrainer for Distill {
             for ((k, (a, m)), &w) in updates.iter().zip(weights) {
                 if *a == arch {
                     members.push((m, w));
-                    anchor += env.splits[*k].weight - w;
+                    anchor += env.client_weight(*k) - w;
                 }
             }
             if members.is_empty() {
@@ -318,20 +307,6 @@ impl ScheduledTrainer for Distill {
         } = state;
         self.distill(student, zoo, *temperature, env, t);
         state.temperature = (state.temperature * self.temperature_decay).max(1.0);
-    }
-}
-
-impl FlAlgorithm for Distill {
-    fn name(&self) -> &'static str {
-        ScheduledTrainer::name(self)
-    }
-
-    fn run(&self, env: &FlEnv) -> FlOutcome {
-        // The default scheduler config (wait-all barrier, no dropout)
-        // reproduces the retired lockstep distillation loop bit-for-bit.
-        EventScheduler::new(self.clone(), SchedConfig::default())
-            .run(env)
-            .into_fl_outcome()
     }
 }
 
@@ -428,6 +403,8 @@ impl Distill {
 mod tests {
     use super::super::testenv::make_env;
     use super::*;
+    use crate::engine::FlAlgorithm;
+    use crate::sched::{EventScheduler, SchedConfig};
     use fp_nn::models::{cnn_atom_specs, vgg_atom_specs, CnnConfig, VggConfig};
 
     fn tiny_zoo() -> Vec<Vec<AtomSpec>> {

@@ -1,12 +1,10 @@
 //! FedRBN: federated robustness propagation.
 
-use super::fedavg_into;
-use crate::engine::{FlAlgorithm, FlEnv};
-use crate::local::{local_train, LocalTrainConfig};
-use crate::metrics::FlOutcome;
-use crate::sched::{EventScheduler, ModelTrainer, SchedConfig, ScheduledTrainer};
-use fp_attack::PgdConfig;
-use fp_hwsim::{forward_macs, LatencyModel, TrainingPassProfile};
+use super::{fedavg_into, init_global};
+use crate::engine::FlEnv;
+use crate::local::train_client;
+use crate::sched::{ModelState, ScheduledTrainer};
+use fp_hwsim::{LatencyModel, TrainingPassProfile};
 use fp_nn::CascadeModel;
 use fp_tensor::Tensor;
 
@@ -42,8 +40,9 @@ impl FedRbn {
     }
 }
 
-impl ModelTrainer for FedRbn {
+impl ScheduledTrainer for FedRbn {
     type Update = (CascadeModel, bool);
+    type ServerState = ModelState;
 
     fn name(&self) -> &'static str {
         "FedRBN"
@@ -54,51 +53,37 @@ impl ModelTrainer for FedRbn {
         // standard forward/backward — the scheduler sees the split.
         // The dispatch payload is the full reference model — the default
         // `payload_spec` (and delta-eligible full-model downloads).
-        LatencyModel {
-            mem_req_bytes: env.full_mem_req(),
-            fwd_macs_per_sample: forward_macs(&env.reference_specs, &env.input_shape),
-            batch: env.cfg.batch_size,
-            profile: if Self::can_afford_at(env, k) {
-                TrainingPassProfile::adversarial(env.cfg.pgd_steps)
-            } else {
-                TrainingPassProfile::standard()
-            },
-        }
+        env.full_model_cost(if Self::can_afford_at(env, k) {
+            TrainingPassProfile::adversarial(env.cfg.pgd_steps)
+        } else {
+            TrainingPassProfile::standard()
+        })
+    }
+
+    fn init(&self, env: &FlEnv) -> ModelState {
+        ModelState(init_global(env))
     }
 
     fn train(
         &self,
         env: &FlEnv,
-        global: &CascadeModel,
+        state: &ModelState,
         t: usize,
         k: usize,
         lr: f32,
         backend: fp_tensor::BackendHandle,
     ) -> (Self::Update, f32) {
-        let cfg = &env.cfg;
         let can_afford_at = Self::can_afford_at(env, k);
-        let mut model = global.clone();
+        let mut model = state.0.clone();
         model.set_backend(&backend);
-        let ltc = LocalTrainConfig {
-            iters: cfg.local_iters,
-            batch_size: cfg.batch_size,
-            lr,
-            momentum: cfg.momentum,
-            weight_decay: cfg.weight_decay,
-            pgd: can_afford_at.then(|| PgdConfig {
-                steps: cfg.pgd_steps,
-                ..PgdConfig::train_linf(cfg.eps0)
-            }),
-            seed: cfg.seed ^ (t as u64) << 24 ^ k as u64,
-        };
-        let loss = local_train(&mut model, &env.data.train, &env.splits[k].indices, &ltc);
+        let loss = train_client(env, &mut model, t, k, lr, can_afford_at);
         ((model, can_afford_at), loss)
     }
 
     fn merge_weighted(
         &self,
         _env: &FlEnv,
-        global: &mut CascadeModel,
+        state: &mut ModelState,
         _t: usize,
         updates: Vec<(usize, Self::Update)>,
         weights: &[f32],
@@ -110,23 +95,11 @@ impl ModelTrainer for FedRbn {
             .collect();
         // Weights: plain FedAvg over everyone.
         let all: Vec<(&CascadeModel, f32)> = results.iter().map(|(m, w, _)| (m, *w)).collect();
-        fedavg_into(global, &all);
+        fedavg_into(&mut state.0, &all);
         // Robustness propagation: adversarial BN statistics override.
         if let Some(stats) = at_weighted_bn(&results) {
-            global.set_bn_stats(&stats);
+            state.0.set_bn_stats(&stats);
         }
-    }
-}
-
-impl FlAlgorithm for FedRbn {
-    fn name(&self) -> &'static str {
-        ScheduledTrainer::name(self)
-    }
-
-    fn run(&self, env: &FlEnv) -> FlOutcome {
-        EventScheduler::new(*self, SchedConfig::default())
-            .run(env)
-            .into_fl_outcome()
     }
 }
 
@@ -144,6 +117,7 @@ fn at_weighted_bn(results: &[(CascadeModel, f32, bool)]) -> Option<Vec<(Tensor, 
 mod tests {
     use super::super::testenv::make_env;
     use super::*;
+    use crate::engine::FlAlgorithm;
 
     #[test]
     fn fedrbn_runs_and_learns_clean() {

@@ -1,12 +1,10 @@
 //! jFAT: joint (end-to-end) federated adversarial training.
 
-use super::fedavg_into;
-use crate::engine::{FlAlgorithm, FlEnv};
-use crate::local::{local_train, LocalTrainConfig};
-use crate::metrics::FlOutcome;
-use crate::sched::{EventScheduler, ModelTrainer, SchedConfig, ScheduledTrainer};
-use fp_attack::PgdConfig;
-use fp_hwsim::{forward_macs, LatencyModel, TrainingPassProfile};
+use super::{fedavg_into, init_global};
+use crate::engine::FlEnv;
+use crate::local::train_client;
+use crate::sched::{ModelState, ScheduledTrainer};
+use fp_hwsim::{LatencyModel, TrainingPassProfile};
 use fp_nn::CascadeModel;
 
 /// Joint federated adversarial training (Zizzo et al. 2020): every client
@@ -32,8 +30,9 @@ impl JFat {
     }
 }
 
-impl ModelTrainer for JFat {
+impl ScheduledTrainer for JFat {
     type Update = CascadeModel;
+    type ServerState = ModelState;
 
     fn name(&self) -> &'static str {
         if self.standard_training {
@@ -46,51 +45,36 @@ impl ModelTrainer for JFat {
     fn cost(&self, env: &FlEnv, _t: usize, _k: usize) -> LatencyModel {
         // The dispatch payload is the full reference model — the default
         // `payload_spec` (and delta-eligible full-model downloads).
-        LatencyModel {
-            mem_req_bytes: env.full_mem_req(),
-            fwd_macs_per_sample: forward_macs(&env.reference_specs, &env.input_shape),
-            batch: env.cfg.batch_size,
-            profile: if self.standard_training {
-                TrainingPassProfile::standard()
-            } else {
-                TrainingPassProfile::adversarial(env.cfg.pgd_steps)
-            },
-        }
+        env.full_model_cost(if self.standard_training {
+            TrainingPassProfile::standard()
+        } else {
+            TrainingPassProfile::adversarial(env.cfg.pgd_steps)
+        })
+    }
+
+    fn init(&self, env: &FlEnv) -> ModelState {
+        ModelState(init_global(env))
     }
 
     fn train(
         &self,
         env: &FlEnv,
-        global: &CascadeModel,
+        state: &ModelState,
         t: usize,
         k: usize,
         lr: f32,
         backend: fp_tensor::BackendHandle,
     ) -> (CascadeModel, f32) {
-        let cfg = &env.cfg;
-        let mut model = global.clone();
+        let mut model = state.0.clone();
         model.set_backend(&backend);
-        let pgd = (!self.standard_training).then(|| PgdConfig {
-            steps: cfg.pgd_steps,
-            ..PgdConfig::train_linf(cfg.eps0)
-        });
-        let ltc = LocalTrainConfig {
-            iters: cfg.local_iters,
-            batch_size: cfg.batch_size,
-            lr,
-            momentum: cfg.momentum,
-            weight_decay: cfg.weight_decay,
-            pgd,
-            seed: cfg.seed ^ (t as u64) << 24 ^ k as u64,
-        };
-        let loss = local_train(&mut model, &env.data.train, &env.splits[k].indices, &ltc);
+        let loss = train_client(env, &mut model, t, k, lr, !self.standard_training);
         (model, loss)
     }
 
     fn merge_weighted(
         &self,
         _env: &FlEnv,
-        global: &mut CascadeModel,
+        state: &mut ModelState,
         _t: usize,
         updates: Vec<(usize, CascadeModel)>,
         weights: &[f32],
@@ -100,21 +84,7 @@ impl ModelTrainer for JFat {
             .zip(weights)
             .map(|((_, m), &w)| (m, w))
             .collect();
-        fedavg_into(global, &weighted);
-    }
-}
-
-impl FlAlgorithm for JFat {
-    fn name(&self) -> &'static str {
-        ScheduledTrainer::name(self)
-    }
-
-    fn run(&self, env: &FlEnv) -> FlOutcome {
-        // The default scheduler config (wait-all barrier, no dropout)
-        // reproduces the historical lockstep loop bit-for-bit.
-        EventScheduler::new(*self, SchedConfig::default())
-            .run(env)
-            .into_fl_outcome()
+        fedavg_into(&mut state.0, &weighted);
     }
 }
 
@@ -122,6 +92,7 @@ impl FlAlgorithm for JFat {
 mod tests {
     use super::super::testenv::make_env;
     use super::*;
+    use crate::engine::FlAlgorithm;
 
     #[test]
     fn jfat_learns_a_robust_model() {
@@ -147,6 +118,21 @@ mod tests {
         let at_adv = at.final_val_adv().unwrap();
         let st_adv = st.final_val_adv().unwrap();
         assert!(at_adv >= st_adv, "AT robustness {at_adv} below ST {st_adv}");
+    }
+
+    /// A lazy environment holds no per-client data: the client recipe
+    /// names the lazy env instead of indexing past the empty split vector.
+    #[test]
+    #[should_panic(expected = "read from a lazy FlEnv")]
+    fn lazy_env_fails_by_name() {
+        use fp_data::{generate, SynthConfig};
+        use fp_hwsim::{SamplingMode, CIFAR_POOL};
+        use fp_nn::models::{vgg_atom_specs, VggConfig};
+        let cfg = crate::FlConfig::fast(2, 3);
+        let data = generate(&SynthConfig::tiny(4, 8), 3);
+        let specs = vgg_atom_specs(&VggConfig::tiny(3, 8, 4, &[8, 16]));
+        let env = FlEnv::lazy(data, &CIFAR_POOL, SamplingMode::Balanced, specs, cfg);
+        JFat::new().run(&env);
     }
 
     #[test]

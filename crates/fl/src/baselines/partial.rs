@@ -1,13 +1,12 @@
 //! Partial-training baselines: HeteroFL-AT, FedDrop-AT, FedRolex-AT.
 
-use crate::engine::{FlAlgorithm, FlEnv};
-use crate::local::{local_train, LocalTrainConfig};
-use crate::metrics::FlOutcome;
-use crate::sched::{EventScheduler, ModelTrainer, SchedConfig, ScheduledTrainer};
+use super::init_global;
+use crate::engine::FlEnv;
+use crate::local::train_client;
+use crate::sched::{ModelState, ScheduledTrainer};
 use crate::submodel::{
     channel_groups, extract_submodel, keep_sets, slice_specs, SubmodelAccumulator, SubmodelScheme,
 };
-use fp_attack::PgdConfig;
 use fp_hwsim::{
     forward_macs, param_transfer_bytes, LatencyModel, PayloadSpec, TrainingPassProfile,
 };
@@ -90,8 +89,9 @@ impl PartialTraining {
     }
 }
 
-impl ModelTrainer for PartialTraining {
+impl ScheduledTrainer for PartialTraining {
     type Update = (CascadeModel, HashMap<usize, Vec<usize>>);
+    type ServerState = ModelState;
 
     fn name(&self) -> &'static str {
         match self.scheme {
@@ -128,74 +128,53 @@ impl ModelTrainer for PartialTraining {
         PayloadSpec::window(param_transfer_bytes(&sliced), self.shape_id(env, t, k))
     }
 
-    fn payload_params(&self, env: &FlEnv, global: &CascadeModel, t: usize, k: usize) -> Vec<f32> {
+    fn payload_params(&self, env: &FlEnv, state: &ModelState, t: usize, k: usize) -> Vec<f32> {
         // The exact parameters the client materializes: its keep-set
-        // slice of `global`, extracted with the same RNG stream `train`
+        // slice of the global model, extracted with the same RNG stream `train`
         // uses — so diffing two versions of the same slice is exact.
         let groups = channel_groups(&env.reference_specs);
         let ratio = Self::ratio(env, k);
         let mut rng = Self::submodel_rng(env, t, k);
         let keep = keep_sets(&groups, ratio, self.scheme, t, &mut rng);
-        extract_submodel(global, &keep, &mut rng).flat_params()
+        extract_submodel(&state.0, &keep, &mut rng).flat_params()
+    }
+
+    fn init(&self, env: &FlEnv) -> ModelState {
+        ModelState(init_global(env))
     }
 
     fn train(
         &self,
         env: &FlEnv,
-        global: &CascadeModel,
+        state: &ModelState,
         t: usize,
         k: usize,
         lr: f32,
         backend: fp_tensor::BackendHandle,
     ) -> (Self::Update, f32) {
-        let cfg = &env.cfg;
         let groups = channel_groups(&env.reference_specs);
         let ratio = Self::ratio(env, k);
         let mut rng = Self::submodel_rng(env, t, k);
         let keep = keep_sets(&groups, ratio, self.scheme, t, &mut rng);
-        let mut sub = extract_submodel(global, &keep, &mut rng);
+        let mut sub = extract_submodel(&state.0, &keep, &mut rng);
         sub.set_backend(&backend);
-        let ltc = LocalTrainConfig {
-            iters: cfg.local_iters,
-            batch_size: cfg.batch_size,
-            lr,
-            momentum: cfg.momentum,
-            weight_decay: cfg.weight_decay,
-            pgd: Some(PgdConfig {
-                steps: cfg.pgd_steps,
-                ..PgdConfig::train_linf(cfg.eps0)
-            }),
-            seed: cfg.seed ^ (t as u64) << 24 ^ k as u64,
-        };
-        let loss = local_train(&mut sub, &env.data.train, &env.splits[k].indices, &ltc);
+        let loss = train_client(env, &mut sub, t, k, lr, true);
         ((sub, keep), loss)
     }
 
     fn merge_weighted(
         &self,
         _env: &FlEnv,
-        global: &mut CascadeModel,
+        state: &mut ModelState,
         _t: usize,
         updates: Vec<(usize, Self::Update)>,
         weights: &[f32],
     ) {
-        let mut acc = SubmodelAccumulator::new(global);
+        let mut acc = SubmodelAccumulator::new(&state.0);
         for ((_, (sub, keep)), &w) in updates.iter().zip(weights) {
             acc.add(sub, keep, w);
         }
-        acc.apply(global);
-    }
-}
-
-impl FlAlgorithm for PartialTraining {
-    fn name(&self) -> &'static str {
-        ScheduledTrainer::name(self)
-    }
-
-    fn run(&self, env: &FlEnv) -> FlOutcome {
-        EventScheduler::new(*self, SchedConfig::default())
-            .run(env)
-            .into_fl_outcome()
+        acc.apply(&mut state.0);
     }
 }
 
@@ -203,6 +182,7 @@ impl FlAlgorithm for PartialTraining {
 mod tests {
     use super::super::testenv::make_env;
     use super::*;
+    use crate::engine::FlAlgorithm;
 
     #[test]
     fn all_three_schemes_run_and_learn() {
@@ -227,7 +207,7 @@ mod tests {
     #[test]
     fn payload_spec_bytes_are_exact() {
         let env = make_env(8, 33);
-        let global = crate::baselines::init_global(&env);
+        let global = ModelState(init_global(&env));
         for alg in [
             PartialTraining::heterofl(),
             PartialTraining::fedrolex(),
@@ -235,8 +215,8 @@ mod tests {
         ] {
             for t in 0..3 {
                 for k in 0..env.cfg.n_clients {
-                    let spec = ModelTrainer::payload_spec(&alg, &env, t, k);
-                    let params = ModelTrainer::payload_params(&alg, &env, &global, t, k);
+                    let spec = ScheduledTrainer::payload_spec(&alg, &env, t, k);
+                    let params = ScheduledTrainer::payload_params(&alg, &env, &global, t, k);
                     assert_eq!(
                         spec.bytes,
                         params.len() as u64 * 4,

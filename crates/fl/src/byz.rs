@@ -526,14 +526,6 @@ where
         self.inner.init(env)
     }
 
-    fn global_model<'a>(&self, state: &'a Self::ServerState) -> &'a CascadeModel {
-        self.inner.global_model(state)
-    }
-
-    fn global_model_mut<'a>(&self, state: &'a mut Self::ServerState) -> &'a mut CascadeModel {
-        self.inner.global_model_mut(state)
-    }
-
     fn train(
         &self,
         env: &FlEnv,

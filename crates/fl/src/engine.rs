@@ -4,7 +4,10 @@ use crate::config::FlConfig;
 use crate::metrics::FlOutcome;
 use fp_attack::{split_accuracy, Pgd, PgdConfig};
 use fp_data::{ClientSplit, SynthDataset};
-use fp_hwsim::{model_mem_req, sample_fleet, Device, DeviceSample, SamplingMode};
+use fp_hwsim::{
+    forward_macs, model_mem_req, sample_fleet, Device, DeviceSample, LatencyModel, SamplingMode,
+    TrainingPassProfile,
+};
 use fp_nn::spec::AtomSpec;
 use fp_nn::CascadeModel;
 use fp_tensor::{seeded_rng, Tensor};
@@ -112,11 +115,11 @@ impl FlEnv {
     /// therefore independent of `cfg.n_clients`, which is what lets the
     /// virtual-time schedulers drive 10⁵–10⁶-client fleets.
     ///
-    /// Client weights are uniform (`1/N`) and data is shared (every
-    /// client trains on the full synthetic set); only the scheduler-
-    /// facing accessors understand lazy mode — eager-only baselines that
-    /// index `env.splits`/`env.fleet` directly must not be handed a lazy
-    /// environment.
+    /// Client weights are uniform (`1/N`) and no per-client data split
+    /// exists; only the scheduler-facing accessors understand lazy mode.
+    /// Algorithms that train on client data (every baseline and
+    /// FedProphet) read it through [`FlEnv::client_indices`], which
+    /// panics on a lazy environment.
     pub fn lazy(
         data: SynthDataset,
         pool: &[Device],
@@ -185,6 +188,20 @@ impl FlEnv {
         }
     }
 
+    /// Client `k`'s training-sample indices.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a lazy environment, which holds no per-client splits.
+    pub fn client_indices(&self, k: usize) -> &[usize] {
+        assert!(
+            self.lazy.is_none(),
+            "client {k}'s data split was read from a lazy FlEnv, which holds no per-client \
+             splits: train on an eager FlEnv::new environment"
+        );
+        &self.splits[k].indices
+    }
+
     /// Memory budget of client `k` in bytes (tiny-scale mapping of its
     /// device's availability).
     pub fn mem_budget(&self, k: usize) -> u64 {
@@ -218,6 +235,17 @@ impl FlEnv {
             self.cfg.batch_size,
         )
         .total()
+    }
+
+    /// The round workload of training the full reference model with
+    /// `profile`'s passes — the cost of every full-model algorithm.
+    pub fn full_model_cost(&self, profile: TrainingPassProfile) -> LatencyModel {
+        LatencyModel {
+            mem_req_bytes: self.full_mem_req(),
+            fwd_macs_per_sample: forward_macs(&self.reference_specs, &self.input_shape),
+            batch: self.cfg.batch_size,
+            profile,
+        }
     }
 
     /// Samples the participating clients of round `t` (uniform without

@@ -24,12 +24,13 @@
 //! * [`sched`] — the round scheduler, a barrier policy over that core
 //!   (per-round event queue, straggler deadlines, dropout,
 //!   over-selection, checkpoint/resume, per-round metrics ledger);
-//!   **every** algorithm above runs through it. The driven contract
-//!   ([`ScheduledTrainer`]) is generic over serializable **server
-//!   state**: single-model algorithms use the [`ModelTrainer`] +
-//!   [`ModelState`] adapter (checkpoint-format-identical to the
-//!   historical single-model shape), while FedDF/FedET carry their
-//!   model zoo + temperature schedule as [`DistillState`];
+//!   **every** algorithm above runs through it. The one trainer
+//!   contract is [`ScheduledTrainer`], generic over serializable
+//!   **server state**: implement it directly; single-model algorithms
+//!   use [`ModelState`] (checkpoint-format-identical to the historical
+//!   single-model shape), while FedDF/FedET carry their model zoo +
+//!   temperature schedule as [`DistillState`]. Every cloneable trainer
+//!   is an [`FlAlgorithm`] that runs on the default wait-all scheduler;
 //! * [`async_sched`] — the other barrier policy: FedBuff-style
 //!   asynchronous aggregation on a continuous virtual clock
 //!   (staleness-weighted buffer, concurrency cap, immediate re-dispatch,
@@ -107,8 +108,8 @@ pub use quant::{
 pub use run::Outcome;
 pub use sched::{
     draw_dropouts, model_hash, over_select_count, sample_availability, simulate_round,
-    DeadlinePolicy, EventScheduler, ModelState, ModelTrainer, RoundSim, SchedCheckpoint,
-    SchedConfig, SchedOutcome, SchedRound, ScheduledTrainer,
+    DeadlinePolicy, EventScheduler, ModelState, RoundSim, SchedCheckpoint, SchedConfig,
+    SchedOutcome, SchedRound, ScheduledTrainer,
 };
 pub use synthetic::SyntheticTrainer;
 pub use topology::TopologyConfig;

@@ -1,5 +1,6 @@
 //! The local training loop shared by all baselines.
 
+use crate::engine::FlEnv;
 use fp_attack::{ModelTarget, Pgd, PgdConfig};
 use fp_data::{BatchIter, Dataset};
 use fp_nn::{CascadeModel, CrossEntropyLoss, Mode, Sgd};
@@ -64,6 +65,35 @@ pub fn local_train(
         total_loss += loss as f64;
     }
     (total_loss / cfg.iters as f64) as f32
+}
+
+/// Trains `model` in place as client `k` of round `t` — the baselines'
+/// one client recipe: the run's SGD hyperparameters at learning rate
+/// `lr`, a `(seed, round, client)` batch stream, and, when `adversarial`,
+/// PGD at the training budget with the run's step count. Returns the
+/// mean training loss.
+pub(crate) fn train_client(
+    env: &FlEnv,
+    model: &mut CascadeModel,
+    t: usize,
+    k: usize,
+    lr: f32,
+    adversarial: bool,
+) -> f32 {
+    let cfg = &env.cfg;
+    let ltc = LocalTrainConfig {
+        iters: cfg.local_iters,
+        batch_size: cfg.batch_size,
+        lr,
+        momentum: cfg.momentum,
+        weight_decay: cfg.weight_decay,
+        pgd: adversarial.then(|| PgdConfig {
+            steps: cfg.pgd_steps,
+            ..PgdConfig::train_linf(cfg.eps0)
+        }),
+        seed: cfg.seed ^ (t as u64) << 24 ^ k as u64,
+    };
+    local_train(model, &env.data.train, env.client_indices(k), &ltc)
 }
 
 #[cfg(test)]

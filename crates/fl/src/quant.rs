@@ -48,7 +48,7 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 use fp_hwsim::{LatencyModel, PayloadSpec};
-use fp_nn::{qcodec, CascadeModel};
+use fp_nn::qcodec;
 use fp_tensor::BackendHandle;
 use serde::{Deserialize, Serialize};
 
@@ -297,14 +297,6 @@ where
 
     fn init(&self, env: &FlEnv) -> Self::ServerState {
         self.inner.init(env)
-    }
-
-    fn global_model<'a>(&self, state: &'a Self::ServerState) -> &'a CascadeModel {
-        self.inner.global_model(state)
-    }
-
-    fn global_model_mut<'a>(&self, state: &'a mut Self::ServerState) -> &'a mut CascadeModel {
-        self.inner.global_model_mut(state)
     }
 
     fn train(

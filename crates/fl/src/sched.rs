@@ -413,11 +413,14 @@ pub fn model_hash(model: &CascadeModel) -> u64 {
 /// An algorithm the event scheduler can drive: it describes each client's
 /// round workload (for the latency draw), trains one client, and merges
 /// completed updates into the **server state** — an arbitrary
-/// serializable type ([`ScheduledTrainer::ServerState`]). Single-model
-/// algorithms implement the thinner [`ModelTrainer`] instead and get this
-/// trait for free via the [`ModelState`] wrapper; algorithms with richer
-/// server state (the distillation baselines' model zoo, future
-/// secure-aggregation mask bookkeeping) implement it directly.
+/// serializable type ([`ScheduledTrainer::ServerState`]) that holds the
+/// deployable global model. This is the one trainer contract: every
+/// algorithm implements it directly. Single-model algorithms (jFAT, the
+/// partial-training family, FedRBN, the synthetic fleet workload) use
+/// [`ModelState`]; algorithms with richer server state (the distillation
+/// baselines' model zoo) bring their own type. Any `Clone` implementor is
+/// also an [`FlAlgorithm`](crate::FlAlgorithm) that runs on the default
+/// wait-all [`EventScheduler`].
 ///
 /// Implementations must be deterministic functions of
 /// `(env.cfg.seed, round, client)` — the scheduler owns client sampling,
@@ -430,9 +433,15 @@ pub trait ScheduledTrainer: Sync {
     /// checkpoints capture it (the vendored serde has no separate
     /// `DeserializeOwned`; its `Deserialize` is already owning), `Clone`
     /// is how the async scheduler snapshots the versions still referenced
-    /// by in-flight dispatches, and `Sync` lets client training borrow it
-    /// across worker threads.
-    type ServerState: Serialize + Deserialize + Clone + Sync;
+    /// by in-flight dispatches, `Sync` lets client training borrow it
+    /// across worker threads, and `AsRef` / `AsMut` expose the deployable
+    /// global model inside it.
+    type ServerState: Serialize
+        + Deserialize
+        + Clone
+        + Sync
+        + AsRef<CascadeModel>
+        + AsMut<CascadeModel>;
 
     /// Human-readable name, as used in the paper's tables.
     fn name(&self) -> &'static str;
@@ -475,11 +484,15 @@ pub trait ScheduledTrainer: Sync {
 
     /// The deployable global model inside the state — what validation
     /// metrics and [`SchedOutcome::model`] report.
-    fn global_model<'a>(&self, state: &'a Self::ServerState) -> &'a CascadeModel;
+    fn global_model<'a>(&self, state: &'a Self::ServerState) -> &'a CascadeModel {
+        state.as_ref()
+    }
 
     /// Mutable access to the deployable global model (forward passes
     /// update BN activations caches, so evaluation needs `&mut`).
-    fn global_model_mut<'a>(&self, state: &'a mut Self::ServerState) -> &'a mut CascadeModel;
+    fn global_model_mut<'a>(&self, state: &'a mut Self::ServerState) -> &'a mut CascadeModel {
+        state.as_mut()
+    }
 
     /// Trains client `k` for round `t` against the current server state
     /// and returns its update plus local training loss.
@@ -588,10 +601,22 @@ pub trait ScheduledTrainer: Sync {
 
 /// The server state of a single-global-model algorithm: a thin wrapper
 /// whose serialized form **is** the plain [`Checkpoint`] — so checkpoints
-/// of [`ModelTrainer`] algorithms are bit-identical to the pre-generalization
+/// of single-model algorithms are bit-identical to the pre-generalization
 /// format (pinned by fixture tests against committed v1 JSON).
 #[derive(Debug, Clone)]
 pub struct ModelState(pub CascadeModel);
+
+impl AsRef<CascadeModel> for ModelState {
+    fn as_ref(&self) -> &CascadeModel {
+        &self.0
+    }
+}
+
+impl AsMut<CascadeModel> for ModelState {
+    fn as_mut(&mut self) -> &mut CascadeModel {
+        &mut self.0
+    }
+}
 
 // Hand-written: converts the live model to and from its `Checkpoint`.
 impl Serialize for ModelState {
@@ -606,119 +631,6 @@ impl Deserialize for ModelState {
             .restore()
             .map(ModelState)
             .map_err(serde::Error::custom)
-    }
-}
-
-/// The historical single-model trainer contract. Algorithms whose whole
-/// server state is one global model (jFAT, the partial-training family,
-/// FedRBN) implement this; the blanket impl below adapts them to
-/// [`ScheduledTrainer`] with [`ModelState`] as the server state —
-/// bit-identical to when the scheduler hard-coded a single `fp-nn` model.
-pub trait ModelTrainer: Sync {
-    /// One client's round result.
-    type Update: Send;
-
-    /// Human-readable name, as used in the paper's tables.
-    fn name(&self) -> &'static str;
-
-    /// The cost-model description of client `k`'s round-`t` workload.
-    fn cost(&self, env: &FlEnv, t: usize, k: usize) -> LatencyModel;
-
-    /// The naive down-link payload of client `k`'s round-`t` dispatch
-    /// (see [`ScheduledTrainer::payload_spec`]).
-    fn payload_spec(&self, env: &FlEnv, t: usize, k: usize) -> PayloadSpec {
-        let _ = (t, k);
-        PayloadSpec::full(env.model_param_bytes())
-    }
-
-    /// Materializes the parameters of client `k`'s round-`t` payload from
-    /// an arbitrary global model (see
-    /// [`ScheduledTrainer::payload_params`]).
-    fn payload_params(&self, env: &FlEnv, global: &CascadeModel, t: usize, k: usize) -> Vec<f32> {
-        let _ = (env, t, k);
-        global.flat_params()
-    }
-
-    /// The freshly initialized global model.
-    fn init(&self, env: &FlEnv) -> CascadeModel {
-        crate::baselines::init_global(env)
-    }
-
-    /// Trains client `k` for round `t` against the current global model.
-    fn train(
-        &self,
-        env: &FlEnv,
-        global: &CascadeModel,
-        t: usize,
-        k: usize,
-        lr: f32,
-        backend: BackendHandle,
-    ) -> (Self::Update, f32);
-
-    /// Merges the completed updates into `global` with explicit weights.
-    fn merge_weighted(
-        &self,
-        env: &FlEnv,
-        global: &mut CascadeModel,
-        t: usize,
-        updates: Vec<(usize, Self::Update)>,
-        weights: &[f32],
-    );
-}
-
-impl<T: ModelTrainer> ScheduledTrainer for T {
-    type Update = <T as ModelTrainer>::Update;
-    type ServerState = ModelState;
-
-    fn name(&self) -> &'static str {
-        ModelTrainer::name(self)
-    }
-
-    fn cost(&self, env: &FlEnv, t: usize, k: usize) -> LatencyModel {
-        ModelTrainer::cost(self, env, t, k)
-    }
-
-    fn payload_spec(&self, env: &FlEnv, t: usize, k: usize) -> PayloadSpec {
-        ModelTrainer::payload_spec(self, env, t, k)
-    }
-
-    fn payload_params(&self, env: &FlEnv, state: &ModelState, t: usize, k: usize) -> Vec<f32> {
-        ModelTrainer::payload_params(self, env, &state.0, t, k)
-    }
-
-    fn init(&self, env: &FlEnv) -> ModelState {
-        ModelState(ModelTrainer::init(self, env))
-    }
-
-    fn global_model<'a>(&self, state: &'a ModelState) -> &'a CascadeModel {
-        &state.0
-    }
-
-    fn global_model_mut<'a>(&self, state: &'a mut ModelState) -> &'a mut CascadeModel {
-        &mut state.0
-    }
-
-    fn train(
-        &self,
-        env: &FlEnv,
-        state: &ModelState,
-        t: usize,
-        k: usize,
-        lr: f32,
-        backend: BackendHandle,
-    ) -> (Self::Update, f32) {
-        ModelTrainer::train(self, env, &state.0, t, k, lr, backend)
-    }
-
-    fn merge_weighted(
-        &self,
-        env: &FlEnv,
-        state: &mut ModelState,
-        t: usize,
-        updates: Vec<(usize, Self::Update)>,
-        weights: &[f32],
-    ) {
-        ModelTrainer::merge_weighted(self, env, &mut state.0, t, updates, weights);
     }
 }
 
@@ -1199,6 +1111,21 @@ pub fn sample_availability(env: &FlEnv, t: usize, k: usize) -> DeviceSample {
     let mut s = env.client_device(k);
     s.resample_availability(&mut env.client_rng(t, k, SALT_AVAIL));
     s
+}
+
+/// Every cloneable trainer is an algorithm: it runs on the default
+/// scheduler config (wait-all barrier, no dropout, no over-selection),
+/// which reproduces the historical lockstep loops bit-for-bit.
+impl<T: ScheduledTrainer + Clone> crate::engine::FlAlgorithm for T {
+    fn name(&self) -> &'static str {
+        ScheduledTrainer::name(self)
+    }
+
+    fn run(&self, env: &FlEnv) -> FlOutcome {
+        EventScheduler::new(self.clone(), SchedConfig::default())
+            .run(env)
+            .into_fl_outcome()
+    }
 }
 
 impl<T: ScheduledTrainer> crate::engine::FlAlgorithm for EventScheduler<T> {

@@ -9,7 +9,7 @@
 //! perturbation of the dispatched parameters, so a 100k-client run costs
 //! milliseconds per aggregation instead of hours.
 //!
-//! The trainer never touches `env.splits`/`env.fleet`, which makes it
+//! The trainer never reads per-client data splits, which makes it
 //! the intended workload for lazily-materialized environments
 //! ([`crate::FlEnv::lazy`]). Updates are pure functions of
 //! `(seed, version, client)`, so determinism, checkpoint/resume, and
@@ -17,8 +17,7 @@
 
 use crate::engine::FlEnv;
 use crate::sched::{ModelState, ScheduledTrainer};
-use fp_hwsim::{forward_macs, LatencyModel, TrainingPassProfile};
-use fp_nn::CascadeModel;
+use fp_hwsim::{LatencyModel, TrainingPassProfile};
 use fp_tensor::BackendHandle;
 use rand::Rng;
 
@@ -39,12 +38,7 @@ impl ScheduledTrainer for SyntheticTrainer {
     }
 
     fn cost(&self, env: &FlEnv, _t: usize, _k: usize) -> LatencyModel {
-        LatencyModel {
-            mem_req_bytes: env.full_mem_req(),
-            fwd_macs_per_sample: forward_macs(&env.reference_specs, &env.input_shape),
-            batch: env.cfg.batch_size,
-            profile: TrainingPassProfile::standard(),
-        }
+        env.full_model_cost(TrainingPassProfile::standard())
     }
 
     fn init(&self, env: &FlEnv) -> ModelState {
@@ -55,14 +49,6 @@ impl ScheduledTrainer for SyntheticTrainer {
             env.data.train.n_classes(),
             &mut rng,
         ))
-    }
-
-    fn global_model<'a>(&self, state: &'a ModelState) -> &'a CascadeModel {
-        &state.0
-    }
-
-    fn global_model_mut<'a>(&self, state: &'a mut ModelState) -> &'a mut CascadeModel {
-        &mut state.0
     }
 
     /// "Trains" client `k` against version `t`: the returned update is

@@ -147,7 +147,7 @@ mod tests {
         // block BN, which is what makes modules 2–7 match); the paper's
         // stem figure implies an in-place stem BN, so we land higher:
         // input 18.4 + conv1 98 + bn 98 + pool 24.5 + states ≈ 239 MB.
-        // Recorded as a known deviation in EXPERIMENTS.md.
+        // A known deviation, printed in `repro table8`'s notes line.
         let specs = resnet34_spec_caltech();
         let m = module_mem_req(&specs[0..1], &[3, 224, 224], 32, None);
         let mb = m.total() as f64 / MB;
