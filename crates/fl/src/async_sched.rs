@@ -63,13 +63,15 @@ use crate::comm::{CommConfig, CommState};
 use crate::engine::FlEnv;
 use crate::metrics::{FlOutcome, RoundRecord};
 use crate::quant::QuantLoss;
-use crate::run::{emit, Core, Event, EventKind, Outcome, Saved, Sink, Stack};
-use crate::sched::{sample_availability, ModelState, ScheduledTrainer};
+use crate::run::{emit, Core, Outcome, Saved, Sink, Stack};
+use crate::sched::{sample_availability, ScheduledTrainer};
 use crate::topology::TopologyConfig;
 use crate::trace::TraceLoss;
 use fp_hwsim::Payload;
+use fp_nn::CascadeModel;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
 /// Domain-separation salt for the per-dispatch client-picking stream.
@@ -221,7 +223,9 @@ pub struct AsyncTimeline {
     n_clients: usize,
     concurrency: usize,
     clock_s: f64,
-    events: BinaryHeap<std::cmp::Reverse<Event>>,
+    /// Pending finishes keyed `(finish bits, id)`: finite non-negative
+    /// times order correctly by their IEEE bits, and ties break by id.
+    events: BinaryHeap<Reverse<(u64, usize)>>,
     busy: std::collections::BTreeSet<usize>,
     dispatched_at_version: std::collections::BTreeSet<usize>,
     free_slots: usize,
@@ -323,10 +327,7 @@ impl AsyncTimeline {
 
     /// Schedules the finish event of a just-picked client.
     pub fn schedule_finish(&mut self, client: usize, finish_s: f64) {
-        self.events.push(std::cmp::Reverse(Event {
-            time: finish_s,
-            kind: EventKind::Finish { client },
-        }));
+        self.events.push(Reverse((finish_s.to_bits(), client)));
     }
 
     /// Pops the next event, advances the clock to it, and — when it is a
@@ -335,10 +336,8 @@ impl AsyncTimeline {
     /// slot, so they leave the slot accounting untouched. `None` when no
     /// events are pending.
     pub fn next_finish(&mut self) -> Option<(f64, usize)> {
-        let std::cmp::Reverse(Event { time, kind }) = self.events.pop()?;
-        let EventKind::Finish { client } = kind else {
-            unreachable!("the timeline only schedules finishes");
-        };
+        let Reverse((bits, client)) = self.events.pop()?;
+        let time = f64::from_bits(bits);
         self.clock_s = time;
         if self.busy.remove(&client) {
             self.free_slots += 1;
@@ -502,7 +501,7 @@ pub struct AsyncScheduler<T> {
 }
 
 /// The result of an asynchronous run.
-pub type AsyncOutcome<S = ModelState> = Outcome<S, AsyncAggRecord>;
+pub type AsyncOutcome<S = CascadeModel> = Outcome<S, AsyncAggRecord>;
 
 impl From<&AsyncAggRecord> for RoundRecord {
     fn from(r: &AsyncAggRecord) -> Self {
@@ -591,10 +590,11 @@ pub struct PendingDispatch {
 /// checkpoint can never silently continue under different rules.
 ///
 /// The server state serializes under the historical `"model"` key (and
-/// past versions under `"past_models"`): for [`ModelState`] the JSON is
-/// bit-identical to the pre-generalization format.
+/// past versions under `"past_models"`): for a single-model algorithm's
+/// [`CascadeModel`] the JSON is its `fp_nn` `Checkpoint`, bit-identical
+/// to the pre-generalization format.
 #[derive(Serialize, Deserialize)]
-pub struct AsyncCheckpoint<S = ModelState> {
+pub struct AsyncCheckpoint<S = CascadeModel> {
     /// Aggregations already performed (= current model version).
     pub version: usize,
     /// Virtual clock at capture time.
@@ -675,6 +675,54 @@ pub struct AsyncCheckpoint<S = ModelState> {
     /// pre-quantization checkpoints byte-identical).
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub quant: Option<crate::quant::QuantState>,
+}
+
+impl<S> AsyncCheckpoint<S> {
+    /// Rejects pending dispatches the run could not replay: a client
+    /// outside the fleet, or a version ahead of the checkpoint's or
+    /// neither current nor retained in `past_models`.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the offending field (`in_flight`, `buffer`,
+    /// `edge_buffers`, `upstream` or `dispatched_at_version`).
+    fn check_pending(&self) {
+        let n = self.n_clients;
+        let client_in_fleet = |field: &str, k: usize| {
+            assert!(
+                k < n,
+                "AsyncCheckpoint field `{field}`: client {k} is outside the fleet of {n} clients"
+            );
+        };
+        let replayable = |field: &str, d: &PendingDispatch| {
+            client_in_fleet(field, d.client);
+            let v = d.version;
+            let retained = || self.past_states.iter().any(|(pv, _)| *pv == v);
+            assert!(
+                v == self.version || (v < self.version && retained()),
+                "AsyncCheckpoint field `{field}`: client {}'s version {v} is neither the current \
+                 version {} nor a retained past one",
+                d.client,
+                self.version
+            );
+        };
+        for d in &self.in_flight {
+            replayable("in_flight", d);
+        }
+        for d in &self.buffer {
+            replayable("buffer", d);
+        }
+        for d in self.edge_buffers.iter().flat_map(|(_, es)| es) {
+            replayable("edge_buffers", d);
+        }
+        let bundles = self.upstream.iter().flat_map(|(_, bundles)| bundles);
+        for d in bundles.flat_map(|(_, es)| es) {
+            replayable("upstream", d);
+        }
+        for &k in &self.dispatched_at_version {
+            client_in_fleet("dispatched_at_version", k);
+        }
+    }
 }
 
 /// Mutable state of a live asynchronous run.
@@ -926,7 +974,9 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
     /// Panics if the checkpoint disagrees with the resuming environment
     /// or scheduler — each mismatch message names the offending
     /// `AsyncCheckpoint` field (`acfg`, `seed`, `algorithm`, `n_clients`,
-    /// `rounds`, or a plane key).
+    /// `rounds`, or a plane key) — or holds a pending dispatch it cannot
+    /// replay (a client outside the fleet, or a version neither current
+    /// nor retained; the message names the pending-dispatch field).
     pub fn resume(
         &self,
         env: &FlEnv,
@@ -950,6 +1000,7 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
             quant: ckpt.quant.as_ref(),
         };
         let core = self.stack().restore(env, saved);
+        ckpt.check_pending();
         let timeline = AsyncTimeline::restore(
             env.cfg.seed,
             env.cfg.n_clients,

@@ -17,7 +17,6 @@ use crate::engine::FlEnv;
 use crate::local::train_client;
 use crate::sched::ScheduledTrainer;
 use fp_hwsim::{forward_macs, model_mem_req, param_transfer_bytes, TrainingPassProfile};
-use fp_nn::checkpoint::Checkpoint;
 use fp_nn::spec::AtomSpec;
 use fp_nn::{CascadeModel, Mode, Sgd};
 use fp_tensor::{seeded_rng, softmax_rows, Tensor};
@@ -39,8 +38,9 @@ pub enum DistillVariant {
 /// the per-architecture zoo prototypes the clients train, and the current
 /// distillation temperature. Everything the server mutates across rounds
 /// lives here, so a between-round checkpoint resumes the zoo and the
-/// temperature schedule exactly — not just the student.
-#[derive(Debug, Clone)]
+/// temperature schedule exactly — not just the student. Each model
+/// serializes as its `fp_nn` `Checkpoint`.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DistillState {
     /// The large global model updated by ensemble distillation.
     pub student: CascadeModel,
@@ -59,55 +59,6 @@ impl AsRef<CascadeModel> for DistillState {
 impl AsMut<CascadeModel> for DistillState {
     fn as_mut(&mut self) -> &mut CascadeModel {
         &mut self.student
-    }
-}
-
-// Hand-written: converts the live models to and from their `Checkpoint`s.
-impl Serialize for DistillState {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            (
-                "student".to_string(),
-                Checkpoint::capture(&self.student).serialize(),
-            ),
-            (
-                "zoo".to_string(),
-                serde::Value::Seq(
-                    self.zoo
-                        .iter()
-                        .map(|m| Checkpoint::capture(m).serialize())
-                        .collect(),
-                ),
-            ),
-            ("temperature".to_string(), self.temperature.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for DistillState {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        const TY: &str = "DistillState";
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for DistillState"))?;
-        let student = Checkpoint::deserialize(serde::map_field(m, "student", TY)?)?
-            .restore()
-            .map_err(serde::Error::custom)?;
-        let zoo = serde::map_field(m, "zoo", TY)?
-            .as_seq()
-            .ok_or_else(|| serde::Error::custom("expected sequence for DistillState zoo"))?
-            .iter()
-            .map(|c| {
-                Checkpoint::deserialize(c)?
-                    .restore()
-                    .map_err(serde::Error::custom)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(DistillState {
-            student,
-            zoo,
-            temperature: Deserialize::deserialize(serde::map_field(m, "temperature", TY)?)?,
-        })
     }
 }
 

@@ -3,7 +3,7 @@
 use super::{fedavg_into, init_global};
 use crate::engine::FlEnv;
 use crate::local::train_client;
-use crate::sched::{ModelState, ScheduledTrainer};
+use crate::sched::ScheduledTrainer;
 use fp_hwsim::{LatencyModel, TrainingPassProfile};
 use fp_nn::CascadeModel;
 use fp_tensor::Tensor;
@@ -42,7 +42,7 @@ impl FedRbn {
 
 impl ScheduledTrainer for FedRbn {
     type Update = (CascadeModel, bool);
-    type ServerState = ModelState;
+    type ServerState = CascadeModel;
 
     fn name(&self) -> &'static str {
         "FedRBN"
@@ -60,21 +60,21 @@ impl ScheduledTrainer for FedRbn {
         })
     }
 
-    fn init(&self, env: &FlEnv) -> ModelState {
-        ModelState(init_global(env))
+    fn init(&self, env: &FlEnv) -> CascadeModel {
+        init_global(env)
     }
 
     fn train(
         &self,
         env: &FlEnv,
-        state: &ModelState,
+        state: &CascadeModel,
         t: usize,
         k: usize,
         lr: f32,
         backend: fp_tensor::BackendHandle,
     ) -> (Self::Update, f32) {
         let can_afford_at = Self::can_afford_at(env, k);
-        let mut model = state.0.clone();
+        let mut model = state.clone();
         model.set_backend(&backend);
         let loss = train_client(env, &mut model, t, k, lr, can_afford_at);
         ((model, can_afford_at), loss)
@@ -83,7 +83,7 @@ impl ScheduledTrainer for FedRbn {
     fn merge_weighted(
         &self,
         _env: &FlEnv,
-        state: &mut ModelState,
+        state: &mut CascadeModel,
         _t: usize,
         updates: Vec<(usize, Self::Update)>,
         weights: &[f32],
@@ -95,10 +95,10 @@ impl ScheduledTrainer for FedRbn {
             .collect();
         // Weights: plain FedAvg over everyone.
         let all: Vec<(&CascadeModel, f32)> = results.iter().map(|(m, w, _)| (m, *w)).collect();
-        fedavg_into(&mut state.0, &all);
+        fedavg_into(state, &all);
         // Robustness propagation: adversarial BN statistics override.
         if let Some(stats) = at_weighted_bn(&results) {
-            state.0.set_bn_stats(&stats);
+            state.set_bn_stats(&stats);
         }
     }
 }

@@ -3,7 +3,7 @@
 use super::{fedavg_into, init_global};
 use crate::engine::FlEnv;
 use crate::local::train_client;
-use crate::sched::{ModelState, ScheduledTrainer};
+use crate::sched::ScheduledTrainer;
 use fp_hwsim::{LatencyModel, TrainingPassProfile};
 use fp_nn::CascadeModel;
 
@@ -32,7 +32,7 @@ impl JFat {
 
 impl ScheduledTrainer for JFat {
     type Update = CascadeModel;
-    type ServerState = ModelState;
+    type ServerState = CascadeModel;
 
     fn name(&self) -> &'static str {
         if self.standard_training {
@@ -52,20 +52,20 @@ impl ScheduledTrainer for JFat {
         })
     }
 
-    fn init(&self, env: &FlEnv) -> ModelState {
-        ModelState(init_global(env))
+    fn init(&self, env: &FlEnv) -> CascadeModel {
+        init_global(env)
     }
 
     fn train(
         &self,
         env: &FlEnv,
-        state: &ModelState,
+        state: &CascadeModel,
         t: usize,
         k: usize,
         lr: f32,
         backend: fp_tensor::BackendHandle,
     ) -> (CascadeModel, f32) {
-        let mut model = state.0.clone();
+        let mut model = state.clone();
         model.set_backend(&backend);
         let loss = train_client(env, &mut model, t, k, lr, !self.standard_training);
         (model, loss)
@@ -74,7 +74,7 @@ impl ScheduledTrainer for JFat {
     fn merge_weighted(
         &self,
         _env: &FlEnv,
-        state: &mut ModelState,
+        state: &mut CascadeModel,
         _t: usize,
         updates: Vec<(usize, CascadeModel)>,
         weights: &[f32],
@@ -84,7 +84,7 @@ impl ScheduledTrainer for JFat {
             .zip(weights)
             .map(|((_, m), &w)| (m, w))
             .collect();
-        fedavg_into(&mut state.0, &weighted);
+        fedavg_into(state, &weighted);
     }
 }
 

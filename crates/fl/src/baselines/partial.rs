@@ -3,7 +3,7 @@
 use super::init_global;
 use crate::engine::FlEnv;
 use crate::local::train_client;
-use crate::sched::{ModelState, ScheduledTrainer};
+use crate::sched::ScheduledTrainer;
 use crate::submodel::{
     channel_groups, extract_submodel, keep_sets, slice_specs, SubmodelAccumulator, SubmodelScheme,
 };
@@ -91,7 +91,7 @@ impl PartialTraining {
 
 impl ScheduledTrainer for PartialTraining {
     type Update = (CascadeModel, HashMap<usize, Vec<usize>>);
-    type ServerState = ModelState;
+    type ServerState = CascadeModel;
 
     fn name(&self) -> &'static str {
         match self.scheme {
@@ -128,7 +128,7 @@ impl ScheduledTrainer for PartialTraining {
         PayloadSpec::window(param_transfer_bytes(&sliced), self.shape_id(env, t, k))
     }
 
-    fn payload_params(&self, env: &FlEnv, state: &ModelState, t: usize, k: usize) -> Vec<f32> {
+    fn payload_params(&self, env: &FlEnv, state: &CascadeModel, t: usize, k: usize) -> Vec<f32> {
         // The exact parameters the client materializes: its keep-set
         // slice of the global model, extracted with the same RNG stream `train`
         // uses — so diffing two versions of the same slice is exact.
@@ -136,17 +136,17 @@ impl ScheduledTrainer for PartialTraining {
         let ratio = Self::ratio(env, k);
         let mut rng = Self::submodel_rng(env, t, k);
         let keep = keep_sets(&groups, ratio, self.scheme, t, &mut rng);
-        extract_submodel(&state.0, &keep, &mut rng).flat_params()
+        extract_submodel(state, &keep, &mut rng).flat_params()
     }
 
-    fn init(&self, env: &FlEnv) -> ModelState {
-        ModelState(init_global(env))
+    fn init(&self, env: &FlEnv) -> CascadeModel {
+        init_global(env)
     }
 
     fn train(
         &self,
         env: &FlEnv,
-        state: &ModelState,
+        state: &CascadeModel,
         t: usize,
         k: usize,
         lr: f32,
@@ -156,7 +156,7 @@ impl ScheduledTrainer for PartialTraining {
         let ratio = Self::ratio(env, k);
         let mut rng = Self::submodel_rng(env, t, k);
         let keep = keep_sets(&groups, ratio, self.scheme, t, &mut rng);
-        let mut sub = extract_submodel(&state.0, &keep, &mut rng);
+        let mut sub = extract_submodel(state, &keep, &mut rng);
         sub.set_backend(&backend);
         let loss = train_client(env, &mut sub, t, k, lr, true);
         ((sub, keep), loss)
@@ -165,16 +165,16 @@ impl ScheduledTrainer for PartialTraining {
     fn merge_weighted(
         &self,
         _env: &FlEnv,
-        state: &mut ModelState,
+        state: &mut CascadeModel,
         _t: usize,
         updates: Vec<(usize, Self::Update)>,
         weights: &[f32],
     ) {
-        let mut acc = SubmodelAccumulator::new(&state.0);
+        let mut acc = SubmodelAccumulator::new(state);
         for ((_, (sub, keep)), &w) in updates.iter().zip(weights) {
             acc.add(sub, keep, w);
         }
-        acc.apply(&mut state.0);
+        acc.apply(state);
     }
 }
 
@@ -207,7 +207,7 @@ mod tests {
     #[test]
     fn payload_spec_bytes_are_exact() {
         let env = make_env(8, 33);
-        let global = ModelState(init_global(&env));
+        let global = init_global(&env);
         for alg in [
             PartialTraining::heterofl(),
             PartialTraining::fedrolex(),

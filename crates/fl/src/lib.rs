@@ -22,14 +22,15 @@
 //!   state, every plane stage (gate, plan, deliver / lose, train, eval),
 //!   checkpoint plane keys, resume checks, and the shared [`Outcome`];
 //! * [`sched`] — the round scheduler, a barrier policy over that core
-//!   (per-round event queue, straggler deadlines, dropout,
-//!   over-selection, checkpoint/resume, per-round metrics ledger);
+//!   (a round closes on a prefix of its finish order: straggler
+//!   deadlines, dropout, over-selection; checkpoint/resume, per-round
+//!   metrics ledger);
 //!   **every** algorithm above runs through it. The one trainer
 //!   contract is [`ScheduledTrainer`], generic over serializable
 //!   **server state**: implement it directly; single-model algorithms
-//!   use [`ModelState`] (checkpoint-format-identical to the historical
-//!   single-model shape), while FedDF/FedET carry their model zoo +
-//!   temperature schedule as [`DistillState`]. Every cloneable trainer
+//!   use the model itself, a `CascadeModel` whose JSON is its
+//!   `Checkpoint` (the historical single-model shape), while FedDF/FedET
+//!   carry their model zoo + temperature schedule as [`DistillState`]. Every cloneable trainer
 //!   is an [`FlAlgorithm`] that runs on the default wait-all scheduler;
 //! * [`async_sched`] — the other barrier policy: FedBuff-style
 //!   asynchronous aggregation on a continuous virtual clock
@@ -108,8 +109,8 @@ pub use quant::{
 pub use run::Outcome;
 pub use sched::{
     draw_dropouts, model_hash, over_select_count, sample_availability, simulate_round,
-    DeadlinePolicy, EventScheduler, ModelState, RoundSim, SchedCheckpoint, SchedConfig,
-    SchedOutcome, SchedRound, ScheduledTrainer,
+    DeadlinePolicy, EventScheduler, RoundSim, SchedCheckpoint, SchedConfig, SchedOutcome,
+    SchedRound, ScheduledTrainer,
 };
 pub use synthetic::SyntheticTrainer;
 pub use topology::TopologyConfig;

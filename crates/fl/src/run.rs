@@ -21,7 +21,7 @@
 //! ```
 //!
 //! [`crate::sched`] and [`crate::async_sched`] own *when* each stage runs
-//! — selection, the event queue, dropout and timeout draws, the barrier —
+//! — selection, the finish order, dropout and timeout draws, the barrier —
 //! and nothing about *what* a stage does. The order is theirs too: the
 //! round scheduler plans a whole cohort against the cache table as the
 //! round found it and advances the table afterwards, the async one
@@ -39,54 +39,6 @@ use crate::trace::{TraceCheckpoint, TraceLoss, TracePlan, TraceState};
 use fp_hwsim::{ClientLatency, DeviceSample, Payload};
 use fp_nn::CascadeModel;
 use serde::Serialize;
-use std::cmp::Ordering;
-
-// ------------------------------------------------------------------ events
-
-/// What a virtual-time event is.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum EventKind {
-    /// A client finished its local training (or, on the async timeline,
-    /// a synthetic id's edge bundle arrived). Ranked before `Deadline` so
-    /// a client finishing exactly at the deadline still counts.
-    Finish { client: usize },
-    /// The straggler deadline fired.
-    Deadline,
-}
-
-/// One event of a round's queue or of the continuous async timeline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Event {
-    pub time: f64,
-    pub kind: EventKind,
-}
-
-impl Event {
-    /// Ordering key: time (finite, non-negative — IEEE bit patterns
-    /// order correctly), then kind rank (finishes before deadlines), then
-    /// client id — total and deterministic.
-    fn key(&self) -> (u64, u8, usize) {
-        let (rank, client) = match self.kind {
-            EventKind::Finish { client } => (0, client),
-            EventKind::Deadline => (1, 0),
-        };
-        (self.time.to_bits(), rank, client)
-    }
-}
-
-impl Eq for Event {}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.key().cmp(&other.key())
-    }
-}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
 
 // ----------------------------------------------------------------- outcome
 

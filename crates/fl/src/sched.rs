@@ -13,10 +13,11 @@
 //!   availability degradation (§B.1) — download, local training
 //!   (compute and swap), upload — so deadline estimates see
 //!   communication-bound clients too; per-round dropout draws;
-//! * a per-round event queue ([`simulate_round`]): client-finish events
-//!   race against an optional straggler deadline, dropped-out clients
-//!   never report, and the round closes at the target-th completion or
-//!   the deadline (times are round-relative; the clock adds them up);
+//! * a per-round close ([`simulate_round`]): the surviving clients'
+//!   finishes, walked in time order, race against an optional straggler
+//!   deadline, dropped-out clients never report, and the round closes at
+//!   the target-th completion or the deadline (times are round-relative;
+//!   the clock adds them up);
 //! * at the close the server trains and FedAvg-merges the clients that
 //!   actually completed, pays the edge→server hop on a hierarchical
 //!   topology, and writes one [`SchedRound`] (serializable to JSON).
@@ -51,16 +52,15 @@ use crate::comm::{CommConfig, CommState};
 use crate::engine::FlEnv;
 use crate::metrics::{FlOutcome, RoundRecord};
 use crate::quant::QuantLoss;
-use crate::run::{emit, Core, Event, EventKind, Outcome, Planned, Saved, Sink, Stack};
+use crate::run::{emit, Core, Outcome, Planned, Saved, Sink, Stack};
 use crate::topology::TopologyConfig;
 use crate::trace::TraceLoss;
 use fp_hwsim::{ClientLatency, DeviceSample, LatencyModel, PayloadSpec};
-use fp_nn::checkpoint::Checkpoint;
 use fp_nn::CascadeModel;
 use fp_tensor::BackendHandle;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 /// Domain-separation salt for availability degradation. Every consumer
 /// of the scheduler's RNG discipline (FedProphet's loop and the async
@@ -139,7 +139,7 @@ impl SchedConfig {
     }
 }
 
-// -------------------------------------------------------------- event queue
+// -------------------------------------------------------------- round close
 
 /// Number of clients to select for a round with `target` desired
 /// completions under an over-selection factor, capped by the fleet size.
@@ -170,18 +170,19 @@ pub struct RoundSim {
     pub dropped_out: Vec<usize>,
     /// Virtual duration of the round (0 when nobody survived).
     pub round_time_s: f64,
-    /// Latency breakdown of the slowest *completed* client (the barrier
-    /// cost actually paid).
-    pub slowest_completed: ClientLatency,
 }
 
-/// Plays one round forward on a virtual-time event queue.
+/// Plays one round forward: the round is a prefix of the survivors'
+/// finish order.
 ///
 /// `ids`, `latency` and `dropped` are parallel arrays over the selected
-/// clients. The round closes at the earliest of: the `target`-th
-/// completion, or the deadline (but never with fewer than
+/// clients. The survivors finish in `(finish-time bits, id)` order (finite
+/// non-negative times order correctly by their IEEE bits; ties break by
+/// id), and the walk over that order closes the round at the earliest of:
+/// the `target`-th completion, or the deadline (but never with fewer than
 /// `cfg.min_completions` completions — the server then waits for the next
-/// finish).
+/// finish). The deadline is checked once, before the first finish whose
+/// bits exceed its own, so a finish exactly at the deadline still counts.
 ///
 /// # Panics
 ///
@@ -208,23 +209,13 @@ pub fn simulate_round(
             stragglers: Vec::new(),
             dropped_out,
             round_time_s: 0.0,
-            slowest_completed: ClientLatency::zero(),
         };
     }
     // The progress floor also binds the target close: a round never
     // closes below `min_completions` while survivors could still report.
     let target = target.max(cfg.min_completions).min(survivors.len());
 
-    let mut queue: BinaryHeap<std::cmp::Reverse<Event>> = survivors
-        .iter()
-        .map(|&i| {
-            std::cmp::Reverse(Event {
-                time: latency[i].total(),
-                kind: EventKind::Finish { client: ids[i] },
-            })
-        })
-        .collect();
-    let deadline = match cfg.deadline {
+    let mut deadline = match cfg.deadline {
         DeadlinePolicy::WaitAll => None,
         DeadlinePolicy::FixedSeconds(s) => Some(s),
         DeadlinePolicy::MedianMultiple(x) => {
@@ -239,67 +230,44 @@ pub fn simulate_round(
             Some(x * median)
         }
     };
-    if let Some(d) = deadline {
-        queue.push(std::cmp::Reverse(Event {
-            time: d,
-            kind: EventKind::Deadline,
-        }));
-    }
+    let mut finishes: Vec<(u64, usize)> = survivors
+        .iter()
+        .map(|&i| (latency[i].total().to_bits(), ids[i]))
+        .collect();
+    finishes.sort_unstable();
 
     let mut completed: Vec<usize> = Vec::with_capacity(target);
     let mut past_deadline = false;
     let mut close_time = 0.0f64;
-    while let Some(std::cmp::Reverse(ev)) = queue.pop() {
-        match ev.kind {
-            EventKind::Finish { client } => {
-                completed.push(client);
-                close_time = ev.time;
-                if completed.len() >= target
-                    || (past_deadline && completed.len() >= cfg.min_completions)
-                {
-                    break;
-                }
+    for &(bits, client) in &finishes {
+        if let Some(d) = deadline.filter(|d| bits > d.to_bits()) {
+            deadline = None;
+            if completed.len() >= cfg.min_completions {
+                close_time = d;
+                break;
             }
-            EventKind::Deadline => {
-                if completed.len() >= cfg.min_completions {
-                    close_time = ev.time;
-                    break;
-                }
-                // Progress guarantee: wait for the next finish instead of
-                // closing an empty round.
-                past_deadline = true;
-            }
+            // Progress guarantee: wait for the next finish instead of
+            // closing an empty round.
+            past_deadline = true;
+        }
+        completed.push(client);
+        close_time = f64::from_bits(bits);
+        if completed.len() >= target || (past_deadline && completed.len() >= cfg.min_completions) {
+            break;
         }
     }
     completed.sort_unstable();
-    // `completed` is sorted, so membership and id→index lookups are
-    // O(log n) / O(n) total — the old `contains`/`position` scans were
-    // quadratic in the selection size, a real cost at 100k clients.
     let stragglers: Vec<usize> = survivors
         .iter()
         .map(|&i| ids[i])
         .filter(|k| completed.binary_search(k).is_err())
         .collect();
-    let index_of = index_by_id(ids);
-    let slowest_completed = completed
-        .iter()
-        .map(|k| latency[index_of[k]])
-        .max_by(|a, b| a.total().total_cmp(&b.total()))
-        .unwrap_or_else(ClientLatency::zero);
     RoundSim {
         completed,
         stragglers,
         dropped_out,
         round_time_s: close_time,
-        slowest_completed,
     }
-}
-
-/// Selected-id → parallel-array index. Built once per round so the
-/// close-of-round tallies cost O(selected), not O(selected²); lookups
-/// only (no iteration), so the map's order never leaks into results.
-fn index_by_id(ids: &[usize]) -> std::collections::HashMap<usize, usize> {
-    ids.iter().enumerate().map(|(i, &k)| (k, i)).collect()
 }
 
 // ------------------------------------------------------------------ ledger
@@ -417,7 +385,8 @@ pub fn model_hash(model: &CascadeModel) -> u64 {
 /// deployable global model. This is the one trainer contract: every
 /// algorithm implements it directly. Single-model algorithms (jFAT, the
 /// partial-training family, FedRBN, the synthetic fleet workload) use
-/// [`ModelState`]; algorithms with richer server state (the distillation
+/// the model itself, a [`CascadeModel`] whose JSON is its `fp_nn`
+/// `Checkpoint`; algorithms with richer server state (the distillation
 /// baselines' model zoo) bring their own type. Any `Clone` implementor is
 /// also an [`FlAlgorithm`](crate::FlAlgorithm) that runs on the default
 /// wait-all [`EventScheduler`].
@@ -599,41 +568,6 @@ pub trait ScheduledTrainer: Sync {
     fn reset_quant(&self) {}
 }
 
-/// The server state of a single-global-model algorithm: a thin wrapper
-/// whose serialized form **is** the plain [`Checkpoint`] — so checkpoints
-/// of single-model algorithms are bit-identical to the pre-generalization
-/// format (pinned by fixture tests against committed v1 JSON).
-#[derive(Debug, Clone)]
-pub struct ModelState(pub CascadeModel);
-
-impl AsRef<CascadeModel> for ModelState {
-    fn as_ref(&self) -> &CascadeModel {
-        &self.0
-    }
-}
-
-impl AsMut<CascadeModel> for ModelState {
-    fn as_mut(&mut self) -> &mut CascadeModel {
-        &mut self.0
-    }
-}
-
-// Hand-written: converts the live model to and from its `Checkpoint`.
-impl Serialize for ModelState {
-    fn serialize(&self) -> serde::Value {
-        Checkpoint::capture(&self.0).serialize()
-    }
-}
-
-impl Deserialize for ModelState {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        Checkpoint::deserialize(v)?
-            .restore()
-            .map(ModelState)
-            .map_err(serde::Error::custom)
-    }
-}
-
 // --------------------------------------------------------------- scheduler
 
 /// The event-driven federated round scheduler.
@@ -659,7 +593,7 @@ pub struct EventScheduler<T> {
 
 /// The result of a scheduled run: final model, final server state, and
 /// the round ledger.
-pub type SchedOutcome<S = ModelState> = Outcome<S, SchedRound>;
+pub type SchedOutcome<S = CascadeModel> = Outcome<S, SchedRound>;
 
 /// A serializable snapshot of a scheduled run, taken between rounds.
 ///
@@ -673,11 +607,12 @@ pub type SchedOutcome<S = ModelState> = Outcome<S, SchedRound>;
 /// baselines (model zoo + temperature schedule) resume exactly, not just
 /// their student model.
 ///
-/// The state serializes under the historical `"model"` key: for
-/// [`ModelState`] (single-model algorithms) the JSON is bit-identical to
-/// the pre-generalization format, so old checkpoints keep loading.
+/// The state serializes under the historical `"model"` key: for a
+/// single-model algorithm's [`CascadeModel`] the JSON is its `fp_nn`
+/// `Checkpoint`, bit-identical to the pre-generalization format, so old
+/// checkpoints keep loading.
 #[derive(Serialize, Deserialize)]
-pub struct SchedCheckpoint<S = ModelState> {
+pub struct SchedCheckpoint<S = CascadeModel> {
     /// The first round the resumed run will execute.
     pub next_round: usize,
     /// Virtual clock at capture time.
@@ -1056,11 +991,14 @@ impl<T: ScheduledTrainer> EventScheduler<T> {
             .map(|p| p.as_ref().map_or_else(ClientLatency::zero, |p| p.lat))
             .collect();
         let sim = simulate_round(&ids, &latency, &dropped, target, &self.sched);
-        let index_of = index_by_id(&ids);
         // A completed client's *actual* up-link bytes: the dense spec
         // size, or the quantized wire size when the trainer compresses.
+        // `sample_round_n` returns ascending ids.
         let up = |k: &usize| {
-            let p = planned[index_of[k]].as_ref();
+            let i = ids
+                .binary_search(k)
+                .expect("completed clients were selected");
+            let p = planned[i].as_ref();
             p.expect("completed clients were planned").payload.up_bytes
         };
         // Only completed clients' updates reach the server's up-link.
@@ -1190,7 +1128,6 @@ mod tests {
         assert_eq!(sim.completed, vec![3, 5, 9]);
         assert!(sim.stragglers.is_empty());
         assert_eq!(sim.round_time_s, 5.0);
-        assert_eq!(sim.slowest_completed.total(), 5.0);
     }
 
     #[test]
@@ -1209,7 +1146,6 @@ mod tests {
         assert_eq!(sim.completed, vec![1, 3]);
         assert_eq!(sim.stragglers, vec![2]);
         assert_eq!(sim.round_time_s, 3.0);
-        assert_eq!(sim.slowest_completed.total(), 2.0);
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! thread-invariance guarantees hold exactly as for the real trainers.
 
 use crate::engine::FlEnv;
-use crate::sched::{ModelState, ScheduledTrainer};
+use crate::sched::ScheduledTrainer;
 use fp_hwsim::{LatencyModel, TrainingPassProfile};
+use fp_nn::CascadeModel;
 use fp_tensor::BackendHandle;
 use rand::Rng;
 
@@ -31,7 +32,7 @@ pub struct SyntheticTrainer;
 
 impl ScheduledTrainer for SyntheticTrainer {
     type Update = Vec<f32>;
-    type ServerState = ModelState;
+    type ServerState = CascadeModel;
 
     fn name(&self) -> &'static str {
         "Synthetic"
@@ -41,14 +42,14 @@ impl ScheduledTrainer for SyntheticTrainer {
         env.full_model_cost(TrainingPassProfile::standard())
     }
 
-    fn init(&self, env: &FlEnv) -> ModelState {
+    fn init(&self, env: &FlEnv) -> CascadeModel {
         let mut rng = fp_tensor::seeded_rng(env.cfg.seed);
-        ModelState(fp_nn::models::instantiate(
+        fp_nn::models::instantiate(
             &env.reference_specs,
             &env.input_shape,
             env.data.train.n_classes(),
             &mut rng,
-        ))
+        )
     }
 
     /// "Trains" client `k` against version `t`: the returned update is
@@ -58,7 +59,7 @@ impl ScheduledTrainer for SyntheticTrainer {
     fn train(
         &self,
         env: &FlEnv,
-        state: &ModelState,
+        state: &CascadeModel,
         t: usize,
         k: usize,
         lr: f32,
@@ -66,7 +67,6 @@ impl ScheduledTrainer for SyntheticTrainer {
     ) -> (Vec<f32>, f32) {
         let mut rng = env.client_rng(t, k, SALT_SYNTH);
         let update: Vec<f32> = state
-            .0
             .flat_params()
             .iter()
             .map(|p| p * (1.0 - lr) + lr * rng.gen_range(-0.01f32..0.01))
@@ -78,7 +78,7 @@ impl ScheduledTrainer for SyntheticTrainer {
     fn merge_weighted(
         &self,
         _env: &FlEnv,
-        state: &mut ModelState,
+        state: &mut CascadeModel,
         _t: usize,
         updates: Vec<(usize, Vec<f32>)>,
         weights: &[f32],
@@ -103,7 +103,7 @@ impl ScheduledTrainer for SyntheticTrainer {
             for a in acc.iter_mut() {
                 *a /= wsum;
             }
-            state.0.set_flat_params(&acc);
+            state.set_flat_params(&acc);
         });
     }
 }

@@ -345,6 +345,20 @@ impl Clone for CascadeModel {
     }
 }
 
+/// A model is its own deployable global model: lets a single-model
+/// server state be the model itself.
+impl AsRef<CascadeModel> for CascadeModel {
+    fn as_ref(&self) -> &CascadeModel {
+        self
+    }
+}
+
+impl AsMut<CascadeModel> for CascadeModel {
+    fn as_mut(&mut self) -> &mut CascadeModel {
+        self
+    }
+}
+
 impl std::fmt::Debug for CascadeModel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CascadeModel")

@@ -5,7 +5,9 @@
 //! and BN running statistics. Checkpoints serialize with serde, so they
 //! can be written to JSON (or any serde format) and restored later —
 //! including on a different machine, since the whole stack is
-//! deterministic pure Rust.
+//! deterministic pure Rust. A `CascadeModel` itself serializes as its
+//! `Checkpoint`: that is the one place the model's wire format is
+//! decided, and every type holding a model inherits it.
 //!
 //! # Example
 //!
@@ -124,6 +126,21 @@ impl Checkpoint {
     /// Number of stored parameter scalars.
     pub fn param_count(&self) -> usize {
         self.params.len()
+    }
+}
+
+// Converts the live model to and from its `Checkpoint`.
+impl Serialize for CascadeModel {
+    fn serialize(&self) -> serde::Value {
+        Checkpoint::capture(self).serialize()
+    }
+}
+
+impl Deserialize for CascadeModel {
+    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
+        Checkpoint::deserialize(v)?
+            .restore()
+            .map_err(serde::Error::custom)
     }
 }
 

@@ -190,24 +190,6 @@ impl Clone for Box<dyn Layer> {
     }
 }
 
-/// Copies all parameter values from `src` to `dst` (same architecture).
-///
-/// # Panics
-///
-/// Panics if the two layers expose different parameter lists.
-pub fn copy_params(src: &dyn Layer, dst: &mut dyn Layer) {
-    let src_params = src.params();
-    let mut dst_params = dst.params_mut();
-    assert_eq!(
-        src_params.len(),
-        dst_params.len(),
-        "parameter count mismatch"
-    );
-    for (s, d) in src_params.iter().zip(dst_params.iter_mut()) {
-        d.set_value(s.value().clone());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

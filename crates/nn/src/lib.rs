@@ -57,7 +57,7 @@ pub use cascade::CascadeModel;
 pub use checkpoint::Checkpoint;
 pub use delta::{apply_param_delta, param_diff, ParamDelta};
 pub use init::{kaiming_normal, kaiming_uniform};
-pub use layer::{copy_params, Layer, Mode};
+pub use layer::{Layer, Mode};
 pub use layers::basic_block::BasicBlock;
 pub use layers::bn::BatchNorm2d;
 pub use layers::conv::Conv2d;

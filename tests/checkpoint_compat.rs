@@ -4,9 +4,9 @@
 //! pre-generalization schedulers (whose checkpoints hard-coded one
 //! `fp-nn` model under the `"model"` key). The generalized
 //! `SchedCheckpoint<S>` / `AsyncCheckpoint<S>` with the default
-//! single-model [`ModelState`] wrapper must keep loading them and must
-//! re-serialize them **byte-identically** — the wrapper's serialized
-//! form *is* the plain model checkpoint.
+//! single-model server state, the `CascadeModel` itself, must keep
+//! loading them and must re-serialize them **byte-identically** — a
+//! model's serialized form *is* its plain `fp_nn` `Checkpoint`.
 
 use fedprophet_repro::data::{generate, partition_pathological, SynthConfig};
 use fedprophet_repro::fl::{
@@ -31,7 +31,7 @@ fn env(rounds: usize, seed: u64) -> FlEnv {
 #[test]
 fn pre_refactor_sched_checkpoint_loads_and_reserializes_bit_identically() {
     let json = include_str!("fixtures/sched_checkpoint_v1.json");
-    // Default type parameter = ModelState: the historical single-model
+    // Default type parameter = CascadeModel: the historical single-model
     // checkpoint shape.
     let ckpt: SchedCheckpoint = serde_json::from_str(json).expect("v1 checkpoint deserializes");
     assert_eq!(ckpt.next_round, 3);
@@ -40,7 +40,7 @@ fn pre_refactor_sched_checkpoint_loads_and_reserializes_bit_identically() {
     let reserialized = serde_json::to_string(&ckpt).expect("serializes");
     assert_eq!(
         reserialized, json,
-        "ModelState must serialize byte-identically to the v1 model checkpoint"
+        "CascadeModel must serialize byte-identically to the v1 model checkpoint"
     );
     // Same property with every plane's optional keys populated.
     let v2 = include_str!("fixtures/sched_checkpoint_planes_v2.json");
@@ -92,7 +92,7 @@ fn pre_refactor_async_checkpoint_loads_and_reserializes_bit_identically() {
     let reserialized = serde_json::to_string(&ckpt).expect("serializes");
     assert_eq!(
         reserialized, json,
-        "ModelState must serialize byte-identically to the v1 model checkpoint"
+        "CascadeModel must serialize byte-identically to the v1 model checkpoint"
     );
     // Same property with every plane's optional keys populated.
     let v2 = include_str!("fixtures/async_checkpoint_planes_v2.json");
@@ -365,4 +365,50 @@ fn resume_rejects_each_mismatched_policy_by_type_and_field() {
         let want = format!("AsyncCheckpoint field `{field}`");
         assert!(msg.contains(&want), "{field}: {msg}");
     }
+}
+
+/// Resumes the planes-on async fixture after `corrupt` edits one of its
+/// pending-dispatch fields.
+fn resume_corrupted_async(corrupt: fn(&mut AsyncCheckpoint)) {
+    let json = include_str!("fixtures/async_checkpoint_planes_v2.json");
+    let mut ckpt: AsyncCheckpoint = serde_json::from_str(json).unwrap();
+    corrupt(&mut ckpt);
+    let e = planes_env(PLANES_ASYNC_AGGS);
+    drop(planes_async_sched().resume(&e, &ckpt));
+}
+
+#[test]
+#[should_panic(expected = "AsyncCheckpoint field `in_flight`: client 16 is outside the fleet")]
+fn async_resume_rejects_an_in_flight_client_outside_the_fleet() {
+    resume_corrupted_async(|c| c.in_flight[0].client = c.n_clients);
+}
+
+#[test]
+#[should_panic(
+    expected = "AsyncCheckpoint field `buffer`: client 2's version 3 is neither the current version 2"
+)]
+fn async_resume_rejects_a_buffered_version_ahead_of_the_checkpoint() {
+    resume_corrupted_async(|c| c.buffer[0].version = c.version + 1);
+}
+
+#[test]
+#[should_panic(expected = "AsyncCheckpoint field `edge_buffers`: client 19 is outside the fleet")]
+fn async_resume_rejects_an_edge_buffered_client_outside_the_fleet() {
+    resume_corrupted_async(|c| c.edge_buffers[1].1[0].client = c.n_clients + 3);
+}
+
+#[test]
+#[should_panic(
+    expected = "AsyncCheckpoint field `upstream`: client 5's version 0 is neither the current version 2 nor a retained past one"
+)]
+fn async_resume_rejects_an_upstream_version_that_is_not_retained() {
+    resume_corrupted_async(|c| c.past_states.retain(|(v, _)| *v != 0));
+}
+
+#[test]
+#[should_panic(
+    expected = "AsyncCheckpoint field `dispatched_at_version`: client 16 is outside the fleet"
+)]
+fn async_resume_rejects_a_dispatched_client_outside_the_fleet() {
+    resume_corrupted_async(|c| c.dispatched_at_version.push(c.n_clients));
 }

@@ -128,7 +128,7 @@ fn delta_runs_are_deterministic_and_resume_bit_identically() {
     assert!(ckpt.comm.is_some(), "enabled comm plane must checkpoint");
     let json = serde_json::to_string(&ckpt).expect("checkpoint serializes");
     assert!(json.contains("\"comm\""));
-    let restored: fedprophet_repro::fl::SchedCheckpoint<fedprophet_repro::fl::ModelState> =
+    let restored: fedprophet_repro::fl::SchedCheckpoint<fedprophet_repro::nn::CascadeModel> =
         serde_json::from_str(&json).expect("checkpoint deserializes");
     let resumed = sched.resume(&e, &restored);
     assert_eq!(resumed.ledger, a.ledger);

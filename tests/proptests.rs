@@ -352,8 +352,8 @@ proptest! {
     /// The `MedianMultiple(1.0)` deadline closes at the exact median of
     /// the survivor totals: with distinct integer latencies, an odd
     /// survivor count completes `(n+1)/2` clients (the median client
-    /// finishes exactly at the deadline, and finish events rank before
-    /// deadline events) and an even count completes `n/2` (the deadline
+    /// finishes exactly at the deadline, and a finish at the deadline
+    /// still counts) and an even count completes `n/2` (the deadline
     /// is the midpoint between the two middle totals).
     #[test]
     fn median_multiple_deadline_splits_at_the_median(
@@ -399,6 +399,108 @@ proptest! {
         let _ = pgd.attack(&mut target, &x, &[0, 1], &mut rng);
         let _ = target.logits(&x);
         prop_assert_eq!(model.flat_params(), before);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A synchronous round closes on a prefix of its finish order. For
+    /// any ascending ids, latencies with ties and with values equal to a
+    /// fixed deadline, dropouts, `target`, `min_completions` and deadline
+    /// policy: the three outcome sets are ascending and partition the
+    /// ids, `completed` is a prefix of the survivors in `(finish bits,
+    /// id)` order, its size sits between the progress floor and the
+    /// target (exactly the target under wait-all), and the round lasts
+    /// until the last completed finish or the deadline.
+    #[test]
+    fn round_close_is_a_prefix_of_the_finish_order(
+        n in 0usize..14,
+        target in 1usize..16,
+        min_completions in 1usize..6,
+        policy in 0usize..3,
+        seed in 0u64..1_000_000,
+    ) {
+        use rand::Rng;
+        let mut rng = seeded_rng(seed);
+        // A small palette makes ties common; the fixed deadline is one of
+        // its values, so finishes land exactly on it.
+        let palette = [0.25, 0.5, 1.0, 1.5, 2.0, 3.0];
+        let mut ids = Vec::with_capacity(n);
+        let mut next = rng.gen_range(0usize..3);
+        for _ in 0..n {
+            ids.push(next);
+            next += rng.gen_range(1usize..4);
+        }
+        let totals: Vec<f64> = (0..n).map(|_| palette[rng.gen_range(0..palette.len())]).collect();
+        let latency: Vec<ClientLatency> = totals
+            .iter()
+            .map(|&t| ClientLatency { compute_s: t, data_access_s: 0.0, transfer_s: 0.0 })
+            .collect();
+        let dropped: Vec<bool> = (0..n).map(|_| rng.gen_range(0u32..4) == 0).collect();
+        let deadline = match policy {
+            0 => DeadlinePolicy::WaitAll,
+            1 => DeadlinePolicy::FixedSeconds(palette[rng.gen_range(0..palette.len())]),
+            _ => DeadlinePolicy::MedianMultiple([0.5, 1.0, 1.5][rng.gen_range(0..3usize)]),
+        };
+        let cfg = SchedConfig { deadline, min_completions, ..SchedConfig::default() };
+        let sim = simulate_round(&ids, &latency, &dropped, target, &cfg);
+
+        let ascending = |v: &[usize]| v.windows(2).all(|w| w[0] < w[1]);
+        prop_assert!(ascending(&sim.completed), "completed {:?}", sim.completed);
+        prop_assert!(ascending(&sim.stragglers), "stragglers {:?}", sim.stragglers);
+        prop_assert!(ascending(&sim.dropped_out), "dropped_out {:?}", sim.dropped_out);
+        let mut all: Vec<usize> = [&sim.completed[..], &sim.stragglers, &sim.dropped_out].concat();
+        all.sort_unstable();
+        prop_assert_eq!(&all, &ids);
+
+        // Survivors in finish order: `(bits, id)`.
+        let mut order: Vec<(u64, usize)> = (0..n)
+            .filter(|&i| !dropped[i])
+            .map(|i| (totals[i].to_bits(), ids[i]))
+            .collect();
+        order.sort_unstable();
+        let s = order.len();
+        let c = sim.completed.len();
+        let mut prefix: Vec<usize> = order[..c].iter().map(|&(_, k)| k).collect();
+        prefix.sort_unstable();
+        prop_assert_eq!(&sim.completed, &prefix);
+
+        let upper = target.max(min_completions).min(s);
+        prop_assert!(min_completions.min(s) <= c && c <= upper,
+            "|completed| = {} outside [{}, {}]", c, min_completions.min(s), upper);
+        if matches!(deadline, DeadlinePolicy::WaitAll) {
+            prop_assert_eq!(c, upper);
+        }
+
+        if s == 0 {
+            prop_assert_eq!(sim.round_time_s, 0.0);
+        } else {
+            let last_finish = f64::from_bits(order[c - 1].0);
+            let deadline_s = match deadline {
+                DeadlinePolicy::WaitAll => None,
+                DeadlinePolicy::FixedSeconds(d) => Some(d),
+                DeadlinePolicy::MedianMultiple(x) => {
+                    let mut t: Vec<f64> = order.iter().map(|&(b, _)| f64::from_bits(b)).collect();
+                    t.sort_by(f64::total_cmp);
+                    let mid = s / 2;
+                    Some(x * if s % 2 == 1 { t[mid] } else { 0.5 * (t[mid - 1] + t[mid]) })
+                }
+            };
+            prop_assert!(
+                sim.round_time_s == last_finish || Some(sim.round_time_s) == deadline_s,
+                "round closed at {} (last finish {}, deadline {:?})",
+                sim.round_time_s, last_finish, deadline_s
+            );
+            // A deadline close below the target cuts only later finishes:
+            // a finish exactly at the deadline still counts.
+            if c < upper && Some(sim.round_time_s) == deadline_s {
+                prop_assert!(
+                    order[c..].iter().all(|&(b, _)| f64::from_bits(b) > sim.round_time_s),
+                    "a finish at or before the deadline {} was cut", sim.round_time_s
+                );
+            }
+        }
     }
 }
 
@@ -565,32 +667,32 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The single-model `ModelState` wrapper serializes
-    /// **byte-identically** to the bare pre-generalization model
-    /// `Checkpoint`, and round-trips parameters and BN statistics
+    /// A single-model server state — the `CascadeModel` itself —
+    /// serializes **byte-identically** to the bare pre-generalization
+    /// model `Checkpoint`, and round-trips parameters and BN statistics
     /// bit-exactly — so generalized-server-state checkpoints of
     /// single-model algorithms *are* the historical format (the committed
     /// v1 fixtures in `tests/checkpoint_compat.rs` pin the same property
     /// against on-disk JSON).
     #[test]
-    fn model_state_wrapper_matches_bare_checkpoint_json(
+    fn model_server_state_matches_bare_checkpoint_json(
         w1 in 2usize..8,
         w2 in 2usize..8,
         seed in 0u64..500,
     ) {
-        use fedprophet_repro::fl::ModelState;
         use fedprophet_repro::nn::checkpoint::Checkpoint;
+        use fedprophet_repro::nn::CascadeModel;
         let mut rng = seeded_rng(seed);
         let mut model = models::tiny_vgg(3, 8, 4, &[w1, w2], &mut rng);
         // Make the BN running statistics non-trivial.
         let x = Tensor::rand_uniform(&[2, 3, 8, 8], 0.0, 1.0, &mut rng);
         let _ = model.forward(&x, Mode::Train);
-        let wrapper_json = serde_json::to_string(&ModelState(model.clone())).expect("serialize");
+        let model_json = serde_json::to_string(&model).expect("serialize");
         let bare_json = serde_json::to_string(&Checkpoint::capture(&model)).expect("serialize");
-        prop_assert_eq!(&wrapper_json, &bare_json);
-        let back: ModelState = serde_json::from_str(&wrapper_json).expect("deserialize");
-        prop_assert_eq!(back.0.flat_params(), model.flat_params());
-        let (a, b) = (back.0.bn_stats(), model.bn_stats());
+        prop_assert_eq!(&model_json, &bare_json);
+        let back: CascadeModel = serde_json::from_str(&model_json).expect("deserialize");
+        prop_assert_eq!(back.flat_params(), model.flat_params());
+        let (a, b) = (back.bn_stats(), model.bn_stats());
         prop_assert_eq!(a.len(), b.len());
         for ((m1, v1), (m2, v2)) in a.iter().zip(&b) {
             prop_assert_eq!(m1.data(), m2.data());
