@@ -72,7 +72,7 @@ use fp_nn::CascadeModel;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 /// Domain-separation salt for the per-dispatch client-picking stream.
 const SALT_DISPATCH: u64 = 0xA51D_15BA;
@@ -226,8 +226,8 @@ pub struct AsyncTimeline {
     /// Pending finishes keyed `(finish bits, id)`: finite non-negative
     /// times order correctly by their IEEE bits, and ties break by id.
     events: BinaryHeap<Reverse<(u64, usize)>>,
-    busy: std::collections::BTreeSet<usize>,
-    dispatched_at_version: std::collections::BTreeSet<usize>,
+    busy: BTreeSet<usize>,
+    dispatched_at_version: BTreeSet<usize>,
     free_slots: usize,
     dispatch_count: u64,
 }
@@ -249,8 +249,8 @@ impl AsyncTimeline {
             concurrency,
             clock_s: 0.0,
             events: BinaryHeap::new(),
-            busy: std::collections::BTreeSet::new(),
-            dispatched_at_version: std::collections::BTreeSet::new(),
+            busy: BTreeSet::new(),
+            dispatched_at_version: BTreeSet::new(),
             free_slots: concurrency,
             dispatch_count: 0,
         }
@@ -290,18 +290,12 @@ impl AsyncTimeline {
         let mut picked = Vec::new();
         while self.free_slots > 0 {
             // The i-th smallest eligible id, found by skipping over the
-            // sorted union of blocked ids — identical to indexing the
-            // materialized ascending eligible list, without the O(N)
-            // scan or allocation.
-            let mut blocked: Vec<usize> = self
-                .busy
-                .iter()
-                .chain(self.dispatched_at_version.iter())
-                .copied()
-                .collect();
-            blocked.sort_unstable();
-            blocked.dedup();
-            let n_eligible = self.n_clients - blocked.len();
+            // blocked ids in ascending order — a merge walk over the two
+            // sorted sets, identical to indexing the materialized
+            // ascending eligible list, without the O(N) scan, an
+            // allocation or a sort.
+            let blocked = || self.busy.union(&self.dispatched_at_version);
+            let n_eligible = self.n_clients - blocked().count();
             if n_eligible == 0 {
                 break;
             }
@@ -309,7 +303,7 @@ impl AsyncTimeline {
                 self.seed ^ SALT_DISPATCH ^ self.dispatch_count.wrapping_mul(PHI),
             );
             let mut k = rng.gen_range(0..n_eligible);
-            for &b in &blocked {
+            for &b in blocked() {
                 if b <= k {
                     k += 1;
                 } else {
@@ -679,8 +673,9 @@ pub struct AsyncCheckpoint<S = CascadeModel> {
 
 impl<S> AsyncCheckpoint<S> {
     /// Rejects pending dispatches the run could not replay: a client
-    /// outside the fleet, or a version ahead of the checkpoint's or
-    /// neither current nor retained in `past_models`.
+    /// outside the fleet, a version ahead of the checkpoint's or
+    /// neither current nor retained in `past_models`, a client in flight
+    /// twice, or more dispatches in flight than `acfg.concurrency` slots.
     ///
     /// # Panics
     ///
@@ -706,8 +701,19 @@ impl<S> AsyncCheckpoint<S> {
                 self.version
             );
         };
+        let (flying, slots) = (self.in_flight.len(), self.acfg.concurrency);
+        assert!(
+            flying <= slots,
+            "AsyncCheckpoint field `in_flight`: {flying} dispatches exceed the {slots} concurrency slots"
+        );
+        let mut flying_ids = BTreeSet::new();
         for d in &self.in_flight {
             replayable("in_flight", d);
+            assert!(
+                flying_ids.insert(d.client),
+                "AsyncCheckpoint field `in_flight`: client {} is in flight twice",
+                d.client
+            );
         }
         for d in &self.buffer {
             replayable("buffer", d);
@@ -778,22 +784,23 @@ impl<S> AsyncState<S> {
         }
     }
 
-    /// Whether any pending dispatch — in flight, edge-buffered, or
-    /// forwarded upstream — still trains against `version`. (The server
-    /// buffer is always drained whole at flush, so it never appears
-    /// here.)
-    fn references_version(&self, version: usize) -> bool {
-        self.in_flight.iter().any(|d| d.version == version)
-            || self
-                .edge_buffers
-                .values()
-                .flatten()
-                .any(|d| d.version == version)
-            || self
-                .upstream
-                .values()
-                .flatten()
-                .any(|(_, es)| es.iter().any(|d| d.version == version))
+    /// The versions pending dispatches — in flight, edge-buffered, or
+    /// forwarded upstream — still train against, ascending and without
+    /// repeats. (The server buffer is always drained whole at flush, so
+    /// it never contributes here.)
+    fn referenced_versions(&self) -> Vec<usize> {
+        let edge = self.edge_buffers.values().flatten();
+        let upstream = self.upstream.values().flatten().flat_map(|(_, es)| es);
+        let mut versions: Vec<usize> = self
+            .in_flight
+            .iter()
+            .chain(edge)
+            .chain(upstream)
+            .map(|d| d.version)
+            .collect();
+        versions.sort_unstable();
+        versions.dedup();
+        versions
     }
 }
 
@@ -1361,11 +1368,14 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
             .zip(results)
             .map(|(d, (u, _))| (d.client, u))
             .collect();
-        // The state is about to change; snapshot it while pending
-        // dispatches (in flight, edge-buffered, or forwarded upstream)
-        // trained against it still need it for their flush (and for
-        // checkpoints).
-        if st.references_version(v) {
+        // The buffer is drained, so the remaining pending dispatches are
+        // the only referents of past versions, and nothing below touches
+        // them until the GC. The state is about to change; snapshot it
+        // while pending dispatches trained against it still need it for
+        // their flush (and for checkpoints).
+        let referenced = st.referenced_versions();
+        let is_referenced = |pv: &usize| referenced.binary_search(pv).is_ok();
+        if is_referenced(&v) {
             st.past_states.push((v, st.core.state.clone()));
         }
         self.trainer
@@ -1378,15 +1388,8 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
         // The new version is what subsequent dispatches download; retain
         // its snapshot for future deltas.
         st.core.comm.note_version(st.version, &st.core.state);
-        // GC: the buffer is empty here, so the remaining pending
-        // dispatches are the only referents of past versions.
-        let keep: Vec<usize> = st
-            .past_states
-            .iter()
-            .map(|(pv, _)| *pv)
-            .filter(|&pv| st.references_version(pv))
-            .collect();
-        st.past_states.retain(|(pv, _)| keep.contains(pv));
+        // GC in one pass over the retained versions.
+        st.past_states.retain(|(pv, _)| is_referenced(pv));
         let (val_clean, val_adv) = stack.eval(env, &mut st.core, v);
         let clock = st.timeline.clock_s();
         let flush_k = self.acfg.adaptive_buffer.map(|_| st.cur_k);
@@ -1549,6 +1552,111 @@ mod tests {
         let mut a = tl.clone();
         let mut b = restored.clone();
         assert_eq!(a.pick_dispatches(), b.pick_dispatches());
+    }
+
+    /// The picker as it was first written, kept as the oracle: collect
+    /// the blocked ids, sort and dedup them, then skip over them.
+    fn pick_reference(tl: &mut AsyncTimeline) -> Vec<usize> {
+        let mut picked = Vec::new();
+        while tl.free_slots > 0 {
+            let mut blocked: Vec<usize> = tl
+                .busy
+                .iter()
+                .chain(tl.dispatched_at_version.iter())
+                .copied()
+                .collect();
+            blocked.sort_unstable();
+            blocked.dedup();
+            let n_eligible = tl.n_clients - blocked.len();
+            if n_eligible == 0 {
+                break;
+            }
+            let mut rng = fp_tensor::seeded_rng(
+                tl.seed ^ SALT_DISPATCH ^ tl.dispatch_count.wrapping_mul(PHI),
+            );
+            let mut k = rng.gen_range(0..n_eligible);
+            for &b in &blocked {
+                if b <= k {
+                    k += 1;
+                } else {
+                    break;
+                }
+            }
+            tl.busy.insert(k);
+            tl.dispatched_at_version.insert(k);
+            tl.free_slots -= 1;
+            tl.dispatch_count += 1;
+            picked.push(k);
+        }
+        picked
+    }
+
+    /// Over random fleets, busy and dispatched sets (empty, overlapping,
+    /// near-full, ids at the fleet's ends) and stream positions, the
+    /// picker draws the same ids as the oracle, pick after pick.
+    #[test]
+    fn picker_matches_the_sorted_union_oracle() {
+        let mut rng = fp_tensor::seeded_rng(0x71C6);
+        let densities = [0.0, 0.05, 0.5, 0.95, 1.0];
+        for case in 0..3000 {
+            let n = if case % 10 == 0 {
+                rng.gen_range(1..1_000_000)
+            } else {
+                rng.gen_range(1..40)
+            };
+            let concurrency = rng.gen_range(1..n.min(64) + 1);
+            let mut tl = AsyncTimeline::new(rng.gen(), n, concurrency);
+            tl.dispatch_count = rng.gen_range(0..1 << 40);
+            let (p_busy, p_disp) = (
+                densities[rng.gen_range(0..densities.len())],
+                densities[rng.gen_range(0..densities.len())],
+            );
+            // Sparse draws over a large fleet, with its two ends blocked
+            // half the time.
+            let draws = n.min(64);
+            for _ in 0..draws {
+                let k = if n > 64 && rng.gen_bool(0.5) {
+                    [0, n - 1][rng.gen_range(0..2usize)]
+                } else {
+                    rng.gen_range(0..n)
+                };
+                if tl.free_slots > 0 && rng.gen_bool(p_busy) && tl.busy.insert(k) {
+                    tl.free_slots -= 1;
+                }
+                if rng.gen_bool(p_disp) {
+                    tl.dispatched_at_version.insert(k);
+                }
+            }
+            let (mut got, mut want) = (tl.clone(), tl);
+            for step in 0..4 {
+                let picked = got.pick_dispatches();
+                assert_eq!(picked, pick_reference(&mut want), "case {case} step {step}");
+                assert_eq!(
+                    (&got.busy, &got.dispatched_at_version, got.free_slots),
+                    (&want.busy, &want.dispatched_at_version, want.free_slots),
+                    "case {case} step {step}"
+                );
+                assert_eq!(got.dispatch_count, want.dispatch_count);
+                // Free some slots, as finishes do, and bump the version
+                // now and then.
+                let freed: Vec<usize> = got
+                    .busy
+                    .iter()
+                    .copied()
+                    .filter(|_| rng.gen_bool(0.5))
+                    .collect();
+                for tl in [&mut got, &mut want] {
+                    for k in &freed {
+                        tl.busy.remove(k);
+                        tl.free_slots += 1;
+                    }
+                }
+                if rng.gen_bool(0.3) {
+                    got.bump_version();
+                    want.bump_version();
+                }
+            }
+        }
     }
 
     #[test]

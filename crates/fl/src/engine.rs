@@ -5,8 +5,8 @@ use crate::metrics::FlOutcome;
 use fp_attack::{split_accuracy, Pgd, PgdConfig};
 use fp_data::{ClientSplit, SynthDataset};
 use fp_hwsim::{
-    forward_macs, model_mem_req, sample_fleet, Device, DeviceSample, LatencyModel, SamplingMode,
-    TrainingPassProfile,
+    forward_macs, model_mem_req, param_transfer_bytes, sample_fleet, Device, DeviceSample,
+    LatencyModel, SamplingMode, TrainingPassProfile,
 };
 use fp_nn::spec::AtomSpec;
 use fp_nn::CascadeModel;
@@ -33,6 +33,14 @@ pub trait FlAlgorithm {
 /// *relative* memory ordering of the sampled devices is preserved and the
 /// most constrained clients sit at `ρ_min` (the paper's 20 % scenario,
 /// §7.2).
+///
+/// `reference_specs`, `input_shape` and `cfg.batch_size` are read at
+/// construction: the budgets and the full model's cost facts
+/// ([`FlEnv::full_mem_req`], [`FlEnv::full_model_cost`],
+/// [`FlEnv::model_param_bytes`]) are derived from them once, so every
+/// dispatch reads three stored words instead of re-walking the specs.
+/// Changing those fields afterwards leaves the stored facts stale (a
+/// debug build asserts they still match on every read).
 pub struct FlEnv {
     /// Train/val/test data.
     pub data: SynthDataset,
@@ -49,6 +57,8 @@ pub struct FlEnv {
     pub input_shape: Vec<usize>,
     /// Per-client memory budgets in bytes (tiny-scale).
     budgets: Vec<u64>,
+    /// Cost facts of the full reference model, fixed at construction.
+    full: FullModel,
     /// When set, per-client state (device sample, weight, budget) is a
     /// pure function of `(seed, id)` computed on first touch instead of
     /// being held in the O(N) `splits`/`fleet`/`budgets` vectors (which
@@ -64,7 +74,28 @@ struct LazyClients {
     /// ever materializing the whole fleet.
     lo_avail: f64,
     hi_avail: f64,
-    full_mem: u64,
+}
+
+/// What training and shipping the full reference model costs: constant
+/// for an environment's lifetime.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FullModel {
+    /// `model_mem_req(..).total()` at the configured batch size.
+    mem: u64,
+    /// Forward MACs per sample.
+    fwd_macs: u64,
+    /// Serialized parameter bytes.
+    param_bytes: u64,
+}
+
+impl FullModel {
+    fn of(specs: &[AtomSpec], input_shape: &[usize], batch: usize) -> Self {
+        FullModel {
+            mem: model_mem_req(specs, input_shape, batch).total(),
+            fwd_macs: forward_macs(specs, input_shape),
+            param_bytes: param_transfer_bytes(specs),
+        }
+    }
 }
 
 /// Domain-separation salt for per-client lazy device derivation.
@@ -93,8 +124,8 @@ impl FlEnv {
             s.device.validate();
         }
         let input_shape = data.train.sample_shape().to_vec();
-        let full_mem = model_mem_req(&reference_specs, &input_shape, cfg.batch_size).total();
-        let budgets = scale_budgets(&fleet, full_mem);
+        let full = FullModel::of(&reference_specs, &input_shape, cfg.batch_size);
+        let budgets = scale_budgets(&fleet, full.mem);
         FlEnv {
             data,
             splits,
@@ -103,6 +134,7 @@ impl FlEnv {
             reference_specs,
             input_shape,
             budgets,
+            full,
             lazy: None,
         }
     }
@@ -133,7 +165,7 @@ impl FlEnv {
             d.validate();
         }
         let input_shape = data.train.sample_shape().to_vec();
-        let full_mem = model_mem_req(&reference_specs, &input_shape, cfg.batch_size).total();
+        let full = FullModel::of(&reference_specs, &input_shape, cfg.batch_size);
         const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
         let lo = pool.iter().map(|d| d.mem_gb).fold(f64::MAX, f64::min);
         let hi = pool.iter().map(|d| d.mem_gb).fold(0.0, f64::max);
@@ -145,7 +177,6 @@ impl FlEnv {
             // pool device.
             lo_avail: 0.8 * lo * GIB,
             hi_avail: hi * GIB,
-            full_mem,
         };
         FlEnv {
             data,
@@ -155,6 +186,7 @@ impl FlEnv {
             reference_specs,
             input_shape,
             budgets: Vec::new(),
+            full,
             lazy: Some(lazy),
         }
     }
@@ -212,7 +244,7 @@ impl FlEnv {
                 let avail = self.client_device(k).avail_mem_bytes as f64;
                 let span = (lz.hi_avail - lz.lo_avail).max(1.0);
                 let rho = RHO_MIN + (1.0 - RHO_MIN) * (avail - lz.lo_avail) / span;
-                (rho.clamp(RHO_MIN, 1.0) * lz.full_mem as f64) as u64
+                (rho.clamp(RHO_MIN, 1.0) * self.full().mem as f64) as u64
             }
         }
     }
@@ -223,26 +255,37 @@ impl FlEnv {
         match &self.lazy {
             None => *self.budgets.iter().min().expect("non-empty fleet"),
             // The pool lower bound is reachable by construction.
-            Some(lz) => (0.2 * lz.full_mem as f64) as u64,
+            Some(_) => (0.2 * self.full().mem as f64) as u64,
         }
     }
 
-    /// Memory required to train the full reference model.
+    /// The full model's cost facts, as computed at construction.
+    fn full(&self) -> &FullModel {
+        debug_assert_eq!(
+            self.full,
+            FullModel::of(
+                &self.reference_specs,
+                &self.input_shape,
+                self.cfg.batch_size
+            ),
+            "FlEnv's reference_specs / input_shape / cfg.batch_size changed after construction"
+        );
+        &self.full
+    }
+
+    /// Memory required to train the full reference model (fixed at
+    /// construction).
     pub fn full_mem_req(&self) -> u64 {
-        model_mem_req(
-            &self.reference_specs,
-            &self.input_shape,
-            self.cfg.batch_size,
-        )
-        .total()
+        self.full().mem
     }
 
     /// The round workload of training the full reference model with
     /// `profile`'s passes — the cost of every full-model algorithm.
     pub fn full_model_cost(&self, profile: TrainingPassProfile) -> LatencyModel {
+        let full = self.full();
         LatencyModel {
-            mem_req_bytes: self.full_mem_req(),
-            fwd_macs_per_sample: forward_macs(&self.reference_specs, &self.input_shape),
+            mem_req_bytes: full.mem,
+            fwd_macs_per_sample: full.fwd_macs,
             batch: self.cfg.batch_size,
             profile,
         }
@@ -289,9 +332,10 @@ impl FlEnv {
     }
 
     /// Serialized parameter bytes of the full reference model — the
-    /// payload a full-model dispatch moves down and up the client's link.
+    /// payload a full-model dispatch moves down and up the client's link
+    /// (fixed at construction).
     pub fn model_param_bytes(&self) -> u64 {
-        fp_hwsim::param_transfer_bytes(&self.reference_specs)
+        self.full().param_bytes
     }
 
     /// Quick validation clean accuracy on at most `max_samples` samples.
@@ -420,6 +464,41 @@ mod tests {
             e.cfg,
         );
         assert_eq!(e2.r_min(), e2.full_mem_req());
+    }
+
+    /// Both constructors store the full model's cost facts, and the
+    /// accessors return exactly what the hwsim functions compute.
+    #[test]
+    fn full_model_facts_equal_a_fresh_recomputation() {
+        let eager = env(3);
+        let lazy = FlEnv::lazy(
+            eager.data.clone(),
+            &CIFAR_POOL,
+            SamplingMode::Balanced,
+            eager.reference_specs.clone(),
+            eager.cfg,
+        );
+        for e in [&eager, &lazy] {
+            let (specs, shape) = (&e.reference_specs, &e.input_shape);
+            let mem = model_mem_req(specs, shape, e.cfg.batch_size).total();
+            assert_eq!(e.full_mem_req(), mem);
+            let cost = e.full_model_cost(TrainingPassProfile::standard());
+            assert_eq!(cost.mem_req_bytes, mem);
+            assert_eq!(cost.fwd_macs_per_sample, forward_macs(specs, shape));
+            assert_eq!(cost.batch, e.cfg.batch_size);
+            assert_eq!(e.model_param_bytes(), param_transfer_bytes(specs));
+        }
+    }
+
+    /// A debug build catches a caller that edits what the stored facts
+    /// were derived from.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "changed after construction")]
+    fn full_model_facts_reject_a_later_batch_size_edit() {
+        let mut e = env(3);
+        e.cfg.batch_size += 1;
+        e.full_mem_req();
     }
 
     #[test]

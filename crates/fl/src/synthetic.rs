@@ -66,11 +66,11 @@ impl ScheduledTrainer for SyntheticTrainer {
         _backend: BackendHandle,
     ) -> (Vec<f32>, f32) {
         let mut rng = env.client_rng(t, k, SALT_SYNTH);
-        let update: Vec<f32> = state
-            .flat_params()
-            .iter()
-            .map(|p| p * (1.0 - lr) + lr * rng.gen_range(-0.01f32..0.01))
-            .collect();
+        // Perturbed in place: one allocation, one pass.
+        let mut update = state.flat_params();
+        for p in &mut update {
+            *p = *p * (1.0 - lr) + lr * rng.gen_range(-0.01f32..0.01);
+        }
         let loss = 1.0 / (1.0 + t as f32) + rng.gen_range(0.0f32..0.05);
         (update, loss)
     }

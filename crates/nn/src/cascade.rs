@@ -209,11 +209,10 @@ impl CascadeModel {
     /// Flattens the values of atoms `[from, to)` into one vector
     /// (aggregation transport format).
     pub fn flat_params_range(&self, from: usize, to: usize) -> Vec<f32> {
-        let mut out = Vec::new();
-        for a in &self.atoms[from..to] {
-            for p in a.params() {
-                out.extend_from_slice(p.value().data());
-            }
+        let params: Vec<&Param> = self.atoms[from..to].iter().flat_map(Atom::params).collect();
+        let mut out = Vec::with_capacity(params.iter().map(|p| p.numel()).sum());
+        for p in params {
+            out.extend_from_slice(p.value().data());
         }
         out
     }

@@ -12,8 +12,8 @@ use fedprophet_repro::data::{generate, partition_pathological, SynthConfig};
 use fedprophet_repro::fl::{
     model_hash, AsyncCheckpoint, AsyncConfig, AsyncScheduler, AsyncStopPoint, AttackKind,
     AttackPlan, ByzTrainer, CommConfig, DeadlinePolicy, EventScheduler, FlConfig, FlEnv, JFat,
-    OutagePlan, QuantConfig, QuantTrainer, RobustRule, SchedCheckpoint, SchedConfig, StragglePlan,
-    SyntheticTrainer, TopologyConfig, TracePlan,
+    OutagePlan, PendingDispatch, QuantConfig, QuantTrainer, RobustRule, SchedCheckpoint,
+    SchedConfig, StragglePlan, SyntheticTrainer, TopologyConfig, TracePlan,
 };
 use fedprophet_repro::hwsim::{sample_fleet, SamplingMode, CIFAR_POOL};
 use fedprophet_repro::nn::models::{vgg_atom_specs, VggConfig};
@@ -216,6 +216,10 @@ const PLANES_ASYNC_STOP: AsyncStopPoint = AsyncStopPoint {
 };
 
 fn planes_async_sched() -> AsyncScheduler<PlanesTrainer> {
+    planes_async_sched_on(TopologyConfig::two_tier(3, 2))
+}
+
+fn planes_async_sched_on(topo: TopologyConfig) -> AsyncScheduler<PlanesTrainer> {
     AsyncScheduler::with_trace(
         planes_trainer(
             RobustRule::MultiKrum {
@@ -234,7 +238,7 @@ fn planes_async_sched() -> AsyncScheduler<PlanesTrainer> {
             adaptive_buffer: Some((2, 4)),
         },
         planes_comm(),
-        TopologyConfig::two_tier(3, 2),
+        topo,
         Some(planes_trace()),
     )
 }
@@ -295,6 +299,68 @@ fn planes_v2_async_checkpoint_resumes_to_the_uninterrupted_model() {
     let resumed = planes_async_sched().resume(&e, &ckpt);
     assert_eq!(full.ledger, resumed.ledger);
     assert_eq!(model_hash(&full.model), model_hash(&resumed.model));
+}
+
+/// The past versions a checkpoint's pending dispatches train against —
+/// in flight, at an edge, on the backhaul and, with `buffered`, in the
+/// server buffer — ascending, without the current version.
+fn pending_past_versions(c: &AsyncCheckpoint, buffered: bool) -> Vec<usize> {
+    let edge = c.edge_buffers.iter().flat_map(|(_, es)| es);
+    let upstream = c.upstream.iter().flat_map(|(_, bs)| bs);
+    let mut versions: Vec<usize> = c
+        .in_flight
+        .iter()
+        .chain(edge)
+        .chain(upstream.flat_map(|(_, es)| es))
+        .chain(c.buffer.iter().filter(|_| buffered))
+        .map(|d| d.version)
+        .filter(|&v| v != c.version)
+        .collect();
+    versions.sort_unstable();
+    versions.dedup();
+    versions
+}
+
+/// Past-state GC keeps exactly what replay needs. Right after a flush
+/// (the collector has just run) `past_models` holds exactly the
+/// non-current versions referenced by `in_flight ∪ edge_buffers ∪
+/// upstream`; mid-version every version a pending dispatch (buffered
+/// ones included) trains against is still retained. On a flat and a
+/// two-tier planes-on run.
+#[test]
+fn past_models_are_exactly_the_versions_pending_dispatches_reference() {
+    const AGGS: usize = 8;
+    let e = planes_env(AGGS);
+    for topo in [TopologyConfig::single(), TopologyConfig::two_tier(3, 2)] {
+        let sched = planes_async_sched_on(topo);
+        let mut retained_total = 0;
+        for aggs in 1..AGGS {
+            let c = sched.run_until(&e, AsyncStopPoint::after_agg(aggs));
+            let retained: Vec<usize> = c.past_states.iter().map(|(v, _)| *v).collect();
+            assert_eq!(
+                retained,
+                pending_past_versions(&c, false),
+                "{topo:?} after aggregation {aggs}"
+            );
+            retained_total += retained.len();
+            let mid = AsyncStopPoint {
+                aggregations: aggs,
+                buffered: 1,
+            };
+            let c = sched.run_until(&e, mid);
+            let retained: Vec<usize> = c.past_states.iter().map(|(v, _)| *v).collect();
+            for v in pending_past_versions(&c, true) {
+                assert!(
+                    retained.contains(&v),
+                    "{topo:?} at {mid:?}: version {v} is pending but not retained"
+                );
+            }
+        }
+        assert!(
+            retained_total > 0,
+            "{topo:?}: no stop point retained a past version"
+        );
+    }
 }
 
 // ------------------------------------------------------ resume rejections
@@ -411,4 +477,23 @@ fn async_resume_rejects_an_upstream_version_that_is_not_retained() {
 )]
 fn async_resume_rejects_a_dispatched_client_outside_the_fleet() {
     resume_corrupted_async(|c| c.dispatched_at_version.push(c.n_clients));
+}
+
+#[test]
+#[should_panic(expected = "AsyncCheckpoint field `in_flight`: client 9 is in flight twice")]
+fn async_resume_rejects_a_client_in_flight_twice() {
+    resume_corrupted_async(|c| c.in_flight.push(c.in_flight[0]));
+}
+
+#[test]
+#[should_panic(
+    expected = "AsyncCheckpoint field `in_flight`: 9 dispatches exceed the 8 concurrency slots"
+)]
+fn async_resume_rejects_more_in_flight_than_slots() {
+    resume_corrupted_async(|c| {
+        for client in [0, 1, 3] {
+            let d = c.in_flight[0];
+            c.in_flight.push(PendingDispatch { client, ..d });
+        }
+    });
 }
