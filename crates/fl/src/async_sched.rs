@@ -675,7 +675,9 @@ impl<S> AsyncCheckpoint<S> {
     /// Rejects pending dispatches the run could not replay: a client
     /// outside the fleet, a version ahead of the checkpoint's or
     /// neither current nor retained in `past_models`, a client in flight
-    /// twice, or more dispatches in flight than `acfg.concurrency` slots.
+    /// twice, an in-flight finish that is not finite or is before
+    /// `clock_s`, or more dispatches in flight than `acfg.concurrency`
+    /// slots.
     ///
     /// # Panics
     ///
@@ -712,6 +714,13 @@ impl<S> AsyncCheckpoint<S> {
             assert!(
                 flying_ids.insert(d.client),
                 "AsyncCheckpoint field `in_flight`: client {} is in flight twice",
+                d.client
+            );
+            let (finish, clock) = (d.finish_s, self.clock_s);
+            assert!(
+                finish.is_finite() && finish >= clock,
+                "AsyncCheckpoint field `in_flight`: client {}'s finish {finish} is not a finite \
+                 time at or after the checkpoint clock {clock}",
                 d.client
             );
         }
@@ -982,8 +991,9 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
     /// or scheduler — each mismatch message names the offending
     /// `AsyncCheckpoint` field (`acfg`, `seed`, `algorithm`, `n_clients`,
     /// `rounds`, or a plane key) — or holds a pending dispatch it cannot
-    /// replay (a client outside the fleet, or a version neither current
-    /// nor retained; the message names the pending-dispatch field).
+    /// replay (a client outside the fleet, a version neither current nor
+    /// retained, or an in-flight finish before the clock; the message
+    /// names the pending-dispatch field).
     pub fn resume(
         &self,
         env: &FlEnv,

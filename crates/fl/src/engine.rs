@@ -298,9 +298,16 @@ impl FlEnv {
     }
 
     /// Samples `n` clients for round `t` (uniform without replacement,
-    /// deterministic in `(seed, t)`). For any `n ≤ n'`, the `n`-sample is
-    /// a prefix of the `n'`-sample of the same round (same shuffle), so
-    /// over-selection extends — never reshuffles — the base selection.
+    /// deterministic in `(seed, t)`), returned ascending. For any
+    /// `n ≤ n'`, the `n`-sample is a prefix of the `n'`-sample's shuffle
+    /// (same stream), so over-selection extends — never reshuffles — the
+    /// base selection.
+    ///
+    /// Cost: a Fisher–Yates shuffle of all `n_clients` ids, i.e. one RNG
+    /// pass over the whole fleet per round with one 64-bit division per
+    /// step (`gen_range`'s rejection zone is computed only for the rare
+    /// word above `u64::MAX − span`), plus an `n_clients`-long `Vec` —
+    /// O(fleet), not O(cohort), whatever `n` is.
     pub fn sample_round_n(&self, t: usize, n: usize) -> Vec<usize> {
         let mut rng = seeded_rng(self.cfg.seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let mut ids: Vec<usize> = (0..self.cfg.n_clients).collect();
@@ -634,5 +641,63 @@ mod tests {
             e.reference_specs.clone(),
             e.cfg,
         );
+    }
+
+    /// Round selection on a 20 000-client lazy fleet (the
+    /// `fleet_sync_deadline` shape: 32 per round, ×1.3 over-selected to
+    /// 42), pinned to the ids the two-division bounded draw produced; and
+    /// each smaller sample is contained in every larger one of its round.
+    #[test]
+    fn fleet_selection_is_pinned_and_nested() {
+        let mut cfg = FlConfig::fast(4, 7);
+        cfg.n_clients = 20_000;
+        cfg.clients_per_round = 32;
+        let data = generate(&SynthConfig::tiny(4, 8), 7);
+        let specs = vgg_atom_specs(&VggConfig::tiny(3, 8, 4, &[8, 16]));
+        let e = FlEnv::lazy(data, &CIFAR_POOL, SamplingMode::Balanced, specs, cfg);
+        let pinned: [(usize, [usize; 42]); 3] = [
+            (
+                0,
+                [
+                    1918, 2548, 2684, 2877, 3474, 4123, 4288, 4442, 5438, 6096, 6301, 6383, 6722,
+                    7237, 7361, 9243, 9559, 9671, 10027, 10108, 10198, 10226, 10476, 11160, 11719,
+                    12449, 12906, 12932, 13095, 13655, 14119, 14899, 15170, 15373, 16371, 16410,
+                    16493, 16642, 18111, 18311, 18968, 19973,
+                ],
+            ),
+            (
+                1,
+                [
+                    1663, 1793, 2140, 2557, 3723, 3935, 4162, 4798, 5046, 5381, 5449, 5660, 5851,
+                    6734, 6998, 7724, 8566, 9787, 10156, 10467, 11466, 11674, 11684, 11875, 11976,
+                    12374, 12598, 12737, 13044, 14494, 14662, 14683, 14957, 15144, 15245, 15694,
+                    16796, 17621, 18477, 18549, 18714, 19754,
+                ],
+            ),
+            (
+                249,
+                [
+                    758, 826, 970, 1094, 1285, 2413, 2614, 2713, 3439, 4125, 4601, 4681, 4692,
+                    5651, 6255, 6410, 6750, 7126, 8159, 8171, 8639, 8889, 9016, 9146, 10854, 11284,
+                    11693, 12788, 13394, 13417, 14029, 14486, 15821, 15845, 16153, 16374, 16626,
+                    16638, 16769, 19347, 19509, 19883,
+                ],
+            ),
+        ];
+        for (t, want) in pinned {
+            assert_eq!(e.sample_round_n(t, 42), want, "round {t}");
+            let mut prev: Vec<usize> = Vec::new();
+            for n in [0, 1, 8, 32, 42, 500, 20_000, 30_000] {
+                let ids = e.sample_round_n(t, n);
+                assert_eq!(ids.len(), n.min(20_000), "round {t}, n = {n}");
+                assert!(ids.windows(2).all(|w| w[0] < w[1]), "round {t}, n = {n}");
+                assert!(
+                    prev.iter().all(|k| ids.binary_search(k).is_ok()),
+                    "round {t}: the {}-sample is not inside the {n}-sample",
+                    prev.len()
+                );
+                prev = ids;
+            }
+        }
     }
 }

@@ -826,7 +826,9 @@ impl<T: ScheduledTrainer> EventScheduler<T> {
     /// `SchedCheckpoint` field (`sched`, `clients_per_round`, `seed`,
     /// `algorithm`, `n_clients`, `rounds`, or a plane key) so a failed
     /// resume says exactly which rule changed instead of silently
-    /// diverging.
+    /// diverging. Also panics, by field, on a `next_round` past `rounds`
+    /// or not following the ledger, and on a `clock_s` that is not a
+    /// finite, non-negative virtual time.
     pub fn resume(
         &self,
         env: &FlEnv,
@@ -839,6 +841,20 @@ impl<T: ScheduledTrainer> EventScheduler<T> {
         assert_eq!(
             ckpt.clients_per_round, env.cfg.clients_per_round,
             "SchedCheckpoint field `clients_per_round`: checkpoint was taken under a different cohort size"
+        );
+        let (next, rounds, ran) = (ckpt.next_round, ckpt.rounds, ckpt.ledger.len());
+        assert!(
+            next <= rounds,
+            "SchedCheckpoint field `next_round`: round {next} is past the run's {rounds} rounds"
+        );
+        assert!(
+            next == ran,
+            "SchedCheckpoint field `next_round`: round {next} does not follow the ledger's {ran} rounds"
+        );
+        let clock = ckpt.clock_s;
+        assert!(
+            clock.is_finite() && clock >= 0.0,
+            "SchedCheckpoint field `clock_s`: {clock} is not a finite, non-negative virtual time"
         );
         let saved = Saved {
             ty: "SchedCheckpoint",

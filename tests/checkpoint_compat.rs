@@ -497,3 +497,65 @@ fn async_resume_rejects_more_in_flight_than_slots() {
         }
     });
 }
+
+#[test]
+#[should_panic(
+    expected = "AsyncCheckpoint field `in_flight`: client 9's finish -0.9599903633272165 is not a finite time at or after the checkpoint clock 0.0400096366727835"
+)]
+fn async_resume_rejects_an_in_flight_finish_before_the_clock() {
+    resume_corrupted_async(|c| c.in_flight[0].finish_s = c.clock_s - 1.0);
+}
+
+#[test]
+#[should_panic(
+    expected = "AsyncCheckpoint field `in_flight`: client 9's finish NaN is not a finite time"
+)]
+fn async_resume_rejects_an_in_flight_finish_that_is_not_finite() {
+    resume_corrupted_async(|c| c.in_flight[0].finish_s = f64::NAN);
+}
+
+/// Resumes the planes-on sync fixture after `corrupt` edits one of its
+/// fields.
+fn resume_corrupted_sync(corrupt: fn(&mut SchedCheckpoint)) {
+    let json = include_str!("fixtures/sched_checkpoint_planes_v2.json");
+    let mut ckpt: SchedCheckpoint = serde_json::from_str(json).unwrap();
+    corrupt(&mut ckpt);
+    let e = planes_env(PLANES_SYNC_ROUNDS);
+    drop(planes_sync_sched().resume(&e, &ckpt));
+}
+
+#[test]
+#[should_panic(expected = "SchedCheckpoint field `next_round`: round 9 is past the run's 6 rounds")]
+fn sync_resume_rejects_a_next_round_past_the_run() {
+    resume_corrupted_sync(|c| c.next_round = 9);
+}
+
+#[test]
+#[should_panic(
+    expected = "SchedCheckpoint field `next_round`: round 3 does not follow the ledger's 4 rounds"
+)]
+fn sync_resume_rejects_a_next_round_off_the_ledger() {
+    resume_corrupted_sync(|c| c.next_round = 3);
+}
+
+#[test]
+#[should_panic(
+    expected = "SchedCheckpoint field `clock_s`: NaN is not a finite, non-negative virtual time"
+)]
+fn sync_resume_rejects_a_clock_that_is_not_a_virtual_time() {
+    resume_corrupted_sync(|c| c.clock_s = f64::NAN);
+}
+
+/// The other clocks a sync resume refuses: ±∞ and a negative time.
+#[test]
+fn sync_resume_rejects_infinite_and_negative_clocks() {
+    let json = include_str!("fixtures/sched_checkpoint_planes_v2.json");
+    let e = planes_env(PLANES_SYNC_ROUNDS);
+    for clock in [f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+        let mut ckpt: SchedCheckpoint = serde_json::from_str(json).unwrap();
+        ckpt.clock_s = clock;
+        let msg = rejection(|| drop(planes_sync_sched().resume(&e, &ckpt)));
+        let want = format!("SchedCheckpoint field `clock_s`: {clock} is not a finite");
+        assert!(msg.contains(&want), "{clock}: {msg}");
+    }
+}
