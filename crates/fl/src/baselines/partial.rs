@@ -5,7 +5,8 @@ use crate::engine::FlEnv;
 use crate::local::train_client;
 use crate::sched::ScheduledTrainer;
 use crate::submodel::{
-    channel_groups, extract_submodel, keep_sets, slice_specs, SubmodelAccumulator, SubmodelScheme,
+    channel_groups, extract_submodel, keep_sets, slice_specs, submodel_params, SubmodelAccumulator,
+    SubmodelScheme,
 };
 use fp_hwsim::{
     forward_macs, param_transfer_bytes, LatencyModel, PayloadSpec, TrainingPassProfile,
@@ -60,12 +61,20 @@ impl PartialTraining {
         ((env.mem_budget(k) as f64 / env.full_mem_req() as f64) as f32).clamp(0.1, 1.0)
     }
 
-    /// The RNG feeding a client's round-`t` keep-set draw and submodel
-    /// extraction — shared verbatim by `train` and `payload_params` so
-    /// the payload the server diffs is bit-identical to the submodel the
-    /// client trains.
-    fn submodel_rng(env: &FlEnv, t: usize, k: usize) -> rand::rngs::StdRng {
-        seeded_rng(env.cfg.seed ^ 0x5B_0000 ^ (t as u64) << 20 ^ k as u64)
+    /// Client `k`'s round-`t` keep sets, and the RNG stream after their
+    /// draw (what `train`'s submodel extraction draws from) — shared by
+    /// `payload_spec`, `payload_params` and `train`, so the payload the
+    /// server diffs is bit-identical to the submodel the client trains.
+    fn keep(
+        &self,
+        env: &FlEnv,
+        t: usize,
+        k: usize,
+    ) -> (HashMap<usize, Vec<usize>>, rand::rngs::StdRng) {
+        let groups = channel_groups(&env.reference_specs);
+        let mut rng = seeded_rng(env.cfg.seed ^ 0x5B_0000 ^ (t as u64) << 20 ^ k as u64);
+        let keep = keep_sets(&groups, Self::ratio(env, k), self.scheme, t, &mut rng);
+        (keep, rng)
     }
 
     /// Fingerprint of the keep-set shape of client `k`'s round-`t`
@@ -120,23 +129,15 @@ impl ScheduledTrainer for PartialTraining {
         // *exact* serialized size of the sliced specs — the same slice
         // `payload_params` materializes — not the historical ratio²
         // approximation, so narrow clients delta correctly too.
-        let groups = channel_groups(&env.reference_specs);
-        let ratio = Self::ratio(env, k);
-        let mut rng = Self::submodel_rng(env, t, k);
-        let keep = keep_sets(&groups, ratio, self.scheme, t, &mut rng);
-        let sliced = slice_specs(&env.reference_specs, &keep);
+        let sliced = slice_specs(&env.reference_specs, &self.keep(env, t, k).0);
         PayloadSpec::window(param_transfer_bytes(&sliced), self.shape_id(env, t, k))
     }
 
     fn payload_params(&self, env: &FlEnv, state: &CascadeModel, t: usize, k: usize) -> Vec<f32> {
         // The exact parameters the client materializes: its keep-set
-        // slice of the global model, extracted with the same RNG stream `train`
+        // slice of the global model, drawn from the same RNG stream `train`
         // uses — so diffing two versions of the same slice is exact.
-        let groups = channel_groups(&env.reference_specs);
-        let ratio = Self::ratio(env, k);
-        let mut rng = Self::submodel_rng(env, t, k);
-        let keep = keep_sets(&groups, ratio, self.scheme, t, &mut rng);
-        extract_submodel(state, &keep, &mut rng).flat_params()
+        submodel_params(state, &self.keep(env, t, k).0)
     }
 
     fn init(&self, env: &FlEnv) -> CascadeModel {
@@ -152,10 +153,7 @@ impl ScheduledTrainer for PartialTraining {
         lr: f32,
         backend: fp_tensor::BackendHandle,
     ) -> (Self::Update, f32) {
-        let groups = channel_groups(&env.reference_specs);
-        let ratio = Self::ratio(env, k);
-        let mut rng = Self::submodel_rng(env, t, k);
-        let keep = keep_sets(&groups, ratio, self.scheme, t, &mut rng);
+        let (keep, mut rng) = self.keep(env, t, k);
         let mut sub = extract_submodel(state, &keep, &mut rng);
         sub.set_backend(&backend);
         let loss = train_client(env, &mut sub, t, k, lr, true);

@@ -10,10 +10,15 @@
 //! ([`SubmodelScheme`]): HeteroFL keeps a fixed prefix, FedRolex rolls the
 //! window by one channel per round, FedDrop samples randomly.
 //!
-//! Extraction is spec-driven: the channel-group labels on
-//! [`fp_nn::spec::LayerSpec`] identify which slice of each
-//! weight tensor belongs to which group, so slicing and scatter-aggregation
-//! are generic over architectures (VGG, CNN, and ResNet cascades all work).
+//! A sub-model is one map of indices into the global model's *state* —
+//! its flat parameters, then each BN layer's running mean and variance —
+//! built by one walk over the global specs, whose channel-group labels
+//! ([`fp_nn::spec::LayerSpec`]) say which rows and columns of each tensor
+//! a keep set retains. Extraction gathers through the map
+//! ([`extract_submodel`], and [`submodel_params`] without building a
+//! model); aggregation scatters through it into one flat
+//! [`PartialAccumulator`] ([`SubmodelAccumulator`]). Nothing is
+//! architecture-specific: VGG, CNN and ResNet cascades all work.
 
 use crate::aggregate::PartialAccumulator;
 use fp_nn::models::instantiate;
@@ -182,368 +187,211 @@ fn slice_layer_spec(l: &LayerSpec, keep: &HashMap<usize, Vec<usize>>) -> LayerSp
     LayerSpec::new(kind, l.in_group, l.out_group)
 }
 
-/// A parameter tensor's slicing rule.
-#[derive(Debug, Clone)]
-enum Slot {
-    /// Conv weight `[c_out, c_in, k, k]`.
-    ConvW {
-        c_out: usize,
-        c_in: usize,
-        k: usize,
-        out_g: usize,
-        in_g: usize,
-    },
-    /// Per-channel vector `[c]` (bias, BN γ/β).
-    VecC { c: usize, g: usize },
-    /// Linear weight `[d_out, c_in·spatial]`.
-    LinearW {
-        d_out: usize,
-        c_in: usize,
-        spatial: usize,
-        out_g: usize,
-        in_g: usize,
-    },
+/// A sub-model as indices into its global model's *state*: the flat
+/// parameters (`flat_params` order), then each BN layer's running mean
+/// and variance (`bn_stats` order). Sub-model state entry `i` is global
+/// state entry `idx[i]`.
+struct IndexMap {
+    idx: Vec<usize>,
+    /// How many leading entries of `idx` are parameters.
+    n_params: usize,
+    /// Length of the global state the walk covered.
+    global_len: usize,
 }
 
-impl Slot {
-    fn numel(&self) -> usize {
-        match *self {
-            Slot::ConvW { c_out, c_in, k, .. } => c_out * c_in * k * k,
-            Slot::VecC { c, .. } => c,
-            Slot::LinearW {
-                d_out,
-                c_in,
-                spatial,
-                ..
-            } => d_out * c_in * spatial,
+impl IndexMap {
+    /// One walk over the global specs, in the order the concrete layers
+    /// expose their `params()` and BN statistics.
+    fn new(specs: &[AtomSpec], keep: &HashMap<usize, Vec<usize>>) -> Self {
+        let mut map = IndexMap {
+            idx: Vec::new(),
+            n_params: 0,
+            global_len: 0,
+        };
+        let mut bn = Vec::new();
+        for l in specs.iter().flat_map(|a| &a.layers) {
+            map.layer(l, keep, &mut bn);
         }
+        map.n_params = map.idx.len();
+        for (ch, c) in &bn {
+            map.push(ch, *c, &[0], 1, 1); // running mean
+            map.push(ch, *c, &[0], 1, 1); // running variance
+        }
+        map
     }
-}
 
-/// Parameter slots of one layer spec, in the order the concrete layers
-/// expose their `params()`.
-fn layer_slots(l: &LayerSpec, out: &mut Vec<Slot>) {
-    match &l.kind {
-        LayerKind::Conv2d {
-            c_in,
-            c_out,
-            k,
-            bias,
-            ..
-        } => {
-            out.push(Slot::ConvW {
-                c_out: *c_out,
-                c_in: *c_in,
-                k: *k,
-                out_g: l.out_group,
-                in_g: l.in_group,
-            });
-            if *bias {
-                out.push(Slot::VecC {
-                    c: *c_out,
-                    g: l.out_group,
-                });
-            }
-        }
-        LayerKind::Linear {
-            d_in,
-            d_out,
-            in_spatial,
-        } => {
-            out.push(Slot::LinearW {
-                d_out: *d_out,
-                c_in: d_in / in_spatial,
-                spatial: *in_spatial,
-                out_g: l.out_group,
-                in_g: l.in_group,
-            });
-            out.push(Slot::VecC {
-                c: *d_out,
-                g: l.out_group,
-            });
-        }
-        LayerKind::BatchNorm2d { c } => {
-            out.push(Slot::VecC {
-                c: *c,
-                g: l.out_group,
-            });
-            out.push(Slot::VecC {
-                c: *c,
-                g: l.out_group,
-            });
-        }
-        LayerKind::Residual { block, shortcut } => {
-            for b in block.iter().chain(shortcut.iter()) {
-                layer_slots(b, out);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// All parameter slots of a spec cascade (global model layout).
-fn model_slots(specs: &[AtomSpec]) -> Vec<Slot> {
-    let mut out = Vec::new();
-    for a in specs {
-        for l in &a.layers {
-            layer_slots(l, &mut out);
-        }
-    }
-    out
-}
-
-/// BN groups `(group, channels)` in stats-traversal order.
-fn bn_groups(specs: &[AtomSpec]) -> Vec<(usize, usize)> {
-    fn walk(l: &LayerSpec, out: &mut Vec<(usize, usize)>) {
+    /// Maps one layer's parameters; a BN layer's kept channels and width
+    /// go to `bn`, whose statistics follow every parameter.
+    fn layer(
+        &mut self,
+        l: &LayerSpec,
+        keep: &HashMap<usize, Vec<usize>>,
+        bn: &mut Vec<(Vec<usize>, usize)>,
+    ) {
         match &l.kind {
-            LayerKind::BatchNorm2d { c } => out.push((l.out_group, *c)),
+            LayerKind::Conv2d {
+                c_in,
+                c_out,
+                k,
+                bias,
+                ..
+            } => {
+                let rows = kept(keep, l.out_group, *c_out);
+                self.push(&rows, *c_out, &kept(keep, l.in_group, *c_in), *c_in, k * k);
+                if *bias {
+                    self.push(&rows, *c_out, &[0], 1, 1);
+                }
+            }
+            LayerKind::Linear {
+                d_in,
+                d_out,
+                in_spatial,
+            } => {
+                let (rows, c_in) = (kept(keep, l.out_group, *d_out), d_in / in_spatial);
+                self.push(
+                    &rows,
+                    *d_out,
+                    &kept(keep, l.in_group, c_in),
+                    c_in,
+                    *in_spatial,
+                );
+                self.push(&rows, *d_out, &[0], 1, 1);
+            }
+            LayerKind::BatchNorm2d { c } => {
+                let ch = kept(keep, l.out_group, *c);
+                self.push(&ch, *c, &[0], 1, 1); // γ
+                self.push(&ch, *c, &[0], 1, 1); // β
+                bn.push((ch, *c));
+            }
             LayerKind::Residual { block, shortcut } => {
-                for b in block.iter().chain(shortcut.iter()) {
-                    walk(b, out);
+                for b in block.iter().chain(shortcut) {
+                    self.layer(b, keep, bn);
                 }
             }
             _ => {}
         }
     }
-    let mut out = Vec::new();
-    for a in specs {
-        for l in &a.layers {
-            walk(l, &mut out);
+
+    /// Maps the kept `rows × cols` blocks of a row-major global tensor
+    /// `[n_rows, n_cols, inner]` that starts at `global_len`, then moves
+    /// `global_len` past it.
+    fn push(&mut self, rows: &[usize], n_rows: usize, cols: &[usize], n_cols: usize, inner: usize) {
+        for &r in rows {
+            for &c in cols {
+                let base = self.global_len + (r * n_cols + c) * inner;
+                self.idx.extend(base..base + inner);
+            }
         }
+        self.global_len += n_rows * n_cols * inner;
     }
-    out
+}
+
+/// A model's state: its flat parameters, then each BN layer's running
+/// mean and variance.
+fn state(m: &CascadeModel) -> Vec<f32> {
+    let mut v = m.flat_params();
+    for (mean, var) in m.bn_stats() {
+        v.extend_from_slice(mean.data());
+        v.extend_from_slice(var.data());
+    }
+    v
+}
+
+/// Writes a [`state`] back into `m`.
+fn set_state(m: &mut CascadeModel, v: &[f32]) {
+    let mut off = m.param_count();
+    m.set_flat_params(&v[..off]);
+    let stats: Vec<(Tensor, Tensor)> = m
+        .bn_stats()
+        .iter()
+        .map(|(mean, var)| {
+            let c = mean.numel();
+            let t = (
+                Tensor::from_vec(v[off..off + c].to_vec(), mean.shape()),
+                Tensor::from_vec(v[off + c..off + 2 * c].to_vec(), var.shape()),
+            );
+            off += 2 * c;
+            t
+        })
+        .collect();
+    assert_eq!(off, v.len(), "state length mismatch");
+    m.set_bn_stats(&stats);
+}
+
+/// The state of `global`'s sub-model keeping `keep`, and how many of its
+/// leading entries are parameters.
+fn gather(
+    global: &CascadeModel,
+    specs: &[AtomSpec],
+    keep: &HashMap<usize, Vec<usize>>,
+) -> (Vec<f32>, usize) {
+    let map = IndexMap::new(specs, keep);
+    let g = state(global);
+    assert_eq!(g.len(), map.global_len, "slot/param walk mismatch");
+    (map.idx.iter().map(|&i| g[i]).collect(), map.n_params)
 }
 
 /// Extracts a trainable sub-model of `global` keeping the channels in
 /// `keep`; parameters and BN running statistics are copied from the
-/// corresponding global slices.
+/// corresponding global entries.
 pub fn extract_submodel(
     global: &CascadeModel,
     keep: &HashMap<usize, Vec<usize>>,
     rng: &mut StdRng,
 ) -> CascadeModel {
     let specs = global.specs();
-    let sliced = slice_specs(&specs, keep);
-    let mut sub = instantiate(&sliced, global.input_shape(), global.n_classes(), rng);
-
-    // Copy parameters slot by slot.
-    let slots = model_slots(&specs);
-    let g_params = global.params();
-    assert_eq!(g_params.len(), slots.len(), "slot/param walk mismatch");
-    {
-        let mut s_params = sub.params_mut();
-        assert_eq!(s_params.len(), slots.len(), "sub slot/param walk mismatch");
-        for ((slot, gp), sp) in slots.iter().zip(g_params.iter()).zip(s_params.iter_mut()) {
-            assert_eq!(gp.numel(), slot.numel(), "global param/slot shape mismatch");
-            let sliced_vals = slice_tensor(slot, gp.value(), keep);
-            assert_eq!(sliced_vals.numel(), sp.numel(), "sliced size mismatch");
-            sp.value_mut()
-                .data_mut()
-                .copy_from_slice(sliced_vals.data());
-        }
-    }
-
-    // Copy BN running statistics.
-    let bn = bn_groups(&specs);
-    let g_stats = global.bn_stats();
-    assert_eq!(bn.len(), g_stats.len(), "bn walk mismatch");
-    let sliced_stats: Vec<(Tensor, Tensor)> = bn
-        .iter()
-        .zip(g_stats.iter())
-        .map(|(&(g, c), (mean, var))| {
-            let ks = kept(keep, g, c);
-            (gather_vec(mean, &ks), gather_vec(var, &ks))
-        })
-        .collect();
-    sub.set_bn_stats(&sliced_stats);
+    let mut sub = instantiate(
+        &slice_specs(&specs, keep),
+        global.input_shape(),
+        global.n_classes(),
+        rng,
+    );
+    let (vals, n_params) = gather(global, &specs, keep);
+    assert_eq!(sub.param_count(), n_params, "sub slot/param walk mismatch");
+    set_state(&mut sub, &vals);
     sub
 }
 
-/// Accumulators for partial-averaging sub-model updates back into the
-/// global model: one per parameter tensor plus per-BN-stat pairs.
+/// The flat parameters of the sub-model [`extract_submodel`] builds,
+/// read straight from `global` without instantiating it.
+pub fn submodel_params(global: &CascadeModel, keep: &HashMap<usize, Vec<usize>>) -> Vec<f32> {
+    let (mut vals, n_params) = gather(global, &global.specs(), keep);
+    vals.truncate(n_params);
+    vals
+}
+
+/// Partial-averages sub-model updates back into the global model: one
+/// accumulator over the global state.
 pub struct SubmodelAccumulator {
-    params: Vec<PartialAccumulator>,
-    bn_means: Vec<PartialAccumulator>,
-    bn_vars: Vec<PartialAccumulator>,
+    acc: PartialAccumulator,
     specs: Vec<AtomSpec>,
 }
 
 impl SubmodelAccumulator {
-    /// Creates zeroed accumulators shaped like `global`.
+    /// Creates a zeroed accumulator shaped like `global`.
     pub fn new(global: &CascadeModel) -> Self {
-        let specs = global.specs();
-        let params = global
-            .params()
-            .iter()
-            .map(|p| PartialAccumulator::new(p.numel()))
-            .collect();
-        let stats = global.bn_stats();
         SubmodelAccumulator {
-            params,
-            bn_means: stats
-                .iter()
-                .map(|(m, _)| PartialAccumulator::new(m.numel()))
-                .collect(),
-            bn_vars: stats
-                .iter()
-                .map(|(_, v)| PartialAccumulator::new(v.numel()))
-                .collect(),
-            specs,
+            acc: PartialAccumulator::new(state(global).len()),
+            specs: global.specs(),
         }
     }
 
-    /// Scatters one client's trained sub-model into the accumulators with
+    /// Scatters one client's trained sub-model into the accumulator with
     /// FedAvg weight `weight`.
     pub fn add(&mut self, sub: &CascadeModel, keep: &HashMap<usize, Vec<usize>>, weight: f32) {
-        let slots = model_slots(&self.specs);
-        let s_params = sub.params();
-        assert_eq!(s_params.len(), slots.len(), "sub walk mismatch");
-        for ((slot, acc), sp) in slots
-            .iter()
-            .zip(self.params.iter_mut())
-            .zip(s_params.iter())
-        {
-            scatter_tensor(slot, acc, sp.value(), keep, weight);
-        }
-        let bn = bn_groups(&self.specs);
-        let s_stats = sub.bn_stats();
-        for (((g, c), (mean, var)), (acc_m, acc_v)) in bn
-            .iter()
-            .zip(s_stats.iter())
-            .zip(self.bn_means.iter_mut().zip(self.bn_vars.iter_mut()))
-        {
-            let ks = kept(keep, *g, *c);
-            for (j, &gi) in ks.iter().enumerate() {
-                acc_m.add(gi, mean.data()[j], weight);
-                acc_v.add(gi, var.data()[j], weight);
-            }
+        let map = IndexMap::new(&self.specs, keep);
+        assert_eq!(map.global_len, self.acc.len(), "slot/param walk mismatch");
+        let vals = state(sub);
+        assert_eq!(vals.len(), map.idx.len(), "sub walk mismatch");
+        for (&i, &v) in map.idx.iter().zip(&vals) {
+            self.acc.add(i, v, weight);
         }
     }
 
     /// Resolves into `global`: covered entries averaged, uncovered kept.
     pub fn apply(&self, global: &mut CascadeModel) {
-        for (acc, p) in self.params.iter().zip(global.params_mut()) {
-            let merged = acc.finish(p.value().data());
-            p.value_mut().data_mut().copy_from_slice(&merged);
-        }
-        let prev = global.bn_stats();
-        let merged: Vec<(Tensor, Tensor)> = prev
-            .iter()
-            .zip(self.bn_means.iter().zip(self.bn_vars.iter()))
-            .map(|((m, v), (am, av))| {
-                (
-                    Tensor::from_vec(am.finish(m.data()), m.shape()),
-                    Tensor::from_vec(av.finish(v.data()), v.shape()),
-                )
-            })
-            .collect();
-        global.set_bn_stats(&merged);
-    }
-}
-
-fn gather_vec(t: &Tensor, idx: &[usize]) -> Tensor {
-    Tensor::from_vec(idx.iter().map(|&i| t.data()[i]).collect(), &[idx.len()])
-}
-
-fn slice_tensor(slot: &Slot, t: &Tensor, keep: &HashMap<usize, Vec<usize>>) -> Tensor {
-    match *slot {
-        Slot::VecC { c, g } => gather_vec(t, &kept(keep, g, c)),
-        Slot::ConvW {
-            c_out,
-            c_in,
-            k,
-            out_g,
-            in_g,
-        } => {
-            let rows = kept(keep, out_g, c_out);
-            let cols = kept(keep, in_g, c_in);
-            let kk = k * k;
-            let mut out = Vec::with_capacity(rows.len() * cols.len() * kk);
-            for &ro in &rows {
-                for &ci in &cols {
-                    let base = (ro * c_in + ci) * kk;
-                    out.extend_from_slice(&t.data()[base..base + kk]);
-                }
-            }
-            Tensor::from_vec(out, &[rows.len(), cols.len(), k, k])
-        }
-        Slot::LinearW {
-            d_out,
-            c_in,
-            spatial,
-            out_g,
-            in_g,
-        } => {
-            let rows = kept(keep, out_g, d_out);
-            let cols = kept(keep, in_g, c_in);
-            let d_in = c_in * spatial;
-            let mut out = Vec::with_capacity(rows.len() * cols.len() * spatial);
-            for &ro in &rows {
-                for &ci in &cols {
-                    let base = ro * d_in + ci * spatial;
-                    out.extend_from_slice(&t.data()[base..base + spatial]);
-                }
-            }
-            Tensor::from_vec(out, &[rows.len(), cols.len() * spatial])
-        }
-    }
-}
-
-fn scatter_tensor(
-    slot: &Slot,
-    acc: &mut PartialAccumulator,
-    sub: &Tensor,
-    keep: &HashMap<usize, Vec<usize>>,
-    weight: f32,
-) {
-    match *slot {
-        Slot::VecC { c, g } => {
-            for (j, &gi) in kept(keep, g, c).iter().enumerate() {
-                acc.add(gi, sub.data()[j], weight);
-            }
-        }
-        Slot::ConvW {
-            c_out,
-            c_in,
-            k,
-            out_g,
-            in_g,
-        } => {
-            let rows = kept(keep, out_g, c_out);
-            let cols = kept(keep, in_g, c_in);
-            let kk = k * k;
-            let mut s = 0usize;
-            for &ro in &rows {
-                for &ci in &cols {
-                    let base = (ro * c_in + ci) * kk;
-                    for off in 0..kk {
-                        acc.add(base + off, sub.data()[s], weight);
-                        s += 1;
-                    }
-                }
-            }
-        }
-        Slot::LinearW {
-            d_out,
-            c_in,
-            spatial,
-            out_g,
-            in_g,
-        } => {
-            let rows = kept(keep, out_g, d_out);
-            let cols = kept(keep, in_g, c_in);
-            let d_in = c_in * spatial;
-            let mut s = 0usize;
-            for &ro in &rows {
-                for &ci in &cols {
-                    let base = ro * d_in + ci * spatial;
-                    for off in 0..spatial {
-                        acc.add(base + off, sub.data()[s], weight);
-                        s += 1;
-                    }
-                }
-            }
-        }
+        let merged = self.acc.finish(&state(global));
+        set_state(global, &merged);
     }
 }
 
