@@ -672,35 +672,61 @@ pub struct AsyncCheckpoint<S = CascadeModel> {
 }
 
 impl<S> AsyncCheckpoint<S> {
-    /// Rejects pending dispatches the run could not replay: a client
-    /// outside the fleet, a version ahead of the checkpoint's or
-    /// neither current nor retained in `past_models`, a client in flight
-    /// twice, an in-flight finish that is not finite or is before
-    /// `clock_s`, or more dispatches in flight than `acfg.concurrency`
-    /// slots.
+    /// Rejects pending state the run could not replay: a clock that is
+    /// not finite or runs behind the last aggregation; a flush threshold
+    /// (`cur_k`) that is absent under an adaptive buffer, present under a
+    /// static one or outside its range; a buffer (or, on two tiers, a
+    /// bundle count) the run would already have flushed; a client outside
+    /// the fleet; a version ahead of the checkpoint's or neither current
+    /// nor retained in `past_models`; a client in flight twice; a
+    /// `(client, version)` dispatch pending twice, or pending at the
+    /// current version but missing from `dispatched_at_version`; an
+    /// in-flight finish or backhaul arrival that is not finite or is
+    /// before `clock_s`; an edge entry keyed outside the topology, under
+    /// an edge its client does not belong to, or on a flat topology; or
+    /// more dispatches in flight than `acfg.concurrency` slots.
     ///
     /// # Panics
     ///
-    /// Panics naming the offending field (`in_flight`, `buffer`,
-    /// `edge_buffers`, `upstream` or `dispatched_at_version`).
+    /// Panics naming the offending field (`clock_s`, `cur_k`, `bundles`,
+    /// `in_flight`, `buffer`, `edge_buffers`, `upstream` or
+    /// `dispatched_at_version`).
     fn check_pending(&self) {
-        let n = self.n_clients;
+        let (n, clock, last) = (self.n_clients, self.clock_s, self.last_agg_clock_s);
+        assert!(
+            clock.is_finite() && clock >= last,
+            "AsyncCheckpoint field `clock_s`: {clock} is not a finite time at or after the last \
+             aggregation's clock {last}"
+        );
+        let k = match (self.acfg.adaptive_buffer, self.cur_k) {
+            (None, None) => self.acfg.buffer_k,
+            (Some((lo, hi)), Some(k)) if (lo..=hi).contains(&k) => k,
+            (range, k) => panic!(
+                "AsyncCheckpoint field `cur_k`: {k:?} is not a flush threshold within the adaptive \
+                 range {range:?}"
+            ),
+        };
+        let (entries, bundles) = (self.buffer.len(), self.bundles);
+        if self.topo.is_some() {
+            assert!(
+                bundles < k && bundles <= entries && (entries == 0 || bundles >= 1),
+                "AsyncCheckpoint field `bundles`: {bundles} bundles cannot carry the {entries} \
+                 buffered entries under the flush threshold {k}"
+            );
+        } else {
+            assert!(
+                bundles == 0,
+                "AsyncCheckpoint field `bundles`: {bundles} bundles on a flat topology"
+            );
+            assert!(
+                entries < k,
+                "AsyncCheckpoint field `buffer`: {entries} entries reach the flush threshold {k}"
+            );
+        }
         let client_in_fleet = |field: &str, k: usize| {
             assert!(
                 k < n,
                 "AsyncCheckpoint field `{field}`: client {k} is outside the fleet of {n} clients"
-            );
-        };
-        let replayable = |field: &str, d: &PendingDispatch| {
-            client_in_fleet(field, d.client);
-            let v = d.version;
-            let retained = || self.past_states.iter().any(|(pv, _)| *pv == v);
-            assert!(
-                v == self.version || (v < self.version && retained()),
-                "AsyncCheckpoint field `{field}`: client {}'s version {v} is neither the current \
-                 version {} nor a retained past one",
-                d.client,
-                self.version
             );
         };
         let (flying, slots) = (self.in_flight.len(), self.acfg.concurrency);
@@ -710,13 +736,12 @@ impl<S> AsyncCheckpoint<S> {
         );
         let mut flying_ids = BTreeSet::new();
         for d in &self.in_flight {
-            replayable("in_flight", d);
             assert!(
                 flying_ids.insert(d.client),
                 "AsyncCheckpoint field `in_flight`: client {} is in flight twice",
                 d.client
             );
-            let (finish, clock) = (d.finish_s, self.clock_s);
+            let finish = d.finish_s;
             assert!(
                 finish.is_finite() && finish >= clock,
                 "AsyncCheckpoint field `in_flight`: client {}'s finish {finish} is not a finite \
@@ -724,18 +749,67 @@ impl<S> AsyncCheckpoint<S> {
                 d.client
             );
         }
-        for d in &self.buffer {
-            replayable("buffer", d);
-        }
-        for d in self.edge_buffers.iter().flat_map(|(_, es)| es) {
-            replayable("edge_buffers", d);
-        }
-        let bundles = self.upstream.iter().flat_map(|(_, bundles)| bundles);
-        for d in bundles.flat_map(|(_, es)| es) {
-            replayable("upstream", d);
+        for (arrive, _) in self.upstream.iter().flat_map(|(_, bundles)| bundles) {
+            assert!(
+                arrive.is_finite() && *arrive >= clock,
+                "AsyncCheckpoint field `upstream`: arrival {arrive} is not a finite time at or \
+                 after the checkpoint clock {clock}"
+            );
         }
         for &k in &self.dispatched_at_version {
             client_in_fleet("dispatched_at_version", k);
+        }
+        let aggregators = self.topo.map_or(0, |t| t.aggregators);
+        let edges = (self.edge_buffers.iter().map(|(e, _)| ("edge_buffers", e)))
+            .chain(self.upstream.iter().map(|(e, _)| ("upstream", e)));
+        for (field, e) in edges {
+            assert!(
+                *e < aggregators,
+                "AsyncCheckpoint field `{field}`: edge {e} is outside the topology's {aggregators} \
+                 aggregators"
+            );
+        }
+        let dispatched: BTreeSet<usize> = self.dispatched_at_version.iter().copied().collect();
+        let edge_buffered = self
+            .edge_buffers
+            .iter()
+            .flat_map(|(e, es)| es.iter().map(move |d| ("edge_buffers", Some(*e), d)));
+        let upstream = self.upstream.iter().flat_map(|(e, bundles)| {
+            let entries = bundles.iter().flat_map(|(_, es)| es);
+            entries.map(move |d| ("upstream", Some(*e), d))
+        });
+        let pending = (self.in_flight.iter().map(|d| ("in_flight", None, d)))
+            .chain(self.buffer.iter().map(|d| ("buffer", None, d)))
+            .chain(edge_buffered)
+            .chain(upstream);
+        let mut ids = BTreeSet::new();
+        for (field, edge, d) in pending {
+            let (k, v) = (d.client, d.version);
+            client_in_fleet(field, k);
+            let retained = || self.past_states.iter().any(|(pv, _)| *pv == v);
+            assert!(
+                v == self.version || (v < self.version && retained()),
+                "AsyncCheckpoint field `{field}`: client {k}'s version {v} is neither the current \
+                 version {} nor a retained past one",
+                self.version
+            );
+            assert!(
+                ids.insert((k, v)),
+                "AsyncCheckpoint field `{field}`: client {k}'s dispatch at version {v} is pending twice"
+            );
+            assert!(
+                v < self.version || dispatched.contains(&k),
+                "AsyncCheckpoint field `dispatched_at_version`: client {k} is pending at the \
+                 current version {v} but was not dispatched at it"
+            );
+            if let (Some(e), Some(topo)) = (edge, self.topo) {
+                let home = topo.cohort_of(self.seed, k);
+                assert!(
+                    e == home,
+                    "AsyncCheckpoint field `{field}`: client {k} sits under edge {e}, not its own \
+                     edge {home}"
+                );
+            }
         }
     }
 }
@@ -990,10 +1064,10 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
     /// Panics if the checkpoint disagrees with the resuming environment
     /// or scheduler — each mismatch message names the offending
     /// `AsyncCheckpoint` field (`acfg`, `seed`, `algorithm`, `n_clients`,
-    /// `rounds`, or a plane key) — or holds a pending dispatch it cannot
-    /// replay (a client outside the fleet, a version neither current nor
-    /// retained, or an in-flight finish before the clock; the message
-    /// names the pending-dispatch field).
+    /// `rounds`, or a plane key) — or with its own ledger (a `version` off
+    /// the ledger's length, a `last_agg_clock_s` that is not the last
+    /// record's clock), or holds pending state it cannot replay (see
+    /// `check_pending`; the message names the field).
     pub fn resume(
         &self,
         env: &FlEnv,
@@ -1009,6 +1083,10 @@ impl<T: ScheduledTrainer> AsyncScheduler<T> {
             algorithm: &ckpt.algorithm,
             n_clients: ckpt.n_clients,
             rounds: ckpt.rounds,
+            next: ("version", ckpt.version),
+            ran: ckpt.ledger.len(),
+            clock: ("last_agg_clock_s", ckpt.last_agg_clock_s),
+            last_clock_s: ckpt.ledger.last().map_or(0.0, |r| r.clock_s),
             state: &ckpt.state,
             comm: ckpt.comm.as_ref(),
             topo: ckpt.topo,

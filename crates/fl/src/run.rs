@@ -126,6 +126,15 @@ pub(crate) struct Saved<'a, S> {
     pub algorithm: &'a str,
     pub n_clients: usize,
     pub rounds: usize,
+    /// The field counting finished rounds (`next_round` / `version`) and
+    /// its value; it must equal `ran`, the ledger's length.
+    pub next: (&'static str, usize),
+    pub ran: usize,
+    /// The field holding the last record's clock (`clock_s` /
+    /// `last_agg_clock_s`) and its value; it must equal `last_clock_s`,
+    /// the ledger's last clock (0 for an empty ledger).
+    pub clock: (&'static str, f64),
+    pub last_clock_s: f64,
     pub state: &'a S,
     pub comm: Option<&'a CommState<S>>,
     pub topo: Option<TopologyConfig>,
@@ -187,8 +196,10 @@ impl<T: ScheduledTrainer> Stack<'_, T> {
     /// # Panics
     ///
     /// Panics when the checkpoint disagrees with the resuming
-    /// environment or stack; the message names the checkpoint type and
-    /// the offending field.
+    /// environment or stack, or with its own ledger (a finished-round
+    /// count past the run or off the ledger's length, a clock that is not
+    /// the last record's finite, non-negative one); the message names the
+    /// checkpoint type and the offending field.
     pub fn restore(&self, env: &FlEnv, saved: Saved<'_, T::ServerState>) -> Core<T::ServerState> {
         let ty = saved.ty;
         assert_eq!(
@@ -237,6 +248,24 @@ impl<T: ScheduledTrainer> Stack<'_, T> {
             saved.quant.map(|q| q.cfg),
             self.trainer.quant_policy(),
             "{ty} field `quant`: checkpoint was taken under a different quantization policy"
+        );
+        let ((next_field, next), rounds, ran) = (saved.next, saved.rounds, saved.ran);
+        assert!(
+            next <= rounds,
+            "{ty} field `{next_field}`: round {next} is past the run's {rounds} rounds"
+        );
+        assert!(
+            next == ran,
+            "{ty} field `{next_field}`: round {next} does not follow the ledger's {ran} rounds"
+        );
+        let ((clock_field, clock), last) = (saved.clock, saved.last_clock_s);
+        assert!(
+            clock.is_finite() && clock >= 0.0,
+            "{ty} field `{clock_field}`: {clock} is not a finite, non-negative virtual time"
+        );
+        assert!(
+            clock == last,
+            "{ty} field `{clock_field}`: {clock} is not the ledger's last clock {last}"
         );
         self.trainer.reset_quant();
         if let Some(q) = saved.quant {

@@ -827,8 +827,8 @@ impl<T: ScheduledTrainer> EventScheduler<T> {
     /// `algorithm`, `n_clients`, `rounds`, or a plane key) so a failed
     /// resume says exactly which rule changed instead of silently
     /// diverging. Also panics, by field, on a `next_round` past `rounds`
-    /// or not following the ledger, and on a `clock_s` that is not a
-    /// finite, non-negative virtual time.
+    /// or not following the ledger, and on a `clock_s` that is not the
+    /// last record's finite, non-negative clock (0 for an empty ledger).
     pub fn resume(
         &self,
         env: &FlEnv,
@@ -842,26 +842,16 @@ impl<T: ScheduledTrainer> EventScheduler<T> {
             ckpt.clients_per_round, env.cfg.clients_per_round,
             "SchedCheckpoint field `clients_per_round`: checkpoint was taken under a different cohort size"
         );
-        let (next, rounds, ran) = (ckpt.next_round, ckpt.rounds, ckpt.ledger.len());
-        assert!(
-            next <= rounds,
-            "SchedCheckpoint field `next_round`: round {next} is past the run's {rounds} rounds"
-        );
-        assert!(
-            next == ran,
-            "SchedCheckpoint field `next_round`: round {next} does not follow the ledger's {ran} rounds"
-        );
-        let clock = ckpt.clock_s;
-        assert!(
-            clock.is_finite() && clock >= 0.0,
-            "SchedCheckpoint field `clock_s`: {clock} is not a finite, non-negative virtual time"
-        );
         let saved = Saved {
             ty: "SchedCheckpoint",
             seed: ckpt.seed,
             algorithm: &ckpt.algorithm,
             n_clients: ckpt.n_clients,
             rounds: ckpt.rounds,
+            next: ("next_round", ckpt.next_round),
+            ran: ckpt.ledger.len(),
+            clock: ("clock_s", ckpt.clock_s),
+            last_clock_s: ckpt.ledger.last().map_or(0.0, |r| r.clock_s),
             state: &ckpt.state,
             comm: ckpt.comm.as_ref(),
             topo: ckpt.topo,

@@ -559,3 +559,166 @@ fn sync_resume_rejects_infinite_and_negative_clocks() {
         assert!(msg.contains(&want), "{clock}: {msg}");
     }
 }
+
+#[test]
+#[should_panic(
+    expected = "SchedCheckpoint field `clock_s`: 1.0800185174725827 is not the ledger's last clock 0.08001851747258272"
+)]
+fn sync_resume_rejects_a_clock_off_the_last_record() {
+    resume_corrupted_sync(|c| c.clock_s += 1.0);
+}
+
+// The async ledger checks are the sync ones, through the same restore:
+// `version` counts the ledger's records and `last_agg_clock_s` is the
+// last record's clock.
+
+#[test]
+#[should_panic(
+    expected = "AsyncCheckpoint field `version`: round 2 does not follow the ledger's 1 rounds"
+)]
+fn async_resume_rejects_a_version_off_the_ledger() {
+    resume_corrupted_async(|c| drop(c.ledger.pop()));
+}
+
+#[test]
+#[should_panic(
+    expected = "AsyncCheckpoint field `last_agg_clock_s`: NaN is not a finite, non-negative virtual time"
+)]
+fn async_resume_rejects_a_last_aggregation_clock_that_is_not_a_virtual_time() {
+    resume_corrupted_async(|c| c.last_agg_clock_s = f64::NAN);
+}
+
+#[test]
+#[should_panic(
+    expected = "AsyncCheckpoint field `last_agg_clock_s`: 0.030007342102694297 is not the ledger's last clock 0.0400073421026943"
+)]
+fn async_resume_rejects_a_last_aggregation_clock_off_the_last_record() {
+    resume_corrupted_async(|c| c.last_agg_clock_s -= 0.01);
+}
+
+#[test]
+#[should_panic(
+    expected = "AsyncCheckpoint field `clock_s`: -1 is not a finite time at or after the last aggregation's clock 0.0400073421026943"
+)]
+fn async_resume_rejects_a_clock_before_the_last_aggregation() {
+    resume_corrupted_async(|c| c.clock_s = -1.0);
+}
+
+#[test]
+#[should_panic(expected = "AsyncCheckpoint field `clock_s`: NaN is not a finite time")]
+fn async_resume_rejects_a_clock_that_is_not_finite() {
+    resume_corrupted_async(|c| c.clock_s = f64::NAN);
+}
+
+#[test]
+#[should_panic(
+    expected = "AsyncCheckpoint field `cur_k`: Some(0) is not a flush threshold within the adaptive range Some((2, 4))"
+)]
+fn async_resume_rejects_a_flush_threshold_outside_its_range() {
+    resume_corrupted_async(|c| c.cur_k = Some(0));
+}
+
+#[test]
+#[should_panic(
+    expected = "AsyncCheckpoint field `cur_k`: None is not a flush threshold within the adaptive range Some((2, 4))"
+)]
+fn async_resume_rejects_an_adaptive_run_without_a_flush_threshold() {
+    resume_corrupted_async(|c| c.cur_k = None);
+}
+
+#[test]
+#[should_panic(
+    expected = "AsyncCheckpoint field `bundles`: 7 bundles cannot carry the 2 buffered entries under the flush threshold 4"
+)]
+fn async_resume_rejects_more_bundles_than_the_buffer_holds() {
+    resume_corrupted_async(|c| c.bundles = 7);
+}
+
+#[test]
+#[should_panic(
+    expected = "AsyncCheckpoint field `upstream`: arrival NaN is not a finite time at or after the checkpoint clock"
+)]
+fn async_resume_rejects_a_backhaul_arrival_that_is_not_finite() {
+    resume_corrupted_async(|c| c.upstream[0].1[0].0 = f64::NAN);
+}
+
+#[test]
+#[should_panic(
+    expected = "AsyncCheckpoint field `upstream`: arrival 0 is not a finite time at or after the checkpoint clock 0.0400096366727835"
+)]
+fn async_resume_rejects_a_backhaul_arrival_before_the_clock() {
+    resume_corrupted_async(|c| c.upstream[0].1[0].0 = 0.0);
+}
+
+#[test]
+#[should_panic(
+    expected = "AsyncCheckpoint field `buffer`: client 2's dispatch at version 1 is pending twice"
+)]
+fn async_resume_rejects_a_dispatch_buffered_twice() {
+    resume_corrupted_async(|c| c.buffer.push(c.buffer[0]));
+}
+
+#[test]
+#[should_panic(
+    expected = "AsyncCheckpoint field `dispatched_at_version`: client 14 is pending at the current version 2 but was not dispatched at it"
+)]
+fn async_resume_rejects_a_current_dispatch_missing_from_the_dispatched_set() {
+    resume_corrupted_async(|c| c.dispatched_at_version.retain(|&k| k != 14));
+}
+
+#[test]
+#[should_panic(
+    expected = "AsyncCheckpoint field `edge_buffers`: edge 99 is outside the topology's 3 aggregators"
+)]
+fn async_resume_rejects_an_edge_outside_the_topology() {
+    resume_corrupted_async(|c| c.edge_buffers[1].0 = 99);
+}
+
+#[test]
+#[should_panic(
+    expected = "AsyncCheckpoint field `edge_buffers`: client 14 sits under edge 1, not its own edge 0"
+)]
+fn async_resume_rejects_an_entry_under_another_edge() {
+    resume_corrupted_async(|c| {
+        let d = c.edge_buffers[0].1.remove(0);
+        c.edge_buffers[1].1.push(d);
+    });
+}
+
+/// Resumes a flat-topology capture of the planes-on async run after
+/// `corrupt` edits it.
+fn resume_corrupted_flat_async(corrupt: fn(&mut AsyncCheckpoint)) {
+    let e = planes_env(PLANES_ASYNC_AGGS);
+    let sched = planes_async_sched_on(TopologyConfig::single());
+    let mut ckpt = sched.run_until(&e, PLANES_ASYNC_STOP);
+    corrupt(&mut ckpt);
+    drop(sched.resume(&e, &ckpt));
+}
+
+#[test]
+#[should_panic(expected = "AsyncCheckpoint field `bundles`: 1 bundles on a flat topology")]
+fn async_resume_rejects_bundles_on_a_flat_topology() {
+    resume_corrupted_flat_async(|c| c.bundles = 1);
+}
+
+#[test]
+#[should_panic(expected = "AsyncCheckpoint field `buffer`: 4 entries reach the flush threshold 4")]
+fn async_resume_rejects_a_buffer_that_would_have_flushed() {
+    resume_corrupted_flat_async(|c| {
+        while c.buffer.len() < c.cur_k.unwrap() {
+            let mut d = c.buffer[0];
+            d.client = (0..c.n_clients)
+                .find(|k| c.buffer.iter().all(|b| b.client != *k))
+                .unwrap();
+            c.buffer.push(d);
+        }
+    });
+}
+
+#[test]
+#[should_panic(
+    expected = "AsyncCheckpoint field `edge_buffers`: edge 0 is outside the topology's 0 aggregators"
+)]
+fn async_resume_rejects_edge_buffers_on_a_flat_topology() {
+    resume_corrupted_flat_async(|c| c.edge_buffers.push((0, vec![c.buffer[0]])));
+}
