@@ -61,11 +61,16 @@ impl Apgd {
     ///
     /// # Panics
     ///
-    /// Panics on zero steps/restarts or non-positive ε.
+    /// Panics on zero steps/restarts or an ε that is not positive and
+    /// finite.
     pub fn new(cfg: ApgdConfig) -> Self {
         assert!(cfg.steps > 0, "apgd needs at least one step");
         assert!(cfg.restarts > 0, "apgd needs at least one restart");
-        assert!(cfg.ball.eps() > 0.0, "epsilon must be positive");
+        let eps = cfg.ball.eps();
+        assert!(
+            eps > 0.0 && eps.is_finite(),
+            "ApgdConfig field `ball`: epsilon must be positive and finite, got {eps}"
+        );
         Apgd { cfg }
     }
 
@@ -161,6 +166,12 @@ mod tests {
     use crate::pgd::{Pgd, PgdConfig};
     use crate::target::ModelTarget;
     use fp_nn::models;
+
+    #[test]
+    #[should_panic(expected = "ApgdConfig field `ball`: epsilon must be positive and finite")]
+    fn apgd_rejects_an_infinite_epsilon() {
+        Apgd::new(ApgdConfig::fast(f32::INFINITY));
+    }
 
     #[test]
     fn apgd_stays_in_ball_and_range() {

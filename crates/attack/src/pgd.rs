@@ -153,6 +153,30 @@ impl PgdConfig {
         }
     }
 
+    /// Checks the configuration, naming the field at fault; [`Pgd::new`]
+    /// runs it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `steps` or `restarts` is zero, or the ball's ε is not
+    /// finite and positive (an infinite ε would make the random start's
+    /// uniform draw meaningless).
+    pub fn validate(&self) {
+        assert!(
+            self.steps > 0,
+            "PgdConfig field `steps`: pgd needs at least one step"
+        );
+        assert!(
+            self.restarts > 0,
+            "PgdConfig field `restarts`: pgd needs at least one restart"
+        );
+        let eps = self.ball.eps();
+        assert!(
+            eps > 0.0 && eps.is_finite(),
+            "PgdConfig field `ball`: epsilon must be positive and finite, got {eps}"
+        );
+    }
+
     /// Effective step size.
     pub fn step_size(&self) -> f32 {
         self.alpha
@@ -171,11 +195,9 @@ impl Pgd {
     ///
     /// # Panics
     ///
-    /// Panics if `steps` or `restarts` is zero or ε is not positive.
+    /// Panics if the configuration fails [`PgdConfig::validate`].
     pub fn new(cfg: PgdConfig) -> Self {
-        assert!(cfg.steps > 0, "pgd needs at least one step");
-        assert!(cfg.restarts > 0, "pgd needs at least one restart");
-        assert!(cfg.ball.eps() > 0.0, "epsilon must be positive");
+        cfg.validate();
         Pgd { cfg }
     }
 
@@ -430,6 +452,14 @@ mod tests {
         let mut d = Tensor::from_vec(vec![3.0, 4.0], &[2]);
         ball.project(&mut d);
         assert_eq!(d.data(), &[3.0, 4.0]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "PgdConfig field `ball`: epsilon must be positive and finite, got inf"
+    )]
+    fn pgd_config_rejects_an_infinite_epsilon() {
+        Pgd::new(PgdConfig::train_linf(f32::INFINITY));
     }
 
     #[test]

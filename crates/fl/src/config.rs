@@ -83,7 +83,8 @@ impl FlConfig {
     ///
     /// # Panics
     ///
-    /// Panics on degenerate values (zero clients, `C > N`, ...).
+    /// Panics on degenerate values (zero clients, `C > N`, a non-finite
+    /// `eps0`, ...).
     pub fn validate(&self) {
         assert!(self.n_clients > 0, "need clients");
         assert!(
@@ -93,7 +94,11 @@ impl FlConfig {
         assert!(self.local_iters > 0, "need local iterations");
         assert!(self.batch_size > 0, "need a positive batch size");
         assert!(self.rounds > 0, "need at least one round");
-        assert!(self.eps0 > 0.0, "need a positive epsilon");
+        assert!(
+            self.eps0 > 0.0 && self.eps0.is_finite(),
+            "FlConfig field `eps0`: need a positive, finite epsilon, got {}",
+            self.eps0
+        );
     }
 }
 
@@ -113,6 +118,14 @@ mod tests {
         let c = FlConfig::paper_caltech(500, 0);
         assert_eq!(c.batch_size, 32);
         assert!((c.lr.eta0 - 0.001).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "FlConfig field `eps0`: need a positive, finite epsilon, got inf")]
+    fn validate_rejects_an_infinite_epsilon() {
+        let mut c = FlConfig::fast(1, 0);
+        c.eps0 = f32::INFINITY;
+        c.validate();
     }
 
     #[test]

@@ -19,8 +19,10 @@ use crate::engine::FlEnv;
 use crate::sched::ScheduledTrainer;
 use fp_hwsim::{LatencyModel, TrainingPassProfile};
 use fp_nn::CascadeModel;
+use fp_tensor::rng::fill_uniform;
 use fp_tensor::BackendHandle;
 use rand::Rng;
+use std::cell::RefCell;
 
 /// Domain-separation salt for the per-`(version, client)` update streams.
 pub const SALT_SYNTH: u64 = 0x5F17_7E57;
@@ -66,11 +68,25 @@ impl ScheduledTrainer for SyntheticTrainer {
         _backend: BackendHandle,
     ) -> (Vec<f32>, f32) {
         let mut rng = env.client_rng(t, k, SALT_SYNTH);
-        // Perturbed in place: one allocation, one pass.
-        let mut update = state.flat_params();
-        for p in &mut update {
-            *p = *p * (1.0 - lr) + lr * rng.gen_range(-0.01f32..0.01);
+        // The noise is one bulk draw into a per-thread buffer reused across
+        // calls. `fill_uniform` returns the serial `gen_range` stream bit
+        // for bit and leaves `rng` where that loop would (so the loss draw
+        // after it is unchanged), but computes it in eight lanes, each
+        // jumped ahead to its own block of the stream by a precomputed
+        // table; a block with a draw the serial loop rejects is redrawn
+        // serially. Then one pass perturbs the only allocation, the update.
+        thread_local! {
+            static NOISE: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
         }
+        let mut update = state.flat_params();
+        NOISE.with(|cell| {
+            let mut noise = cell.borrow_mut();
+            noise.resize(update.len(), 0.0);
+            fill_uniform(&mut rng, -0.01, 0.01, &mut noise);
+            for (p, d) in update.iter_mut().zip(noise.iter()) {
+                *p = *p * (1.0 - lr) + lr * d;
+            }
+        });
         let loss = 1.0 / (1.0 + t as f32) + rng.gen_range(0.0f32..0.05);
         (update, loss)
     }
@@ -88,7 +104,7 @@ impl ScheduledTrainer for SyntheticTrainer {
         // `clear` + `resize` zeroes it, so the arithmetic (and every
         // pinned ledger) is unchanged.
         thread_local! {
-            static ACC: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
+            static ACC: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
         }
         ACC.with(|cell| {
             let mut acc = cell.borrow_mut();

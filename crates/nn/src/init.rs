@@ -1,6 +1,7 @@
 //! Weight initialization.
 
 use fp_tensor::{NormalSampler, Tensor};
+use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Kaiming (He) normal initialization: `N(0, sqrt(2 / fan_in))`.
@@ -18,7 +19,7 @@ pub fn kaiming_normal<R: Rng + ?Sized>(shape: &[usize], fan_in: usize, rng: &mut
 }
 
 /// Kaiming uniform initialization: `U(-b, b)` with `b = sqrt(6 / fan_in)`.
-pub fn kaiming_uniform<R: Rng + ?Sized>(shape: &[usize], fan_in: usize, rng: &mut R) -> Tensor {
+pub fn kaiming_uniform(shape: &[usize], fan_in: usize, rng: &mut StdRng) -> Tensor {
     assert!(fan_in > 0, "fan_in must be positive");
     let bound = (6.0 / fan_in as f32).sqrt();
     Tensor::rand_uniform(shape, -bound, bound, rng)

@@ -8,7 +8,9 @@
 //! dispatcher. Only three kernels name intrinsics, each because the
 //! compiler's code for the portable body measured slower: `pack::gemm`'s
 //! AVX-512 tiles (34–63× on the 8- and 12-row tiles), the `Zmm` / `Ymm2`
-//! conv lanes (6–31×) and `pack::lanes`'s 8×8 transpose (2.5–4.6×).
+//! conv lanes (6–31×) and `pack::lanes`'s 8×8 transpose (2.5–4.6×), which
+//! the uniform draws' lanes (`rng::fill_uniform`, a portable body) also
+//! move their rows through.
 
 use std::sync::OnceLock;
 

@@ -37,7 +37,7 @@ mod ops;
 mod pack;
 pub mod parallel;
 pub mod quant;
-mod rng;
+pub mod rng;
 mod shape;
 mod tensor;
 

@@ -305,7 +305,7 @@ mod x86 {
 /// and it moves bits only. The shuffles are written by hand: the scalar
 /// block loop below, compiled for AVX2 or AVX-512, measured 2.5–4.6× slower.
 #[allow(clippy::too_many_arguments)]
-pub(super) fn transpose(
+pub(crate) fn transpose(
     isa: Isa,
     src: &[f32],
     ld_src: usize,

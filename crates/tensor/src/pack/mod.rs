@@ -180,6 +180,7 @@ mod tune;
 pub(crate) use direct::{conv2d_backward_input_direct, conv2d_forward_direct, MAX_TAPS};
 pub(crate) use dw::conv2d_backward_weights_broadcast;
 pub(crate) use gemm::{gemm, BSrc};
+pub(crate) use lanes::transpose;
 
 use dw::Staging;
 use std::cell::RefCell;

@@ -1,6 +1,7 @@
 //! The dense `f32` tensor type.
 
 use crate::shape::numel;
+use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -82,9 +83,15 @@ impl Tensor {
         t
     }
 
-    /// Uniform random tensor in `[lo, hi)`.
-    pub fn rand_uniform<R: Rng + ?Sized>(shape: &[usize], lo: f32, hi: f32, rng: &mut R) -> Self {
-        let data = (0..numel(shape)).map(|_| rng.gen_range(lo..hi)).collect();
+    /// Uniform random tensor in `[lo, hi)`: one `gen_range(lo..hi)` per
+    /// element in order, drawn by [`crate::rng::fill_uniform`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `lo < hi` and `hi - lo` is finite.
+    pub fn rand_uniform(shape: &[usize], lo: f32, hi: f32, rng: &mut StdRng) -> Self {
+        let mut data = vec![0.0; numel(shape)];
+        crate::rng::fill_uniform(rng, lo, hi, &mut data);
         Tensor {
             data,
             shape: shape.to_vec(),
