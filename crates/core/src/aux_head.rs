@@ -1,6 +1,6 @@
 //! The auxiliary early-exit model.
 
-use fp_nn::{GlobalAvgPool, Layer, Linear, Mode, Param};
+use fp_nn::{GlobalAvgPool, Layer, Linear, Mode, Param, Sequential};
 use fp_tensor::Tensor;
 use rand::Rng;
 
@@ -12,10 +12,10 @@ use rand::Rng;
 ///
 /// Feature inputs may be `[b, c, h, w]` (pooled) or already flat `[b, d]`
 /// (pooling skipped), so heads attach uniformly to conv and FC modules.
+#[derive(Debug, Clone)]
 pub struct AuxHead {
-    pool: GlobalAvgPool,
-    linear: Linear,
-    pooled: bool,
+    /// `[GlobalAvgPool,] Linear`.
+    layers: Sequential,
 }
 
 impl AuxHead {
@@ -27,85 +27,64 @@ impl AuxHead {
         n_classes: usize,
         rng: &mut R,
     ) -> Self {
-        let channels = feature[0];
-        AuxHead {
-            pool: GlobalAvgPool::new(0),
-            linear: Linear::new(
-                name,
-                channels,
-                n_classes,
-                1,
-                0,
-                fp_nn::spec::GROUP_OUTPUT,
-                rng,
-            ),
-            pooled: feature.len() > 1,
+        let mut layers = Sequential::new();
+        if feature.len() > 1 {
+            layers.add(Box::new(GlobalAvgPool::new(0)));
         }
+        layers.add(Box::new(Linear::new(
+            name,
+            feature[0],
+            n_classes,
+            1,
+            0,
+            fp_nn::spec::GROUP_OUTPUT,
+            rng,
+        )));
+        AuxHead { layers }
     }
 
     /// Logits for a batch of module outputs.
     pub fn forward(&mut self, z: &Tensor, mode: Mode) -> Tensor {
-        if self.pooled {
-            let p = self.pool.forward(z, mode);
-            self.linear.forward(&p, mode)
-        } else {
-            self.linear.forward(z, mode)
-        }
+        self.layers.forward(z, mode)
     }
 
     /// The attack-pass forward (see [`Layer::forward_dx_only`]): the
     /// `Eval` logits, caching only what [`AuxHead::backward_input`] reads.
     pub fn forward_dx_only(&mut self, z: &Tensor) -> Tensor {
-        if self.pooled {
-            let p = self.pool.forward_dx_only(z);
-            self.linear.forward_dx_only(&p)
-        } else {
-            self.linear.forward_dx_only(z)
-        }
+        self.layers.forward_dx_only(z)
     }
 
     /// Back-propagates a logits gradient, accumulating head parameter
     /// gradients; returns the gradient with respect to the module output.
     pub fn backward(&mut self, grad_logits: &Tensor) -> Tensor {
-        let g = self.linear.backward(grad_logits);
-        self.unpool(g)
+        self.layers.backward(grad_logits)
     }
 
     /// Input-gradient-only backward (see [`Layer::backward_input`]): the
     /// same tensor [`AuxHead::backward`] returns, head parameter gradients
     /// untouched.
     pub fn backward_input(&mut self, grad_logits: &Tensor) -> Tensor {
-        let g = self.linear.backward_input(grad_logits);
-        self.unpool(g)
-    }
-
-    /// Back through the pooling stage, if the head has one.
-    fn unpool(&mut self, g: Tensor) -> Tensor {
-        if self.pooled {
-            self.pool.backward_input(&g)
-        } else {
-            g
-        }
+        self.layers.backward_input(grad_logits)
     }
 
     /// Trainable parameters (the linear layer's weight and bias).
     pub fn params(&self) -> Vec<&Param> {
-        self.linear.params()
+        self.layers.params()
     }
 
     /// Trainable parameters, mutable.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.linear.params_mut()
+        self.layers.params_mut()
     }
 
     /// Points the head's linear layer at a compute backend.
     pub fn set_backend(&mut self, backend: &fp_tensor::BackendHandle) {
-        self.linear.set_backend(backend);
+        self.layers.set_backend(backend);
     }
 
     /// Zeroes gradients.
     pub fn zero_grad(&mut self) {
-        for p in self.linear.params_mut() {
+        for p in self.params_mut() {
             p.zero_grad();
         }
     }
@@ -113,7 +92,7 @@ impl AuxHead {
     /// Flat parameter vector (aggregation transport).
     pub fn flat_params(&self) -> Vec<f32> {
         let mut out = Vec::new();
-        for p in self.linear.params() {
+        for p in self.params() {
             out.extend_from_slice(p.value().data());
         }
         out
@@ -126,7 +105,7 @@ impl AuxHead {
     /// Panics on length mismatch.
     pub fn set_flat_params(&mut self, flat: &[f32]) {
         let mut off = 0;
-        for p in self.linear.params_mut() {
+        for p in self.params_mut() {
             let n = p.numel();
             p.value_mut()
                 .data_mut()
@@ -138,26 +117,7 @@ impl AuxHead {
 
     /// Number of trainable scalars.
     pub fn param_count(&self) -> usize {
-        self.linear.params().iter().map(|p| p.numel()).sum()
-    }
-}
-
-impl Clone for AuxHead {
-    fn clone(&self) -> Self {
-        AuxHead {
-            pool: self.pool.clone(),
-            linear: self.linear.clone(),
-            pooled: self.pooled,
-        }
-    }
-}
-
-impl std::fmt::Debug for AuxHead {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AuxHead")
-            .field("pooled", &self.pooled)
-            .field("params", &self.param_count())
-            .finish()
+        self.params().iter().map(|p| p.numel()).sum()
     }
 }
 

@@ -594,7 +594,7 @@ mod tests {
         let no_cache_left = |model: &CascadeModel| {
             let mut layers = 0;
             for atom in model.clone().atoms_mut() {
-                for layer in atom.layers_mut().children_mut() {
+                for layer in atom.children_mut() {
                     let grad = fp_tensor::Tensor::zeros(&[1]);
                     let backward = std::panic::AssertUnwindSafe(|| layer.backward_input(&grad));
                     let refused = std::panic::catch_unwind(backward).unwrap_err();

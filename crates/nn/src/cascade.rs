@@ -1,28 +1,35 @@
 //! The cascaded atom model.
 
-use crate::atom::Atom;
-use crate::layer::Mode;
+use crate::layer::{BackStep, Layer, Mode};
+use crate::layers::sequential::Sequential;
 use crate::param::Param;
 use crate::spec::AtomSpec;
 use fp_tensor::Tensor;
 use std::borrow::Cow;
 
-/// A backbone model expressed as a plain cascade of [`Atom`]s
+/// A backbone model expressed as a plain cascade of atoms
 /// `a₁ ∘ a₂ ∘ ⋯ ∘ a_L`, the structure FedProphet's model partitioner
 /// consumes (paper §6.1).
+///
+/// An atom is a named, indivisible [`Sequential`]: a single conv layer
+/// (with its activation and an optional trailing pool) for VGG-style
+/// networks, a residual block for ResNets. The partitioner groups
+/// consecutive atoms into modules; it never splits an atom.
 ///
 /// The final atom ends in the classifier, so a full forward pass produces
 /// logits. Ranged forward/backward (`forward_range`, `backward_range`)
 /// support cascade learning, where only a contiguous atom window is
 /// trained at a time.
+#[derive(Clone)]
 pub struct CascadeModel {
-    atoms: Vec<Atom>,
+    names: Vec<String>,
+    atoms: Vec<Sequential>,
     input_shape: Vec<usize>,
     n_classes: usize,
 }
 
 impl CascadeModel {
-    /// Assembles a model from atoms.
+    /// Assembles a model from named atoms.
     ///
     /// `input_shape` is the per-sample shape `[c, h, w]`; `n_classes` the
     /// logit count produced by the last atom.
@@ -30,9 +37,11 @@ impl CascadeModel {
     /// # Panics
     ///
     /// Panics if `atoms` is empty.
-    pub fn new(atoms: Vec<Atom>, input_shape: &[usize], n_classes: usize) -> Self {
+    pub fn new(atoms: Vec<(String, Sequential)>, input_shape: &[usize], n_classes: usize) -> Self {
         assert!(!atoms.is_empty(), "a cascade needs at least one atom");
+        let (names, atoms) = atoms.into_iter().unzip();
         CascadeModel {
+            names,
             atoms,
             input_shape: input_shape.to_vec(),
             n_classes,
@@ -55,18 +64,21 @@ impl CascadeModel {
     }
 
     /// The atoms.
-    pub fn atoms(&self) -> &[Atom] {
+    pub fn atoms(&self) -> &[Sequential] {
         &self.atoms
     }
 
     /// The atoms, mutable.
-    pub fn atoms_mut(&mut self) -> &mut [Atom] {
+    pub fn atoms_mut(&mut self) -> &mut [Sequential] {
         &mut self.atoms
     }
 
     /// Weight-free per-atom descriptions.
     pub fn specs(&self) -> Vec<AtomSpec> {
-        self.atoms.iter().map(Atom::spec).collect()
+        let named = self.names.iter().zip(&self.atoms);
+        named
+            .map(|(name, atom)| AtomSpec::new(name.clone(), atom.child_specs()))
+            .collect()
     }
 
     /// Points every layer of every atom at `backend`.
@@ -95,17 +107,17 @@ impl CascadeModel {
     }
 
     /// The attack-pass forward through atoms `[from, to)` (see
-    /// [`Layer::forward_dx_only`](crate::Layer::forward_dx_only)): the
-    /// output of `forward_range(x, from, to, Mode::Eval)` bit for bit,
-    /// caching only what [`CascadeModel::backward_input_range`] reads. Any
-    /// forward no parameter backward follows may take it; after it
-    /// `backward_range` and `backward_params_range` panic.
+    /// [`Layer::forward_dx_only`]): the output of
+    /// `forward_range(x, from, to, Mode::Eval)` bit for bit, caching only
+    /// what [`CascadeModel::backward_input_range`] reads. Any forward no
+    /// parameter backward follows may take it; after it `backward_range`
+    /// and `backward_params_range` panic.
     ///
     /// # Panics
     ///
     /// Panics if the range is empty or out of bounds.
     pub fn forward_dx_only_range(&mut self, x: &Tensor, from: usize, to: usize) -> Tensor {
-        forward(self.atoms_in(from, to), x, Atom::forward_dx_only)
+        forward(self.atoms_in(from, to), x, |a, x| a.forward_dx_only(x))
     }
 
     /// Full attack-pass forward, producing logits (see
@@ -118,7 +130,7 @@ impl CascadeModel {
     /// parameter gradients; returns the gradient with respect to the input
     /// of atom `from`.
     pub fn backward_range(&mut self, grad: &Tensor, from: usize, to: usize) -> Tensor {
-        self.backprop_range(grad, from, to, Atom::backward)
+        backprop(self.atoms_in(from, to), grad, |a, g| a.backward(g)).into_owned()
     }
 
     /// Input-gradient-only backward through atoms `[from, to)`: the same
@@ -126,7 +138,7 @@ impl CascadeModel {
     /// parameter gradient left as it was. This is the backward of an attack
     /// pass, which fetches only `∇_x` (paper §5.1 inner maximization).
     pub fn backward_input_range(&mut self, grad: &Tensor, from: usize, to: usize) -> Tensor {
-        self.backprop_range(grad, from, to, Atom::backward_input)
+        backprop(self.atoms_in(from, to), grad, |a, g| a.backward_input(g)).into_owned()
     }
 
     /// Parameter-gradient-only backward through atoms `[from, to)`: every
@@ -139,21 +151,11 @@ impl CascadeModel {
             .atoms_in(from, to)
             .split_first_mut()
             .expect("non-empty range");
-        first.backward_params(&backprop(rest, grad, Atom::backward));
-    }
-
-    fn backprop_range(
-        &mut self,
-        grad: &Tensor,
-        from: usize,
-        to: usize,
-        step: fn(&mut Atom, &Tensor) -> Tensor,
-    ) -> Tensor {
-        backprop(self.atoms_in(from, to), grad, step).into_owned()
+        first.backward_params(&backprop(rest, grad, |a, g| a.backward(g)));
     }
 
     /// Atoms `[from, to)`, a non-empty range.
-    fn atoms_in(&mut self, from: usize, to: usize) -> &mut [Atom] {
+    fn atoms_in(&mut self, from: usize, to: usize) -> &mut [Sequential] {
         assert!(
             from < to && to <= self.atoms.len(),
             "bad atom range {from}..{to}"
@@ -178,38 +180,41 @@ impl CascadeModel {
 
     /// All trainable parameters, atom by atom.
     pub fn params(&self) -> Vec<&Param> {
-        self.atoms.iter().flat_map(Atom::params).collect()
+        self.atoms.iter().flat_map(Layer::params).collect()
     }
 
     /// All trainable parameters, mutable.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.atoms.iter_mut().flat_map(Atom::params_mut).collect()
+        self.params_range_mut(0, self.atoms.len())
     }
 
     /// Parameters of atoms `[from, to)`, mutable.
     pub fn params_range_mut(&mut self, from: usize, to: usize) -> Vec<&mut Param> {
         self.atoms[from..to]
             .iter_mut()
-            .flat_map(Atom::params_mut)
+            .flat_map(Layer::params_mut)
             .collect()
     }
 
     /// Zeroes every gradient.
     pub fn zero_grad(&mut self) {
-        for a in &mut self.atoms {
-            a.zero_grad();
+        for p in self.params_mut() {
+            p.zero_grad();
         }
     }
 
     /// Total trainable scalars.
     pub fn param_count(&self) -> usize {
-        self.atoms.iter().map(Atom::param_count).sum()
+        self.params().iter().map(|p| p.numel()).sum()
     }
 
     /// Flattens the values of atoms `[from, to)` into one vector
     /// (aggregation transport format).
     pub fn flat_params_range(&self, from: usize, to: usize) -> Vec<f32> {
-        let params: Vec<&Param> = self.atoms[from..to].iter().flat_map(Atom::params).collect();
+        let params: Vec<&Param> = self.atoms[from..to]
+            .iter()
+            .flat_map(Layer::params)
+            .collect();
         let mut out = Vec::with_capacity(params.iter().map(|p| p.numel()).sum());
         for p in params {
             out.extend_from_slice(p.value().data());
@@ -230,15 +235,13 @@ impl CascadeModel {
     /// Panics if the vector length does not match.
     pub fn set_flat_params_range(&mut self, flat: &[f32], from: usize, to: usize) {
         let mut off = 0;
-        for a in &mut self.atoms[from..to] {
-            for p in a.params_mut() {
-                let n = p.numel();
-                assert!(off + n <= flat.len(), "flat parameter vector too short");
-                p.value_mut()
-                    .data_mut()
-                    .copy_from_slice(&flat[off..off + n]);
-                off += n;
-            }
+        for p in self.params_range_mut(from, to) {
+            let n = p.numel();
+            assert!(off + n <= flat.len(), "flat parameter vector too short");
+            p.value_mut()
+                .data_mut()
+                .copy_from_slice(&flat[off..off + n]);
+            off += n;
         }
         assert_eq!(off, flat.len(), "flat parameter vector too long");
     }
@@ -250,11 +253,7 @@ impl CascadeModel {
 
     /// Collects all BN running statistics (traversal order).
     pub fn bn_stats(&self) -> Vec<(Tensor, Tensor)> {
-        let mut out = Vec::new();
-        for a in &self.atoms {
-            a.collect_bn_stats(&mut out);
-        }
-        out
+        self.bn_stats_range(0, self.atoms.len())
     }
 
     /// Applies BN running statistics collected by
@@ -262,44 +261,39 @@ impl CascadeModel {
     ///
     /// # Panics
     ///
-    /// Panics if the count does not match.
+    /// Panics if the count or a shape does not match.
     pub fn set_bn_stats(&mut self, stats: &[(Tensor, Tensor)]) {
-        let mut idx = 0;
-        for a in &mut self.atoms {
-            a.apply_bn_stats(stats, &mut idx);
-        }
-        assert_eq!(idx, stats.len(), "bn stats count mismatch");
+        self.set_bn_stats_range(stats, 0, self.atoms.len());
     }
 
     /// BN running statistics of atoms `[from, to)` only.
     pub fn bn_stats_range(&self, from: usize, to: usize) -> Vec<(Tensor, Tensor)> {
-        let mut out = Vec::new();
-        for a in &self.atoms[from..to] {
-            a.collect_bn_stats(&mut out);
-        }
-        out
+        let stats = self.atoms[from..to].iter().flat_map(Layer::running_stats);
+        stats.map(|(m, v)| (m.clone(), v.clone())).collect()
     }
 
     /// Applies BN running statistics to atoms `[from, to)` only.
     ///
     /// # Panics
     ///
-    /// Panics if the count does not match the window's BN layers.
+    /// Panics if the count does not match the window's BN layers or a
+    /// shape does not match its layer's.
     pub fn set_bn_stats_range(&mut self, stats: &[(Tensor, Tensor)], from: usize, to: usize) {
-        let mut idx = 0;
-        for a in &mut self.atoms[from..to] {
-            a.apply_bn_stats(stats, &mut idx);
+        let slots: Vec<_> = self.atoms[from..to]
+            .iter_mut()
+            .flat_map(Layer::running_stats_mut)
+            .collect();
+        assert_eq!(slots.len(), stats.len(), "bn stats count mismatch");
+        for ((mean, var), (m, v)) in slots.into_iter().zip(stats) {
+            assert_eq!(m.shape(), mean.shape(), "bn stats mean shape");
+            assert_eq!(v.shape(), var.shape(), "bn stats var shape");
+            (*mean, *var) = (m.clone(), v.clone());
         }
-        assert_eq!(idx, stats.len(), "bn stats count mismatch for window");
     }
 
     /// Shape of atom `m`'s output for a single sample (no batch dim).
     pub fn feature_shape(&self, upto_atom: usize) -> Vec<usize> {
-        let mut shape = self.input_shape.clone();
-        for a in &self.atoms[0..upto_atom] {
-            shape = a.spec().output_shape(&shape);
-        }
-        shape
+        crate::spec::cascade_output_shape(&self.specs()[..upto_atom], &self.input_shape)
     }
 
     /// Frees all cached activations.
@@ -312,7 +306,11 @@ impl CascadeModel {
 
 /// Runs `step` through `atoms` in order. The range is non-empty, so the
 /// first atom borrows `x` and nothing is copied.
-fn forward(atoms: &mut [Atom], x: &Tensor, step: impl Fn(&mut Atom, &Tensor) -> Tensor) -> Tensor {
+fn forward(
+    atoms: &mut [Sequential],
+    x: &Tensor,
+    step: impl Fn(&mut Sequential, &Tensor) -> Tensor,
+) -> Tensor {
     let mut cur = Cow::Borrowed(x);
     for atom in atoms {
         cur = Cow::Owned(step(atom, &cur));
@@ -322,26 +320,12 @@ fn forward(atoms: &mut [Atom], x: &Tensor, step: impl Fn(&mut Atom, &Tensor) -> 
 
 /// Runs `step` through `atoms` in reverse, borrowing `grad` for the last
 /// one (and returning it as is when there are none).
-fn backprop<'g>(
-    atoms: &mut [Atom],
-    grad: &'g Tensor,
-    step: fn(&mut Atom, &Tensor) -> Tensor,
-) -> Cow<'g, Tensor> {
+fn backprop<'g>(atoms: &mut [Sequential], grad: &'g Tensor, step: BackStep) -> Cow<'g, Tensor> {
     let mut g = Cow::Borrowed(grad);
     for atom in atoms.iter_mut().rev() {
         g = Cow::Owned(step(atom, &g));
     }
     g
-}
-
-impl Clone for CascadeModel {
-    fn clone(&self) -> Self {
-        CascadeModel {
-            atoms: self.atoms.clone(),
-            input_shape: self.input_shape.clone(),
-            n_classes: self.n_classes,
-        }
-    }
 }
 
 /// A model is its own deployable global model: lets a single-model

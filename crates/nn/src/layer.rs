@@ -122,17 +122,20 @@ pub trait Layer: Send + Sync {
     /// Clones the layer behind a box (object-safe `Clone`).
     fn clone_box(&self) -> Box<dyn Layer>;
 
-    /// Batch-norm running statistics `(mean, var)`, if this layer has any.
+    /// Batch-norm running statistics `(mean, var)` of this layer and any
+    /// nested layers, walked in the same order as `params`.
     ///
     /// Used by the FedRBN baseline, which propagates adversarial BN
-    /// statistics between clients.
-    fn bn_stats(&self) -> Option<(&Tensor, &Tensor)> {
-        None
+    /// statistics between clients, and by checkpoints.
+    fn running_stats(&self) -> Vec<(&Tensor, &Tensor)> {
+        Vec::new()
     }
 
-    /// Overwrites batch-norm running statistics. No-op for layers without
-    /// them.
-    fn set_bn_stats(&mut self, _mean: &Tensor, _var: &Tensor) {}
+    /// Mutable views of the running statistics, same order as
+    /// `running_stats`.
+    fn running_stats_mut(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
+        Vec::new()
+    }
 
     /// Drops cached activations (frees memory between rounds). Optional.
     fn clear_cache(&mut self) {}
@@ -144,35 +147,6 @@ pub trait Layer: Send + Sync {
     /// parameter-free layers ignore it. Federated loops use this to budget
     /// kernel threads per client (see `fp_tensor::parallel::thread_split`).
     fn set_backend(&mut self, _backend: &fp_tensor::BackendHandle) {}
-
-    /// Collects BN running statistics from this layer and any nested
-    /// layers, in a stable traversal order. Composite layers override this
-    /// to recurse.
-    fn collect_inner_bn(&self, out: &mut Vec<(Tensor, Tensor)>) {
-        if let Some((m, v)) = self.bn_stats() {
-            out.push((m.clone(), v.clone()));
-        }
-    }
-
-    /// Applies BN running statistics in the order produced by
-    /// [`Layer::collect_inner_bn`]. `stats` must contain exactly as many
-    /// entries as this layer holds.
-    fn apply_inner_bn(&mut self, stats: &[(Tensor, Tensor)]) {
-        if self.bn_stats().is_some() {
-            assert_eq!(stats.len(), 1, "bn stats count mismatch");
-            let (m, v) = &stats[0];
-            self.set_bn_stats(m, v);
-        } else {
-            assert!(stats.is_empty(), "bn stats offered to a bn-free layer");
-        }
-    }
-
-    /// Number of batch-norm layers inside this layer (including itself).
-    fn bn_count(&self) -> usize {
-        let mut tmp = Vec::new();
-        self.collect_inner_bn(&mut tmp);
-        tmp.len()
-    }
 }
 
 /// The panic of a parameter backward after [`Layer::forward_dx_only`].

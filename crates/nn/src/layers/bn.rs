@@ -13,7 +13,7 @@ const EPS: f32 = 1e-5;
 /// In `Train` mode it normalizes with live batch statistics and updates
 /// exponential running statistics (momentum 0.1); in `Eval` mode it uses
 /// the running statistics. Running statistics are exposed through
-/// [`Layer::bn_stats`] because the FedRBN baseline propagates adversarial
+/// [`Layer::running_stats`] because the FedRBN baseline propagates adversarial
 /// BN statistics across clients.
 #[derive(Debug, Clone)]
 pub struct BatchNorm2d {
@@ -309,15 +309,12 @@ impl Layer for BatchNorm2d {
         Box::new(self.clone())
     }
 
-    fn bn_stats(&self) -> Option<(&Tensor, &Tensor)> {
-        Some((&self.running_mean, &self.running_var))
+    fn running_stats(&self) -> Vec<(&Tensor, &Tensor)> {
+        vec![(&self.running_mean, &self.running_var)]
     }
 
-    fn set_bn_stats(&mut self, mean: &Tensor, var: &Tensor) {
-        assert_eq!(mean.shape(), [self.c], "bn stats mean shape");
-        assert_eq!(var.shape(), [self.c], "bn stats var shape");
-        self.running_mean = mean.clone();
-        self.running_var = var.clone();
+    fn running_stats_mut(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
+        vec![(&mut self.running_mean, &mut self.running_var)]
     }
 
     fn clear_cache(&mut self) {
@@ -331,6 +328,13 @@ mod tests {
     use crate::gradcheck::{
         check_layer_gradients, check_layer_gradients_mode, check_layer_input_gradients,
     };
+
+    /// Overwrites `bn`'s running statistics.
+    fn set_stats(bn: &mut BatchNorm2d, mean: Vec<f32>, var: Vec<f32>) {
+        let c = mean.len();
+        let (m, v) = bn.running_stats_mut().remove(0);
+        (*m, *v) = (Tensor::from_vec(mean, &[c]), Tensor::from_vec(var, &[c]));
+    }
 
     #[test]
     fn train_mode_normalizes_batch() {
@@ -360,7 +364,7 @@ mod tests {
         for _ in 0..100 {
             bn.forward(&x, Mode::Train);
         }
-        let (mean, var) = bn.bn_stats().unwrap();
+        let (mean, var) = bn.running_stats()[0];
         assert!((mean.data()[0] - 3.0).abs() < 1e-2);
         assert!(var.data()[0] < 1e-2); // constant input → zero variance
     }
@@ -368,10 +372,7 @@ mod tests {
     #[test]
     fn eval_uses_running_stats() {
         let mut bn = BatchNorm2d::new("bn", 1, 0);
-        bn.set_bn_stats(
-            &Tensor::from_vec(vec![1.0], &[1]),
-            &Tensor::from_vec(vec![4.0], &[1]),
-        );
+        set_stats(&mut bn, vec![1.0], vec![4.0]);
         let x = Tensor::full(&[1, 1, 1, 1], 5.0);
         let y = bn.forward(&x, Mode::Eval);
         // (5-1)/sqrt(4+eps) ≈ 2.
@@ -390,10 +391,7 @@ mod tests {
         let mut rng = fp_tensor::seeded_rng(9);
         let mut bn = BatchNorm2d::new("bn", 2, 0);
         // Non-trivial running stats.
-        bn.set_bn_stats(
-            &Tensor::from_vec(vec![0.3, -0.2], &[2]),
-            &Tensor::from_vec(vec![1.5, 0.7], &[2]),
-        );
+        set_stats(&mut bn, vec![0.3, -0.2], vec![1.5, 0.7]);
         check_layer_gradients_mode(&mut bn, &[2, 2, 3, 3], Mode::Eval, &mut rng);
     }
 
@@ -402,21 +400,16 @@ mod tests {
         let mut rng = fp_tensor::seeded_rng(10);
         let mut bn = BatchNorm2d::new("bn", 3, 0);
         bn.params_mut()[0].set_value(Tensor::from_vec(vec![0.5, 1.5, -1.0], &[3]));
-        bn.set_bn_stats(
-            &Tensor::from_vec(vec![0.3, -0.2, 0.1], &[3]),
-            &Tensor::from_vec(vec![1.5, 0.7, 1.1], &[3]),
-        );
+        set_stats(&mut bn, vec![0.3, -0.2, 0.1], vec![1.5, 0.7, 1.1]);
         check_layer_input_gradients(&mut bn, &[4, 3, 2, 2], &mut rng);
     }
 
     #[test]
     fn set_bn_stats_roundtrip() {
         let mut bn = BatchNorm2d::new("bn", 2, 0);
-        let m = Tensor::from_vec(vec![1.0, 2.0], &[2]);
-        let v = Tensor::from_vec(vec![3.0, 4.0], &[2]);
-        bn.set_bn_stats(&m, &v);
-        let (gm, gv) = bn.bn_stats().unwrap();
-        assert_eq!(gm, &m);
-        assert_eq!(gv, &v);
+        set_stats(&mut bn, vec![1.0, 2.0], vec![3.0, 4.0]);
+        let (gm, gv) = bn.running_stats()[0];
+        assert_eq!(gm.data(), [1.0, 2.0]);
+        assert_eq!(gv.data(), [3.0, 4.0]);
     }
 }

@@ -74,7 +74,7 @@ impl FusedRun {
     pub(crate) fn forward(&mut self, bn: &dyn Layer, x: &Tensor) -> Tensor {
         assert_eq!(x.shape().len(), 4, "batchnorm input must be [b,c,h,w]");
         let (b, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-        let (mean, var) = bn.bn_stats().expect("a fused run starts at a BatchNorm2d");
+        let (mean, var) = bn.running_stats()[0];
         let params = bn.params();
         let (gamma, beta) = (params[0].value().data(), params[1].value().data());
         assert_eq!(c, gamma.len(), "bn channel mismatch");

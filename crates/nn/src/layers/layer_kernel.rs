@@ -300,10 +300,12 @@ fn bn_pair<R: Rng>(rng: &mut R, c: usize) -> (BatchNorm2d, RefBn) {
     let mut bn = BatchNorm2d::new("bn", c, 0);
     bn.params_mut()[0].set_value(Tensor::from_vec(gamma.clone(), &[c]));
     bn.params_mut()[1].set_value(Tensor::from_vec(beta.clone(), &[c]));
-    bn.set_bn_stats(
-        &Tensor::from_vec(mean.clone(), &[c]),
-        &Tensor::from_vec(var.clone(), &[c]),
-    );
+    for (m, v) in bn.running_stats_mut() {
+        (*m, *v) = (
+            Tensor::from_vec(mean.clone(), &[c]),
+            Tensor::from_vec(var.clone(), &[c]),
+        );
+    }
     let reference = RefBn {
         gamma,
         beta,
@@ -332,7 +334,7 @@ fn check_bn<R: Rng>(
         reference.forward(x, mode).data(),
         &format!("{tag} forward"),
     );
-    let (mean, var) = bn.bn_stats().unwrap();
+    let (mean, var) = bn.running_stats()[0];
     assert_same(
         mean.data(),
         &reference.running_mean,

@@ -221,24 +221,15 @@ impl Layer for Sequential {
         Box::new(self.clone())
     }
 
-    fn bn_stats(&self) -> Option<(&Tensor, &Tensor)> {
-        None
+    fn running_stats(&self) -> Vec<(&Tensor, &Tensor)> {
+        self.layers.iter().flat_map(|l| l.running_stats()).collect()
     }
 
-    fn collect_inner_bn(&self, out: &mut Vec<(Tensor, Tensor)>) {
-        for l in &self.layers {
-            l.collect_inner_bn(out);
-        }
-    }
-
-    fn apply_inner_bn(&mut self, stats: &[(Tensor, Tensor)]) {
-        let mut idx = 0;
-        for l in &mut self.layers {
-            let n = l.bn_count();
-            l.apply_inner_bn(&stats[idx..idx + n]);
-            idx += n;
-        }
-        assert_eq!(idx, stats.len(), "bn stats count mismatch");
+    fn running_stats_mut(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
+        self.layers
+            .iter_mut()
+            .flat_map(|l| l.running_stats_mut())
+            .collect()
     }
 
     fn clear_cache(&mut self) {
@@ -263,6 +254,7 @@ mod tests {
     use crate::gradcheck::{check_layer_gradients, check_layer_input_gradients};
     use crate::layers::linear::Linear;
     use crate::layers::relu::ReLU;
+    use crate::{BasicBlock, BatchNorm2d, Conv2d};
 
     #[test]
     fn forward_composes_in_order() {
@@ -315,5 +307,45 @@ mod tests {
         assert_eq!(seq.params().len(), 4);
         assert_eq!(seq.params()[0].name(), "a.w");
         assert_eq!(seq.params()[3].name(), "b.b");
+    }
+
+    /// Running statistics walk the tree like `params`: child by child and
+    /// into nested composites; a write through `running_stats_mut` reads
+    /// back in the same order.
+    #[test]
+    fn running_stats_walk_like_params() {
+        let mut rng = fp_tensor::seeded_rng(3);
+        let mut seq = Sequential::new()
+            .push(Box::new(BasicBlock::new("b", 2, 4, 2, 0, 1, &mut rng)))
+            .push(Box::new(
+                Sequential::new()
+                    .push(Box::new(Conv2d::new(
+                        "c", 4, 3, 1, 1, 0, false, 1, 1, &mut rng,
+                    )))
+                    .push(Box::new(BatchNorm2d::new("bn", 3, 1))),
+            ));
+        let gammas: Vec<&str> = seq
+            .params()
+            .into_iter()
+            .map(|p| p.name())
+            .filter(|n| n.ends_with(".gamma"))
+            .collect();
+        assert_eq!(
+            gammas,
+            ["b.bn1.gamma", "b.bn2.gamma", "b.downbn.gamma", "bn.gamma"]
+        );
+        for (i, (m, v)) in seq.running_stats_mut().into_iter().enumerate() {
+            *m = Tensor::full(m.shape(), i as f32);
+            *v = Tensor::full(v.shape(), 1.0 + i as f32);
+        }
+        let got: Vec<(usize, f32, f32)> = seq
+            .running_stats()
+            .iter()
+            .map(|(m, v)| (m.numel(), m.data()[0], v.data()[0]))
+            .collect();
+        assert_eq!(
+            got,
+            [(4, 0.0, 1.0), (4, 1.0, 2.0), (4, 2.0, 3.0), (3, 3.0, 4.0)]
+        );
     }
 }

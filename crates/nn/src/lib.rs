@@ -24,6 +24,18 @@
 //! Every differentiable layer is validated against central finite
 //! differences in its unit tests.
 //!
+//! # The layer tree
+//!
+//! A model is a tree of leaf layers under two composites. [`Sequential`]
+//! chains its children; [`BasicBlock`] is `relu(block(x) + shortcut(x))`
+//! over two `Sequential`s, an empty shortcut being the identity. A
+//! [`CascadeModel`] is a list of named `Sequential` atoms, and
+//! FedProphet's auxiliary head is one more `Sequential`. Every walk of
+//! the tree — [`Layer::params`], [`Layer::running_stats`] (batch-norm
+//! running statistics), caches and backends — goes child by child in the
+//! same order, so the `i`-th running-statistics pair belongs to the
+//! `i`-th batch-norm layer met in `params` order.
+//!
 //! # Example
 //!
 //! ```
@@ -38,7 +50,6 @@
 //! assert_eq!(logits.shape(), &[2, 4]);
 //! ```
 
-mod atom;
 mod cascade;
 pub mod checkpoint;
 pub mod delta;
@@ -52,7 +63,6 @@ mod param;
 pub mod qcodec;
 pub mod spec;
 
-pub use atom::Atom;
 pub use cascade::CascadeModel;
 pub use checkpoint::Checkpoint;
 pub use delta::{apply_param_delta, param_diff, ParamDelta};

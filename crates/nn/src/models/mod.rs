@@ -22,7 +22,6 @@ pub use resnet::{
 };
 pub use vgg::{tiny_vgg, vgg11_spec, vgg13_spec, vgg16_spec_cifar, vgg_atom_specs, VggConfig};
 
-use crate::atom::Atom;
 use crate::cascade::CascadeModel;
 use crate::layer::Layer;
 use crate::layers::basic_block::BasicBlock;
@@ -63,7 +62,7 @@ pub fn instantiate<R: Rng + ?Sized>(
             let name = format!("{}.{}", atom_spec.name, i);
             seq.add(instantiate_layer(ls, &name, rng));
         }
-        atoms.push(Atom::new(atom_spec.name.clone(), seq));
+        atoms.push((atom_spec.name.clone(), seq));
     }
     CascadeModel::new(atoms, input_shape, n_classes)
 }

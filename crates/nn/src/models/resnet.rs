@@ -1,7 +1,8 @@
 //! ResNet-family cascades.
 //!
-//! The ResNet atom is a residual [`BasicBlock`](crate::BasicBlock) (paper
-//! §6.1); the stem convolution and the classifier are their own atoms.
+//! A ResNet atom is a [`Sequential`](crate::Sequential) holding one
+//! residual [`BasicBlock`](crate::BasicBlock) (paper §6.1); the stem
+//! convolution and the classifier are their own atoms.
 
 use crate::cascade::CascadeModel;
 use crate::spec::{AtomSpec, LayerKind, LayerSpec, GROUP_INPUT, GROUP_OUTPUT};

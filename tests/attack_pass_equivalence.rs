@@ -26,8 +26,8 @@ use fedprophet_repro::fedprophet::{train_module_window, AuxHead, ModuleTarget, W
 use fedprophet_repro::fl::{local_train, LocalTrainConfig};
 use fedprophet_repro::nn::models;
 use fedprophet_repro::nn::{
-    Atom, BasicBlock, BatchNorm2d, CascadeModel, Conv2d, CrossEntropyLoss, Dropout, Flatten,
-    GlobalAvgPool, Layer, Linear, MaxPool2d, Mode, Param, ReLU, Sgd,
+    BasicBlock, BatchNorm2d, CascadeModel, Conv2d, CrossEntropyLoss, Dropout, Flatten,
+    GlobalAvgPool, Layer, Linear, MaxPool2d, Mode, Param, ReLU, Sequential, Sgd,
 };
 use fedprophet_repro::tensor::{backend_for_threads, seeded_rng, Tensor};
 use proptest::prelude::*;
@@ -71,7 +71,7 @@ macro_rules! impl_unit {
         }
     )*};
 }
-impl_unit!(Box<dyn Layer>, Atom, AuxHead);
+impl_unit!(Box<dyn Layer>, Sequential, AuxHead);
 
 /// After one forward on `x`: `backward_input(g)` is bitwise the tensor
 /// `backward(g)` returns, touches no (pre-seeded) parameter gradient, and
@@ -142,10 +142,9 @@ proptest! {
         let x = Tensor::rand_uniform(&[batch, d_in], -1.0, 1.0, &mut rng);
         let mut bn = BatchNorm2d::new("bn", c, 0);
         bn.params_mut()[0].set_value(Tensor::rand_uniform(&[c], 0.5, 1.5, &mut rng));
-        bn.set_bn_stats(
-            &Tensor::rand_uniform(&[c], -0.5, 0.5, &mut rng),
-            &Tensor::rand_uniform(&[c], 0.5, 2.0, &mut rng),
-        );
+        let (mean, var) = bn.running_stats_mut().remove(0);
+        *mean = Tensor::rand_uniform(&[c], -0.5, 0.5, &mut rng);
+        *var = Tensor::rand_uniform(&[c], 0.5, 2.0, &mut rng);
         let mut bn = boxed(bn);
         let z = Tensor::rand_uniform(&[batch, c, hw, hw], -2.0, 2.0, &mut rng);
         for mode in MODES {
