@@ -27,6 +27,7 @@
 //! ```
 
 use crate::cascade::CascadeModel;
+use crate::layer::Layer;
 use crate::spec::AtomSpec;
 use fp_tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -58,6 +59,19 @@ pub enum RestoreError {
         /// Stats stored in the checkpoint.
         stored: usize,
     },
+    /// A stored BN mean or variance does not fit its layer: its shape is
+    /// not the layer's, or it holds a different number of values than its
+    /// shape says.
+    BnShapeMismatch {
+        /// Index of the `(mean, var)` pair, in `bn_stats` order.
+        index: usize,
+        /// The layer's statistics shape.
+        expected: Vec<usize>,
+        /// The stored tensor's shape.
+        stored: Vec<usize>,
+        /// The stored tensor's value count.
+        values: usize,
+    },
 }
 
 impl std::fmt::Display for RestoreError {
@@ -70,6 +84,16 @@ impl std::fmt::Display for RestoreError {
             RestoreError::BnCountMismatch { expected, stored } => write!(
                 f,
                 "checkpoint has {stored} bn-stat pairs but the architecture needs {expected}"
+            ),
+            RestoreError::BnShapeMismatch {
+                index,
+                expected,
+                stored,
+                values,
+            } => write!(
+                f,
+                "checkpoint bn-stat pair {index} holds a {stored:?} tensor of {values} values \
+                 but the architecture needs {expected:?}"
             ),
         }
     }
@@ -106,12 +130,30 @@ impl Checkpoint {
                 stored: self.params.len(),
             });
         }
-        let bn_expected = model.bn_stats().len();
-        if bn_expected != self.bn_stats.len() {
+        let bn_expected: Vec<_> = model
+            .atoms()
+            .iter()
+            .flat_map(Layer::running_stats)
+            .collect();
+        if bn_expected.len() != self.bn_stats.len() {
             return Err(RestoreError::BnCountMismatch {
-                expected: bn_expected,
+                expected: bn_expected.len(),
                 stored: self.bn_stats.len(),
             });
+        }
+        for (index, ((mean, var), (m, v))) in
+            bn_expected.into_iter().zip(&self.bn_stats).enumerate()
+        {
+            for (want, got) in [(mean, m), (var, v)] {
+                if got.shape() != want.shape() || got.data().len() != want.data().len() {
+                    return Err(RestoreError::BnShapeMismatch {
+                        index,
+                        expected: want.shape().to_vec(),
+                        stored: got.shape().to_vec(),
+                        values: got.data().len(),
+                    });
+                }
+            }
         }
         model.set_flat_params(&self.params);
         model.set_bn_stats(&self.bn_stats);
@@ -187,6 +229,49 @@ mod tests {
             ckpt.restore(),
             Err(RestoreError::BnCountMismatch { .. })
         ));
+    }
+
+    /// Restores `model`'s checkpoint JSON with its first BN mean (all
+    /// zeros, four channels) replaced by `mean`.
+    fn restore_with_first_mean(mean: &str) -> Result<CascadeModel, RestoreError> {
+        let mut rng = fp_tensor::seeded_rng(5);
+        let model = models::tiny_vgg(3, 8, 4, &[4], &mut rng);
+        let json = serde_json::to_string(&Checkpoint::capture(&model)).unwrap();
+        let at = json.find("\"bn_stats\"").unwrap();
+        let first = r#"{"data":[0,0,0,0],"shape":[4]}"#;
+        assert!(json[at..].starts_with(&format!(r#""bn_stats":[[{first}"#)));
+        let edited = format!("{}{}", &json[..at], json[at..].replacen(first, mean, 1));
+        serde_json::from_str::<Checkpoint>(&edited)
+            .unwrap()
+            .restore()
+    }
+
+    #[test]
+    fn wrong_shaped_bn_mean_is_rejected() {
+        let err = restore_with_first_mean(r#"{"data":[0,0,0,0,0],"shape":[5]}"#).unwrap_err();
+        let want = RestoreError::BnShapeMismatch {
+            index: 0,
+            expected: vec![4],
+            stored: vec![5],
+            values: 5,
+        };
+        assert_eq!(err, want);
+        assert_eq!(
+            err.to_string(),
+            "checkpoint bn-stat pair 0 holds a [5] tensor of 5 values but the architecture needs [4]"
+        );
+    }
+
+    #[test]
+    fn bn_mean_short_of_its_shape_is_rejected() {
+        let err = restore_with_first_mean(r#"{"data":[0,0,0],"shape":[4]}"#).unwrap_err();
+        let want = RestoreError::BnShapeMismatch {
+            index: 0,
+            expected: vec![4],
+            stored: vec![4],
+            values: 3,
+        };
+        assert_eq!(err, want);
     }
 
     #[test]
