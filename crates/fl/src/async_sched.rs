@@ -811,6 +811,37 @@ impl<S> AsyncCheckpoint<S> {
                 );
             }
         }
+        // Every dispatch is merged or lost in a ledger record, still
+        // pending, or lost since the last aggregation.
+        let recorded: usize = (self.ledger.iter())
+            .map(|r| r.merged + r.timed_out + r.unavailable + r.outage_lost)
+            .sum();
+        let traced = self.trace.as_ref().map(|t| t.unavailable + t.outage_lost);
+        let lost = self.timed_out + traced.unwrap_or(0);
+        let at_edges: usize = self.edge_buffers.iter().map(|(_, es)| es.len()).sum();
+        let backhaul = self.upstream.iter().flat_map(|(_, bundles)| bundles);
+        let on_backhaul: usize = backhaul.clone().map(|(_, es)| es.len()).sum();
+        let accounted = recorded + flying + entries + at_edges + on_backhaul + lost;
+        assert!(
+            self.dispatch_count == accounted as u64,
+            "AsyncCheckpoint field `dispatch_count`: {} dispatches, but the ledger, the pending \
+             dispatches and the losses since the last aggregation account for {accounted}",
+            self.dispatch_count
+        );
+        let flushes = self.edge_flushes;
+        if self.topo.is_some() {
+            let forwarded = bundles + backhaul.count();
+            assert!(
+                flushes <= forwarded,
+                "AsyncCheckpoint field `edge_flushes`: {flushes} edge flushes since the last \
+                 aggregation, but only {forwarded} bundles are buffered or on the backhaul"
+            );
+        } else {
+            assert!(
+                flushes == 0,
+                "AsyncCheckpoint field `edge_flushes`: {flushes} edge flushes on a flat topology"
+            );
+        }
     }
 }
 

@@ -722,3 +722,27 @@ fn async_resume_rejects_a_buffer_that_would_have_flushed() {
 fn async_resume_rejects_edge_buffers_on_a_flat_topology() {
     resume_corrupted_flat_async(|c| c.edge_buffers.push((0, vec![c.buffer[0]])));
 }
+
+#[test]
+#[should_panic(
+    expected = "AsyncCheckpoint field `dispatch_count`: 48 dispatches, but the ledger, the pending dispatches and the losses since the last aggregation account for 1048"
+)]
+fn async_resume_rejects_timeouts_the_dispatch_count_does_not_cover() {
+    resume_corrupted_async(|c| c.timed_out = 1000);
+}
+
+#[test]
+#[should_panic(
+    expected = "AsyncCheckpoint field `edge_flushes`: 500 edge flushes since the last aggregation, but only 3 bundles are buffered or on the backhaul"
+)]
+fn async_resume_rejects_more_edge_flushes_than_forwarded_bundles() {
+    resume_corrupted_async(|c| c.edge_flushes = 500);
+}
+
+#[test]
+#[should_panic(
+    expected = "AsyncCheckpoint field `edge_flushes`: 1 edge flushes on a flat topology"
+)]
+fn async_resume_rejects_edge_flushes_on_a_flat_topology() {
+    resume_corrupted_flat_async(|c| c.edge_flushes = 1);
+}
