@@ -84,7 +84,9 @@ impl FlConfig {
     /// # Panics
     ///
     /// Panics on degenerate values (zero clients, `C > N`, a non-finite
-    /// `eps0`, ...).
+    /// `eps0` or learning rate, a decay factor outside `(0, 1]`, a
+    /// momentum outside `[0, 1)`, a negative weight decay, ...), naming
+    /// the float field.
     pub fn validate(&self) {
         assert!(self.n_clients > 0, "need clients");
         assert!(
@@ -98,6 +100,25 @@ impl FlConfig {
             self.eps0 > 0.0 && self.eps0.is_finite(),
             "FlConfig field `eps0`: need a positive, finite epsilon, got {}",
             self.eps0
+        );
+        let LrSchedule { eta0, gamma } = self.lr;
+        assert!(
+            eta0 > 0.0 && eta0.is_finite(),
+            "FlConfig field `lr.eta0`: need a positive, finite learning rate, got {eta0}"
+        );
+        assert!(
+            gamma > 0.0 && gamma <= 1.0,
+            "FlConfig field `lr.gamma`: need a decay factor in (0, 1], got {gamma}"
+        );
+        assert!(
+            (0.0..1.0).contains(&self.momentum),
+            "FlConfig field `momentum`: need a momentum in [0, 1), got {}",
+            self.momentum
+        );
+        assert!(
+            self.weight_decay >= 0.0 && self.weight_decay.is_finite(),
+            "FlConfig field `weight_decay`: need a non-negative, finite weight decay, got {}",
+            self.weight_decay
         );
     }
 }
@@ -125,6 +146,45 @@ mod tests {
     fn validate_rejects_an_infinite_epsilon() {
         let mut c = FlConfig::fast(1, 0);
         c.eps0 = f32::INFINITY;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "FlConfig field `lr.eta0`: need a positive, finite learning rate, got inf"
+    )]
+    fn validate_rejects_an_infinite_learning_rate() {
+        let mut c = FlConfig::fast(1, 0);
+        c.lr.eta0 = f32::INFINITY;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "FlConfig field `lr.gamma`: need a decay factor in (0, 1], got NaN")]
+    fn validate_rejects_a_decay_factor_that_is_not_a_number() {
+        let mut c = FlConfig::fast(1, 0);
+        c.lr = LrSchedule {
+            eta0: 0.05,
+            gamma: f32::NAN,
+        };
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "FlConfig field `momentum`: need a momentum in [0, 1), got 1")]
+    fn validate_rejects_a_momentum_of_one() {
+        let mut c = FlConfig::fast(1, 0);
+        c.momentum = 1.0;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "FlConfig field `weight_decay`: need a non-negative, finite weight decay, got -0.0001"
+    )]
+    fn validate_rejects_a_negative_weight_decay() {
+        let mut c = FlConfig::fast(1, 0);
+        c.weight_decay = -1e-4;
         c.validate();
     }
 
