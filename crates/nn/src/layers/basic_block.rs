@@ -119,15 +119,17 @@ impl Layer for BasicBlock {
     }
 
     fn params(&self) -> Vec<&Param> {
-        let mut v = self.block.params();
-        v.extend(self.shortcut.params());
-        v
+        [&self.block, &self.shortcut]
+            .into_iter()
+            .flat_map(Layer::params)
+            .collect()
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut v = self.block.params_mut();
-        v.extend(self.shortcut.params_mut());
-        v
+        [&mut self.block, &mut self.shortcut]
+            .into_iter()
+            .flat_map(Layer::params_mut)
+            .collect()
     }
 
     fn spec(&self) -> LayerSpec {
@@ -142,15 +144,17 @@ impl Layer for BasicBlock {
     }
 
     fn running_stats(&self) -> Vec<(&Tensor, &Tensor)> {
-        let mut v = self.block.running_stats();
-        v.extend(self.shortcut.running_stats());
-        v
+        [&self.block, &self.shortcut]
+            .into_iter()
+            .flat_map(Layer::running_stats)
+            .collect()
     }
 
     fn running_stats_mut(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
-        let mut v = self.block.running_stats_mut();
-        v.extend(self.shortcut.running_stats_mut());
-        v
+        [&mut self.block, &mut self.shortcut]
+            .into_iter()
+            .flat_map(Layer::running_stats_mut)
+            .collect()
     }
 
     fn clear_cache(&mut self) {
